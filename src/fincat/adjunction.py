@@ -33,12 +33,14 @@ from .core import (
     CheckReport,
     FinCat,
     FunctorVal,
+    MalformedTableError,
     NatTransVal,
     Obligation,
     _is_finset,
     comma_under_object,
     compose_functors,
     identity_functor,
+    opposite,
     validate_functor,
     validate_nattrans,
 )
@@ -46,7 +48,6 @@ from .files import AdjParts
 from .finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
-    FinSetObj,
     colimit_finset,
     compose_maps,
     enumerate_nattrans_finset,
@@ -125,12 +126,13 @@ def flats_and_sharps(
     return flat, sharp
 
 
-def _structure_transforms(
+def _package(
     left: FunctorVal,
     right: FunctorVal,
     unit_components: Mapping[str, str],
     counit_components: Mapping[str, str],
-) -> tuple:
+) -> AdjunctionVal:
+    """Both structure transformations and both transposition tables."""
     src, oth = left.source, right.source
     missing = [a for a in src.objects if a not in unit_components]
     if missing:
@@ -144,7 +146,8 @@ def _structure_transforms(
     counit = NatTransVal(
         compose_functors(left, right), identity_functor(oth), dict(counit_components)
     )
-    return unit, counit
+    flat, sharp = flats_and_sharps(left, right, unit_components, counit_components)
+    return AdjunctionVal(left, right, unit, counit, flat, sharp)
 
 
 def assemble_adjunction(parts: AdjParts) -> AdjunctionVal:
@@ -171,9 +174,7 @@ def assemble_adjunction(parts: AdjParts) -> AdjunctionVal:
         raise AdjunctionError("manifest is missing a functor")
     if left.target.objects != right.source.objects or left.source.objects != right.target.objects:
         raise AdjunctionError("left and right functors do not form a loop")
-    unit, counit = _structure_transforms(left, right, parts.unit, parts.counit)
-    flat, sharp = flats_and_sharps(left, right, parts.unit, parts.counit)
-    return AdjunctionVal(left, right, unit, counit, flat, sharp)
+    return _package(left, right, parts.unit, parts.counit)
 
 
 def verify_adjunction(adj: AdjunctionVal) -> CheckReport:
@@ -275,7 +276,10 @@ def adjunction_from_universal_arrows(
     g : a -> R(b) exactly one u : chosen -> b has R(u) . arrow = g).  The
     left adjoint's action on morphisms and the counit are the unique
     solutions.  With ``side="counit"`` the roles are dualised: the given
-    functor is the left adjoint and the arrows run left(chosen) -> b.
+    functor is the left adjoint and the arrows run left(chosen) -> b.  That
+    case is solved as the unit side of the opposite adjunction, since
+    L -| R exactly when R^op -| L^op; its error messages therefore speak of
+    the opposite categories.
     """
     if side not in ("unit", "counit"):
         raise AdjunctionError(f"side must be 'unit' or 'counit', not {side!r}")
@@ -332,66 +336,17 @@ def adjunction_from_universal_arrows(
         rb = right.object_map[b]
         counit_components[b] = solutions(rb, b, src.id_of(rb))[0]
 
-    unit, counit = _structure_transforms(left, right, unit_components, counit_components)
-    flat, sharp = flats_and_sharps(left, right, unit_components, counit_components)
-    return AdjunctionVal(left, right, unit, counit, flat, sharp)
+    return _package(left, right, unit_components, counit_components)
 
 
 def _from_counit_arrows(
     left: FunctorVal, anchors: Mapping[str, Tuple[str, str]]
 ) -> AdjunctionVal:
     src, oth = left.source, left.target
-    for b in oth.objects:
-        if b not in anchors:
-            raise AdjunctionError(f"no universal arrow given for object {b!r}")
-    for b, (chosen, arrow) in anchors.items():
-        if b not in set(oth.objects):
-            raise AdjunctionError(f"{b!r} is not an object of the target category")
-        if chosen not in set(src.objects):
-            raise AdjunctionError(f"chosen object {chosen!r} does not exist")
-        want = (left.object_map[chosen], b)
-        if oth.morphisms.get(arrow) != want:
-            raise AdjunctionError(
-                f"arrow {arrow!r} for {b!r} is not a morphism {want[0]} -> {want[1]}"
-            )
-
-    def solutions(b: str, a: str, g: str) -> list:
-        chosen, arrow = anchors[b]
-        return [
-            u
-            for u in src.hom(a, chosen)
-            if oth.comp(arrow, left.morphism_map[u]) == g
-        ]
-
-    for b in sorted(anchors):
-        for a in sorted(src.objects):
-            for g in oth.hom(left.object_map[a], b):
-                sols = solutions(b, a, g)
-                if len(sols) != 1:
-                    raise AdjunctionError(
-                        f"arrow for {b!r} is not universal: "
-                        f"{len(sols)} solutions for source {a!r} and morphism {g!r}"
-                    )
-
-    object_map = {b: anchors[b][0] for b in oth.objects}
-    morphism_map = {}
-    for k, (b, b2) in oth.morphisms.items():
-        g = oth.comp(k, anchors[b][1])
-        morphism_map[k] = solutions(b2, object_map[b], g)[0]
-    right = FunctorVal(oth, src, object_map, morphism_map)
-    right_report = validate_functor(right)
-    if not right_report.passed:  # pragma: no cover - implied by universality
-        raise AdjunctionError(f"solved functor is not functorial: {right_report.summary()}")
-
-    counit_components = {b: anchors[b][1] for b in oth.objects}
-    unit_components = {}
-    for a in src.objects:
-        la = left.object_map[a]
-        unit_components[a] = solutions(la, a, oth.id_of(la))[0]
-
-    unit, counit = _structure_transforms(left, right, unit_components, counit_components)
-    flat, sharp = flats_and_sharps(left, right, unit_components, counit_components)
-    return AdjunctionVal(left, right, unit, counit, flat, sharp)
+    left_op = FunctorVal(opposite(src), opposite(oth), left.object_map, left.morphism_map)
+    dual = adjunction_from_universal_arrows(left_op, anchors, side="unit")
+    right = FunctorVal(oth, src, dual.left.object_map, dual.left.morphism_map)
+    return _package(left, right, dual.counit.components, dual.unit.components)
 
 
 # ---------------------------------------------------------------------------
@@ -407,32 +362,13 @@ def precompose_functor(along: FunctorVal, functor: FunctorVal) -> FunctorVal:
     return compose_functors(functor, along)
 
 
-def _split_comma_id(oid: str, base: str) -> str:
-    """Recover the structure morphism from a comma-object identifier.
-
-    Identifiers have the shape "(base,phi)" where ``base`` is the carried
-    object; the remainder between the comma and the closing parenthesis is
-    the morphism name.
-    """
-    inner = oid[1:-1]
-    prefix = base + ","
-    if not (oid.startswith("(") and oid.endswith(")") and inner.startswith(prefix)):
-        raise AdjunctionError(f"unrecognised slice object {oid!r}")
-    return inner[len(prefix):]
-
-
 def _comma_diagrams(along: FunctorVal, functor: FunctorVal, orientation: str):
-    """Per target object: slice category, its diagram in sets, and the
-    decomposition oid -> (source object, structure morphism)."""
+    """Per target object: the functor's diagram over the slice category, and
+    the slice's anatomy oid -> (source object, structure morphism)."""
     out = {}
     for b in along.target.objects:
-        slice_cat, forget = comma_under_object(b, along, orientation=orientation)
-        diagram = compose_functors(functor, forget)
-        anatomy = {
-            oid: (forget.object_map[oid], _split_comma_id(oid, forget.object_map[oid]))
-            for oid in slice_cat.objects
-        }
-        out[b] = (slice_cat, diagram, anatomy)
+        _slice, forget, anatomy = comma_under_object(b, along, orientation=orientation)
+        out[b] = (compose_functors(functor, forget), anatomy)
     return out
 
 
@@ -455,31 +391,27 @@ def right_kan_with_cones(
     """As :func:`right_kan`, also returning the limiting projections.
 
     The second result maps each target object b to a dict
-    slice-object-id -> projection map (from the value at b to the functor's
-    value at the carried source object).
+    (a, phi) -> projection map (from the value at b to the functor's value at
+    a), one entry per object of the slice under b.
     """
     _require_setvalued(along, functor)
     tgt = along.target
     data = _comma_diagrams(along, functor, "under")
     object_map = {}
     cones = {}
-    for b in tgt.objects:
-        slice_cat, diagram, _anatomy = data[b]
+    for b, (diagram, anatomy) in data.items():
         carrier, projections = limit_finset(diagram, cap)
         object_map[b] = carrier
-        cones[b] = projections
+        cones[b] = {anatomy[oid]: proj for oid, proj in projections.items()}
 
     morphism_map = {}
     for k, (b, b2) in tgt.morphisms.items():
-        slice2 = data[b2][0]
-        anatomy2 = data[b2][2]
         table = {}
         for element in object_map[b]:
-            family = {}
-            for oid2 in slice2.objects:
-                a, phi = anatomy2[oid2]
-                oid = f"({a},{tgt.comp(phi, k)})"
-                family[oid2] = cones[b][oid].table[element]
+            family = {
+                oid2: cones[b][(a, tgt.comp(phi, k))].table[element]
+                for oid2, (a, phi) in data[b2][1].items()
+            }
             table[element] = tuple_atom(family)
         morphism_map[k] = FinSetMap(object_map[b], object_map[b2], table)
 
@@ -506,28 +438,26 @@ def left_kan(
 def left_kan_with_cocones(
     along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple:
-    """As :func:`left_kan`, also returning the colimiting injections."""
+    """As :func:`left_kan`, also returning the colimiting injections, keyed
+    like the cones of :func:`right_kan_with_cones` by (a, phi)."""
     _require_setvalued(along, functor)
     tgt = along.target
     data = _comma_diagrams(along, functor, "over")
     object_map = {}
     cocones = {}
-    for b in tgt.objects:
-        slice_cat, diagram, _anatomy = data[b]
+    for b, (diagram, anatomy) in data.items():
         carrier, injections = colimit_finset(diagram)
         object_map[b] = carrier
-        cocones[b] = injections
+        cocones[b] = {anatomy[oid]: inj for oid, inj in injections.items()}
 
     morphism_map = {}
     for k, (b, b2) in tgt.morphisms.items():
-        slice1, _diagram1, anatomy1 = data[b]
         table = {}
-        for oid in slice1.objects:
-            a, phi = anatomy1[oid]
-            oid2 = f"({a},{tgt.comp(k, phi)})"
+        for (a, phi), inj in cocones[b].items():
+            pushed = cocones[b2][(a, tgt.comp(k, phi))]
             for x in functor.object_map[a]:
-                element = cocones[b][oid].table[x]
-                image = cocones[b2][oid2].table[x]
+                element = inj.table[x]
+                image = pushed.table[x]
                 if table.setdefault(element, image) != image:
                     raise AdjunctionError(  # pragma: no cover - colimit glue
                         f"colimit action ill-defined at {k!r} on {element!r}"
@@ -546,11 +476,17 @@ def _require_setvalued(along: FunctorVal, functor: FunctorVal) -> None:
         raise AdjunctionError("Kan extensions here require a finite-set valued functor")
     if functor.source != along.source:
         raise AdjunctionError("functor is not defined on the extension's source")
-
-
-def _identity_slice_id(along: FunctorVal, a: str) -> str:
-    fa = along.object_map[a]
-    return f"({a},{along.target.id_of(fa)})"
+    if _is_finset(along.target):
+        raise AdjunctionError("Kan extensions here run along a functor between table categories")
+    for role, fun in (("along", along), ("functor", functor)):
+        try:
+            failed = validate_functor(fun).failures()
+        except MalformedTableError as exc:
+            raise AdjunctionError(f"{role} is not a functor: {exc}") from None
+        if failed:
+            raise AdjunctionError(
+                f"{role} is not a functor: {failed[0].name} fails at {failed[0].witness!r}"
+            )
 
 
 def check_kan_adjointness(
@@ -593,7 +529,7 @@ def check_kan_adjointness(
             components = {}
             for a in along.source.objects:
                 fa = along.object_map[a]
-                inj = cocones[fa][_identity_slice_id(along, a)]
+                inj = cocones[fa][(a, along.target.id_of(fa))]
                 components[a] = compose_maps(t.at(fa), inj)
             transposed.add(nattrans_key(NatTransVal(sample, restricted, components)))
         wanted = {nattrans_key(t) for t in downstairs}
@@ -623,7 +559,7 @@ def check_kan_adjointness(
             components = {}
             for a in along.source.objects:
                 fa = along.object_map[a]
-                proj = cones[fa][_identity_slice_id(along, a)]
+                proj = cones[fa][(a, along.target.id_of(fa))]
                 components[a] = compose_maps(proj, t.at(fa))
             transposed.add(nattrans_key(NatTransVal(restricted, sample, components)))
         wanted = {nattrans_key(t) for t in upstairs}
@@ -679,7 +615,7 @@ def counit_inclusion_check(
     obligations = [Obligation("fully_faithful_inclusion", True, ())]
     for a in sorted(along.source.objects):
         fa = along.object_map[a]
-        comparison = cones[fa][_identity_slice_id(along, a)]
+        comparison = cones[fa][(a, along.target.id_of(fa))]
         image = set(comparison.table.values())
         bijective = (
             len(comparison.dom) == len(comparison.cod)

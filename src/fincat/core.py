@@ -16,8 +16,8 @@ second.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Iterable
 
 
 class FinCatError(Exception):
@@ -45,8 +45,8 @@ class Obligation:
     witness: tuple = ()
 
     def __post_init__(self):
-        # failing obligations must be replayable
-        assert self.passed or self.witness, "failing obligation needs a witness"
+        if not (self.passed or self.witness):
+            raise ValueError(f"failing obligation {self.name!r} needs a witness")
 
 
 @dataclass(frozen=True)
@@ -455,76 +455,14 @@ def validate_nattrans(t: NatTransVal) -> CheckReport:
     return CheckReport("nattrans", tuple(obligations))
 
 
-def identity_nattrans(f: FunctorVal) -> NatTransVal:
-    from . import finset
-
-    if _is_finset(f.target):
-        comps = {x: finset.identity_map(f.object_map[x]) for x in f.source.objects}
-    else:
-        comps = {x: f.target.id_of(f.object_map[x]) for x in f.source.objects}
-    return NatTransVal(f, f, comps)
-
-
-def compose_nattrans(s: NatTransVal, t: NatTransVal) -> NatTransVal:
-    """Vertical composite s after t (t: F => G, s: G => H)."""
-    if t.G != s.F:
-        raise BoundaryError("vertical composite of non-adjacent transformations")
-    comps = {
-        x: _target_comp(t.F.target, s.components[x], t.components[x])
-        for x in t.F.source.objects
-    }
-    return NatTransVal(t.F, s.G, comps)
-
-
-def comma_object_over_functor(a, r: FunctorVal) -> FinCat:
-    """Comma category (a / r) for a finite set a and a set-valued functor r.
-
-    Objects are pairs of a source object C and a map a -> r(C); morphisms
-    (C, eta) -> (D, g) are source morphisms f: C -> D with r(f) . eta = g.
-    All identifiers are canonical encodings, so the result is deterministic.
-    """
-    from . import finset
-
-    if not _is_finset(r.target):
-        raise BoundaryError("comma over an object needs a finite-set valued functor")
-    src = r.source
-    objects = []
-    data = {}
-    for c in src.objects:
-        for eta in finset.enumerate_maps(a, r.object_map[c]):
-            oid = f"({c},{finset.encode_map(eta)})"
-            objects.append(oid)
-            data[oid] = (c, eta)
-    morphisms = {}
-    identity = {}
-    mdata = {}
-    for oid in objects:
-        c, eta = data[oid]
-        for f in src.sorted_morphisms():
-            if src.dom(f) != c:
-                continue
-            g = finset.compose_maps(r.morphism_map[f], eta)
-            tid = f"({src.cod(f)},{finset.encode_map(g)})"
-            mid = f"({f} | {oid} -> {tid})"
-            morphisms[mid] = (oid, tid)
-            mdata[mid] = f
-            if f == src.id_of(c):
-                identity[oid] = mid
-    compose = {}
-    for m2, (o2, o3) in morphisms.items():
-        for m1, (o1, o1cod) in morphisms.items():
-            if o1cod != o2:
-                continue
-            f = src.compose[(mdata[m2], mdata[m1])]
-            compose[(m2, m1)] = f"({f} | {o1} -> {o3})"
-    return FinCat(tuple(sorted(objects)), morphisms, identity, compose)
-
-
 def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
     """Comma category of a table functor against an object of its target.
 
     orientation "under": objects (A, phi: b -> f A); "over": (A, phi: f A -> b).
-    Returns the category together with the forgetful functor to f's source.
+    Returns ``(cat, forget, anatomy)``: the category, the forgetful functor to
+    f's source, and ``anatomy[oid] = (A, phi)`` for every object.  The
+    identifier format is private to this function; callers use the anatomy.
+    Raises MalformedTableError when two pairs would share an identifier.
     """
     if _is_finset(f.target):
         raise BoundaryError("comma against an object needs a table-valued functor")
@@ -533,21 +471,21 @@ def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
     src, tgt = f.source, f.target
     if b not in set(tgt.objects):
         raise MalformedTableError(f"unknown object {b!r} in target category")
-    objects = []
-    data = {}
+    anatomy = {}
     for a in src.objects:
         homs = tgt.hom(b, f.object_map[a]) if orientation == "under" else tgt.hom(f.object_map[a], b)
         for phi in homs:
             oid = f"({a},{phi})"
-            objects.append(oid)
-            data[oid] = (a, phi)
+            if oid in anatomy:
+                raise MalformedTableError(
+                    f"comma objects {anatomy[oid]!r} and {(a, phi)!r} share the identifier {oid!r}"
+                )
+            anatomy[oid] = (a, phi)
     morphisms = {}
     identity = {}
     mdata = {}
-    for o1 in objects:
-        a1, phi1 = data[o1]
-        for o2 in objects:
-            a2, phi2 = data[o2]
+    for o1, (a1, phi1) in anatomy.items():
+        for o2, (a2, phi2) in anatomy.items():
             for u in src.hom(a1, a2):
                 fu = f.morphism_map[u]
                 if orientation == "under":
@@ -567,25 +505,11 @@ def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
                 continue
             u = src.compose[(mdata[m2], mdata[m1])]
             compose[(m2, m1)] = f"({u} | {o1} -> {o3})"
-    cat = FinCat(tuple(sorted(objects)), morphisms, identity, compose)
+    cat = FinCat(tuple(sorted(anatomy)), morphisms, identity, compose)
     forget = FunctorVal(
         cat,
         src,
-        {oid: data[oid][0] for oid in objects},
+        {oid: a for oid, (a, _phi) in anatomy.items()},
         {mid: mdata[mid] for mid in morphisms},
     )
-    return cat, forget
-
-
-def functor_image_of_diagram(f: FunctorVal, shape: Iterable[str]) -> list:
-    """Image of a list of source objects and morphisms, in the same order."""
-    out = []
-    objs = set(f.source.objects)
-    for item in shape:
-        if item in objs:
-            out.append(f.object_map[item])
-        elif item in f.source.morphisms:
-            out.append(f.morphism_map[item])
-        else:
-            raise MalformedTableError(f"{item!r} is neither an object nor a morphism")
-    return out
+    return cat, forget, anatomy

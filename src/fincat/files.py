@@ -7,7 +7,10 @@ Formats (all UTF-8 text, ``#`` starts a comment, blank lines ignored):
   (``g . f = h``).  Identities are implicit and auto-named ``id_<obj>``;
   identity composites are auto-filled and may be overridden by explicit
   ``compose:`` lines.  Alternatively a ``preorder:`` section (``a < b``
-  cover lines) builds the reflexive-transitive closure category.
+  cover lines) builds the reflexive-transitive closure category.  Object
+  tokens and ``morphisms:`` names may not contain ``(``, ``)`` or ``,``:
+  derived constructions (comma categories, limits) build identifiers from
+  them with those characters.  ``->`` stays legal, as in ``x->y``.
 * ``.fun`` — a functor.  ``source:`` and ``target:`` name ``.fincat``
   files (or the literal ``finset``); ``objects:``/``morphisms:`` sections
   hold ``x |-> value`` lines.  Finite-set values are ``{a,b}`` sets and
@@ -167,6 +170,15 @@ def _mapping_lines(
 _MOR_RE = re.compile(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
 _COMPOSE_RE = re.compile(r"^(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)$")
 _COVER_RE = re.compile(r"^(\S+)\s*<\s*(\S+)$")
+_RESERVED_CHARS = "(),"
+
+
+def _check_identifier(path: str, lineno: int, kind: str, name: str) -> None:
+    reserved = [ch for ch in _RESERVED_CHARS if ch in name]
+    if reserved:
+        raise FixtureParseError(
+            path, lineno, f"{kind} {name!r} contains reserved character {reserved[0]!r}"
+        )
 
 
 def load_category(path: str) -> FinCat:
@@ -183,6 +195,7 @@ def load_category(path: str) -> FinCat:
     for lineno, text in sections["objects"][2]:
         if len(text.split()) != 1:
             raise FixtureParseError(path, lineno, f"expected one object token, got {text!r}")
+        _check_identifier(path, lineno, "object", text)
         if text in objects:
             raise FixtureParseError(path, lineno, f"duplicate object {text!r}")
         objects.append(text)
@@ -206,6 +219,7 @@ def load_category(path: str) -> FinCat:
             if not m:
                 raise FixtureParseError(path, lineno, f"expected 'name : dom -> cod', got {text!r}")
             name, dom, cod = m.groups()
+            _check_identifier(path, lineno, "morphism", name)
             if name in morphisms:
                 raise FixtureParseError(path, lineno, f"duplicate morphism {name!r}")
             morphisms[name] = (dom, cod)

@@ -61,7 +61,6 @@ __all__ = [
     "lam_count",
     "term_sort_key",
     "infer_inhabitants",
-    "first_inhabitant",
     "curry_howard_translate",
     "one_step_reductions",
     "ReductionGraph",
@@ -906,14 +905,6 @@ def infer_inhabitants(
     return sorted(found, key=term_sort_key)
 
 
-def first_inhabitant(
-    ctx: Sequence[tuple[str, Ty]], goal: Ty, depth: int
-) -> Optional[Tm]:
-    """The canonically first inhabitant (fewest lambdas, shortest, lexicographic)."""
-    found = infer_inhabitants(ctx, goal, depth)
-    return found[0] if found else None
-
-
 def _inhabitants(
     ctx: tuple[tuple[str, Ty], ...], goal: Ty, depth: int, memo: dict
 ) -> tuple[Tm, ...]:
@@ -1252,10 +1243,11 @@ def reduction_graph(
         fresh: list[tuple[str, Tm]] = []
         for succ in successors:
             succ_ty = typecheck(succ, env, sig)
-            assert succ_ty == root_ty, (
-                f"subject reduction violated: {key} -> {canonical_print(succ)} "
-                f"changed type to {print_type(succ_ty)}"
-            )
+            if succ_ty != root_ty:
+                raise RuntimeError(
+                    f"subject reduction violated: {key} -> {canonical_print(succ)} "
+                    f"changed type to {print_type(succ_ty)}"
+                )
             skey = canonical_print(succ)
             succ_keys.append(skey)
             if skey not in nodes and all(skey != fk for fk, _ in fresh):

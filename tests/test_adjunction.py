@@ -108,7 +108,15 @@ def test_counit_side_arrows_reconstruct_the_right_adjoint(fix, galois):
     assert dual.right.object_map == {"0": "0", "1": "1", "2": "1"}
     assert dual.unit.components == {"0": "id_0", "1": "id_1"}
     assert dual.right == galois.right
+    assert dual == galois  # flat, sharp and counit included
     assert verify_adjunction(dual).passed
+
+
+def test_non_universal_counit_side_arrows_are_rejected(fix):
+    incl = load_functor(fix("incl_p_q.fun"))
+    anchors = {"0": ("0", "id_0"), "1": ("0", "0->1"), "2": ("1", "1->2")}
+    with pytest.raises(AdjunctionError, match="is not universal: 0 solutions"):
+        adjunction_from_universal_arrows(incl, anchors, side="counit")
 
 
 def test_non_universal_arrows_are_rejected(fix):
@@ -222,6 +230,23 @@ def test_kan_input_guards(inc, g_on_b):
         left_kan(inc, g_on_b)
     with pytest.raises(AdjunctionError, match="not composable"):
         precompose_functor(inc, load_functor_on_wrong_base(inc))
+
+
+def test_kan_rejects_non_functorial_inputs(inc, h_on_a):
+    def bend(fun, m, image):
+        return dataclasses.replace(fun, morphism_map={**fun.morphism_map, m: image})
+
+    with pytest.raises(AdjunctionError, match="along is not a functor: .* unknown '2->5'"):
+        right_kan(bend(inc, "2->4", "2->5"), h_on_a)
+    mistyped = bend(inc, "2->4", "3->5")
+    witness = r"along is not a functor: typing fails at \('2->4', '3->5'\)"
+    with pytest.raises(AdjunctionError, match=witness):
+        check_kan_adjointness(mistyped, right_kan(inc, h_on_a), h_on_a)
+    bent_sets = bend(h_on_a, "id_2", h_on_a.morphism_map["2->4"])
+    with pytest.raises(AdjunctionError, match="functor is not a functor: typing fails"):
+        left_kan(inc, bent_sets)
+    with pytest.raises(AdjunctionError, match="between table categories"):
+        left_kan(h_on_a, h_on_a)
 
 
 def load_functor_on_wrong_base(inc):

@@ -65,6 +65,16 @@ def test_failing_check_exits_one(fix):
     assert text.endswith("result: FAIL\n")
 
 
+def test_reserved_characters_in_identifiers_exit_two(tmp_path):
+    bad = tmp_path / "collide.fincat"
+    bad.write_text(
+        "objects:\n  a\n  a,p\n  b\nmorphisms:\n  p,q : b -> a\n  q : b -> a,p\n"
+    )
+    code, text = _run("check-cat", str(bad))
+    assert code == EXIT_USAGE
+    assert text == f"parse error: {bad}:3: object 'a,p' contains reserved character ','\n"
+
+
 def test_usage_errors_exit_two(fix):
     assert _run("bogus")[0] == EXIT_USAGE
     assert _run()[0] == EXIT_USAGE
@@ -201,6 +211,20 @@ def test_kan_prints_sizes_and_reports(fix):
     assert lines[0] == "right kan sizes: 1:4, 2:2, 3:2, 4:2, 5:2, 6:1"
     assert lines[1] == "left kan sizes: 1:0, 2:2, 3:2, 4:2, 5:2, 6:4"
     assert text.count("result: PASS") == 2
+
+
+def test_kan_with_non_functorial_along_exits_one(fix, tmp_path):
+    bent = tmp_path / "bent.fun"
+    bent.write_text(
+        f"source: {fix('a4.fincat')}\ntarget: {fix('b6.fincat')}\n"
+        "objects:\n  2 |-> 2\n  3 |-> 3\n  4 |-> 4\n  5 |-> 5\n"
+        "morphisms:\n  2->4 |-> 2->5\n  3->5 |-> 3->5\n"
+    )
+    code, text = _run("kan", str(bent), fix("h_on_a.fun"))
+    assert code == EXIT_CHECK_FAILED
+    assert text == (
+        "check error: along is not a functor: morphism map sends '2->4' to unknown '2->5'\n"
+    )
 
 
 def test_adj_verify_and_build(fix):

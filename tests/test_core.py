@@ -1,9 +1,14 @@
 """Category, functor, and transformation law checking on explicit tables."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fincat
 from fincat.core import (
     FINSET,
     BoundaryError,
@@ -173,24 +178,52 @@ def test_composition_beyond_set_values_is_rejected(fix, f_kite):
 
 
 def test_comma_under_object_shapes(incl_a4_b6):
-    cat, forget = comma_under_object("1", incl_a4_b6, orientation="under")
+    cat, forget, _anatomy = comma_under_object("1", incl_a4_b6, orientation="under")
     assert len(cat.objects) == 4  # one triangle per object of the source
     assert validate_category(cat).passed
     assert validate_functor(forget).passed
-    empty, _ = comma_under_object("6", incl_a4_b6, orientation="under")
+    empty, _, _ = comma_under_object("6", incl_a4_b6, orientation="under")
     assert len(empty.objects) == 0
 
-    over, _ = comma_under_object("6", incl_a4_b6, orientation="over")
+    over, _, _ = comma_under_object("6", incl_a4_b6, orientation="over")
     assert len(over.objects) == 4
-    none_over, _ = comma_under_object("1", incl_a4_b6, orientation="over")
+    none_over, _, _ = comma_under_object("1", incl_a4_b6, orientation="over")
     assert len(none_over.objects) == 0
 
 
 def test_comma_object_ids_carry_the_structure_morphism(incl_a4_b6):
-    cat, forget = comma_under_object("1", incl_a4_b6, orientation="under")
+    cat, forget, anatomy = comma_under_object("1", incl_a4_b6, orientation="under")
+    assert sorted(anatomy) == list(cat.objects)
     for oid in cat.objects:
         carried = forget.object_map[oid]
         assert oid.startswith(f"({carried},")
+        phi = anatomy[oid][1]
+        assert anatomy[oid] == (carried, phi)
+        assert phi in incl_a4_b6.target.hom("1", incl_a4_b6.object_map[carried])
+
+
+def _with_identities(objects, morphisms):
+    """A FinCat whose only composites are the identity ones."""
+    identity = {x: f"id_{x}" for x in objects}
+    morphisms = {**morphisms, **{i: (x, x) for x, i in identity.items()}}
+    compose = {}
+    for m, (d, c) in morphisms.items():
+        compose[(identity[c], m)] = m
+        compose[(m, identity[d])] = m
+    return FinCat(tuple(objects), morphisms, identity, compose)
+
+
+def test_comma_rejects_colliding_identifiers():
+    # Built by hand: the fixture loader refuses these names outright.
+    big = _with_identities(["a", "a,p", "b"], {"p,q": ("b", "a"), "q": ("b", "a,p")})
+    assert validate_category(big).passed
+    small = _with_identities(["a", "a,p"], {})
+    incl = FunctorVal(
+        small, big, {x: x for x in small.objects}, {m: m for m in small.morphisms}
+    )
+    assert validate_functor(incl).passed
+    with pytest.raises(MalformedTableError, match="share the identifier '\\(a,p,q\\)'"):
+        comma_under_object("b", incl, orientation="under")
 
 
 def test_malformed_tables_raise_before_law_checking():
@@ -208,3 +241,20 @@ def test_functor_into_sets_requires_set_objects(kite):
     bad = FunctorVal(kite, FINSET, {x: x for x in kite.objects}, {})
     with pytest.raises(MalformedTableError):
         validate_functor(bad)
+
+
+def test_witness_guard_survives_optimised_mode():
+    probe = (
+        "from fincat.core import Obligation\n"
+        "print(__debug__)\n"
+        "try:\n"
+        "    Obligation('x', False)\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fincat.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "False\nfailing obligation 'x' needs a witness\n"

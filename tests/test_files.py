@@ -1,5 +1,7 @@
 """Fixture file loaders: section parsing, auto-filled tables, error reporting."""
 
+import re
+
 import pytest
 
 from fincat.core import FINSET, validate_category
@@ -50,6 +52,29 @@ def test_duplicate_morphism_is_rejected(tmp_path):
     bad.write_text("objects:\n  a\nmorphisms:\n  f : a -> a\n  f : a -> a\n")
     with pytest.raises(FixtureParseError):
         load_category(str(bad))
+
+
+@pytest.mark.parametrize(
+    "body, lineno, message",
+    [
+        ("objects:\n  a\n  a,p\n", 3, "object 'a,p' contains reserved character ','"),
+        ("objects:\n  f(x)\n", 2, "object 'f(x)' contains reserved character '('"),
+        ("objects:\n  a\n  b\nmorphisms:\n  p,q : b -> a\n", 5, "morphism 'p,q'"),
+        ("objects:\n  a\nmorphisms:\n  e) : a -> a\n", 4, "reserved character ')'"),
+    ],
+)
+def test_reserved_identifier_characters_are_rejected(tmp_path, body, lineno, message):
+    bad = tmp_path / "bad.fincat"
+    bad.write_text(body)
+    with pytest.raises(FixtureParseError, match=re.escape(message)) as err:
+        load_category(str(bad))
+    assert err.value.lineno == lineno
+
+
+def test_arrow_names_stay_legal(tmp_path):
+    ok = tmp_path / "ok.fincat"
+    ok.write_text("objects:\n  a\n  b\nmorphisms:\n  a->b : a -> b\n")
+    assert "a->b" in load_category(str(ok)).morphisms
 
 
 def test_functor_identity_images_are_auto_filled(fix):

@@ -230,6 +230,16 @@ def test_graph_truncation_is_flagged_not_silent(fix):
     assert report.unique_nf is None
 
 
+def test_subject_reduction_violation_raises(fix, monkeypatch):
+    import fincat.terms
+
+    sig = parse_signature(_read(fix, "arith.sig"))
+    ill_typed = Lam("x", TyAtom("A"), Var("x"))
+    monkeypatch.setattr(fincat.terms, "one_step_reductions", lambda t, s: [ill_typed])
+    with pytest.raises(RuntimeError, match="subject reduction violated"):
+        reduction_graph(parse_term("2 + 3", sig), sig)
+
+
 def test_malformed_rule_is_rejected():
     with pytest.raises(Exception):
         parse_signature("g : N -> N\nrule g(a) = b\n")  # unbound right-hand side
