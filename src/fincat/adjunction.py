@@ -15,6 +15,8 @@ is a finite table comparison:
 * :func:`precompose_functor`, :func:`right_kan`, :func:`left_kan` —
   restriction along a functor and its two adjoints, computed pointwise as
   finite limits/colimits over slice categories.
+* :func:`require_functor` — the functor-law gate the ``kan`` and ``yoneda``
+  commands run before any enumeration.
 * :func:`check_kan_adjointness` — full-enumeration verification that the
   Kan constructions are genuinely adjoint to restriction, including the
   explicit transposition bijections.
@@ -66,6 +68,7 @@ __all__ = [
     "precompose_functor",
     "right_kan",
     "left_kan",
+    "require_functor",
     "check_kan_adjointness",
     "counit_inclusion_check",
 ]
@@ -478,15 +481,21 @@ def _require_setvalued(along: FunctorVal, functor: FunctorVal) -> None:
         raise AdjunctionError("functor is not defined on the extension's source")
     if _is_finset(along.target):
         raise AdjunctionError("Kan extensions here run along a functor between table categories")
-    for role, fun in (("along", along), ("functor", functor)):
-        try:
-            failed = validate_functor(fun).failures()
-        except MalformedTableError as exc:
-            raise AdjunctionError(f"{role} is not a functor: {exc}") from None
-        if failed:
-            raise AdjunctionError(
-                f"{role} is not a functor: {failed[0].name} fails at {failed[0].witness!r}"
-            )
+    require_functor(along, "along")
+    require_functor(functor)
+
+
+def require_functor(fun: FunctorVal, role: str = "functor") -> None:
+    """Raise AdjunctionError, naming ``role`` and the first failed obligation
+    with its witness, unless ``fun`` passes :func:`validate_functor`."""
+    try:
+        failed = validate_functor(fun).failures()
+    except MalformedTableError as exc:
+        raise AdjunctionError(f"{role} is not a functor: {exc}") from None
+    if failed:
+        raise AdjunctionError(
+            f"{role} is not a functor: {failed[0].name} fails at {failed[0].witness!r}"
+        )
 
 
 def check_kan_adjointness(
@@ -509,69 +518,67 @@ def check_kan_adjointness(
     where G is the target-side functor.
     """
     restricted = precompose_functor(along, target_functor)
+    sources = along.source.objects
+
+    def leg(legs, a):
+        """The (co)cone leg at the comma object (a, identity)."""
+        fa = along.object_map[a]
+        return legs[fa][(a, along.target.id_of(fa))]
+
     obligations = []
     for index, sample in enumerate([source_functor, *samples]):
         tag = f"[{index}]"
         lkan, cocones = left_kan_with_cocones(along, sample, cap)
-        upstairs = enumerate_nattrans_finset(lkan, target_functor, cap)
-        downstairs = enumerate_nattrans_finset(sample, restricted, cap)
-        obligations.append(
-            Obligation(
-                f"left_count{tag}",
-                len(upstairs) == len(downstairs),
-                ()
-                if len(upstairs) == len(downstairs)
-                else (len(upstairs), len(downstairs)),
-            )
+        obligations += _adjunction_obligations(
+            "left",
+            tag,
+            enumerate_nattrans_finset(lkan, target_functor, cap),
+            enumerate_nattrans_finset(sample, restricted, cap),
+            lambda t: NatTransVal(
+                sample,
+                restricted,
+                {a: compose_maps(t.at(along.object_map[a]), leg(cocones, a)) for a in sources},
+            ),
         )
-        transposed = set()
-        for t in upstairs:
-            components = {}
-            for a in along.source.objects:
-                fa = along.object_map[a]
-                inj = cocones[fa][(a, along.target.id_of(fa))]
-                components[a] = compose_maps(t.at(fa), inj)
-            transposed.add(nattrans_key(NatTransVal(sample, restricted, components)))
-        wanted = {nattrans_key(t) for t in downstairs}
-        ok = len(transposed) == len(upstairs) and transposed == wanted
-        obligations.append(
-            Obligation(
-                f"left_transpose_bijective{tag}",
-                ok,
-                () if ok else (len(transposed), len(upstairs), len(wanted)),
-            )
-        )
-
         rkan, cones = right_kan_with_cones(along, sample, cap)
-        upstairs = enumerate_nattrans_finset(restricted, sample, cap)
-        downstairs = enumerate_nattrans_finset(target_functor, rkan, cap)
-        obligations.append(
-            Obligation(
-                f"right_count{tag}",
-                len(upstairs) == len(downstairs),
-                ()
-                if len(upstairs) == len(downstairs)
-                else (len(upstairs), len(downstairs)),
-            )
-        )
-        transposed = set()
-        for t in downstairs:
-            components = {}
-            for a in along.source.objects:
-                fa = along.object_map[a]
-                proj = cones[fa][(a, along.target.id_of(fa))]
-                components[a] = compose_maps(proj, t.at(fa))
-            transposed.add(nattrans_key(NatTransVal(restricted, sample, components)))
-        wanted = {nattrans_key(t) for t in upstairs}
-        ok = len(transposed) == len(downstairs) and transposed == wanted
-        obligations.append(
-            Obligation(
-                f"right_transpose_bijective{tag}",
-                ok,
-                () if ok else (len(transposed), len(downstairs), len(wanted)),
-            )
+        obligations += _adjunction_obligations(
+            "right",
+            tag,
+            enumerate_nattrans_finset(restricted, sample, cap),
+            enumerate_nattrans_finset(target_functor, rkan, cap),
+            lambda t: NatTransVal(
+                restricted,
+                sample,
+                {a: compose_maps(leg(cones, a), t.at(along.object_map[a])) for a in sources},
+            ),
         )
     return CheckReport("kan_adjointness", tuple(obligations))
+
+
+def _adjunction_obligations(side, tag, upstairs, downstairs, transpose) -> list:
+    """Count and transposition obligations of one Kan adjunction
+    Nat(L x, y) ≅ Nat(x, R y), given both sides enumerated.
+
+    ``transpose`` maps a transformation involving the Kan extension to the
+    other side: upstairs for the left extension, downstairs for the right.
+    """
+    counted = len(upstairs) == len(downstairs)
+    source, target = (upstairs, downstairs) if side == "left" else (downstairs, upstairs)
+    transposed = {nattrans_key(transpose(t)) for t in source}
+    wanted = {nattrans_key(t) for t in target}
+    ok = len(transposed) == len(source) and transposed == wanted
+    return [
+        Obligation(
+            f"{side}_count{tag}",
+            counted,
+            () if counted else (len(upstairs), len(downstairs)),
+        ),
+        Obligation(
+            f"{side}_transpose_bijective{tag}",
+            ok,
+            () if ok else (len(transposed), len(source), len(wanted)),
+        ),
+    ]
 
 
 def _fully_faithful_witness(along: FunctorVal) -> Optional[tuple]:

@@ -20,12 +20,14 @@ from .adjunction import (
     check_kan_adjointness,
     counit_inclusion_check,
     left_kan,
+    require_functor,
     right_kan,
     verify_adjunction,
 )
 from .core import (
     CheckReport,
     FinCatError,
+    FinSetCat,
     validate_category,
     validate_functor,
     validate_nattrans,
@@ -239,6 +241,9 @@ def _cmd_reduce(cfg: RunConfig, out) -> int:
 
 def _cmd_yoneda(cfg: RunConfig, out) -> int:
     functor = load_functor(cfg.paths[0])
+    if not isinstance(functor.target, FinSetCat):
+        raise FinCatError("yoneda needs a finite-set valued functor")
+    require_functor(functor)
     category = functor.source
     probe = FinSetObj(("*",))
     code = EXIT_OK

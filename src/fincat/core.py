@@ -135,9 +135,6 @@ class FinCat:
                 if self.cod(f) == self.dom(g):
                     yield (g, f)
 
-    def is_identity(self, m: str) -> bool:
-        return any(m == i for i in self.identity.values())
-
 
 def _wellformed(c: FinCat) -> None:
     objs = set(c.objects)
@@ -277,12 +274,6 @@ class FunctorVal:
     target: Any
     object_map: dict
     morphism_map: dict
-
-    def on_obj(self, x):
-        return self.object_map[x]
-
-    def on_mor(self, m):
-        return self.morphism_map[m]
 
 
 def _is_finset(cat) -> bool:

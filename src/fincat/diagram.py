@@ -195,12 +195,6 @@ class DiagramAst:
     def mapsto_targets(self) -> frozenset:
         return frozenset(a.dst for a in self.arrows().values() if a.kind == "mapsto")
 
-    def element_label(self, element_id: str) -> str:
-        item = self.elements().get(element_id) or self.functors().get(element_id)
-        if item is None:
-            raise DiagramError(f"unknown element {element_id!r}")
-        return item.label
-
     def max_stage(self) -> int:
         return max((e.stage for e in self.elements().values() if e.stage), default=0)
 

@@ -9,8 +9,7 @@ least tagged atom.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+import math
 from typing import Iterable, Mapping
 
 DEFAULT_ENUM_CAP = 10**6
@@ -159,16 +158,51 @@ def class_atom(j, x) -> str:
     return f"[{j}:{x}]"
 
 
+def _solve(variables, domains, constraints, cap):
+    """Backtracking search over finite domains, the one enumeration loop.
+
+    ``domains`` maps each variable to its candidate values.  A constraint
+    ``(u, table, v)`` demands ``value[v] == table[value[u]]`` and is checked
+    as soon as both ends are assigned.  Yields one tuple of values per
+    solution, in variable order and in lexicographic order of the domains.
+    Raises CapExceededError before searching when the candidate product
+    (the product of max(|domain|, 1)) exceeds ``cap``.
+    """
+    space = math.prod(max(len(domains[var]), 1) for var in variables)
+    if space > cap:
+        raise CapExceededError(f"search space of {space} candidates exceeds cap {cap}")
+    position = {var: i for i, var in enumerate(variables)}
+    checks = [[] for _ in variables]
+    for u, table, v in constraints:
+        i, j = position[u], position[v]
+        checks[max(i, j)].append((i, table, j))
+    pools = [tuple(domains[var]) for var in variables]
+    values = [None] * len(pools)
+    tried = [0] * len(pools)
+    depth = 0
+    while depth >= 0:
+        if depth == len(pools):
+            yield tuple(values)
+            depth -= 1
+        elif tried[depth] == len(pools[depth]):
+            tried[depth] = 0
+            depth -= 1
+        else:
+            values[depth] = pools[depth][tried[depth]]
+            tried[depth] += 1
+            for i, table, j in checks[depth]:
+                if table[values[i]] != values[j]:
+                    break
+            else:
+                depth += 1
+
+
 def enumerate_maps(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All maps x -> y in lexicographic order over the sorted domain."""
-    count = len(y) ** len(x)
-    if count > cap:
-        raise CapExceededError(f"{count} maps exceed cap {cap}")
-    dom_atoms = list(x)
-    out = []
-    for values in itertools.product(list(y), repeat=len(dom_atoms)):
-        out.append(FinSetMap(x, y, dict(zip(dom_atoms, values))))
-    return out
+    return [
+        FinSetMap(x, y, dict(zip(x.atoms, values)))
+        for values in _solve(x.atoms, dict.fromkeys(x.atoms, y.atoms), (), cap)
+    ]
 
 
 def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
@@ -184,26 +218,13 @@ def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
         raise ValueError("limit_finset needs a finite-set valued diagram")
     shape = d.source
     objs = sorted(shape.objects)
-    sizes = 1
-    for j in objs:
-        sizes *= max(len(d.object_map[j]), 1)
-    if sizes > cap:
-        raise CapExceededError(f"{sizes} candidate families exceed cap {cap}")
-    families = []
-    pools = [list(d.object_map[j]) for j in objs]
-    if any(len(d.object_map[j]) == 0 for j in objs):
-        pools = None  # some component empty: no families
-    if pools is not None:
-        for combo in itertools.product(*pools):
-            fam = dict(zip(objs, combo))
-            ok = True
-            for f in shape.sorted_morphisms():
-                j, j2 = shape.dom(f), shape.cod(f)
-                if d.morphism_map[f].table[fam[j]] != fam[j2]:
-                    ok = False
-                    break
-            if ok:
-                families.append(fam)
+    constraints = [
+        (j, d.morphism_map[f].table, j2) for f, (j, j2) in shape.morphisms.items()
+    ]
+    families = [
+        dict(zip(objs, values))
+        for values in _solve(objs, d.object_map, constraints, cap)
+    ]
     carrier = FinSetObj(tuple_atom(fam) for fam in families)
     projections = {}
     for j in objs:
@@ -264,10 +285,10 @@ def colimit_finset(d):
 def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All natural transformations between finite-set valued functors.
 
-    Components are assigned object by object in sorted order with early
-    pruning: a partial assignment is dropped as soon as some naturality
-    square with both endpoints assigned fails.  Output order is the
-    lexicographic order of the component choices.
+    One search variable per object c and element a of f(c), valued in g(c);
+    every morphism h: c -> d adds the squares g(h)(alpha_c a) = alpha_d(f(h) a).
+    Output order is the lexicographic order of the component choices over
+    sorted objects, and equal components are one shared FinSetMap.
     """
     from .core import FinSetCat, NatTransVal
 
@@ -277,46 +298,28 @@ def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
         raise ValueError("both functors must be finite-set valued")
     shape = f.source
     objs = sorted(shape.objects)
-    candidates = {}
-    total = 1
-    for c in objs:
-        candidates[c] = enumerate_maps(f.object_map[c], g.object_map[c], cap)
-        total *= max(len(candidates[c]), 1)
-        if total > cap:
-            raise CapExceededError(f"natural transformation search space exceeds cap {cap}")
-
-    mors_between = {}
-    for h in shape.sorted_morphisms():
-        mors_between.setdefault((shape.dom(h), shape.cod(h)), []).append(h)
-
+    variables = [(c, a) for c in objs for a in f.object_map[c]]
+    domains = {(c, a): g.object_map[c].atoms for c, a in variables}
+    constraints = [
+        ((c, a), g.morphism_map[h].table, (d, f.morphism_map[h].table[a]))
+        for h, (c, d) in shape.morphisms.items()
+        for a in f.object_map[c]
+    ]
+    shared = {c: {} for c in objs}
     out = []
-    assignment = {}
-
-    def squares_ok(c):
-        for i in objs[: objs.index(c) + 1]:
-            for pair in ((i, c), (c, i)):
-                for h in mors_between.get(pair, ()):
-                    dm, cm = pair
-                    if dm not in assignment or cm not in assignment:
-                        continue
-                    lhs = compose_maps(g.morphism_map[h], assignment[dm])
-                    rhs = compose_maps(assignment[cm], f.morphism_map[h])
-                    if lhs != rhs:
-                        return False
-        return True
-
-    def extend(i):
-        if i == len(objs):
-            out.append(NatTransVal(f, g, dict(assignment)))
-            return
-        c = objs[i]
-        for comp in candidates[c]:
-            assignment[c] = comp
-            if squares_ok(c):
-                extend(i + 1)
-            del assignment[c]
-
-    extend(0)
+    for values in _solve(variables, domains, constraints, cap):
+        components = {}
+        start = 0
+        for c in objs:
+            dom = f.object_map[c]
+            key = values[start : start + len(dom)]
+            start += len(dom)
+            component = shared[c].get(key)
+            if component is None:
+                component = FinSetMap(dom, g.object_map[c], dict(zip(dom.atoms, key)))
+                shared[c][key] = component
+            components[c] = component
+        out.append(NatTransVal(f, g, components))
     return out
 
 

@@ -1165,9 +1165,6 @@ class ReductionGraph:
     def successors(self, key: str) -> tuple[str, ...]:
         return self.edges.get(key, ())
 
-    def sorted_nodes(self) -> list[str]:
-        return sorted(self.nodes)
-
     def descendants(self, key: str) -> frozenset[str]:
         """All nodes reachable from ``key`` (including itself) along edges."""
         seen = {key}

@@ -214,12 +214,11 @@ def is_universal_arrow(
     table = {}
     ok = True
     for d in sorted(category.objects):
+        by_composite = {}
+        for f in category.hom(anchor, d):
+            by_composite.setdefault(compose_maps(set_functor.morphism_map[f], seed), []).append(f)
         for g in enumerate_maps(probe, set_functor.object_map[d], cap):
-            solutions = tuple(
-                f
-                for f in category.hom(anchor, d)
-                if compose_maps(set_functor.morphism_map[f], seed) == g
-            )
+            solutions = tuple(by_composite.get(g, ()))
             table[(d, encode_map(g, strict=False))] = solutions
             if len(solutions) != 1:
                 ok = False

@@ -1,8 +1,9 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here shares search or enumeration logic with the library: natural
-transformations are enumerated by a raw cartesian product over component
-tables filtered by the naturality squares, and term inhabitants by a
+Nothing here shares search or enumeration logic with the library: limits
+and natural transformations are enumerated by a raw cartesian product
+filtered by the diagram's maps or the naturality squares, universal-arrow
+tables by testing every (morphism, map) pair, and term inhabitants by a
 bottom-up enumeration of all well-typed terms followed by a normality
 filter.  Only the AST constructors and the canonical printer are reused,
 so the comparisons exercise the library's *search* code paths.
@@ -27,8 +28,27 @@ from fincat.terms import (
 )
 
 # ---------------------------------------------------------------------------
-# Natural transformations by product-and-filter
+# Limits, natural transformations and universal arrows by product-and-filter
 # ---------------------------------------------------------------------------
+
+
+def product_filter_limit(d) -> list:
+    """All compatible families of a finite-set valued diagram, as dicts.
+
+    Enumerates the full cartesian product of the value sets over the sorted
+    objects and keeps the families every morphism's table respects, in
+    product order.
+    """
+    objs = sorted(d.source.objects)
+    families = []
+    for combo in itertools.product(*(list(d.object_map[j]) for j in objs)):
+        family = dict(zip(objs, combo))
+        if all(
+            d.morphism_map[m].table[family[j]] == family[j2]
+            for m, (j, j2) in d.source.morphisms.items()
+        ):
+            families.append(family)
+    return families
 
 
 def product_filter_nattrans(f, g) -> list:
@@ -36,7 +56,9 @@ def product_filter_nattrans(f, g) -> list:
 
     Enumerates every family of component tables outright (cartesian product
     over all functions per object) and keeps the ones for which every
-    naturality square commutes, checked entry by entry on raw dicts.
+    naturality square commutes, checked entry by entry on raw dicts.  The
+    result is in product order: lexicographic over the sorted objects, the
+    sorted domain atoms and the sorted codomain atoms.
     """
     objs = sorted(f.source.objects)
     per_object = []
@@ -64,7 +86,7 @@ def product_filter_nattrans(f, g) -> list:
             found.append(
                 tuple((x, tuple(sorted(components[x].items()))) for x in objs)
             )
-    return sorted(found)
+    return found
 
 
 def nattrans_table_key(t) -> tuple:
@@ -73,6 +95,28 @@ def nattrans_table_key(t) -> tuple:
         (x, tuple(sorted(t.components[x].table.items())))
         for x in sorted(t.components)
     )
+
+
+def brute_universal_table(category, set_functor, probe, anchor, seed) -> list:
+    """The (object, map encoding) -> solutions entries of a universal-arrow
+    check, by testing every morphism anchor -> D against every map
+    probe -> values(D) pointwise on raw tables, in the library's order."""
+    points = list(probe)
+    entries = []
+    for d in sorted(category.objects):
+        hom = sorted(m for m, ends in category.morphisms.items() if ends == (anchor, d))
+        for picks in itertools.product(list(set_functor.object_map[d]), repeat=len(points)):
+            g = dict(zip(points, picks))
+            solutions = tuple(
+                f
+                for f in hom
+                if all(
+                    set_functor.morphism_map[f].table[seed.table[p]] == g[p] for p in points
+                )
+            )
+            encoding = "{" + ",".join(f"{p}->{g[p]}" for p in points) + "}"
+            entries.append(((d, encoding), solutions))
+    return entries
 
 
 # ---------------------------------------------------------------------------

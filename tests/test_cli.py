@@ -227,6 +227,18 @@ def test_kan_with_non_functorial_along_exits_one(fix, tmp_path):
     )
 
 
+def test_yoneda_validates_its_functor_first(fix):
+    code, text = _run("yoneda", fix("incl_a4_b6.fun"))
+    assert code == EXIT_CHECK_FAILED
+    assert text == "check error: yoneda needs a finite-set valued functor\n"
+    code, text = _run("yoneda", fix("broken", "f_kite_bad_respids.fun"))
+    assert code == EXIT_CHECK_FAILED
+    assert text == (
+        "check error: functor is not a functor: "
+        "respects_identities fails at ('1', {24->25,25->24})\n"
+    )
+
+
 def test_adj_verify_and_build(fix):
     code, text = _run("adj", "verify", fix("galois.adj"))
     assert code == EXIT_OK and text.endswith("result: PASS\n")

@@ -1,12 +1,21 @@
 """Finite sets and maps: encodings, enumeration, limits, colimits."""
 
-import itertools
+import math
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fincat.core import FINSET, FunctorVal, validate_functor
+from fincat.core import (
+    FINSET,
+    FinSetCat,
+    FunctorVal,
+    comma_under_object,
+    compose_functors,
+    validate_functor,
+)
+from fincat.files import load_functor
 from fincat.finset import (
     CapExceededError,
     EncodingError,
@@ -26,7 +35,7 @@ from fincat.finset import (
 )
 from fincat.yoneda import hom_cov_functor
 
-from oracles import nattrans_table_key, product_filter_nattrans
+from oracles import nattrans_table_key, product_filter_limit, product_filter_nattrans
 
 atoms = st.lists(
     st.text(alphabet="abcxyz0123456789", min_size=1, max_size=3),
@@ -103,24 +112,35 @@ def test_limit_of_empty_diagram_is_a_point():
     assert projections == {}
 
 
-def test_limit_matches_brute_force_families(f_kite):
-    carrier, projections = limit_finset(f_kite)
-    cat = f_kite.source
-    objs = sorted(cat.objects)
-    families = []
-    for combo in itertools.product(*(list(f_kite.object_map[x]) for x in objs)):
-        family = dict(zip(objs, combo))
-        if all(
-            f_kite.morphism_map[m].table[family[x]] == family[y]
-            for m, (x, y) in cat.morphisms.items()
-        ):
-            families.append(family)
-    assert len(carrier) == len(families)
-    assert sorted(carrier) == sorted(tuple_atom(fam) for fam in families)
-    for fam in families:
-        atom = tuple_atom(fam)
-        for x in objs:
-            assert projections[x].table[atom] == fam[x]
+@pytest.fixture(scope="module")
+def set_diagrams(fix, incl_a4_b6, h_on_a):
+    """Every set-valued corpus functor (broken ones included: their tables
+    are total, only their laws fail) and every comma diagram that
+    ``kan incl_a4_b6.fun h_on_a.fun`` takes a limit or colimit of."""
+    out = []
+    for name in sorted(os.listdir(fix())) + [
+        os.path.join("broken", n) for n in sorted(os.listdir(fix("broken")))
+    ]:
+        if name.endswith(".fun"):
+            functor = load_functor(fix(name))
+            if isinstance(functor.target, FinSetCat):
+                out.append((name, functor))
+    for orientation in ("under", "over"):
+        for b in sorted(incl_a4_b6.target.objects):
+            _slice, forget, _anatomy = comma_under_object(b, incl_a4_b6, orientation=orientation)
+            out.append((f"comma {orientation} {b}", compose_functors(h_on_a, forget)))
+    return out
+
+
+def test_limit_matches_brute_force_families(set_diagrams):
+    for label, d in set_diagrams:
+        families = product_filter_limit(d)
+        carrier, projections = limit_finset(d)
+        assert carrier == FinSetObj(tuple_atom(fam) for fam in families), label
+        for j in sorted(d.source.objects):
+            assert list(projections[j].table.items()) == [
+                (tuple_atom(fam), fam[j]) for fam in families
+            ], label
 
 
 def test_colimit_matches_union_find_quotient(h_on_a):
@@ -191,6 +211,50 @@ def test_enumeration_matches_oracle_on_endotransformations(f_kite):
     oracle = product_filter_nattrans(f_kite, f_kite)
     assert lib == oracle
     assert len(oracle) == 8
+
+
+def test_enumeration_matches_oracle_in_order(set_diagrams):
+    pairs = 0
+    for label, f in set_diagrams:
+        for label2, g in set_diagrams:
+            if f.source != g.source:
+                continue
+            lib = [nattrans_table_key(t) for t in enumerate_nattrans_finset(f, g)]
+            assert lib == product_filter_nattrans(f, g), (label, label2)
+            pairs += 1
+    assert pairs > len(set_diagrams)
+
+
+def _space(sizes):
+    return math.prod(max(n, 1) for n in sizes)
+
+
+def test_enumerators_cap_boundary(f_kite):
+    dom, cod = FinSetObj("abc"), FinSetObj("xy")
+    objs = sorted(f_kite.source.objects)
+    cases = [
+        (lambda cap: enumerate_maps(dom, cod, cap), _space([len(cod)] * len(dom))),
+        (lambda cap: limit_finset(f_kite, cap), _space(len(f_kite.object_map[c]) for c in objs)),
+        (
+            lambda cap: enumerate_nattrans_finset(f_kite, f_kite, cap),
+            _space(len(f_kite.object_map[c]) for c in objs for _a in f_kite.object_map[c]),
+        ),
+    ]
+    for enumerate_with, space in cases:
+        assert space > 1
+        with pytest.raises(CapExceededError, match=f"search space of {space} candidates"):
+            enumerate_with(space - 1)
+        assert enumerate_with(space) == enumerate_with(space * 2)
+
+
+def test_equal_components_are_one_object(f_kite, h_on_a):
+    for functor in (f_kite, h_on_a):
+        transformations = enumerate_nattrans_finset(functor, functor)
+        for c in functor.source.objects:
+            first = {}
+            for t in transformations:
+                assert first.setdefault(t.at(c), t.at(c)) is t.at(c)
+            assert len(first) < len(transformations)
 
 
 def test_enumeration_respects_cap(f_kite):

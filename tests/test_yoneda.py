@@ -31,6 +31,8 @@ from fincat.yoneda import (
     yoneda_pointwise_bijection,
 )
 
+from oracles import brute_universal_table
+
 POINT = FinSetObj(("*",))
 PAIR = FinSetObj(("p", "q"))
 
@@ -159,6 +161,21 @@ def test_universal_table_is_replayable(kite, f_kite):
     for (d, _g), solutions in table.items():
         for f in solutions:
             assert kite.morphisms[f] == ("1", d)
+
+
+def test_universal_table_matches_brute_force(kite, f_kite, h_on_a):
+    checked = 0
+    for functor in (f_kite, h_on_a, hom_cov_functor(kite, "1")):
+        category = functor.source
+        for anchor in sorted(category.objects):
+            for probe in (POINT, PAIR):
+                for seed in enumerate_maps(probe, functor.object_map[anchor]):
+                    ok, table = is_universal_arrow(category, functor, probe, anchor, seed)
+                    expected = brute_universal_table(category, functor, probe, anchor, seed)
+                    assert list(table.items()) == expected
+                    assert ok == all(len(solutions) == 1 for _key, solutions in expected)
+                    checked += ok
+    assert checked > 0
 
 
 # ---------------------------------------------------------------------------
