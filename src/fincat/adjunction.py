@@ -38,7 +38,6 @@ from .core import (
     MalformedTableError,
     NatTransVal,
     Obligation,
-    _is_finset,
     comma_under_object,
     compose_functors,
     identity_functor,
@@ -159,7 +158,14 @@ def assemble_adjunction(parts: AdjParts) -> AdjunctionVal:
     ``full`` manifests supply both functors plus unit and counit components;
     ``build`` manifests supply the right functor and one universal arrow per
     object and are completed by :func:`adjunction_from_universal_arrows`.
+    Each functor given must be a valid functor between table categories.
     """
+    for role, fun in (("right", parts.right), ("left", parts.left)):
+        if fun is None:
+            continue
+        if fun.target is FINSET:
+            raise AdjunctionError(f"{role} is finite-set valued; adjoints here are table functors")
+        require_functor(fun, role)
     if parts.kind == "build":
         stray = [a for a in parts.unit if a not in parts.lobjects]
         if stray:
@@ -475,11 +481,11 @@ def left_kan_with_cocones(
 
 
 def _require_setvalued(along: FunctorVal, functor: FunctorVal) -> None:
-    if not _is_finset(functor.target):
+    if functor.target is not FINSET:
         raise AdjunctionError("Kan extensions here require a finite-set valued functor")
     if functor.source != along.source:
         raise AdjunctionError("functor is not defined on the extension's source")
-    if _is_finset(along.target):
+    if along.target is FINSET:
         raise AdjunctionError("Kan extensions here run along a functor between table categories")
     require_functor(along, "along")
     require_functor(functor)

@@ -27,7 +27,6 @@ from .adjunction import (
 from .core import (
     CheckReport,
     FinCatError,
-    FinSetCat,
     validate_category,
     validate_functor,
     validate_nattrans,
@@ -51,7 +50,7 @@ from .files import (
     load_model_spec,
     load_nattrans,
 )
-from .finset import CapExceededError, DEFAULT_ENUM_CAP, FinSetObj
+from .finset import FINSET, CapExceededError, DEFAULT_ENUM_CAP, FinSetObj
 from .terms import (
     DEFAULT_NODE_CAP,
     ReductionGraph,
@@ -241,7 +240,7 @@ def _cmd_reduce(cfg: RunConfig, out) -> int:
 
 def _cmd_yoneda(cfg: RunConfig, out) -> int:
     functor = load_functor(cfg.paths[0])
-    if not isinstance(functor.target, FinSetCat):
+    if functor.target is not FINSET:
         raise FinCatError("yoneda needs a finite-set valued functor")
     require_functor(functor)
     category = functor.source

@@ -8,9 +8,10 @@ enumeration, and a failing obligation always carries a concrete witness
 
 Functors and natural transformations are value-level tables as well.  A
 functor may land either in another table category or in the ambient
-category of finite sets (see `fincat.finset`); morphism equality is
-identifier equality in the first case and extensional equality in the
-second.
+category of finite sets (``FINSET`` in `fincat.finset`).  Both answer dom,
+cod, id_of and comp, so the laws are checked by one code path; morphism
+equality is identifier equality in the first case and extensional equality
+in the second.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Any, Iterable
+
+from .finset import FINSET, FinSetCat, FinSetMap, FinSetObj  # FinSetCat: re-exported
 
 
 class FinCatError(Exception):
@@ -75,23 +78,6 @@ class CheckReport:
             lines.append(f"  [{mark}] {o.name}{extra}")
         lines.append(f"result: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines)
-
-
-class FinSetCat:
-    """Marker for the ambient category of finite sets and maps."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "FinSetCat"
-
-
-FINSET = FinSetCat()
 
 
 @dataclass(frozen=True)
@@ -276,50 +262,28 @@ class FunctorVal:
     morphism_map: dict
 
 
-def _is_finset(cat) -> bool:
-    return isinstance(cat, FinSetCat)
-
-
-def _target_identity(f: FunctorVal, x):
-    from . import finset
-
-    if _is_finset(f.target):
-        return finset.identity_map(f.object_map[x])
-    return f.target.id_of(f.object_map[x])
-
-
-def _target_comp(target, g, f):
-    from . import finset
-
-    if _is_finset(target):
-        return finset.compose_maps(g, f)
-    return target.compose[(g, f)]
-
-
 def validate_functor(f: FunctorVal) -> CheckReport:
     """Check typing, identity preservation, and composition preservation."""
-    from . import finset
-
-    src = f.source
+    src, tgt = f.source, f.target
     for x in src.objects:
         if x not in f.object_map:
             raise MalformedTableError(f"object map missing entry for {x!r}")
     for m in src.morphisms:
         if m not in f.morphism_map:
             raise MalformedTableError(f"morphism map missing entry for {m!r}")
-    if _is_finset(f.target):
+    if tgt is FINSET:
         for x, v in f.object_map.items():
-            if not isinstance(v, finset.FinSetObj):
+            if not isinstance(v, FinSetObj):
                 raise MalformedTableError(f"object map at {x!r} is not a finite set")
         for m, v in f.morphism_map.items():
-            if not isinstance(v, finset.FinSetMap):
+            if not isinstance(v, FinSetMap):
                 raise MalformedTableError(f"morphism map at {m!r} is not a map")
     else:
         for x, v in f.object_map.items():
-            if v not in set(f.target.objects):
+            if v not in set(tgt.objects):
                 raise MalformedTableError(f"object map sends {x!r} to unknown {v!r}")
         for m, v in f.morphism_map.items():
-            if v not in f.target.morphisms:
+            if v not in tgt.morphisms:
                 raise MalformedTableError(f"morphism map sends {m!r} to unknown {v!r}")
 
     obligations = []
@@ -327,18 +291,14 @@ def validate_functor(f: FunctorVal) -> CheckReport:
     for m in src.sorted_morphisms():
         img = f.morphism_map[m]
         want = (f.object_map[src.dom(m)], f.object_map[src.cod(m)])
-        if _is_finset(f.target):
-            got = (img.dom, img.cod)
-        else:
-            got = f.target.morphisms[img]
-        if got != want:
+        if (tgt.dom(img), tgt.cod(img)) != want:
             typing.append((m, img))
     obligations.append(Obligation("typing", not typing, tuple(typing[0]) if typing else ()))
 
     respids = []
     for x in src.objects:
         got = f.morphism_map[src.id_of(x)]
-        if got != _target_identity(f, x):
+        if got != tgt.id_of(f.object_map[x]):
             respids.append((x, got))
     obligations.append(
         Obligation("respects_identities", not respids, tuple(respids[0]) if respids else ())
@@ -349,7 +309,7 @@ def validate_functor(f: FunctorVal) -> CheckReport:
         if src.cod(h) != src.dom(g):
             continue
         try:
-            lhs = _target_comp(f.target, f.morphism_map[g], f.morphism_map[h])
+            lhs = tgt.comp(f.morphism_map[g], f.morphism_map[h])
         except (KeyError, ValueError):
             respcomp.append((g, h, "image not composable"))
             continue
@@ -367,7 +327,7 @@ def identity_functor(c: FinCat) -> FunctorVal:
 
 def compose_functors(g: FunctorVal, f: FunctorVal) -> FunctorVal:
     """g after f.  f must land in the table category g starts from."""
-    if _is_finset(f.target):
+    if f.target is FINSET:
         raise BoundaryError("cannot compose beyond a finite-set valued functor")
     if f.target != g.source:
         raise BoundaryError("target of inner functor differs from source of outer")
@@ -393,35 +353,25 @@ class NatTransVal:
 
 def validate_nattrans(t: NatTransVal) -> CheckReport:
     """Check component typing and the naturality square for every morphism."""
-    from . import finset
-
     if t.F.source != t.G.source:
         raise BoundaryError("natural transformation between functors with different sources")
-    same_target = (
-        (_is_finset(t.F.target) and _is_finset(t.G.target))
-        or (not _is_finset(t.F.target) and not _is_finset(t.G.target) and t.F.target == t.G.target)
-    )
-    if not same_target:
+    if t.F.target != t.G.target:
         raise BoundaryError("natural transformation between functors with different targets")
-    src = t.F.source
+    src, tgt = t.F.source, t.F.target
     for x in src.objects:
         if x not in t.components:
             raise MalformedTableError(f"component missing for object {x!r}")
 
-    finny = _is_finset(t.F.target)
+    finny = tgt is FINSET
     typing = []
     for x in src.objects:
         comp = t.components[x]
-        want = (t.F.object_map[x], t.G.object_map[x])
         if finny:
-            if not isinstance(comp, finset.FinSetMap):
+            if not isinstance(comp, FinSetMap):
                 raise MalformedTableError(f"component at {x!r} is not a map")
-            got = (comp.dom, comp.cod)
-        else:
-            if comp not in t.F.target.morphisms:
-                raise MalformedTableError(f"component at {x!r} is unknown morphism {comp!r}")
-            got = t.F.target.morphisms[comp]
-        if got != want:
+        elif comp not in tgt.morphisms:
+            raise MalformedTableError(f"component at {x!r} is unknown morphism {comp!r}")
+        if (tgt.dom(comp), tgt.cod(comp)) != (t.F.object_map[x], t.G.object_map[x]):
             typing.append((x, comp))
     obligations = [Obligation("component_typing", not typing, tuple(typing[0]) if typing else ())]
 
@@ -429,8 +379,8 @@ def validate_nattrans(t: NatTransVal) -> CheckReport:
     for h in src.sorted_morphisms():
         c, d = src.dom(h), src.cod(h)
         try:
-            lhs = _target_comp(t.F.target, t.G.morphism_map[h], t.components[c])
-            rhs = _target_comp(t.F.target, t.components[d], t.F.morphism_map[h])
+            lhs = tgt.comp(t.G.morphism_map[h], t.components[c])
+            rhs = tgt.comp(t.components[d], t.F.morphism_map[h])
         except (KeyError, ValueError):
             square.append((h, "not composable"))
             continue
@@ -455,7 +405,7 @@ def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
     identifier format is private to this function; callers use the anatomy.
     Raises MalformedTableError when two pairs would share an identifier.
     """
-    if _is_finset(f.target):
+    if f.target is FINSET:
         raise BoundaryError("comma against an object needs a table-valued functor")
     if orientation not in ("under", "over"):
         raise ValueError(f"unknown orientation {orientation!r}")

@@ -36,16 +36,15 @@ import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import CheckReport, Obligation, _is_finset
+from .core import CheckReport, Obligation
 from .finset import (
     DEFAULT_ENUM_CAP,
+    FINSET,
     CapExceededError,
     FinSetMap,
-    compose_maps,
     decode_map,
     encode_map,
     enumerate_maps,
-    identity_map,
 )
 from . import files as _files
 
@@ -666,29 +665,32 @@ def build_model(ast: DiagramAst, spec) -> Model:
 
 def _required_functor_pairs(ast: DiagramAst) -> set:
     nodes, arrows = ast.nodes(), ast.arrows()
-    pairs: set = set()
-    for a in arrows.values():
-        if a.kind != "mapsto":
-            continue
-        if a.src in nodes:
-            pairs.add((nodes[a.src].layer, nodes[a.dst].layer))
-        else:
-            src_arrow, dst_arrow = arrows[a.src], arrows[a.dst]
-            pairs.add((_arrow_layer(ast, src_arrow), _arrow_layer(ast, dst_arrow)))
-    return pairs
+    return {_mapsto_pair(nodes, arrows, a) for a in arrows.values() if a.kind == "mapsto"}
 
 
-def _arrow_layer(ast: DiagramAst, arrow: Arrow) -> str:
-    nodes = ast.nodes()
+def _arrow_layer(nodes: Mapping, arrow: Arrow) -> str:
     if arrow.src in nodes:
         return nodes[arrow.src].layer
     raise DiagramError(f"arrow {arrow.id!r} has no layer (functor endpoints)")
 
 
+def _mapsto_pair(nodes: Mapping, arrows: Mapping, a: Arrow) -> tuple:
+    """(source layer, target layer) of a mapsto arrow: the functor it applies."""
+    if a.src in nodes:
+        return (nodes[a.src].layer, nodes[a.dst].layer)
+    return (_arrow_layer(nodes, arrows[a.src]), _arrow_layer(nodes, arrows[a.dst]))
+
+
+def _mapsto_image(model: Model, nodes: Mapping, arrows: Mapping, a: Arrow, value):
+    """Image of ``value`` (the mapsto source's value) under the bound functor."""
+    functor = model.functors[_mapsto_pair(nodes, arrows, a)]
+    return (functor.object_map if a.src in nodes else functor.morphism_map)[value]
+
+
 def _resolve_bind(ast, layers, element, raw: str, binds: Mapping):
     if isinstance(element, Node):
         cat = layers[element.layer]
-        if _is_finset(cat):
+        if cat is FINSET:
             try:
                 return _files.parse_set_literal(raw)
             except ValueError as exc:
@@ -696,7 +698,7 @@ def _resolve_bind(ast, layers, element, raw: str, binds: Mapping):
         if raw not in set(cat.objects):
             raise DiagramError(f"bind {element.id!r}: unknown object {raw!r}")
         return raw
-    cat = layers[_arrow_layer(ast, element)]
+    cat = layers[_arrow_layer(ast.nodes(), element)]
     if element.kind == "bij":
         body = raw.strip()
         if not (body.startswith("(") and body.endswith(")")):
@@ -711,7 +713,7 @@ def _resolve_bind(ast, layers, element, raw: str, binds: Mapping):
 
 
 def _resolve_morphism(cat, element, raw: str, binds: Mapping, flip: bool):
-    if _is_finset(cat):
+    if cat is FINSET:
         ends = (element.dst, element.src) if flip else (element.src, element.dst)
         if ends[0] not in binds or ends[1] not in binds:
             raise DiagramError(
@@ -735,28 +737,14 @@ def _value_repr(v) -> str:
 
 
 def _compose_values(cat, g, f):
-    if _is_finset(cat):
-        return compose_maps(g, f)
     try:
-        return cat.compose[(g, f)]
+        return cat.comp(g, f)
     except KeyError:
         raise DiagramError(f"composition table has no entry for ({g!r}, {f!r})") from None
 
 
-def _identity_value(cat, obj_value):
-    if _is_finset(cat):
-        return identity_map(obj_value)
-    return cat.id_of(obj_value)
-
-
-def _morphism_bounds(cat, value):
-    if _is_finset(cat):
-        return (value.dom, value.cod)
-    return cat.morphisms[value]
-
-
 def _hom_values(cat, src_value, dst_value, cap: int):
-    if _is_finset(cat):
+    if cat is FINSET:
         return enumerate_maps(src_value, dst_value, cap)
     return cat.hom(src_value, dst_value)
 
@@ -838,7 +826,9 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
     except pairs exempted by a noncommute declaration.  Bijections are
     walked in both directions and must satisfy the round-trip law, and
     every mapsto arrow is checked as a definitional equation (functor
-    application of the bound layer-pair functor).
+    application of the bound layer-pair functor).  Paths and round trips
+    through an arrow that fails endpoint typing are not composed; the
+    typing obligation reports that arrow.
     """
     nodes, arrows = ast.nodes(), ast.arrows()
     for element in ast.elements().values():
@@ -860,12 +850,13 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
         values = assignment[a.id] if a.kind == "bij" else (assignment[a.id],)
         expected = [want, (want[1], want[0])] if a.kind == "bij" else [want]
         for value, want_pair in zip(values, expected):
-            got = _morphism_bounds(cat, value)
-            if got != want_pair:
+            if (cat.dom(value), cat.cod(value)) != want_pair:
                 typing_bad.append((a.id, _value_repr(value)))
     obligations.append(
         Obligation("endpoint_typing", not typing_bad, tuple(typing_bad[0]) if typing_bad else ())
     )
+    # a mistyped arrow may have no composite; its typing witness is the finding
+    mistyped = {arrow_id for arrow_id, _ in typing_bad}
 
     exempt = _noncommute_keys(ast)
     for layer_id in ast.layers():
@@ -877,7 +868,8 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
         paths = _layer_paths(ast, layer_id, include_bij=True)
         by_ends: dict[tuple, list] = {}
         for start, end, steps in paths:
-            by_ends.setdefault((start, end), []).append(steps)
+            if mistyped.isdisjoint(arrow_id for arrow_id, _ in steps):
+                by_ends.setdefault((start, end), []).append(steps)
         for (start, end), group in sorted(by_ends.items()):
             for i in range(len(group)):
                 for j in range(i + 1, len(group)):
@@ -904,13 +896,13 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
 
     bij_bad: list = []
     for a in arrows.values():
-        if a.kind != "bij":
+        if a.kind != "bij" or a.id in mistyped:
             continue
         cat = model.layers[nodes[a.src].layer]
         fwd, bwd = assignment[a.id]
-        if _compose_values(cat, bwd, fwd) != _identity_value(cat, assignment[a.src]):
+        if _compose_values(cat, bwd, fwd) != cat.id_of(assignment[a.src]):
             bij_bad.append((a.id, "bwd o fwd"))
-        elif _compose_values(cat, fwd, bwd) != _identity_value(cat, assignment[a.dst]):
+        elif _compose_values(cat, fwd, bwd) != cat.id_of(assignment[a.dst]):
             bij_bad.append((a.id, "fwd o bwd"))
     obligations.append(
         Obligation("bij_round_trips", not bij_bad, tuple(bij_bad[0]) if bij_bad else ())
@@ -920,14 +912,7 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
     for a in arrows.values():
         if a.kind != "mapsto":
             continue
-        if a.src in nodes:
-            pair = (nodes[a.src].layer, nodes[a.dst].layer)
-            functor = model.functors[pair]
-            got = functor.object_map[assignment[a.src]]
-        else:
-            pair = (_arrow_layer(ast, arrows[a.src]), _arrow_layer(ast, arrows[a.dst]))
-            functor = model.functors[pair]
-            got = functor.morphism_map[assignment[a.src]]
+        got = _mapsto_image(model, nodes, arrows, a, assignment[a.src])
         want = assignment[a.dst]
         if got != want:
             mapsto_bad.append((a.id, _value_repr(got), _value_repr(want)))
@@ -1108,14 +1093,7 @@ def _compute_mapsto_targets(
             if a.src not in assignment:
                 remaining.append(a)
                 continue
-            if a.src in nodes:
-                pair = (nodes[a.src].layer, nodes[a.dst].layer)
-                functor = model.functors[pair]
-                value = functor.object_map[assignment[a.src]]
-            else:
-                pair = (_arrow_layer(ast, arrows[a.src]), _arrow_layer(ast, arrows[a.dst]))
-                functor = model.functors[pair]
-                value = functor.morphism_map[assignment[a.src]]
+            value = _mapsto_image(model, nodes, arrows, a, assignment[a.src])
             if a.dst in assignment:
                 if assignment[a.dst] != value:
                     raise DiagramError(
@@ -1164,7 +1142,7 @@ def _stage_extensions(stage: Stage, model: Model, assignment: Mapping, cap: int)
 
     def node_candidates(node: Node):
         cat = model.layers[node.layer]
-        if _is_finset(cat):
+        if cat is FINSET:
             if node.layer not in model.carriers:
                 raise DiagramError(
                     f"layer {node.layer!r} is bound to finite sets; quantified node "

@@ -490,8 +490,7 @@ def load_model_spec(path: str) -> ModelSpec:
                 raise FixtureParseError(path, None, f"functor references unbound layer {end!r}")
         if layers[src] != fun.source:
             raise FixtureParseError(path, None, f"functor source differs from layer {src!r}")
-        tgt = layers[dst]
-        if (tgt is FINSET) != (fun.target is FINSET) or (tgt is not FINSET and tgt != fun.target):
+        if layers[dst] != fun.target:
             raise FixtureParseError(path, None, f"functor target differs from layer {dst!r}")
     for name in carriers:
         if layers.get(name) is not FINSET:

@@ -113,6 +113,38 @@ def compose_maps(g: FinSetMap, f: FinSetMap) -> FinSetMap:
     return FinSetMap(f.dom, g.cod, {a: g.table[f.table[a]] for a in f.dom})
 
 
+class FinSetCat:
+    """The ambient category of finite sets and maps; ``FINSET`` is its one
+    instance.  It answers dom, cod, id_of and comp like a FinCat, so laws
+    read the same whichever kind of category a functor lands in."""
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "FinSetCat"
+
+    def dom(self, m: FinSetMap) -> FinSetObj:
+        return m.dom
+
+    def cod(self, m: FinSetMap) -> FinSetObj:
+        return m.cod
+
+    def id_of(self, x: FinSetObj) -> FinSetMap:
+        return identity_map(x)
+
+    def comp(self, g: FinSetMap, f: FinSetMap) -> FinSetMap:
+        """g after f."""
+        return compose_maps(g, f)
+
+
+FINSET = FinSetCat()
+
+
 def encode_map(m: FinSetMap, strict: bool = True) -> str:
     """Canonical one-line encoding "{a->x,b->y}" keyed by sorted domain."""
     if strict:
@@ -212,9 +244,7 @@ def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
     tuple encodings and projections is a dict from diagram objects to maps.
     The empty diagram has the one-point carrier {"()"}.
     """
-    from .core import FinSetCat
-
-    if not isinstance(d.target, FinSetCat):
+    if d.target is not FINSET:
         raise ValueError("limit_finset needs a finite-set valued diagram")
     shape = d.source
     objs = sorted(shape.objects)
@@ -241,9 +271,7 @@ def colimit_finset(d):
     Returns (carrier, injections); class representatives are the least
     tagged atom, written "[j:x]".
     """
-    from .core import FinSetCat
-
-    if not isinstance(d.target, FinSetCat):
+    if d.target is not FINSET:
         raise ValueError("colimit_finset needs a finite-set valued diagram")
     shape = d.source
     tagged = [(j, x) for j in sorted(shape.objects) for x in d.object_map[j]]
@@ -290,11 +318,11 @@ def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
     Output order is the lexicographic order of the component choices over
     sorted objects, and equal components are one shared FinSetMap.
     """
-    from .core import FinSetCat, NatTransVal
+    from .core import NatTransVal
 
     if f.source != g.source:
         raise ValueError("functors have different sources")
-    if not (isinstance(f.target, FinSetCat) and isinstance(g.target, FinSetCat)):
+    if not (f.target is FINSET and g.target is FINSET):
         raise ValueError("both functors must be finite-set valued")
     shape = f.source
     objs = sorted(shape.objects)

@@ -138,6 +138,27 @@ def test_eval_prints_counterexample_trace(fix):
     assert text == EVAL_FALSE_EXPECTED
 
 
+def test_eval_mistyped_bind_reports_its_typing_witness(fix, tmp_path):
+    diagram = tmp_path / "triangle.diag"
+    diagram.write_text(
+        "layer L in C\n"
+        'node X : L "X"\nnode Y : L "Y"\nnode Z : L "Z"\n'
+        'arrow f : X -> Y "f"\narrow g : Y -> Z "g"\narrow h : X -> Z "h"\n'
+    )
+    model = tmp_path / "triangle.model"
+    model.write_text(
+        f"layer L = {fix('chain3.fincat')}\n"
+        "bind X = 0\nbind Y = 1\nbind Z = 2\n"
+        "bind f = 0->1\nbind g = 0->1\nbind h = 0->2\n"
+    )
+    code, text = _run("eval", str(diagram), "--model", str(model))
+    assert code == EXIT_CHECK_FAILED
+    assert text.splitlines()[0] == (
+        "stage 0 [-]: stage-0 bindings do not commute: endpoint_typing witness=('g', '0->1')"
+    )
+    assert text.endswith("result: false\n")
+
+
 # ---------------------------------------------------------------------------
 # Context elaboration against goldens
 # ---------------------------------------------------------------------------
@@ -251,6 +272,44 @@ def test_adj_verify_and_build(fix):
     code, text = _run("adj", "verify", fix("monoid_bad_counit.adj"))
     assert code == EXIT_CHECK_FAILED
     assert "[FAIL] triangle_left  witness=('*', 'e')" in text
+
+
+def _bent_truncation(fix, tmp_path):
+    """trunc_q_p.fun with 0->2 sent to id_1, whose ends do not match."""
+    with open(fix("trunc_q_p.fun"), encoding="utf-8") as handle:
+        text = handle.read()
+    bent = tmp_path / "bent_trunc.fun"
+    bent.write_text(
+        text.replace("0->2 |-> 0->1", "0->2 |-> id_1")
+        .replace("chain3.fincat", fix("chain3.fincat"))
+        .replace("chain2.fincat", fix("chain2.fincat"))
+    )
+    return str(bent)
+
+
+def _manifest(fix, tmp_path, name, right, left):
+    with open(fix(name), encoding="utf-8") as handle:
+        text = handle.read()
+    text = text.replace("right: trunc_q_p.fun", f"right: {right}")
+    text = text.replace("left: incl_p_q.fun", f"left: {left}")
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def test_adj_refuses_a_set_valued_left(fix, tmp_path):
+    manifest = _manifest(fix, tmp_path, "galois.adj", fix("trunc_q_p.fun"), fix("h_on_a.fun"))
+    code, text = _run("adj", "verify", manifest)
+    assert code == EXIT_CHECK_FAILED
+    assert text == "check error: left is finite-set valued; adjoints here are table functors\n"
+
+
+@pytest.mark.parametrize("mode, name", [("verify", "galois.adj"), ("build", "galois_build.adj")])
+def test_adj_refuses_a_right_that_is_not_a_functor(fix, tmp_path, mode, name):
+    manifest = _manifest(fix, tmp_path, name, _bent_truncation(fix, tmp_path), fix("incl_p_q.fun"))
+    code, text = _run("adj", mode, manifest)
+    assert code == EXIT_CHECK_FAILED
+    assert text == "check error: right is not a functor: typing fails at ('0->2', 'id_1')\n"
 
 
 # ---------------------------------------------------------------------------

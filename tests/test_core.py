@@ -25,6 +25,7 @@ from fincat.core import (
     validate_nattrans,
 )
 from fincat.files import load_category, load_functor, load_nattrans
+from fincat.finset import FinSetObj, identity_map
 
 CATEGORY_SIZES = {
     "kite.fincat": (5, 14),
@@ -241,6 +242,26 @@ def test_functor_into_sets_requires_set_objects(kite):
     bad = FunctorVal(kite, FINSET, {x: x for x in kite.objects}, {})
     with pytest.raises(MalformedTableError):
         validate_functor(bad)
+
+
+@pytest.mark.parametrize("valued", ["table", "finset"])
+def test_uncomposable_images_fail_respects_composition(fix, valued):
+    # 0->1 goes to an endo-arrow on the image of 0, so id_1 after it has no composite.
+    chain2 = load_category(fix("chain2.fincat"))
+    if valued == "table":
+        target, objects = chain2, {"0": "0", "1": "1"}
+        arrows = {"0->1": "id_0", "id_0": "id_0", "id_1": "id_1"}
+    else:
+        a, b = FinSetObj(("a",)), FinSetObj(("b",))
+        target, objects = FINSET, {"0": a, "1": b}
+        arrows = {"0->1": identity_map(a), "id_0": identity_map(a), "id_1": identity_map(b)}
+    report = validate_functor(FunctorVal(chain2, target, objects, arrows))
+    assert report.obligation("typing").witness[0] == "0->1"
+    assert report.obligation("respects_composition").witness == (
+        "id_1",
+        "0->1",
+        "image not composable",
+    )
 
 
 def test_witness_guard_survives_optimised_mode():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fincat.core
+import fincat.finset
 from fincat.core import (
     FINSET,
     FinSetCat,
@@ -266,6 +268,29 @@ def test_nattrans_key_orders_components_deterministically(f_kite):
     first = enumerate_nattrans_finset(f_kite, f_kite)[0]
     key = nattrans_key(first)
     assert [entry[0] for entry in key] == sorted(f_kite.source.objects)
+
+
+def test_finset_is_one_object_in_core_and_finset():
+    assert fincat.core.FINSET is fincat.finset.FINSET
+    assert fincat.core.FinSetCat is fincat.finset.FinSetCat
+    assert FinSetCat() is FINSET
+
+
+def test_finset_answers_like_the_map_operations(h_on_a):
+    src = h_on_a.source
+    for m in src.sorted_morphisms():
+        image = h_on_a.morphism_map[m]
+        assert FINSET.dom(image) is image.dom and FINSET.cod(image) is image.cod
+    for x in src.objects:
+        value = h_on_a.object_map[x]
+        assert FINSET.id_of(value) == identity_map(value) == h_on_a.morphism_map[src.id_of(x)]
+    for (g, f), gf in sorted(src.compose.items()):
+        g_image, f_image = h_on_a.morphism_map[g], h_on_a.morphism_map[f]
+        assert FINSET.comp(g_image, f_image) == compose_maps(g_image, f_image)
+        assert FINSET.comp(g_image, f_image) == h_on_a.morphism_map[gf]
+    twice = h_on_a.morphism_map["2->4"]
+    with pytest.raises(ValueError, match="not composable"):
+        FINSET.comp(twice, twice)
 
 
 def test_atom_constructors_are_stable():
