@@ -196,9 +196,27 @@ def _cmd_context(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
+def _require_model(spec) -> None:
+    """Raise FinCatError or AdjunctionError, naming the first failed law and
+    its witness, unless every table layer is a category and every bound
+    functor a functor."""
+    for name, cat in spec.layers.items():
+        if cat is FINSET:
+            continue
+        failed = validate_category(cat).failures()
+        if failed:
+            raise FinCatError(
+                f"layer {name!r} is not a category: "
+                f"{failed[0].name} fails at {failed[0].witness!r}"
+            )
+    for (src, dst), fun in spec.functors.items():
+        require_functor(fun, f"functor {src}->{dst}")
+
+
 def _cmd_eval(cfg: RunConfig, out) -> int:
     ast = _load_diagram(cfg.paths[0])
     spec = load_model_spec(cfg.options["model"])
+    _require_model(spec)
     model = build_model(ast, spec)
     value, trace = evaluate_quantified(ast, model, cap=cfg.cap)
     _emit(out, trace.render())

@@ -16,8 +16,8 @@ in the second.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Iterable
 
 from .finset import FINSET, FinSetCat, FinSetMap, FinSetObj  # FinSetCat: re-exported
@@ -81,6 +81,17 @@ class CheckReport:
 
 
 @dataclass(frozen=True)
+class _TableIndex:
+    """Lookup tables derived once from a FinCat's morphisms."""
+
+    morphisms: tuple  # every morphism name, sorted
+    hom: dict  # (dom, cod) -> sorted names
+    out_arrows: dict  # object -> sorted names with that dom
+    in_arrows: dict  # object -> sorted names with that cod
+    objects: frozenset
+
+
+@dataclass(frozen=True)
 class FinCat:
     """Finite category given by explicit tables.
 
@@ -88,12 +99,32 @@ class FinCat:
     morphisms: name -> (dom, cod).
     identity: object -> morphism name.
     compose: (g, f) -> name of g after f.
+
+    The tables are treated as immutable once constructed: hom-sets,
+    out-arrows, in-arrows and the object set are indexed on first use.
     """
 
     objects: tuple
     morphisms: dict
     identity: dict
     compose: dict
+
+    @cached_property
+    def _index(self) -> _TableIndex:
+        ordered = tuple(sorted(self.morphisms))
+        hom: dict = {}
+        out: dict = {}
+        into: dict = {}
+        for m in ordered:
+            d, c = self.morphisms[m]
+            hom.setdefault((d, c), []).append(m)
+            out.setdefault(d, []).append(m)
+            into.setdefault(c, []).append(m)
+
+        def frozen(table):
+            return {k: tuple(v) for k, v in table.items()}
+
+        return _TableIndex(ordered, frozen(hom), frozen(out), frozen(into), frozenset(self.objects))
 
     def dom(self, m: str) -> str:
         return self.morphisms[m][0]
@@ -108,18 +139,28 @@ class FinCat:
         """Name of the composite g after f."""
         return self.compose[(g, f)]
 
+    def has_object(self, x) -> bool:
+        return x in self._index.objects
+
     def hom(self, x: str, y: str) -> list:
-        return sorted(m for m, (d, c) in self.morphisms.items() if d == x and c == y)
+        return list(self._index.hom.get((x, y), ()))
+
+    def out_arrows(self, x: str) -> tuple:
+        """Morphisms with dom x, sorted."""
+        return self._index.out_arrows.get(x, ())
+
+    def in_arrows(self, x: str) -> tuple:
+        """Morphisms with cod x, sorted."""
+        return self._index.in_arrows.get(x, ())
 
     def sorted_morphisms(self) -> list:
-        return sorted(self.morphisms)
+        return list(self._index.morphisms)
 
     def composable_pairs(self):
         """All (g, f) with cod f == dom g, in sorted order."""
-        for g in self.sorted_morphisms():
-            for f in self.sorted_morphisms():
-                if self.cod(f) == self.dom(g):
-                    yield (g, f)
+        for g in self._index.morphisms:
+            for f in self.in_arrows(self.dom(g)):
+                yield (g, f)
 
 
 def _wellformed(c: FinCat) -> None:
@@ -171,32 +212,29 @@ def validate_category(c: FinCat) -> CheckReport:
     tot = missing + extra
     obligations.append(Obligation("totality", not tot, tuple(tot[0]) if tot else ()))
 
-    def safe_comp(g, f):
-        return c.compose.get((g, f))
+    safe_comp = c.compose.get  # None where totality already failed
 
     assoc = []
-    for f in c.sorted_morphisms():
-        for g in c.sorted_morphisms():
-            if c.dom(g) != c.cod(f):
-                continue
-            for h in c.sorted_morphisms():
-                if c.dom(h) != c.cod(g):
-                    continue
-                gf, hg = safe_comp(g, f), safe_comp(h, g)
+    ordered = c.sorted_morphisms()
+    for f in ordered:
+        for g in c.out_arrows(c.cod(f)):
+            gf = safe_comp((g, f))
+            for h in c.out_arrows(c.cod(g)):
+                hg = safe_comp((h, g))
                 if gf is None or hg is None:
                     continue  # reported under totality
-                left, right = safe_comp(h, gf), safe_comp(hg, f)
+                left, right = safe_comp((h, gf)), safe_comp((hg, f))
                 if left != right:
                     assoc.append((h, g, f, left, right))
     obligations.append(Obligation("associativity", not assoc, tuple(assoc[0]) if assoc else ()))
 
     idl = []
     idr = []
-    for f in c.sorted_morphisms():
-        li = safe_comp(c.identity[c.cod(f)], f)
+    for f in ordered:
+        li = safe_comp((c.identity[c.cod(f)], f))
         if li is not None and li != f:
             idl.append((f, li))
-        ri = safe_comp(f, c.identity[c.dom(f)])
+        ri = safe_comp((f, c.identity[c.dom(f)]))
         if ri is not None and ri != f:
             idr.append((f, ri))
     obligations.append(Obligation("left_identity", not idl, tuple(idl[0]) if idl else ()))
@@ -209,36 +247,33 @@ def preorder_from_covers(objects: Iterable[str], covers: Iterable[tuple]) -> Fin
     """Category of the reflexive-transitive closure of a cover relation.
 
     Morphism x -> y is named "x->y"; identities are "id_x".  Raises
-    CycleError when the closure is not antisymmetric.
+    CycleError when the closure is not antisymmetric, naming the least
+    offending pair.  Morphisms and composites are inserted in sorted order.
     """
     objs = tuple(sorted(str(o) for o in objects))
-    oset = set(objs)
+    above = {x: {x} for x in objs}
     for a, b in covers:
-        if str(a) not in oset or str(b) not in oset:
+        if str(a) not in above or str(b) not in above:
             raise MalformedTableError(f"cover ({a!r}, {b!r}) mentions unknown object")
-    le = {(x, x) for x in objs}
-    le.update((str(a), str(b)) for a, b in covers)
-    changed = True
-    while changed:
-        changed = False
-        for (a, b), (b2, c) in itertools.product(list(le), list(le)):
-            if b == b2 and (a, c) not in le:
-                le.add((a, c))
-                changed = True
-    for a, b in le:
-        if a != b and (b, a) in le:
-            raise CycleError(f"not antisymmetric: {a!r} <= {b!r} <= {a!r}")
+        above[str(a)].add(str(b))
+    for k in objs:  # Warshall: after step k, paths through objects up to k are closed
+        for x in objs:
+            if k in above[x]:
+                above[x] |= above[k]
+    succ = {x: sorted(above[x]) for x in objs}
+    for a in objs:
+        for b in succ[a]:
+            if a != b and a in above[b]:
+                raise CycleError(f"not antisymmetric: {a!r} <= {b!r} <= {a!r}")
 
     def name(a, b):
         return f"id_{a}" if a == b else f"{a}->{b}"
 
-    morphisms = {name(a, b): (a, b) for a, b in le}
+    morphisms = {name(a, b): (a, b) for a in objs for b in succ[a]}
     identity = {x: f"id_{x}" for x in objs}
-    compose = {}
-    for a, b in le:
-        for b2, c in le:
-            if b == b2:
-                compose[(name(b, c), name(a, b))] = name(a, c)
+    compose = {
+        (name(b, c), name(a, b)): name(a, c) for a in objs for b in succ[a] for c in succ[b]
+    }
     return FinCat(objs, morphisms, identity, compose)
 
 
@@ -280,7 +315,7 @@ def validate_functor(f: FunctorVal) -> CheckReport:
                 raise MalformedTableError(f"morphism map at {m!r} is not a map")
     else:
         for x, v in f.object_map.items():
-            if v not in set(tgt.objects):
+            if not tgt.has_object(v):
                 raise MalformedTableError(f"object map sends {x!r} to unknown {v!r}")
         for m, v in f.morphism_map.items():
             if v not in tgt.morphisms:
@@ -410,7 +445,7 @@ def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
     if orientation not in ("under", "over"):
         raise ValueError(f"unknown orientation {orientation!r}")
     src, tgt = f.source, f.target
-    if b not in set(tgt.objects):
+    if not tgt.has_object(b):
         raise MalformedTableError(f"unknown object {b!r} in target category")
     anatomy = {}
     for a in src.objects:

@@ -32,8 +32,11 @@ target of any ``|->`` whose source is erased.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field, replace
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .core import CheckReport, Obligation
@@ -158,44 +161,77 @@ class MacroDecl:
 
 @dataclass(frozen=True)
 class DiagramAst:
-    """A diagram as an ordered tuple of declarations."""
+    """A diagram as an ordered tuple of declarations.
+
+    The per-kind tables are built once, on first use, and returned as
+    read-only views shared by every caller.
+    """
 
     decls: tuple = ()
 
-    def layers(self) -> dict:
-        return {d.id: d for d in self.decls if isinstance(d, LayerDecl)}
+    @cached_property
+    def _tables(self) -> dict:
+        kinds = (LayerDecl, FunctorDecl, Node, Arrow, DefDecl, MacroDecl)
+        tables: dict = {kind: {} for kind in kinds}
+        elements: dict = {}
+        for d in self.decls:
+            if type(d) in tables:
+                tables[type(d)][d.name if isinstance(d, MacroDecl) else d.id] = d
+            if isinstance(d, (Node, Arrow)):
+                elements[d.id] = d
+        tables["elements"] = elements
+        return {key: MappingProxyType(table) for key, table in tables.items()}
 
-    def functors(self) -> dict:
-        return {d.id: d for d in self.decls if isinstance(d, FunctorDecl)}
+    @cached_property
+    def _shape_memo(self) -> dict:
+        """Results of the shape-only analyses below (see ``_per_diagram``)."""
+        return {}
 
-    def nodes(self) -> dict:
-        return {d.id: d for d in self.decls if isinstance(d, Node)}
+    def layers(self) -> Mapping:
+        return self._tables[LayerDecl]
 
-    def arrows(self) -> dict:
-        return {d.id: d for d in self.decls if isinstance(d, Arrow)}
+    def functors(self) -> Mapping:
+        return self._tables[FunctorDecl]
+
+    def nodes(self) -> Mapping:
+        return self._tables[Node]
+
+    def arrows(self) -> Mapping:
+        return self._tables[Arrow]
 
     def noncommutes(self) -> tuple:
         return tuple(d for d in self.decls if isinstance(d, NonCommute))
 
-    def defs(self) -> dict:
-        return {d.id: d for d in self.decls if isinstance(d, DefDecl)}
+    def defs(self) -> Mapping:
+        return self._tables[DefDecl]
 
-    def macros(self) -> dict:
-        return {d.name: d for d in self.decls if isinstance(d, MacroDecl)}
+    def macros(self) -> Mapping:
+        return self._tables[MacroDecl]
 
-    def elements(self) -> dict:
+    def elements(self) -> Mapping:
         """Nodes and arrows (the stageable elements), keyed by id."""
-        out: dict = {}
-        for d in self.decls:
-            if isinstance(d, (Node, Arrow)):
-                out[d.id] = d
-        return out
+        return self._tables["elements"]
 
     def mapsto_targets(self) -> frozenset:
         return frozenset(a.dst for a in self.arrows().values() if a.kind == "mapsto")
 
     def max_stage(self) -> int:
         return max((e.stage for e in self.elements().values() if e.stage), default=0)
+
+
+def _per_diagram(fn):
+    """Memoise ``fn(ast, ...)`` on the diagram.  Only for analyses that read
+    the diagram's shape alone; the shared result must not be mutated."""
+
+    @functools.wraps(fn)
+    def cached(ast: DiagramAst, *args, **kwargs):
+        key = (fn.__name__, args, tuple(sorted(kwargs.items())))
+        memo = ast._shape_memo
+        if key not in memo:
+            memo[key] = fn(ast, *args, **kwargs)
+        return memo[key]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -753,7 +789,8 @@ def _hom_values(cat, src_value, dst_value, cap: int):
 # Commutativity
 
 
-def _layer_paths(ast: DiagramAst, layer_id: str, include_bij: bool) -> list:
+@_per_diagram
+def _layer_paths(ast: DiagramAst, layer_id: str, include_bij: bool) -> tuple:
     """All simple directed paths in one layer.
 
     A path is (start node, end node, steps) where each step is
@@ -782,9 +819,10 @@ def _layer_paths(ast: DiagramAst, layer_id: str, include_bij: bool) -> list:
 
     for n in sorted(edges):
         walk(n, n, (), frozenset((n,)))
-    return paths
+    return tuple(paths)
 
 
+@_per_diagram
 def _hom_cycle(ast: DiagramAst, layer_id: str):
     """Return a cycle witness in the layer's hom graph (bij excluded), or None."""
     nodes = [n.id for n in ast.nodes().values() if n.layer == layer_id]
@@ -815,8 +853,9 @@ def _hom_cycle(ast: DiagramAst, layer_id: str):
     return None
 
 
-def _noncommute_keys(ast: DiagramAst) -> set:
-    return {frozenset((nc.left, nc.right)) for nc in ast.noncommutes()}
+@_per_diagram
+def _noncommute_keys(ast: DiagramAst) -> frozenset:
+    return frozenset(frozenset((nc.left, nc.right)) for nc in ast.noncommutes())
 
 
 def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> CheckReport:

@@ -1,12 +1,14 @@
 """Independent reference implementations used to cross-check the package.
 
-Nothing here shares search or enumeration logic with the library: limits
-and natural transformations are enumerated by a raw cartesian product
-filtered by the diagram's maps or the naturality squares, universal-arrow
-tables by testing every (morphism, map) pair, and term inhabitants by a
-bottom-up enumeration of all well-typed terms followed by a normality
-filter.  Only the AST constructors and the canonical printer are reused,
-so the comparisons exercise the library's *search* code paths.
+Nothing here shares search or enumeration logic with the library: category
+laws are checked by a triple loop over the raw morphism table, preorder
+closures by a pairwise fixpoint, limits and natural transformations are
+enumerated by a raw cartesian product filtered by the diagram's maps or the
+naturality squares, universal-arrow tables by testing every (morphism, map)
+pair, and term inhabitants by a bottom-up enumeration of all well-typed
+terms followed by a normality filter.  Only the report and AST constructors
+and the canonical printer are reused, so the comparisons exercise the
+library's *search* and *index* code paths.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Sequence
 
+from fincat.core import CheckReport, Obligation
 from fincat.terms import (
     App,
     Lam,
@@ -26,6 +29,94 @@ from fincat.terms import (
     Var,
     canonical_print,
 )
+
+# ---------------------------------------------------------------------------
+# Category laws and preorder closures without any index
+# ---------------------------------------------------------------------------
+
+
+def triple_loop_validate(c) -> CheckReport:
+    """The category laws of a well-formed table, by filtering the full sorted
+    morphism list at every level of the associativity triple loop.  Same
+    obligations, witnesses and subject as ``validate_category``."""
+    ordered = sorted(c.morphisms)
+
+    def dom(m):
+        return c.morphisms[m][0]
+
+    def cod(m):
+        return c.morphisms[m][1]
+
+    def first(found):
+        return tuple(found[0]) if found else ()
+
+    coh = []
+    for x in c.objects:
+        i = c.identity[x]
+        if c.morphisms[i] != (x, x):
+            coh.append((x, i) + c.morphisms[i])
+    for (g, f), h in sorted(c.compose.items()):
+        if cod(f) != dom(g):
+            coh.append((g, f, h, "not composable"))
+        elif (dom(h), cod(h)) != (dom(f), cod(g)):
+            coh.append((g, f, h, "boundary mismatch"))
+
+    missing = [
+        (g, f) for g in ordered for f in ordered if cod(f) == dom(g) and (g, f) not in c.compose
+    ]
+    tot = missing + [(g, f) for (g, f) in sorted(c.compose) if cod(f) != dom(g)]
+
+    assoc = []
+    for f in ordered:
+        for g in ordered:
+            if dom(g) != cod(f):
+                continue
+            for h in ordered:
+                if dom(h) != cod(g):
+                    continue
+                gf, hg = c.compose.get((g, f)), c.compose.get((h, g))
+                if gf is None or hg is None:
+                    continue
+                left, right = c.compose.get((h, gf)), c.compose.get((hg, f))
+                if left != right:
+                    assoc.append((h, g, f, left, right))
+
+    idl = []
+    idr = []
+    for f in ordered:
+        li = c.compose.get((c.identity[cod(f)], f))
+        if li is not None and li != f:
+            idl.append((f, li))
+        ri = c.compose.get((f, c.identity[dom(f)]))
+        if ri is not None and ri != f:
+            idr.append((f, ri))
+
+    laws = [
+        ("coherence", coh),
+        ("totality", tot),
+        ("associativity", assoc),
+        ("left_identity", idl),
+        ("right_identity", idr),
+    ]
+    return CheckReport(
+        f"category:{len(c.objects)}obj/{len(c.morphisms)}mor",
+        tuple(Obligation(name, not found, first(found)) for name, found in laws),
+    )
+
+
+def fixpoint_closure(objects, covers) -> set:
+    """The reflexive-transitive closure of a cover relation as a set of
+    pairs, by adding a composite pair until no pass adds one."""
+    le = {(x, x) for x in objects} | set(covers)
+    changed = True
+    while changed:
+        changed = False
+        for (a, b), (b2, c) in itertools.product(list(le), list(le)):
+            if b == b2 and (a, c) not in le:
+                le.add((a, c))
+                changed = True
+    return le
+
 
 # ---------------------------------------------------------------------------
 # Limits, natural transformations and universal arrows by product-and-filter

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, output formats, corpus runner."""
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fincat
 from fincat.cli import (
     CORPUS_ENV,
     EXIT_CAP,
@@ -75,6 +79,26 @@ def test_reserved_characters_in_identifiers_exit_two(tmp_path):
     assert text == f"parse error: {bad}:3: object 'a,p' contains reserved character ','\n"
 
 
+def test_cyclic_cover_message_does_not_depend_on_the_hash_seed(tmp_path):
+    cyclic = tmp_path / "cycle.fincat"
+    cyclic.write_text(
+        "objects:\n  a\n  b\n  c\n  d\npreorder:\n  a < b\n  b < c\n  c < d\n  d < a\n"
+    )
+    src = os.path.dirname(os.path.dirname(fincat.__file__))
+    outputs = set()
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        result = subprocess.run(
+            [sys.executable, "-m", "fincat", "check-cat", str(cyclic)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == EXIT_USAGE
+        outputs.add(result.stdout)
+    assert outputs == {f"parse error: {cyclic}:6: not antisymmetric: 'a' <= 'b' <= 'a'\n"}
+
+
 def test_usage_errors_exit_two(fix):
     assert _run("bogus")[0] == EXIT_USAGE
     assert _run()[0] == EXIT_USAGE
@@ -138,13 +162,16 @@ def test_eval_prints_counterexample_trace(fix):
     assert text == EVAL_FALSE_EXPECTED
 
 
+TRIANGLE_DIAG = (
+    "layer L in C\n"
+    'node X : L "X"\nnode Y : L "Y"\nnode Z : L "Z"\n'
+    'arrow f : X -> Y "f"\narrow g : Y -> Z "g"\narrow h : X -> Z "h"\n'
+)
+
+
 def test_eval_mistyped_bind_reports_its_typing_witness(fix, tmp_path):
     diagram = tmp_path / "triangle.diag"
-    diagram.write_text(
-        "layer L in C\n"
-        'node X : L "X"\nnode Y : L "Y"\nnode Z : L "Z"\n'
-        'arrow f : X -> Y "f"\narrow g : Y -> Z "g"\narrow h : X -> Z "h"\n'
-    )
+    diagram.write_text(TRIANGLE_DIAG)
     model = tmp_path / "triangle.model"
     model.write_text(
         f"layer L = {fix('chain3.fincat')}\n"
@@ -157,6 +184,43 @@ def test_eval_mistyped_bind_reports_its_typing_witness(fix, tmp_path):
         "stage 0 [-]: stage-0 bindings do not commute: endpoint_typing witness=('g', '0->1')"
     )
     assert text.endswith("result: false\n")
+
+
+def test_eval_rejects_a_model_layer_that_is_not_a_category(tmp_path):
+    (tmp_path / "triangle.diag").write_text(TRIANGLE_DIAG)
+    (tmp_path / "partial.fincat").write_text(
+        "objects:\n  X\n  Y\n  Z\nmorphisms:\n  f : X -> Y\n  g : Y -> Z\n  h : X -> Z\n"
+    )
+    (tmp_path / "triangle.model").write_text(
+        "layer L = partial.fincat\n"
+        "bind X = X\nbind Y = Y\nbind Z = Z\nbind f = f\nbind g = g\nbind h = h\n"
+    )
+    code, text = _run(
+        "eval", str(tmp_path / "triangle.diag"), "--model", str(tmp_path / "triangle.model")
+    )
+    assert code == EXIT_CHECK_FAILED
+    assert text == (
+        "check error: layer 'L' is not a category: totality fails at ('g', 'f')\n"
+    )
+
+
+def test_eval_rejects_a_model_functor_that_is_not_a_functor(fix, tmp_path):
+    bad = tmp_path / "bad_trunc.fun"
+    bad.write_text(
+        f"source: {fix('chain3.fincat')}\ntarget: {fix('chain2.fincat')}\n"
+        "objects:\n  0 |-> 0\n  1 |-> 1\n  2 |-> 1\n"
+        "morphisms:\n  0->1 |-> 0->1\n  0->2 |-> 0->1\n  1->2 |-> 0->1\n"
+    )
+    model = tmp_path / "galois.model"
+    model.write_text(
+        f"layer LA = {fix('chain2.fincat')}\nlayer LB = {fix('chain3.fincat')}\n"
+        f"functor LB LA = {bad}\nbind A = 0\nbind B = 0\nbind eta = id_0\n"
+    )
+    code, text = _run("eval", fix("universal_arrow.diag"), "--model", str(model))
+    assert code == EXIT_CHECK_FAILED
+    assert text == (
+        "check error: functor LB->LA is not a functor: typing fails at ('1->2', '0->1')\n"
+    )
 
 
 # ---------------------------------------------------------------------------
