@@ -21,9 +21,10 @@ that alpha-equivalent terms print identically.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Ty",
@@ -57,7 +58,6 @@ __all__ = [
     "free_vars",
     "substitute",
     "typecheck",
-    "term_depth",
     "lam_count",
     "term_sort_key",
     "infer_inhabitants",
@@ -351,20 +351,6 @@ def substitute_many(t: Tm, mapping: Mapping[str, Tm]) -> Tm:
     raise TypeError(f"not a term: {t!r}")
 
 
-def term_depth(t: Tm) -> int:
-    if isinstance(t, (Var, Const)):
-        return 1
-    if isinstance(t, Lam):
-        return 1 + term_depth(t.body)
-    if isinstance(t, App):
-        return 1 + max(term_depth(t.fn), term_depth(t.arg))
-    if isinstance(t, Pair):
-        return 1 + max(term_depth(t.left), term_depth(t.right))
-    if isinstance(t, Proj):
-        return 1 + term_depth(t.body)
-    raise TypeError(f"not a term: {t!r}")
-
-
 def lam_count(t: Tm) -> int:
     if isinstance(t, (Var, Const)):
         return 0
@@ -569,6 +555,20 @@ class _Parser:
         raise TermParseError(f"expected a term, found {tok.text or 'end of input'!r}", tok.line, tok.col)
 
 
+def _depth_guarded(parse: Callable) -> Callable:
+    """Report input nested past the interpreter's recursion limit as a parse error."""
+
+    @functools.wraps(parse)
+    def guarded(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except RecursionError:
+            raise TermParseError("input nested too deeply") from None
+
+    return guarded
+
+
+@_depth_guarded
 def parse_type(text: str) -> Ty:
     parser = _Parser(text)
     ty = parser.type_()
@@ -576,6 +576,7 @@ def parse_type(text: str) -> Ty:
     return ty
 
 
+@_depth_guarded
 def parse_term(text: str, sig: Optional["Signature"] = None) -> Tm:
     """Parse a term; identifiers declared in ``sig`` become constants."""
     constants = sig.constant_names if sig is not None else Signature.BUILTIN_NAMES
@@ -585,6 +586,7 @@ def parse_term(text: str, sig: Optional["Signature"] = None) -> Tm:
     return t
 
 
+@_depth_guarded
 def parse_context(text: str) -> list[tuple[str, Ty]]:
     """Parse a context literal like ``{f: A' -> A, b: B}`` (``{}`` is empty)."""
     parser = _Parser(text)
@@ -674,23 +676,14 @@ class Signature:
                 raise SignatureError(f"numeral {name!r} cannot be redeclared")
             merged[name] = ty
         self._constants = merged
-        self._rules = tuple(rules)
         self._rules_by_head: dict[str, list[DeltaRule]] = {}
-        for rule in self._rules:
+        for rule in rules:
             self._validate_rule(rule)
             self._rules_by_head.setdefault(rule.head, []).append(rule)
 
     @property
-    def constants(self) -> Mapping[str, Ty]:
-        return dict(self._constants)
-
-    @property
     def constant_names(self) -> frozenset[str]:
         return frozenset(self._constants)
-
-    @property
-    def rules(self) -> tuple[DeltaRule, ...]:
-        return self._rules
 
     def constant_type(self, name: str) -> Ty:
         if is_numeral(name):
@@ -787,6 +780,7 @@ def parse_signature(text: str) -> Signature:
     return Signature(constants, rules)
 
 
+@_depth_guarded
 def _parse_rule(line: str, sig: Signature) -> DeltaRule:
     parser = _Parser(line, sig.constant_names)
     head_tok = parser.expect("ident")
@@ -890,9 +884,13 @@ def infer_inhabitants(
 
     Search is goal-directed: arrow and product goals are solved by
     introduction forms and, like atomic goals, by neutral terms built from
-    context hypotheses via application and projection.  Results are
-    deduplicated up to alpha-equivalence and sorted by
-    :func:`term_sort_key`.
+    context hypotheses via application and projection.
+
+    Results are deduplicated by term structure (frozen-value equality),
+    which here is alpha-equivalence: every binder is named by
+    ``_fresh_binder`` from the length of the context it extends, so two
+    alpha-equivalent results carry the same binder names.  Text is
+    produced only for the final :func:`term_sort_key` sort and for output.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -911,26 +909,20 @@ def _inhabitants(
     key = ("all", ctx, goal, depth)
     if key in memo:
         return memo[key]
-    memo[key] = ()  # cycle guard; depth strictly decreases so this is never hit
-    out: dict[str, Tm] = {}
-    for t in _neutrals(ctx, goal, depth, memo):
-        out.setdefault(canonical_print(t), t)
+    out = dict.fromkeys(_neutrals(ctx, goal, depth, memo))
     if depth >= 2 and isinstance(goal, TyArrow):
         var = _fresh_binder(ctx)
         inner = ctx + ((var, goal.src),)
         for body in _inhabitants(inner, goal.dst, depth - 1, memo):
-            t = Lam(var, goal.src, body)
-            out.setdefault(canonical_print(t), t)
+            out[Lam(var, goal.src, body)] = None
     if depth >= 2 and isinstance(goal, TyProd):
         lefts = _inhabitants(ctx, goal.left, depth - 1, memo)
         rights = _inhabitants(ctx, goal.right, depth - 1, memo)
         for a in lefts:
             for b in rights:
-                t = Pair(a, b)
-                out.setdefault(canonical_print(t), t)
-    result = tuple(out[k] for k in sorted(out))
-    memo[key] = result
-    return result
+                out[Pair(a, b)] = None
+    memo[key] = tuple(out)
+    return memo[key]
 
 
 def _neutrals(
@@ -939,30 +931,22 @@ def _neutrals(
     key = ("neutral", ctx, goal, depth)
     if key in memo:
         return memo[key]
-    memo[key] = ()
-    out: dict[str, Tm] = {}
-    for name, ty in ctx:
-        if ty == goal:
-            out.setdefault(canonical_print(Var(name)), Var(name))
+    out = dict.fromkeys(Var(name) for name, ty in ctx if ty == goal)
     if depth >= 2:
         for ty in _neutral_type_closure(ctx, memo):
             if isinstance(ty, TyArrow) and ty.dst == goal:
                 args = _inhabitants(ctx, ty.src, depth - 1, memo)
                 for fn in _neutrals(ctx, ty, depth - 1, memo):
                     for arg in args:
-                        t = App(fn, arg)
-                        out.setdefault(canonical_print(t), t)
+                        out[App(fn, arg)] = None
             if isinstance(ty, TyProd) and ty.left == goal:
                 for body in _neutrals(ctx, ty, depth - 1, memo):
-                    t = Proj(1, body)
-                    out.setdefault(canonical_print(t), t)
+                    out[Proj(1, body)] = None
             if isinstance(ty, TyProd) and ty.right == goal:
                 for body in _neutrals(ctx, ty, depth - 1, memo):
-                    t = Proj(2, body)
-                    out.setdefault(canonical_print(t), t)
-    result = tuple(out[k] for k in sorted(out))
-    memo[key] = result
-    return result
+                    out[Proj(2, body)] = None
+    memo[key] = tuple(out)
+    return memo[key]
 
 
 def _neutral_type_closure(
@@ -1162,9 +1146,6 @@ class ReductionGraph:
     truncated: bool
     term_type: Ty
 
-    def successors(self, key: str) -> tuple[str, ...]:
-        return self.edges.get(key, ())
-
     def descendants(self, key: str) -> frozenset[str]:
         """All nodes reachable from ``key`` (including itself) along edges."""
         seen = {key}
@@ -1237,7 +1218,7 @@ def reduction_graph(
         term = nodes[key]
         successors = one_step_reductions(term, sig)
         succ_keys: list[str] = []
-        fresh: list[tuple[str, Tm]] = []
+        fresh: dict[str, Tm] = {}
         for succ in successors:
             succ_ty = typecheck(succ, env, sig)
             if succ_ty != root_ty:
@@ -1247,12 +1228,12 @@ def reduction_graph(
                 )
             skey = canonical_print(succ)
             succ_keys.append(skey)
-            if skey not in nodes and all(skey != fk for fk, _ in fresh):
-                fresh.append((skey, succ))
+            if skey not in nodes:
+                fresh.setdefault(skey, succ)
         if len(nodes) + len(fresh) > node_cap:
             truncated = True
             break
-        for skey, succ in fresh:
+        for skey, succ in fresh.items():
             nodes[skey] = succ
             queue.append(skey)
         edges[key] = tuple(sorted(set(succ_keys)))

@@ -9,6 +9,11 @@ pair, and term inhabitants by a bottom-up enumeration of all well-typed
 terms followed by a normality filter.  Only the report and AST constructors
 and the canonical printer are reused, so the comparisons exercise the
 library's *search* and *index* code paths.
+
+One reference is the library's own earlier algorithm rather than a brute
+force: ``print_keyed_inhabitants`` is the goal-directed inhabitant search
+that deduplicated every memo entry by canonical print, kept to pin the
+exact output order of the structurally deduplicated search.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ from fincat.terms import (
     TyProd,
     Var,
     canonical_print,
+    print_type,
+    term_sort_key,
 )
 
 # ---------------------------------------------------------------------------
@@ -322,3 +329,89 @@ def goal_types(atoms: Iterable[str], constructors: int) -> list:
     for size in range(0, constructors + 1):
         out.extend(by_size[size])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Inhabitant search deduplicated by canonical print
+# ---------------------------------------------------------------------------
+
+
+def print_keyed_inhabitants(ctx: Sequence[tuple], goal: Ty, depth: int) -> list:
+    """Goal-directed inhabitants of tree depth <= depth, each memo entry
+    deduplicated and sorted by canonical print, the whole list sorted by
+    ``term_sort_key``."""
+    return sorted(_pk_inhabitants(tuple(ctx), goal, depth, {}), key=term_sort_key)
+
+
+def _pk_inhabitants(ctx: tuple, goal: Ty, depth: int, memo: dict) -> tuple:
+    key = ("all", ctx, goal, depth)
+    if key in memo:
+        return memo[key]
+    out: dict = {}
+    for t in _pk_neutrals(ctx, goal, depth, memo):
+        out.setdefault(canonical_print(t), t)
+    if depth >= 2 and isinstance(goal, TyArrow):
+        var = _pk_binder(ctx)
+        for body in _pk_inhabitants(ctx + ((var, goal.src),), goal.dst, depth - 1, memo):
+            t = Lam(var, goal.src, body)
+            out.setdefault(canonical_print(t), t)
+    if depth >= 2 and isinstance(goal, TyProd):
+        rights = _pk_inhabitants(ctx, goal.right, depth - 1, memo)
+        for a in _pk_inhabitants(ctx, goal.left, depth - 1, memo):
+            for b in rights:
+                t = Pair(a, b)
+                out.setdefault(canonical_print(t), t)
+    memo[key] = tuple(out[k] for k in sorted(out))
+    return memo[key]
+
+
+def _pk_neutrals(ctx: tuple, goal: Ty, depth: int, memo: dict) -> tuple:
+    key = ("neutral", ctx, goal, depth)
+    if key in memo:
+        return memo[key]
+    out: dict = {}
+    for name, ty in ctx:
+        if ty == goal:
+            out.setdefault(canonical_print(Var(name)), Var(name))
+    if depth >= 2:
+        for ty in _pk_closure(ctx):
+            if isinstance(ty, TyArrow) and ty.dst == goal:
+                args = _pk_inhabitants(ctx, ty.src, depth - 1, memo)
+                for fn in _pk_neutrals(ctx, ty, depth - 1, memo):
+                    for arg in args:
+                        t = App(fn, arg)
+                        out.setdefault(canonical_print(t), t)
+            if isinstance(ty, TyProd) and ty.left == goal:
+                for body in _pk_neutrals(ctx, ty, depth - 1, memo):
+                    t = Proj(1, body)
+                    out.setdefault(canonical_print(t), t)
+            if isinstance(ty, TyProd) and ty.right == goal:
+                for body in _pk_neutrals(ctx, ty, depth - 1, memo):
+                    t = Proj(2, body)
+                    out.setdefault(canonical_print(t), t)
+    memo[key] = tuple(out[k] for k in sorted(out))
+    return memo[key]
+
+
+def _pk_closure(ctx: tuple) -> list:
+    """Every type a neutral term over ``ctx`` can have: the hypotheses and,
+    recursively, arrow targets and product components."""
+    seen: set = set()
+    stack = [ty for _, ty in ctx]
+    while stack:
+        ty = stack.pop()
+        if ty not in seen:
+            seen.add(ty)
+            if isinstance(ty, TyArrow):
+                stack.append(ty.dst)
+            elif isinstance(ty, TyProd):
+                stack.extend((ty.left, ty.right))
+    return sorted(seen, key=print_type)
+
+
+def _pk_binder(ctx: tuple) -> str:
+    taken = {name for name, _ in ctx}
+    name = f"x{len(ctx) + 1}"
+    while name in taken or name in ("p1", "p2", "rule"):
+        name += "'"
+    return name

@@ -255,6 +255,30 @@ def test_infer_lists_inhabitants(fix):
     assert "f" in lines
 
 
+DEEP_TYPE = "(" * 400 + "A" + ")" * 400
+DEEP_TERM = "(" * 1500 + "1" + ")" * 1500
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("reduce", DEEP_TERM),
+        ("infer", "{}", DEEP_TYPE),
+        ("infer", "{a: " + DEEP_TYPE + "}", "A"),
+    ],
+    ids=["reduce-term", "infer-goal", "infer-hypothesis"],
+)
+def test_deep_nesting_is_a_parse_error(argv):
+    assert _run(*argv) == (EXIT_USAGE, "parse error: input nested too deeply\n")
+
+
+def test_deep_nesting_in_a_signature_rule_is_a_parse_error(tmp_path):
+    sig = tmp_path / "deep.sig"
+    sig.write_text("g : N -> N\nrule g(x) = " + DEEP_TERM.replace("1", "x") + "\n")
+    code, text = _run("reduce", "g 1", "--sig", str(sig))
+    assert (code, text) == (EXIT_USAGE, "parse error: line 2: input nested too deeply\n")
+
+
 def test_reduce_dot_output_is_deterministic(fix):
     first = _run("reduce", "g (2 + 3)", "--sig", fix("arith.sig"), "--format", "graph")
     second = _run("reduce", "g (2 + 3)", "--sig", fix("arith.sig"), "--format", "graph")

@@ -32,7 +32,7 @@ from fincat.terms import (
     typecheck,
 )
 
-from oracles import brute_inhabitants, goal_types
+from oracles import brute_inhabitants, goal_types, print_keyed_inhabitants
 
 
 def _read(fix, name):
@@ -180,6 +180,41 @@ def test_inference_with_hypotheses_matches_oracle():
     for goal in goal_types(["A", "B"], 1):
         got = sorted(canonical_print(t) for t in infer_inhabitants(ctx, goal, 4))
         assert got == brute_inhabitants(ctx, goal, 4), print_type(goal)
+
+
+# (context, goal, deepest bound): the benchmark's endo, pair and round-trip
+# families, classic tautologies, and hypotheses named like search binders
+PRINT_KEYED_GOALS = [
+    ("{f: A->A}", "A->A", 8),
+    ("{f: A->A, g: A->A}", "A->A", 7),
+    ("{f: A->A, g: A->A, h: A->A}", "A->A", 6),
+    ("{a: A, f: A->A}", "A*A", 6),
+    ("{a: A, f: A->A, g: A->A}", "A*A", 5),
+    ("{f: A->B, g: B->A}", "A->A", 8),
+    ("{}", "((A->B)->A)->A", 6),
+    ("{}", "(A*B->C)->A->B->C", 6),
+    ("{}", "(A->B->C)->A*B->C", 6),
+    ("{}", "(A->B)->(B->C)->A->C", 6),
+    ("{}", "(A->A)->A->A", 6),
+    ("{}", "A*(B*C)->(A*B)*C", 6),
+    ("{x1: A, x2: A->A}", "A->A", 6),
+    ("{x1: A, x2: A->A}", "(A->A)->A*A", 6),
+    ("{x2: A, f: A->A}", "A->A", 6),
+    ("{x2: A, f: A->A}", "(A->A)->A", 6),
+    ("{x2: A}", "A->A->A", 6),
+    ("{f: A->A, x3: A}", "A->A", 6),
+]
+
+
+@pytest.mark.parametrize("ctx_text, goal_text, deepest", PRINT_KEYED_GOALS)
+def test_inference_matches_print_keyed_search_in_order(ctx_text, goal_text, deepest):
+    ctx = parse_context(ctx_text)
+    goal = parse_type(goal_text)
+    for depth in range(1, deepest + 1):
+        got = [canonical_print(t) for t in infer_inhabitants(ctx, goal, depth)]
+        want = [canonical_print(t) for t in print_keyed_inhabitants(ctx, goal, depth)]
+        assert got == want, (ctx_text, goal_text, depth)
+        assert len(set(got)) == len(got), (ctx_text, goal_text, depth)
 
 
 # ---------------------------------------------------------------------------
