@@ -56,6 +56,7 @@ from .terms import (
     ReductionGraph,
     Signature,
     TermError,
+    TermParseError,
     canonical_print,
     curry_howard_translate,
     infer_inhabitants,
@@ -229,9 +230,15 @@ def _cmd_infer(cfg: RunConfig, out) -> int:
     goal = parse_type(cfg.options["type"])
     depth = cfg.options["depth"]
     started = time.monotonic()
-    terms = infer_inhabitants(ctx, goal, depth)
-    elapsed = time.monotonic() - started
-    _emit(out, f"goal: {print_type(goal)}   [{curry_howard_translate(goal, ctx)}]")
+    # A type nested by arrows costs the parser one frame per arrow, so it can
+    # parse and still overflow the stack in the search or the printers.
+    try:
+        terms = infer_inhabitants(ctx, goal, depth)
+        elapsed = time.monotonic() - started
+        header = f"goal: {print_type(goal)}   [{curry_howard_translate(goal, ctx)}]"
+    except RecursionError:
+        raise TermParseError("input nested too deeply") from None
+    _emit(out, header)
     _emit(out, f"inhabitants (depth <= {depth}): {len(terms)}  [{elapsed:.3f}s]")
     for term in terms:
         _emit(out, canonical_print(term))

@@ -14,7 +14,9 @@ Formats (all UTF-8 text, ``#`` starts a comment, blank lines ignored):
 * ``.fun`` — a functor.  ``source:`` and ``target:`` name ``.fincat``
   files (or the literal ``finset``); ``objects:``/``morphisms:`` sections
   hold ``x |-> value`` lines.  Finite-set values are ``{a,b}`` sets and
-  ``{a->x, b->y}`` maps.  Identity images are auto-filled, overridably.
+  ``{a->x, b->y}`` maps; set atoms may not contain ``->``, ``{`` or ``}``,
+  which the map encoding reserves.  Identity images are auto-filled,
+  overridably.
 * ``.nt`` — a natural transformation between two ``.fun`` files, with a
   ``components:`` section.
 * ``.adj`` — an adjunction manifest: either ``left``/``right`` functors
@@ -35,7 +37,14 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import FINSET, FinCat, FunctorVal, NatTransVal, preorder_from_covers
-from .finset import FinSetMap, FinSetObj, decode_map, identity_map
+from .finset import (
+    EncodingError,
+    FinSetMap,
+    FinSetObj,
+    check_encodable,
+    decode_map,
+    identity_map,
+)
 
 __all__ = [
     "FixtureParseError",
@@ -273,7 +282,8 @@ def load_functor(path: str) -> FunctorVal:
         if finset_valued:
             try:
                 object_map[key] = parse_set_literal(value)
-            except ValueError as exc:
+                check_encodable(object_map[key])
+            except (ValueError, EncodingError) as exc:
                 raise FixtureParseError(path, lineno, str(exc)) from None
         else:
             object_map[key] = value

@@ -145,13 +145,18 @@ class FinSetCat:
 FINSET = FinSetCat()
 
 
+def check_encodable(atoms: Iterable) -> None:
+    """Raise EncodingError at the first atom the map encoding cannot embed."""
+    for a in atoms:
+        s = str(a)
+        if any(r in s for r in _RESERVED):
+            raise EncodingError(f"atom {a!r} contains reserved characters")
+
+
 def encode_map(m: FinSetMap, strict: bool = True) -> str:
     """Canonical one-line encoding "{a->x,b->y}" keyed by sorted domain."""
     if strict:
-        for a in list(m.dom) + list(m.cod):
-            s = str(a)
-            if any(r in s for r in _RESERVED):
-                raise EncodingError(f"atom {a!r} contains reserved characters")
+        check_encodable((*m.dom, *m.cod))
     items = sorted(m.table.items(), key=lambda kv: atom_key(kv[0]))
     return "{" + ",".join(f"{a}->{b}" for a, b in items) + "}"
 

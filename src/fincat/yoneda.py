@@ -41,6 +41,7 @@ from .finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
     FinSetObj,
+    check_encodable,
     compose_maps,
     decode_map,
     encode_map,
@@ -113,21 +114,39 @@ def hom_maps_functor(
     """D maps to the set of all maps probe -> set_functor(D).
 
     Atoms are the canonical map encodings; a morphism g acts by
-    postcomposition with the functor's image of g.
+    postcomposition with the functor's image of g.  Each map is enumerated
+    and named once, keyed by its tuple of values over the sorted probe, so
+    an action is a lookup of the postcomposed tuple.  Raises EncodingError
+    when an atom of the probe or of a value set that has maps out of the
+    probe cannot be encoded.
     """
     category = set_functor.source
     maps_at = {
         d: enumerate_maps(probe, set_functor.object_map[d], cap) for d in category.objects
     }
-    object_map = {d: FinSetObj(encode_map(h) for h in maps_at[d]) for d in category.objects}
+    names = {}
+    for d, maps in maps_at.items():
+        if maps:
+            check_encodable((*probe, *set_functor.object_map[d]))
+        names[d] = {
+            tuple(h.table[a] for a in probe.atoms): encode_map(h, strict=False) for h in maps
+        }
+    object_map = {d: FinSetObj(names[d].values()) for d in category.objects}
     morphism_map = {}
     for g, (d, d2) in category.morphisms.items():
-        action = set_functor.morphism_map[g]
+        action = set_functor.morphism_map[g].table
         table = {
-            encode_map(h): encode_map(compose_maps(action, h)) for h in maps_at[d]
+            name: names[d2][tuple(action[x] for x in values)]
+            for values, name in names[d].items()
         }
         morphism_map[g] = FinSetMap(object_map[d], object_map[d2], table)
     return FunctorVal(category, FINSET, object_map, morphism_map)
+
+
+def _lift(source: FunctorVal, target: FunctorVal, anchor: str, seed: FinSetMap) -> NatTransVal:
+    """The seed's transformation between prebuilt hom-functors: f goes to
+    the target's image of f applied to the seed, which is (image of f) . seed."""
+    return _pointwise_transform(source, target, anchor, encode_map(seed, strict=False))
 
 
 def transform_from_seed(ctx: HomContext) -> NatTransVal:
@@ -136,14 +155,7 @@ def transform_from_seed(ctx: HomContext) -> NatTransVal:
         raise ValueError("context has no seed map")
     source = hom_cov_functor(ctx.category, ctx.anchor)
     target = hom_maps_functor(ctx.probe, ctx.set_functor)
-    components = {}
-    for d in ctx.category.objects:
-        table = {
-            f: encode_map(compose_maps(ctx.set_functor.morphism_map[f], ctx.seed))
-            for f in ctx.category.hom(ctx.anchor, d)
-        }
-        components[d] = FinSetMap(source.object_map[d], target.object_map[d], table)
-    return NatTransVal(source, target, components)
+    return _lift(source, target, ctx.anchor, ctx.seed)
 
 
 def seed_from_transform(ctx: HomContext) -> FinSetMap:
@@ -168,7 +180,7 @@ def check_yoneda_roundtrips(ctx: HomContext, cap: int = DEFAULT_ENUM_CAP) -> Che
 
     bad_seed = []
     for seed in seeds:
-        lifted = transform_from_seed(replace(ctx, seed=seed, transform=None))
+        lifted = _lift(source, target, ctx.anchor, seed)
         back = seed_from_transform(replace(ctx, seed=None, transform=lifted))
         if back != seed:
             bad_seed.append((encode_map(seed, strict=False), encode_map(back, strict=False)))
@@ -176,8 +188,8 @@ def check_yoneda_roundtrips(ctx: HomContext, cap: int = DEFAULT_ENUM_CAP) -> Che
     bad_transform = []
     for transform in transforms:
         seed = seed_from_transform(replace(ctx, seed=None, transform=transform))
-        again = transform_from_seed(replace(ctx, seed=seed, transform=None))
-        if nattrans_key(again) != nattrans_key(transform):
+        again = _lift(source, target, ctx.anchor, seed)
+        if again.components != transform.components:
             bad_transform.append(nattrans_key(transform))
 
     obligations = (
@@ -226,10 +238,11 @@ def is_universal_arrow(
 
 
 def _pointwise_transform(
-    category: FinCat, set_functor: FunctorVal, anchor: str, element
+    source: FunctorVal, set_functor: FunctorVal, anchor: str, element
 ) -> NatTransVal:
-    """The transformation sending f in Hom(anchor, D) to (image of f)(element)."""
-    source = hom_cov_functor(category, anchor)
+    """The transformation out of ``source``, the anchor's hom-functor, sending
+    f in Hom(anchor, D) to (image of f)(element)."""
+    category = source.source
     components = {}
     for d in category.objects:
         table = {
@@ -255,7 +268,7 @@ def yoneda_pointwise_bijection(
     source = hom_cov_functor(category, anchor)
     mapping = {}
     for element in set_functor.object_map[anchor]:
-        mapping[element] = _pointwise_transform(category, set_functor, anchor, element)
+        mapping[element] = _pointwise_transform(source, set_functor, anchor, element)
 
     unnatural = [
         element
@@ -343,8 +356,9 @@ def find_representation(
     functor is not representable.
     """
     for anchor in sorted(category.objects):
+        source = hom_cov_functor(category, anchor)
         for element in set_functor.object_map[anchor]:
-            transform = _pointwise_transform(category, set_functor, anchor, element)
+            transform = _pointwise_transform(source, set_functor, anchor, element)
             if all(_is_bijection(transform.at(d)) for d in category.objects):
                 return anchor, element, transform
     return None

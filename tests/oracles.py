@@ -10,18 +10,41 @@ terms followed by a normality filter.  Only the report and AST constructors
 and the canonical printer are reused, so the comparisons exercise the
 library's *search* and *index* code paths.
 
-One reference is the library's own earlier algorithm rather than a brute
-force: ``print_keyed_inhabitants`` is the goal-directed inhabitant search
-that deduplicated every memo entry by canonical print, kept to pin the
-exact output order of the structurally deduplicated search.
+Some references are the library's own earlier algorithms rather than brute
+force, kept to pin the exact output of the faster code that replaced them:
+
+* ``print_keyed_inhabitants`` is the goal-directed inhabitant search that
+  deduplicated every memo entry by canonical print;
+* ``string_encoded_hom_maps_functor``, ``rebuilding_transform_from_seed``,
+  ``rebuilding_roundtrips`` and ``rebuilding_pointwise_bijection`` are the
+  Yoneda checks that composed and encoded a new map for every action entry
+  and rebuilt both hom-functors for every seed, transformation and element.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from typing import Iterable, Sequence
 
-from fincat.core import CheckReport, Obligation
+from fincat.core import (
+    FINSET,
+    CheckReport,
+    FunctorVal,
+    NatTransVal,
+    Obligation,
+    validate_nattrans,
+)
+from fincat.finset import (
+    DEFAULT_ENUM_CAP,
+    FinSetMap,
+    FinSetObj,
+    compose_maps,
+    encode_map,
+    enumerate_maps,
+    enumerate_nattrans_finset,
+    nattrans_key,
+)
 from fincat.terms import (
     App,
     Lam,
@@ -36,6 +59,7 @@ from fincat.terms import (
     print_type,
     term_sort_key,
 )
+from fincat.yoneda import hom_cov_functor, seed_from_transform
 
 # ---------------------------------------------------------------------------
 # Category laws and preorder closures without any index
@@ -415,3 +439,117 @@ def _pk_binder(ctx: tuple) -> str:
     while name in taken or name in ("p1", "p2", "rule"):
         name += "'"
     return name
+
+
+# ---------------------------------------------------------------------------
+# Yoneda checks that rebuild and re-encode on every call
+# ---------------------------------------------------------------------------
+
+
+def string_encoded_hom_maps_functor(probe, set_functor, cap: int = DEFAULT_ENUM_CAP):
+    """D maps to the maps probe -> set_functor(D): every map is encoded, and
+    every action entry composes a new map and encodes it."""
+    category = set_functor.source
+    maps_at = {
+        d: enumerate_maps(probe, set_functor.object_map[d], cap) for d in category.objects
+    }
+    object_map = {d: FinSetObj(encode_map(h) for h in maps_at[d]) for d in category.objects}
+    morphism_map = {}
+    for g, (d, d2) in category.morphisms.items():
+        action = set_functor.morphism_map[g]
+        table = {
+            encode_map(h): encode_map(compose_maps(action, h)) for h in maps_at[d]
+        }
+        morphism_map[g] = FinSetMap(object_map[d], object_map[d2], table)
+    return FunctorVal(category, FINSET, object_map, morphism_map)
+
+
+def rebuilding_transform_from_seed(ctx):
+    """The seed's transformation, building both hom-functors afresh and
+    encoding (image of f) . seed for every f."""
+    source = hom_cov_functor(ctx.category, ctx.anchor)
+    target = string_encoded_hom_maps_functor(ctx.probe, ctx.set_functor)
+    components = {}
+    for d in ctx.category.objects:
+        table = {
+            f: encode_map(compose_maps(ctx.set_functor.morphism_map[f], ctx.seed))
+            for f in ctx.category.hom(ctx.anchor, d)
+        }
+        components[d] = FinSetMap(source.object_map[d], target.object_map[d], table)
+    return NatTransVal(source, target, components)
+
+
+def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
+    """Both seed/transformation round trips, lifting through
+    ``rebuilding_transform_from_seed`` and comparing transformations by
+    ``nattrans_key``.  Same obligations, witnesses and subject as
+    ``check_yoneda_roundtrips``."""
+    source = hom_cov_functor(ctx.category, ctx.anchor)
+    target = string_encoded_hom_maps_functor(ctx.probe, ctx.set_functor)
+    seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
+    transforms = enumerate_nattrans_finset(source, target, cap)
+
+    bad_seed = []
+    for seed in seeds:
+        lifted = rebuilding_transform_from_seed(replace(ctx, seed=seed, transform=None))
+        back = seed_from_transform(replace(ctx, seed=None, transform=lifted))
+        if back != seed:
+            bad_seed.append((encode_map(seed, strict=False), encode_map(back, strict=False)))
+
+    bad_transform = []
+    for transform in transforms:
+        seed = seed_from_transform(replace(ctx, seed=None, transform=transform))
+        again = rebuilding_transform_from_seed(replace(ctx, seed=seed, transform=None))
+        if nattrans_key(again) != nattrans_key(transform):
+            bad_transform.append(nattrans_key(transform))
+
+    obligations = (
+        Obligation("seed_roundtrip", not bad_seed, tuple(bad_seed[0]) if bad_seed else ()),
+        Obligation(
+            "transform_roundtrip",
+            not bad_transform,
+            tuple(bad_transform[0]) if bad_transform else (),
+        ),
+        Obligation(
+            "count_matches",
+            len(seeds) == len(transforms),
+            () if len(seeds) == len(transforms) else (len(seeds), len(transforms)),
+        ),
+    )
+    return CheckReport(f"roundtrips@{ctx.anchor}", obligations)
+
+
+def _rebuilt_pointwise_transform(category, set_functor, anchor, element):
+    source = hom_cov_functor(category, anchor)
+    components = {}
+    for d in category.objects:
+        table = {
+            f: set_functor.morphism_map[f].table[element] for f in category.hom(anchor, d)
+        }
+        components[d] = FinSetMap(source.object_map[d], set_functor.object_map[d], table)
+    return NatTransVal(source, set_functor, components)
+
+
+def rebuilding_pointwise_bijection(category, set_functor, anchor, cap: int = DEFAULT_ENUM_CAP):
+    """``yoneda_pointwise_bijection`` building the anchor's hom-functor once
+    more for every element.  Same mapping, obligations and subject."""
+    source = hom_cov_functor(category, anchor)
+    mapping = {
+        element: _rebuilt_pointwise_transform(category, set_functor, anchor, element)
+        for element in set_functor.object_map[anchor]
+    }
+    unnatural = [
+        element
+        for element, transform in mapping.items()
+        if not validate_nattrans(transform).passed
+    ]
+    keys = {element: nattrans_key(t) for element, t in mapping.items()}
+    distinct = len(set(keys.values())) == len(keys)
+    enumerated = {nattrans_key(t) for t in enumerate_nattrans_finset(source, set_functor, cap)}
+    onto = set(keys.values()) == enumerated
+    obligations = (
+        Obligation("components_natural", not unnatural, (unnatural[0],) if unnatural else ()),
+        Obligation("injective", distinct, () if distinct else (len(keys), len(set(keys.values())))),
+        Obligation("surjective", onto, () if onto else (len(keys), len(enumerated))),
+    )
+    return mapping, CheckReport(f"pointwise@{anchor}", obligations)

@@ -257,6 +257,8 @@ def test_infer_lists_inhabitants(fix):
 
 DEEP_TYPE = "(" * 400 + "A" + ")" * 400
 DEEP_TERM = "(" * 1500 + "1" + ")" * 1500
+# Parses (one parser frame per arrow) but overflows the stack in the search.
+DEEP_ARROWS = "->".join(["A"] * 601)
 
 
 @pytest.mark.parametrize(
@@ -265,8 +267,16 @@ DEEP_TERM = "(" * 1500 + "1" + ")" * 1500
         ("reduce", DEEP_TERM),
         ("infer", "{}", DEEP_TYPE),
         ("infer", "{a: " + DEEP_TYPE + "}", "A"),
+        ("infer", "{}", DEEP_ARROWS),
+        ("infer", "{x: " + DEEP_ARROWS + "}", "A"),
     ],
-    ids=["reduce-term", "infer-goal", "infer-hypothesis"],
+    ids=[
+        "reduce-term",
+        "infer-goal",
+        "infer-hypothesis",
+        "infer-arrow-goal",
+        "infer-arrow-hypothesis",
+    ],
 )
 def test_deep_nesting_is_a_parse_error(argv):
     assert _run(*argv) == (EXIT_USAGE, "parse error: input nested too deeply\n")
@@ -333,6 +343,23 @@ def test_kan_with_non_functorial_along_exits_one(fix, tmp_path):
     assert code == EXIT_CHECK_FAILED
     assert text == (
         "check error: along is not a functor: morphism map sends '2->4' to unknown '2->5'\n"
+    )
+
+
+@pytest.mark.parametrize("atom", ["a->b", "a{b", "a}b"])
+@pytest.mark.parametrize("command", ["check-fun", "yoneda", "check-nt"])
+def test_reserved_set_atom_is_a_parse_error(fix, tmp_path, command, atom):
+    fun = tmp_path / "bad.fun"
+    fun.write_text(
+        f"source: {fix('disc2.fincat')}\ntarget: finset\nobjects:\n"
+        f"  0 |-> {{{atom}}}\n  1 |-> {{c}}\n"
+    )
+    nt = tmp_path / "bad.nt"
+    nt.write_text(f"source: bad.fun\ntarget: bad.fun\ncomponents:\n  0 |-> {{{atom}->{atom}}}\n")
+    path = nt if command == "check-nt" else fun
+    assert _run(command, str(path)) == (
+        EXIT_USAGE,
+        f"parse error: {fun}:4: atom {atom!r} contains reserved characters\n",
     )
 
 

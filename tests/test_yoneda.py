@@ -1,14 +1,22 @@
 """Hom-functor machinery: round trips, universal arrows, representability."""
 
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fincat.core import preorder_from_covers, validate_functor, validate_nattrans
-from fincat.files import load_category
+from fincat.core import (
+    FINSET,
+    FunctorVal,
+    preorder_from_covers,
+    validate_functor,
+    validate_nattrans,
+)
+from fincat.files import load_category, load_functor
 from fincat.finset import (
+    EncodingError,
     FinSetMap,
     FinSetObj,
     compose_maps,
@@ -19,6 +27,7 @@ from fincat.finset import (
 )
 from fincat.yoneda import (
     HomContext,
+    _lift,
     check_representation,
     check_yoneda_roundtrips,
     find_representation,
@@ -31,7 +40,13 @@ from fincat.yoneda import (
     yoneda_pointwise_bijection,
 )
 
-from oracles import brute_universal_table
+from oracles import (
+    brute_universal_table,
+    rebuilding_pointwise_bijection,
+    rebuilding_roundtrips,
+    rebuilding_transform_from_seed,
+    string_encoded_hom_maps_functor,
+)
 
 POINT = FinSetObj(("*",))
 PAIR = FinSetObj(("p", "q"))
@@ -294,3 +309,190 @@ def test_roundtrips_on_random_thin_categories(data):
         ctx = HomContext(category, functor, POINT, anchor)
         report = check_yoneda_roundtrips(ctx)
         assert report.passed, report.summary()
+
+
+# ---------------------------------------------------------------------------
+# Hom-functors built once against the rebuild-per-call reference
+# ---------------------------------------------------------------------------
+
+SET_VALUED_FUNS = (
+    ("f_kite.fun",),
+    ("g_on_a.fun",),
+    ("g_on_b.fun",),
+    ("h_on_a.fun",),
+    ("broken", "f_kite_bad_respids.fun"),
+    ("broken", "f_kite_bad_respcomp.fun"),
+)
+PROBES = (FinSetObj(), POINT, PAIR)
+# Integers sort numerically and before tokens, tokens as text.
+ATOM_POOL = (0, 1, 2, 9, 10, "a", "b", "x10", "x9")
+
+
+def _seeded_forest_functor(rng):
+    """A set-valued functor on a random forest-shaped preorder of 1-4 objects.
+
+    Each cover carries a random map, so actions often collapse; a root, or
+    an object whose parent's value set is empty, may get the empty set.  The
+    image of a composite is the composite of the cover maps along the unique
+    path.
+    """
+    n = rng.randint(1, 4)
+    objects = [f"o{i}" for i in range(n)]
+    parent = [rng.randrange(i) if i and rng.random() < 0.75 else None for i in range(n)]
+    values = []
+    for i in range(n):
+        nonempty_parent = parent[i] is not None and len(values[parent[i]]) > 0
+        values.append(FinSetObj(rng.sample(ATOM_POOL, rng.randint(int(nonempty_parent), 3))))
+    step = {
+        i: {a: rng.choice(values[i].atoms) for a in values[p]}
+        for i, p in enumerate(parent)
+        if p is not None
+    }
+    covers = [(objects[p], objects[i]) for i, p in enumerate(parent) if p is not None]
+    category = preorder_from_covers(objects, covers)
+    morphism_map = {}
+    for m, (a, b) in category.morphisms.items():
+        path = [objects.index(b)]
+        while objects[path[-1]] != a:
+            path.append(parent[path[-1]])
+        table = {}
+        for x in values[objects.index(a)]:
+            image = x
+            for i in reversed(path[:-1]):
+                image = step[i][image]
+            table[x] = image
+        morphism_map[m] = FinSetMap(
+            values[objects.index(a)], values[objects.index(b)], table
+        )
+    object_map = dict(zip(objects, values))
+    return FunctorVal(category, FINSET, object_map, morphism_map)
+
+
+def _broken_identity_functor(fix, name):
+    """Two-element values on a one-object category whose identity law fails,
+    with p acting as the identity and q collapsing: some transformations
+    out of the hom-functor are not lifts of their seed."""
+    category = load_category(fix("broken", name))
+    v = FinSetObj((0, 1))
+    actions = {"id_a": {0: 0, 1: 1}, "p": {0: 0, 1: 1}, "q": {0: 0, 1: 0}}
+    morphism_map = {m: FinSetMap(v, v, table) for m, table in actions.items()}
+    return FunctorVal(category, FINSET, {"a": v}, morphism_map)
+
+
+def _subjects(fix):
+    corpus = [load_functor(fix(*parts)) for parts in SET_VALUED_FUNS]
+    broken = [_broken_identity_functor(fix, n) for n in ("bad_idr.fincat", "bad_idl.fincat")]
+    rng = random.Random(7)
+    return corpus + broken + [_seeded_forest_functor(rng) for _ in range(16)]
+
+
+def _tables(transform):
+    return [
+        (d, c.dom.atoms, c.cod.atoms, list(c.table.items()))
+        for d, c in transform.components.items()
+    ]
+
+
+def test_seeded_functors_are_lawful_and_cover_the_edge_cases():
+    rng = random.Random(7)
+    functors = [_seeded_forest_functor(rng) for _ in range(16)]
+    assert all(validate_functor(f).passed for f in functors)
+    assert any(len(v) == 0 for f in functors for v in f.object_map.values())
+    assert any(
+        len(set(m.table.values())) < len(m.dom)
+        for f in functors
+        for m in f.morphism_map.values()
+    )
+
+
+def test_hom_maps_functor_matches_the_string_encoded_reference(fix):
+    for functor in _subjects(fix):
+        for probe in PROBES:
+            new = hom_maps_functor(probe, functor)
+            old = string_encoded_hom_maps_functor(probe, functor)
+            assert new.source is old.source and new.target is old.target is FINSET
+            assert [(d, v.atoms) for d, v in new.object_map.items()] == [
+                (d, v.atoms) for d, v in old.object_map.items()
+            ]
+            assert list(new.morphism_map) == list(old.morphism_map)
+            for g, m in new.morphism_map.items():
+                o = old.morphism_map[g]
+                assert (m.dom, m.cod, list(m.table.items())) == (
+                    o.dom,
+                    o.cod,
+                    list(o.table.items()),
+                )
+
+
+def test_roundtrips_match_the_rebuilding_reference(fix):
+    for functor in _subjects(fix):
+        category = functor.source
+        for anchor in sorted(category.objects):
+            source = hom_cov_functor(category, anchor)
+            for probe in PROBES:
+                ctx = HomContext(category, functor, probe, anchor)
+                assert check_yoneda_roundtrips(ctx) == rebuilding_roundtrips(ctx)
+                target = hom_maps_functor(probe, functor)
+                for seed in enumerate_maps(probe, functor.object_map[anchor]):
+                    seeded = dataclasses.replace(ctx, seed=seed)
+                    lifted = transform_from_seed(seeded)
+                    assert _tables(lifted) == _tables(_lift(source, target, anchor, seed))
+                    assert _tables(lifted) == _tables(rebuilding_transform_from_seed(seeded))
+
+
+def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
+    for functor in _subjects(fix):
+        category = functor.source
+        for anchor in sorted(category.objects):
+            mapping, report = yoneda_pointwise_bijection(category, functor, anchor)
+            old_mapping, old_report = rebuilding_pointwise_bijection(category, functor, anchor)
+            assert report == old_report
+            assert list(mapping) == list(old_mapping)
+            for element, transform in mapping.items():
+                assert _tables(transform) == _tables(old_mapping[element])
+
+
+def test_the_reference_sees_every_round_trip_fail(fix):
+    """The non-functors among the subjects make the witness comparison above
+    non-trivial: each obligation fails somewhere."""
+    failing = {
+        o.name
+        for functor in _subjects(fix)
+        for anchor in sorted(functor.source.objects)
+        for o in rebuilding_roundtrips(HomContext(functor.source, functor, POINT, anchor)).failures()
+    }
+    assert failing == {"seed_roundtrip", "transform_roundtrip", "count_matches"}
+
+
+def _outcome(build, *args):
+    try:
+        functor = build(*args)
+    except EncodingError as exc:
+        return str(exc)
+    return [(d, v.atoms) for d, v in functor.object_map.items()]
+
+
+@pytest.mark.parametrize(
+    "probe, values, bad",
+    [
+        (POINT, {"1": ("a->b",), "2": ("c",)}, "a->b"),
+        (POINT, {"1": (1, "{x"), "2": ("y}",)}, "{x"),
+        (FinSetObj(("p->q",)), {"1": (), "2": ("c",)}, "p->q"),
+        (FinSetObj(("p->q",)), {"1": (), "2": ()}, None),
+        (FinSetObj(), {"1": ("a->b",), "2": ()}, "a->b"),
+    ],
+    ids=["value", "brace", "probe", "probe-without-maps", "empty-probe"],
+)
+def test_reserved_atoms_raise_like_the_reference(probe, values, bad):
+    category = preorder_from_covers(["1", "2"], [])
+    object_map = {d: FinSetObj(atoms) for d, atoms in values.items()}
+    functor = FunctorVal(
+        category,
+        FINSET,
+        object_map,
+        {f"id_{d}": FinSetMap(v, v, {a: a for a in v}) for d, v in object_map.items()},
+    )
+    expected = _outcome(string_encoded_hom_maps_functor, probe, functor)
+    assert _outcome(hom_maps_functor, probe, functor) == expected
+    if bad is not None:
+        assert expected == f"atom {bad!r} contains reserved characters"
