@@ -227,26 +227,11 @@ def verify_adjunction(adj: AdjunctionVal) -> CheckReport:
         )
     )
 
-    bad_flat = []
-    bad_sharp = []
-    for f, (a2, a) in src.morphisms.items():
-        for k, (b, b2) in oth.morphisms.items():
-            for h in src.hom(a, right.object_map[b]):
-                lhs = adj.flat[(a2, b2)][src.comp(src.comp(right.morphism_map[k], h), f)]
-                rhs = oth.comp(oth.comp(k, adj.flat[(a, b)][h]), left.morphism_map[f])
-                if lhs != rhs:
-                    bad_flat.append((f, k, h, lhs, rhs))
-            for g in oth.hom(left.object_map[a], b):
-                lhs = adj.sharp[(a2, b2)][oth.comp(oth.comp(k, g), left.morphism_map[f])]
-                rhs = src.comp(src.comp(right.morphism_map[k], adj.sharp[(a, b)][g]), f)
-                if lhs != rhs:
-                    bad_sharp.append((f, k, g, lhs, rhs))
-    obligations.append(
-        Obligation("flat_natural", not bad_flat, tuple(bad_flat[0]) if bad_flat else ())
-    )
-    obligations.append(
-        Obligation("sharp_natural", not bad_sharp, tuple(bad_sharp[0]) if bad_sharp else ())
-    )
+    src_id, oth_id = identity_functor(src), identity_functor(oth)
+    flat_failure = next(_naturality_failures(adj, adj.flat, src_id, right, left, oth_id), None)
+    sharp_failure = next(_naturality_failures(adj, adj.sharp, left, oth_id, src_id, right), None)
+    obligations.append(Obligation("flat_natural", flat_failure is None, flat_failure or ()))
+    obligations.append(Obligation("sharp_natural", sharp_failure is None, sharp_failure or ()))
 
     bad_left = []
     for a in src.objects:
@@ -269,6 +254,40 @@ def verify_adjunction(adj: AdjunctionVal) -> CheckReport:
     )
 
     return CheckReport("adjunction", tuple(obligations))
+
+
+def _naturality_failures(adj: AdjunctionVal, table, p, q, p2, q2):
+    """Witnesses (f, k, h, lhs, rhs) against the naturality of a transposition
+    table[(a, b)] : hom(P a, Q b) -> hom(P2 a, Q2 b), where P, P2 act on the
+    source category and Q, Q2 on the other one.
+
+    Naturality is checked in each variable separately: first in a
+    (f : a2 -> a, with k = id_b), then in b (k : b -> b2, with f = id_a).
+    The first law at h' = Q(k) . h followed by the second gives
+    table(Q(k) . h . P(f)) = Q2(k) . table(h) . P2(f), bracketed as the joint
+    law is, so the joint law holds whenever both loops pass; for lawful
+    categories and functors the converse holds too.
+    """
+    src, oth = adj.source, adj.other
+    dom, cod = p.target, p2.target
+    for f, (a2, a) in src.morphisms.items():
+        pf, pf2 = p.morphism_map[f], p2.morphism_map[f]
+        for b in oth.objects:
+            before, after = table[(a, b)], table[(a2, b)]
+            for h in dom.hom(p.object_map[a], q.object_map[b]):
+                lhs = after[dom.comp(h, pf)]
+                rhs = cod.comp(before[h], pf2)
+                if lhs != rhs:
+                    yield (f, oth.id_of(b), h, lhs, rhs)
+    for k, (b, b2) in oth.morphisms.items():
+        qk, qk2 = q.morphism_map[k], q2.morphism_map[k]
+        for a in src.objects:
+            before, after = table[(a, b)], table[(a, b2)]
+            for h in dom.hom(p.object_map[a], q.object_map[b]):
+                lhs = after[dom.comp(qk, h)]
+                rhs = cod.comp(qk2, before[h])
+                if lhs != rhs:
+                    yield (src.id_of(a), k, h, lhs, rhs)
 
 
 def adjunction_from_universal_arrows(

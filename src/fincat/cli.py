@@ -530,16 +530,81 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # force exit code 2 with a clean message
         raise _UsageError(message)
 
+    def print_help(self, file=None):  # let run() write it and return
+        raise _HelpRequested(self.format_help())
+
 
 class _UsageError(Exception):
     pass
 
 
-def _build_parser() -> argparse.ArgumentParser:
+class _HelpRequested(Exception):
+    pass
+
+
+def _add_path(p):
+    p.add_argument("path")
+
+
+def _add_eval(p):
+    p.add_argument("path")
+    p.add_argument("--model", required=True, metavar="M")
+
+
+def _add_infer(p):
+    p.add_argument("context", help="hypotheses, e.g. \"{f: A'->A}\"")
+    p.add_argument("type", help="goal type, e.g. \"A'*B -> A*B\"")
+    p.add_argument("--depth", type=int, default=6)
+
+
+def _add_reduce(p):
+    p.add_argument("term", help="term text or path to a term file")
+    p.add_argument("--sig", metavar="S", help="constant signature file")
+    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_CAP, metavar="N")
+
+
+def _add_kan(p):
+    p.add_argument("along", help=".fun file between table categories")
+    p.add_argument("functor", help="set-valued .fun file on the source")
+
+
+def _add_adj(p):
+    p.add_argument("mode", choices=("verify", "build"))
+    p.add_argument("path")
+
+
+# name -> (help text, handler, adds the subcommand's own arguments), in the
+# order the top-level help and the invalid-choice message list them.
+_SUBCOMMANDS = {
+    "check-cat": ("check the category laws of a .fincat file", _cmd_check_cat, _add_path),
+    "check-fun": ("check the functor laws of a .fun file", _cmd_check_fun, _add_path),
+    "check-nt": ("check naturality of a .nt file", _cmd_check_nt, _add_path),
+    "stages": ("print the quantifier stages of a .diag file", _cmd_stages, _add_path),
+    "eval": ("evaluate a quantified diagram in a model", _cmd_eval, _add_eval),
+    "context": ("print the elaborated context of a .diag file", _cmd_context, _add_path),
+    "infer": ("search for terms inhabiting a type", _cmd_infer, _add_infer),
+    "reduce": ("explore the reduction graph of a term", _cmd_reduce, _add_reduce),
+    "yoneda": (
+        "bijection and round-trip checks for a set-valued functor",
+        _cmd_yoneda,
+        _add_path,
+    ),
+    "kan": ("Kan extensions of a set-valued functor along a functor", _cmd_kan, _add_kan),
+    "adj": ("verify or complete an adjunction manifest", _cmd_adj, _add_adj),
+    "examples": (
+        "run every bundled fixture and print a summary table",
+        _cmd_examples,
+        lambda p: None,
+    ),
+}
+
+
+def _build_parser(names) -> argparse.ArgumentParser:
+    """A parser registering the subcommands ``names``, in table order."""
     parser = _Parser(prog="fincat", description=__doc__)
     sub = parser.add_subparsers(dest="subcommand", metavar="<command>")
-
-    def add(name, help_text):
+    for name in names:
+        help_text, _handler, add_arguments = _SUBCOMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--cap", type=int, default=DEFAULT_ENUM_CAP, metavar="N")
         p.add_argument(
@@ -548,52 +613,20 @@ def _build_parser() -> argparse.ArgumentParser:
             choices=("report", "context", "graph"),
             default=None,
         )
-        return p
-
-    add("check-cat", "check the category laws of a .fincat file").add_argument("path")
-    add("check-fun", "check the functor laws of a .fun file").add_argument("path")
-    add("check-nt", "check naturality of a .nt file").add_argument("path")
-    add("stages", "print the quantifier stages of a .diag file").add_argument("path")
-    p = add("eval", "evaluate a quantified diagram in a model")
-    p.add_argument("path")
-    p.add_argument("--model", required=True, metavar="M")
-    add("context", "print the elaborated context of a .diag file").add_argument("path")
-    p = add("infer", "search for terms inhabiting a type")
-    p.add_argument("context", help="hypotheses, e.g. \"{f: A'->A}\"")
-    p.add_argument("type", help="goal type, e.g. \"A'*B -> A*B\"")
-    p.add_argument("--depth", type=int, default=6)
-    p = add("reduce", "explore the reduction graph of a term")
-    p.add_argument("term", help="term text or path to a term file")
-    p.add_argument("--sig", metavar="S", help="constant signature file")
-    p.add_argument("--nodes", type=int, default=DEFAULT_NODE_CAP, metavar="N")
-    p = add("yoneda", "bijection and round-trip checks for a set-valued functor")
-    p.add_argument("path")
-    p = add("kan", "Kan extensions of a set-valued functor along a functor")
-    p.add_argument("along", help=".fun file between table categories")
-    p.add_argument("functor", help="set-valued .fun file on the source")
-    p = add("adj", "verify or complete an adjunction manifest")
-    p.add_argument("mode", choices=("verify", "build"))
-    p.add_argument("path")
-    add("examples", "run every bundled fixture and print a summary table")
+        add_arguments(p)
     return parser
 
 
-_DEFAULT_FMT = {"context": "context", "stages": "report", "reduce": "report"}
+def _parser_for(argv) -> argparse.ArgumentParser:
+    """Only the named subcommand's parser when ``argv`` starts with a known
+    name; every subcommand otherwise, so top-level help and the
+    invalid-choice message list them all."""
+    if argv and argv[0] in _SUBCOMMANDS:
+        return _build_parser(argv[:1])
+    return _build_parser(_SUBCOMMANDS)
 
-_COMMANDS = {
-    "check-cat": _cmd_check_cat,
-    "check-fun": _cmd_check_fun,
-    "check-nt": _cmd_check_nt,
-    "stages": _cmd_stages,
-    "context": _cmd_context,
-    "eval": _cmd_eval,
-    "infer": _cmd_infer,
-    "reduce": _cmd_reduce,
-    "yoneda": _cmd_yoneda,
-    "kan": _cmd_kan,
-    "adj": _cmd_adj,
-    "examples": _cmd_examples,
-}
+
+_DEFAULT_FMT = {"context": "context", "stages": "report", "reduce": "report"}
 
 
 def _config_from_args(args) -> RunConfig:
@@ -619,13 +652,16 @@ def _config_from_args(args) -> RunConfig:
 def run(argv, out=None) -> int:
     """Execute one invocation; returns the exit code."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _parser_for(argv).parse_args(argv)
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
         cfg = _config_from_args(args)
-        return _COMMANDS[cfg.subcommand](cfg, out)
+        return _SUBCOMMANDS[cfg.subcommand][1](cfg, out)
+    except _HelpRequested as exc:
+        out.write(str(exc))
+        return EXIT_OK
     except _UsageError as exc:
         _emit(out, f"usage error: {exc}")
         return EXIT_USAGE

@@ -1101,6 +1101,11 @@ def one_step_reductions(t: Tm, sig: Optional[Signature] = None) -> list[Tm]:
     ``sig``.  The result has no alpha-duplicates and is sorted by canonical
     print.
     """
+    return [t2 for _key, t2 in _keyed_reductions(t, sig)]
+
+
+def _keyed_reductions(t: Tm, sig: Optional[Signature] = None) -> list[tuple[str, Tm]]:
+    """:func:`one_step_reductions` as (canonical print, term) pairs."""
     if sig is None:
         sig = _EMPTY_SIGNATURE
     out: dict[str, Tm] = {}
@@ -1123,7 +1128,7 @@ def one_step_reductions(t: Tm, sig: Optional[Signature] = None) -> list[Tm]:
             walk(sub.body, lambda r, s=sub: rebuild(Proj(s.index, r)))
 
     walk(t, lambda r: r)
-    return [out[k] for k in sorted(out)]
+    return sorted(out.items())
 
 
 # ---------------------------------------------------------------------------
@@ -1216,17 +1221,15 @@ def reduction_graph(
     while queue:
         key = queue.pop(0)
         term = nodes[key]
-        successors = one_step_reductions(term, sig)
         succ_keys: list[str] = []
         fresh: dict[str, Tm] = {}
-        for succ in successors:
+        for skey, succ in _keyed_reductions(term, sig):
             succ_ty = typecheck(succ, env, sig)
             if succ_ty != root_ty:
                 raise RuntimeError(
-                    f"subject reduction violated: {key} -> {canonical_print(succ)} "
+                    f"subject reduction violated: {key} -> {skey} "
                     f"changed type to {print_type(succ_ty)}"
                 )
-            skey = canonical_print(succ)
             succ_keys.append(skey)
             if skey not in nodes:
                 fresh.setdefault(skey, succ)

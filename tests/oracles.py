@@ -18,7 +18,9 @@ force, kept to pin the exact output of the faster code that replaced them:
 * ``string_encoded_hom_maps_functor``, ``rebuilding_transform_from_seed``,
   ``rebuilding_roundtrips`` and ``rebuilding_pointwise_bijection`` are the
   Yoneda checks that composed and encoded a new map for every action entry
-  and rebuilt both hom-functors for every seed, transformation and element.
+  and rebuilt both hom-functors for every seed, transformation and element;
+* ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
+  naturality jointly, over every pair of morphisms (f, k) of both categories.
 """
 
 from __future__ import annotations
@@ -553,3 +555,31 @@ def rebuilding_pointwise_bijection(category, set_functor, anchor, cap: int = DEF
         Obligation("surjective", onto, () if onto else (len(keys), len(enumerated))),
     )
     return mapping, CheckReport(f"pointwise@{anchor}", obligations)
+
+
+# ---------------------------------------------------------------------------
+# Adjunction naturality over every pair of morphisms
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_naturality(adj) -> tuple:
+    """Every failure (f, k, h, lhs, rhs) of the joint naturality of flat and
+    of sharp, for f : a2 -> a and k : b -> b2 ranging over all pairs:
+    flat(R(k) . h . f) = k . flat(h) . L(f), and dually for sharp."""
+    src, oth = adj.source, adj.other
+    left, right = adj.left, adj.right
+    bad_flat = []
+    bad_sharp = []
+    for f, (a2, a) in src.morphisms.items():
+        for k, (b, b2) in oth.morphisms.items():
+            for h in src.hom(a, right.object_map[b]):
+                lhs = adj.flat[(a2, b2)][src.comp(src.comp(right.morphism_map[k], h), f)]
+                rhs = oth.comp(oth.comp(k, adj.flat[(a, b)][h]), left.morphism_map[f])
+                if lhs != rhs:
+                    bad_flat.append((f, k, h, lhs, rhs))
+            for g in oth.hom(left.object_map[a], b):
+                lhs = adj.sharp[(a2, b2)][oth.comp(oth.comp(k, g), left.morphism_map[f])]
+                rhs = src.comp(src.comp(right.morphism_map[k], adj.sharp[(a, b)][g]), f)
+                if lhs != rhs:
+                    bad_sharp.append((f, k, g, lhs, rhs))
+    return bad_flat, bad_sharp

@@ -1,8 +1,12 @@
 """Adjunctions from manifests and universal arrows; pointwise Kan extensions."""
 
 import dataclasses
+import glob
+import os
+import sys
 
 import pytest
+from oracles import all_pairs_naturality
 
 from fincat.adjunction import (
     AdjunctionError,
@@ -15,8 +19,8 @@ from fincat.adjunction import (
     right_kan,
     verify_adjunction,
 )
-from fincat.core import identity_functor
-from fincat.files import load_adjunction_parts, load_functor
+from fincat.core import FinCat, FunctorVal, identity_functor
+from fincat.files import load_adjunction_parts, load_category, load_functor
 
 LAW_NAMES = [
     "unit_natural",
@@ -141,6 +145,133 @@ def test_build_manifest_consistency_guards(fix):
     short = dataclasses.replace(parts, unit={"0": "id_0"})
     with pytest.raises(AdjunctionError, match="has no unit arrow"):
         assemble_adjunction(short)
+
+
+# ---------------------------------------------------------------------------
+# Naturality of flat and sharp, one variable at a time, against the check
+# over every pair of morphisms (tests/oracles.py)
+# ---------------------------------------------------------------------------
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+
+def _pair(x, y):
+    return f"{x}|{y}"
+
+
+def _product(c, d):
+    """The product category c x d; objects and morphisms are named x|y."""
+    return FinCat(
+        tuple(_pair(x, y) for x in c.objects for y in d.objects),
+        {
+            _pair(f, g): (_pair(c.dom(f), d.dom(g)), _pair(c.cod(f), d.cod(g)))
+            for f in c.morphisms
+            for g in d.morphisms
+        },
+        {_pair(x, y): _pair(c.id_of(x), d.id_of(y)) for x in c.objects for y in d.objects},
+        {
+            (_pair(g1, g2), _pair(f1, f2)): _pair(h1, h2)
+            for (g1, f1), h1 in c.compose.items()
+            for (g2, f2), h2 in d.compose.items()
+        },
+    )
+
+
+def _product_functor(fun, gun, source, target):
+    return FunctorVal(
+        source,
+        target,
+        {_pair(x, y): _pair(fun.object_map[x], gun.object_map[y])
+         for x in fun.source.objects for y in gun.source.objects},
+        {_pair(f, g): _pair(fun.morphism_map[f], gun.morphism_map[g])
+         for f in fun.source.morphisms for g in gun.source.morphisms},
+    )
+
+
+def _non_preorder_adjunctions(fix, galois):
+    """Adjunctions whose hom-sets have two elements, so a table entry can be
+    changed to another morphism of the same hom-set: the identity adjunction
+    on the idempotent monoid, the manifest with the bad counit, and inclusion
+    -| truncation times the identity on the monoid."""
+    monoid = load_category(fix("monoid_e.fincat"))
+    ident = identity_functor(monoid)
+    small = _product(galois.source, monoid)
+    big = _product(galois.other, monoid)
+    right = _product_functor(galois.right, ident, big, small)
+    anchors = {
+        _pair(a, m): (
+            _pair(galois.left.object_map[a], m),
+            _pair(galois.unit.components[a], monoid.id_of(m)),
+        )
+        for a in galois.source.objects
+        for m in monoid.objects
+    }
+    return [
+        adjunction_from_universal_arrows(ident, {"*": ("*", "id_*")}),
+        assemble_adjunction(load_adjunction_parts(fix("monoid_bad_counit.adj"))),
+        adjunction_from_universal_arrows(right, anchors),
+    ]
+
+
+def _single_entry_corruptions(adj):
+    """Every adjunction obtained by changing one flat or one sharp entry to
+    another morphism of the same hom-set."""
+    src, oth = adj.source, adj.other
+    for field, cat, hom_of in (
+        ("flat", oth, lambda a, b: oth.hom(adj.left.object_map[a], b)),
+        ("sharp", src, lambda a, b: src.hom(a, adj.right.object_map[b])),
+    ):
+        tables = getattr(adj, field)
+        for (a, b), table in tables.items():
+            for key, value in table.items():
+                for other in hom_of(a, b):
+                    if other != value:
+                        bent = {**tables, (a, b): {**table, key: other}}
+                        yield dataclasses.replace(adj, **{field: bent})
+
+
+def _assert_matches_all_pairs(adj):
+    """Same verdicts as the all-pairs check; a failure names one of its
+    failures with f or k an identity.  Returns the loops that failed."""
+    report = verify_adjunction(adj)
+    loops = set()
+    identities_src = set(adj.source.identity.values())
+    identities_oth = set(adj.other.identity.values())
+    for name, failures in zip(("flat_natural", "sharp_natural"), all_pairs_naturality(adj)):
+        ob = report.obligation(name)
+        assert ob.passed == (not failures), name
+        if not ob.passed:
+            f, k = ob.witness[:2]
+            assert k in identities_oth or f in identities_src, ob.witness
+            assert ob.witness in failures
+            loops.add((name, "a" if k in identities_oth else "b"))
+    return loops
+
+
+def test_naturality_matches_all_pairs_on_manifests(fix, tmp_path):
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import gen
+    finally:
+        sys.path.remove(PERFBENCH)
+    cases = gen.build("tables", 1, str(tmp_path), fix(""))
+    generated = [c.argv[2] for c in cases if c.argv[0] == "adj"]
+    assert len(generated) == 2 * len(gen.GALOIS)
+    for path in sorted(glob.glob(fix("*.adj"))) + generated:
+        assert _assert_matches_all_pairs(assemble_adjunction(load_adjunction_parts(path))) == set()
+
+
+def test_naturality_matches_all_pairs_on_corrupted_tables(fix, galois):
+    loops = set()
+    count = 0
+    for adj in _non_preorder_adjunctions(fix, galois):
+        assert _assert_matches_all_pairs(adj) == set()
+        for bent in _single_entry_corruptions(adj):
+            loops |= _assert_matches_all_pairs(bent)
+            count += 1
+    assert count == 28
+    # each obligation's first witness comes from each loop somewhere
+    assert loops == {(name, loop) for name in ("flat_natural", "sharp_natural") for loop in "ab"}
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import fincat
+from fincat import cli
 from fincat.cli import (
     CORPUS_ENV,
     EXIT_CAP,
@@ -118,6 +119,88 @@ def test_cap_exhaustion_exits_three(fix):
     )
     assert code == EXIT_CAP
     assert text.startswith("cap exceeded:")
+
+
+def test_help_is_written_to_out_and_exits_zero(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text = _run("-h")
+    assert code == EXIT_OK
+    assert text.startswith("usage: fincat [-h] <command> ...\n")
+    assert all(help_text in text for help_text, _run_it, _add in cli._SUBCOMMANDS.values())
+    code, sub_text = _run("check-cat", "--help")
+    assert code == EXIT_OK
+    assert sub_text.startswith("usage: fincat check-cat [-h] [--cap N]")
+    src = os.path.dirname(os.path.dirname(fincat.__file__))
+    result = subprocess.run(
+        [sys.executable, "-m", "fincat", "-h"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src, "COLUMNS": "80"},
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, text, "")
+
+
+# One valid argv or more per subcommand, with every option it takes.
+VALID_ARGVS = [
+    ["check-cat", "c.fincat"],
+    ["check-cat", "c.fincat", "--cap", "7", "--format", "context"],
+    ["check-fun", "f.fun"],
+    ["check-nt", "t.nt", "--format", "graph"],
+    ["stages", "d.diag", "--format", "graph"],
+    ["eval", "d.diag", "--model", "m.model", "--cap", "9"],
+    ["context", "d.diag"],
+    ["infer", "{f: A->B}", "A -> B", "--depth", "3"],
+    ["reduce", "g 1"],
+    ["reduce", "g 1", "--sig", "a.sig", "--nodes", "12", "--format", "graph"],
+    ["yoneda", "f.fun", "--cap", "5"],
+    ["kan", "along.fun", "g.fun"],
+    ["adj", "verify", "x.adj"],
+    ["adj", "build", "x.adj", "--format", "report"],
+    ["examples"],
+    ["examples", "--cap", "3"],
+]
+
+
+def _full_parser_config(argv):
+    return cli._config_from_args(cli._build_parser(cli._SUBCOMMANDS).parse_args(argv))
+
+
+@pytest.mark.parametrize("argv", VALID_ARGVS, ids=" ".join)
+def test_one_subcommand_parser_reads_argv_like_the_full_parser(argv):
+    one = cli._config_from_args(cli._parser_for(argv).parse_args(argv))
+    assert one == _full_parser_config(argv)
+
+
+def test_valid_argvs_cover_every_subcommand():
+    assert {argv[0] for argv in VALID_ARGVS} == set(cli._SUBCOMMANDS)
+
+
+def _bad_argvs():
+    for name in cli._SUBCOMMANDS:
+        if name != "examples":
+            yield [name]  # missing positional
+        yield [name, "--bogus"]
+        yield [name, "-h"]
+    for argv in VALID_ARGVS:
+        yield argv + ["--cap", "x"]
+        yield argv + ["--format", "yaml"]
+        yield argv + ["extra-positional"]
+    yield ["infer", "{}", "A", "--depth", "x"]
+    yield ["reduce", "g 1", "--nodes", "1.5"]
+    yield ["adj", "frob", "x.adj"]
+    yield ["bogus"]
+    yield ["check"]
+    yield ["--cap", "3", "check-cat", "c.fincat"]
+    yield []
+
+
+@pytest.mark.parametrize("argv", list(_bad_argvs()), ids=lambda argv: " ".join(argv) or "empty")
+def test_one_subcommand_parser_rejects_like_the_full_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    one = _run(*argv)
+    monkeypatch.setattr(cli, "_parser_for", lambda argv: cli._build_parser(cli._SUBCOMMANDS))
+    assert one == _run(*argv)
+    assert one[0] == (EXIT_OK if "-h" in argv else EXIT_USAGE)
 
 
 # ---------------------------------------------------------------------------

@@ -270,7 +270,9 @@ def test_subject_reduction_violation_raises(fix, monkeypatch):
 
     sig = parse_signature(_read(fix, "arith.sig"))
     ill_typed = Lam("x", TyAtom("A"), Var("x"))
-    monkeypatch.setattr(fincat.terms, "one_step_reductions", lambda t, s: [ill_typed])
+    monkeypatch.setattr(
+        fincat.terms, "_keyed_reductions", lambda t, s: [(canonical_print(ill_typed), ill_typed)]
+    )
     with pytest.raises(RuntimeError, match="subject reduction violated"):
         reduction_graph(parse_term("2 + 3", sig), sig)
 
