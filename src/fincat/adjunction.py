@@ -49,11 +49,11 @@ from .files import AdjParts
 from .finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
+    _values_key,
     colimit_finset,
     compose_maps,
     enumerate_nattrans_finset,
     limit_finset,
-    nattrans_key,
     tuple_atom,
 )
 
@@ -589,8 +589,8 @@ def _adjunction_obligations(side, tag, upstairs, downstairs, transpose) -> list:
     """
     counted = len(upstairs) == len(downstairs)
     source, target = (upstairs, downstairs) if side == "left" else (downstairs, upstairs)
-    transposed = {nattrans_key(transpose(t)) for t in source}
-    wanted = {nattrans_key(t) for t in target}
+    transposed = {_values_key(transpose(t)) for t in source}
+    wanted = {_values_key(t) for t in target}
     ok = len(transposed) == len(source) and transposed == wanted
     return [
         Obligation(

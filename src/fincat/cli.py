@@ -57,6 +57,7 @@ from .terms import (
     Signature,
     TermError,
     TermParseError,
+    _printed_inhabitants,
     canonical_print,
     curry_howard_translate,
     infer_inhabitants,
@@ -233,15 +234,15 @@ def _cmd_infer(cfg: RunConfig, out) -> int:
     # A type nested by arrows costs the parser one frame per arrow, so it can
     # parse and still overflow the stack in the search or the printers.
     try:
-        terms = infer_inhabitants(ctx, goal, depth)
+        printed = _printed_inhabitants(ctx, goal, depth)
         elapsed = time.monotonic() - started
         header = f"goal: {print_type(goal)}   [{curry_howard_translate(goal, ctx)}]"
     except RecursionError:
         raise TermParseError("input nested too deeply") from None
     _emit(out, header)
-    _emit(out, f"inhabitants (depth <= {depth}): {len(terms)}  [{elapsed:.3f}s]")
-    for term in terms:
-        _emit(out, canonical_print(term))
+    _emit(out, f"inhabitants (depth <= {depth}): {len(printed)}  [{elapsed:.3f}s]")
+    for text, _term in printed:
+        _emit(out, text)
     return EXIT_OK
 
 
@@ -674,13 +675,23 @@ def run(argv, out=None) -> int:
     except (FinCatError, DiagramError, AdjunctionError) as exc:
         _emit(out, f"check error: {exc}")
         return EXIT_CHECK_FAILED
+    except BrokenPipeError:
+        raise  # the reader of ``out`` is gone; no message can reach it
     except OSError as exc:
         _emit(out, f"usage error: {exc}")
         return EXIT_USAGE
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout was closed early (``fincat ... | head``).  Point it at
+        # devnull so the interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(EXIT_USAGE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

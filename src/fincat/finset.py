@@ -64,7 +64,11 @@ class FinSetObj:
 
 
 class FinSetMap:
-    """Total map between finite sets; equality is extensional."""
+    """Total map between finite sets; equality is extensional.
+
+    The constructor copies its table and checks totality and range; maps
+    valid by construction are built by ``_trusted_map`` instead.
+    """
 
     __slots__ = ("dom", "cod", "table")
 
@@ -86,14 +90,18 @@ class FinSetMap:
     def __call__(self, a):
         return self.table[a]
 
-    def _key(self):
-        return (self.dom.atoms, self.cod.atoms, tuple(sorted(self.table.items(), key=lambda kv: atom_key(kv[0]))))
-
     def __eq__(self, other):
-        return isinstance(other, FinSetMap) and self._key() == other._key()
+        if self is other:
+            return True
+        return (
+            isinstance(other, FinSetMap)
+            and self.dom == other.dom
+            and self.cod == other.cod
+            and self.table == other.table
+        )
 
     def __hash__(self):
-        return hash(self._key())
+        return hash((self.dom.atoms, self.cod.atoms, frozenset(self.table.items())))
 
     def __repr__(self):
         return encode_map(self, strict=False)
@@ -102,15 +110,34 @@ class FinSetMap:
         raise AttributeError("FinSetMap is immutable")
 
 
+_set_dom = FinSetMap.dom.__set__
+_set_cod = FinSetMap.cod.__set__
+_set_table = FinSetMap.table.__set__
+
+
+def _trusted_map(dom: FinSetObj, cod: FinSetObj, table: dict) -> FinSetMap:
+    """A FinSetMap over ``table`` itself, with no copy and no check.
+
+    Only for maps valid by construction: ``table`` is a fresh dict keyed by
+    exactly the atoms of ``dom`` with values in ``cod``.
+    """
+    m = object.__new__(FinSetMap)
+    _set_dom(m, dom)
+    _set_cod(m, cod)
+    _set_table(m, table)
+    return m
+
+
 def identity_map(x: FinSetObj) -> FinSetMap:
-    return FinSetMap(x, x, {a: a for a in x})
+    return _trusted_map(x, x, {a: a for a in x.atoms})
 
 
 def compose_maps(g: FinSetMap, f: FinSetMap) -> FinSetMap:
     """g after f."""
     if f.cod != g.dom:
         raise ValueError("maps not composable")
-    return FinSetMap(f.dom, g.cod, {a: g.table[f.table[a]] for a in f.dom})
+    gt, ft = g.table, f.table
+    return _trusted_map(f.dom, g.cod, {a: gt[ft[a]] for a in f.dom.atoms})
 
 
 class FinSetCat:
@@ -237,7 +264,7 @@ def _solve(variables, domains, constraints, cap):
 def enumerate_maps(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All maps x -> y in lexicographic order over the sorted domain."""
     return [
-        FinSetMap(x, y, dict(zip(x.atoms, values)))
+        _trusted_map(x, y, dict(zip(x.atoms, values)))
         for values in _solve(x.atoms, dict.fromkeys(x.atoms, y.atoms), (), cap)
     ]
 
@@ -349,7 +376,7 @@ def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
             start += len(dom)
             component = shared[c].get(key)
             if component is None:
-                component = FinSetMap(dom, g.object_map[c], dict(zip(dom.atoms, key)))
+                component = _trusted_map(dom, g.object_map[c], dict(zip(dom.atoms, key)))
                 shared[c][key] = component
             components[c] = component
         out.append(NatTransVal(f, g, components))
@@ -360,4 +387,15 @@ def nattrans_key(t) -> tuple:
     """Canonical sort/identity key for a finite-set valued transformation."""
     return tuple(
         (c, encode_map(t.components[c], strict=False)) for c in sorted(t.components)
+    )
+
+
+def _values_key(t) -> tuple:
+    """Identity key of a finite-set valued transformation among those with
+    the same endpoints: per object in sorted order, the component's values
+    over its sorted domain.  Atoms stay values, so 1 and "1" stay apart."""
+    components = t.components
+    return tuple(
+        tuple(map(components[c].table.__getitem__, components[c].dom.atoms))
+        for c in sorted(components)
     )

@@ -890,8 +890,16 @@ def infer_inhabitants(
     which here is alpha-equivalence: every binder is named by
     ``_fresh_binder`` from the length of the context it extends, so two
     alpha-equivalent results carry the same binder names.  Text is
-    produced only for the final :func:`term_sort_key` sort and for output.
+    produced only for the final :func:`term_sort_key` order.
     """
+    return [t for _text, t in _printed_inhabitants(ctx, goal, depth)]
+
+
+def _printed_inhabitants(
+    ctx: Sequence[tuple[str, Ty]], goal: Ty, depth: int
+) -> list[tuple[str, Tm]]:
+    """:func:`infer_inhabitants` as (canonical print, term) pairs, each
+    result printed once and sorted like :func:`term_sort_key`."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     ctx_t = tuple(ctx)
@@ -899,8 +907,9 @@ def infer_inhabitants(
     if len(set(names)) != len(names):
         raise ValueError(f"context has duplicate hypothesis names: {names}")
     memo: dict[tuple, tuple[Tm, ...]] = {}
-    found = _inhabitants(ctx_t, goal, depth, memo)
-    return sorted(found, key=term_sort_key)
+    printed = [(canonical_print(t), t) for t in _inhabitants(ctx_t, goal, depth, memo)]
+    printed.sort(key=lambda pair: (lam_count(pair[1]), len(pair[0]), pair[0]))
+    return printed
 
 
 def _inhabitants(

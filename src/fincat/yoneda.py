@@ -41,6 +41,8 @@ from .finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
     FinSetObj,
+    _trusted_map,
+    _values_key,
     check_encodable,
     compose_maps,
     decode_map,
@@ -139,7 +141,7 @@ def hom_maps_functor(
             name: names[d2][tuple(action[x] for x in values)]
             for values, name in names[d].items()
         }
-        morphism_map[g] = FinSetMap(object_map[d], object_map[d2], table)
+        morphism_map[g] = _trusted_map(object_map[d], object_map[d2], table)
     return FunctorVal(category, FINSET, object_map, morphism_map)
 
 
@@ -275,9 +277,9 @@ def yoneda_pointwise_bijection(
         for element, transform in mapping.items()
         if not validate_nattrans(transform).passed
     ]
-    keys = {element: nattrans_key(t) for element, t in mapping.items()}
+    keys = {element: _values_key(t) for element, t in mapping.items()}
     distinct = len(set(keys.values())) == len(keys)
-    enumerated = {nattrans_key(t) for t in enumerate_nattrans_finset(source, set_functor, cap)}
+    enumerated = {_values_key(t) for t in enumerate_nattrans_finset(source, set_functor, cap)}
     onto = set(keys.values()) == enumerated
 
     obligations = (

@@ -20,7 +20,9 @@ force, kept to pin the exact output of the faster code that replaced them:
   Yoneda checks that composed and encoded a new map for every action entry
   and rebuilt both hom-functors for every seed, transformation and element;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
-  naturality jointly, over every pair of morphisms (f, k) of both categories.
+  naturality jointly, over every pair of morphisms (f, k) of both categories;
+* ``sorted_map_key`` and ``sorted_map_eq`` are the map key (hashed, too)
+  and equality that compared tables sorted by domain atom.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from fincat.finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
     FinSetObj,
+    atom_key,
     compose_maps,
     encode_map,
     enumerate_maps,
@@ -583,3 +586,17 @@ def all_pairs_naturality(adj) -> tuple:
                 if lhs != rhs:
                     bad_sharp.append((f, k, g, lhs, rhs))
     return bad_flat, bad_sharp
+
+
+# ---------------------------------------------------------------------------
+# Map equality by sorted tables
+# ---------------------------------------------------------------------------
+
+
+def sorted_map_key(m) -> tuple:
+    """Both sets' atoms and the table's items sorted by domain atom."""
+    return (m.dom.atoms, m.cod.atoms, tuple(sorted(m.table.items(), key=lambda kv: atom_key(kv[0]))))
+
+
+def sorted_map_eq(m, other) -> bool:
+    return isinstance(other, FinSetMap) and sorted_map_key(m) == sorted_map_key(other)

@@ -140,6 +140,22 @@ def test_help_is_written_to_out_and_exits_zero(monkeypatch):
     assert (result.returncode, result.stdout, result.stderr) == (EXIT_OK, text, "")
 
 
+def test_closed_stdout_exits_two_without_a_traceback():
+    """The reader closes the pipe after the first line; 160 kB of inhabitants
+    are still to be written, more than the pipe holds."""
+    src = os.path.dirname(os.path.dirname(fincat.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fincat", "infer", "{f: A->A, g: A->A, x: A}", "A", "--depth", "12"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline().startswith(b"goal: A")
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert (proc.wait(timeout=60), stderr) == (EXIT_USAGE, b"")
+
+
 # One valid argv or more per subcommand, with every option it takes.
 VALID_ARGVS = [
     ["check-cat", "c.fincat"],

@@ -1,5 +1,6 @@
 """Finite sets and maps: encodings, enumeration, limits, colimits."""
 
+import itertools
 import math
 import os
 
@@ -37,7 +38,13 @@ from fincat.finset import (
 )
 from fincat.yoneda import hom_cov_functor
 
-from oracles import nattrans_table_key, product_filter_limit, product_filter_nattrans
+from oracles import (
+    nattrans_table_key,
+    product_filter_limit,
+    product_filter_nattrans,
+    sorted_map_eq,
+    sorted_map_key,
+)
 
 atoms = st.lists(
     st.text(alphabet="abcxyz0123456789", min_size=1, max_size=3),
@@ -74,6 +81,25 @@ def test_map_totality_and_extensional_equality():
     m1 = FinSetMap(dom, cod, {"a": "x", "b": "y"})
     m2 = FinSetMap(dom, cod, {"b": "y", "a": "x"})
     assert m1 == m2
+
+
+def test_map_equality_and_hash_match_the_sorted_key_reference():
+    """Every pair of maps between sets of up to 3 atoms, one side built by
+    enumeration and the other by the checked constructor from the reversed
+    table; 1 and "1" print alike but are different atoms."""
+    pool = (1, "1", "a")
+    sets = [FinSetObj(c) for k in range(4) for c in itertools.combinations(pool, k)]
+    enumerated = [m for x in sets for y in sets for m in enumerate_maps(x, y)]
+    rebuilt = [FinSetMap(m.dom, m.cod, dict(reversed(m.table.items()))) for m in enumerated]
+    assert len(enumerated) == 170
+    for m in enumerated:
+        assert m == m and m != encode_map(m, strict=False)
+        for n in rebuilt:
+            assert (m == n) is sorted_map_eq(m, n)
+            assert (m != n) is not sorted_map_eq(m, n)
+            if m == n:
+                assert hash(m) == hash(n)
+    assert len(set(enumerated) | set(rebuilt)) == len({sorted_map_key(m) for m in enumerated})
 
 
 def test_enumerate_maps_count_order_and_cap():

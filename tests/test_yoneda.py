@@ -14,15 +14,18 @@ from fincat.core import (
     validate_functor,
     validate_nattrans,
 )
+from fincat.adjunction import left_kan, precompose_functor, right_kan
 from fincat.files import load_category, load_functor
 from fincat.finset import (
     EncodingError,
     FinSetMap,
     FinSetObj,
+    _values_key,
     compose_maps,
     encode_map,
     enumerate_maps,
     enumerate_nattrans_finset,
+    identity_map,
     nattrans_key,
 )
 from fincat.yoneda import (
@@ -45,6 +48,7 @@ from oracles import (
     rebuilding_pointwise_bijection,
     rebuilding_roundtrips,
     rebuilding_transform_from_seed,
+    sorted_map_eq,
     string_encoded_hom_maps_functor,
 )
 
@@ -496,3 +500,88 @@ def test_reserved_atoms_raise_like_the_reference(probe, values, bad):
     assert _outcome(hom_maps_functor, probe, functor) == expected
     if bad is not None:
         assert expected == f"atom {bad!r} contains reserved characters"
+
+
+# ---------------------------------------------------------------------------
+# Maps built without re-checking, and transformation identity
+# ---------------------------------------------------------------------------
+
+
+def _functor_pairs(fix):
+    """Pairs of set-valued functors on one category: every corpus pair, the
+    Kan pairs of the corpus ``kan`` call, each other subject with itself,
+    and each subject's hom-functors into it."""
+    subjects = _subjects(fix)
+    corpus, others = subjects[: len(SET_VALUED_FUNS)], subjects[len(SET_VALUED_FUNS) :]
+    pairs = [(f, g) for f in corpus for g in corpus if f.source == g.source]
+    along, functor = load_functor(fix("incl_a4_b6.fun")), load_functor(fix("h_on_a.fun"))
+    lkan, rkan = left_kan(along, functor), right_kan(along, functor)
+    restricted = precompose_functor(along, lkan)
+    pairs += [(lkan, lkan), (functor, restricted), (restricted, functor), (lkan, rkan)]
+    pairs += [(f, f) for f in others]
+    for functor in subjects:
+        category = functor.source
+        pairs += [(hom_cov_functor(category, a), functor) for a in sorted(category.objects)]
+    return pairs
+
+
+def _assert_rechecks(m):
+    checked = FinSetMap(m.dom, m.cod, m.table)
+    assert checked == m and sorted_map_eq(checked, m)
+
+
+def test_trusted_maps_pass_the_checked_constructor(fix):
+    for functor in _subjects(fix):
+        images = list(functor.morphism_map.values())
+        for g in images:
+            _assert_rechecks(identity_map(g.dom))
+            for f in images:
+                if f.cod == g.dom:
+                    _assert_rechecks(compose_maps(g, f))
+        for probe in PROBES:
+            for m in hom_maps_functor(probe, functor).morphism_map.values():
+                _assert_rechecks(m)
+            for values in functor.object_map.values():
+                for m in enumerate_maps(probe, values):
+                    _assert_rechecks(m)
+    for f, g in _functor_pairs(fix):
+        for t in enumerate_nattrans_finset(f, g):
+            for component in t.components.values():
+                _assert_rechecks(component)
+
+
+def _classes(keys):
+    """Each key's first position: equal lists mean equal partitions."""
+    first = {}
+    return [first.setdefault(k, i) for i, k in enumerate(keys)]
+
+
+def test_values_key_splits_transformations_like_nattrans_key(fix):
+    sizes = []
+    for f, g in _functor_pairs(fix):
+        transforms = enumerate_nattrans_finset(f, g)
+        sizes.append(len(transforms))
+        assert _classes(map(_values_key, transforms)) == _classes(map(nattrans_key, transforms))
+    for functor in _subjects(fix):
+        category = functor.source
+        for anchor in sorted(category.objects):
+            mapping, _report = yoneda_pointwise_bijection(category, functor, anchor)
+            source = hom_cov_functor(category, anchor)
+            transforms = [*mapping.values(), *enumerate_nattrans_finset(source, functor)]
+            assert _classes(map(_values_key, transforms)) == _classes(
+                map(nattrans_key, transforms)
+            )
+    assert max(sizes) > 1
+
+
+def test_values_key_keeps_atoms_that_print_alike_apart():
+    category = preorder_from_covers(["o"], [])
+    values = FinSetObj((1, "1"))
+    point = FunctorVal(category, FINSET, {"o": POINT}, {"id_o": identity_map(POINT)})
+    functor = FunctorVal(category, FINSET, {"o": values}, {"id_o": identity_map(values)})
+    first, second = enumerate_nattrans_finset(point, functor)
+    assert nattrans_key(first) == nattrans_key(second)
+    assert _values_key(first) != _values_key(second)
+    _mapping, report = yoneda_pointwise_bijection(category, functor, "o")
+    assert report.passed, report.summary()
+
