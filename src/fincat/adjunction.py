@@ -423,6 +423,11 @@ def right_kan_with_cones(
     a), one entry per object of the slice under b.
     """
     _require_setvalued(along, functor)
+    return _right_kan_with_cones(along, functor, cap)
+
+
+def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> tuple:
+    """:func:`right_kan_with_cones` for inputs that passed ``_require_setvalued``."""
     tgt = along.target
     data = _comma_diagrams(along, functor, "under")
     object_map = {}
@@ -469,6 +474,11 @@ def left_kan_with_cocones(
     """As :func:`left_kan`, also returning the colimiting injections, keyed
     like the cones of :func:`right_kan_with_cones` by (a, phi)."""
     _require_setvalued(along, functor)
+    return _left_kan_with_cocones(along, functor)
+
+
+def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
+    """:func:`left_kan_with_cocones` for inputs that passed ``_require_setvalued``."""
     tgt = along.target
     data = _comma_diagrams(along, functor, "over")
     object_map = {}
@@ -543,41 +553,70 @@ def check_kan_adjointness(
     where G is the target-side functor.
     """
     restricted = precompose_functor(along, target_functor)
+    obligations = []
+    for index, sample in enumerate([source_functor, *samples]):
+        for side, build in (("left", left_kan_with_cocones), ("right", right_kan_with_cones)):
+            built = build(along, sample, cap)
+            obligations += _kan_obligations(
+                side, f"[{index}]", along, target_functor, restricted, sample, built, cap
+            )
+    return CheckReport("kan_adjointness", tuple(obligations))
+
+
+def _kan_adjointness(
+    along: FunctorVal,
+    target_functor: FunctorVal,
+    source_functor: FunctorVal,
+    left: tuple,
+    right: tuple,
+    cap: int,
+) -> CheckReport:
+    """:func:`check_kan_adjointness` with no samples, given the source
+    functor's prebuilt Kan extensions: ``left`` is (lkan, cocones) and
+    ``right`` is (rkan, cones)."""
+    restricted = precompose_functor(along, target_functor)
+    obligations = []
+    for side, built in (("left", left), ("right", right)):
+        obligations += _kan_obligations(
+            side, "[0]", along, target_functor, restricted, source_functor, built, cap
+        )
+    return CheckReport("kan_adjointness", tuple(obligations))
+
+
+def _kan_obligations(side, tag, along, target_functor, restricted, sample, built, cap) -> list:
+    """The obligations of one Kan adjunction for one sample, whose Kan
+    extension on ``side`` is ``built`` = (extension, (co)cone legs)."""
+    kan, legs = built
     sources = along.source.objects
 
-    def leg(legs, a):
+    def leg(a):
         """The (co)cone leg at the comma object (a, identity)."""
         fa = along.object_map[a]
         return legs[fa][(a, along.target.id_of(fa))]
 
-    obligations = []
-    for index, sample in enumerate([source_functor, *samples]):
-        tag = f"[{index}]"
-        lkan, cocones = left_kan_with_cocones(along, sample, cap)
-        obligations += _adjunction_obligations(
+    if side == "left":
+        return _adjunction_obligations(
             "left",
             tag,
-            enumerate_nattrans_finset(lkan, target_functor, cap),
+            enumerate_nattrans_finset(kan, target_functor, cap),
             enumerate_nattrans_finset(sample, restricted, cap),
             lambda t: NatTransVal(
                 sample,
                 restricted,
-                {a: compose_maps(t.at(along.object_map[a]), leg(cocones, a)) for a in sources},
+                {a: compose_maps(t.at(along.object_map[a]), leg(a)) for a in sources},
             ),
         )
-        rkan, cones = right_kan_with_cones(along, sample, cap)
-        obligations += _adjunction_obligations(
-            "right",
-            tag,
-            enumerate_nattrans_finset(restricted, sample, cap),
-            enumerate_nattrans_finset(target_functor, rkan, cap),
-            lambda t: NatTransVal(
-                restricted,
-                sample,
-                {a: compose_maps(leg(cones, a), t.at(along.object_map[a])) for a in sources},
-            ),
-        )
-    return CheckReport("kan_adjointness", tuple(obligations))
+    return _adjunction_obligations(
+        "right",
+        tag,
+        enumerate_nattrans_finset(restricted, sample, cap),
+        enumerate_nattrans_finset(target_functor, kan, cap),
+        lambda t: NatTransVal(
+            restricted,
+            sample,
+            {a: compose_maps(leg(a), t.at(along.object_map[a])) for a in sources},
+        ),
+    )
 
 
 def _adjunction_obligations(side, tag, upstairs, downstairs, transpose) -> list:
@@ -637,13 +676,21 @@ def counit_inclusion_check(
     map at each source object (projection at the slice object carrying the
     identity) must be a bijection onto the original functor's value.
     """
+    cones = None
+    if _fully_faithful_witness(along) is None:
+        _rkan, cones = right_kan_with_cones(along, functor, cap)
+    return _counit_inclusion(along, functor, cones)
+
+
+def _counit_inclusion(along: FunctorVal, functor: FunctorVal, cones) -> CheckReport:
+    """:func:`counit_inclusion_check` given the right Kan extension's cones,
+    which are read only once the precondition holds."""
     witness = _fully_faithful_witness(along)
     if witness is not None:
         return CheckReport(
             "counit_inclusion",
             (Obligation("fully_faithful_inclusion", False, witness),),
         )
-    _rkan, cones = right_kan_with_cones(along, functor, cap)
     obligations = [Obligation("fully_faithful_inclusion", True, ())]
     for a in sorted(along.source.objects):
         fa = along.object_map[a]

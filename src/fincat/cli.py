@@ -16,6 +16,11 @@ from dataclasses import dataclass, field
 
 from .adjunction import (
     AdjunctionError,
+    _counit_inclusion,
+    _kan_adjointness,
+    _left_kan_with_cocones,
+    _require_setvalued,
+    _right_kan_with_cones,
     assemble_adjunction,
     check_kan_adjointness,
     counit_inclusion_check,
@@ -68,7 +73,15 @@ from .terms import (
     print_type,
     reduction_graph,
 )
-from .yoneda import check_yoneda_roundtrips, HomContext, yoneda_pointwise_bijection
+from .yoneda import (
+    HomContext,
+    _pointwise_bijection,
+    _roundtrips,
+    check_yoneda_roundtrips,
+    hom_cov_functor,
+    hom_maps_functor,
+    yoneda_pointwise_bijection,
+)
 
 __all__ = [
     "EXIT_OK",
@@ -232,18 +245,34 @@ def _cmd_infer(cfg: RunConfig, out) -> int:
     depth = cfg.options["depth"]
     started = time.monotonic()
     # A type nested by arrows costs the parser one frame per arrow, so it can
-    # parse and still overflow the stack in the search or the printers.
+    # parse and still overflow the stack in the search or the printers.  So
+    # can a flat input when the search recurses once per level of --depth.
     try:
         printed = _printed_inhabitants(ctx, goal, depth)
         elapsed = time.monotonic() - started
-        header = f"goal: {print_type(goal)}   [{curry_howard_translate(goal, ctx)}]"
+        header = _infer_header(ctx, goal)
     except RecursionError:
-        raise TermParseError("input nested too deeply") from None
+        raise _overflow_cause(ctx, goal, depth) from None
     _emit(out, header)
     _emit(out, f"inhabitants (depth <= {depth}): {len(printed)}  [{elapsed:.3f}s]")
     for text, _term in printed:
         _emit(out, text)
     return EXIT_OK
+
+
+def _infer_header(ctx, goal) -> str:
+    return f"goal: {print_type(goal)}   [{curry_howard_translate(goal, ctx)}]"
+
+
+def _overflow_cause(ctx, goal, depth: int) -> Exception:
+    """The error for an ``infer`` that overflowed the stack: the input's
+    nesting when a depth-1 search on it overflows too, else ``--depth``."""
+    try:
+        _printed_inhabitants(ctx, goal, 1)
+        _infer_header(ctx, goal)
+    except RecursionError:
+        return TermParseError("input nested too deeply")
+    return _UsageError(f"--depth {depth} is too deep: the inhabitant search overflows the stack")
 
 
 def _cmd_reduce(cfg: RunConfig, out) -> int:
@@ -271,13 +300,19 @@ def _cmd_yoneda(cfg: RunConfig, out) -> int:
     require_functor(functor)
     category = functor.source
     probe = FinSetObj(("*",))
+    # The anchor's hom-functor is shared by both checks.  The maps functor
+    # does not depend on the anchor: it is built once, where the first round
+    # trip needs it, so the first error raised (a cap or encoding error) is
+    # the one raised when every check builds its own.
+    maps_functor = None
     code = EXIT_OK
     for anchor in sorted(category.objects):
-        mapping, bij_report = yoneda_pointwise_bijection(
-            category, functor, anchor, cap=cfg.cap
-        )
-        round_report = check_yoneda_roundtrips(
-            HomContext(category, functor, probe, anchor), cap=cfg.cap
+        hom = hom_cov_functor(category, anchor)
+        mapping, bij_report = _pointwise_bijection(hom, functor, anchor, cfg.cap)
+        if maps_functor is None:
+            maps_functor = hom_maps_functor(probe, functor)
+        round_report = _roundtrips(
+            HomContext(category, functor, probe, anchor), hom, maps_functor, cfg.cap
         )
         ok = bij_report.passed and round_report.passed
         _emit(
@@ -299,19 +334,23 @@ def _cmd_yoneda(cfg: RunConfig, out) -> int:
 def _cmd_kan(cfg: RunConfig, out) -> int:
     along = load_functor(cfg.paths[0])
     functor = load_functor(cfg.paths[1])
-    rkan = right_kan(along, functor, cap=cfg.cap)
-    lkan = left_kan(along, functor, cap=cfg.cap)
+    # Each extension is built once, after one functor check of the inputs,
+    # and shared by the sizes lines and both checks.
+    _require_setvalued(along, functor)
+    right = _right_kan_with_cones(along, functor, cfg.cap)
+    left = _left_kan_with_cocones(along, functor)
+    (rkan, cones), (lkan, _cocones) = right, left
     for tag, kan in (("right", rkan), ("left", lkan)):
         sizes = ", ".join(
             f"{b}:{len(kan.object_map[b])}" for b in sorted(kan.source.objects)
         )
         _emit(out, f"{tag} kan sizes: {sizes}")
     code = EXIT_OK
-    adjoint = check_kan_adjointness(along, lkan, functor, cap=cfg.cap)
+    adjoint = _kan_adjointness(along, lkan, functor, left, right, cfg.cap)
     _emit(out, adjoint.summary())
     if not adjoint.passed:
         code = EXIT_CHECK_FAILED
-    inclusion = counit_inclusion_check(along, functor, cap=cfg.cap)
+    inclusion = _counit_inclusion(along, functor, cones)
     _emit(out, inclusion.summary())
     if not inclusion.passed:
         code = EXIT_CHECK_FAILED

@@ -39,6 +39,7 @@ from .core import (
 )
 from .finset import (
     DEFAULT_ENUM_CAP,
+    EncodingError,
     FinSetMap,
     FinSetObj,
     _trusted_map,
@@ -120,7 +121,8 @@ def hom_maps_functor(
     and named once, keyed by its tuple of values over the sorted probe, so
     an action is a lookup of the postcomposed tuple.  Raises EncodingError
     when an atom of the probe or of a value set that has maps out of the
-    probe cannot be encoded.
+    probe cannot be encoded, or when two maps encode to one name (atoms
+    such as 1 and "1" print alike).
     """
     category = set_functor.source
     maps_at = {
@@ -133,6 +135,13 @@ def hom_maps_functor(
         names[d] = {
             tuple(h.table[a] for a in probe.atoms): encode_map(h, strict=False) for h in maps
         }
+        first = {}
+        for values, name in names[d].items():
+            other = first.setdefault(name, values)
+            if other != values:
+                raise EncodingError(
+                    f"maps with values {other!r} and {values!r} both encode as {name!r}"
+                )
     object_map = {d: FinSetObj(names[d].values()) for d in category.objects}
     morphism_map = {}
     for g, (d, d2) in category.morphisms.items():
@@ -177,6 +186,14 @@ def check_yoneda_roundtrips(ctx: HomContext, cap: int = DEFAULT_ENUM_CAP) -> Che
     """
     source = hom_cov_functor(ctx.category, ctx.anchor)
     target = hom_maps_functor(ctx.probe, ctx.set_functor)
+    return _roundtrips(ctx, source, target, cap)
+
+
+def _roundtrips(
+    ctx: HomContext, source: FunctorVal, target: FunctorVal, cap: int
+) -> CheckReport:
+    """:func:`check_yoneda_roundtrips` given the anchor's hom-functor and the
+    maps-out-of-probe functor."""
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
     transforms = enumerate_nattrans_finset(source, target, cap)
 
@@ -267,7 +284,13 @@ def yoneda_pointwise_bijection(
     is natural and the assignment is injective and surjective onto the full
     enumeration.
     """
-    source = hom_cov_functor(category, anchor)
+    return _pointwise_bijection(hom_cov_functor(category, anchor), set_functor, anchor, cap)
+
+
+def _pointwise_bijection(
+    source: FunctorVal, set_functor: FunctorVal, anchor: str, cap: int
+) -> tuple:
+    """:func:`yoneda_pointwise_bijection` given the anchor's hom-functor."""
     mapping = {}
     for element in set_functor.object_map[anchor]:
         mapping[element] = _pointwise_transform(source, set_functor, anchor, element)

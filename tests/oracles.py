@@ -21,6 +21,9 @@ force, kept to pin the exact output of the faster code that replaced them:
   and rebuilt both hom-functors for every seed, transformation and element;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
   naturality jointly, over every pair of morphisms (f, k) of both categories;
+* ``rebuilding_yoneda_command`` and ``rebuilding_kan_command`` are the
+  ``yoneda`` and ``kan`` commands in which every check builds its own
+  hom-functors and Kan extensions through the public functions;
 * ``sorted_map_key`` and ``sorted_map_eq`` are the map key (hashed, too)
   and equality that compared tables sorted by domain atom.
 """
@@ -31,9 +34,17 @@ import itertools
 from dataclasses import replace
 from typing import Iterable, Sequence
 
+from fincat.adjunction import (
+    check_kan_adjointness,
+    counit_inclusion_check,
+    left_kan,
+    require_functor,
+    right_kan,
+)
 from fincat.core import (
     FINSET,
     CheckReport,
+    FinCatError,
     FunctorVal,
     NatTransVal,
     Obligation,
@@ -64,7 +75,13 @@ from fincat.terms import (
     print_type,
     term_sort_key,
 )
-from fincat.yoneda import hom_cov_functor, seed_from_transform
+from fincat.yoneda import (
+    HomContext,
+    check_yoneda_roundtrips,
+    hom_cov_functor,
+    seed_from_transform,
+    yoneda_pointwise_bijection,
+)
 
 # ---------------------------------------------------------------------------
 # Category laws and preorder closures without any index
@@ -558,6 +575,60 @@ def rebuilding_pointwise_bijection(category, set_functor, anchor, cap: int = DEF
         Obligation("surjective", onto, () if onto else (len(keys), len(enumerated))),
     )
     return mapping, CheckReport(f"pointwise@{anchor}", obligations)
+
+
+# ---------------------------------------------------------------------------
+# The yoneda and kan commands, every check building its own functors
+# ---------------------------------------------------------------------------
+
+
+def rebuilding_yoneda_command(functor, cap: int, out) -> int:
+    """The ``yoneda`` command after loading: both checks at each anchor
+    build the anchor's hom-functor, and every round trip builds the
+    maps-out-of-probe functor.  Returns the exit code."""
+    if functor.target is not FINSET:
+        raise FinCatError("yoneda needs a finite-set valued functor")
+    require_functor(functor)
+    category = functor.source
+    probe = FinSetObj(("*",))
+    code = 0
+    for anchor in sorted(category.objects):
+        mapping, bij_report = yoneda_pointwise_bijection(category, functor, anchor, cap=cap)
+        round_report = check_yoneda_roundtrips(
+            HomContext(category, functor, probe, anchor), cap=cap
+        )
+        out.write(
+            f"object {anchor}: |values| = {len(functor.object_map[anchor])}, "
+            f"|transformations| = {len(mapping)}, "
+            f"bijection {'ok' if bij_report.passed else 'FAIL'}, "
+            f"roundtrips {'ok' if round_report.passed else 'FAIL'}\n"
+        )
+        for report in (bij_report, round_report):
+            if not report.passed:
+                out.write(report.summary() + "\n")
+                code = 1
+    return code
+
+
+def rebuilding_kan_command(along, functor, cap: int, out) -> int:
+    """The ``kan`` command after loading: the sizes lines, the adjointness
+    check and the inclusion check each build their own Kan extensions, three
+    right ones and two left ones.  Returns the exit code."""
+    rkan = right_kan(along, functor, cap=cap)
+    lkan = left_kan(along, functor, cap=cap)
+    for tag, kan in (("right", rkan), ("left", lkan)):
+        sizes = ", ".join(f"{b}:{len(kan.object_map[b])}" for b in sorted(kan.source.objects))
+        out.write(f"{tag} kan sizes: {sizes}\n")
+    code = 0
+    adjoint = check_kan_adjointness(along, lkan, functor, cap=cap)
+    out.write(adjoint.summary() + "\n")
+    if not adjoint.passed:
+        code = 1
+    inclusion = counit_inclusion_check(along, functor, cap=cap)
+    out.write(inclusion.summary() + "\n")
+    if not inclusion.passed:
+        code = 1
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
 """Adjunctions from manifests and universal arrows; pointwise Kan extensions."""
 
+import collections
 import dataclasses
 import glob
+import io
 import os
 import sys
 
 import pytest
-from oracles import all_pairs_naturality
+from oracles import all_pairs_naturality, rebuilding_kan_command
 
+from fincat import adjunction, cli
 from fincat.adjunction import (
     AdjunctionError,
     adjunction_from_universal_arrows,
@@ -19,7 +22,8 @@ from fincat.adjunction import (
     right_kan,
     verify_adjunction,
 )
-from fincat.core import FinCat, FunctorVal, identity_functor
+from fincat.core import FINSET, FinCat, FunctorVal, identity_functor
+from fincat.finset import FinSetObj, identity_map
 from fincat.files import load_adjunction_parts, load_category, load_functor
 
 LAW_NAMES = [
@@ -393,3 +397,95 @@ def load_functor_on_wrong_base(inc):
         m: FinSetMap(value, value, {"z": "z"}) for m in src.morphisms
     }
     return FunctorVal(src, FINSET, object_map, morphism_map)
+
+
+# ---------------------------------------------------------------------------
+# The kan command builds each extension once per call
+# ---------------------------------------------------------------------------
+
+CAPS = tuple(2**k for k in range(22))
+
+
+def _command(*argv):
+    out = io.StringIO()
+    return cli.run(list(argv), out=out), out.getvalue()
+
+
+def _on_disc2(fix):
+    """A set-valued functor on the discrete pair, whose inclusion into the
+    2-chain is not full."""
+    category = load_category(fix("disc2.fincat"))
+    object_map = {"0": FinSetObj(("u", "v")), "1": FinSetObj(("w",))}
+    morphism_map = {m: identity_map(object_map[a]) for m, (a, _b) in category.morphisms.items()}
+    return FunctorVal(category, FINSET, object_map, morphism_map)
+
+
+def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
+    """Byte-identical output and exit code at every cap, including cap errors
+    raised inside the right Kan extension and after the sizes lines."""
+    built = {
+        "identity": identity_functor(g_on_b.source),
+        "g_on_b": g_on_b,
+        "disc2": _on_disc2(fix),
+    }
+    real_load = cli.load_functor
+    monkeypatch.setattr(cli, "load_functor", lambda p: built[p] if p in built else real_load(p))
+    pairs = [
+        (fix("incl_a4_b6.fun"), fix("h_on_a.fun")),
+        (fix("incl_a4_b6.fun"), fix("g_on_a.fun")),
+        ("identity", "g_on_b"),
+        (fix("incl_disc2_p.fun"), "disc2"),
+    ]
+    argvs = [("kan", *pair, "--cap", str(cap)) for pair in pairs for cap in CAPS]
+    new = dict(zip(argvs, (_command(*argv) for argv in argvs)))
+
+    help_text, _handler, add = cli._SUBCOMMANDS["kan"]
+    monkeypatch.setitem(
+        cli._SUBCOMMANDS,
+        "kan",
+        (
+            help_text,
+            lambda cfg, out: rebuilding_kan_command(
+                cli.load_functor(cfg.paths[0]), cli.load_functor(cfg.paths[1]), cfg.cap, out
+            ),
+            add,
+        ),
+    )
+    for argv, got in new.items():
+        assert got == _command(*argv), argv
+    h_on_a = ("kan", fix("incl_a4_b6.fun"), fix("h_on_a.fun"), "--cap")
+    assert new[(*h_on_a, "4")] == (
+        cli.EXIT_CAP,
+        "cap exceeded: search space of 16 candidates exceeds cap 4\n",
+    )
+    code, text = new[(*h_on_a, "64")]
+    assert code == cli.EXIT_CAP
+    assert text.splitlines()[0].startswith("right kan sizes: ")
+    assert text.splitlines()[-1].startswith("cap exceeded: ")
+    assert new[(*h_on_a, str(2**21))][0] == cli.EXIT_OK
+    disc2 = new[("kan", fix("incl_disc2_p.fun"), "disc2", "--cap", str(2**21))]
+    assert disc2[0] == cli.EXIT_CHECK_FAILED
+    assert "witness=('not_full', '0', '1')" in disc2[1]
+
+
+def test_kan_command_builds_each_extension_once(fix, monkeypatch):
+    """One comma category per target object and orientation, one limit and
+    one colimit per target object, and one functor check each of the two
+    inputs and the two extensions."""
+    calls = collections.Counter()
+    names = ("comma_under_object", "limit_finset", "colimit_finset", "validate_functor")
+    for name in names:
+        def counted(*args, _build=getattr(adjunction, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(adjunction, name, counted)
+    code, _text = _command("kan", fix("incl_a4_b6.fun"), fix("h_on_a.fun"))
+    assert code == cli.EXIT_OK
+    targets = len(load_functor(fix("incl_a4_b6.fun")).target.objects)
+    assert calls == {
+        "comma_under_object": 2 * targets,
+        "limit_finset": targets,
+        "colimit_finset": targets,
+        "validate_functor": 4,
+    }

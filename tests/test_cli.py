@@ -381,6 +381,15 @@ def test_deep_nesting_is_a_parse_error(argv):
     assert _run(*argv) == (EXIT_USAGE, "parse error: input nested too deeply\n")
 
 
+def test_a_search_too_deep_for_the_stack_names_depth():
+    # The input is flat; the search recurses once per level of --depth.
+    argv = ("infer", "{f: A->A, x: A}", "A", "--depth", "600")
+    assert _run(*argv) == (
+        EXIT_USAGE,
+        "usage error: --depth 600 is too deep: the inhabitant search overflows the stack\n",
+    )
+
+
 def test_deep_nesting_in_a_signature_rule_is_a_parse_error(tmp_path):
     sig = tmp_path / "deep.sig"
     sig.write_text("g : N -> N\nrule g(x) = " + DEEP_TERM.replace("1", "x") + "\n")

@@ -1,12 +1,16 @@
 """Hom-functor machinery: round trips, universal arrows, representability."""
 
+import collections
 import dataclasses
+import glob
+import io
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fincat import cli, yoneda
 from fincat.core import (
     FINSET,
     FunctorVal,
@@ -45,6 +49,7 @@ from fincat.yoneda import (
 
 from oracles import (
     brute_universal_table,
+    rebuilding_yoneda_command,
     rebuilding_pointwise_bijection,
     rebuilding_roundtrips,
     rebuilding_transform_from_seed,
@@ -585,3 +590,77 @@ def test_values_key_keeps_atoms_that_print_alike_apart():
     _mapping, report = yoneda_pointwise_bijection(category, functor, "o")
     assert report.passed, report.summary()
 
+
+
+def test_colliding_map_names_raise_an_encoding_error():
+    category = preorder_from_covers(["o"], [])
+    values = FinSetObj((1, "1"))
+    functor = FunctorVal(category, FINSET, {"o": values}, {"id_o": identity_map(values)})
+    message = "maps with values (1,) and ('1',) both encode as '{*->1}'"
+    with pytest.raises(EncodingError) as caught:
+        check_yoneda_roundtrips(HomContext(category, functor, POINT, "o"))
+    assert str(caught.value) == message
+    with pytest.raises(EncodingError):
+        hom_maps_functor(POINT, functor)
+    # Over the empty probe there is one map and no collision.
+    assert check_yoneda_roundtrips(HomContext(category, functor, FinSetObj(), "o")).passed
+
+
+# ---------------------------------------------------------------------------
+# The yoneda command builds each hom-functor once per call
+# ---------------------------------------------------------------------------
+
+CAPS = tuple(2**k for k in range(22))
+
+
+def _command(*argv):
+    out = io.StringIO()
+    return cli.run(list(argv), out=out), out.getvalue()
+
+
+def _set_valued_fixtures(fix):
+    paths = sorted(glob.glob(fix("*.fun")) + glob.glob(fix("broken", "*.fun")))
+    return [p for p in paths if "target: finset" in open(p, encoding="utf-8").read()]
+
+
+def test_yoneda_command_matches_the_rebuilding_reference(fix, monkeypatch):
+    """Byte-identical output and exit code at every cap, on every set-valued
+    fixture and on the functors built through the API (the broken identity
+    laws and the seeded forests), which the loader is patched to return."""
+    built = {f"api-{i}": f for i, f in enumerate(_subjects(fix)[len(SET_VALUED_FUNS) :])}
+    real_load = cli.load_functor
+    monkeypatch.setattr(cli, "load_functor", lambda p: built[p] if p in built else real_load(p))
+    names = [*_set_valued_fixtures(fix), *built]
+    assert len(names) == len(SET_VALUED_FUNS) + 18
+    argvs = [("yoneda", name, "--cap", str(cap)) for name in names for cap in CAPS]
+    new = [_command(*argv) for argv in argvs]
+
+    help_text, _handler, add = cli._SUBCOMMANDS["yoneda"]
+    monkeypatch.setitem(
+        cli._SUBCOMMANDS,
+        "yoneda",
+        (
+            help_text,
+            lambda cfg, out: rebuilding_yoneda_command(
+                cli.load_functor(cfg.paths[0]), cfg.cap, out
+            ),
+            add,
+        ),
+    )
+    for argv, got in zip(argvs, new):
+        assert got == _command(*argv), argv
+    assert {code for code, _text in new} == {cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_CAP}
+
+
+def test_yoneda_command_builds_each_hom_functor_once(fix, kite, monkeypatch):
+    calls = collections.Counter()
+    for name in ("hom_cov_functor", "hom_maps_functor"):
+        def counted(*args, _build=getattr(yoneda, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(yoneda, name, counted)
+        monkeypatch.setattr(cli, name, counted)
+    code, _text = _command("yoneda", fix("f_kite.fun"))
+    assert code == cli.EXIT_OK
+    assert calls == {"hom_cov_functor": len(kite.objects), "hom_maps_functor": 1}
