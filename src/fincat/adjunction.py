@@ -134,7 +134,8 @@ def _package(
     unit_components: Mapping[str, str],
     counit_components: Mapping[str, str],
 ) -> AdjunctionVal:
-    """Both structure transformations and both transposition tables."""
+    """Both structure transformations and both transposition tables, from
+    components checked to be morphisms of their hom-sets."""
     src, oth = left.source, right.source
     missing = [a for a in src.objects if a not in unit_components]
     if missing:
@@ -142,6 +143,12 @@ def _package(
     missing = [b for b in oth.objects if b not in counit_components]
     if missing:
         raise AdjunctionError(f"counit component missing for object {missing[0]!r}")
+    lo, ro = left.object_map, right.object_map
+    ends = [(src, a, unit_components[a], a, ro[lo[a]]) for a in src.objects]
+    ends += [(oth, b, counit_components[b], lo[ro[b]], b) for b in oth.objects]
+    for category, x, arrow, dom, cod in ends:
+        if category.morphisms.get(arrow) != (dom, cod):
+            raise AdjunctionError(f"arrow {arrow!r} for {x!r} is not a morphism {dom} -> {cod}")
     unit = NatTransVal(
         identity_functor(src), compose_functors(right, left), dict(unit_components)
     )

@@ -62,7 +62,6 @@ from .terms import (
     Signature,
     TermError,
     TermParseError,
-    _printed_inhabitants,
     canonical_print,
     curry_howard_translate,
     infer_inhabitants,
@@ -248,15 +247,15 @@ def _cmd_infer(cfg: RunConfig, out) -> int:
     # parse and still overflow the stack in the search or the printers.  So
     # can a flat input when the search recurses once per level of --depth.
     try:
-        printed = _printed_inhabitants(ctx, goal, depth)
+        terms = infer_inhabitants(ctx, goal, depth)
         elapsed = time.monotonic() - started
         header = _infer_header(ctx, goal)
     except RecursionError:
         raise _overflow_cause(ctx, goal, depth) from None
     _emit(out, header)
-    _emit(out, f"inhabitants (depth <= {depth}): {len(printed)}  [{elapsed:.3f}s]")
-    for text, _term in printed:
-        _emit(out, text)
+    _emit(out, f"inhabitants (depth <= {depth}): {len(terms)}  [{elapsed:.3f}s]")
+    for term in terms:
+        _emit(out, canonical_print(term))
     return EXIT_OK
 
 
@@ -268,7 +267,7 @@ def _overflow_cause(ctx, goal, depth: int) -> Exception:
     """The error for an ``infer`` that overflowed the stack: the input's
     nesting when a depth-1 search on it overflows too, else ``--depth``."""
     try:
-        _printed_inhabitants(ctx, goal, 1)
+        infer_inhabitants(ctx, goal, 1)
         _infer_header(ctx, goal)
     except RecursionError:
         return TermParseError("input nested too deeply")

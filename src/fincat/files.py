@@ -229,6 +229,11 @@ def load_category(path: str) -> FinCat:
                 raise FixtureParseError(path, lineno, f"expected 'name : dom -> cod', got {text!r}")
             name, dom, cod = m.groups()
             _check_identifier(path, lineno, "morphism", name)
+            for end in (dom, cod):
+                if end not in objects:
+                    raise FixtureParseError(
+                        path, lineno, f"morphism {name!r} names unknown object {end!r}"
+                    )
             if name in morphisms:
                 raise FixtureParseError(path, lineno, f"duplicate morphism {name!r}")
             morphisms[name] = (dom, cod)

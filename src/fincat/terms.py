@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass, fields
+from typing import AbstractSet, Callable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Ty",
@@ -102,25 +102,48 @@ class SignatureError(TermError):
 # Types
 
 
+def _node(cls):
+    """A frozen dataclass that keeps its field hash in its ``_hash`` slot; the
+    field hash reads each child's cached hash, so it costs the same at any depth."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self) -> int:
+        if self._hash is None:
+            object.__setattr__(self, "_hash", field_hash(self))
+        return self._hash
+
+    cls.__hash__ = __hash__
+    names = tuple(f.name for f in fields(cls))  # frozen slots: copy and pickle by constructor
+    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in names))
+    return cls
+
+
 class Ty:
     """Base class of simple types (atoms, arrows, binary products)."""
 
-    __slots__ = ()
+    __slots__ = ("_hash",)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", None)
 
 
-@dataclass(frozen=True)
+@_node
 class TyAtom(Ty):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class TyArrow(Ty):
+    __slots__ = ("src", "dst")
     src: Ty
     dst: Ty
 
 
-@dataclass(frozen=True)
+@_node
 class TyProd(Ty):
+    __slots__ = ("left", "right")
     left: Ty
     right: Ty
 
@@ -151,46 +174,57 @@ def _print_ty(ty: Ty, level: int) -> str:
 
 
 class Tm:
-    """Base class of terms."""
+    """Base class of terms; each caches its hash and :func:`_canonical` pair."""
 
-    __slots__ = ()
+    __slots__ = ("_hash", "_printed")
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_printed", None)
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Tm):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Tm):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Lam(Tm):
+    __slots__ = ("var", "ty", "body")
     var: str
     ty: Ty
     body: Tm
 
 
-@dataclass(frozen=True)
+@_node
 class App(Tm):
+    __slots__ = ("fn", "arg")
     fn: Tm
     arg: Tm
 
 
-@dataclass(frozen=True)
+@_node
 class Pair(Tm):
+    __slots__ = ("left", "right")
     left: Tm
     right: Tm
 
 
-@dataclass(frozen=True)
+@_node
 class Proj(Tm):
+    __slots__ = ("index", "body")
     index: int
     body: Tm
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.index not in (1, 2):
             raise ValueError(f"projection index must be 1 or 2, got {self.index}")
 
@@ -199,57 +233,74 @@ def is_numeral(name: str) -> bool:
     return bool(_NUMERAL_RE.match(name))
 
 
-def _infix_view(t: Tm) -> Optional[tuple[str, Tm, Tm]]:
-    """Return ``(op, lhs, rhs)`` when ``t`` is a saturated builtin ``+``/``*`` call."""
-    if (
-        isinstance(t, App)
-        and isinstance(t.fn, App)
-        and isinstance(t.fn.fn, Const)
-        and t.fn.fn.name in ("+", "*")
-    ):
-        return (t.fn.fn.name, t.fn.arg, t.arg)
-    return None
-
-
 _LVL_TERM, _LVL_SUM, _LVL_PROD, _LVL_APP, _LVL_ATOM = 0, 1, 2, 3, 4
+
+# builtin infix operator -> (its own level, left operand level, right operand level)
+_INFIX = {"+": (_LVL_SUM, _LVL_SUM, _LVL_PROD), "*": (_LVL_PROD, _LVL_PROD, _LVL_APP)}
 
 
 def print_term(t: Tm) -> str:
     """Render ``t`` with minimal parentheses, keeping its own binder names."""
-    return _print_tm(t, _LVL_TERM)
+    return _render(t, None)[0]
 
 
-def _print_tm(t: Tm, level: int) -> str:
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Const):
-        if t.name in ("+", "*"):
-            return f"({t.name})"
-        return t.name
-    if isinstance(t, Pair):
-        return f"({_print_tm(t.left, _LVL_TERM)}, {_print_tm(t.right, _LVL_TERM)})"
-    if isinstance(t, Lam):
-        text = f"\\{t.var}:{print_type(t.ty)}. {_print_tm(t.body, _LVL_TERM)}"
-        natural = _LVL_TERM
-    elif isinstance(t, Proj):
-        text = f"p{t.index} {_print_tm(t.body, _LVL_ATOM)}"
-        natural = _LVL_APP
-    elif isinstance(t, App):
-        infix = _infix_view(t)
-        if infix is not None:
-            op, lhs, rhs = infix
-            if op == "+":
-                text = f"{_print_tm(lhs, _LVL_SUM)} + {_print_tm(rhs, _LVL_PROD)}"
-                natural = _LVL_SUM
+def _render(t: Tm, avoid: Optional[AbstractSet[str]]) -> tuple[str, int, set[str], set[str]]:
+    """Print ``t`` with minimal parentheses in one pass: the text, its λ
+    count, the free names met and the binder names printed.  With ``avoid``
+    None binders keep their own names, else the one at nesting depth ``d``
+    prints as ``_positional_name(d, avoid)``."""
+    env: dict[str, Optional[str]] = {}
+    free: set[str] = set()
+    used: set[str] = set()
+    lams = 0
+
+    def go(t: Tm, level: int, depth: int) -> str:
+        nonlocal lams
+        kind = type(t)
+        if kind is App:
+            fn = t.fn
+            infix = type(fn) is App and type(fn.fn) is Const and _INFIX.get(fn.fn.name)
+            if infix:
+                natural, left_level, right_level = infix
+                text = f"{go(fn.arg, left_level, depth)} {fn.fn.name} {go(t.arg, right_level, depth)}"
             else:
-                text = f"{_print_tm(lhs, _LVL_PROD)} * {_print_tm(rhs, _LVL_APP)}"
-                natural = _LVL_PROD
-        else:
-            text = f"{_print_tm(t.fn, _LVL_APP)} {_print_tm(t.arg, _LVL_ATOM)}"
+                natural = _LVL_APP
+                text = f"{go(fn, _LVL_APP, depth)} {go(t.arg, _LVL_ATOM, depth)}"
+        elif kind is Var:
+            name = env.get(t.name)
+            if name is None:
+                free.add(t.name)
+                return t.name
+            return name
+        elif kind is Lam:
+            lams += 1
+            name = t.var if avoid is None else _positional_name(depth + 1, avoid)
+            used.add(name)
+            outer = env.get(t.var)
+            env[t.var] = name
+            natural = _LVL_TERM
+            text = f"\\{name}:{print_type(t.ty)}. {go(t.body, _LVL_TERM, depth + 1)}"
+            env[t.var] = outer  # None: unbound again
+        elif kind is Pair:
+            return f"({go(t.left, _LVL_TERM, depth)}, {go(t.right, _LVL_TERM, depth)})"
+        elif kind is Proj:
             natural = _LVL_APP
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return f"({text})" if natural < level else text
+            text = f"p{t.index} {go(t.body, _LVL_ATOM, depth)}"
+        elif kind is Const:
+            return f"({t.name})" if t.name in _INFIX else t.name
+        else:
+            raise TypeError(f"not a term: {t!r}")
+        return f"({text})" if natural < level else text
+
+    return go(t, _LVL_TERM, 0), lams, free, used
+
+
+def _positional_name(depth: int, avoid: AbstractSet[str]) -> str:
+    """``x<depth>``, primed until it is not in ``avoid``."""
+    name = f"x{depth}"
+    while name in avoid:
+        name += "'"
+    return name
 
 
 def free_vars(t: Tm) -> frozenset[str]:
@@ -277,19 +328,13 @@ def canonicalize(t: Tm) -> Tm:
     """
     free = free_vars(t)
 
-    def fresh(depth: int) -> str:
-        name = f"x{depth}"
-        while name in free:
-            name += "'"
-        return name
-
     def go(t: Tm, env: dict[str, str], depth: int) -> Tm:
         if isinstance(t, Var):
             return Var(env.get(t.name, t.name))
         if isinstance(t, Const):
             return t
         if isinstance(t, Lam):
-            name = fresh(depth + 1)
+            name = _positional_name(depth + 1, free)
             inner = dict(env)
             inner[t.var] = name
             return Lam(name, t.ty, go(t.body, inner, depth + 1))
@@ -305,12 +350,24 @@ def canonicalize(t: Tm) -> Tm:
 
 
 def canonical_print(t: Tm) -> str:
-    """Canonical text of ``t``: print after positional binder renaming.
+    """Canonical text of ``t``: ``print_term(canonicalize(t))``.
 
     Two terms are alpha-equivalent iff their canonical prints are equal;
-    this string is the node key in reduction graphs.
+    this string is the node key in reduction graphs.  It is cached on ``t``.
     """
-    return print_term(canonicalize(t))
+    return _canonical(t)[0]
+
+
+def _canonical(t: Tm) -> tuple[str, int]:
+    """``(canonical print, λ count)`` of ``t``, cached on the node.  Binders
+    are printed again, primed past the free names as :func:`canonicalize`
+    does, only when a free name equals an unprimed binder name."""
+    if t._printed is None:
+        text, lams, free, used = _render(t, frozenset())
+        if not free.isdisjoint(used):
+            text, lams, _, _ = _render(t, free)
+        object.__setattr__(t, "_printed", (text, lams))
+    return t._printed
 
 
 def substitute(t: Tm, name: str, replacement: Tm) -> Tm:
@@ -352,23 +409,13 @@ def substitute_many(t: Tm, mapping: Mapping[str, Tm]) -> Tm:
 
 
 def lam_count(t: Tm) -> int:
-    if isinstance(t, (Var, Const)):
-        return 0
-    if isinstance(t, Lam):
-        return 1 + lam_count(t.body)
-    if isinstance(t, App):
-        return lam_count(t.fn) + lam_count(t.arg)
-    if isinstance(t, Pair):
-        return lam_count(t.left) + lam_count(t.right)
-    if isinstance(t, Proj):
-        return lam_count(t.body)
-    raise TypeError(f"not a term: {t!r}")
+    return _canonical(t)[1]
 
 
 def term_sort_key(t: Tm) -> tuple[int, int, str]:
     """Deterministic order: fewest lambdas, then shortest print, then text."""
-    text = canonical_print(t)
-    return (lam_count(t), len(text), text)
+    text, lams = _canonical(t)
+    return (lams, len(text), text)
 
 
 # ---------------------------------------------------------------------------
@@ -889,27 +936,17 @@ def infer_inhabitants(
     Results are deduplicated by term structure (frozen-value equality),
     which here is alpha-equivalence: every binder is named by
     ``_fresh_binder`` from the length of the context it extends, so two
-    alpha-equivalent results carry the same binder names.  Text is
-    produced only for the final :func:`term_sort_key` order.
+    alpha-equivalent results carry the same binder names.  Each result is
+    printed once, for the :func:`term_sort_key` order; its text stays
+    cached for :func:`canonical_print`.
     """
-    return [t for _text, t in _printed_inhabitants(ctx, goal, depth)]
-
-
-def _printed_inhabitants(
-    ctx: Sequence[tuple[str, Ty]], goal: Ty, depth: int
-) -> list[tuple[str, Tm]]:
-    """:func:`infer_inhabitants` as (canonical print, term) pairs, each
-    result printed once and sorted like :func:`term_sort_key`."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     ctx_t = tuple(ctx)
     names = [name for name, _ in ctx_t]
     if len(set(names)) != len(names):
         raise ValueError(f"context has duplicate hypothesis names: {names}")
-    memo: dict[tuple, tuple[Tm, ...]] = {}
-    printed = [(canonical_print(t), t) for t in _inhabitants(ctx_t, goal, depth, memo)]
-    printed.sort(key=lambda pair: (lam_count(pair[1]), len(pair[0]), pair[0]))
-    return printed
+    return sorted(_inhabitants(ctx_t, goal, depth, {}), key=term_sort_key)
 
 
 def _inhabitants(
@@ -983,11 +1020,7 @@ def _neutral_type_closure(
 
 
 def _fresh_binder(ctx: tuple[tuple[str, Ty], ...]) -> str:
-    taken = {name for name, _ in ctx}
-    name = f"x{len(ctx) + 1}"
-    while name in taken or name in _RESERVED_WORDS:
-        name += "'"
-    return name
+    return _positional_name(len(ctx) + 1, {name for name, _ in ctx} | _RESERVED_WORDS)
 
 
 # ---------------------------------------------------------------------------
@@ -1108,13 +1141,8 @@ def one_step_reductions(t: Tm, sig: Optional[Signature] = None) -> list[Tm]:
 
     Redexes are beta redexes, projections of pairs, and delta redexes from
     ``sig``.  The result has no alpha-duplicates and is sorted by canonical
-    print.
+    print, which each returned term keeps cached.
     """
-    return [t2 for _key, t2 in _keyed_reductions(t, sig)]
-
-
-def _keyed_reductions(t: Tm, sig: Optional[Signature] = None) -> list[tuple[str, Tm]]:
-    """:func:`one_step_reductions` as (canonical print, term) pairs."""
     if sig is None:
         sig = _EMPTY_SIGNATURE
     out: dict[str, Tm] = {}
@@ -1137,7 +1165,7 @@ def _keyed_reductions(t: Tm, sig: Optional[Signature] = None) -> list[tuple[str,
             walk(sub.body, lambda r, s=sub: rebuild(Proj(s.index, r)))
 
     walk(t, lambda r: r)
-    return sorted(out.items())
+    return [out[key] for key in sorted(out)]
 
 
 # ---------------------------------------------------------------------------
@@ -1232,7 +1260,8 @@ def reduction_graph(
         term = nodes[key]
         succ_keys: list[str] = []
         fresh: dict[str, Tm] = {}
-        for skey, succ in _keyed_reductions(term, sig):
+        for succ in one_step_reductions(term, sig):
+            skey = canonical_print(succ)
             succ_ty = typecheck(succ, env, sig)
             if succ_ty != root_ty:
                 raise RuntimeError(

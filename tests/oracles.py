@@ -7,14 +7,20 @@ enumerated by a raw cartesian product filtered by the diagram's maps or the
 naturality squares, universal-arrow tables by testing every (morphism, map)
 pair, and term inhabitants by a bottom-up enumeration of all well-typed
 terms followed by a normality filter.  Only the report and AST constructors
-and the canonical printer are reused, so the comparisons exercise the
-library's *search* and *index* code paths.
+and ``canonicalize`` are reused (and, by the reduction-graph reference, the
+contraction, typing and graph-flag helpers), so the comparisons exercise
+the library's *search*, *index* and *printing* code paths.
 
 Some references are the library's own earlier algorithms rather than brute
 force, kept to pin the exact output of the faster code that replaced them:
 
+* ``rebuilding_print_term`` and ``rebuilding_canonical_print`` are the
+  printers that built a renamed copy of every term before printing it
+  recursively, and ``rebuilding_sort_key`` the inhabitant order on them;
 * ``print_keyed_inhabitants`` is the goal-directed inhabitant search that
   deduplicated every memo entry by canonical print;
+* ``keyed_reductions`` and ``rebuilding_reduction_graph`` are the one-step
+  reductions and the reduction graph keyed by those prints;
 * ``string_encoded_hom_maps_functor``, ``rebuilding_transform_from_seed``,
   ``rebuilding_roundtrips`` and ``rebuilding_pointwise_bijection`` are the
   Yoneda checks that composed and encoded a new map for every action entry
@@ -62,18 +68,26 @@ from fincat.finset import (
     nattrans_key,
 )
 from fincat.terms import (
+    DEFAULT_NODE_CAP,
     App,
+    Const,
+    GraphReport,
     Lam,
     Pair,
     Proj,
+    ReductionGraph,
+    Signature,
     Tm,
     Ty,
     TyArrow,
     TyProd,
     Var,
-    canonical_print,
+    _contractions_at,
+    _is_acyclic,
+    _locally_confluent,
+    canonicalize,
     print_type,
-    term_sort_key,
+    typecheck,
 )
 from fincat.yoneda import (
     HomContext,
@@ -311,7 +325,7 @@ def _well_typed(env: tuple, depth: int, universe: frozenset, cache: dict) -> dic
 
     def add(term, ty):
         if ty in universe:
-            out.setdefault((canonical_print(term), ty), (term, ty))
+            out.setdefault((rebuilding_canonical_print(term), ty), (term, ty))
 
     if depth >= 1:
         for name, ty in env:
@@ -385,8 +399,8 @@ def goal_types(atoms: Iterable[str], constructors: int) -> list:
 def print_keyed_inhabitants(ctx: Sequence[tuple], goal: Ty, depth: int) -> list:
     """Goal-directed inhabitants of tree depth <= depth, each memo entry
     deduplicated and sorted by canonical print, the whole list sorted by
-    ``term_sort_key``."""
-    return sorted(_pk_inhabitants(tuple(ctx), goal, depth, {}), key=term_sort_key)
+    ``rebuilding_sort_key``."""
+    return sorted(_pk_inhabitants(tuple(ctx), goal, depth, {}), key=rebuilding_sort_key)
 
 
 def _pk_inhabitants(ctx: tuple, goal: Ty, depth: int, memo: dict) -> tuple:
@@ -395,18 +409,18 @@ def _pk_inhabitants(ctx: tuple, goal: Ty, depth: int, memo: dict) -> tuple:
         return memo[key]
     out: dict = {}
     for t in _pk_neutrals(ctx, goal, depth, memo):
-        out.setdefault(canonical_print(t), t)
+        out.setdefault(rebuilding_canonical_print(t), t)
     if depth >= 2 and isinstance(goal, TyArrow):
         var = _pk_binder(ctx)
         for body in _pk_inhabitants(ctx + ((var, goal.src),), goal.dst, depth - 1, memo):
             t = Lam(var, goal.src, body)
-            out.setdefault(canonical_print(t), t)
+            out.setdefault(rebuilding_canonical_print(t), t)
     if depth >= 2 and isinstance(goal, TyProd):
         rights = _pk_inhabitants(ctx, goal.right, depth - 1, memo)
         for a in _pk_inhabitants(ctx, goal.left, depth - 1, memo):
             for b in rights:
                 t = Pair(a, b)
-                out.setdefault(canonical_print(t), t)
+                out.setdefault(rebuilding_canonical_print(t), t)
     memo[key] = tuple(out[k] for k in sorted(out))
     return memo[key]
 
@@ -418,7 +432,7 @@ def _pk_neutrals(ctx: tuple, goal: Ty, depth: int, memo: dict) -> tuple:
     out: dict = {}
     for name, ty in ctx:
         if ty == goal:
-            out.setdefault(canonical_print(Var(name)), Var(name))
+            out.setdefault(rebuilding_canonical_print(Var(name)), Var(name))
     if depth >= 2:
         for ty in _pk_closure(ctx):
             if isinstance(ty, TyArrow) and ty.dst == goal:
@@ -426,15 +440,15 @@ def _pk_neutrals(ctx: tuple, goal: Ty, depth: int, memo: dict) -> tuple:
                 for fn in _pk_neutrals(ctx, ty, depth - 1, memo):
                     for arg in args:
                         t = App(fn, arg)
-                        out.setdefault(canonical_print(t), t)
+                        out.setdefault(rebuilding_canonical_print(t), t)
             if isinstance(ty, TyProd) and ty.left == goal:
                 for body in _pk_neutrals(ctx, ty, depth - 1, memo):
                     t = Proj(1, body)
-                    out.setdefault(canonical_print(t), t)
+                    out.setdefault(rebuilding_canonical_print(t), t)
             if isinstance(ty, TyProd) and ty.right == goal:
                 for body in _pk_neutrals(ctx, ty, depth - 1, memo):
                     t = Proj(2, body)
-                    out.setdefault(canonical_print(t), t)
+                    out.setdefault(rebuilding_canonical_print(t), t)
     memo[key] = tuple(out[k] for k in sorted(out))
     return memo[key]
 
@@ -461,6 +475,153 @@ def _pk_binder(ctx: tuple) -> str:
     while name in taken or name in ("p1", "p2", "rule"):
         name += "'"
     return name
+
+
+# ---------------------------------------------------------------------------
+# Printing by rebuilding, and reduction graphs keyed by those prints
+# ---------------------------------------------------------------------------
+
+_LVL_TERM, _LVL_SUM, _LVL_PROD, _LVL_APP, _LVL_ATOM = 0, 1, 2, 3, 4
+
+
+def rebuilding_print_term(t: Tm) -> str:
+    """``t`` with minimal parentheses and its own binder names, each
+    subterm printed to its own string and spliced into its parent's."""
+    return _rb_print(t, _LVL_TERM)
+
+
+def _rb_print(t: Tm, level: int) -> str:
+    if isinstance(t, Var):
+        return t.name
+    if isinstance(t, Const):
+        return f"({t.name})" if t.name in ("+", "*") else t.name
+    if isinstance(t, Pair):
+        return f"({_rb_print(t.left, _LVL_TERM)}, {_rb_print(t.right, _LVL_TERM)})"
+    if isinstance(t, Lam):
+        text = f"\\{t.var}:{print_type(t.ty)}. {_rb_print(t.body, _LVL_TERM)}"
+        natural = _LVL_TERM
+    elif isinstance(t, Proj):
+        text = f"p{t.index} {_rb_print(t.body, _LVL_ATOM)}"
+        natural = _LVL_APP
+    elif (
+        isinstance(t, App)
+        and isinstance(t.fn, App)
+        and isinstance(t.fn.fn, Const)
+        and t.fn.fn.name in ("+", "*")
+    ):
+        lhs, rhs = t.fn.arg, t.arg
+        if t.fn.fn.name == "+":
+            text = f"{_rb_print(lhs, _LVL_SUM)} + {_rb_print(rhs, _LVL_PROD)}"
+            natural = _LVL_SUM
+        else:
+            text = f"{_rb_print(lhs, _LVL_PROD)} * {_rb_print(rhs, _LVL_APP)}"
+            natural = _LVL_PROD
+    elif isinstance(t, App):
+        text = f"{_rb_print(t.fn, _LVL_APP)} {_rb_print(t.arg, _LVL_ATOM)}"
+        natural = _LVL_APP
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return f"({text})" if natural < level else text
+
+
+def rebuilding_canonical_print(t: Tm) -> str:
+    """Canonical text of ``t``: print the positionally renamed copy."""
+    return rebuilding_print_term(canonicalize(t))
+
+
+def rebuilding_lam_count(t: Tm) -> int:
+    if isinstance(t, (Var, Const)):
+        return 0
+    if isinstance(t, Lam):
+        return 1 + rebuilding_lam_count(t.body)
+    if isinstance(t, App):
+        return rebuilding_lam_count(t.fn) + rebuilding_lam_count(t.arg)
+    if isinstance(t, Pair):
+        return rebuilding_lam_count(t.left) + rebuilding_lam_count(t.right)
+    if isinstance(t, Proj):
+        return rebuilding_lam_count(t.body)
+    raise TypeError(f"not a term: {t!r}")
+
+
+def rebuilding_sort_key(t: Tm) -> tuple:
+    """Fewest lambdas, then shortest canonical print, then that text."""
+    text = rebuilding_canonical_print(t)
+    return (rebuilding_lam_count(t), len(text), text)
+
+
+def keyed_reductions(t: Tm, sig=None) -> list:
+    """One-step reducts of ``t`` as (canonical print, term) pairs, the first
+    term of each print kept, sorted by print."""
+    if sig is None:
+        sig = Signature()
+    out: dict = {}
+
+    def walk(sub: Tm, rebuild) -> None:
+        for reduct in _contractions_at(sub, sig):
+            t2 = rebuild(reduct)
+            out.setdefault(rebuilding_canonical_print(t2), t2)
+        if isinstance(sub, Lam):
+            walk(sub.body, lambda r, s=sub: rebuild(Lam(s.var, s.ty, r)))
+        elif isinstance(sub, App):
+            walk(sub.fn, lambda r, s=sub: rebuild(App(r, s.arg)))
+            walk(sub.arg, lambda r, s=sub: rebuild(App(s.fn, r)))
+        elif isinstance(sub, Pair):
+            walk(sub.left, lambda r, s=sub: rebuild(Pair(r, s.right)))
+            walk(sub.right, lambda r, s=sub: rebuild(Pair(s.left, r)))
+        elif isinstance(sub, Proj):
+            walk(sub.body, lambda r, s=sub: rebuild(Proj(s.index, r)))
+
+    walk(t, lambda r: r)
+    return sorted(out.items())
+
+
+def rebuilding_reduction_graph(t: Tm, sig=None, node_cap: int = DEFAULT_NODE_CAP, ctx=None):
+    """``reduction_graph`` on :func:`keyed_reductions`: breadth-first, every
+    successor typechecked, truncated when a node's fresh successors would
+    pass ``node_cap``."""
+    if sig is None:
+        sig = Signature()
+    env = dict(ctx or {})
+    root_ty = typecheck(t, env, sig)
+    root_key = rebuilding_canonical_print(t)
+    nodes = {root_key: t}
+    edges: dict = {}
+    queue = [root_key]
+    truncated = False
+    while queue:
+        key = queue.pop(0)
+        succ_keys = []
+        fresh: dict = {}
+        for skey, succ in keyed_reductions(nodes[key], sig):
+            succ_ty = typecheck(succ, env, sig)
+            if succ_ty != root_ty:
+                raise RuntimeError(
+                    f"subject reduction violated: {key} -> {skey} "
+                    f"changed type to {print_type(succ_ty)}"
+                )
+            succ_keys.append(skey)
+            if skey not in nodes:
+                fresh.setdefault(skey, succ)
+        if len(nodes) + len(fresh) > node_cap:
+            truncated = True
+            break
+        for skey, succ in fresh.items():
+            nodes[skey] = succ
+            queue.append(skey)
+        edges[key] = tuple(sorted(set(succ_keys)))
+    normal_forms = tuple(sorted(k for k, succs in edges.items() if not succs))
+    graph = ReductionGraph(root_key, nodes, edges, normal_forms, truncated, root_ty)
+    if truncated:
+        return graph, GraphReport(None, None, None, True, len(nodes), normal_forms)
+    report = GraphReport(
+        _is_acyclic(edges),
+        len(normal_forms) == 1,
+        _locally_confluent(graph),
+        False,
+        len(nodes),
+        normal_forms,
+    )
+    return graph, report
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,23 @@ def test_reserved_characters_in_identifiers_exit_two(tmp_path):
     assert text == f"parse error: {bad}:3: object 'a,p' contains reserved character ','\n"
 
 
+@pytest.mark.parametrize(
+    "text, line, name, end",
+    [
+        ("objects: ->*\nmorphisms:\n  e : * -> *\n", 3, "e", "*"),
+        ("objects:\n  a\nmorphisms:\n  f : a -> b\n", 4, "f", "b"),
+    ],
+    ids=["mangled-objects-line", "undeclared-codomain"],
+)
+def test_morphism_with_an_undeclared_endpoint_is_a_parse_error(tmp_path, text, line, name, end):
+    bad = tmp_path / "undeclared.fincat"
+    bad.write_text(text)
+    assert _run("check-cat", str(bad)) == (
+        EXIT_USAGE,
+        f"parse error: {bad}:{line}: morphism {name!r} names unknown object {end!r}\n",
+    )
+
+
 def test_cyclic_cover_message_does_not_depend_on_the_hash_seed(tmp_path):
     cyclic = tmp_path / "cycle.fincat"
     cyclic.write_text(
@@ -518,6 +535,24 @@ def _manifest(fix, tmp_path, name, right, left):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+@pytest.mark.parametrize(
+    "entry, bad, message",
+    [
+        ("0 |-> id_0", "0 |-> nope", "arrow 'nope' for '0' is not a morphism 0 -> 0"),
+        ("2 |-> 1->2", "2 |-> nope", "arrow 'nope' for '2' is not a morphism 1 -> 2"),
+        ("2 |-> 1->2", "2 |-> id_1", "arrow 'id_1' for '2' is not a morphism 1 -> 2"),
+    ],
+    ids=["unit-unknown", "counit-unknown", "counit-wrong-hom"],
+)
+def test_adj_verify_rejects_a_component_outside_its_hom_set(fix, tmp_path, entry, bad, message):
+    manifest = _manifest(fix, tmp_path, "galois.adj", fix("trunc_q_p.fun"), fix("incl_p_q.fun"))
+    with open(manifest, encoding="utf-8") as handle:
+        text = handle.read()
+    with open(manifest, "w", encoding="utf-8") as handle:
+        handle.write(text.replace(entry, bad, 1))
+    assert _run("adj", "verify", manifest) == (EXIT_CHECK_FAILED, f"check error: {message}\n")
 
 
 def test_adj_refuses_a_set_valued_left(fix, tmp_path):

@@ -1,13 +1,21 @@
 """Typed term language: parsing, inference, delta rules, reduction graphs."""
 
+import copy
+import io
+import pickle
+import random
+import re
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fincat.cli import render_reduction_dot, run
 from fincat.terms import (
+    NAT,
     App,
+    Const,
     Lam,
     Pair,
     Proj,
@@ -29,10 +37,20 @@ from fincat.terms import (
     print_term,
     print_type,
     reduction_graph,
+    term_sort_key,
     typecheck,
 )
 
-from oracles import brute_inhabitants, goal_types, print_keyed_inhabitants
+from oracles import (
+    brute_inhabitants,
+    goal_types,
+    keyed_reductions,
+    print_keyed_inhabitants,
+    rebuilding_canonical_print,
+    rebuilding_print_term,
+    rebuilding_reduction_graph,
+    rebuilding_sort_key,
+)
 
 
 def _read(fix, name):
@@ -116,6 +134,51 @@ def test_canonical_print_is_alpha_invariant():
     left = parse_term("\\u:A. \\v:A. u")
     right = parse_term("\\a:A. \\b:A. a")
     assert canonical_print(left) == canonical_print(right) == "\\x1:A. \\x2:A. x1"
+
+
+# Binder names that shadow each other and the free names; free names that
+# are, or are primed like, the canonical binder names.
+_BINDERS = ("x", "y", "x1", "x2", "f")
+_FREE = ("x1", "x1'", "x2", "x3")
+_ANNOTATIONS = (NAT, TyAtom("A"), TyArrow(NAT, NAT), TyProd(NAT, TyAtom("A")))
+
+
+def _random_term(rng, depth, bound):
+    kind = rng.randrange(9) if depth > 0 else rng.randrange(3)
+    if kind == 0:
+        return Var(rng.choice(bound + list(_FREE)))
+    if kind == 1:
+        return Var(rng.choice(bound)) if bound else Const(rng.choice(("1", "2")))
+    if kind == 2:
+        return Const(rng.choice(("1", "2", "+", "*")))
+    if kind in (3, 4):
+        name = rng.choice(_BINDERS)
+        body = _random_term(rng, depth - 1, bound + [name])
+        return Lam(name, rng.choice(_ANNOTATIONS), body)
+    left, right = _random_term(rng, depth - 1, bound), _random_term(rng, depth - 1, bound)
+    if kind == 5:
+        return App(left, right)
+    if kind == 6:
+        return App(App(Const(rng.choice(("+", "*"))), left), right)
+    if kind == 7:
+        return Pair(left, right)
+    return Proj(rng.choice((1, 2)), left)
+
+
+def test_one_pass_printers_match_the_rebuilding_printers():
+    rng = random.Random(2006)
+    primed = infix = 0
+    for _ in range(4000):
+        t = _random_term(rng, 5, [])
+        text = canonical_print(t)
+        assert text == rebuilding_canonical_print(t), print_term(t)
+        assert canonical_print(t) is text
+        assert print_term(t) == rebuilding_print_term(t)
+        assert term_sort_key(t) == rebuilding_sort_key(t)
+        primed += bool(re.search(r"\\x[0-9]+'", text))
+        infix += " + " in text or " * " in text
+    # the family reaches the second, primed pass and the infix printer
+    assert primed > 100 and infix > 1000, (primed, infix)
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +275,38 @@ def test_inference_matches_print_keyed_search_in_order(ctx_text, goal_text, deep
     goal = parse_type(goal_text)
     for depth in range(1, deepest + 1):
         got = [canonical_print(t) for t in infer_inhabitants(ctx, goal, depth)]
-        want = [canonical_print(t) for t in print_keyed_inhabitants(ctx, goal, depth)]
+        want = [rebuilding_canonical_print(t) for t in print_keyed_inhabitants(ctx, goal, depth)]
         assert got == want, (ctx_text, goal_text, depth)
         assert len(set(got)) == len(got), (ctx_text, goal_text, depth)
+
+
+def test_terms_copy_and_pickle_with_their_caches_refilled():
+    term = parse_term("\\x:A. (x, p1 (x, \\x1:A. x1))")
+    canonical_print(term)
+    for twin in (copy.copy(term), copy.deepcopy(term), pickle.loads(pickle.dumps(term))):
+        assert twin == term and hash(twin) == hash(term)
+        assert canonical_print(twin) == canonical_print(term)
+
+
+def test_no_hash_walks_a_whole_term(monkeypatch):
+    calls = [0]
+    for cls in (Var, Const, Lam, App, Pair, Proj):
+
+        def counted(self, original=cls.__hash__):
+            calls[0] += 1
+            return original(self)
+
+        monkeypatch.setattr(cls, "__hash__", counted)
+    ctx = parse_context("{f: A->A, x: A}")
+    counts = []
+    for depth in (60, 120):
+        calls[0] = 0
+        assert len(infer_inhabitants(ctx, TyAtom("A"), depth)) == depth
+        counts.append(calls[0])
+    # The search makes a number of dict inserts quadratic in the depth, so
+    # doubling it multiplies the hash calls by 4 when each reads a cached
+    # hash, and by 8 when each walks its term.
+    assert counts[1] / counts[0] < 5.5, counts
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +357,44 @@ def test_graph_truncation_is_flagged_not_silent(fix):
     assert report.unique_nf is None
 
 
+BINDER_TERMS = [
+    "(\\x:N. \\y:N. x + y) 1 2",
+    "(\\f:N->N. \\x:N. f (f x)) (\\x:N. x * 2)",
+    "p1 ((\\x:N. x) 1, 2 + 3)",
+    "(\\x:N. (x, \\x1:N. x)) (1 + 2)",
+]
+
+
+@pytest.mark.parametrize("text", BINDER_TERMS)
+def test_reduce_matches_the_rebuilding_graph_in_order(text):
+    term = parse_term(text)
+    graph, report = reduction_graph(term)
+    want_graph, want_report = rebuilding_reduction_graph(term)
+    assert list(graph.nodes) == list(want_graph.nodes)
+    assert list(graph.edges.items()) == list(want_graph.edges.items())
+    assert (graph.root, graph.normal_forms, graph.truncated) == (
+        want_graph.root,
+        want_graph.normal_forms,
+        want_graph.truncated,
+    )
+    assert report == want_report
+    for node in graph.nodes.values():
+        got = [canonical_print(t) for t in one_step_reductions(node)]
+        assert got == [key for key, _ in keyed_reductions(node)]
+    renderings = [([], want_report.summary() + "\n")]
+    renderings.append((["--format", "graph"], render_reduction_dot(want_graph)))
+    for argv, want in renderings:
+        out = io.StringIO()
+        assert run(["reduce", text] + argv, out=out) == 0
+        assert out.getvalue() == want
+
+
 def test_subject_reduction_violation_raises(fix, monkeypatch):
     import fincat.terms
 
     sig = parse_signature(_read(fix, "arith.sig"))
     ill_typed = Lam("x", TyAtom("A"), Var("x"))
-    monkeypatch.setattr(
-        fincat.terms, "_keyed_reductions", lambda t, s: [(canonical_print(ill_typed), ill_typed)]
-    )
+    monkeypatch.setattr(fincat.terms, "one_step_reductions", lambda t, s: [ill_typed])
     with pytest.raises(RuntimeError, match="subject reduction violated"):
         reduction_graph(parse_term("2 + 3", sig), sig)
 
