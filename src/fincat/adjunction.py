@@ -15,6 +15,9 @@ is a finite table comparison:
 * :func:`precompose_functor`, :func:`right_kan`, :func:`left_kan` —
   restriction along a functor and its two adjoints, computed pointwise as
   finite limits/colimits over slice categories.
+* :func:`kan_extensions` — both extensions with their limit cones and
+  colimit cocones, which the two checks below accept prebuilt so that one
+  caller builds each extension once.
 * :func:`require_functor` — the functor-law gate the ``kan`` and ``yoneda``
   commands run before any enumeration.
 * :func:`check_kan_adjointness` — full-enumeration verification that the
@@ -67,6 +70,7 @@ __all__ = [
     "precompose_functor",
     "right_kan",
     "left_kan",
+    "kan_extensions",
     "require_functor",
     "check_kan_adjointness",
     "counit_inclusion_check",
@@ -416,25 +420,40 @@ def right_kan(
     under b (pairs (a, phi : b -> along(a))); a morphism k : b -> b2 acts by
     reindexing a compatible family along phi -> phi . k.
     """
-    kan, _cones = right_kan_with_cones(along, functor, cap)
-    return kan
+    _require_setvalued(along, functor)
+    return _right_kan_with_cones(along, functor, cap)[0]
 
 
-def right_kan_with_cones(
+def left_kan(
     along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
-) -> tuple:
-    """As :func:`right_kan`, also returning the limiting projections.
+) -> FunctorVal:
+    """Pointwise left Kan extension of a set-valued functor.
 
-    The second result maps each target object b to a dict
-    (a, phi) -> projection map (from the value at b to the functor's value at
-    a), one entry per object of the slice under b.
+    The value at b is the colimit of the functor over the slice of objects
+    over b (pairs (a, phi : along(a) -> b)); a morphism k : b -> b2 acts by
+    pushing a class forward along phi -> k . phi.
     """
     _require_setvalued(along, functor)
-    return _right_kan_with_cones(along, functor, cap)
+    return _left_kan_with_cocones(along, functor)[0]
+
+
+def kan_extensions(
+    along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
+) -> tuple:
+    """Both Kan extensions with their universal legs, after one check of
+    the inputs: ``((rkan, cones), (lkan, cocones))``.
+
+    ``cones[b]`` maps each object (a, phi) of the slice under b to the limit
+    projection rkan(b) -> functor(a); ``cocones[b]`` maps each (a, phi) of
+    the slice over b to the colimit injection functor(a) -> lkan(b).
+    """
+    _require_setvalued(along, functor)
+    return _right_kan_with_cones(along, functor, cap), _left_kan_with_cocones(along, functor)
 
 
 def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> tuple:
-    """:func:`right_kan_with_cones` for inputs that passed ``_require_setvalued``."""
+    """:func:`right_kan` and its cones, for inputs that passed
+    ``_require_setvalued``."""
     tgt = along.target
     data = _comma_diagrams(along, functor, "under")
     object_map = {}
@@ -462,30 +481,9 @@ def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> t
     return kan, cones
 
 
-def left_kan(
-    along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
-) -> FunctorVal:
-    """Pointwise left Kan extension of a set-valued functor.
-
-    The value at b is the colimit of the functor over the slice of objects
-    over b (pairs (a, phi : along(a) -> b)); a morphism k : b -> b2 acts by
-    pushing a class forward along phi -> k . phi.
-    """
-    kan, _cocones = left_kan_with_cocones(along, functor, cap)
-    return kan
-
-
-def left_kan_with_cocones(
-    along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
-) -> tuple:
-    """As :func:`left_kan`, also returning the colimiting injections, keyed
-    like the cones of :func:`right_kan_with_cones` by (a, phi)."""
-    _require_setvalued(along, functor)
-    return _left_kan_with_cocones(along, functor)
-
-
 def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
-    """:func:`left_kan_with_cocones` for inputs that passed ``_require_setvalued``."""
+    """:func:`left_kan` and its cocones, for inputs that passed
+    ``_require_setvalued``."""
     tgt = along.target
     data = _comma_diagrams(along, functor, "over")
     object_map = {}
@@ -546,6 +544,8 @@ def check_kan_adjointness(
     source_functor: FunctorVal,
     samples: Sequence[FunctorVal] = (),
     cap: int = DEFAULT_ENUM_CAP,
+    *,
+    extensions: Optional[tuple] = None,
 ) -> CheckReport:
     """Both Kan adjunctions, by full enumeration of transformation sets.
 
@@ -557,35 +557,24 @@ def check_kan_adjointness(
     * |Nat(restrict G, S)| = |Nat(G, rightkan S)| with the transposition
       "project at (a, identity)" realising a bijection,
 
-    where G is the target-side functor.
+    where G is the target-side functor.  ``extensions``, when given, is
+    :func:`kan_extensions` of ``along`` and ``source_functor``; the report
+    is the one that building them here gives.
     """
     restricted = precompose_functor(along, target_functor)
     obligations = []
     for index, sample in enumerate([source_functor, *samples]):
-        for side, build in (("left", left_kan_with_cocones), ("right", right_kan_with_cones)):
-            built = build(along, sample, cap)
-            obligations += _kan_obligations(
-                side, f"[{index}]", along, target_functor, restricted, sample, built, cap
-            )
-    return CheckReport("kan_adjointness", tuple(obligations))
-
-
-def _kan_adjointness(
-    along: FunctorVal,
-    target_functor: FunctorVal,
-    source_functor: FunctorVal,
-    left: tuple,
-    right: tuple,
-    cap: int,
-) -> CheckReport:
-    """:func:`check_kan_adjointness` with no samples, given the source
-    functor's prebuilt Kan extensions: ``left`` is (lkan, cocones) and
-    ``right`` is (rkan, cones)."""
-    restricted = precompose_functor(along, target_functor)
-    obligations = []
-    for side, built in (("left", left), ("right", right)):
+        prebuilt = extensions if index == 0 else None
+        if prebuilt is None:
+            _require_setvalued(along, sample)
+        tag = f"[{index}]"
+        left = prebuilt[1] if prebuilt else _left_kan_with_cocones(along, sample)
         obligations += _kan_obligations(
-            side, "[0]", along, target_functor, restricted, source_functor, built, cap
+            "left", tag, along, target_functor, restricted, sample, left, cap
+        )
+        right = prebuilt[0] if prebuilt else _right_kan_with_cones(along, sample, cap)
+        obligations += _kan_obligations(
+            "right", tag, along, target_functor, restricted, sample, right, cap
         )
     return CheckReport("kan_adjointness", tuple(obligations))
 
@@ -673,7 +662,11 @@ def _fully_faithful_witness(along: FunctorVal) -> Optional[tuple]:
 
 
 def counit_inclusion_check(
-    along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
+    along: FunctorVal,
+    functor: FunctorVal,
+    cap: int = DEFAULT_ENUM_CAP,
+    *,
+    cones: Optional[Mapping] = None,
 ) -> CheckReport:
     """Restricting the right Kan extension along a full inclusion loses nothing.
 
@@ -682,22 +675,19 @@ def counit_inclusion_check(
     witness and the remaining checks are skipped.  Otherwise the comparison
     map at each source object (projection at the slice object carrying the
     identity) must be a bijection onto the original functor's value.
+    ``cones``, when given, are the right extension's cones from
+    :func:`kan_extensions`; the report is the one that building them here
+    gives.
     """
-    cones = None
-    if _fully_faithful_witness(along) is None:
-        _rkan, cones = right_kan_with_cones(along, functor, cap)
-    return _counit_inclusion(along, functor, cones)
-
-
-def _counit_inclusion(along: FunctorVal, functor: FunctorVal, cones) -> CheckReport:
-    """:func:`counit_inclusion_check` given the right Kan extension's cones,
-    which are read only once the precondition holds."""
     witness = _fully_faithful_witness(along)
     if witness is not None:
         return CheckReport(
             "counit_inclusion",
             (Obligation("fully_faithful_inclusion", False, witness),),
         )
+    if cones is None:
+        _require_setvalued(along, functor)
+        _rkan, cones = _right_kan_with_cones(along, functor, cap)
     obligations = [Obligation("fully_faithful_inclusion", True, ())]
     for a in sorted(along.source.objects):
         fa = along.object_map[a]

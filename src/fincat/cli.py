@@ -16,14 +16,10 @@ from dataclasses import dataclass, field
 
 from .adjunction import (
     AdjunctionError,
-    _counit_inclusion,
-    _kan_adjointness,
-    _left_kan_with_cocones,
-    _require_setvalued,
-    _right_kan_with_cones,
     assemble_adjunction,
     check_kan_adjointness,
     counit_inclusion_check,
+    kan_extensions,
     left_kan,
     require_functor,
     right_kan,
@@ -74,8 +70,6 @@ from .terms import (
 )
 from .yoneda import (
     HomContext,
-    _pointwise_bijection,
-    _roundtrips,
     check_yoneda_roundtrips,
     hom_cov_functor,
     hom_maps_functor,
@@ -307,11 +301,16 @@ def _cmd_yoneda(cfg: RunConfig, out) -> int:
     code = EXIT_OK
     for anchor in sorted(category.objects):
         hom = hom_cov_functor(category, anchor)
-        mapping, bij_report = _pointwise_bijection(hom, functor, anchor, cfg.cap)
+        mapping, bij_report = yoneda_pointwise_bijection(
+            category, functor, anchor, cfg.cap, source=hom
+        )
         if maps_functor is None:
             maps_functor = hom_maps_functor(probe, functor)
-        round_report = _roundtrips(
-            HomContext(category, functor, probe, anchor), hom, maps_functor, cfg.cap
+        round_report = check_yoneda_roundtrips(
+            HomContext(category, functor, probe, anchor),
+            cfg.cap,
+            source=hom,
+            target=maps_functor,
         )
         ok = bij_report.passed and round_report.passed
         _emit(
@@ -335,21 +334,19 @@ def _cmd_kan(cfg: RunConfig, out) -> int:
     functor = load_functor(cfg.paths[1])
     # Each extension is built once, after one functor check of the inputs,
     # and shared by the sizes lines and both checks.
-    _require_setvalued(along, functor)
-    right = _right_kan_with_cones(along, functor, cfg.cap)
-    left = _left_kan_with_cocones(along, functor)
-    (rkan, cones), (lkan, _cocones) = right, left
+    extensions = kan_extensions(along, functor, cfg.cap)
+    (rkan, cones), (lkan, _cocones) = extensions
     for tag, kan in (("right", rkan), ("left", lkan)):
         sizes = ", ".join(
             f"{b}:{len(kan.object_map[b])}" for b in sorted(kan.source.objects)
         )
         _emit(out, f"{tag} kan sizes: {sizes}")
     code = EXIT_OK
-    adjoint = _kan_adjointness(along, lkan, functor, left, right, cfg.cap)
+    adjoint = check_kan_adjointness(along, lkan, functor, cap=cfg.cap, extensions=extensions)
     _emit(out, adjoint.summary())
     if not adjoint.passed:
         code = EXIT_CHECK_FAILED
-    inclusion = _counit_inclusion(along, functor, cones)
+    inclusion = counit_inclusion_check(along, functor, cfg.cap, cones=cones)
     _emit(out, inclusion.summary())
     if not inclusion.passed:
         code = EXIT_CHECK_FAILED

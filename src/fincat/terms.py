@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import deque
 from dataclasses import dataclass, fields
 from typing import AbstractSet, Callable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -1253,10 +1254,10 @@ def reduction_graph(
     root_key = canonical_print(t)
     nodes: dict[str, Tm] = {root_key: t}
     edges: dict[str, tuple[str, ...]] = {}
-    queue: list[str] = [root_key]
+    queue: deque[str] = deque([root_key])
     truncated = False
     while queue:
-        key = queue.pop(0)
+        key = queue.popleft()
         term = nodes[key]
         succ_keys: list[str] = []
         fresh: dict[str, Tm] = {}

@@ -21,6 +21,10 @@ enumeration:
 * :func:`check_representation` / :func:`find_representation` —
   representability via the equivalence "component-wise bijection iff the
   chosen element is universal".
+
+:func:`yoneda_pointwise_bijection` and :func:`check_yoneda_roundtrips`
+accept the hom-functors they would otherwise build as keyword-only
+arguments, so a caller that checks every anchor builds each one once.
 """
 
 from __future__ import annotations
@@ -154,19 +158,13 @@ def hom_maps_functor(
     return FunctorVal(category, FINSET, object_map, morphism_map)
 
 
-def _lift(source: FunctorVal, target: FunctorVal, anchor: str, seed: FinSetMap) -> NatTransVal:
-    """The seed's transformation between prebuilt hom-functors: f goes to
-    the target's image of f applied to the seed, which is (image of f) . seed."""
-    return _pointwise_transform(source, target, anchor, encode_map(seed, strict=False))
-
-
 def transform_from_seed(ctx: HomContext) -> NatTransVal:
     """The transformation whose component at D sends f to (image of f) . seed."""
     if ctx.seed is None:
         raise ValueError("context has no seed map")
     source = hom_cov_functor(ctx.category, ctx.anchor)
     target = hom_maps_functor(ctx.probe, ctx.set_functor)
-    return _lift(source, target, ctx.anchor, ctx.seed)
+    return _pointwise_transform(source, target, ctx.anchor, encode_map(ctx.seed, strict=False))
 
 
 def seed_from_transform(ctx: HomContext) -> FinSetMap:
@@ -178,28 +176,31 @@ def seed_from_transform(ctx: HomContext) -> FinSetMap:
     return decode_map(encoded, ctx.probe, ctx.set_functor.object_map[ctx.anchor])
 
 
-def check_yoneda_roundtrips(ctx: HomContext, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
+def check_yoneda_roundtrips(
+    ctx: HomContext,
+    cap: int = DEFAULT_ENUM_CAP,
+    *,
+    source: Optional[FunctorVal] = None,
+    target: Optional[FunctorVal] = None,
+) -> CheckReport:
     """Both round trips of the seed/transformation correspondence.
 
     Quantifies over every seed map and every transformation (full
     enumeration, no sampling) and also asserts the counting corollary.
+    ``source`` and ``target``, when given, are the anchor's
+    :func:`hom_cov_functor` and the probe's :func:`hom_maps_functor`; the
+    report is the one that building them here gives.
     """
-    source = hom_cov_functor(ctx.category, ctx.anchor)
-    target = hom_maps_functor(ctx.probe, ctx.set_functor)
-    return _roundtrips(ctx, source, target, cap)
-
-
-def _roundtrips(
-    ctx: HomContext, source: FunctorVal, target: FunctorVal, cap: int
-) -> CheckReport:
-    """:func:`check_yoneda_roundtrips` given the anchor's hom-functor and the
-    maps-out-of-probe functor."""
+    if source is None:
+        source = hom_cov_functor(ctx.category, ctx.anchor)
+    if target is None:
+        target = hom_maps_functor(ctx.probe, ctx.set_functor)
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
     transforms = enumerate_nattrans_finset(source, target, cap)
 
     bad_seed = []
     for seed in seeds:
-        lifted = _lift(source, target, ctx.anchor, seed)
+        lifted = _pointwise_transform(source, target, ctx.anchor, encode_map(seed, strict=False))
         back = seed_from_transform(replace(ctx, seed=None, transform=lifted))
         if back != seed:
             bad_seed.append((encode_map(seed, strict=False), encode_map(back, strict=False)))
@@ -207,7 +208,7 @@ def _roundtrips(
     bad_transform = []
     for transform in transforms:
         seed = seed_from_transform(replace(ctx, seed=None, transform=transform))
-        again = _lift(source, target, ctx.anchor, seed)
+        again = _pointwise_transform(source, target, ctx.anchor, encode_map(seed, strict=False))
         if again.components != transform.components:
             bad_transform.append(nattrans_key(transform))
 
@@ -277,20 +278,19 @@ def yoneda_pointwise_bijection(
     set_functor: FunctorVal,
     anchor: str,
     cap: int = DEFAULT_ENUM_CAP,
+    *,
+    source: Optional[FunctorVal] = None,
 ) -> tuple:
     """Elements of values(anchor) versus transformations out of the hom-functor.
 
     Returns the map element -> transformation plus a report that every image
     is natural and the assignment is injective and surjective onto the full
-    enumeration.
+    enumeration.  ``source``, when given, is the anchor's
+    :func:`hom_cov_functor`; the result is the one that building it here
+    gives.
     """
-    return _pointwise_bijection(hom_cov_functor(category, anchor), set_functor, anchor, cap)
-
-
-def _pointwise_bijection(
-    source: FunctorVal, set_functor: FunctorVal, anchor: str, cap: int
-) -> tuple:
-    """:func:`yoneda_pointwise_bijection` given the anchor's hom-functor."""
+    if source is None:
+        source = hom_cov_functor(category, anchor)
     mapping = {}
     for element in set_functor.object_map[anchor]:
         mapping[element] = _pointwise_transform(source, set_functor, anchor, element)

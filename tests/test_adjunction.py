@@ -17,6 +17,7 @@ from fincat.adjunction import (
     assemble_adjunction,
     check_kan_adjointness,
     counit_inclusion_check,
+    kan_extensions,
     left_kan,
     precompose_functor,
     right_kan,
@@ -313,11 +314,25 @@ def test_left_kan_sizes_frozen(inc, g_on_a, h_on_a):
     )
 
 
-def test_restricting_the_right_kan_recovers_the_original(inc, h_on_a):
+def _count_precondition_checks(monkeypatch):
+    calls = collections.Counter()
+    witness = adjunction._fully_faithful_witness
+
+    def counted(along):
+        calls["_fully_faithful_witness"] += 1
+        return witness(along)
+
+    monkeypatch.setattr(adjunction, "_fully_faithful_witness", counted)
+    return calls
+
+
+def test_restricting_the_right_kan_recovers_the_original(inc, h_on_a, monkeypatch):
     restricted = precompose_functor(inc, right_kan(inc, h_on_a))
     sizes = {d: len(restricted.object_map[d]) for d in restricted.object_map}
     assert sizes == {d: len(h_on_a.object_map[d]) for d in h_on_a.object_map}
+    calls = _count_precondition_checks(monkeypatch)
     report = counit_inclusion_check(inc, h_on_a)
+    assert calls == {"_fully_faithful_witness": 1}
     assert report.passed, report.summary()
     assert [o.name for o in report.obligations] == [
         "fully_faithful_inclusion",
@@ -328,9 +343,11 @@ def test_restricting_the_right_kan_recovers_the_original(inc, h_on_a):
     ]
 
 
-def test_counit_inclusion_requires_a_full_inclusion(fix, g_on_a):
+def test_counit_inclusion_requires_a_full_inclusion(fix, g_on_a, monkeypatch):
     not_full = load_functor(fix("incl_disc2_p.fun"))
+    calls = _count_precondition_checks(monkeypatch)
     report = counit_inclusion_check(not_full, g_on_a)
+    assert calls == {"_fully_faithful_witness": 1}
     assert not report.passed
     assert [o.name for o in report.obligations] == ["fully_faithful_inclusion"]
     assert report.obligation("fully_faithful_inclusion").witness == ("not_full", "0", "1")
@@ -438,6 +455,17 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
     ]
     argvs = [("kan", *pair, "--cap", str(cap)) for pair in pairs for cap in CAPS]
     new = dict(zip(argvs, (_command(*argv) for argv in argvs)))
+    # The prebuilt extensions the command passes give the reports that
+    # building them inside each check gives.
+    for along, functor in (tuple(map(cli.load_functor, pair)) for pair in pairs):
+        extensions = kan_extensions(along, functor, cap=CAPS[-1])
+        (_rkan, cones), (lkan, _cocones) = extensions
+        assert check_kan_adjointness(
+            along, lkan, functor, cap=CAPS[-1], extensions=extensions
+        ) == check_kan_adjointness(along, lkan, functor, cap=CAPS[-1])
+        assert counit_inclusion_check(
+            along, functor, CAPS[-1], cones=cones
+        ) == counit_inclusion_check(along, functor, CAPS[-1])
 
     help_text, _handler, add = cli._SUBCOMMANDS["kan"]
     monkeypatch.setitem(
@@ -470,16 +498,18 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
 
 def test_kan_command_builds_each_extension_once(fix, monkeypatch):
     """One comma category per target object and orientation, one limit and
-    one colimit per target object, and one functor check each of the two
-    inputs and the two extensions."""
+    one colimit per target object, one functor check each of the two
+    inputs and the two extensions, and each public step called once by the
+    command itself."""
     calls = collections.Counter()
     names = ("comma_under_object", "limit_finset", "colimit_finset", "validate_functor")
-    for name in names:
-        def counted(*args, _build=getattr(adjunction, name), _name=name, **kwargs):
+    public = ("kan_extensions", "check_kan_adjointness", "counit_inclusion_check")
+    for module, name in [(adjunction, n) for n in names] + [(cli, n) for n in public]:
+        def counted(*args, _build=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
 
-        monkeypatch.setattr(adjunction, name, counted)
+        monkeypatch.setattr(module, name, counted)
     code, _text = _command("kan", fix("incl_a4_b6.fun"), fix("h_on_a.fun"))
     assert code == cli.EXIT_OK
     targets = len(load_functor(fix("incl_a4_b6.fun")).target.objects)
@@ -488,4 +518,7 @@ def test_kan_command_builds_each_extension_once(fix, monkeypatch):
         "limit_finset": targets,
         "colimit_finset": targets,
         "validate_functor": 4,
+        "kan_extensions": 1,
+        "check_kan_adjointness": 1,
+        "counit_inclusion_check": 1,
     }

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, corpus runner."""
 
+import ast
 import io
 import os
 import subprocess
@@ -498,6 +499,22 @@ def test_yoneda_validates_its_functor_first(fix):
         "check error: functor is not a functor: "
         "respects_identities fails at ('1', {24->25,25->24})\n"
     )
+
+
+def test_cli_imports_only_public_names():
+    """The layer trace wraps public functions only; work the command does
+    through a private import would be billed to the CLI."""
+    with open(cli.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    private = [
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "fincat")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 def test_adj_verify_and_build(fix):

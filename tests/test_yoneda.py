@@ -34,7 +34,6 @@ from fincat.finset import (
 )
 from fincat.yoneda import (
     HomContext,
-    _lift,
     check_representation,
     check_yoneda_roundtrips,
     find_representation,
@@ -440,12 +439,15 @@ def test_roundtrips_match_the_rebuilding_reference(fix):
             source = hom_cov_functor(category, anchor)
             for probe in PROBES:
                 ctx = HomContext(category, functor, probe, anchor)
-                assert check_yoneda_roundtrips(ctx) == rebuilding_roundtrips(ctx)
+                expected = rebuilding_roundtrips(ctx)
+                assert check_yoneda_roundtrips(ctx) == expected
                 target = hom_maps_functor(probe, functor)
+                assert check_yoneda_roundtrips(ctx, source=source, target=target) == expected
                 for seed in enumerate_maps(probe, functor.object_map[anchor]):
                     seeded = dataclasses.replace(ctx, seed=seed)
                     lifted = transform_from_seed(seeded)
-                    assert _tables(lifted) == _tables(_lift(source, target, anchor, seed))
+                    # the prebuilt functors are the ones transform_from_seed lifts between
+                    assert (lifted.F, lifted.G) == (source, target)
                     assert _tables(lifted) == _tables(rebuilding_transform_from_seed(seeded))
 
 
@@ -453,12 +455,16 @@ def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
     for functor in _subjects(fix):
         category = functor.source
         for anchor in sorted(category.objects):
-            mapping, report = yoneda_pointwise_bijection(category, functor, anchor)
             old_mapping, old_report = rebuilding_pointwise_bijection(category, functor, anchor)
-            assert report == old_report
-            assert list(mapping) == list(old_mapping)
-            for element, transform in mapping.items():
-                assert _tables(transform) == _tables(old_mapping[element])
+            source = hom_cov_functor(category, anchor)
+            for mapping, report in (
+                yoneda_pointwise_bijection(category, functor, anchor),
+                yoneda_pointwise_bijection(category, functor, anchor, source=source),
+            ):
+                assert report == old_report
+                assert list(mapping) == list(old_mapping)
+                for element, transform in mapping.items():
+                    assert _tables(transform) == _tables(old_mapping[element])
 
 
 def test_the_reference_sees_every_round_trip_fail(fix):
@@ -653,8 +659,16 @@ def test_yoneda_command_matches_the_rebuilding_reference(fix, monkeypatch):
 
 
 def test_yoneda_command_builds_each_hom_functor_once(fix, kite, monkeypatch):
+    """One hom-functor per anchor, one maps functor per call, and each
+    public check once per anchor, called by the command itself."""
     calls = collections.Counter()
-    for name in ("hom_cov_functor", "hom_maps_functor"):
+    names = (
+        "hom_cov_functor",
+        "hom_maps_functor",
+        "yoneda_pointwise_bijection",
+        "check_yoneda_roundtrips",
+    )
+    for name in names:
         def counted(*args, _build=getattr(yoneda, name), _name=name, **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
@@ -663,4 +677,10 @@ def test_yoneda_command_builds_each_hom_functor_once(fix, kite, monkeypatch):
         monkeypatch.setattr(cli, name, counted)
     code, _text = _command("yoneda", fix("f_kite.fun"))
     assert code == cli.EXIT_OK
-    assert calls == {"hom_cov_functor": len(kite.objects), "hom_maps_functor": 1}
+    anchors = len(kite.objects)
+    assert calls == {
+        "hom_cov_functor": anchors,
+        "hom_maps_functor": 1,
+        "yoneda_pointwise_bijection": anchors,
+        "check_yoneda_roundtrips": anchors,
+    }
