@@ -9,6 +9,7 @@ error, 3 enumeration cap exceeded.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 import time
@@ -20,9 +21,7 @@ from .adjunction import (
     check_kan_adjointness,
     counit_inclusion_check,
     kan_extensions,
-    left_kan,
     require_functor,
-    right_kan,
     verify_adjunction,
 )
 from .core import (
@@ -305,7 +304,7 @@ def _cmd_yoneda(cfg: RunConfig, out) -> int:
             category, functor, anchor, cfg.cap, source=hom
         )
         if maps_functor is None:
-            maps_functor = hom_maps_functor(probe, functor)
+            maps_functor = hom_maps_functor(probe, functor, cfg.cap)
         round_report = check_yoneda_roundtrips(
             HomContext(category, functor, probe, anchor),
             cfg.cap,
@@ -378,181 +377,97 @@ def _cmd_adj(cfg: RunConfig, out) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _corpus_checks(base: str, cap: int):
-    """Yield (name, callable) pairs; each callable returns True on success."""
+_FIXTURE_CHECKS = ((".fincat", "check-cat"), (".fun", "check-fun"), (".nt", "check-nt"))
+_REDUCED_TO_29 = [
+    "normal forms: 29",
+    "terminating: yes",
+    "unique normal form: yes",
+    "locally confluent on graph: yes",
+]
+
+
+def _corpus_entries(base: str, cap: int):
+    """Yield ``(label, config, expected exit code, output check or None)`` for
+    each bundled example.  A check takes the subcommand's output text; an
+    ``expect-`` label expects exit code 1, any other label 0."""
     fix = lambda *parts: os.path.join(base, *parts)
 
-    def ok_category(path):
-        return lambda: validate_category(load_category(path)).passed
+    def entry(label, command, *paths, check=None, fmt=None, **options):
+        expect = EXIT_CHECK_FAILED if label.startswith("expect-") else EXIT_OK
+        fmt = fmt or _DEFAULT_FMT.get(command, "report")
+        return label, RunConfig(command, paths, cap, fmt, options), expect, check
 
-    def bad_category(path):
-        return lambda: not validate_category(load_category(path)).passed
-
-    def ok_functor(path):
-        return lambda: validate_functor(load_functor(path)).passed
-
-    def bad_functor(path):
-        return lambda: not validate_functor(load_functor(path)).passed
-
-    for name in sorted(os.listdir(base)):
-        if name.endswith(".fincat"):
-            yield f"check-cat {name}", ok_category(fix(name))
-        elif name.endswith(".fun"):
-            yield f"check-fun {name}", ok_functor(fix(name))
-        elif name.endswith(".nt"):
-            yield f"check-nt {name}", (
-                lambda path=fix(name): validate_nattrans(load_nattrans(path)).passed
-            )
-
-    broken = fix("broken")
-    for name in sorted(os.listdir(broken)):
-        path = os.path.join(broken, name)
-        if name.endswith(".fincat"):
-            yield f"expect-fail check-cat broken/{name}", bad_category(path)
-        elif name.endswith(".fun"):
-            yield f"expect-fail check-fun broken/{name}", bad_functor(path)
-        elif name.endswith(".nt"):
-            yield f"expect-fail check-nt broken/{name}", (
-                lambda p=path: not validate_nattrans(load_nattrans(p)).passed
-            )
-
-    def eval_diagram(diag, model, expect):
-        def check():
-            ast = _load_diagram(fix(diag))
-            spec = load_model_spec(fix("models", model))
-            value, _trace = evaluate_quantified(ast, build_model(ast, spec), cap=cap)
-            return value is expect
+    def golden(path):
+        def check(text):
+            with open(path, encoding="utf-8") as handle:
+                return text == handle.read()
 
         return check
 
-    def golden_context(diag, golden):
-        def check():
-            with open(fix("golden", golden), encoding="utf-8") as handle:
-                want = handle.read()
-            return elaborate_context(_load_diagram(fix(diag))) == want
+    def stage_glyphs(text):
+        glyphs = [line.split("[", 1)[1].split("]", 1)[0] for line in text.splitlines()[1:]]
+        quantifiers = (None, "forall", "exists", "forall", "existsuniq")
+        return glyphs == [quantifier_glyph(q) for q in quantifiers]
 
-        return check
+    def kan_sizes(text):  # the right extension has 1 element at 6, the left none at 1
+        right, left = (line.split(": ", 1)[1].split(", ") for line in text.splitlines()[:2])
+        return "6:1" in right and "1:0" in left
 
-    def golden_grid(diag, golden):
-        def check():
-            with open(fix("golden", golden), encoding="utf-8") as handle:
-                want = handle.read()
-            return render_grid(_load_diagram(fix(diag))) == want
-
-        return check
-
-    def stage_shape():
-        stages = extract_stages(_load_diagram(fix("equalizer.diag")))
-        return [s.quantifier for s in stages] == [
-            None,
-            "forall",
-            "exists",
-            "forall",
-            "existsuniq",
-        ]
-
-    yield "stages equalizer.diag", stage_shape
-    yield "eval equalizer @ chain2", eval_diagram(
-        "equalizer.diag", "equalizer_chain2.model", True
+    for folder, label in ((base, "{} {}"), (fix("broken"), "expect-fail {} broken/{}")):
+        for name in sorted(os.listdir(folder)):
+            for ext, command in _FIXTURE_CHECKS:
+                if name.endswith(ext):
+                    yield entry(label.format(command, name), command, os.path.join(folder, name))
+    yield entry("stages equalizer.diag", "stages", fix("equalizer.diag"), check=stage_glyphs)
+    for label, diag, model in (
+        ("eval equalizer @ chain2", "equalizer", "equalizer_chain2"),
+        ("expect-false eval equalizer @ monoid", "equalizer", "equalizer_monoid"),
+        ("eval universal_arrow @ galois", "universal_arrow", "universal_arrow_galois"),
+    ):
+        yield entry(label, "eval", fix(f"{diag}.diag"), model=fix("models", f"{model}.model"))
+    for diag, kind in (("universal_arrow", "context"), ("y0", "context"), ("y0", "grid")):
+        check = golden(fix("golden", f"{diag}.{kind}.txt"))
+        fmt = "graph" if kind == "grid" else "context"
+        yield entry(f"golden {kind} {diag}", "context", fix(f"{diag}.diag"), fmt=fmt, check=check)
+    yield entry("yoneda f_kite.fun", "yoneda", fix("f_kite.fun"))
+    along, functor = fix("incl_a4_b6.fun"), fix("h_on_a.fun")
+    yield entry("kan incl_a4_b6 h_on_a", "kan", along, functor, check=kan_sizes)
+    for label in (
+        "adj verify galois.adj",
+        "adj build galois_build.adj",
+        "expect-fail adj verify monoid_bad_counit.adj",
+    ):
+        mode, name = label.split()[-2:]
+        yield entry(label, "adj", fix(name), mode=mode)
+    for label, context, goal, term in (
+        ("infer pairing term", "{f: A'->A}", "A'*B -> A*B", "\\x1:A' * B. (f (p1 x1), p2 x1)"),
+        ("infer identity term", "{}", "A -> A", "\\x1:A. x1"),
+    ):
+        check = lambda text, term=term: text.splitlines()[2:] == [term]
+        yield entry(label, "infer", check=check, context=context, type=goal, depth=6)
+    yield entry(
+        "reduce g(2+3) -> 29",
+        "reduce",
+        check=lambda text: text.splitlines()[1:] == _REDUCED_TO_29,
+        term="g (2 + 3)",
+        sig=fix("arith.sig"),
+        nodes=DEFAULT_NODE_CAP,
     )
-    yield "expect-false eval equalizer @ monoid", eval_diagram(
-        "equalizer.diag", "equalizer_monoid.model", False
-    )
-    yield "eval universal_arrow @ galois", eval_diagram(
-        "universal_arrow.diag", "universal_arrow_galois.model", True
-    )
-    yield "golden context universal_arrow", golden_context(
-        "universal_arrow.diag", "universal_arrow.context.txt"
-    )
-    yield "golden context y0", golden_context("y0.diag", "y0.context.txt")
-    yield "golden grid y0", golden_grid("y0.diag", "y0.grid.txt")
-
-    def yoneda_counts():
-        functor = load_functor(fix("f_kite.fun"))
-        category = functor.source
-        probe = FinSetObj(("*",))
-        for anchor in category.objects:
-            mapping, report = yoneda_pointwise_bijection(category, functor, anchor, cap)
-            if not report.passed or len(mapping) != len(functor.object_map[anchor]):
-                return False
-            ctx = HomContext(category, functor, probe, anchor)
-            if not check_yoneda_roundtrips(ctx, cap).passed:
-                return False
-        return True
-
-    yield "yoneda f_kite.fun", yoneda_counts
-
-    def kan_checks():
-        along = load_functor(fix("incl_a4_b6.fun"))
-        h = load_functor(fix("h_on_a.fun"))
-        ga = load_functor(fix("g_on_a.fun"))
-        gb = load_functor(fix("g_on_b.fun"))
-        rkan = right_kan(along, h, cap)
-        lkan = left_kan(along, ga, cap)
-        if len(rkan.object_map["6"]) != 1 or len(lkan.object_map["1"]) != 0:
-            return False
-        if not check_kan_adjointness(along, gb, h, samples=[ga], cap=cap).passed:
-            return False
-        return counit_inclusion_check(along, h, cap).passed
-
-    yield "kan incl_a4_b6 h_on_a", kan_checks
-
-    def adj_verify(name, expect=True):
-        def check():
-            adj = assemble_adjunction(load_adjunction_parts(fix(name)))
-            return verify_adjunction(adj).passed is expect
-
-        return check
-
-    yield "adj verify galois.adj", adj_verify("galois.adj")
-    yield "adj build galois_build.adj", adj_verify("galois_build.adj")
-    yield "expect-fail adj verify monoid_bad_counit.adj", adj_verify(
-        "monoid_bad_counit.adj", expect=False
-    )
-
-    def infer_pairing():
-        ctx = parse_context("{f: A'->A}")
-        terms = infer_inhabitants(ctx, parse_type("A'*B -> A*B"), 6)
-        return "\\x1:A' * B. (f (p1 x1), p2 x1)" in [canonical_print(t) for t in terms]
-
-    def infer_identity():
-        terms = infer_inhabitants((), parse_type("A -> A"), 6)
-        return [canonical_print(t) for t in terms] == ["\\x1:A. x1"]
-
-    yield "infer pairing term", infer_pairing
-    yield "infer identity term", infer_identity
-
-    def reduce_square():
-        with open(fix("arith.sig"), encoding="utf-8") as handle:
-            sig = parse_signature(handle.read())
-        term = parse_term("g (2 + 3)", sig)
-        _graph, report = reduction_graph(term, sig)
-        return (
-            report.terminating is True
-            and report.unique_nf is True
-            and report.locally_confluent_on_graph is True
-            and report.normal_forms == ("29",)
-        )
-
-    yield "reduce g(2+3) -> 29", reduce_square
 
 
 def _cmd_examples(cfg: RunConfig, out) -> int:
-    base = corpus_dir()
-    failures = 0
-    total = 0
-    for name, check in _corpus_checks(base, cfg.cap):
+    failures = total = 0
+    for label, entry, expect, check in _corpus_entries(corpus_dir(), cfg.cap):
         total += 1
+        buffer = io.StringIO()
+        error = ""
         try:
-            good = check()
+            code = _SUBCOMMANDS[entry.subcommand][1](entry, buffer)
+            good = code == expect and (check is None or check(buffer.getvalue()))
         except Exception as exc:  # a corpus entry must never raise
-            good = False
-            _emit(out, f"[FAIL] {name}  error: {exc}")
-            failures += 1
-            continue
-        _emit(out, f"[{'ok' if good else 'FAIL'}] {name}")
-        if not good:
-            failures += 1
+            good, error = False, f"  error: {exc}"
+        _emit(out, f"[{'ok' if good else 'FAIL'}] {label}{error}")
+        failures += not good
     _emit(out, f"corpus: {total - failures}/{total} ok")
     return EXIT_OK if failures == 0 else EXIT_CHECK_FAILED
 

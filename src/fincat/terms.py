@@ -54,12 +54,10 @@ __all__ = [
     "parse_signature",
     "print_type",
     "print_term",
-    "canonicalize",
     "canonical_print",
     "free_vars",
     "substitute",
     "typecheck",
-    "lam_count",
     "term_sort_key",
     "infer_inhabitants",
     "curry_howard_translate",
@@ -320,38 +318,9 @@ def free_vars(t: Tm) -> frozenset[str]:
     raise TypeError(f"not a term: {t!r}")
 
 
-def canonicalize(t: Tm) -> Tm:
-    """Rename binders positionally (``x1``, ``x2``, ...) for stable identity.
-
-    The binder at nesting depth ``d`` is named ``x<d>``, primed as needed to
-    avoid the free variables of the whole term, so alpha-equivalent terms
-    canonicalize to equal trees.
-    """
-    free = free_vars(t)
-
-    def go(t: Tm, env: dict[str, str], depth: int) -> Tm:
-        if isinstance(t, Var):
-            return Var(env.get(t.name, t.name))
-        if isinstance(t, Const):
-            return t
-        if isinstance(t, Lam):
-            name = _positional_name(depth + 1, free)
-            inner = dict(env)
-            inner[t.var] = name
-            return Lam(name, t.ty, go(t.body, inner, depth + 1))
-        if isinstance(t, App):
-            return App(go(t.fn, env, depth), go(t.arg, env, depth))
-        if isinstance(t, Pair):
-            return Pair(go(t.left, env, depth), go(t.right, env, depth))
-        if isinstance(t, Proj):
-            return Proj(t.index, go(t.body, env, depth))
-        raise TypeError(f"not a term: {t!r}")
-
-    return go(t, {}, 0)
-
-
 def canonical_print(t: Tm) -> str:
-    """Canonical text of ``t``: ``print_term(canonicalize(t))``.
+    """Canonical text of ``t``: its print with the binder at nesting depth
+    ``d`` named ``x<d>``, primed past the free variables of the whole term.
 
     Two terms are alpha-equivalent iff their canonical prints are equal;
     this string is the node key in reduction graphs.  It is cached on ``t``.
@@ -361,8 +330,8 @@ def canonical_print(t: Tm) -> str:
 
 def _canonical(t: Tm) -> tuple[str, int]:
     """``(canonical print, λ count)`` of ``t``, cached on the node.  Binders
-    are printed again, primed past the free names as :func:`canonicalize`
-    does, only when a free name equals an unprimed binder name."""
+    are printed again, primed past the free names, only when a free name
+    equals an unprimed binder name."""
     if t._printed is None:
         text, lams, free, used = _render(t, frozenset())
         if not free.isdisjoint(used):
@@ -407,10 +376,6 @@ def substitute_many(t: Tm, mapping: Mapping[str, Tm]) -> Tm:
             var = fresh
         return Lam(var, t.ty, substitute_many(body, inner))
     raise TypeError(f"not a term: {t!r}")
-
-
-def lam_count(t: Tm) -> int:
-    return _canonical(t)[1]
 
 
 def term_sort_key(t: Tm) -> tuple[int, int, str]:

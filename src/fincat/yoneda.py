@@ -29,7 +29,7 @@ arguments, so a caller that checks every anchor builds each one once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .core import (
@@ -194,21 +194,24 @@ def check_yoneda_roundtrips(
     if source is None:
         source = hom_cov_functor(ctx.category, ctx.anchor)
     if target is None:
-        target = hom_maps_functor(ctx.probe, ctx.set_functor)
+        target = hom_maps_functor(ctx.probe, ctx.set_functor, cap)
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
     transforms = enumerate_nattrans_finset(source, target, cap)
+    ident = ctx.category.id_of(ctx.anchor)
 
+    # A seed is named by its canonical encoding, the atom ``target`` uses for
+    # it, so each round trip compares names and never decodes one.
     bad_seed = []
     for seed in seeds:
-        lifted = _pointwise_transform(source, target, ctx.anchor, encode_map(seed, strict=False))
-        back = seed_from_transform(replace(ctx, seed=None, transform=lifted))
-        if back != seed:
-            bad_seed.append((encode_map(seed, strict=False), encode_map(back, strict=False)))
+        name = encode_map(seed, strict=False)
+        back = _pointwise_transform(source, target, ctx.anchor, name).at(ctx.anchor).table[ident]
+        if back != name:
+            bad_seed.append((name, back))
 
     bad_transform = []
     for transform in transforms:
-        seed = seed_from_transform(replace(ctx, seed=None, transform=transform))
-        again = _pointwise_transform(source, target, ctx.anchor, encode_map(seed, strict=False))
+        name = transform.at(ctx.anchor).table[ident]
+        again = _pointwise_transform(source, target, ctx.anchor, name)
         if again.components != transform.components:
             bad_transform.append(nattrans_key(transform))
 

@@ -7,7 +7,7 @@ enumerated by a raw cartesian product filtered by the diagram's maps or the
 naturality squares, universal-arrow tables by testing every (morphism, map)
 pair, and term inhabitants by a bottom-up enumeration of all well-typed
 terms followed by a normality filter.  Only the report and AST constructors
-and ``canonicalize`` are reused (and, by the reduction-graph reference, the
+and ``free_vars`` are reused (and, by the reduction-graph reference, the
 contraction, typing and graph-flag helpers), so the comparisons exercise
 the library's *search*, *index* and *printing* code paths.
 
@@ -15,8 +15,9 @@ Some references are the library's own earlier algorithms rather than brute
 force, kept to pin the exact output of the faster code that replaced them:
 
 * ``rebuilding_print_term`` and ``rebuilding_canonical_print`` are the
-  printers that built a renamed copy of every term before printing it
-  recursively, and ``rebuilding_sort_key`` the inhabitant order on them;
+  printers that built a renamed copy of every term (``canonicalize``) before
+  printing it recursively, and ``rebuilding_sort_key`` the inhabitant order
+  on them;
 * ``print_keyed_inhabitants`` is the goal-directed inhabitant search that
   deduplicated every memo entry by canonical print;
 * ``keyed_reductions`` and ``rebuilding_reduction_graph`` are the one-step
@@ -85,7 +86,7 @@ from fincat.terms import (
     _contractions_at,
     _is_acyclic,
     _locally_confluent,
-    canonicalize,
+    free_vars,
     print_type,
     typecheck,
 )
@@ -522,6 +523,40 @@ def _rb_print(t: Tm, level: int) -> str:
     else:
         raise TypeError(f"not a term: {t!r}")
     return f"({text})" if natural < level else text
+
+
+def canonicalize(t: Tm) -> Tm:
+    """Rename binders positionally (``x1``, ``x2``, ...) for stable identity.
+
+    The binder at nesting depth ``d`` is named ``x<d>``, primed as needed to
+    avoid the free variables of the whole term, so alpha-equivalent terms
+    canonicalize to equal trees.
+    """
+    free = free_vars(t)
+
+    def go(t: Tm, env: dict[str, str], depth: int) -> Tm:
+        if isinstance(t, Var):
+            return Var(env.get(t.name, t.name))
+        if isinstance(t, Const):
+            return t
+        if isinstance(t, Lam):
+            name = f"x{depth + 1}"
+            while name in free:
+                name += "'"
+            inner = dict(env)
+            inner[t.var] = name
+            return Lam(name, t.ty, go(t.body, inner, depth + 1))
+        if isinstance(t, App):
+            return App(go(t.fn, env, depth), go(t.arg, env, depth))
+        if isinstance(t, Pair):
+            return Pair(go(t.left, env, depth), go(t.right, env, depth))
+        if isinstance(t, Proj):
+            return Proj(t.index, go(t.body, env, depth))
+        raise TypeError(f"not a term: {t!r}")
+
+    return go(t, {}, 0)
+
+
 
 
 def rebuilding_canonical_print(t: Tm) -> str:

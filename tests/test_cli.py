@@ -3,6 +3,7 @@
 import ast
 import io
 import os
+import shutil
 import subprocess
 import sys
 
@@ -592,11 +593,53 @@ def test_adj_refuses_a_right_that_is_not_a_functor(fix, tmp_path, mode, name):
 # ---------------------------------------------------------------------------
 
 
+CORPUS_LABELS = [
+    "check-cat a4.fincat",
+    "check-cat b6.fincat",
+    "check-cat chain2.fincat",
+    "check-cat chain3.fincat",
+    "check-cat disc2.fincat",
+    "check-fun f_kite.fun",
+    "check-fun g_on_a.fun",
+    "check-fun g_on_b.fun",
+    "check-fun h_on_a.fun",
+    "check-nt id_fkite.nt",
+    "check-fun id_monoid.fun",
+    "check-fun incl_a4_b6.fun",
+    "check-fun incl_disc2_p.fun",
+    "check-fun incl_p_q.fun",
+    "check-cat kite.fincat",
+    "check-cat monoid_e.fincat",
+    "check-fun trunc_q_p.fun",
+    "expect-fail check-cat broken/bad_assoc.fincat",
+    "expect-fail check-cat broken/bad_coherence.fincat",
+    "expect-fail check-cat broken/bad_idl.fincat",
+    "expect-fail check-cat broken/bad_idr.fincat",
+    "expect-fail check-fun broken/f_kite_bad_respcomp.fun",
+    "expect-fail check-fun broken/f_kite_bad_respids.fun",
+    "expect-fail check-nt broken/f_kite_bad_sqcond.nt",
+    "stages equalizer.diag",
+    "eval equalizer @ chain2",
+    "expect-false eval equalizer @ monoid",
+    "eval universal_arrow @ galois",
+    "golden context universal_arrow",
+    "golden context y0",
+    "golden grid y0",
+    "yoneda f_kite.fun",
+    "kan incl_a4_b6 h_on_a",
+    "adj verify galois.adj",
+    "adj build galois_build.adj",
+    "expect-fail adj verify monoid_bad_counit.adj",
+    "infer pairing term",
+    "infer identity term",
+    "reduce g(2+3) -> 29",
+]
+
+
 def test_examples_runs_whole_corpus():
     code, text = _run("examples")
     assert code == EXIT_OK
-    assert text.rstrip().endswith("corpus: 39/39 ok")
-    assert all(line.startswith("[ok] ") for line in text.splitlines()[:-1])
+    assert text == "".join(f"[ok] {label}\n" for label in CORPUS_LABELS) + "corpus: 39/39 ok\n"
 
 
 def test_corpus_directory_override(tmp_path, monkeypatch):
@@ -607,6 +650,64 @@ def test_corpus_directory_override(tmp_path, monkeypatch):
 
     monkeypatch.delenv(CORPUS_ENV)
     assert corpus_dir().endswith("fixtures")
+
+
+def test_examples_at_a_small_cap_names_the_entries_that_exceed_it():
+    errors = {
+        "yoneda f_kite.fun": "search space of 8 candidates exceeds cap 3",
+        "kan incl_a4_b6 h_on_a": "search space of 16 candidates exceeds cap 3",
+    }
+    lines = [
+        f"[FAIL] {label}  error: {errors[label]}" if label in errors else f"[ok] {label}"
+        for label in CORPUS_LABELS
+    ]
+    assert _run("examples", "--cap", "3") == (
+        EXIT_CHECK_FAILED,
+        "\n".join([*lines, "corpus: 37/39 ok"]) + "\n",
+    )
+
+
+def test_examples_dispatches_every_entry_to_its_subcommand(monkeypatch):
+    """Each entry runs one subcommand handler with the caller's cap and the
+    options that subcommand's parser gives."""
+    seen = []
+    for name, (help_text, handler, add) in list(cli._SUBCOMMANDS.items()):
+        def counted(cfg, out, _handler=handler):
+            seen.append(cfg)
+            return _handler(cfg, out)
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, counted, add))
+    assert _run("examples", "--cap", "999999") == (
+        EXIT_OK,
+        "".join(f"[ok] {label}\n" for label in CORPUS_LABELS) + "corpus: 39/39 ok\n",
+    )
+    assert seen[0].subcommand == "examples" and len(seen) == 1 + len(CORPUS_LABELS)
+    assert {cfg.cap for cfg in seen} == {999999}
+    parsed = {argv[0]: _full_parser_config(argv) for argv in VALID_ARGVS}
+    for cfg in seen[1:]:
+        want = parsed[cfg.subcommand]
+        assert (len(cfg.paths), set(cfg.options)) == (len(want.paths), set(want.options))
+
+
+def test_examples_names_the_unlawful_layer_of_a_model(fix, tmp_path, monkeypatch):
+    corpus = tmp_path / "corpus"
+    shutil.copytree(fix(""), corpus)
+    (corpus / "models" / "unlawful.fincat").write_text(
+        "objects:\n  0\n  1\nmorphisms:\n  f : 0 -> 1\n  g : 0 -> 1\n"
+        "compose:\n  id_1 . f = g\n",
+        encoding="utf-8",
+    )
+    (corpus / "models" / "equalizer_chain2.model").write_text(
+        "layer L = unlawful.fincat\n", encoding="utf-8"
+    )
+    monkeypatch.setenv(CORPUS_ENV, str(corpus))
+    code, text = _run("examples")
+    assert code == EXIT_CHECK_FAILED
+    assert [line for line in text.splitlines() if not line.startswith("[ok] ")] == [
+        "[FAIL] eval equalizer @ chain2  error: layer 'L' is not a category: "
+        "left_identity fails at ('f', 'g')",
+        "corpus: 38/39 ok",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,8 @@ from fincat.core import (
 from fincat.adjunction import left_kan, precompose_functor, right_kan
 from fincat.files import load_category, load_functor
 from fincat.finset import (
+    DEFAULT_ENUM_CAP,
+    CapExceededError,
     EncodingError,
     FinSetMap,
     FinSetObj,
@@ -467,6 +469,41 @@ def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
                     assert _tables(transform) == _tables(old_mapping[element])
 
 
+def test_roundtrips_compare_map_names_without_decoding_them(fix, monkeypatch):
+    contexts = [
+        HomContext(functor.source, functor, probe, anchor)
+        for functor in _subjects(fix)
+        for anchor in sorted(functor.source.objects)
+        for probe in PROBES
+    ]
+    expected = [check_yoneda_roundtrips(ctx) for ctx in contexts]
+
+    def refuse(*args):
+        raise AssertionError("decode_map called")
+
+    monkeypatch.setattr(yoneda, "decode_map", refuse)
+    assert [check_yoneda_roundtrips(ctx) for ctx in contexts] == expected
+
+
+def _record_map_caps(monkeypatch):
+    caps = []
+
+    def recorded(dom, cod, cap=DEFAULT_ENUM_CAP):
+        caps.append(cap)
+        return enumerate_maps(dom, cod, cap)
+
+    monkeypatch.setattr(yoneda, "enumerate_maps", recorded)
+    return caps
+
+
+def test_roundtrips_enumerate_the_maps_functor_under_the_callers_cap(f_kite, monkeypatch):
+    caps = _record_map_caps(monkeypatch)
+    ctx = HomContext(f_kite.source, f_kite, FinSetObj(("p", "q", "r", "s")), "1")
+    with pytest.raises(CapExceededError):
+        check_yoneda_roundtrips(ctx, cap=8)
+    assert caps and set(caps) == {8}
+
+
 def test_the_reference_sees_every_round_trip_fail(fix):
     """The non-functors among the subjects make the witness comparison above
     non-trivial: each obligation fails somewhere."""
@@ -656,6 +693,13 @@ def test_yoneda_command_matches_the_rebuilding_reference(fix, monkeypatch):
     for argv, got in zip(argvs, new):
         assert got == _command(*argv), argv
     assert {code for code, _text in new} == {cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_CAP}
+
+
+def test_yoneda_command_enumerates_maps_under_its_cap(fix, monkeypatch):
+    caps = _record_map_caps(monkeypatch)
+    code, _text = _command("yoneda", fix("f_kite.fun"), "--cap", "1000")
+    assert code == cli.EXIT_OK
+    assert caps and set(caps) == {1000}
 
 
 def test_yoneda_command_builds_each_hom_functor_once(fix, kite, monkeypatch):
