@@ -3,7 +3,7 @@
 Parses fixture and diagram files, runs every check, and prints elaborated
 contexts, law reports, and deterministic text renderings.  Exit codes:
 0 all checks pass, 1 a check failed (witness printed), 2 parse or usage
-error, 3 enumeration cap exceeded.
+error, 3 enumeration cap exceeded, 4 internal error (a fault in fincat).
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ __all__ = [
     "EXIT_CHECK_FAILED",
     "EXIT_USAGE",
     "EXIT_CAP",
+    "EXIT_INTERNAL",
     "CORPUS_ENV",
     "RunConfig",
     "corpus_dir",
@@ -92,6 +93,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4  # a fault in fincat itself, not a verdict on the input
 
 CORPUS_ENV = "FINCAT_CORPUS"
 
@@ -630,6 +632,9 @@ def run(argv, out=None) -> int:
     except OSError as exc:
         _emit(out, f"usage error: {exc}")
         return EXIT_USAGE
+    except Exception as exc:
+        _emit(out, f"internal error: {type(exc).__name__}: {exc}")
+        return EXIT_INTERNAL
 
 
 def main() -> None:

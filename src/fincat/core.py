@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Any, Iterable
 
 from .finset import FINSET, FinSetCat, FinSetMap, FinSetObj  # FinSetCat: re-exported
@@ -87,7 +88,6 @@ class _TableIndex:
     morphisms: tuple  # every morphism name, sorted
     hom: dict  # (dom, cod) -> sorted names
     out_arrows: dict  # object -> sorted names with that dom
-    in_arrows: dict  # object -> sorted names with that cod
     objects: frozenset
 
 
@@ -101,7 +101,7 @@ class FinCat:
     compose: (g, f) -> name of g after f.
 
     The tables are treated as immutable once constructed: hom-sets,
-    out-arrows, in-arrows and the object set are indexed on first use.
+    out-arrows and the object set are indexed on first use.
     """
 
     objects: tuple
@@ -114,17 +114,15 @@ class FinCat:
         ordered = tuple(sorted(self.morphisms))
         hom: dict = {}
         out: dict = {}
-        into: dict = {}
         for m in ordered:
             d, c = self.morphisms[m]
             hom.setdefault((d, c), []).append(m)
             out.setdefault(d, []).append(m)
-            into.setdefault(c, []).append(m)
 
         def frozen(table):
             return {k: tuple(v) for k, v in table.items()}
 
-        return _TableIndex(ordered, frozen(hom), frozen(out), frozen(into), frozenset(self.objects))
+        return _TableIndex(ordered, frozen(hom), frozen(out), frozenset(self.objects))
 
     def dom(self, m: str) -> str:
         return self.morphisms[m][0]
@@ -149,18 +147,8 @@ class FinCat:
         """Morphisms with dom x, sorted."""
         return self._index.out_arrows.get(x, ())
 
-    def in_arrows(self, x: str) -> tuple:
-        """Morphisms with cod x, sorted."""
-        return self._index.in_arrows.get(x, ())
-
     def sorted_morphisms(self) -> list:
         return list(self._index.morphisms)
-
-    def composable_pairs(self):
-        """All (g, f) with cod f == dom g, in sorted order."""
-        for g in self._index.morphisms:
-            for f in self.in_arrows(self.dom(g)):
-                yield (g, f)
 
 
 def _wellformed(c: FinCat) -> None:
@@ -195,33 +183,61 @@ def validate_category(c: FinCat) -> CheckReport:
     _wellformed(c)
     obligations = []
 
+    # One pass over the table in its own order; only the failures are
+    # sorted, which orders them by their (g, f) key, as the reports do.
+    ends = c.morphisms
+    bad_entries = []
+    for (g, f), h in c.compose.items():
+        (f_dom, f_cod), (g_dom, g_cod) = ends[f], ends[g]
+        if f_cod != g_dom:
+            bad_entries.append((g, f, h, "not composable"))
+        elif ends[h] != (f_dom, g_cod):
+            bad_entries.append((g, f, h, "boundary mismatch"))
+    bad_entries.sort()
     coh = []
     for x in c.objects:
         i = c.identity[x]
-        if c.morphisms[i] != (x, x):
-            coh.append((x, i) + c.morphisms[i])
-    for (g, f), h in sorted(c.compose.items()):
-        if c.cod(f) != c.dom(g):
-            coh.append((g, f, h, "not composable"))
-        elif (c.dom(h), c.cod(h)) != (c.dom(f), c.cod(g)):
-            coh.append((g, f, h, "boundary mismatch"))
+        if ends[i] != (x, x):
+            coh.append((x, i) + ends[i])
+    coh += bad_entries
     obligations.append(Obligation("coherence", not coh, tuple(coh[:1][0]) if coh else ()))
 
-    missing = [(g, f) for (g, f) in c.composable_pairs() if (g, f) not in c.compose]
-    extra = [(g, f) for (g, f) in sorted(c.compose) if c.cod(f) != c.dom(g)]
+    # after[m]: the composites k o m for k in out_arrows(cod m), None where
+    # the table has no entry.  The columns cover every composable pair once.
+    safe_comp = c.compose.get  # None where totality already failed
+    ordered = c.sorted_morphisms()
+    outs = {m: c.out_arrows(c.cod(m)) for m in ordered}
+    after = {m: tuple(map(safe_comp, zip(outs[m], repeat(m)))) for m in ordered}
+
+    missing = sorted(
+        (k, m)
+        for m in ordered
+        if None in after[m]
+        for k, km in zip(outs[m], after[m])
+        if km is None
+    )
+    extra = [(g, f) for g, f, _h, why in bad_entries if why == "not composable"]
     tot = missing + extra
     obligations.append(Obligation("totality", not tot, tuple(tot[0]) if tot else ()))
 
-    safe_comp = c.compose.get  # None where totality already failed
-
+    # For each composable pair (f, g), the whole h-axis h in out_arrows(cod g)
+    # is compared at once: h o (g o f) is the column of g o f when g o f ends
+    # where g does, and (h o g) o f is read from f's column keyed by h o g.
+    # A pair whose tuples differ, or that has no such column, is scanned one h
+    # at a time; equal tuples mean every h has both sides and they agree.
     assoc = []
-    ordered = c.sorted_morphisms()
+    absent = object()  # (h o g) o f outside f's column: never equal, so scanned
     for f in ordered:
-        for g in c.out_arrows(c.cod(f)):
-            gf = safe_comp((g, f))
-            for h in c.out_arrows(c.cod(g)):
-                hg = safe_comp((h, g))
-                if gf is None or hg is None:
+        after_f = dict(zip(outs[f], after[f]))
+        for g, gf in after_f.items():
+            if gf is None:
+                continue  # reported under totality
+            if ends[gf][1] == ends[g][1] and after[gf] == tuple(
+                map(after_f.get, after[g], repeat(absent))
+            ):
+                continue
+            for h, hg in zip(outs[g], after[g]):
+                if hg is None:
                     continue  # reported under totality
                 left, right = safe_comp((h, gf)), safe_comp((hg, f))
                 if left != right:
@@ -340,7 +356,7 @@ def validate_functor(f: FunctorVal) -> CheckReport:
     )
 
     respcomp = []
-    for (g, h), gh in sorted(src.compose.items()):
+    for (g, h), gh in src.compose.items():
         if src.cod(h) != src.dom(g):
             continue
         try:
@@ -350,6 +366,7 @@ def validate_functor(f: FunctorVal) -> CheckReport:
             continue
         if lhs != f.morphism_map[gh]:
             respcomp.append((g, h))
+    respcomp.sort()  # by the (g, h) key, which is unique
     obligations.append(
         Obligation("respects_composition", not respcomp, tuple(respcomp[0]) if respcomp else ())
     )

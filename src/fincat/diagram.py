@@ -858,6 +858,38 @@ def _noncommute_keys(ast: DiagramAst) -> frozenset:
     return frozenset(frozenset((nc.left, nc.right)) for nc in ast.noncommutes())
 
 
+@_per_diagram
+def _commute_plan(ast: DiagramAst, layer_id: str) -> tuple:
+    """The parallel path pairs of one layer that must commute, in report order.
+
+    Returns ``(links, pairs)`` over the paths of ``_layer_paths`` (bij arrows
+    walked both ways).  ``links[k]`` is ``(prefix, arrow id, direction)``:
+    path k is its prefix path, -1 for none, followed by one step; the walk
+    lists every prefix before its extensions.  ``pairs`` holds ``(p, q, arrow
+    ids used by p or q, text of p, text of q)`` for every pair of parallel
+    paths p before q that no noncommute declaration exempts, grouped by
+    sorted (start, end).
+    """
+    paths = _layer_paths(ast, layer_id, include_bij=True)
+    index = {(start, steps): k for k, (start, _end, steps) in enumerate(paths)}
+    links = tuple(
+        (index.get((start, steps[:-1]), -1),) + steps[-1] for start, _end, steps in paths
+    )
+    by_ends: dict[tuple, list] = {}
+    for k, (start, end, steps) in enumerate(paths):
+        by_ends.setdefault((start, end), []).append((k, tuple(a for a, _ in steps)))
+    exempt = _noncommute_keys(ast)
+    pairs = []
+    for _ends, group in sorted(by_ends.items()):
+        for i, (p, p_ids) in enumerate(group):
+            for q, q_ids in group[i + 1 :]:
+                if frozenset((p_ids, q_ids)) in exempt:
+                    continue
+                used = frozenset(p_ids + q_ids)
+                pairs.append((p, q, used, ".".join(p_ids), ".".join(q_ids)))
+    return links, tuple(pairs)
+
+
 def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> CheckReport:
     """Everything-commutes check of a fully assigned diagram.
 
@@ -897,41 +929,22 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
     # a mistyped arrow may have no composite; its typing witness is the finding
     mistyped = {arrow_id for arrow_id, _ in typing_bad}
 
-    exempt = _noncommute_keys(ast)
     for layer_id in ast.layers():
         cycle = _hom_cycle(ast, layer_id)
         if cycle:
             raise DiagramError(f"layer {layer_id!r} has a cyclic hom graph: {cycle}")
         cat = model.layers[layer_id]
-        bad: list = []
-        paths = _layer_paths(ast, layer_id, include_bij=True)
-        by_ends: dict[tuple, list] = {}
-        for start, end, steps in paths:
-            if mistyped.isdisjoint(arrow_id for arrow_id, _ in steps):
-                by_ends.setdefault((start, end), []).append(steps)
-        for (start, end), group in sorted(by_ends.items()):
-            for i in range(len(group)):
-                for j in range(i + 1, len(group)):
-                    p, q = group[i], group[j]
-                    key = frozenset(
-                        (tuple(s[0] for s in p), tuple(s[0] for s in q))
-                    )
-                    if key in exempt:
-                        continue
-                    lhs = _path_value(cat, model, assignment, start, p)
-                    rhs = _path_value(cat, model, assignment, start, q)
-                    if lhs != rhs:
-                        bad.append(
-                            (
-                                _steps_text(p),
-                                _steps_text(q),
-                                _value_repr(lhs),
-                                _value_repr(rhs),
-                            )
-                        )
-        obligations.append(
-            Obligation(f"commutes[{layer_id}]", not bad, tuple(bad[0]) if bad else ())
-        )
+        links, pairs = _commute_plan(ast, layer_id)
+        values: list = [None] * len(links)
+        bad: tuple = ()
+        for p, q, used, p_text, q_text in pairs:
+            if mistyped and not mistyped.isdisjoint(used):
+                continue
+            lhs = _path_value(cat, assignment, links, values, p)
+            rhs = _path_value(cat, assignment, links, values, q)
+            if lhs != rhs and not bad:
+                bad = (p_text, q_text, _value_repr(lhs), _value_repr(rhs))
+        obligations.append(Obligation(f"commutes[{layer_id}]", not bad, bad))
 
     bij_bad: list = []
     for a in arrows.values():
@@ -963,20 +976,29 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
     return CheckReport(subject, tuple(obligations))
 
 
-def _path_value(cat, model: Model, assignment: Mapping, start: str, steps: tuple):
-    value = None
-    for arrow_id, direction in steps:
+def _path_value(cat, assignment: Mapping, links: tuple, values: list, k: int):
+    """Value of path k of a commutation plan (see ``_commute_plan``).
+
+    Values are kept in ``values`` (None until computed) and each is composed
+    from its prefix's, so every path of a call is composed once, one step
+    after its prefix, and a missing composite raises where composing the path
+    from its start would.
+    """
+    pending = []
+    while k >= 0 and values[k] is None:
+        pending.append(k)
+        k = links[k][0]
+    value = values[k] if k >= 0 else None
+    for j in reversed(pending):
+        _prefix, arrow_id, direction = links[j]
         bound = assignment[arrow_id]
         if isinstance(bound, tuple):
             step_value = bound[0] if direction == "fwd" else bound[1]
         else:
             step_value = bound
         value = step_value if value is None else _compose_values(cat, step_value, value)
+        values[j] = value
     return value
-
-
-def _steps_text(steps: tuple) -> str:
-    return ".".join(arrow_id for arrow_id, _ in steps)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ force, kept to pin the exact output of the faster code that replaced them:
   and rebuilt both hom-functors for every seed, transformation and element;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
   naturality jointly, over every pair of morphisms (f, k) of both categories;
+* ``path_by_path_commutativity`` is the diagram commutativity check that
+  composed every path from its start, once for each parallel pair it is in;
 * ``rebuilding_yoneda_command`` and ``rebuilding_kan_command`` are the
   ``yoneda`` and ``kan`` commands in which every check builds its own
   hom-functors and Kan extensions through the public functions;
@@ -56,6 +58,16 @@ from fincat.core import (
     NatTransVal,
     Obligation,
     validate_nattrans,
+)
+from fincat.diagram import (
+    Arrow,
+    DiagramError,
+    _compose_values,
+    _hom_cycle,
+    _layer_paths,
+    _mapsto_image,
+    _noncommute_keys,
+    _value_repr,
 )
 from fincat.finset import (
     DEFAULT_ENUM_CAP,
@@ -853,6 +865,133 @@ def all_pairs_naturality(adj) -> tuple:
                 if lhs != rhs:
                     bad_sharp.append((f, k, g, lhs, rhs))
     return bad_flat, bad_sharp
+
+
+# ---------------------------------------------------------------------------
+# Commutativity path by path
+# ---------------------------------------------------------------------------
+
+
+def path_by_path_commutativity(ast, model, assignment) -> CheckReport:
+    """``check_commutativity`` composing every path from its start, once for
+    each pair it is in.  Same obligations, witnesses and errors.
+
+    Every pair of parallel simple paths must compose to equal values,
+    except pairs exempted by a noncommute declaration.  Bijections are
+    walked in both directions and must satisfy the round-trip law, and
+    every mapsto arrow is checked as a definitional equation (functor
+    application of the bound layer-pair functor).  Paths and round trips
+    through an arrow that fails endpoint typing are not composed; the
+    typing obligation reports that arrow.
+    """
+    nodes, arrows = ast.nodes(), ast.arrows()
+    for element in ast.elements().values():
+        if isinstance(element, Arrow) and (
+            element.kind == "mapsto" or element.src in ast.functors()
+        ):
+            continue
+        if element.id not in assignment:
+            raise DiagramError(f"element {element.id!r} has no assigned value")
+
+    obligations: list = []
+
+    typing_bad: list = []
+    for a in arrows.values():
+        if a.kind == "mapsto" or a.src in ast.functors():
+            continue
+        cat = model.layers[nodes[a.src].layer]
+        want = (assignment[a.src], assignment[a.dst])
+        values = assignment[a.id] if a.kind == "bij" else (assignment[a.id],)
+        expected = [want, (want[1], want[0])] if a.kind == "bij" else [want]
+        for value, want_pair in zip(values, expected):
+            if (cat.dom(value), cat.cod(value)) != want_pair:
+                typing_bad.append((a.id, _value_repr(value)))
+    obligations.append(
+        Obligation("endpoint_typing", not typing_bad, tuple(typing_bad[0]) if typing_bad else ())
+    )
+    # a mistyped arrow may have no composite; its typing witness is the finding
+    mistyped = {arrow_id for arrow_id, _ in typing_bad}
+
+    exempt = _noncommute_keys(ast)
+    for layer_id in ast.layers():
+        cycle = _hom_cycle(ast, layer_id)
+        if cycle:
+            raise DiagramError(f"layer {layer_id!r} has a cyclic hom graph: {cycle}")
+        cat = model.layers[layer_id]
+        bad: list = []
+        paths = _layer_paths(ast, layer_id, include_bij=True)
+        by_ends: dict[tuple, list] = {}
+        for start, end, steps in paths:
+            if mistyped.isdisjoint(arrow_id for arrow_id, _ in steps):
+                by_ends.setdefault((start, end), []).append(steps)
+        for (start, end), group in sorted(by_ends.items()):
+            for i in range(len(group)):
+                for j in range(i + 1, len(group)):
+                    p, q = group[i], group[j]
+                    key = frozenset(
+                        (tuple(s[0] for s in p), tuple(s[0] for s in q))
+                    )
+                    if key in exempt:
+                        continue
+                    lhs = _path_value(cat, model, assignment, start, p)
+                    rhs = _path_value(cat, model, assignment, start, q)
+                    if lhs != rhs:
+                        bad.append(
+                            (
+                                _steps_text(p),
+                                _steps_text(q),
+                                _value_repr(lhs),
+                                _value_repr(rhs),
+                            )
+                        )
+        obligations.append(
+            Obligation(f"commutes[{layer_id}]", not bad, tuple(bad[0]) if bad else ())
+        )
+
+    bij_bad: list = []
+    for a in arrows.values():
+        if a.kind != "bij" or a.id in mistyped:
+            continue
+        cat = model.layers[nodes[a.src].layer]
+        fwd, bwd = assignment[a.id]
+        if _compose_values(cat, bwd, fwd) != cat.id_of(assignment[a.src]):
+            bij_bad.append((a.id, "bwd o fwd"))
+        elif _compose_values(cat, fwd, bwd) != cat.id_of(assignment[a.dst]):
+            bij_bad.append((a.id, "fwd o bwd"))
+    obligations.append(
+        Obligation("bij_round_trips", not bij_bad, tuple(bij_bad[0]) if bij_bad else ())
+    )
+
+    mapsto_bad: list = []
+    for a in arrows.values():
+        if a.kind != "mapsto":
+            continue
+        got = _mapsto_image(model, nodes, arrows, a, assignment[a.src])
+        want = assignment[a.dst]
+        if got != want:
+            mapsto_bad.append((a.id, _value_repr(got), _value_repr(want)))
+    obligations.append(
+        Obligation("mapsto_equations", not mapsto_bad, tuple(mapsto_bad[0]) if mapsto_bad else ())
+    )
+
+    subject = f"diagram:{len(nodes)}nodes/{len(arrows)}arrows"
+    return CheckReport(subject, tuple(obligations))
+
+
+def _path_value(cat, model, assignment, start, steps):
+    value = None
+    for arrow_id, direction in steps:
+        bound = assignment[arrow_id]
+        if isinstance(bound, tuple):
+            step_value = bound[0] if direction == "fwd" else bound[1]
+        else:
+            step_value = bound
+        value = step_value if value is None else _compose_values(cat, step_value, value)
+    return value
+
+
+def _steps_text(steps) -> str:
+    return ".".join(arrow_id for arrow_id, _ in steps)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from fincat.cli import (
     CORPUS_ENV,
     EXIT_CAP,
     EXIT_CHECK_FAILED,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
@@ -138,6 +139,39 @@ def test_cap_exhaustion_exits_three(fix):
     )
     assert code == EXIT_CAP
     assert text.startswith("cap exceeded:")
+
+
+def test_an_unexpected_exception_is_an_internal_error(fix, monkeypatch):
+    def broken(cfg, out):
+        raise KeyError("lost")
+
+    help_text, _handler, add_arguments = cli._SUBCOMMANDS["check-cat"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "check-cat", (help_text, broken, add_arguments))
+    assert _run("check-cat", fix("kite.fincat")) == (
+        EXIT_INTERNAL,
+        "internal error: KeyError: 'lost'\n",
+    )
+
+
+def test_a_subject_reduction_violation_is_an_internal_error(fix, monkeypatch):
+    import fincat.terms
+
+    ill_typed = fincat.terms.Lam("x", fincat.terms.TyAtom("A"), fincat.terms.Var("x"))
+    monkeypatch.setattr(fincat.terms, "one_step_reductions", lambda t, s: [ill_typed])
+    code, text = _run("reduce", "2 + 3", "--sig", fix("arith.sig"))
+    assert code == EXIT_INTERNAL
+    assert text.startswith("internal error: RuntimeError: subject reduction violated: ")
+    assert text.count("\n") == 1
+
+
+def test_a_broken_pipe_is_not_an_internal_error(fix, monkeypatch):
+    def closed(cfg, out):
+        raise BrokenPipeError()
+
+    help_text, _handler, add_arguments = cli._SUBCOMMANDS["check-cat"]
+    monkeypatch.setitem(cli._SUBCOMMANDS, "check-cat", (help_text, closed, add_arguments))
+    with pytest.raises(BrokenPipeError):
+        run(["check-cat", fix("kite.fincat")], out=io.StringIO())
 
 
 def test_help_is_written_to_out_and_exits_zero(monkeypatch):

@@ -1,0 +1,295 @@
+"""``check_commutativity`` against composing every path from its start.
+
+The check walks a per-diagram plan and composes each path once, from its
+prefix; ``path_by_path_commutativity`` in ``tests/oracles.py`` composes every
+path of every parallel pair from its start.  Both must give equal reports, or
+raise the same ``DiagramError``, on every call that ``evaluate_quantified``
+makes for the bundled diagrams over the bundled and generated models, and on
+seeded assignments of a square with a bijection whose binds are mistyped, do
+not commute, fail the round trip, are exempted by ``noncommute`` or need a
+composite the table lacks.  Evaluation traces must be equal, too.
+"""
+
+import random
+
+import pytest
+from oracles import path_by_path_commutativity
+
+from fincat import diagram
+from fincat.core import FinCat, identity_functor, preorder_from_covers, validate_category
+from fincat.diagram import (
+    DiagramError,
+    Model,
+    build_model,
+    evaluate_quantified,
+    expand_annotation,
+    extract_stages,
+    parse_diagram,
+)
+from fincat.files import ModelSpec, load_category, load_functor, load_model_spec
+from fincat.finset import CapExceededError
+
+real_check = diagram.check_commutativity
+
+
+def _load(fix, name):
+    with open(fix(name), encoding="utf-8") as handle:
+        return parse_diagram(handle.read())
+
+
+def _outcome(check, ast, model, assignment):
+    try:
+        return check(ast, model, assignment)
+    except DiagramError as exc:
+        return f"DiagramError: {exc}"
+
+
+def _evaluation(ast, model):
+    try:
+        value, trace = evaluate_quantified(ast, model)
+    except (DiagramError, CapExceededError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return value, trace
+
+
+def _evaluate_both(monkeypatch, ast, model) -> int:
+    """Evaluate with the oracle, then with the plan while every call is also
+    answered by the oracle; returns the number of compared calls."""
+    with monkeypatch.context() as patched:
+        patched.setattr(diagram, "check_commutativity", path_by_path_commutativity)
+        want = _evaluation(ast, model)
+    calls = []
+
+    def both(sub, model, assignment):
+        assert _outcome(real_check, sub, model, assignment) == _outcome(
+            path_by_path_commutativity, sub, model, assignment
+        )
+        calls.append(sub)
+        return real_check(sub, model, assignment)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(diagram, "check_commutativity", both)
+        assert _evaluation(ast, model) == want
+    return len(calls)
+
+
+def _chain(n):
+    objects = [f"c{i}" for i in range(n)]
+    return preorder_from_covers(objects, list(zip(objects, objects[1:])))
+
+
+def _grid(rows, cols):
+    cells = [f"g{r}{c}" for r in range(rows) for c in range(cols)]
+    covers = [(f"g{r}{c}", f"g{r}{c + 1}") for r in range(rows) for c in range(cols - 1)]
+    covers += [(f"g{r}{c}", f"g{r + 1}{c}") for r in range(rows - 1) for c in range(cols)]
+    return preorder_from_covers(cells, covers)
+
+
+# chain2 x {1, e} with e . e = e: two objects and two parallel arrows u, v
+# (v = u with e), so paths can disagree and binds can be mistyped
+_DOUBLED = FinCat(
+    ("0", "1"),
+    {
+        "i0": ("0", "0"),
+        "e0": ("0", "0"),
+        "i1": ("1", "1"),
+        "e1": ("1", "1"),
+        "u": ("0", "1"),
+        "v": ("0", "1"),
+    },
+    {"0": "i0", "1": "i1"},
+    {
+        ("i0", "i0"): "i0", ("i0", "e0"): "e0", ("e0", "i0"): "e0", ("e0", "e0"): "e0",
+        ("i1", "i1"): "i1", ("i1", "e1"): "e1", ("e1", "i1"): "e1", ("e1", "e1"): "e1",
+        ("u", "i0"): "u", ("u", "e0"): "v", ("v", "i0"): "v", ("v", "e0"): "v",
+        ("i1", "u"): "u", ("e1", "u"): "v", ("i1", "v"): "v", ("e1", "v"): "v",
+    },
+)
+
+_EQUALIZER_LAYERS = {
+    "chain4": _chain(4),
+    "chain6": _chain(6),
+    "grid2x2": _grid(2, 2),
+    "grid2x3": _grid(2, 3),
+    "doubled": _DOUBLED,
+}
+
+
+def test_the_doubled_chain_is_a_category():
+    assert validate_category(_DOUBLED).passed
+
+
+@pytest.mark.parametrize("name", ["equalizer_chain2.model", "equalizer_monoid.model"])
+def test_equalizer_over_the_bundled_models(fix, monkeypatch, name):
+    ast = _load(fix, "equalizer.diag")
+    model = build_model(ast, load_model_spec(fix("models", name)))
+    assert _evaluate_both(monkeypatch, ast, model) > 1
+
+
+@pytest.mark.parametrize("name", sorted(_EQUALIZER_LAYERS))
+def test_equalizer_over_generated_models(fix, monkeypatch, name):
+    ast = _load(fix, "equalizer.diag")
+    spec = ModelSpec(name, {"L": _EQUALIZER_LAYERS[name]}, {}, {}, {})
+    assert _evaluate_both(monkeypatch, ast, build_model(ast, spec)) > 1
+
+
+def _galois(fix, binds):
+    """The Galois model's layers and functor with the given binds."""
+    layers = {"LA": load_category(fix("chain2.fincat")), "LB": load_category(fix("chain3.fincat"))}
+    functors = {("LB", "LA"): load_functor(fix("trunc_q_p.fun"))}
+    return ModelSpec("galois", layers, functors, binds, {})
+
+
+def _universal_arrow_variants(fix):
+    ua = _load(fix, "universal_arrow.diag")
+    macro = _load(fix, "univ_macro.diag")
+    return {"ua": ua, "macro": macro, "expanded": expand_annotation(macro, "univ")}
+
+
+@pytest.mark.parametrize("variant", ["ua", "macro", "expanded"])
+def test_universal_arrow_over_every_stage_zero_bind(fix, monkeypatch, variant):
+    """Every (A, B, eta) of the Galois model, typed or not."""
+    ast = _universal_arrow_variants(fix)[variant]
+    la, lb = load_category(fix("chain2.fincat")), load_category(fix("chain3.fincat"))
+    calls = 0
+    for a in la.objects:
+        for b in lb.objects:
+            for eta in sorted(la.morphisms):
+                spec = _galois(fix, {"A": a, "B": b, "eta": eta})
+                calls += _evaluate_both(monkeypatch, ast, build_model(ast, spec))
+    assert calls >= 2 * 3 * 3  # at least stage 0 for every bind
+
+
+@pytest.mark.parametrize("layer", ["chain4", "grid2x3", "doubled"])
+def test_universal_arrow_over_generated_models(fix, monkeypatch, layer):
+    """R is the identity of a generated layer; every (A, B, eta) is bound."""
+    ast = _load(fix, "universal_arrow.diag")
+    cat = _EQUALIZER_LAYERS[layer]
+    functor = identity_functor(cat)
+    calls = 0
+    for a in cat.objects:
+        for b in cat.objects:
+            for eta in sorted(cat.morphisms)[:4]:
+                binds = {"A": a, "B": b, "eta": eta}
+                spec = ModelSpec(layer, {"LA": cat, "LB": cat}, {("LB", "LA"): functor}, binds, {})
+                calls += _evaluate_both(monkeypatch, ast, build_model(ast, spec))
+    assert calls > len(cat.objects) ** 2
+
+
+def test_y0_stage_diagrams(fix, monkeypatch):
+    ast = _load(fix, "y0.diag")
+    la, lb = load_category(fix("chain2.fincat")), load_category(fix("chain3.fincat"))
+    seen = 0
+    for c in lb.objects:
+        for eta in sorted(la.morphisms):
+            model = build_model(ast, _galois(fix, {"A": "0", "C": c, "eta": eta}))
+            # the arrow between functor declarations stops evaluation ...
+            _evaluate_both(monkeypatch, ast, model)
+            # ... so every stage diagram is also checked directly
+            for rc in la.objects:
+                assignment = {"A": "0", "C": c, "RC": rc, "eta": eta}
+                for stage in extract_stages(ast):
+                    want = _outcome(path_by_path_commutativity, stage.diagram, model, assignment)
+                    assert _outcome(real_check, stage.diagram, model, assignment) == want
+                    seen += 1
+    assert seen == 3 * 3 * 2
+
+
+SQUARE = """\
+layer L in C
+node A : L "A"
+node B : L "B"
+node C : L "C"
+node D : L "D"
+arrow f : A -> B "f"
+arrow g : B -> D "g"
+arrow h : A -> C "h"
+arrow k : C -> D "k"
+arrow d : A -> D "d"
+arrow i : B <-> C "i"
+node P : L "P"
+node Q : L "Q"
+arrow p : P -> Q "p"
+arrow q : P -> Q "q"
+noncommute p ; q
+"""
+
+
+_SQUARE_HOMS = (
+    ("f", "A", "B"),
+    ("g", "B", "D"),
+    ("h", "A", "C"),
+    ("k", "C", "D"),
+    ("d", "A", "D"),
+    ("p", "P", "Q"),
+    ("q", "P", "Q"),
+)
+
+
+def _square_assignments(cat, rng, count):
+    objects, morphisms = list(cat.objects), sorted(cat.morphisms)
+
+    def pick(src, dst):
+        typed = cat.hom(src, dst)
+        return rng.choice(typed) if typed and rng.random() < 0.9 else rng.choice(morphisms)
+
+    for _ in range(count):
+        nodes = {n: rng.choice(objects) for n in "ABCDPQ"}
+        arrows = {a: pick(nodes[a_src], nodes[a_dst]) for a, a_src, a_dst in _SQUARE_HOMS}
+        arrows["i"] = (pick(nodes["B"], nodes["C"]), pick(nodes["C"], nodes["B"]))
+        yield {**nodes, **arrows}
+
+
+def test_square_over_seeded_assignments():
+    ast = parse_diagram(SQUARE)
+    model = Model({"L": _DOUBLED}, {}, {})
+    failed = set()
+    for assignment in _square_assignments(_DOUBLED, random.Random(14), 1000):
+        report = real_check(ast, model, assignment)
+        assert report == path_by_path_commutativity(ast, model, assignment)
+        failed.update(o.name for o in report.failures())
+    assert failed == {"endpoint_typing", "commutes[L]", "bij_round_trips"}
+
+
+def test_square_named_cases():
+    ast = parse_diagram(SQUARE)
+    model = Model({"L": _DOUBLED}, {}, {})
+    zero = {n: "0" for n in "ABCDPQ"}
+    lawful = {**zero, **{a: "i0" for a, _, _ in _SQUARE_HOMS}, "i": ("i0", "i0")}
+    cases = {
+        "lawful": lawful,
+        # p and q disagree, and noncommute exempts that pair
+        "exempted": {**lawful, "Q": "1", "p": "u", "q": "v"},
+        "non-commuting": {**lawful, "k": "e0"},
+        "round trip": {**lawful, **{a: "e0" for a in "fghkd"}, "i": ("e0", "e0")},
+        # d : 0 -> 0 is not an arrow A -> D, and the paths that avoid it commute
+        "mistyped": {**lawful, "D": "1", "g": "u", "k": "u", "d": "i0"},
+    }
+    failures = {}
+    for name, assignment in cases.items():
+        report = real_check(ast, model, assignment)
+        assert report == path_by_path_commutativity(ast, model, assignment), name
+        failures[name] = [o.name for o in report.failures()]
+    assert failures == {
+        "lawful": [],
+        "exempted": [],
+        "non-commuting": ["commutes[L]"],
+        "round trip": ["bij_round_trips"],
+        "mistyped": ["endpoint_typing"],
+    }
+
+
+def test_a_missing_composite_raises_the_same_error():
+    ast = parse_diagram(SQUARE)
+    rng = random.Random(15)
+    for dropped in sorted(_DOUBLED.compose):
+        compose = {key: value for key, value in _DOUBLED.compose.items() if key != dropped}
+        cat = FinCat(_DOUBLED.objects, dict(_DOUBLED.morphisms), dict(_DOUBLED.identity), compose)
+        model = Model({"L": cat}, {}, {})
+        raised = set()
+        for assignment in _square_assignments(cat, rng, 150):
+            want = _outcome(path_by_path_commutativity, ast, model, assignment)
+            assert _outcome(real_check, ast, model, assignment) == want
+            if isinstance(want, str):
+                raised.add(want)
+        assert f"DiagramError: composition table has no entry for {dropped!r}" in raised

@@ -1,10 +1,11 @@
 """The indexed table layer of FinCat against index-free oracles.
 
-``validate_category`` walks out-arrow and in-arrow indexes and
-``preorder_from_covers`` closes covers by Warshall; here both are compared
+``validate_category`` compares one column of composites per composable pair
+and ``preorder_from_covers`` closes covers by Warshall; here both are compared
 with the triple loop and the pairwise fixpoint of ``tests/oracles.py`` on the
-corpus, on generated chains and grids, on seeded one-entry mutations and on
-random cover lists.
+corpus, on generated chains and grids, on seeded one-entry mutations (among
+them the families whose columns differ where no triple fails, and typed wrong
+composites in hom-sets of two or more morphisms) and on random cover lists.
 """
 
 import os
@@ -90,18 +91,173 @@ def test_reports_match_the_triple_loop_on_one_entry_mutations(fix):
     assert failing == {"coherence", "totality", "associativity", "left_identity", "right_identity"}
 
 
+def _times_idempotent(cat: FinCat) -> FinCat:
+    """cat x {1, e} with e . e = e: every hom-set of cat doubles, so a
+    composite can be retargeted to a wrong morphism with the right ends."""
+
+    def name(m, t):
+        return m if t == "1" else f"{m}*e"
+
+    morphisms = {name(m, t): ends for m, ends in cat.morphisms.items() for t in ("1", "e")}
+    compose = {
+        (name(g, s), name(f, t)): name(gf, "1" if s == t == "1" else "e")
+        for (g, f), gf in cat.compose.items()
+        for s in ("1", "e")
+        for t in ("1", "e")
+    }
+    return FinCat(cat.objects, morphisms, dict(cat.identity), compose)
+
+
+def _covers(cat: FinCat) -> list:
+    """Non-identity morphisms that are no composite of two non-identities."""
+    ids = set(cat.identity.values())
+    made = {h for (g, f), h in cat.compose.items() if g not in ids and f not in ids}
+    return sorted(m for m in cat.morphisms if m not in ids and m not in made)
+
+
+def _with_compose(cat: FinCat, compose: dict) -> FinCat:
+    return FinCat(cat.objects, dict(cat.morphisms), dict(cat.identity), compose)
+
+
+def _dropped_between_covers(cat: FinCat, rng: random.Random, count: int):
+    """Drop h o g for covers h and g.  The pair (f, g) = (id, g) then
+    compares h-axes that differ at h, but h o g = k o m only with k or m an
+    identity, so no associativity triple fails: only totality does."""
+    covers = set(_covers(cat))
+    keys = [(h, g) for (h, g) in sorted(cat.compose) if h in covers and g in covers]
+    for key in rng.sample(keys, min(count, len(keys))):
+        compose = dict(cat.compose)
+        del compose[key]
+        yield _with_compose(cat, compose)
+
+
+def _wrong_codomain(cat: FinCat, rng: random.Random, count: int):
+    """Retarget some g o f to a morphism from dom f that ends elsewhere."""
+    ends = cat.morphisms
+    keys = []
+    for g, f in sorted(cat.compose):
+        others = sorted(m for m in ends if ends[m][0] == ends[f][0] and ends[m][1] != ends[g][1])
+        if others:
+            keys.append(((g, f), others))
+    for key, others in rng.sample(keys, min(count, len(keys))):
+        compose = dict(cat.compose)
+        compose[key] = rng.choice(others)
+        yield _with_compose(cat, compose)
+
+
+def _typed_wrong(cat: FinCat, rng: random.Random, count: int):
+    """Retarget some composite to another morphism of the same hom-set."""
+    keys = []
+    for key, h in sorted(cat.compose.items()):
+        others = [m for m in cat.hom(*cat.morphisms[h]) if m != h]
+        if others:
+            keys.append((key, others))
+    for key, others in rng.sample(keys, min(count, len(keys))):
+        compose = dict(cat.compose)
+        compose[key] = rng.choice(others)
+        yield _with_compose(cat, compose)
+
+
+def _thin_subjects(fix):
+    return [_chain(6), _grid(3, 3)] + [load_category(fix(n)) for n in ("kite.fincat", "b6.fincat")]
+
+
+def test_a_dropped_composite_of_two_covers_fails_only_totality(fix):
+    rng = random.Random(14)
+    subjects = _thin_subjects(fix)
+    for cat in subjects:
+        mutants = list(_dropped_between_covers(cat, rng, count=6))
+        assert mutants
+        for mutant in mutants:
+            report = validate_category(mutant)
+            assert report == triple_loop_validate(mutant)
+            assert [o.name for o in report.failures()] == ["totality"]
+
+
+def test_a_composite_with_a_wrong_codomain_matches_the_triple_loop(fix):
+    rng = random.Random(15)
+    subjects = _thin_subjects(fix)
+    for cat in subjects:
+        mutants = list(_wrong_codomain(cat, rng, count=6))
+        assert len(mutants) == 6
+        for mutant in mutants:
+            report = validate_category(mutant)
+            assert report == triple_loop_validate(mutant)
+            assert not report.obligation("coherence").passed
+
+
+def test_a_typed_wrong_composite_matches_the_triple_loop(fix):
+    rng = random.Random(16)
+    monoid = load_category(fix("monoid_e.fincat"))
+    b6 = load_category(fix("b6.fincat"))
+    subjects = [monoid, _times_idempotent(b6), _times_idempotent(_chain(5))]
+    failing = set()
+    for cat in subjects:
+        assert validate_category(cat).passed
+        for mutant in _typed_wrong(cat, rng, count=12):
+            report = validate_category(mutant)
+            assert report == triple_loop_validate(mutant)
+            assert report.obligation("coherence").passed
+            failing.update(o.name for o in report.failures())
+    assert "associativity" in failing
+
+
+def test_an_incoherent_entry_behind_a_missing_composite_is_found():
+    """h o (g o f) is missing and h o g is retargeted to x, which does not
+    start where g does, yet the table has an incoherent entry x o f = x.
+    The column of f has no key x, so the h-axes must differ there and the
+    scan must report (h, g, f, None, x)."""
+    chain = _chain(4)
+    f, g, h, x = "c00->c01", "c01->c02", "c02->c03", "c00->c03"
+    compose = dict(chain.compose)
+    del compose[(h, "c00->c02")]
+    compose[(h, g)] = x
+    compose[(x, f)] = x
+    mutant = _with_compose(chain, compose)
+    report = validate_category(mutant)
+    assert report == triple_loop_validate(mutant)
+    assert report.obligation("associativity").witness == (h, g, f, None, x)
+
+
+class _CountingTable(dict):
+    """A composition table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def test_associativity_looks_up_each_composable_pair_once():
+    chain = _chain(20)
+    compose = _CountingTable(chain.compose)
+    counted = _with_compose(chain, compose)
+    assert validate_category(counted).passed
+    pairs = len(chain.compose)  # a lawful table holds every composable pair
+    triples = sum(len(chain.out_arrows(chain.cod(g))) for g, _f in chain.compose)
+    assert (pairs, triples) == (1540, 8855)
+    # one lookup per composable pair for the columns, and the two identity
+    # laws look up two composites per morphism
+    assert compose.lookups == pairs + 2 * len(chain.morphisms)
+
+
 def test_index_answers_like_a_scan(fix):
     subjects = list(_corpus_categories(fix).values()) + [_grid(3, 4)]
     for cat in subjects:
         ends = cat.morphisms
         assert cat.sorted_morphisms() == sorted(ends)
-        assert list(cat.composable_pairs()) == [
-            (g, f) for g in sorted(ends) for f in sorted(ends) if ends[f][1] == ends[g][0]
-        ]
         for x in cat.objects:
             assert cat.has_object(x)
             assert list(cat.out_arrows(x)) == sorted(m for m in ends if ends[m][0] == x)
-            assert list(cat.in_arrows(x)) == sorted(m for m in ends if ends[m][1] == x)
             for y in cat.objects:
                 assert cat.hom(x, y) == sorted(m for m in ends if ends[m] == (x, y))
         assert not cat.has_object("no such object")
