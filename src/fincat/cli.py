@@ -239,34 +239,19 @@ def _cmd_infer(cfg: RunConfig, out) -> int:
     depth = cfg.options["depth"]
     started = time.monotonic()
     # A type nested by arrows costs the parser one frame per arrow, so it can
-    # parse and still overflow the stack in the search or the printers.  So
-    # can a flat input when the search recurses once per level of --depth.
+    # parse and still overflow the stack in the search or the printers.
+    # Neither recurses once per level of --depth.
     try:
         terms = infer_inhabitants(ctx, goal, depth)
         elapsed = time.monotonic() - started
-        header = _infer_header(ctx, goal)
+        header = f"goal: {print_type(goal)}   [{curry_howard_translate(goal, ctx)}]"
     except RecursionError:
-        raise _overflow_cause(ctx, goal, depth) from None
+        raise TermParseError("input nested too deeply") from None
     _emit(out, header)
     _emit(out, f"inhabitants (depth <= {depth}): {len(terms)}  [{elapsed:.3f}s]")
     for term in terms:
         _emit(out, canonical_print(term))
     return EXIT_OK
-
-
-def _infer_header(ctx, goal) -> str:
-    return f"goal: {print_type(goal)}   [{curry_howard_translate(goal, ctx)}]"
-
-
-def _overflow_cause(ctx, goal, depth: int) -> Exception:
-    """The error for an ``infer`` that overflowed the stack: the input's
-    nesting when a depth-1 search on it overflows too, else ``--depth``."""
-    try:
-        infer_inhabitants(ctx, goal, 1)
-        _infer_header(ctx, goal)
-    except RecursionError:
-        return TermParseError("input nested too deeply")
-    return _UsageError(f"--depth {depth} is too deep: the inhabitant search overflows the stack")
 
 
 def _cmd_reduce(cfg: RunConfig, out) -> int:
@@ -570,13 +555,19 @@ def _build_parser(names) -> argparse.ArgumentParser:
     return parser
 
 
+# subcommand name, or None for all of them -> its parser, built on first use
+_PARSERS: dict = {}
+
+
 def _parser_for(argv) -> argparse.ArgumentParser:
     """Only the named subcommand's parser when ``argv`` starts with a known
     name; every subcommand otherwise, so top-level help and the
-    invalid-choice message list them all."""
-    if argv and argv[0] in _SUBCOMMANDS:
-        return _build_parser(argv[:1])
-    return _build_parser(_SUBCOMMANDS)
+    invalid-choice message list them all.  Each is built once per process."""
+    name = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    parser = _PARSERS.get(name)
+    if parser is None:
+        parser = _PARSERS[name] = _build_parser(_SUBCOMMANDS if name is None else (name,))
+    return parser
 
 
 _DEFAULT_FMT = {"context": "context", "stages": "report", "reduce": "report"}

@@ -282,13 +282,12 @@ def preorder_from_covers(objects: Iterable[str], covers: Iterable[tuple]) -> Fin
             if a != b and a in above[b]:
                 raise CycleError(f"not antisymmetric: {a!r} <= {b!r} <= {a!r}")
 
-    def name(a, b):
-        return f"id_{a}" if a == b else f"{a}->{b}"
-
-    morphisms = {name(a, b): (a, b) for a in objs for b in succ[a]}
+    # each morphism is named once: names[a][b] is the one a -> b
+    names = {a: {b: f"id_{a}" if a == b else f"{a}->{b}" for b in succ[a]} for a in objs}
+    morphisms = {ab: (a, b) for a in objs for b, ab in names[a].items()}
     identity = {x: f"id_{x}" for x in objs}
     compose = {
-        (name(b, c), name(a, b)): name(a, c) for a in objs for b in succ[a] for c in succ[b]
+        (bc, ab): names[a][c] for a in objs for b, ab in names[a].items() for c, bc in names[b].items()
     }
     return FinCat(objs, morphisms, identity, compose)
 

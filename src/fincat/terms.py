@@ -25,7 +25,7 @@ import functools
 import re
 from collections import deque
 from dataclasses import dataclass, fields
-from typing import AbstractSet, Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 __all__ = [
     "Ty",
@@ -72,6 +72,7 @@ DEFAULT_NODE_CAP = 10_000
 
 _RESERVED_WORDS = frozenset({"p1", "p2", "rule"})
 _NUMERAL_RE = re.compile(r"[0-9]+\Z")
+_POSITIONAL_RE = re.compile(r"x[1-9][0-9]*\Z")  # what _positional_name prints unprimed
 
 
 class TermError(Exception):
@@ -899,12 +900,11 @@ def infer_inhabitants(
     introduction forms and, like atomic goals, by neutral terms built from
     context hypotheses via application and projection.
 
-    Results are deduplicated by term structure (frozen-value equality),
-    which here is alpha-equivalence: every binder is named by
-    ``_fresh_binder`` from the length of the context it extends, so two
-    alpha-equivalent results carry the same binder names.  Each result is
-    printed once, for the :func:`term_sort_key` order; its text stays
-    cached for :func:`canonical_print`.
+    Every binder is named by ``_fresh_binder`` from the length of the
+    context it extends, so alpha-equivalent results are equal terms, and
+    the search builds no term twice (see :class:`_Search`).  Each result is
+    printed from its children's text for the :func:`term_sort_key` order;
+    that text stays cached for :func:`canonical_print`.
     """
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
@@ -912,64 +912,252 @@ def infer_inhabitants(
     names = [name for name, _ in ctx_t]
     if len(set(names)) != len(names):
         raise ValueError(f"context has duplicate hypothesis names: {names}")
-    return sorted(_inhabitants(ctx_t, goal, depth, {}), key=term_sort_key)
+    # A free name spelled like a positional binder name can prime the
+    # binders (see _canonical), so then the search marks every name in its
+    # text and _unmark names them once the whole result is known.
+    primed = any(_POSITIONAL_RE.match(name) for name in names)
+    found = _Search(ctx_t, primed).run(goal, depth)
+    for term, text, lams in found:
+        object.__setattr__(term, "_printed", (_unmark(text, names) if primed else text, lams))
+    return sorted((entry[0] for entry in found), key=term_sort_key)
 
 
-def _inhabitants(
-    ctx: tuple[tuple[str, Ty], ...], goal: Ty, depth: int, memo: dict
-) -> tuple[Tm, ...]:
-    key = ("all", ctx, goal, depth)
-    if key in memo:
-        return memo[key]
-    out = dict.fromkeys(_neutrals(ctx, goal, depth, memo))
-    if depth >= 2 and isinstance(goal, TyArrow):
-        var = _fresh_binder(ctx)
-        inner = ctx + ((var, goal.src),)
-        for body in _inhabitants(inner, goal.dst, depth - 1, memo):
-            out[Lam(var, goal.src, body)] = None
-    if depth >= 2 and isinstance(goal, TyProd):
-        lefts = _inhabitants(ctx, goal.left, depth - 1, memo)
-        rights = _inhabitants(ctx, goal.right, depth - 1, memo)
-        for a in lefts:
-            for b in rights:
-                out[Pair(a, b)] = None
-    memo[key] = tuple(out)
-    return memo[key]
+_BINDER_MARK_RE = re.compile("\x00([0-9]+)\x00")
 
 
-def _neutrals(
-    ctx: tuple[tuple[str, Ty], ...], goal: Ty, depth: int, memo: dict
-) -> tuple[Tm, ...]:
-    key = ("neutral", ctx, goal, depth)
-    if key in memo:
-        return memo[key]
-    out = dict.fromkeys(Var(name) for name, ty in ctx if ty == goal)
-    if depth >= 2:
-        for ty in _neutral_type_closure(ctx, memo):
-            if isinstance(ty, TyArrow) and ty.dst == goal:
-                args = _inhabitants(ctx, ty.src, depth - 1, memo)
-                for fn in _neutrals(ctx, ty, depth - 1, memo):
-                    for arg in args:
-                        out[App(fn, arg)] = None
-            if isinstance(ty, TyProd) and ty.left == goal:
-                for body in _neutrals(ctx, ty, depth - 1, memo):
-                    out[Proj(1, body)] = None
-            if isinstance(ty, TyProd) and ty.right == goal:
-                for body in _neutrals(ctx, ty, depth - 1, memo):
-                    out[Proj(2, body)] = None
-    memo[key] = tuple(out)
-    return memo[key]
+def _unmark(text: str, names: Iterable[str]) -> str:
+    """The canonical text of a result printed with ``\\0<d>\\0`` for the
+    binder at nesting depth d and ``\\1<name>\\1`` for each of the
+    hypotheses ``names``: the binders are primed past the free names when
+    one is a binder's name."""
+    free = {name for name in names if f"\x01{name}\x01" in text}
+    depths = {int(d) for d in _BINDER_MARK_RE.findall(text)}
+    avoid = free if any(f"x{d}" in free for d in depths) else frozenset()
+    for d in depths:
+        text = text.replace(f"\x00{d}\x00", _positional_name(d, avoid))
+    return text.replace("\x01", "")
 
 
-def _neutral_type_closure(
-    ctx: tuple[tuple[str, Ty], ...], memo: dict
-) -> tuple[Ty, ...]:
-    """Every type a neutral term over ``ctx`` can have, sorted for determinism."""
-    key = ("closure", ctx)
-    if key in memo:
-        return memo[key]
+class _Slot:
+    """The terms found for one (context, goal) pair, all inhabitants or only
+    the neutral ones, in height order: ``terms[ends[h - 1]:ends[h]]`` have
+    height exactly ``h``.  Each term is kept as the entry ``(node, text,
+    λ count)``."""
+
+    __slots__ = ("budget", "terms", "ends", "parts")
+
+    def __init__(self) -> None:
+        self.budget = 0  # the greatest height asked of this pair
+        self.terms: list[tuple] = []
+        self.ends = [0]
+        self.parts: tuple = ()
+
+    def level(self, height: int) -> list[tuple]:
+        return self.terms[self.ends[height - 1] : self.ends[height]]
+
+    def upto(self, height: int) -> list[tuple]:
+        return self.terms[: self.ends[height]]
+
+
+class _Search:
+    """One call's inhabitant search, bottom-up by height, with no recursion.
+
+    :meth:`run` first plans: from the goal's slot down, it finds every
+    (context, goal) slot and the greatest height asked of it.  It then
+    fills: for ``h = 1, 2, …``, every slot gets its terms of exact height
+    ``h``, each combined from a child of height ``h - 1`` and children of
+    height at most ``h - 1``.  So no term is built at two heights.  Nodes
+    are interned for the call, so a subterm met in several contexts is one
+    object, hashed once when it is built.
+
+    The binder that extends the context to length ``n`` prints as
+    ``x<n - len(ctx)>``, its canonical name in any result unless a free
+    name primes it, so a term's text is its children's texts joined.  With
+    ``marked``, binders and hypotheses print as marks for :func:`_unmark`.
+    """
+
+    def __init__(self, ctx: tuple[tuple[str, Ty], ...], marked: bool):
+        self.base = len(ctx)
+        self.root = ctx
+        self.binder = "\x00{}\x00" if marked else "x{}"
+        texts = {name: f"\x01{name}\x01" if marked else name for name, _ in ctx}
+        # context -> (neutral types sorted by print, each variable's text)
+        self.contexts = {ctx: (_neutral_types(ty for _, ty in ctx), texts)}
+        self.slots: dict[tuple, _Slot] = {}
+        self.neutral: list[_Slot] = []
+        self.every: list[_Slot] = []
+        self.interned: dict[tuple, tuple] = {}
+
+    def run(self, goal: Ty, depth: int) -> list[tuple]:
+        """Every inhabitant of ``goal`` of height at most ``depth``, as entries."""
+        queue: list[tuple] = []
+        root = self._need(True, self.root, goal, depth, queue)
+        # Slots are planned from ``depth`` down.  A slot queued for the next
+        # pass may be raised to this pass's budget by a neutral twin, and is
+        # then planned here; its stale entry below is skipped, so each slot
+        # is planned once, at its greatest height.
+        for budget in range(depth, 0, -1):
+            below: list[tuple] = []
+            for every, ctx, ty, slot in queue:  # the queue grows by neutral twins
+                if slot.budget != budget:
+                    continue
+                if every:
+                    slot.parts = self._plan_every(ctx, ty, budget, queue, below)
+                else:
+                    slot.parts = self._plan_neutral(ctx, ty, budget, below)
+            queue = below
+        for height in range(1, depth + 1):
+            # neutral slots first: an "every" slot takes its neutral twin's level
+            for slot in self.neutral:
+                if slot.budget >= height:
+                    slot.terms += self._neutral_level(slot.parts, height)
+                    slot.ends.append(len(slot.terms))
+            for slot in self.every:
+                if slot.budget >= height:
+                    slot.terms += self._every_level(slot.parts, height)
+                    slot.ends.append(len(slot.terms))
+        for slot in self.slots.values():
+            slot.parts = ()  # the slots refer to each other in cycles
+        return root.terms
+
+    # -- planning --------------------------------------------------------
+
+    def _need(self, every: bool, ctx: tuple, goal: Ty, budget: int, queue: list) -> _Slot:
+        key = (every, ctx, goal)
+        slot = self.slots.get(key)
+        if slot is None:
+            slot = self.slots[key] = _Slot()
+            (self.every if every else self.neutral).append(slot)
+        if slot.budget < budget:
+            slot.budget = budget
+            queue.append((every, ctx, goal, slot))
+        return slot
+
+    def _plan_every(self, ctx: tuple, goal: Ty, budget: int, queue: list, below: list) -> tuple:
+        neutral = self._need(False, ctx, goal, budget, queue)
+        lam = pair = None
+        if budget >= 2 and isinstance(goal, TyArrow):
+            var = _fresh_binder(ctx)
+            inner = ctx + ((var, goal.src),)
+            if inner not in self.contexts:
+                closure, texts = self.contexts[ctx]
+                texts = {**texts, var: self.binder.format(len(inner) - self.base)}
+                self.contexts[inner] = (_neutral_types((*closure, goal.src)), texts)
+            prefix = f"\\{self.contexts[inner][1][var]}:{print_type(goal.src)}. "
+            lam = (var, goal.src, prefix, self._need(True, inner, goal.dst, budget - 1, below))
+        if budget >= 2 and isinstance(goal, TyProd):
+            pair = (
+                self._need(True, ctx, goal.left, budget - 1, below),
+                self._need(True, ctx, goal.right, budget - 1, below),
+            )
+        return neutral, lam, pair
+
+    def _plan_neutral(self, ctx: tuple, goal: Ty, budget: int, below: list) -> tuple:
+        closure, texts = self.contexts[ctx]
+        heads = [self._var(name, texts[name]) for name, ty in ctx if ty == goal]
+        apps, projs = [], []
+        if budget >= 2:
+            for ty in closure:
+                if isinstance(ty, TyArrow) and ty.dst == goal:
+                    fns = self._need(False, ctx, ty, budget - 1, below)
+                    apps.append((fns, self._need(True, ctx, ty.src, budget - 1, below)))
+                if isinstance(ty, TyProd) and ty.left == goal:
+                    projs.append((1, self._need(False, ctx, ty, budget - 1, below)))
+                if isinstance(ty, TyProd) and ty.right == goal:
+                    projs.append((2, self._need(False, ctx, ty, budget - 1, below)))
+        return heads, apps, projs
+
+    # -- filling ---------------------------------------------------------
+
+    def _neutral_level(self, parts: tuple, height: int) -> list[tuple]:
+        heads, apps, projs = parts
+        if height == 1:
+            return heads
+        out: list[tuple] = []
+        for fns, args in apps:
+            for fn in fns.level(height - 1):
+                out += [self._app(fn, arg) for arg in args.upto(height - 1)]
+            for fn in fns.upto(height - 2):
+                out += [self._app(fn, arg) for arg in args.level(height - 1)]
+        for index, bodies in projs:
+            out += [self._proj(index, body) for body in bodies.level(height - 1)]
+        return out
+
+    def _every_level(self, parts: tuple, height: int) -> list[tuple]:
+        neutral, lam, pair = parts
+        out = neutral.level(height)
+        if height >= 2 and lam is not None:
+            var, ty, prefix, bodies = lam
+            out += [self._lam(var, ty, prefix, body) for body in bodies.level(height - 1)]
+        if height >= 2 and pair is not None:
+            lefts, rights = pair
+            for left in lefts.level(height - 1):
+                out += [self._pair(left, right) for right in rights.upto(height - 1)]
+            for left in lefts.upto(height - 2):
+                out += [self._pair(left, right) for right in rights.level(height - 1)]
+        return out
+
+    # -- interned entries ------------------------------------------------
+
+    def _var(self, name: str, text: str) -> tuple:
+        key = (Var, name)
+        entry = self.interned.get(key)
+        if entry is None:
+            entry = self.interned[key] = (_hashed(Var(name)), text, 0)
+        return entry
+
+    def _app(self, fn: tuple, arg: tuple) -> tuple:
+        key = (App, id(fn), id(arg))
+        entry = self.interned.get(key)
+        if entry is None:
+            text = f"{fn[1]} {_argument_text(arg)}"
+            entry = self.interned[key] = (_hashed(App(fn[0], arg[0])), text, fn[2] + arg[2])
+        return entry
+
+    def _proj(self, index: int, body: tuple) -> tuple:
+        key = (Proj, index, id(body))
+        entry = self.interned.get(key)
+        if entry is None:
+            text = f"p{index} {_argument_text(body)}"
+            entry = self.interned[key] = (_hashed(Proj(index, body[0])), text, body[2])
+        return entry
+
+    def _lam(self, var: str, ty: Ty, prefix: str, body: tuple) -> tuple:
+        key = (Lam, var, ty, id(body))
+        entry = self.interned.get(key)
+        if entry is None:
+            node = _hashed(Lam(var, ty, body[0]))
+            entry = self.interned[key] = (node, prefix + body[1], body[2] + 1)
+        return entry
+
+    def _pair(self, left: tuple, right: tuple) -> tuple:
+        key = (Pair, id(left), id(right))
+        entry = self.interned.get(key)
+        if entry is None:
+            text = f"({left[1]}, {right[1]})"
+            entry = self.interned[key] = (_hashed(Pair(left[0], right[0])), text, left[2] + right[2])
+        return entry
+
+
+def _argument_text(entry: tuple) -> str:
+    """An entry's text as an application or projection argument: a
+    variable or a pair as it is, anything else in parentheses."""
+    node, text, _ = entry
+    return text if type(node) in (Var, Pair) else f"({text})"
+
+
+def _hashed(node: Tm) -> Tm:
+    """``node`` with its hash cached, read from its children's cached hashes."""
+    hash(node)
+    return node
+
+
+def _neutral_types(types: Iterable[Ty]) -> tuple[Ty, ...]:
+    """Every type a neutral term over hypotheses of ``types`` can have: those
+    types and, recursively, arrow targets and product components, sorted by
+    print for determinism."""
     seen: set[Ty] = set()
-    stack = [ty for _, ty in ctx]
+    stack = list(types)
     while stack:
         ty = stack.pop()
         if ty in seen:
@@ -980,9 +1168,7 @@ def _neutral_type_closure(
         elif isinstance(ty, TyProd):
             stack.append(ty.left)
             stack.append(ty.right)
-    result = tuple(sorted(seen, key=print_type))
-    memo[key] = result
-    return result
+    return tuple(sorted(seen, key=print_type))
 
 
 def _fresh_binder(ctx: tuple[tuple[str, Ty], ...]) -> str:
@@ -1111,27 +1297,38 @@ def one_step_reductions(t: Tm, sig: Optional[Signature] = None) -> list[Tm]:
     """
     if sig is None:
         sig = _EMPTY_SIGNATURE
+    return _distinct_reducts(t, sig, {})
+
+
+def _distinct_reducts(t: Tm, sig: Signature, memo: dict) -> list[Tm]:
+    """:func:`one_step_reductions` of ``t`` with the reducts of each distinct
+    subterm memoised in ``memo``: the first term of each canonical print."""
     out: dict[str, Tm] = {}
-
-    def emit(t2: Tm) -> None:
+    for t2 in _reducts(t, sig, memo):
         out.setdefault(canonical_print(t2), t2)
-
-    def walk(sub: Tm, rebuild) -> None:
-        for reduct in _contractions_at(sub, sig):
-            emit(rebuild(reduct))
-        if isinstance(sub, Lam):
-            walk(sub.body, lambda r, s=sub: rebuild(Lam(s.var, s.ty, r)))
-        elif isinstance(sub, App):
-            walk(sub.fn, lambda r, s=sub: rebuild(App(r, s.arg)))
-            walk(sub.arg, lambda r, s=sub: rebuild(App(s.fn, r)))
-        elif isinstance(sub, Pair):
-            walk(sub.left, lambda r, s=sub: rebuild(Pair(r, s.right)))
-            walk(sub.right, lambda r, s=sub: rebuild(Pair(s.left, r)))
-        elif isinstance(sub, Proj):
-            walk(sub.body, lambda r, s=sub: rebuild(Proj(s.index, r)))
-
-    walk(t, lambda r: r)
     return [out[key] for key in sorted(out)]
+
+
+def _reducts(t: Tm, sig: Signature, memo: dict) -> list[Tm]:
+    """Every one-step reduct of ``t``, in walk order: the contractions at
+    ``t``, then each child's reducts put back in place, children left to
+    right.  Each distinct subterm's list is built once per ``memo``."""
+    found = memo.get(t)
+    if found is None:
+        found = _contractions_at(t, sig)
+        kind = type(t)
+        if kind is Lam:
+            found += [Lam(t.var, t.ty, r) for r in _reducts(t.body, sig, memo)]
+        elif kind is App:
+            found += [App(r, t.arg) for r in _reducts(t.fn, sig, memo)]
+            found += [App(t.fn, r) for r in _reducts(t.arg, sig, memo)]
+        elif kind is Pair:
+            found += [Pair(r, t.right) for r in _reducts(t.left, sig, memo)]
+            found += [Pair(t.left, r) for r in _reducts(t.right, sig, memo)]
+        elif kind is Proj:
+            found += [Proj(t.index, r) for r in _reducts(t.body, sig, memo)]
+        memo[t] = found
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -1205,9 +1402,11 @@ def reduction_graph(
 ) -> tuple[ReductionGraph, GraphReport]:
     """Exhaustively close ``t`` under one-step reduction, up to ``node_cap`` nodes.
 
-    Every edge is checked for type preservation.  The report flags are
-    computed from the finished graph; if the cap is hit the graph is
-    truncated and all three flags are indeterminate (``None``).
+    Every edge is checked for type preservation; each successor's type is
+    computed once per canonical print, and each distinct subterm's reducts
+    once per call.  The report flags are computed from the finished graph;
+    if the cap is hit the graph is truncated and all three flags are
+    indeterminate (``None``).
     """
     if node_cap < 1:
         raise ValueError(f"node_cap must be >= 1, got {node_cap}")
@@ -1221,14 +1420,18 @@ def reduction_graph(
     edges: dict[str, tuple[str, ...]] = {}
     queue: deque[str] = deque([root_key])
     truncated = False
+    reducts: dict[Tm, list[Tm]] = {}  # per distinct subterm, for every node
+    types: dict[str, Ty] = {}  # per canonical print
     while queue:
         key = queue.popleft()
         term = nodes[key]
         succ_keys: list[str] = []
         fresh: dict[str, Tm] = {}
-        for succ in one_step_reductions(term, sig):
+        for succ in _distinct_reducts(term, sig, reducts):
             skey = canonical_print(succ)
-            succ_ty = typecheck(succ, env, sig)
+            succ_ty = types.get(skey)
+            if succ_ty is None:
+                succ_ty = types[skey] = typecheck(succ, env, sig)
             if succ_ty != root_ty:
                 raise RuntimeError(
                     f"subject reduction violated: {key} -> {skey} "

@@ -34,7 +34,9 @@ force, kept to pin the exact output of the faster code that replaced them:
   ``yoneda`` and ``kan`` commands in which every check builds its own
   hom-functors and Kan extensions through the public functions;
 * ``sorted_map_key`` and ``sorted_map_eq`` are the map key (hashed, too)
-  and equality that compared tables sorted by domain atom.
+  and equality that compared tables sorted by domain atom;
+* ``name_per_triple_preorder`` is ``preorder_from_covers`` as it named each
+  composite anew, three names per composable triple.
 """
 
 from __future__ import annotations
@@ -53,8 +55,11 @@ from fincat.adjunction import (
 from fincat.core import (
     FINSET,
     CheckReport,
+    CycleError,
+    FinCat,
     FinCatError,
     FunctorVal,
+    MalformedTableError,
     NatTransVal,
     Obligation,
     validate_nattrans,
@@ -196,6 +201,36 @@ def fixpoint_closure(objects, covers) -> set:
                 le.add((a, c))
                 changed = True
     return le
+
+
+def name_per_triple_preorder(objects, covers) -> FinCat:
+    """``preorder_from_covers`` building every name in the composition table
+    by a call per use: three per composable triple."""
+    objs = tuple(sorted(str(o) for o in objects))
+    above = {x: {x} for x in objs}
+    for a, b in covers:
+        if str(a) not in above or str(b) not in above:
+            raise MalformedTableError(f"cover ({a!r}, {b!r}) mentions unknown object")
+        above[str(a)].add(str(b))
+    for k in objs:
+        for x in objs:
+            if k in above[x]:
+                above[x] |= above[k]
+    succ = {x: sorted(above[x]) for x in objs}
+    for a in objs:
+        for b in succ[a]:
+            if a != b and a in above[b]:
+                raise CycleError(f"not antisymmetric: {a!r} <= {b!r} <= {a!r}")
+
+    def name(a, b):
+        return f"id_{a}" if a == b else f"{a}->{b}"
+
+    morphisms = {name(a, b): (a, b) for a in objs for b in succ[a]}
+    identity = {x: f"id_{x}" for x in objs}
+    compose = {
+        (name(b, c), name(a, b)): name(a, c) for a in objs for b in succ[a] for c in succ[b]
+    }
+    return FinCat(objs, morphisms, identity, compose)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import ast
 import io
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -157,7 +158,9 @@ def test_a_subject_reduction_violation_is_an_internal_error(fix, monkeypatch):
     import fincat.terms
 
     ill_typed = fincat.terms.Lam("x", fincat.terms.TyAtom("A"), fincat.terms.Var("x"))
-    monkeypatch.setattr(fincat.terms, "one_step_reductions", lambda t, s: [ill_typed])
+    # the whole term contracts to the ill-typed one, no subterm contracts
+    contract = lambda t, s: [ill_typed] if fincat.terms.print_term(t) == "2 + 3" else []
+    monkeypatch.setattr(fincat.terms, "_contractions_at", contract)
     code, text = _run("reduce", "2 + 3", "--sig", fix("arith.sig"))
     assert code == EXIT_INTERNAL
     assert text.startswith("internal error: RuntimeError: subject reduction violated: ")
@@ -270,6 +273,32 @@ def test_one_subcommand_parser_rejects_like_the_full_parser(argv, monkeypatch):
     monkeypatch.setattr(cli, "_parser_for", lambda argv: cli._build_parser(cli._SUBCOMMANDS))
     assert one == _run(*argv)
     assert one[0] == (EXIT_OK if "-h" in argv else EXIT_USAGE)
+
+
+CACHED_ARGVS = [
+    ["-h"],
+    ["infer", "-h"],
+    ["bogus"],
+    [],
+    ["infer", "{}", "A", "--depth", "x"],
+    ["check-cat"],
+    ["infer", "{}", "A->A"],
+]
+
+
+def test_a_second_run_builds_no_parser_and_answers_alike(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(cli, "_PARSERS", {})
+    built = []
+    build = cli._build_parser
+    monkeypatch.setattr(cli, "_build_parser", lambda names: built.append(names) or build(names))
+    first = [_run(*argv) for argv in CACHED_ARGVS]
+    assert len(built) == 3  # all subcommands, infer's, check-cat's
+    second = [_run(*argv) for argv in CACHED_ARGVS]
+    assert len(built) == 3
+    assert second == first
+    assert [code for code, _ in first] == [EXIT_OK, EXIT_OK] + [EXIT_USAGE] * 4 + [EXIT_OK]
+    assert first[2][1].startswith("usage error: argument <command>: invalid choice: 'bogus'")
 
 
 # ---------------------------------------------------------------------------
@@ -434,13 +463,27 @@ def test_deep_nesting_is_a_parse_error(argv):
     assert _run(*argv) == (EXIT_USAGE, "parse error: input nested too deeply\n")
 
 
-def test_a_search_too_deep_for_the_stack_names_depth():
-    # The input is flat; the search recurses once per level of --depth.
-    argv = ("infer", "{f: A->A, x: A}", "A", "--depth", "600")
-    assert _run(*argv) == (
-        EXIT_USAGE,
-        "usage error: --depth 600 is too deep: the inhabitant search overflows the stack\n",
-    )
+def test_a_search_deeper_than_the_stack_answers():
+    # The search builds height by height and prints from the children, so
+    # nothing recurses once per level of --depth.
+    code, text = _run("infer", "{f: A->A, x: A}", "A", "--depth", "600")
+    lines = text.splitlines()
+    assert code == EXIT_OK
+    assert re.fullmatch(r"inhabitants \(depth <= 600\): 600  \[\d+\.\d+s\]", lines[1])
+    assert lines[2:5] == ["x", "f x", "f (f x)"]
+    assert lines[-1] == "f (" * 598 + "f x" + ")" * 598
+
+
+def test_a_deep_search_primes_binders_past_a_hypothesis_named_like_one():
+    # The binder of \x1 is primed exactly where the hypothesis x1 occurs
+    # free, still printed from the children's text.
+    code, text = _run("infer", "{f: A->A, x1: A}", "A->A", "--depth", "1200")
+    lines = text.splitlines()
+    assert code == EXIT_OK
+    assert re.fullmatch(r"inhabitants \(depth <= 1200\): 2399  \[\d+\.\d+s\]", lines[1])
+    assert lines[2:7] == ["f", "\\x1:A. x1", "\\x1':A. x1", "\\x1:A. f x1", "\\x1':A. f x1"]
+    body = "f (" * 1197 + "f x1" + ")" * 1197
+    assert lines[-2:] == ["\\x1:A. " + body, "\\x1':A. " + body]
 
 
 def test_deep_nesting_in_a_signature_rule_is_a_parse_error(tmp_path):

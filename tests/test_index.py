@@ -1,8 +1,9 @@
 """The indexed table layer of FinCat against index-free oracles.
 
 ``validate_category`` compares one column of composites per composable pair
-and ``preorder_from_covers`` closes covers by Warshall; here both are compared
-with the triple loop and the pairwise fixpoint of ``tests/oracles.py`` on the
+and ``preorder_from_covers`` closes covers by Warshall and names each morphism
+once; here both are compared with the triple loop, the pairwise fixpoint and
+the name-per-triple construction of ``tests/oracles.py`` on the
 corpus, on generated chains and grids, on seeded one-entry mutations (among
 them the families whose columns differ where no triple fails, and typed wrong
 composites in hom-sets of two or more morphisms) and on random cover lists.
@@ -12,7 +13,7 @@ import os
 import random
 
 import pytest
-from oracles import fixpoint_closure, triple_loop_validate
+from oracles import fixpoint_closure, name_per_triple_preorder, triple_loop_validate
 
 from fincat.core import CycleError, FinCat, preorder_from_covers, validate_category
 from fincat.files import load_category
@@ -25,18 +26,26 @@ def _corpus_categories(fix):
     return {os.path.relpath(p, fix("")): load_category(p) for p in paths}
 
 
-def _chain(n):
+def _chain_covers(n):
     objects = [f"c{i:02d}" for i in range(n)]
-    return preorder_from_covers(objects, list(zip(objects, objects[1:])))
+    return objects, list(zip(objects, objects[1:]))
 
 
-def _grid(rows, cols):
+def _grid_covers(rows, cols):
     def cell(r, c):
         return f"g{r}_{c}"
 
     covers = [(cell(r, c), cell(r, c + 1)) for r in range(rows) for c in range(cols - 1)]
     covers += [(cell(r, c), cell(r + 1, c)) for r in range(rows - 1) for c in range(cols)]
-    return preorder_from_covers([cell(r, c) for r in range(rows) for c in range(cols)], covers)
+    return [cell(r, c) for r in range(rows) for c in range(cols)], covers
+
+
+def _chain(n):
+    return preorder_from_covers(*_chain_covers(n))
+
+
+def _grid(rows, cols):
+    return preorder_from_covers(*_grid_covers(rows, cols))
 
 
 GENERATED = {
@@ -322,3 +331,36 @@ def test_cycle_error_names_the_least_offending_pair():
         with pytest.raises(CycleError) as raised:
             preorder_from_covers(objects, covers)
         assert str(raised.value) == f"not antisymmetric: {a!r} <= {b!r} <= {a!r}"
+
+
+def _same_tables_in_order(got, want):
+    assert got == want
+    for table in ("morphisms", "identity", "compose"):
+        assert list(getattr(got, table).items()) == list(getattr(want, table).items()), table
+
+
+@pytest.mark.parametrize(
+    "objects, covers",
+    [_chain_covers(n) for n in (1, 2, 5, 12, 30)]
+    + [_grid_covers(r, c) for r, c in ((1, 1), (2, 2), (3, 4), (5, 6))],
+)
+def test_preorder_names_match_the_name_per_triple_construction(objects, covers):
+    want = name_per_triple_preorder(objects, covers)
+    _same_tables_in_order(preorder_from_covers(objects, covers), want)
+
+
+def test_preorder_names_match_on_random_covers_and_cycles():
+    rng = random.Random(31)
+    cycles = 0
+    for _ in range(200):
+        objects, covers = _random_covers(rng, acyclic=rng.random() < 0.5)
+        try:
+            want = name_per_triple_preorder(objects, covers)
+        except CycleError as exc:
+            with pytest.raises(CycleError) as raised:
+                preorder_from_covers(objects, covers)
+            assert str(raised.value) == str(exc)
+            cycles += 1
+            continue
+        _same_tables_in_order(preorder_from_covers(objects, covers), want)
+    assert cycles > 50, cycles

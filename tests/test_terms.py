@@ -6,6 +6,7 @@ import pickle
 import random
 import re
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from fincat.terms import (
     TyArrow,
     TyAtom,
     TyProd,
+    Tm,
     Var,
     canonical_print,
     curry_howard_translate,
@@ -238,15 +240,30 @@ def test_inference_matches_brute_force_oracle():
         assert got == brute_inhabitants((), goal, 4), print_type(goal)
 
 
+# Contexts whose neutral slots for T are first met one height low (through
+# the application or projection of a type printed before T's own use as an
+# argument) and then asked again at full height.
+REASKED_SLOT_CONTEXTS = [
+    "{g: (Z -> (D -> E) -> A) -> A, k: Z -> (D -> E) -> A, m: Y -> Z -> (D -> E) -> A, y: Y}",
+    "{g: W * (B -> A) -> A, s: B -> A, m: Y -> W * (B -> A), y: Y}",
+]
+
+
 def test_inference_with_hypotheses_matches_oracle():
     ctx = tuple(parse_context("{f: A->B, p: A*A}"))
     for goal in goal_types(["A", "B"], 1):
         got = sorted(canonical_print(t) for t in infer_inhabitants(ctx, goal, 4))
         assert got == brute_inhabitants(ctx, goal, 4), print_type(goal)
+    for ctx_text in REASKED_SLOT_CONTEXTS:
+        ctx = tuple(parse_context(ctx_text))
+        for depth in (3, 4):
+            got = sorted(canonical_print(t) for t in infer_inhabitants(ctx, TyAtom("A"), depth))
+            assert got == brute_inhabitants(ctx, TyAtom("A"), depth), (ctx_text, depth)
 
 
 # (context, goal, deepest bound): the benchmark's endo, pair and round-trip
-# families, classic tautologies, and hypotheses named like search binders
+# families, classic tautologies, hypotheses named like search binders, and
+# slots asked again at a greater height
 PRINT_KEYED_GOALS = [
     ("{f: A->A}", "A->A", 8),
     ("{f: A->A, g: A->A}", "A->A", 7),
@@ -266,6 +283,9 @@ PRINT_KEYED_GOALS = [
     ("{x2: A, f: A->A}", "(A->A)->A", 6),
     ("{x2: A}", "A->A->A", 6),
     ("{f: A->A, x3: A}", "A->A", 6),
+    ("{x1: A, x1': A}", "A->A->A", 5),
+    *((ctx, "A", 5) for ctx in REASKED_SLOT_CONTEXTS),
+    ("{h: B * (A * C) * (B * (A * C) -> A), g: B -> B, x2: B * (A * C)}", "A", 5),
 ]
 
 
@@ -303,10 +323,43 @@ def test_no_hash_walks_a_whole_term(monkeypatch):
         calls[0] = 0
         assert len(infer_inhabitants(ctx, TyAtom("A"), depth)) == depth
         counts.append(calls[0])
-    # The search makes a number of dict inserts quadratic in the depth, so
-    # doubling it multiplies the hash calls by 4 when each reads a cached
-    # hash, and by 8 when each walks its term.
-    assert counts[1] / counts[0] < 5.5, counts
+    # Each node is hashed once when it is built, from its children's cached
+    # hashes, and the search builds one node per height here: doubling the
+    # depth doubles the hash calls.  A hash that walked its term would
+    # multiply them by 4.
+    assert counts[1] / counts[0] < 2.2, counts
+
+
+def _record_constructions(monkeypatch):
+    built = []
+    post_init = Tm.__post_init__
+
+    def recorded(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Tm, "__post_init__", recorded)
+    return built
+
+
+def test_node_constructions_grow_linearly_with_depth(monkeypatch):
+    built = _record_constructions(monkeypatch)
+    ctx = parse_context("{f: A->A, x: A}")
+    counts = []
+    for depth in (200, 400):
+        built.clear()
+        assert len(infer_inhabitants(ctx, TyAtom("A"), depth)) == depth
+        counts.append(len(built))
+    # the two hypotheses and one application per height: no term is built
+    # again for each bound above its height
+    assert counts == [201, 401]
+
+
+@pytest.mark.parametrize("ctx_text, goal_text, deepest", PRINT_KEYED_GOALS)
+def test_the_search_builds_no_node_twice(ctx_text, goal_text, deepest, monkeypatch):
+    built = _record_constructions(monkeypatch)
+    infer_inhabitants(parse_context(ctx_text), parse_type(goal_text), deepest)
+    assert len(set(built)) == len(built)
 
 
 # ---------------------------------------------------------------------------
@@ -363,13 +416,18 @@ BINDER_TERMS = [
     "p1 ((\\x:N. x) 1, 2 + 3)",
     "(\\x:N. (x, \\x1:N. x)) (1 + 2)",
 ]
+# the benchmark's nested g / + shapes over arith.sig
+ARITH_TERMS = ["g (g (5 + 1))", "(g 2) + (g 3)", "g (1 + (2 + 3))"]
+REDUCE_CASES = [(text, None) for text in BINDER_TERMS] + [(text, "arith.sig") for text in ARITH_TERMS]
 
 
-@pytest.mark.parametrize("text", BINDER_TERMS)
-def test_reduce_matches_the_rebuilding_graph_in_order(text):
-    term = parse_term(text)
-    graph, report = reduction_graph(term)
-    want_graph, want_report = rebuilding_reduction_graph(term)
+@pytest.mark.parametrize("text, sig_name", REDUCE_CASES)
+def test_reduce_matches_the_rebuilding_graph_in_order(text, sig_name, fix):
+    sig = parse_signature(_read(fix, sig_name)) if sig_name else None
+    sig_argv = ["--sig", fix(sig_name)] if sig_name else []
+    term = parse_term(text, sig)
+    graph, report = reduction_graph(term, sig)
+    want_graph, want_report = rebuilding_reduction_graph(term, sig)
     assert list(graph.nodes) == list(want_graph.nodes)
     assert list(graph.edges.items()) == list(want_graph.edges.items())
     assert (graph.root, graph.normal_forms, graph.truncated) == (
@@ -379,14 +437,46 @@ def test_reduce_matches_the_rebuilding_graph_in_order(text):
     )
     assert report == want_report
     for node in graph.nodes.values():
-        got = [canonical_print(t) for t in one_step_reductions(node)]
-        assert got == [key for key, _ in keyed_reductions(node)]
+        got = [canonical_print(t) for t in one_step_reductions(node, sig)]
+        assert got == [key for key, _ in keyed_reductions(node, sig)]
     renderings = [([], want_report.summary() + "\n")]
     renderings.append((["--format", "graph"], render_reduction_dot(want_graph)))
     for argv, want in renderings:
         out = io.StringIO()
-        assert run(["reduce", text] + argv, out=out) == 0
+        assert run(["reduce", text] + sig_argv + argv, out=out) == 0
         assert out.getvalue() == want
+
+
+def _subterms(t):
+    """Every subterm of ``t``, ``t`` included, as a set of values."""
+    seen = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            stack.extend(c for c in (getattr(t, f.name) for f in fields(t)) if isinstance(c, Tm))
+    return seen
+
+
+@pytest.mark.parametrize("text, sig_name", REDUCE_CASES)
+def test_contractions_run_once_per_distinct_subterm_of_a_graph(text, sig_name, fix, monkeypatch):
+    import fincat.terms
+
+    sig = parse_signature(_read(fix, sig_name)) if sig_name else None
+    seen = []
+    contract = fincat.terms._contractions_at
+
+    def counted(t, s):
+        seen.append(t)
+        return contract(t, s)
+
+    monkeypatch.setattr(fincat.terms, "_contractions_at", counted)
+    graph, report = reduction_graph(parse_term(text, sig), sig)
+    assert not report.truncated
+    subterms = set().union(*(_subterms(t) for t in graph.nodes.values()))
+    assert len(seen) == len(subterms)
+    assert set(seen) == subterms
 
 
 def test_subject_reduction_violation_raises(fix, monkeypatch):
@@ -394,7 +484,10 @@ def test_subject_reduction_violation_raises(fix, monkeypatch):
 
     sig = parse_signature(_read(fix, "arith.sig"))
     ill_typed = Lam("x", TyAtom("A"), Var("x"))
-    monkeypatch.setattr(fincat.terms, "one_step_reductions", lambda t, s: [ill_typed])
+    # the whole term contracts to the ill-typed one, no subterm contracts
+    monkeypatch.setattr(
+        fincat.terms, "_contractions_at", lambda t, s: [ill_typed] if print_term(t) == "2 + 3" else []
+    )
     with pytest.raises(RuntimeError, match="subject reduction violated"):
         reduction_graph(parse_term("2 + 3", sig), sig)
 
