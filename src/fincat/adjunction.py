@@ -31,6 +31,7 @@ is a finite table comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .core import (
@@ -81,6 +82,14 @@ class AdjunctionError(Exception):
     """Raised when adjunction data is malformed or a universal arrow fails."""
 
 
+def _compose(cat: FinCat, g: str, f: str) -> str:
+    """``cat.comp(g, f)``, naming the entry when the table has none."""
+    try:
+        return cat.compose[(g, f)]
+    except KeyError:
+        raise AdjunctionError(f"composition table has no entry for ({g!r}, {f!r})") from None
+
+
 @dataclass(frozen=True)
 class AdjunctionVal:
     """An adjunction with the left adjoint on the left.
@@ -122,11 +131,11 @@ def flats_and_sharps(
     for a in src.objects:
         for b in oth.objects:
             flat[(a, b)] = {
-                h: oth.comp(counit_components[b], left.morphism_map[h])
+                h: _compose(oth, counit_components[b], left.morphism_map[h])
                 for h in src.hom(a, right.object_map[b])
             }
             sharp[(a, b)] = {
-                g: src.comp(right.morphism_map[g], unit_components[a])
+                g: _compose(src, right.morphism_map[g], unit_components[a])
                 for g in oth.hom(left.object_map[a], b)
             }
     return flat, sharp
@@ -247,7 +256,9 @@ def verify_adjunction(adj: AdjunctionVal) -> CheckReport:
     bad_left = []
     for a in src.objects:
         la = left.object_map[a]
-        got = oth.comp(adj.counit.components[la], left.morphism_map[adj.unit.components[a]])
+        got = _compose(
+            oth, adj.counit.components[la], left.morphism_map[adj.unit.components[a]]
+        )
         if got != oth.id_of(la):
             bad_left.append((a, got))
     obligations.append(
@@ -257,7 +268,9 @@ def verify_adjunction(adj: AdjunctionVal) -> CheckReport:
     bad_right = []
     for b in oth.objects:
         rb = right.object_map[b]
-        got = src.comp(right.morphism_map[adj.counit.components[b]], adj.unit.components[rb])
+        got = _compose(
+            src, right.morphism_map[adj.counit.components[b]], adj.unit.components[rb]
+        )
         if got != src.id_of(rb):
             bad_right.append((b, got))
     obligations.append(
@@ -278,25 +291,55 @@ def _naturality_failures(adj: AdjunctionVal, table, p, q, p2, q2):
     table(Q(k) . h . P(f)) = Q2(k) . table(h) . P2(f), bracketed as the joint
     law is, so the joint law holds whenever both loops pass; for lawful
     categories and functors the converse holds too.
+
+    Each morphism's law is compared as one pair of tuples over the table
+    flattened once: for f, the row of a (every b, then every h); for k, the
+    column of b (every a, then every h).  Only a morphism whose tuples differ
+    or miss an entry is scanned cell by cell, in that order, so the
+    witnesses and any error are those of the scan over every cell.
     """
     src, oth = adj.source, adj.other
     dom, cod = p.target, p2.target
+    homs = dom._index.hom
+    cells = {(a, b, h): v for (a, b), row in table.items() for h, v in row.items()}
+    rows = {a: [] for a in src.objects}
+    columns = {b: [] for b in oth.objects}
+    for a in src.objects:
+        for b in oth.objects:
+            for h in homs.get((p.object_map[a], q.object_map[b]), ()):
+                value = cells.get((a, b, h))  # None never matches: scanned
+                rows[a].append((b, h, value))
+                columns[b].append((a, h, value))
+    rows = {a: tuple(zip(*row)) or ((), (), ()) for a, row in rows.items()}
+    columns = {b: tuple(zip(*column)) or ((), (), ()) for b, column in columns.items()}
+    dom_comp, cod_comp = dom.compose.get, cod.compose.get
+
     for f, (a2, a) in src.morphisms.items():
         pf, pf2 = p.morphism_map[f], p2.morphism_map[f]
+        objs, hs, values = rows[a]
+        moved = map(dom_comp, zip(hs, repeat(pf)))
+        lhs = tuple(map(cells.get, zip(repeat(a2), objs, moved)))
+        if None not in lhs and lhs == tuple(map(cod_comp, zip(values, repeat(pf2)))):
+            continue
         for b in oth.objects:
             before, after = table[(a, b)], table[(a2, b)]
             for h in dom.hom(p.object_map[a], q.object_map[b]):
-                lhs = after[dom.comp(h, pf)]
-                rhs = cod.comp(before[h], pf2)
+                lhs = after[_compose(dom, h, pf)]
+                rhs = _compose(cod, before[h], pf2)
                 if lhs != rhs:
                     yield (f, oth.id_of(b), h, lhs, rhs)
     for k, (b, b2) in oth.morphisms.items():
         qk, qk2 = q.morphism_map[k], q2.morphism_map[k]
+        objs, hs, values = columns[b]
+        moved = map(dom_comp, zip(repeat(qk), hs))
+        lhs = tuple(map(cells.get, zip(objs, repeat(b2), moved)))
+        if None not in lhs and lhs == tuple(map(cod_comp, zip(repeat(qk2), values))):
+            continue
         for a in src.objects:
             before, after = table[(a, b)], table[(a, b2)]
             for h in dom.hom(p.object_map[a], q.object_map[b]):
-                lhs = after[dom.comp(qk, h)]
-                rhs = cod.comp(qk2, before[h])
+                lhs = after[_compose(dom, qk, h)]
+                rhs = _compose(cod, qk2, before[h])
                 if lhs != rhs:
                     yield (src.id_of(a), k, h, lhs, rhs)
 
@@ -346,7 +389,7 @@ def adjunction_from_universal_arrows(
         return [
             u
             for u in oth.hom(chosen, b)
-            if src.comp(right.morphism_map[u], arrow) == g
+            if _compose(src, right.morphism_map[u], arrow) == g
         ]
 
     for a in sorted(anchors):
@@ -362,7 +405,7 @@ def adjunction_from_universal_arrows(
     object_map = {a: anchors[a][0] for a in src.objects}
     morphism_map = {}
     for f, (a2, a) in src.morphisms.items():
-        g = src.comp(anchors[a][1], f)
+        g = _compose(src, anchors[a][1], f)
         morphism_map[f] = solutions(a2, object_map[a], g)[0]
     left = FunctorVal(src, oth, object_map, morphism_map)
     left_report = validate_functor(left)
@@ -468,7 +511,7 @@ def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> t
         table = {}
         for element in object_map[b]:
             family = {
-                oid2: cones[b][(a, tgt.comp(phi, k))].table[element]
+                oid2: cones[b][(a, _compose(tgt, phi, k))].table[element]
                 for oid2, (a, phi) in data[b2][1].items()
             }
             table[element] = tuple_atom(family)
@@ -497,7 +540,7 @@ def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
     for k, (b, b2) in tgt.morphisms.items():
         table = {}
         for (a, phi), inj in cocones[b].items():
-            pushed = cocones[b2][(a, tgt.comp(k, phi))]
+            pushed = cocones[b2][(a, _compose(tgt, k, phi))]
             for x in functor.object_map[a]:
                 element = inj.table[x]
                 image = pushed.table[x]

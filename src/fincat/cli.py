@@ -263,12 +263,16 @@ def _cmd_reduce(cfg: RunConfig, out) -> int:
     if os.path.isfile(source):
         with open(source, encoding="utf-8") as handle:
             source = handle.read()
-    term = parse_term(source, sig)
-    graph, report = reduction_graph(term, sig, node_cap=cfg.options["nodes"])
-    if cfg.fmt == "graph":
-        _emit(out, render_reduction_dot(graph))
-    else:
-        _emit(out, report.summary())
+    # A term can parse flat and nest deeply: "1 + 1 + ... + 1" is a left-nested
+    # application, and typing, hashing and the reduct walk recurse once per
+    # level of it.
+    try:
+        term = parse_term(source, sig)
+        graph, report = reduction_graph(term, sig, node_cap=cfg.options["nodes"])
+        text = render_reduction_dot(graph) if cfg.fmt == "graph" else report.summary()
+    except RecursionError:
+        raise TermParseError("input nested too deeply") from None
+    _emit(out, text)
     return EXIT_CAP if report.truncated else EXIT_OK
 
 

@@ -890,6 +890,52 @@ def _commute_plan(ast: DiagramAst, layer_id: str) -> tuple:
     return links, tuple(pairs)
 
 
+@_per_diagram
+def _check_plan(ast: DiagramAst, new_elements: Optional[tuple] = None) -> tuple:
+    """The obligations of the everything-commutes check, in report order,
+    restricted to those that involve ``new_elements`` (every element when
+    None).  Returns ``(required, typing, layers, bijections, mapstos)``: the
+    elements that must be assigned; ``(arrow id, layer, src, dst, is bij)``
+    per arrow to type; ``(layer id, cycle, links, pairs)`` per layer, with
+    the ``_commute_plan`` links and the pairs whose arrows meet the new
+    elements (no plan for a layer with a cycle); ``(arrow id, layer, src,
+    dst)`` per bijection; and the mapsto arrows.
+
+    A candidate of stage k extends an assignment under which stage k-1
+    passed.  Stage k-1's diagram is stage k's minus the new elements, and a
+    pair of paths that avoids them is a pair there, exempted by the same
+    ``noncommute`` declarations.  So every obligation on older elements
+    holds already, with the same values, and cannot fail or raise.
+    """
+    nodes, arrows, functors = ast.nodes(), ast.arrows(), ast.functors()
+    new = frozenset(ast.elements() if new_elements is None else new_elements)
+    required = tuple(
+        e.id
+        for e in ast.elements().values()
+        if e.id in new and not (isinstance(e, Arrow) and (e.kind == "mapsto" or e.src in functors))
+    )
+    typing = tuple(
+        (a.id, nodes[a.src].layer, a.src, a.dst, a.kind == "bij")
+        for a in arrows.values()
+        if a.id in new and a.kind != "mapsto" and a.src not in functors
+    )
+    layers = []
+    for layer_id in ast.layers():
+        cycle = _hom_cycle(ast, layer_id)
+        if cycle:
+            layers.append((layer_id, cycle, (), ()))
+            continue
+        links, pairs = _commute_plan(ast, layer_id)
+        layers.append((layer_id, None, links, tuple(p for p in pairs if not new.isdisjoint(p[2]))))
+    bijections = tuple(
+        (a.id, nodes[a.src].layer, a.src, a.dst)
+        for a in arrows.values()
+        if a.kind == "bij" and a.id in new
+    )
+    mapstos = tuple(a for a in arrows.values() if a.kind == "mapsto" and a.id in new)
+    return required, typing, tuple(layers), bijections, mapstos
+
+
 def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> CheckReport:
     """Everything-commutes check of a fully assigned diagram.
 
@@ -901,40 +947,48 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
     through an arrow that fails endpoint typing are not composed; the
     typing obligation reports that arrow.
     """
-    nodes, arrows = ast.nodes(), ast.arrows()
-    for element in ast.elements().values():
-        if isinstance(element, Arrow) and (
-            element.kind == "mapsto" or element.src in ast.functors()
-        ):
-            continue
-        if element.id not in assignment:
-            raise DiagramError(f"element {element.id!r} has no assigned value")
+    failed = _failures(ast, _check_plan(ast), model, assignment)
+    names = ["endpoint_typing", *(f"commutes[{layer_id}]" for layer_id in ast.layers())]
+    names += ["bij_round_trips", "mapsto_equations"]
+    obligations = tuple(Obligation(name, name not in failed, failed.get(name, ())) for name in names)
+    return CheckReport(f"diagram:{len(ast.nodes())}nodes/{len(ast.arrows())}arrows", obligations)
 
-    obligations: list = []
 
-    typing_bad: list = []
-    for a in arrows.values():
-        if a.kind == "mapsto" or a.src in ast.functors():
-            continue
-        cat = model.layers[nodes[a.src].layer]
-        want = (assignment[a.src], assignment[a.dst])
-        values = assignment[a.id] if a.kind == "bij" else (assignment[a.id],)
-        expected = [want, (want[1], want[0])] if a.kind == "bij" else [want]
+def _stage_commutes(stage: Stage, model: Model, assignment: Mapping) -> bool:
+    """``check_commutativity(stage.diagram, model, assignment).passed`` for a
+    candidate of a stage above 0, with the same errors raised: only the
+    obligations that involve the stage's new elements are checked (see
+    ``_check_plan``)."""
+    plan = _check_plan(stage.diagram, stage.new_elements)
+    return not _failures(stage.diagram, plan, model, assignment)
+
+
+def _failures(ast: DiagramAst, plan: tuple, model: Model, assignment: Mapping) -> dict:
+    """The first witness of each failed obligation of ``plan``, by name.  A
+    failed obligation does not end the check, so a later missing composite
+    still raises."""
+    required, typing, layers, bijections, mapstos = plan
+    for element_id in required:
+        if element_id not in assignment:
+            raise DiagramError(f"element {element_id!r} has no assigned value")
+    failed: dict = {}
+
+    # a mistyped arrow may have no composite; its typing witness is the finding
+    mistyped: set = set()
+    for arrow_id, layer_id, src, dst, bij in typing:
+        cat = model.layers[layer_id]
+        want = (assignment[src], assignment[dst])
+        values = assignment[arrow_id] if bij else (assignment[arrow_id],)
+        expected = [want, (want[1], want[0])] if bij else [want]
         for value, want_pair in zip(values, expected):
             if (cat.dom(value), cat.cod(value)) != want_pair:
-                typing_bad.append((a.id, _value_repr(value)))
-    obligations.append(
-        Obligation("endpoint_typing", not typing_bad, tuple(typing_bad[0]) if typing_bad else ())
-    )
-    # a mistyped arrow may have no composite; its typing witness is the finding
-    mistyped = {arrow_id for arrow_id, _ in typing_bad}
+                failed.setdefault("endpoint_typing", (arrow_id, _value_repr(value)))
+                mistyped.add(arrow_id)
 
-    for layer_id in ast.layers():
-        cycle = _hom_cycle(ast, layer_id)
+    for layer_id, cycle, links, pairs in layers:
         if cycle:
             raise DiagramError(f"layer {layer_id!r} has a cyclic hom graph: {cycle}")
         cat = model.layers[layer_id]
-        links, pairs = _commute_plan(ast, layer_id)
         values: list = [None] * len(links)
         bad: tuple = ()
         for p, q, used, p_text, q_text in pairs:
@@ -944,36 +998,26 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
             rhs = _path_value(cat, assignment, links, values, q)
             if lhs != rhs and not bad:
                 bad = (p_text, q_text, _value_repr(lhs), _value_repr(rhs))
-        obligations.append(Obligation(f"commutes[{layer_id}]", not bad, bad))
+        if bad:
+            failed[f"commutes[{layer_id}]"] = bad
 
-    bij_bad: list = []
-    for a in arrows.values():
-        if a.kind != "bij" or a.id in mistyped:
+    for arrow_id, layer_id, src, dst in bijections:
+        if arrow_id in mistyped:
             continue
-        cat = model.layers[nodes[a.src].layer]
-        fwd, bwd = assignment[a.id]
-        if _compose_values(cat, bwd, fwd) != cat.id_of(assignment[a.src]):
-            bij_bad.append((a.id, "bwd o fwd"))
-        elif _compose_values(cat, fwd, bwd) != cat.id_of(assignment[a.dst]):
-            bij_bad.append((a.id, "fwd o bwd"))
-    obligations.append(
-        Obligation("bij_round_trips", not bij_bad, tuple(bij_bad[0]) if bij_bad else ())
-    )
+        cat = model.layers[layer_id]
+        fwd, bwd = assignment[arrow_id]
+        if _compose_values(cat, bwd, fwd) != cat.id_of(assignment[src]):
+            failed.setdefault("bij_round_trips", (arrow_id, "bwd o fwd"))
+        elif _compose_values(cat, fwd, bwd) != cat.id_of(assignment[dst]):
+            failed.setdefault("bij_round_trips", (arrow_id, "fwd o bwd"))
 
-    mapsto_bad: list = []
-    for a in arrows.values():
-        if a.kind != "mapsto":
-            continue
+    nodes, arrows = ast.nodes(), ast.arrows()
+    for a in mapstos:
         got = _mapsto_image(model, nodes, arrows, a, assignment[a.src])
         want = assignment[a.dst]
         if got != want:
-            mapsto_bad.append((a.id, _value_repr(got), _value_repr(want)))
-    obligations.append(
-        Obligation("mapsto_equations", not mapsto_bad, tuple(mapsto_bad[0]) if mapsto_bad else ())
-    )
-
-    subject = f"diagram:{len(nodes)}nodes/{len(arrows)}arrows"
-    return CheckReport(subject, tuple(obligations))
+            failed.setdefault("mapsto_equations", (a.id, _value_repr(got), _value_repr(want)))
+    return failed
 
 
 def _path_value(cat, assignment: Mapping, links: tuple, values: list, k: int):
@@ -1068,6 +1112,10 @@ def evaluate_quantified(
             return True, None
         stage = stages[k]
         quantifier = stage.quantifier
+
+        def shown(merged: Mapping) -> tuple:
+            return _assignment_items(stage.new_elements, merged)
+
         witnesses: list = []
         count = 0
         commuting = 0
@@ -1075,27 +1123,25 @@ def evaluate_quantified(
             count += 1
             merged = dict(assignment)
             merged.update(extension)
-            rep = check_commutativity(stage.diagram, model, merged)
-            if not rep.passed:
+            if not _stage_commutes(stage, model, merged):
                 continue
             commuting += 1
             ok, sub = run(k + 1, merged)
-            shown = _assignment_items(stage.new_elements, merged)
             if quantifier == "forall" and not ok:
-                return False, EvalTrace(k, quantifier, False, "counterexample", shown, sub)
+                return False, EvalTrace(k, quantifier, False, "counterexample", shown(merged), sub)
             if quantifier == "exists" and ok:
-                return True, EvalTrace(k, quantifier, True, "witness", shown, sub)
+                return True, EvalTrace(k, quantifier, True, "witness", shown(merged), sub)
             if quantifier == "existsuniq" and ok:
-                witnesses.append((shown, sub))
+                witnesses.append((merged, sub))
                 if len(witnesses) > 1:
-                    first = witnesses[0][0]
+                    first = shown(witnesses[0][0])
                     return False, EvalTrace(
                         k,
                         quantifier,
                         False,
                         f"not unique: second extension also works (first was "
                         f"{_items_text(first)})",
-                        shown,
+                        shown(merged),
                         sub,
                     )
         if quantifier == "forall":
@@ -1111,8 +1157,8 @@ def evaluate_quantified(
             )
         if quantifier == "existsuniq":
             if len(witnesses) == 1:
-                shown, sub = witnesses[0]
-                return True, EvalTrace(k, quantifier, True, "unique witness", shown, sub)
+                merged, sub = witnesses[0]
+                return True, EvalTrace(k, quantifier, True, "unique witness", shown(merged), sub)
             return False, EvalTrace(
                 k,
                 quantifier,
@@ -1172,14 +1218,15 @@ def _compute_mapsto_targets(
         pending = remaining
 
 
-def _stage_extensions(stage: Stage, model: Model, assignment: Mapping, cap: int):
-    """Yield candidate extension assignments for one stage, in sorted order."""
-    ast = stage.diagram
+@_per_diagram
+def _extension_shape(ast: DiagramAst, new_elements: tuple) -> tuple:
+    """(nodes, hom arrows) a stage's candidates assign, and whether the stage
+    diagram has a mapsto arrow whose target must be computed."""
     nodes, arrows = ast.nodes(), ast.arrows()
     targets = ast.mapsto_targets()
-    new_nodes = [nodes[e] for e in stage.new_elements if e in nodes and e not in targets]
+    new_nodes = tuple(nodes[e] for e in new_elements if e in nodes and e not in targets)
     new_arrows = []
-    for e in stage.new_elements:
+    for e in new_elements:
         if e in arrows and e not in targets:
             a = arrows[e]
             if a.kind == "mapsto":
@@ -1191,6 +1238,15 @@ def _stage_extensions(stage: Stage, model: Model, assignment: Mapping, cap: int)
             if a.src in ast.functors():
                 raise DiagramError(f"arrow {a.id!r} joins functors and cannot be enumerated")
             new_arrows.append(a)
+    has_mapsto = any(a.kind == "mapsto" for a in arrows.values())
+    return new_nodes, tuple(new_arrows), has_mapsto
+
+
+def _stage_extensions(stage: Stage, model: Model, assignment: Mapping, cap: int):
+    """Yield candidate extension assignments for one stage, in sorted order."""
+    ast = stage.diagram
+    nodes = ast.nodes()
+    new_nodes, new_arrows, has_mapsto = _extension_shape(ast, stage.new_elements)
 
     counter = [0]
 
@@ -1214,9 +1270,10 @@ def _stage_extensions(stage: Stage, model: Model, assignment: Mapping, cap: int)
 
     def assign_nodes(i: int, acc: dict):
         if i == len(new_nodes):
-            extended = dict(acc)
-            _compute_mapsto_targets(ast, model, extended, require_all=False)
-            yield from assign_arrows(0, extended)
+            if has_mapsto:
+                acc = dict(acc)
+                _compute_mapsto_targets(ast, model, acc, require_all=False)
+            yield from assign_arrows(0, acc)
             return
         node = new_nodes[i]
         for value in node_candidates(node):
@@ -1226,10 +1283,11 @@ def _stage_extensions(stage: Stage, model: Model, assignment: Mapping, cap: int)
 
     def assign_arrows(i: int, acc: dict):
         if i == len(new_arrows):
-            extended = dict(acc)
-            _compute_mapsto_targets(ast, model, extended)
+            if has_mapsto:
+                acc = dict(acc)
+                _compute_mapsto_targets(ast, model, acc)
             bump()
-            yield {k: v for k, v in extended.items() if k not in assignment}
+            yield {k: v for k, v in acc.items() if k not in assignment}
             return
         arrow = new_arrows[i]
         cat = model.layers[nodes[arrow.src].layer]

@@ -28,6 +28,9 @@ force, kept to pin the exact output of the faster code that replaced them:
   and rebuilt both hom-functors for every seed, transformation and element;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
   naturality jointly, over every pair of morphisms (f, k) of both categories;
+* ``elementwise_naturality_failures`` and ``elementwise_respects_composition``
+  are the naturality and functor-composition checks that composed one table
+  cell at a time, where the library compares one tuple per morphism;
 * ``path_by_path_commutativity`` is the diagram commutativity check that
   composed every path from its start, once for each parallel pair it is in;
 * ``rebuilding_yoneda_command`` and ``rebuilding_kan_command`` are the
@@ -900,6 +903,55 @@ def all_pairs_naturality(adj) -> tuple:
                 if lhs != rhs:
                     bad_sharp.append((f, k, g, lhs, rhs))
     return bad_flat, bad_sharp
+
+
+def elementwise_naturality_failures(adj, table, p, q, p2, q2):
+    """``adjunction._naturality_failures`` as a scan of every cell: the same
+    laws in each variable, in the same order, composing one h at a time."""
+    src, oth = adj.source, adj.other
+    dom, cod = p.target, p2.target
+    for f, (a2, a) in src.morphisms.items():
+        pf, pf2 = p.morphism_map[f], p2.morphism_map[f]
+        for b in oth.objects:
+            before, after = table[(a, b)], table[(a2, b)]
+            for h in dom.hom(p.object_map[a], q.object_map[b]):
+                lhs = after[dom.comp(h, pf)]
+                rhs = cod.comp(before[h], pf2)
+                if lhs != rhs:
+                    yield (f, oth.id_of(b), h, lhs, rhs)
+    for k, (b, b2) in oth.morphisms.items():
+        qk, qk2 = q.morphism_map[k], q2.morphism_map[k]
+        for a in src.objects:
+            before, after = table[(a, b)], table[(a, b2)]
+            for h in dom.hom(p.object_map[a], q.object_map[b]):
+                lhs = after[dom.comp(qk, h)]
+                rhs = cod.comp(qk2, before[h])
+                if lhs != rhs:
+                    yield (src.id_of(a), k, h, lhs, rhs)
+
+
+# ---------------------------------------------------------------------------
+# Functor composition entry by entry
+# ---------------------------------------------------------------------------
+
+
+def elementwise_respects_composition(f) -> list:
+    """Every failure of the composition law of ``validate_functor``, sorted:
+    (g, h) where F(g) . F(h) != F(g . h), and (g, h, "image not composable")
+    where the target has no such composite, one table entry at a time."""
+    src, tgt = f.source, f.target
+    respcomp = []
+    for (g, h), gh in src.compose.items():
+        if src.cod(h) != src.dom(g):
+            continue
+        try:
+            lhs = tgt.comp(f.morphism_map[g], f.morphism_map[h])
+        except (KeyError, ValueError):
+            respcomp.append((g, h, "image not composable"))
+            continue
+        if lhs != f.morphism_map[gh]:
+            respcomp.append((g, h))
+    return sorted(respcomp)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ import os
 import sys
 
 import pytest
-from oracles import all_pairs_naturality, rebuilding_kan_command
+from oracles import (
+    all_pairs_naturality,
+    elementwise_naturality_failures,
+    rebuilding_kan_command,
+)
 
 from fincat import adjunction, cli
 from fincat.adjunction import (
@@ -237,13 +241,22 @@ def _single_entry_corruptions(adj):
 
 def _assert_matches_all_pairs(adj):
     """Same verdicts as the all-pairs check; a failure names one of its
-    failures with f or k an identity.  Returns the loops that failed."""
+    failures with f or k an identity, and is the first failure of the
+    cell-by-cell scan.  Returns the loops that failed."""
     report = verify_adjunction(adj)
     loops = set()
     identities_src = set(adj.source.identity.values())
     identities_oth = set(adj.other.identity.values())
-    for name, failures in zip(("flat_natural", "sharp_natural"), all_pairs_naturality(adj)):
+    src_id, oth_id = identity_functor(adj.source), identity_functor(adj.other)
+    scans = (
+        elementwise_naturality_failures(adj, adj.flat, src_id, adj.right, adj.left, oth_id),
+        elementwise_naturality_failures(adj, adj.sharp, adj.left, oth_id, src_id, adj.right),
+    )
+    for name, failures, scan in zip(
+        ("flat_natural", "sharp_natural"), all_pairs_naturality(adj), scans
+    ):
         ob = report.obligation(name)
+        assert ob.witness == next(scan, ()), name
         assert ob.passed == (not failures), name
         if not ob.passed:
             f, k = ob.witness[:2]

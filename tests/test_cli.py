@@ -23,6 +23,7 @@ from fincat.cli import (
     corpus_dir,
     run,
 )
+from fincat.core import preorder_from_covers
 
 STAGES_EXPECTED = """\
 stages: 4
@@ -463,6 +464,17 @@ def test_deep_nesting_is_a_parse_error(argv):
     assert _run(*argv) == (EXIT_USAGE, "parse error: input nested too deeply\n")
 
 
+@pytest.mark.parametrize("fmt", ["report", "graph"])
+def test_a_flat_sum_too_deep_to_reduce_is_a_parse_error(fix, fmt):
+    # The parser's "+" loop is iterative, but the sum it builds is an
+    # application nested two levels per summand.
+    sums = {n: " + ".join(["1"] * n) for n in (150, 200)}
+    code, text = _run("reduce", sums[150], "--sig", fix("arith.sig"), "--format", fmt)
+    assert code == EXIT_OK and text.startswith("digraph" if fmt == "graph" else "nodes: 150\n")
+    code, text = _run("reduce", sums[200], "--sig", fix("arith.sig"), "--format", fmt)
+    assert (code, text) == (EXIT_USAGE, "parse error: input nested too deeply\n")
+
+
 def test_a_search_deeper_than_the_stack_answers():
     # The search builds height by height and prints from the children, so
     # nothing recurses once per level of --depth.
@@ -663,6 +675,37 @@ def test_adj_refuses_a_right_that_is_not_a_functor(fix, tmp_path, mode, name):
     code, text = _run("adj", mode, manifest)
     assert code == EXIT_CHECK_FAILED
     assert text == "check error: right is not a functor: typing fails at ('0->2', 'id_1')\n"
+
+
+def _chain3_lacking(fix, tmp_path, dropped):
+    """trunc_q_p.fun and incl_p_q.fun over the 3-chain written as explicit
+    tables without the composite ``dropped``; returns (right, left)."""
+    chain = preorder_from_covers(["0", "1", "2"], [("0", "1"), ("1", "2")])
+    lines = ["objects:", *(f"  {x}" for x in chain.objects), "morphisms:"]
+    lines += [f"  {m} : {d} -> {c}" for m, (d, c) in chain.morphisms.items()]
+    lines.append("compose:")
+    lines += [f"  {g} . {f} = {h}" for (g, f), h in chain.compose.items() if (g, f) != dropped]
+    (tmp_path / "chain3.fincat").write_text("\n".join(lines) + "\n")
+    paths = []
+    for name in ("trunc_q_p.fun", "incl_p_q.fun"):
+        with open(fix(name), encoding="utf-8") as handle:
+            text = handle.read()
+        (tmp_path / name).write_text(text.replace("chain2.fincat", fix("chain2.fincat")))
+        paths.append(str(tmp_path / name))
+    return paths
+
+
+@pytest.mark.parametrize(
+    "mode, name",
+    [("verify", "galois.adj"), ("verify", "galois_build.adj"), ("build", "galois_build.adj")],
+)
+def test_adj_names_a_composite_the_table_lacks(fix, tmp_path, mode, name):
+    right, left = _chain3_lacking(fix, tmp_path, ("1->2", "0->1"))
+    manifest = _manifest(fix, tmp_path, name, right, left)
+    assert _run("adj", mode, manifest) == (
+        EXIT_CHECK_FAILED,
+        "check error: composition table has no entry for ('1->2', '0->1')\n",
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""``check_commutativity`` against composing every path from its start.
+"""``check_commutativity`` and the stage check against composing every path
+from its start.
 
 The check walks a per-diagram plan and composes each path once, from its
 prefix; ``path_by_path_commutativity`` in ``tests/oracles.py`` composes every
 path of every parallel pair from its start.  Both must give equal reports, or
-raise the same ``DiagramError``, on every call that ``evaluate_quantified``
-makes for the bundled diagrams over the bundled and generated models, and on
-seeded assignments of a square with a bijection whose binds are mistyped, do
-not commute, fail the round trip, are exempted by ``noncommute`` or need a
-composite the table lacks.  Evaluation traces must be equal, too.
+raise the same ``DiagramError``, on every stage-0 call that
+``evaluate_quantified`` makes for the bundled diagrams over the bundled and
+generated models, and on seeded assignments of a square with a bijection
+whose binds are mistyped, do not commute, fail the round trip, are exempted
+by ``noncommute`` or need a composite the table lacks.  On every candidate of
+a later stage, the stage check, which looks only at what the stage's new
+elements can break, must give the oracle's verdict on the whole stage
+diagram, or raise the same error.  Evaluation traces must be equal, too.
 """
 
 import random
@@ -30,6 +34,7 @@ from fincat.files import ModelSpec, load_category, load_functor, load_model_spec
 from fincat.finset import CapExceededError
 
 real_check = diagram.check_commutativity
+real_stage_check = diagram._stage_commutes
 
 
 def _load(fix, name):
@@ -52,11 +57,20 @@ def _evaluation(ast, model):
     return value, trace
 
 
+def _oracle_stage_commutes(stage, model, assignment):
+    return path_by_path_commutativity(stage.diagram, model, assignment).passed
+
+
 def _evaluate_both(monkeypatch, ast, model) -> int:
-    """Evaluate with the oracle, then with the plan while every call is also
-    answered by the oracle; returns the number of compared calls."""
+    """Evaluate with the oracle, then with the plans while every call is also
+    answered by the oracle; returns the number of compared calls.
+
+    Stage 0 is checked by ``check_commutativity``, whose report is printed;
+    each candidate of a later stage only by the stage check, whose verdict
+    must be the oracle's on the whole stage diagram."""
     with monkeypatch.context() as patched:
         patched.setattr(diagram, "check_commutativity", path_by_path_commutativity)
+        patched.setattr(diagram, "_stage_commutes", _oracle_stage_commutes)
         want = _evaluation(ast, model)
     calls = []
 
@@ -67,8 +81,16 @@ def _evaluate_both(monkeypatch, ast, model) -> int:
         calls.append(sub)
         return real_check(sub, model, assignment)
 
+    def both_stage(stage, model, assignment):
+        assert _outcome(real_stage_check, stage, model, assignment) == _outcome(
+            _oracle_stage_commutes, stage, model, assignment
+        )
+        calls.append(stage.diagram)
+        return real_stage_check(stage, model, assignment)
+
     with monkeypatch.context() as patched:
         patched.setattr(diagram, "check_commutativity", both)
+        patched.setattr(diagram, "_stage_commutes", both_stage)
         assert _evaluation(ast, model) == want
     return len(calls)
 
@@ -131,6 +153,26 @@ def test_equalizer_over_generated_models(fix, monkeypatch, name):
     ast = _load(fix, "equalizer.diag")
     spec = ModelSpec(name, {"L": _EQUALIZER_LAYERS[name]}, {}, {}, {})
     assert _evaluate_both(monkeypatch, ast, build_model(ast, spec)) > 1
+
+
+def _dropping(cat, dropped):
+    compose = {key: value for key, value in cat.compose.items() if key != dropped}
+    return FinCat(cat.objects, dict(cat.morphisms), dict(cat.identity), compose)
+
+
+def test_equalizer_with_a_missing_composite(fix, monkeypatch):
+    """A stage check that has already failed a pair still raises for a later
+    pair whose composite the table lacks."""
+    ast = _load(fix, "equalizer.diag")
+    raised = set()
+    for dropped in sorted(_DOUBLED.compose):
+        spec = ModelSpec("doubled", {"L": _dropping(_DOUBLED, dropped)}, {}, {}, {})
+        model = build_model(ast, spec)
+        assert _evaluate_both(monkeypatch, ast, model) > 1
+        outcome = _evaluation(ast, model)
+        if isinstance(outcome, str):
+            raised.add(outcome)
+    assert "DiagramError: composition table has no entry for ('e0', 'e0')" in raised
 
 
 def _galois(fix, binds):
@@ -293,3 +335,27 @@ def test_a_missing_composite_raises_the_same_error():
             if isinstance(want, str):
                 raised.add(want)
         assert f"DiagramError: composition table has no entry for {dropped!r}" in raised
+
+
+# SQUARE with C, and with it h, k and the bijection i, brought in by stage 1
+STAGED_SQUARE = SQUARE.replace('node C : L "C"', 'node C : L "C" @forall(1)')
+
+
+def test_staged_square_checks_only_what_its_new_elements_break():
+    """The stage-1 check on every seeded assignment that passes stage 0,
+    over the doubled chain and over each copy missing one composite."""
+    stage0, stage1 = extract_stages(parse_diagram(STAGED_SQUARE))
+    assert set(stage1.new_elements) == {"C", "h", "k", "i"}
+    rng = random.Random(16)
+    verdicts, raised = set(), set()
+    for dropped in [None, *sorted(_DOUBLED.compose)]:
+        model = Model({"L": _DOUBLED if dropped is None else _dropping(_DOUBLED, dropped)}, {}, {})
+        for assignment in _square_assignments(model.layers["L"], rng, 150):
+            earlier = _outcome(path_by_path_commutativity, stage0.diagram, model, assignment)
+            if isinstance(earlier, str) or not earlier.passed:
+                continue
+            want = _outcome(_oracle_stage_commutes, stage1, model, assignment)
+            assert _outcome(real_stage_check, stage1, model, assignment) == want
+            (raised if isinstance(want, str) else verdicts).add(want)
+    assert verdicts == {True, False}
+    assert len(raised) > 1

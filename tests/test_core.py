@@ -1,5 +1,6 @@
 """Category, functor, and transformation law checking on explicit tables."""
 
+import glob
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import elementwise_respects_composition
 
 import fincat
 from fincat.core import (
@@ -26,6 +28,8 @@ from fincat.core import (
 )
 from fincat.files import load_category, load_functor, load_nattrans
 from fincat.finset import FinSetObj, identity_map
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 CATEGORY_SIZES = {
     "kite.fincat": (5, 14),
@@ -262,6 +266,43 @@ def test_uncomposable_images_fail_respects_composition(fix, valued):
         "0->1",
         "image not composable",
     )
+
+
+def _functors_to_compare(fix, tmp_path):
+    """Bundled and broken functors, the truncations of a ``tables`` pass
+    (mutated ones included), and every functor obtained from a table-valued
+    bundled one by sending one morphism to another of the target."""
+    sys.path.insert(0, PERFBENCH)
+    try:
+        import gen
+    finally:
+        sys.path.remove(PERFBENCH)
+    cases = gen.build("tables", 1, str(tmp_path), fix(""))
+    bundled = sorted(glob.glob(fix("*.fun")) + glob.glob(fix("broken", "*.fun")))
+    generated = [c.argv[1] for c in cases if c.argv[0] == "check-fun"]
+    assert any("_bad" in path for path in generated)
+    for path in bundled + generated:
+        functor = load_functor(path)
+        yield functor
+        if functor.target is FINSET or path in generated:
+            continue
+        for m, image in functor.morphism_map.items():
+            for other in sorted(functor.target.morphisms):
+                if other != image:
+                    bent = {**functor.morphism_map, m: other}
+                    yield FunctorVal(functor.source, functor.target, functor.object_map, bent)
+
+
+def test_composition_witness_is_the_elementwise_scans(fix, tmp_path):
+    verdicts = set()
+    for functor in _functors_to_compare(fix, tmp_path):
+        scan = elementwise_respects_composition(functor)
+        ob = validate_functor(functor).obligation("respects_composition")
+        assert ob.witness == (scan[0] if scan else ())
+        verdicts.add((functor.target is FINSET, ob.passed, len(ob.witness)))
+    # both kinds of target, passing and failing, and images with no composite
+    assert {(True, True, 0), (True, False, 2), (False, True, 0), (False, False, 2)} <= verdicts
+    assert (False, False, 3) in verdicts
 
 
 def test_witness_guard_survives_optimised_mode():
