@@ -58,7 +58,6 @@ from .finset import (
     compose_maps,
     enumerate_nattrans_finset,
     limit_finset,
-    tuple_atom,
 )
 
 __all__ = [
@@ -445,12 +444,12 @@ def precompose_functor(along: FunctorVal, functor: FunctorVal) -> FunctorVal:
 
 
 def _comma_diagrams(along: FunctorVal, functor: FunctorVal, orientation: str):
-    """Per target object: the functor's diagram over the slice category, and
-    the slice's anatomy oid -> (source object, structure morphism)."""
+    """Per target object, the functor's diagram over the slice category,
+    whose objects are the pairs (source object, structure morphism)."""
     out = {}
     for b in along.target.objects:
-        _slice, forget, anatomy = comma_under_object(b, along, orientation=orientation)
-        out[b] = (compose_functors(functor, forget), anatomy)
+        _slice, forget = comma_under_object(b, along, orientation=orientation)
+        out[b] = compose_functors(functor, forget)
     return out
 
 
@@ -498,23 +497,20 @@ def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> t
     """:func:`right_kan` and its cones, for inputs that passed
     ``_require_setvalued``."""
     tgt = along.target
-    data = _comma_diagrams(along, functor, "under")
     object_map = {}
     cones = {}
-    for b, (diagram, anatomy) in data.items():
-        carrier, projections = limit_finset(diagram, cap)
-        object_map[b] = carrier
-        cones[b] = {anatomy[oid]: proj for oid, proj in projections.items()}
+    for b, diagram in _comma_diagrams(along, functor, "under").items():
+        object_map[b], cones[b] = limit_finset(diagram, cap)
 
+    # An element at b2 is a family over the slice objects in cones[b2]'s order.
     morphism_map = {}
     for k, (b, b2) in tgt.morphisms.items():
-        table = {}
-        for element in object_map[b]:
-            family = {
-                oid2: cones[b][(a, _compose(tgt, phi, k))].table[element]
-                for oid2, (a, phi) in data[b2][1].items()
-            }
-            table[element] = tuple_atom(family)
+        table = {
+            element: tuple(
+                cones[b][(a, _compose(tgt, phi, k))].table[element] for a, phi in cones[b2]
+            )
+            for element in object_map[b]
+        }
         morphism_map[k] = FinSetMap(object_map[b], object_map[b2], table)
 
     kan = FunctorVal(tgt, FINSET, object_map, morphism_map)
@@ -528,13 +524,10 @@ def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
     """:func:`left_kan` and its cocones, for inputs that passed
     ``_require_setvalued``."""
     tgt = along.target
-    data = _comma_diagrams(along, functor, "over")
     object_map = {}
     cocones = {}
-    for b, (diagram, anatomy) in data.items():
-        carrier, injections = colimit_finset(diagram)
-        object_map[b] = carrier
-        cocones[b] = {anatomy[oid]: inj for oid, inj in injections.items()}
+    for b, diagram in _comma_diagrams(along, functor, "over").items():
+        object_map[b], cocones[b] = colimit_finset(diagram)
 
     morphism_map = {}
     for k, (b, b2) in tgt.morphisms.items():

@@ -37,6 +37,7 @@ from .diagram import (
     build_model,
     elaborate_context,
     evaluate_quantified,
+    expand_annotation,
     extract_stages,
     parse_diagram,
     quantifier_glyph,
@@ -177,8 +178,15 @@ def _cmd_check_nt(cfg: RunConfig, out) -> int:
 
 
 def _load_diagram(path: str):
+    """The parsed diagram with every macro that an element uses spliced in,
+    each macro once."""
     with open(path, encoding="utf-8") as handle:
-        return parse_diagram(handle.read())
+        ast = parse_diagram(handle.read())
+    expanded: set = set()
+    while uses := [u for e in ast.elements().values() for u in e.uses if u not in expanded]:
+        ast = expand_annotation(ast, uses[0])
+        expanded.add(uses[0])
+    return ast
 
 
 def _cmd_stages(cfg: RunConfig, out) -> int:

@@ -471,10 +471,10 @@ def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
     """Comma category of a table functor against an object of its target.
 
     orientation "under": objects (A, phi: b -> f A); "over": (A, phi: f A -> b).
-    Returns ``(cat, forget, anatomy)``: the category, the forgetful functor to
-    f's source, and ``anatomy[oid] = (A, phi)`` for every object.  The
-    identifier format is private to this function; callers use the anatomy.
-    Raises MalformedTableError when two pairs would share an identifier.
+    Each object is the pair ``(A, phi)`` itself and each morphism the triple
+    ``(u, source, target)`` of a morphism u of f's source and the two
+    objects.  Returns ``(cat, forget)``: the category and the forgetful
+    functor to f's source.
     """
     if f.target is FINSET:
         raise BoundaryError("comma against an object needs a table-valued functor")
@@ -483,21 +483,16 @@ def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
     src, tgt = f.source, f.target
     if not tgt.has_object(b):
         raise MalformedTableError(f"unknown object {b!r} in target category")
-    anatomy = {}
+    objects = []
     for a in src.objects:
         homs = tgt.hom(b, f.object_map[a]) if orientation == "under" else tgt.hom(f.object_map[a], b)
-        for phi in homs:
-            oid = f"({a},{phi})"
-            if oid in anatomy:
-                raise MalformedTableError(
-                    f"comma objects {anatomy[oid]!r} and {(a, phi)!r} share the identifier {oid!r}"
-                )
-            anatomy[oid] = (a, phi)
+        objects += [(a, phi) for phi in homs]
     morphisms = {}
     identity = {}
-    mdata = {}
-    for o1, (a1, phi1) in anatomy.items():
-        for o2, (a2, phi2) in anatomy.items():
+    for o1 in objects:
+        a1, phi1 = o1
+        for o2 in objects:
+            a2, phi2 = o2
             for u in src.hom(a1, a2):
                 fu = f.morphism_map[u]
                 if orientation == "under":
@@ -505,23 +500,15 @@ def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
                 else:
                     ok = tgt.compose[(phi2, fu)] == phi1
                 if ok:
-                    mid = f"({u} | {o1} -> {o2})"
-                    morphisms[mid] = (o1, o2)
-                    mdata[mid] = u
+                    morphisms[(u, o1, o2)] = (o1, o2)
                     if u == src.id_of(a1):
-                        identity[o1] = mid
-    compose = {}
-    for m2, (o2, o3) in morphisms.items():
-        for m1, (o1, o1cod) in morphisms.items():
-            if o1cod != o2:
-                continue
-            u = src.compose[(mdata[m2], mdata[m1])]
-            compose[(m2, m1)] = f"({u} | {o1} -> {o3})"
-    cat = FinCat(tuple(sorted(anatomy)), morphisms, identity, compose)
-    forget = FunctorVal(
-        cat,
-        src,
-        {oid: a for oid, (a, _phi) in anatomy.items()},
-        {mid: mdata[mid] for mid in morphisms},
-    )
-    return cat, forget, anatomy
+                        identity[o1] = (u, o1, o1)
+    compose = {
+        (m2, m1): (src.compose[(m2[0], m1[0])], m1[1], m2[2])
+        for m2 in morphisms
+        for m1 in morphisms
+        if m1[2] == m2[1]
+    }
+    cat = FinCat(tuple(sorted(objects)), morphisms, identity, compose)
+    forget = FunctorVal(cat, src, {o: o[0] for o in objects}, {m: m[0] for m in morphisms})
+    return cat, forget

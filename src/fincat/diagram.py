@@ -766,7 +766,7 @@ def _resolve_morphism(cat, element, raw: str, binds: Mapping, flip: bool):
 
 def _value_repr(v) -> str:
     if isinstance(v, FinSetMap):
-        return encode_map(v, strict=False)
+        return encode_map(v)
     if isinstance(v, tuple):
         return "(" + ", ".join(_value_repr(part) for part in v) + ")"
     return str(v)

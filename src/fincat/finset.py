@@ -1,10 +1,10 @@
 """Finite sets, maps between them, and brute-force (co)limit machinery.
 
-Atoms are integers or tokens.  Everything here enumerates in a canonical
-sorted order so repeated runs produce identical output: integers sort
-before tokens, map tables are keyed by sorted domain atoms, limit elements
-are printable tuple encodings, and colimit classes are named after their
-least tagged atom.
+Atoms are integers, tokens, or tuples of atoms.  Everything here
+enumerates in a canonical sorted order so repeated runs produce identical
+output: integers sort before tokens and tokens before tuples, map tables are
+keyed by sorted domain atoms, a limit element is its tuple of values over
+the sorted shape objects, and a colimit class is its least ``(j, x)`` pair.
 """
 
 from __future__ import annotations
@@ -27,9 +27,12 @@ class EncodingError(Exception):
 
 
 def atom_key(a):
-    """Sort key placing integers before tokens."""
+    """Sort key placing integers before tokens, and tokens before tuples,
+    which compare entry by entry."""
     if isinstance(a, int) and not isinstance(a, bool):
         return (0, a)
+    if isinstance(a, tuple):
+        return (2, tuple(map(atom_key, a)))
     return (1, str(a))
 
 
@@ -104,7 +107,7 @@ class FinSetMap:
         return hash((self.dom.atoms, self.cod.atoms, frozenset(self.table.items())))
 
     def __repr__(self):
-        return encode_map(self, strict=False)
+        return encode_map(self)
 
     def __setattr__(self, *_):
         raise AttributeError("FinSetMap is immutable")
@@ -180,12 +183,15 @@ def check_encodable(atoms: Iterable) -> None:
             raise EncodingError(f"atom {a!r} contains reserved characters")
 
 
-def encode_map(m: FinSetMap, strict: bool = True) -> str:
-    """Canonical one-line encoding "{a->x,b->y}" keyed by sorted domain."""
-    if strict:
-        check_encodable((*m.dom, *m.cod))
-    items = sorted(m.table.items(), key=lambda kv: atom_key(kv[0]))
-    return "{" + ",".join(f"{a}->{b}" for a, b in items) + "}"
+def encode_map(m: FinSetMap) -> str:
+    """Canonical one-line encoding "{a->x,b->y}" keyed by sorted domain.
+    Only atoms that pass :func:`check_encodable` decode back."""
+    return _map_text(m.dom.atoms, map(m.table.__getitem__, m.dom.atoms))
+
+
+def _map_text(keys: Iterable, values: Iterable) -> str:
+    """The text "{a->x,b->y}" of the entries a->x, b->y in the given order."""
+    return "{" + ",".join(f"{a}->{b}" for a, b in zip(keys, values)) + "}"
 
 
 def decode_map(text: str, dom: FinSetObj, cod: FinSetObj) -> FinSetMap:
@@ -209,17 +215,6 @@ def _match_atom(token: str, among: FinSetObj):
         if str(a) == token:
             return a
     raise EncodingError(f"atom {token!r} not in {among!r}")
-
-
-def tuple_atom(assignment: Mapping) -> str:
-    """Canonical element of a limit: "(j1=x, j2=y)" over sorted indices."""
-    items = sorted(assignment.items(), key=lambda kv: str(kv[0]))
-    return "(" + ", ".join(f"{j}={x}" for j, x in items) + ")"
-
-
-def class_atom(j, x) -> str:
-    """Canonical tagged atom of a disjoint union."""
-    return f"[{j}:{x}]"
 
 
 def _solve(variables, domains, constraints, cap):
@@ -272,9 +267,10 @@ def enumerate_maps(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> l
 def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
     """Limit of a finite-set valued diagram: compatible families.
 
-    Returns (carrier, projections); the carrier's atoms are the canonical
-    tuple encodings and projections is a dict from diagram objects to maps.
-    The empty diagram has the one-point carrier {"()"}.
+    Returns (carrier, projections).  An element of the carrier is a family's
+    tuple of values over the sorted shape objects, and projections maps each
+    shape object, in that order, to its projection.  The empty diagram has
+    the one-point carrier {()}.
     """
     if d.target is not FINSET:
         raise ValueError("limit_finset needs a finite-set valued diagram")
@@ -283,16 +279,12 @@ def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
     constraints = [
         (j, d.morphism_map[f].table, j2) for f, (j, j2) in shape.morphisms.items()
     ]
-    families = [
-        dict(zip(objs, values))
-        for values in _solve(objs, d.object_map, constraints, cap)
-    ]
-    carrier = FinSetObj(tuple_atom(fam) for fam in families)
-    projections = {}
-    for j in objs:
-        projections[j] = FinSetMap(
-            carrier, d.object_map[j], {tuple_atom(fam): fam[j] for fam in families}
-        )
+    families = list(_solve(objs, d.object_map, constraints, cap))
+    carrier = FinSetObj(families)
+    projections = {
+        j: FinSetMap(carrier, d.object_map[j], {fam: fam[i] for fam in families})
+        for i, j in enumerate(objs)
+    }
     return carrier, projections
 
 
@@ -300,8 +292,8 @@ def colimit_finset(d):
     """Colimit of a finite-set valued diagram: tagged union modulo the
     relation generated by the diagram's maps.
 
-    Returns (carrier, injections); class representatives are the least
-    tagged atom, written "[j:x]".
+    Returns (carrier, injections); a class is its least tagged atom, the
+    pair ``(j, x)`` of a shape object and an element of its value.
     """
     if d.target is not FINSET:
         raise ValueError("colimit_finset needs a finite-set valued diagram")
@@ -328,16 +320,13 @@ def colimit_finset(d):
     classes = {}
     for t in tagged:
         classes.setdefault(find(t), []).append(t)
-    rep_atom = {}
-    for root, members in classes.items():
-        least = min(members, key=lambda t: (str(t[0]), atom_key(t[1])))
-        for m in members:
-            rep_atom[m] = class_atom(*least)
-    carrier = FinSetObj(set(rep_atom.values()))
+    # tagged runs in sorted order, so each class lists its least member first
+    rep = {m: members[0] for members in classes.values() for m in members}
+    carrier = FinSetObj(rep.values())
     injections = {}
     for j in sorted(shape.objects):
         injections[j] = FinSetMap(
-            d.object_map[j], carrier, {x: rep_atom[(j, x)] for x in d.object_map[j]}
+            d.object_map[j], carrier, {x: rep[(j, x)] for x in d.object_map[j]}
         )
     return carrier, injections
 
@@ -386,7 +375,7 @@ def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
 def nattrans_key(t) -> tuple:
     """Canonical sort/identity key for a finite-set valued transformation."""
     return tuple(
-        (c, encode_map(t.components[c], strict=False)) for c in sorted(t.components)
+        (c, encode_map(t.components[c])) for c in sorted(t.components)
     )
 
 

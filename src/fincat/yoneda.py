@@ -1,4 +1,5 @@
-"""Hom-functors, universal arrows, and pointwise Yoneda bijections.
+"""Hom-functors, seed/transformation round trips, and pointwise Yoneda
+bijections.
 
 Everything here works over a finite table category whose set-valued
 functors land in finite sets, so every statement is checked by full
@@ -7,20 +8,14 @@ enumeration:
 * :func:`hom_cov_functor` — the covariant hom-functor of an object
   (values are the hom-sets, action is postcomposition).
 * :func:`hom_maps_functor` — maps out of a fixed probe set into a
-  functor's values (action is postcomposition with the functor image).
+  functor's values (action is postcomposition with the functor image); a
+  map is its tuple of values over the sorted probe.
 * :func:`transform_from_seed` / :func:`seed_from_transform` — the two
   directions of the correspondence between maps ``probe -> values(anchor)``
   and transformations from the anchor's hom-functor, plus
   :func:`check_yoneda_roundtrips` verifying they are mutually inverse.
-* :func:`is_universal_arrow` — exhaustive uniqueness check of the
-  universal property of a seed map.
 * :func:`yoneda_pointwise_bijection` — elements of the anchor's value set
   versus transformations out of the anchor's hom-functor.
-* :func:`yoneda_embedding` — precomposition transformations between
-  hom-functors, one per morphism.
-* :func:`check_representation` / :func:`find_representation` —
-  representability via the equivalence "component-wise bijection iff the
-  chosen element is universal".
 
 :func:`yoneda_pointwise_bijection` and :func:`check_yoneda_roundtrips`
 accept the hom-functors they would otherwise build as keyword-only
@@ -30,7 +25,7 @@ arguments, so a caller that checks every anchor builds each one once.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .core import (
     FINSET,
@@ -43,18 +38,13 @@ from .core import (
 )
 from .finset import (
     DEFAULT_ENUM_CAP,
-    EncodingError,
     FinSetMap,
     FinSetObj,
+    _map_text,
     _trusted_map,
     _values_key,
-    check_encodable,
-    compose_maps,
-    decode_map,
-    encode_map,
     enumerate_maps,
     enumerate_nattrans_finset,
-    nattrans_key,
 )
 
 __all__ = [
@@ -64,11 +54,7 @@ __all__ = [
     "transform_from_seed",
     "seed_from_transform",
     "check_yoneda_roundtrips",
-    "is_universal_arrow",
     "yoneda_pointwise_bijection",
-    "yoneda_embedding",
-    "check_representation",
-    "find_representation",
 ]
 
 
@@ -120,42 +106,27 @@ def hom_maps_functor(
 ) -> FunctorVal:
     """D maps to the set of all maps probe -> set_functor(D).
 
-    Atoms are the canonical map encodings; a morphism g acts by
-    postcomposition with the functor's image of g.  Each map is enumerated
-    and named once, keyed by its tuple of values over the sorted probe, so
-    an action is a lookup of the postcomposed tuple.  Raises EncodingError
-    when an atom of the probe or of a value set that has maps out of the
-    probe cannot be encoded, or when two maps encode to one name (atoms
-    such as 1 and "1" print alike).
+    A map is the atom given by its tuple of values over the sorted probe;
+    a morphism g acts by postcomposition with the functor's image of g,
+    applied to each entry of the tuple.
     """
     category = set_functor.source
     maps_at = {
-        d: enumerate_maps(probe, set_functor.object_map[d], cap) for d in category.objects
+        d: [_map_values(h) for h in enumerate_maps(probe, set_functor.object_map[d], cap)]
+        for d in category.objects
     }
-    names = {}
-    for d, maps in maps_at.items():
-        if maps:
-            check_encodable((*probe, *set_functor.object_map[d]))
-        names[d] = {
-            tuple(h.table[a] for a in probe.atoms): encode_map(h, strict=False) for h in maps
-        }
-        first = {}
-        for values, name in names[d].items():
-            other = first.setdefault(name, values)
-            if other != values:
-                raise EncodingError(
-                    f"maps with values {other!r} and {values!r} both encode as {name!r}"
-                )
-    object_map = {d: FinSetObj(names[d].values()) for d in category.objects}
+    object_map = {d: FinSetObj(maps) for d, maps in maps_at.items()}
     morphism_map = {}
     for g, (d, d2) in category.morphisms.items():
         action = set_functor.morphism_map[g].table
-        table = {
-            name: names[d2][tuple(action[x] for x in values)]
-            for values, name in names[d].items()
-        }
+        table = {values: tuple(action[x] for x in values) for values in maps_at[d]}
         morphism_map[g] = _trusted_map(object_map[d], object_map[d2], table)
     return FunctorVal(category, FINSET, object_map, morphism_map)
+
+
+def _map_values(m: FinSetMap) -> tuple:
+    """A map's atom in :func:`hom_maps_functor`: its values over its sorted domain."""
+    return tuple(m.table[a] for a in m.dom.atoms)
 
 
 def transform_from_seed(ctx: HomContext) -> NatTransVal:
@@ -164,16 +135,16 @@ def transform_from_seed(ctx: HomContext) -> NatTransVal:
         raise ValueError("context has no seed map")
     source = hom_cov_functor(ctx.category, ctx.anchor)
     target = hom_maps_functor(ctx.probe, ctx.set_functor)
-    return _pointwise_transform(source, target, ctx.anchor, encode_map(ctx.seed, strict=False))
+    return _pointwise_transform(source, target, ctx.anchor, _map_values(ctx.seed))
 
 
 def seed_from_transform(ctx: HomContext) -> FinSetMap:
     """Recover the seed map: the anchor component applied to the identity."""
     if ctx.transform is None:
         raise ValueError("context has no transformation")
-    ident = ctx.category.id_of(ctx.anchor)
-    encoded = ctx.transform.at(ctx.anchor).table[ident]
-    return decode_map(encoded, ctx.probe, ctx.set_functor.object_map[ctx.anchor])
+    values = ctx.transform.at(ctx.anchor).table[ctx.category.id_of(ctx.anchor)]
+    cod = ctx.set_functor.object_map[ctx.anchor]
+    return FinSetMap(ctx.probe, cod, dict(zip(ctx.probe.atoms, values)))
 
 
 def check_yoneda_roundtrips(
@@ -199,21 +170,22 @@ def check_yoneda_roundtrips(
     transforms = enumerate_nattrans_finset(source, target, cap)
     ident = ctx.category.id_of(ctx.anchor)
 
-    # A seed is named by its canonical encoding, the atom ``target`` uses for
-    # it, so each round trip compares names and never decodes one.
+    # A seed is its tuple of values, the atom ``target`` uses for it, so each
+    # round trip compares tuples; map text is built only for a witness.
+    probe = ctx.probe.atoms
     bad_seed = []
     for seed in seeds:
-        name = encode_map(seed, strict=False)
-        back = _pointwise_transform(source, target, ctx.anchor, name).at(ctx.anchor).table[ident]
-        if back != name:
-            bad_seed.append((name, back))
+        values = _map_values(seed)
+        back = _pointwise_transform(source, target, ctx.anchor, values).at(ctx.anchor).table[ident]
+        if back != values:
+            bad_seed.append((_map_text(probe, values), _map_text(probe, back)))
 
     bad_transform = []
     for transform in transforms:
-        name = transform.at(ctx.anchor).table[ident]
-        again = _pointwise_transform(source, target, ctx.anchor, name)
+        values = transform.at(ctx.anchor).table[ident]
+        again = _pointwise_transform(source, target, ctx.anchor, values)
         if again.components != transform.components:
-            bad_transform.append(nattrans_key(transform))
+            bad_transform.append(_printed_transform(probe, transform))
 
     obligations = (
         Obligation("seed_roundtrip", not bad_seed, tuple(bad_seed[0]) if bad_seed else ()),
@@ -231,33 +203,14 @@ def check_yoneda_roundtrips(
     return CheckReport(f"roundtrips@{ctx.anchor}", obligations)
 
 
-def is_universal_arrow(
-    category: FinCat,
-    set_functor: FunctorVal,
-    probe: FinSetObj,
-    anchor: str,
-    seed: FinSetMap,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> tuple:
-    """Exhaustive universal-property check for a seed map.
+def _printed_transform(probe: tuple, t: NatTransVal) -> tuple:
+    """A transformation into :func:`hom_maps_functor` as ``nattrans_key``
+    prints it, each tuple of values written as the map "{a->x}" it is."""
 
-    True iff for every object D and every map g : probe -> values(D)
-    exactly one morphism f : anchor -> D satisfies (image of f) . seed = g.
-    The table records, per (D, g), the tuple of all solutions, so a failure
-    is replayable from the output alone.
-    """
-    table = {}
-    ok = True
-    for d in sorted(category.objects):
-        by_composite = {}
-        for f in category.hom(anchor, d):
-            by_composite.setdefault(compose_maps(set_functor.morphism_map[f], seed), []).append(f)
-        for g in enumerate_maps(probe, set_functor.object_map[d], cap):
-            solutions = tuple(by_composite.get(g, ()))
-            table[(d, encode_map(g, strict=False))] = solutions
-            if len(solutions) != 1:
-                ok = False
-    return ok, table
+    def printed(m: FinSetMap) -> str:
+        return _map_text(m.dom, (_map_text(probe, v) for v in _map_values(m)))
+
+    return tuple((c, printed(t.components[c])) for c in sorted(t.components))
 
 
 def _pointwise_transform(
@@ -314,79 +267,3 @@ def yoneda_pointwise_bijection(
         Obligation("surjective", onto, () if onto else (len(keys), len(enumerated))),
     )
     return mapping, CheckReport(f"pointwise@{anchor}", obligations)
-
-
-def yoneda_embedding(category: FinCat, morphism: str) -> NatTransVal:
-    """Precomposition with a morphism, as a transformation between hom-functors.
-
-    A morphism m : B -> C yields Hom(C,-) -> Hom(B,-) by g -> g . m; applying
-    the component at C to the identity returns m itself.
-    """
-    if morphism not in category.morphisms:
-        raise ValueError(f"{morphism!r} is not a morphism")
-    b, c = category.morphisms[morphism]
-    source = hom_cov_functor(category, c)
-    target = hom_cov_functor(category, b)
-    components = {}
-    for d in category.objects:
-        table = {g: category.compose[(g, morphism)] for g in category.hom(c, d)}
-        components[d] = FinSetMap(source.object_map[d], target.object_map[d], table)
-    return NatTransVal(source, target, components)
-
-
-def _is_bijection(m: FinSetMap) -> bool:
-    return len(m.dom) == len(m.cod) and len(set(m.table.values())) == len(m.dom)
-
-
-_POINT = FinSetObj(("*",))
-
-
-def check_representation(
-    category: FinCat,
-    set_functor: FunctorVal,
-    anchor: str,
-    transform: NatTransVal,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> CheckReport:
-    """Representability criterion agreement for one candidate transformation.
-
-    Extracts the element picked out by the anchor component at the identity
-    and checks that "every component is a bijection" and "that element is
-    universal (probe = one-point set)" give the same verdict.  The report's
-    subject records the verdict; the obligations demand naturality and the
-    agreement of the two criteria.
-    """
-    natural = validate_nattrans(transform).passed
-    element = transform.at(anchor).table[category.id_of(anchor)]
-    iso = natural and all(_is_bijection(transform.at(d)) for d in category.objects)
-    seed = FinSetMap(_POINT, set_functor.object_map[anchor], {"*": element})
-    universal, _table = is_universal_arrow(
-        category, set_functor, _POINT, anchor, seed, cap
-    )
-    obligations = (
-        Obligation("is_natural_transformation", natural, () if natural else (anchor,)),
-        Obligation(
-            "criteria_agree",
-            iso == universal,
-            () if iso == universal else (iso, universal),
-        ),
-    )
-    verdict = "representation" if iso else "not-a-representation"
-    return CheckReport(f"{verdict}@{anchor}", obligations)
-
-
-def find_representation(
-    category: FinCat, set_functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
-) -> Optional[tuple]:
-    """First (object, element, transformation) whose components are all bijections.
-
-    Scans objects and elements in canonical order; returns None when the
-    functor is not representable.
-    """
-    for anchor in sorted(category.objects):
-        source = hom_cov_functor(category, anchor)
-        for element in set_functor.object_map[anchor]:
-            transform = _pointwise_transform(source, set_functor, anchor, element)
-            if all(_is_bijection(transform.at(d)) for d in category.objects):
-                return anchor, element, transform
-    return None

@@ -4,8 +4,7 @@ Nothing here shares search or enumeration logic with the library: category
 laws are checked by a triple loop over the raw morphism table, preorder
 closures by a pairwise fixpoint, limits and natural transformations are
 enumerated by a raw cartesian product filtered by the diagram's maps or the
-naturality squares, universal-arrow tables by testing every (morphism, map)
-pair, and term inhabitants by a bottom-up enumeration of all well-typed
+naturality squares, and term inhabitants by a bottom-up enumeration of all well-typed
 terms followed by a normality filter.  Only the report and AST constructors
 and ``free_vars`` are reused (and, by the reduction-graph reference, the
 contraction, typing and graph-flag helpers), so the comparisons exercise
@@ -24,7 +23,8 @@ force, kept to pin the exact output of the faster code that replaced them:
   reductions and the reduction graph keyed by those prints;
 * ``string_encoded_hom_maps_functor``, ``rebuilding_transform_from_seed``,
   ``rebuilding_roundtrips`` and ``rebuilding_pointwise_bijection`` are the
-  Yoneda checks that composed and encoded a new map for every action entry
+  Yoneda checks that named every map by its text "{a->x}", composed and
+  printed a new map for every action entry, read seeds back from that text,
   and rebuilt both hom-functors for every seed, transformation and element;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
   naturality jointly, over every pair of morphisms (f, k) of both categories;
@@ -83,7 +83,6 @@ from fincat.finset import (
     FinSetObj,
     atom_key,
     compose_maps,
-    encode_map,
     enumerate_maps,
     enumerate_nattrans_finset,
     nattrans_key,
@@ -114,7 +113,6 @@ from fincat.yoneda import (
     HomContext,
     check_yoneda_roundtrips,
     hom_cov_functor,
-    seed_from_transform,
     yoneda_pointwise_bijection,
 )
 
@@ -237,7 +235,7 @@ def name_per_triple_preorder(objects, covers) -> FinCat:
 
 
 # ---------------------------------------------------------------------------
-# Limits, natural transformations and universal arrows by product-and-filter
+# Limits and natural transformations by product-and-filter
 # ---------------------------------------------------------------------------
 
 
@@ -304,28 +302,6 @@ def nattrans_table_key(t) -> tuple:
         (x, tuple(sorted(t.components[x].table.items())))
         for x in sorted(t.components)
     )
-
-
-def brute_universal_table(category, set_functor, probe, anchor, seed) -> list:
-    """The (object, map encoding) -> solutions entries of a universal-arrow
-    check, by testing every morphism anchor -> D against every map
-    probe -> values(D) pointwise on raw tables, in the library's order."""
-    points = list(probe)
-    entries = []
-    for d in sorted(category.objects):
-        hom = sorted(m for m, ends in category.morphisms.items() if ends == (anchor, d))
-        for picks in itertools.product(list(set_functor.object_map[d]), repeat=len(points)):
-            g = dict(zip(points, picks))
-            solutions = tuple(
-                f
-                for f in hom
-                if all(
-                    set_functor.morphism_map[f].table[seed.table[p]] == g[p] for p in points
-                )
-            )
-            encoding = "{" + ",".join(f"{p}->{g[p]}" for p in points) + "}"
-            entries.append(((d, encoding), solutions))
-    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -714,44 +690,59 @@ def rebuilding_reduction_graph(t: Tm, sig=None, node_cap: int = DEFAULT_NODE_CAP
 # ---------------------------------------------------------------------------
 
 
+def map_text(m) -> str:
+    """A map as the text "{a->x,b->y}", entries in the order of its sorted domain."""
+    return "{" + ",".join(f"{a}->{m.table[a]}" for a in m.dom) + "}"
+
+
 def string_encoded_hom_maps_functor(probe, set_functor, cap: int = DEFAULT_ENUM_CAP):
-    """D maps to the maps probe -> set_functor(D): every map is encoded, and
-    every action entry composes a new map and encodes it."""
+    """D maps to the maps probe -> set_functor(D): every map is named by its
+    text, and every action entry composes a new map and prints it."""
     category = set_functor.source
     maps_at = {
         d: enumerate_maps(probe, set_functor.object_map[d], cap) for d in category.objects
     }
-    object_map = {d: FinSetObj(encode_map(h) for h in maps_at[d]) for d in category.objects}
+    object_map = {d: FinSetObj(map_text(h) for h in maps_at[d]) for d in category.objects}
     morphism_map = {}
     for g, (d, d2) in category.morphisms.items():
         action = set_functor.morphism_map[g]
-        table = {
-            encode_map(h): encode_map(compose_maps(action, h)) for h in maps_at[d]
-        }
+        table = {map_text(h): map_text(compose_maps(action, h)) for h in maps_at[d]}
         morphism_map[g] = FinSetMap(object_map[d], object_map[d2], table)
     return FunctorVal(category, FINSET, object_map, morphism_map)
 
 
 def rebuilding_transform_from_seed(ctx):
     """The seed's transformation, building both hom-functors afresh and
-    encoding (image of f) . seed for every f."""
+    printing (image of f) . seed for every f."""
     source = hom_cov_functor(ctx.category, ctx.anchor)
     target = string_encoded_hom_maps_functor(ctx.probe, ctx.set_functor)
     components = {}
     for d in ctx.category.objects:
         table = {
-            f: encode_map(compose_maps(ctx.set_functor.morphism_map[f], ctx.seed))
+            f: map_text(compose_maps(ctx.set_functor.morphism_map[f], ctx.seed))
             for f in ctx.category.hom(ctx.anchor, d)
         }
         components[d] = FinSetMap(source.object_map[d], target.object_map[d], table)
     return NatTransVal(source, target, components)
 
 
+def _decoded_seed(ctx, transform):
+    """The seed a transformation into the string-encoded maps functor names
+    at the anchor's identity, read back from its text atom by atom."""
+    text = transform.at(ctx.anchor).table[ctx.category.id_of(ctx.anchor)]
+    cod = ctx.set_functor.object_map[ctx.anchor]
+    table = {}
+    for entry in filter(None, text[1:-1].split(",")):
+        a, x = entry.split("->", 1)
+        table[next(p for p in ctx.probe if str(p) == a)] = next(y for y in cod if str(y) == x)
+    return FinSetMap(ctx.probe, cod, table)
+
+
 def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
     """Both seed/transformation round trips, lifting through
-    ``rebuilding_transform_from_seed`` and comparing transformations by
-    ``nattrans_key``.  Same obligations, witnesses and subject as
-    ``check_yoneda_roundtrips``."""
+    ``rebuilding_transform_from_seed``, reading seeds back from their text
+    and comparing transformations by ``nattrans_key``.  Same obligations,
+    witnesses and subject as ``check_yoneda_roundtrips``."""
     source = hom_cov_functor(ctx.category, ctx.anchor)
     target = string_encoded_hom_maps_functor(ctx.probe, ctx.set_functor)
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
@@ -760,13 +751,13 @@ def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
     bad_seed = []
     for seed in seeds:
         lifted = rebuilding_transform_from_seed(replace(ctx, seed=seed, transform=None))
-        back = seed_from_transform(replace(ctx, seed=None, transform=lifted))
+        back = _decoded_seed(ctx, lifted)
         if back != seed:
-            bad_seed.append((encode_map(seed, strict=False), encode_map(back, strict=False)))
+            bad_seed.append((map_text(seed), map_text(back)))
 
     bad_transform = []
     for transform in transforms:
-        seed = seed_from_transform(replace(ctx, seed=None, transform=transform))
+        seed = _decoded_seed(ctx, transform)
         again = rebuilding_transform_from_seed(replace(ctx, seed=seed, transform=None))
         if nattrans_key(again) != nattrans_key(transform):
             bad_transform.append(nattrans_key(transform))

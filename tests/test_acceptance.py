@@ -179,7 +179,7 @@ def test_criterion_5_hom_counting_and_roundtrips(fix, kite, f_kite):
 def test_criterion_6_adjoint_triple(fix, g_on_a, h_on_a, g_on_b):
     inc = load_functor(fix("incl_a4_b6.fun"))
     report = check_kan_adjointness(inc, g_on_b, h_on_a, [g_on_a])
-    singleton = right_kan(inc, h_on_a).object_map["6"].atoms == ("()",)
+    singleton = right_kan(inc, h_on_a).object_map["6"].atoms == ((),)
     empty = left_kan(inc, g_on_a).object_map["1"].atoms == ()
     inclusion = counit_inclusion_check(inc, h_on_a)
     isos = [o for o in inclusion.obligations if o.name.startswith("iso_at")]

@@ -310,7 +310,7 @@ def test_right_kan_sizes_frozen(inc, g_on_a, h_on_a):
     assert {d: len(rk_h.object_map[d]) for d in rk_h.object_map} == RKAN_H_SIZES
     # Nothing sits under the top object, so the limit there is the
     # one-element set carrying the empty family.
-    assert rk_h.object_map["6"].atoms == ("()",)
+    assert rk_h.object_map["6"].atoms == ((),)
 
 
 def test_left_kan_sizes_frozen(inc, g_on_a, h_on_a):
@@ -321,9 +321,9 @@ def test_left_kan_sizes_frozen(inc, g_on_a, h_on_a):
     # Nothing maps into the bottom object, so the colimit there is empty.
     assert lk_ga.object_map["1"].atoms == ()
     assert lk_ga.object_map["6"].atoms == (
-        "[(2,2->6):ga2]",
-        "[(3,3->6):ga3]",
-        "[(4,4->6):ga4b]",
+        (("2", "2->6"), "ga2"),
+        (("3", "3->6"), "ga3"),
+        (("4", "4->6"), "ga4b"),
     )
 
 

@@ -368,6 +368,26 @@ def test_eval_mistyped_bind_reports_its_typing_witness(fix, tmp_path):
     assert text.endswith("result: false\n")
 
 
+def test_eval_prints_the_maps_of_a_finite_set_layer(tmp_path):
+    diagram = tmp_path / "parallel.diag"
+    diagram.write_text(
+        'layer S in Set\nnode X : S "X"\nnode Y : S "Y"\n'
+        'arrow f : X -> Y "f"\narrow g : X -> Y "g"\n'
+    )
+    model = tmp_path / "parallel.model"
+    model.write_text(
+        "layer S = finset\nbind X = {0, 1}\nbind Y = {a, b}\n"
+        "bind f = {0->a, 1->b}\nbind g = {0->a, 1->a}\n"
+    )
+    assert _run("eval", str(diagram), "--model", str(model)) == (
+        EXIT_CHECK_FAILED,
+        "stage 0 [-]: stage-0 bindings do not commute: commutes[S] "
+        "witness=('f', 'g', '{0->a,1->b}', '{0->a,1->a}')\n"
+        "  X = {0,1}\n  Y = {a,b}\n  f = {0->a,1->b}\n  g = {0->a,1->a}\n"
+        "result: false\n",
+    )
+
+
 def test_eval_rejects_a_model_layer_that_is_not_a_category(tmp_path):
     (tmp_path / "triangle.diag").write_text(TRIANGLE_DIAG)
     (tmp_path / "partial.fincat").write_text(
@@ -421,6 +441,46 @@ def test_grid_rendering_matches_golden(fix):
     code, text = _run("context", fix("y0.diag"), "--format", "graph")
     assert code == EXIT_OK
     assert text == _golden(fix, "y0.grid.txt")
+
+
+# univ_macro.diag states universal_arrow.diag with the quantified part in a
+# macro; each command sees the diagram with its macros spliced in.
+MACRO_STAGES_EXPECTED = """\
+stages: 2
+stage 0 [-]: 3 nodes, 2 arrows  (new: A, B, RB, mB, eta)
+stage 1 [∀]: 5 nodes, 4 arrows  (new: Bp$1, RBp$1, mBp$1, g$1)
+stage 2 [∃!]: 5 nodes, 7 arrows  (new: f$1, Rf$1, mf$1)
+"""
+
+
+def test_context_of_a_macro_diagram_matches_the_inline_golden(fix):
+    code, text = _run("context", fix("univ_macro.diag"))
+    assert code == EXIT_OK
+    assert text == _golden(fix, "universal_arrow.context.txt")
+
+
+def test_stages_of_a_macro_diagram_include_the_macro_stages(fix):
+    assert _run("stages", fix("univ_macro.diag")) == (EXIT_OK, MACRO_STAGES_EXPECTED)
+
+
+def test_eval_of_a_macro_diagram_traces_like_the_inline_diagram(fix):
+    model = fix("models", "universal_arrow_galois.model")
+    inline = _run("eval", fix("universal_arrow.diag"), "--model", model)
+    assert inline[0] == EXIT_OK and "all 3 commuting extensions" in inline[1]
+    assert _run("eval", fix("univ_macro.diag"), "--model", model) == inline
+
+
+def test_an_undefined_macro_is_a_check_error(fix, tmp_path):
+    with open(fix("univ_macro.diag"), encoding="utf-8") as handle:
+        text = handle.read().replace("@use(univ)", "@use(nope)")
+    diagram = tmp_path / "nope.diag"
+    diagram.write_text(text)
+    model = fix("models", "universal_arrow_galois.model")
+    for argv in (("context",), ("stages",), ("eval", "--model", model)):
+        assert _run(argv[0], str(diagram), *argv[1:]) == (
+            EXIT_CHECK_FAILED,
+            "check error: undefined macro 'nope'\n",
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -183,28 +183,29 @@ def test_composition_beyond_set_values_is_rejected(fix, f_kite):
 
 
 def test_comma_under_object_shapes(incl_a4_b6):
-    cat, forget, _anatomy = comma_under_object("1", incl_a4_b6, orientation="under")
+    cat, forget = comma_under_object("1", incl_a4_b6, orientation="under")
     assert len(cat.objects) == 4  # one triangle per object of the source
     assert validate_category(cat).passed
     assert validate_functor(forget).passed
-    empty, _, _ = comma_under_object("6", incl_a4_b6, orientation="under")
+    empty, _ = comma_under_object("6", incl_a4_b6, orientation="under")
     assert len(empty.objects) == 0
 
-    over, _, _ = comma_under_object("6", incl_a4_b6, orientation="over")
+    over, _ = comma_under_object("6", incl_a4_b6, orientation="over")
     assert len(over.objects) == 4
-    none_over, _, _ = comma_under_object("1", incl_a4_b6, orientation="over")
+    none_over, _ = comma_under_object("1", incl_a4_b6, orientation="over")
     assert len(none_over.objects) == 0
 
 
-def test_comma_object_ids_carry_the_structure_morphism(incl_a4_b6):
-    cat, forget, anatomy = comma_under_object("1", incl_a4_b6, orientation="under")
-    assert sorted(anatomy) == list(cat.objects)
-    for oid in cat.objects:
-        carried = forget.object_map[oid]
-        assert oid.startswith(f"({carried},")
-        phi = anatomy[oid][1]
-        assert anatomy[oid] == (carried, phi)
+def test_comma_objects_are_their_pairs_and_morphisms_their_triples(incl_a4_b6):
+    cat, forget = comma_under_object("1", incl_a4_b6, orientation="under")
+    assert list(cat.objects) == sorted(cat.objects)
+    for obj in cat.objects:
+        carried, phi = obj
+        assert forget.object_map[obj] == carried
         assert phi in incl_a4_b6.target.hom("1", incl_a4_b6.object_map[carried])
+        assert cat.id_of(obj) == (incl_a4_b6.source.id_of(carried), obj, obj)
+    for m, (o1, o2) in cat.morphisms.items():
+        assert m == (forget.morphism_map[m], o1, o2)
 
 
 def _with_identities(objects, morphisms):
@@ -218,8 +219,9 @@ def _with_identities(objects, morphisms):
     return FinCat(tuple(objects), morphisms, identity, compose)
 
 
-def test_comma_rejects_colliding_identifiers():
-    # Built by hand: the fixture loader refuses these names outright.
+def test_comma_keeps_identifiers_with_commas_apart():
+    # Built by hand: the fixture loader refuses these names outright.  As
+    # text, (a, "p,q") and ("a,p", q) would both print "(a,p,q)".
     big = _with_identities(["a", "a,p", "b"], {"p,q": ("b", "a"), "q": ("b", "a,p")})
     assert validate_category(big).passed
     small = _with_identities(["a", "a,p"], {})
@@ -227,8 +229,10 @@ def test_comma_rejects_colliding_identifiers():
         small, big, {x: x for x in small.objects}, {m: m for m in small.morphisms}
     )
     assert validate_functor(incl).passed
-    with pytest.raises(MalformedTableError, match="share the identifier '\\(a,p,q\\)'"):
-        comma_under_object("b", incl, orientation="under")
+    cat, forget = comma_under_object("b", incl, orientation="under")
+    assert cat.objects == (("a", "p,q"), ("a,p", "q"))
+    assert validate_category(cat).passed
+    assert validate_functor(forget).passed
 
 
 def test_malformed_tables_raise_before_law_checking():

@@ -24,7 +24,7 @@ from fincat.finset import (
     EncodingError,
     FinSetMap,
     FinSetObj,
-    class_atom,
+    check_encodable,
     colimit_finset,
     compose_maps,
     decode_map,
@@ -34,7 +34,6 @@ from fincat.finset import (
     identity_map,
     limit_finset,
     nattrans_key,
-    tuple_atom,
 )
 from fincat.yoneda import hom_cov_functor
 
@@ -66,12 +65,11 @@ def test_encode_decode_roundtrip(dom_atoms, cod_atoms, rng):
     assert decode_map(encode_map(mapping), dom, cod) == mapping
 
 
-def test_encode_rejects_reserved_atoms_strictly():
+def test_reserved_atoms_are_rejected_by_check_encodable():
     s = FinSetObj(("a->b",))
-    m = identity_map(s)
-    with pytest.raises(EncodingError):
-        encode_map(m)
-    assert encode_map(m, strict=False) == "{a->b->a->b}"
+    with pytest.raises(EncodingError, match="'a->b' contains reserved characters"):
+        check_encodable(s)
+    assert encode_map(identity_map(s)) == "{a->b->a->b}"
 
 
 def test_map_totality_and_extensional_equality():
@@ -93,7 +91,7 @@ def test_map_equality_and_hash_match_the_sorted_key_reference():
     rebuilt = [FinSetMap(m.dom, m.cod, dict(reversed(m.table.items()))) for m in enumerated]
     assert len(enumerated) == 170
     for m in enumerated:
-        assert m == m and m != encode_map(m, strict=False)
+        assert m == m and m != encode_map(m)
         for n in rebuilt:
             assert (m == n) is sorted_map_eq(m, n)
             assert (m != n) is not sorted_map_eq(m, n)
@@ -136,7 +134,7 @@ def _empty_category():
 def test_limit_of_empty_diagram_is_a_point():
     empty = FunctorVal(_empty_category(), FINSET, {}, {})
     carrier, projections = limit_finset(empty)
-    assert list(carrier) == ["()"]
+    assert list(carrier) == [()]
     assert projections == {}
 
 
@@ -155,7 +153,7 @@ def set_diagrams(fix, incl_a4_b6, h_on_a):
                 out.append((name, functor))
     for orientation in ("under", "over"):
         for b in sorted(incl_a4_b6.target.objects):
-            _slice, forget, _anatomy = comma_under_object(b, incl_a4_b6, orientation=orientation)
+            _slice, forget = comma_under_object(b, incl_a4_b6, orientation=orientation)
             out.append((f"comma {orientation} {b}", compose_functors(h_on_a, forget)))
     return out
 
@@ -164,10 +162,13 @@ def test_limit_matches_brute_force_families(set_diagrams):
     for label, d in set_diagrams:
         families = product_filter_limit(d)
         carrier, projections = limit_finset(d)
-        assert carrier == FinSetObj(tuple_atom(fam) for fam in families), label
-        for j in sorted(d.source.objects):
+        objs = sorted(d.source.objects)
+        elements = [tuple(fam[j] for j in objs) for fam in families]
+        assert carrier.atoms == tuple(elements), label
+        assert list(projections) == objs, label
+        for j in objs:
             assert list(projections[j].table.items()) == [
-                (tuple_atom(fam), fam[j]) for fam in families
+                (element, fam[j]) for element, fam in zip(elements, families)
             ], label
 
 
@@ -194,8 +195,7 @@ def test_colimit_matches_union_find_quotient(h_on_a):
     classes = {find(t) for t in tagged}
     assert len(carrier) == len(classes)
     for x, a in tagged:
-        rep_x, rep_a = find((x, a))
-        assert injections[x].table[a] == class_atom(rep_x, rep_a)
+        assert injections[x].table[a] == find((x, a))
 
 
 def test_colimit_of_disjoint_values_is_a_sum():
@@ -319,6 +319,6 @@ def test_finset_answers_like_the_map_operations(h_on_a):
         FINSET.comp(twice, twice)
 
 
-def test_atom_constructors_are_stable():
-    assert tuple_atom({"j2": "y", "j1": "x"}) == "(j1=x, j2=y)"
-    assert class_atom("j", "x") == "[j:x]"
+def test_tuple_atoms_sort_after_integers_and_tokens_entry_by_entry():
+    atoms = FinSetObj([(10, "a"), (9, "b"), ("a",), (9, "a"), "t", 3, (), (1, "1")])
+    assert atoms.atoms == (3, "t", (), (1, "1"), (9, "a"), (9, "b"), (10, "a"), ("a",))

@@ -1,9 +1,10 @@
-"""Hom-functor machinery: round trips, universal arrows, representability."""
+"""Hom-functor machinery: the maps functor, round trips, pointwise bijections."""
 
 import collections
 import dataclasses
 import glob
 import io
+import itertools
 import random
 
 import pytest
@@ -23,12 +24,10 @@ from fincat.files import load_category, load_functor
 from fincat.finset import (
     DEFAULT_ENUM_CAP,
     CapExceededError,
-    EncodingError,
     FinSetMap,
     FinSetObj,
     _values_key,
     compose_maps,
-    encode_map,
     enumerate_maps,
     enumerate_nattrans_finset,
     identity_map,
@@ -36,20 +35,15 @@ from fincat.finset import (
 )
 from fincat.yoneda import (
     HomContext,
-    check_representation,
     check_yoneda_roundtrips,
-    find_representation,
     hom_cov_functor,
     hom_maps_functor,
-    is_universal_arrow,
     seed_from_transform,
     transform_from_seed,
-    yoneda_embedding,
     yoneda_pointwise_bijection,
 )
 
 from oracles import (
-    brute_universal_table,
     rebuilding_yoneda_command,
     rebuilding_pointwise_bijection,
     rebuilding_roundtrips,
@@ -117,7 +111,7 @@ def test_explicit_seed_lift(kite, f_kite):
     transform = transform_from_seed(ctx)
     assert validate_nattrans(transform).passed
     # At object 3 the unique arrow out of the anchor sends 24 to 2.
-    assert transform.at("3").table["1->3"] == "{*->2}"
+    assert transform.at("3").table["1->3"] == (2,)
     back = seed_from_transform(dataclasses.replace(ctx, seed=None, transform=transform))
     assert back == seed
 
@@ -157,54 +151,7 @@ def test_context_validates_inputs(kite, f_kite):
 
 
 # ---------------------------------------------------------------------------
-# Universal arrows
-# ---------------------------------------------------------------------------
-
-
-def test_identity_seed_is_universal_for_own_hom_functor(kite):
-    functor = hom_cov_functor(kite, "1")
-    seed = FinSetMap(POINT, functor.object_map["1"], {"*": "id_1"})
-    ok, table = is_universal_arrow(kite, functor, POINT, "1", seed)
-    assert ok
-    assert all(len(solutions) == 1 for solutions in table.values())
-
-
-def test_wrong_anchor_is_not_universal(kite):
-    functor = hom_cov_functor(kite, "1")
-    seed = FinSetMap(POINT, functor.object_map["2"], {"*": "1->2"})
-    ok, table = is_universal_arrow(kite, functor, POINT, "2", seed)
-    assert not ok
-    # Nothing maps the anchor back down to the bottom object, so the
-    # witness table shows zero solutions there.
-    assert table[("1", "{*->id_1}")] == ()
-
-
-def test_universal_table_is_replayable(kite, f_kite):
-    seed = FinSetMap(POINT, f_kite.object_map["1"], {"*": 24})
-    ok, table = is_universal_arrow(kite, f_kite, POINT, "1", seed)
-    assert not ok
-    for (d, _g), solutions in table.items():
-        for f in solutions:
-            assert kite.morphisms[f] == ("1", d)
-
-
-def test_universal_table_matches_brute_force(kite, f_kite, h_on_a):
-    checked = 0
-    for functor in (f_kite, h_on_a, hom_cov_functor(kite, "1")):
-        category = functor.source
-        for anchor in sorted(category.objects):
-            for probe in (POINT, PAIR):
-                for seed in enumerate_maps(probe, functor.object_map[anchor]):
-                    ok, table = is_universal_arrow(category, functor, probe, anchor, seed)
-                    expected = brute_universal_table(category, functor, probe, anchor, seed)
-                    assert list(table.items()) == expected
-                    assert ok == all(len(solutions) == 1 for _key, solutions in expected)
-                    checked += ok
-    assert checked > 0
-
-
-# ---------------------------------------------------------------------------
-# Pointwise bijection and the embedding
+# Pointwise bijection
 # ---------------------------------------------------------------------------
 
 
@@ -217,61 +164,6 @@ def test_pointwise_bijection_every_anchor(kite, f_kite):
             "components_natural",
             "injective",
             "surjective",
-        ]
-
-
-def test_embedding_recovers_the_morphism(kite):
-    for m, (_b, c) in kite.morphisms.items():
-        transform = yoneda_embedding(kite, m)
-        assert validate_nattrans(transform).passed
-        assert transform.at(c).table[kite.id_of(c)] == m
-
-
-def test_embedding_is_contravariantly_functorial(kite):
-    for (g, f), composite in kite.compose.items():
-        emb_f = yoneda_embedding(kite, f)
-        emb_g = yoneda_embedding(kite, g)
-        emb_gf = yoneda_embedding(kite, composite)
-        for d in kite.objects:
-            assert emb_gf.at(d) == compose_maps(emb_f.at(d), emb_g.at(d))
-
-
-def test_embedding_rejects_unknown_morphism(kite):
-    with pytest.raises(ValueError):
-        yoneda_embedding(kite, "nope")
-
-
-def test_embedding_is_injective_on_morphisms(kite):
-    keys = {nattrans_key(yoneda_embedding(kite, m)) for m in kite.morphisms}
-    assert len(keys) == len(kite.morphisms)
-
-
-# ---------------------------------------------------------------------------
-# Representability
-# ---------------------------------------------------------------------------
-
-
-def test_hom_functor_is_its_own_representation(kite):
-    functor = hom_cov_functor(kite, "1")
-    found = find_representation(kite, functor)
-    assert found is not None
-    anchor, element, transform = found
-    assert (anchor, element) == ("1", "id_1")
-    report = check_representation(kite, functor, anchor, transform)
-    assert report.passed, report.summary()
-    assert report.subject == "representation@1"
-
-
-def test_kite_functor_is_not_representable(kite, f_kite):
-    assert find_representation(kite, f_kite) is None
-    mapping, _report = yoneda_pointwise_bijection(kite, f_kite, "1")
-    for element, transform in mapping.items():
-        report = check_representation(kite, f_kite, "1", transform)
-        assert report.passed, report.summary()  # the two criteria still agree
-        assert report.subject == "not-a-representation@1"
-        assert [o.name for o in report.obligations] == [
-            "is_natural_transformation",
-            "criteria_agree",
         ]
 
 
@@ -415,23 +307,53 @@ def test_seeded_functors_are_lawful_and_cover_the_edge_cases():
     )
 
 
+def _printed(probe, values) -> str:
+    """The reference's name for an atom of ``hom_maps_functor``: the text of
+    the map from the probe with these values."""
+    return "{" + ",".join(f"{a}->{x}" for a, x in zip(probe.atoms, values)) + "}"
+
+
+def _printed_set(probe, atoms) -> FinSetObj:
+    names = [_printed(probe, values) for values in atoms]
+    assert len(set(names)) == len(names), "two maps print alike"
+    return FinSetObj(names)
+
+
+def _printed_tables(transform, probe):
+    """``_tables`` of a transformation into ``hom_maps_functor``, with every
+    value tuple printed and each codomain the set of printed names."""
+    return [
+        (
+            d,
+            c.dom.atoms,
+            _printed_set(probe, c.cod.atoms).atoms,
+            [(f, _printed(probe, values)) for f, values in c.table.items()],
+        )
+        for d, c in transform.components.items()
+    ]
+
+
 def test_hom_maps_functor_matches_the_string_encoded_reference(fix):
+    """Every atom and every table entry, each value tuple printed as the
+    reference names its map; the atoms are the value tuples in product
+    order, and each table lists its domain in that order."""
     for functor in _subjects(fix):
         for probe in PROBES:
             new = hom_maps_functor(probe, functor)
             old = string_encoded_hom_maps_functor(probe, functor)
             assert new.source is old.source and new.target is old.target is FINSET
-            assert [(d, v.atoms) for d, v in new.object_map.items()] == [
-                (d, v.atoms) for d, v in old.object_map.items()
-            ]
+            assert list(new.object_map) == list(old.object_map)
+            for d, v in new.object_map.items():
+                values = functor.object_map[d].atoms
+                assert v.atoms == tuple(itertools.product(values, repeat=len(probe)))
+                assert _printed_set(probe, v.atoms) == old.object_map[d]
             assert list(new.morphism_map) == list(old.morphism_map)
             for g, m in new.morphism_map.items():
                 o = old.morphism_map[g]
-                assert (m.dom, m.cod, list(m.table.items())) == (
-                    o.dom,
-                    o.cod,
-                    list(o.table.items()),
-                )
+                assert (_printed_set(probe, m.dom), _printed_set(probe, m.cod)) == (o.dom, o.cod)
+                assert list(m.table) == list(m.dom.atoms)
+                printed = {_printed(probe, a): _printed(probe, b) for a, b in m.table.items()}
+                assert printed == o.table
 
 
 def test_roundtrips_match_the_rebuilding_reference(fix):
@@ -450,7 +372,9 @@ def test_roundtrips_match_the_rebuilding_reference(fix):
                     lifted = transform_from_seed(seeded)
                     # the prebuilt functors are the ones transform_from_seed lifts between
                     assert (lifted.F, lifted.G) == (source, target)
-                    assert _tables(lifted) == _tables(rebuilding_transform_from_seed(seeded))
+                    assert _printed_tables(lifted, probe) == _tables(
+                        rebuilding_transform_from_seed(seeded)
+                    )
 
 
 def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
@@ -469,7 +393,7 @@ def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
                     assert _tables(transform) == _tables(old_mapping[element])
 
 
-def test_roundtrips_compare_map_names_without_decoding_them(fix, monkeypatch):
+def test_roundtrips_print_maps_only_for_witnesses(fix, monkeypatch):
     contexts = [
         HomContext(functor.source, functor, probe, anchor)
         for functor in _subjects(fix)
@@ -477,12 +401,19 @@ def test_roundtrips_compare_map_names_without_decoding_them(fix, monkeypatch):
         for probe in PROBES
     ]
     expected = [check_yoneda_roundtrips(ctx) for ctx in contexts]
+    printed = []
 
-    def refuse(*args):
-        raise AssertionError("decode_map called")
+    def recorded(*args, _print=yoneda._map_text):
+        printed.append(args)
+        return _print(*args)
 
-    monkeypatch.setattr(yoneda, "decode_map", refuse)
-    assert [check_yoneda_roundtrips(ctx) for ctx in contexts] == expected
+    monkeypatch.setattr(yoneda, "_map_text", recorded)
+    for ctx, report in zip(contexts, expected):
+        printed.clear()
+        assert check_yoneda_roundtrips(ctx) == report
+        witnesses = [o for o in report.failures() if o.name != "count_matches"]
+        assert bool(printed) == bool(witnesses), report.summary()
+    assert any(not report.passed for report in expected)
 
 
 def _record_map_caps(monkeypatch):
@@ -516,26 +447,20 @@ def test_the_reference_sees_every_round_trip_fail(fix):
     assert failing == {"seed_roundtrip", "transform_roundtrip", "count_matches"}
 
 
-def _outcome(build, *args):
-    try:
-        functor = build(*args)
-    except EncodingError as exc:
-        return str(exc)
-    return [(d, v.atoms) for d, v in functor.object_map.items()]
-
-
 @pytest.mark.parametrize(
-    "probe, values, bad",
+    "probe, values",
     [
-        (POINT, {"1": ("a->b",), "2": ("c",)}, "a->b"),
-        (POINT, {"1": (1, "{x"), "2": ("y}",)}, "{x"),
-        (FinSetObj(("p->q",)), {"1": (), "2": ("c",)}, "p->q"),
-        (FinSetObj(("p->q",)), {"1": (), "2": ()}, None),
-        (FinSetObj(), {"1": ("a->b",), "2": ()}, "a->b"),
+        (POINT, {"1": ("a->b",), "2": ("c",)}),
+        (POINT, {"1": (1, "{x"), "2": ("y}",)}),
+        (FinSetObj(("p->q",)), {"1": (), "2": ("c",)}),
+        (FinSetObj(("p->q",)), {"1": (), "2": ()}),
+        (FinSetObj(), {"1": ("a->b",), "2": ()}),
     ],
     ids=["value", "brace", "probe", "probe-without-maps", "empty-probe"],
 )
-def test_reserved_atoms_raise_like_the_reference(probe, values, bad):
+def test_reserved_atoms_are_plain_values_of_the_maps_functor(probe, values):
+    """Atoms holding the map text's own characters name their maps as any
+    other atoms do, and both round trips hold."""
     category = preorder_from_covers(["1", "2"], [])
     object_map = {d: FinSetObj(atoms) for d, atoms in values.items()}
     functor = FunctorVal(
@@ -544,10 +469,12 @@ def test_reserved_atoms_raise_like_the_reference(probe, values, bad):
         object_map,
         {f"id_{d}": FinSetMap(v, v, {a: a for a in v}) for d, v in object_map.items()},
     )
-    expected = _outcome(string_encoded_hom_maps_functor, probe, functor)
-    assert _outcome(hom_maps_functor, probe, functor) == expected
-    if bad is not None:
-        assert expected == f"atom {bad!r} contains reserved characters"
+    built = hom_maps_functor(probe, functor)
+    assert validate_functor(built).passed
+    for d, v in object_map.items():
+        assert built.object_map[d].atoms == tuple(itertools.product(v.atoms, repeat=len(probe)))
+        report = check_yoneda_roundtrips(HomContext(category, functor, probe, d))
+        assert report.passed, report.summary()
 
 
 # ---------------------------------------------------------------------------
@@ -635,18 +562,14 @@ def test_values_key_keeps_atoms_that_print_alike_apart():
 
 
 
-def test_colliding_map_names_raise_an_encoding_error():
+def test_atoms_that_print_alike_stay_apart_in_the_round_trips():
     category = preorder_from_covers(["o"], [])
     values = FinSetObj((1, "1"))
     functor = FunctorVal(category, FINSET, {"o": values}, {"id_o": identity_map(values)})
-    message = "maps with values (1,) and ('1',) both encode as '{*->1}'"
-    with pytest.raises(EncodingError) as caught:
-        check_yoneda_roundtrips(HomContext(category, functor, POINT, "o"))
-    assert str(caught.value) == message
-    with pytest.raises(EncodingError):
-        hom_maps_functor(POINT, functor)
-    # Over the empty probe there is one map and no collision.
-    assert check_yoneda_roundtrips(HomContext(category, functor, FinSetObj(), "o")).passed
+    assert hom_maps_functor(POINT, functor).object_map["o"].atoms == ((1,), ("1",))
+    for probe in PROBES:
+        report = check_yoneda_roundtrips(HomContext(category, functor, probe, "o"))
+        assert report.passed, report.summary()
 
 
 # ---------------------------------------------------------------------------
