@@ -304,6 +304,28 @@ def nattrans_table_key(t) -> tuple:
     )
 
 
+def brute_universal_table(category, set_functor, probe, anchor, seed) -> list:
+    """The (object, map values) -> solutions entries of a universal-arrow
+    check, by testing every morphism anchor -> D against every map
+    probe -> values(D) pointwise on raw tables, objects and maps in sorted
+    order, each map as its tuple of values over the sorted probe."""
+    points = list(probe)
+    entries = []
+    for d in sorted(category.objects):
+        hom = sorted(m for m, ends in category.morphisms.items() if ends == (anchor, d))
+        for picks in itertools.product(list(set_functor.object_map[d]), repeat=len(points)):
+            solutions = tuple(
+                f
+                for f in hom
+                if all(
+                    set_functor.morphism_map[f].table[seed.table[p]] == x
+                    for p, x in zip(points, picks)
+                )
+            )
+            entries.append(((d, picks), solutions))
+    return entries
+
+
 # ---------------------------------------------------------------------------
 # Term inhabitants by brute enumeration + type checking
 # ---------------------------------------------------------------------------

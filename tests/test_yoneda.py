@@ -1,4 +1,5 @@
-"""Hom-functor machinery: the maps functor, round trips, pointwise bijections."""
+"""Hom-functor machinery: the maps functor, round trips, universal arrows,
+pointwise bijections, the embedding and representability."""
 
 import collections
 import dataclasses
@@ -15,6 +16,7 @@ from fincat import cli, yoneda
 from fincat.core import (
     FINSET,
     FunctorVal,
+    NatTransVal,
     preorder_from_covers,
     validate_functor,
     validate_nattrans,
@@ -44,6 +46,7 @@ from fincat.yoneda import (
 )
 
 from oracles import (
+    brute_universal_table,
     rebuilding_yoneda_command,
     rebuilding_pointwise_bijection,
     rebuilding_roundtrips,
@@ -151,7 +154,70 @@ def test_context_validates_inputs(kite, f_kite):
 
 
 # ---------------------------------------------------------------------------
-# Pointwise bijection
+# Universal arrows
+# ---------------------------------------------------------------------------
+
+
+def _universal_table(category, functor, probe, anchor, seed) -> dict:
+    """The universal-arrow witnesses of a seed, read off its lifted
+    transformation: for each object D in sorted order and each map
+    probe -> values(D), as the value tuple ``hom_maps_functor`` makes it,
+    the sorted morphisms anchor -> D that the component at D sends to it.
+    The seed is universal when every entry has exactly one."""
+    transform = transform_from_seed(HomContext(category, functor, probe, anchor, seed=seed))
+    table = {}
+    for d in sorted(category.objects):
+        component = transform.at(d)
+        for g in component.cod.atoms:
+            table[(d, g)] = tuple(sorted(f for f, v in component.table.items() if v == g))
+    return table
+
+
+def test_identity_seed_is_universal_for_own_hom_functor(kite):
+    functor = hom_cov_functor(kite, "1")
+    seed = FinSetMap(POINT, functor.object_map["1"], {"*": "id_1"})
+    table = _universal_table(kite, functor, POINT, "1", seed)
+    assert len(table) == sum(len(functor.object_map[d]) for d in kite.objects)
+    assert all(len(solutions) == 1 for solutions in table.values())
+
+
+def test_wrong_anchor_is_not_universal(kite):
+    functor = hom_cov_functor(kite, "1")
+    seed = FinSetMap(POINT, functor.object_map["2"], {"*": "1->2"})
+    table = _universal_table(kite, functor, POINT, "2", seed)
+    assert not all(len(solutions) == 1 for solutions in table.values())
+    # Nothing maps the anchor back down to the bottom object, so the
+    # witness table shows zero solutions there.
+    assert table[("1", ("id_1",))] == ()
+
+
+def test_universal_table_is_replayable(kite, f_kite):
+    seed = FinSetMap(POINT, f_kite.object_map["1"], {"*": 24})
+    table = _universal_table(kite, f_kite, POINT, "1", seed)
+    assert not all(len(solutions) == 1 for solutions in table.values())
+    for (d, g), solutions in table.items():
+        for f in solutions:
+            assert kite.morphisms[f] == ("1", d)
+            assert (f_kite.morphism_map[f].table[24],) == g
+
+
+def test_universal_table_matches_brute_force(kite, f_kite, h_on_a):
+    checked = 0
+    for functor in (f_kite, h_on_a, hom_cov_functor(kite, "1")):
+        category = functor.source
+        for anchor in sorted(category.objects):
+            for probe in (POINT, PAIR):
+                for seed in enumerate_maps(probe, functor.object_map[anchor]):
+                    table = _universal_table(category, functor, probe, anchor, seed)
+                    expected = brute_universal_table(category, functor, probe, anchor, seed)
+                    assert list(table.items()) == expected
+                    ok = all(len(solutions) == 1 for _key, solutions in expected)
+                    checked += ok
+    assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# Pointwise bijection, the embedding and representability
 # ---------------------------------------------------------------------------
 
 
@@ -165,6 +231,95 @@ def test_pointwise_bijection_every_anchor(kite, f_kite):
             "injective",
             "surjective",
         ]
+
+
+def _embedding(category, m) -> NatTransVal:
+    """The Yoneda embedding of m: b -> c, the transformation
+    Hom(c, -) -> Hom(b, -) sending f to f . m: the lift of the seed
+    * -> m into Hom(b, -) at c, each one-entry value tuple read back as
+    the morphism it holds."""
+    b, c = category.morphisms[m]
+    target = hom_cov_functor(category, b)
+    seed = FinSetMap(POINT, target.object_map[c], {"*": m})
+    lifted = transform_from_seed(HomContext(category, target, POINT, c, seed=seed))
+    components = {
+        d: FinSetMap(t.dom, target.object_map[d], {f: v for f, (v,) in t.table.items()})
+        for d, t in lifted.components.items()
+    }
+    return NatTransVal(lifted.F, target, components)
+
+
+def test_embedding_recovers_the_morphism(kite):
+    for m, (_b, c) in kite.morphisms.items():
+        transform = _embedding(kite, m)
+        assert validate_nattrans(transform).passed
+        assert transform.at(c).table[kite.id_of(c)] == m
+
+
+def test_embedding_is_contravariantly_functorial(kite):
+    for (g, f), composite in kite.compose.items():
+        emb_f = _embedding(kite, f)
+        emb_g = _embedding(kite, g)
+        emb_gf = _embedding(kite, composite)
+        for d in kite.objects:
+            assert emb_gf.at(d) == compose_maps(emb_f.at(d), emb_g.at(d))
+
+
+def test_embedding_rejects_unknown_morphism(kite):
+    # The embedding of m: b -> c is seeded by m in Hom(b, c): a name that is
+    # no such morphism is no seed, and a seed into Hom(b, c) does not lift
+    # at any other anchor.
+    for b in kite.objects:
+        target = hom_cov_functor(kite, b)
+        for c in kite.objects:
+            for bad in ["nope", *(m for m, ends in kite.morphisms.items() if ends != (b, c))]:
+                with pytest.raises(ValueError):
+                    FinSetMap(POINT, target.object_map[c], {"*": bad})
+            for m in kite.hom(b, c):
+                seed = FinSetMap(POINT, target.object_map[c], {"*": m})
+                for other in kite.objects:
+                    if other != c:
+                        with pytest.raises(ValueError):
+                            HomContext(kite, target, POINT, other, seed=seed)
+
+
+def test_embedding_is_injective_on_morphisms(kite):
+    keys = {nattrans_key(_embedding(kite, m)) for m in kite.morphisms}
+    assert len(keys) == len(kite.morphisms)
+
+
+def _representations(category, functor) -> list:
+    """The (anchor, element) pairs, anchors in sorted order, whose pointwise
+    transformation out of Hom(anchor, -) is a bijection at every object."""
+    found = []
+    for anchor in sorted(category.objects):
+        mapping, _report = yoneda_pointwise_bijection(category, functor, anchor)
+        for element, transform in mapping.items():
+            if all(
+                len(set(c.table.values())) == len(c.dom) == len(c.cod)
+                for c in transform.components.values()
+            ):
+                found.append((anchor, element))
+    return found
+
+
+def test_hom_functor_is_its_own_representation(kite):
+    functor = hom_cov_functor(kite, "1")
+    assert _representations(kite, functor) == [("1", "id_1")]
+    mapping, report = yoneda_pointwise_bijection(kite, functor, "1")
+    assert report.passed, report.summary()
+    transform = mapping["id_1"]
+    assert validate_nattrans(transform).passed
+    for d in kite.objects:
+        assert transform.at(d) == identity_map(functor.object_map[d])
+
+
+def test_kite_functor_is_not_representable(kite, f_kite):
+    assert _representations(kite, f_kite) == []
+    mapping, report = yoneda_pointwise_bijection(kite, f_kite, "1")
+    assert report.passed, report.summary()  # the elements still match the transformations
+    for transform in mapping.values():
+        assert validate_nattrans(transform).passed
 
 
 # ---------------------------------------------------------------------------
