@@ -53,7 +53,6 @@ from .files import AdjParts
 from .finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
-    _values_key,
     colimit_finset,
     compose_maps,
     enumerate_nattrans_finset,
@@ -505,13 +504,9 @@ def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> t
     # An element at b2 is a family over the slice objects in cones[b2]'s order.
     morphism_map = {}
     for k, (b, b2) in tgt.morphisms.items():
-        table = {
-            element: tuple(
-                cones[b][(a, _compose(tgt, phi, k))].table[element] for a, phi in cones[b2]
-            )
-            for element in object_map[b]
-        }
-        morphism_map[k] = FinSetMap(object_map[b], object_map[b2], table)
+        legs = [cones[b][(a, _compose(tgt, phi, k))] for a, phi in cones[b2]]
+        images = (tuple(leg(element) for leg in legs) for element in object_map[b])
+        morphism_map[k] = FinSetMap(object_map[b], object_map[b2], images)
 
     kan = FunctorVal(tgt, FINSET, object_map, morphism_map)
     report = validate_functor(kan)
@@ -529,19 +524,13 @@ def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
     for b, diagram in _comma_diagrams(along, functor, "over").items():
         object_map[b], cocones[b] = colimit_finset(diagram)
 
+    # A class at b is its least pair ((a, phi), x); k pushes it along phi -> k . phi.
     morphism_map = {}
     for k, (b, b2) in tgt.morphisms.items():
-        table = {}
-        for (a, phi), inj in cocones[b].items():
-            pushed = cocones[b2][(a, _compose(tgt, k, phi))]
-            for x in functor.object_map[a]:
-                element = inj.table[x]
-                image = pushed.table[x]
-                if table.setdefault(element, image) != image:
-                    raise AdjunctionError(  # pragma: no cover - colimit glue
-                        f"colimit action ill-defined at {k!r} on {element!r}"
-                    )
-        morphism_map[k] = FinSetMap(object_map[b], object_map[b2], table)
+        images = (
+            cocones[b2][(a, _compose(tgt, k, phi))](x) for (a, phi), x in object_map[b]
+        )
+        morphism_map[k] = FinSetMap(object_map[b], object_map[b2], images)
 
     kan = FunctorVal(tgt, FINSET, object_map, morphism_map)
     report = validate_functor(kan)
@@ -660,8 +649,9 @@ def _adjunction_obligations(side, tag, upstairs, downstairs, transpose) -> list:
     """
     counted = len(upstairs) == len(downstairs)
     source, target = (upstairs, downstairs) if side == "left" else (downstairs, upstairs)
-    transposed = {_values_key(transpose(t)) for t in source}
-    wanted = {_values_key(t) for t in target}
+    # a transformation is told apart by its component maps
+    transposed = {frozenset(transpose(t).components.items()) for t in source}
+    wanted = {frozenset(t.components.items()) for t in target}
     ok = len(transposed) == len(source) and transposed == wanted
     return [
         Obligation(
@@ -728,7 +718,7 @@ def counit_inclusion_check(
     for a in sorted(along.source.objects):
         fa = along.object_map[a]
         comparison = cones[fa][(a, along.target.id_of(fa))]
-        image = set(comparison.table.values())
+        image = set(comparison.values)
         bijective = (
             len(comparison.dom) == len(comparison.cod)
             and len(image) == len(comparison.dom)

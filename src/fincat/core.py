@@ -456,11 +456,10 @@ def validate_nattrans(t: NatTransVal) -> CheckReport:
             square.append((h, "not composable"))
             continue
         if lhs != rhs:
-            if finny:
-                bad = sorted(x for x in lhs.table if lhs.table[x] != rhs.table[x])
-                square.append((h, bad[0], lhs.table[bad[0]], rhs.table[bad[0]]))
-            else:
-                square.append((h, lhs, rhs))
+            # a map's witness is its first differing position in domain order
+            cells = zip(lhs.dom, lhs.values, rhs.values) if finny else ()
+            differ = next((cell for cell in cells if cell[1] != cell[2]), None)
+            square.append((h, *differ) if differ else (h, lhs, rhs))
     obligations.append(
         Obligation("square_condition", not square, tuple(square[0]) if square else ())
     )

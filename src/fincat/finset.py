@@ -2,15 +2,16 @@
 
 Atoms are integers, tokens, or tuples of atoms.  Everything here
 enumerates in a canonical sorted order so repeated runs produce identical
-output: integers sort before tokens and tokens before tuples, map tables are
-keyed by sorted domain atoms, a limit element is its tuple of values over
-the sorted shape objects, and a colimit class is its least ``(j, x)`` pair.
+output: integers sort before tokens and tokens before tuples, a map is its
+tuple of values over the sorted domain, a limit element is its tuple of
+values over the sorted shape objects, and a colimit class is its least
+``(j, x)`` pair.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping
+from typing import Iterable
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -37,15 +38,18 @@ def atom_key(a):
 
 
 class FinSetObj:
-    """Immutable finite set of atoms."""
+    """Immutable finite set of atoms, listed in ``atom_key`` order; ``index``
+    maps each atom to its position in that list."""
 
-    __slots__ = ("atoms",)
+    __slots__ = ("atoms", "index")
 
     def __init__(self, atoms: Iterable = ()):
-        object.__setattr__(self, "atoms", tuple(sorted(set(atoms), key=atom_key)))
+        ordered = tuple(sorted(set(atoms), key=atom_key))
+        object.__setattr__(self, "atoms", ordered)
+        object.__setattr__(self, "index", {a: i for i, a in enumerate(ordered)})
 
     def __contains__(self, a):
-        return a in self.atoms
+        return a in self.index
 
     def __iter__(self):
         return iter(self.atoms)
@@ -54,7 +58,7 @@ class FinSetObj:
         return len(self.atoms)
 
     def __eq__(self, other):
-        return isinstance(other, FinSetObj) and self.atoms == other.atoms
+        return self is other or (isinstance(other, FinSetObj) and self.atoms == other.atoms)
 
     def __hash__(self):
         return hash(self.atoms)
@@ -69,42 +73,37 @@ class FinSetObj:
 class FinSetMap:
     """Total map between finite sets; equality is extensional.
 
-    The constructor copies its table and checks totality and range; maps
-    valid by construction are built by ``_trusted_map`` instead.
+    ``values`` lists the image of each atom of ``dom``, in ``dom.atoms``
+    order.  The constructor checks that there is one value per atom and that
+    every value lies in ``cod``.
     """
 
-    __slots__ = ("dom", "cod", "table")
+    __slots__ = ("dom", "cod", "values")
 
-    def __init__(self, dom: FinSetObj, cod: FinSetObj, table: Mapping):
-        table = dict(table)
-        missing = [a for a in dom if a not in table]
-        if missing:
-            raise ValueError(f"map not total: missing {missing[0]!r}")
-        extra = [a for a in table if a not in dom]
-        if extra:
-            raise ValueError(f"map defined outside its domain at {extra[0]!r}")
-        bad = [a for a, b in table.items() if b not in cod]
-        if bad:
-            raise ValueError(f"map value {table[bad[0]]!r} not in codomain")
+    def __init__(self, dom: FinSetObj, cod: FinSetObj, values: Iterable):
+        values = tuple(values)
+        if len(values) != len(dom.atoms):
+            raise ValueError(f"map has {len(values)} values for {len(dom.atoms)} domain atoms")
+        for b in values:
+            if b not in cod.index:
+                raise ValueError(f"map value {b!r} not in codomain")
         object.__setattr__(self, "dom", dom)
         object.__setattr__(self, "cod", cod)
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "values", values)
 
     def __call__(self, a):
-        return self.table[a]
+        return self.values[self.dom.index[a]]
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
+        return self is other or (
             isinstance(other, FinSetMap)
+            and self.values == other.values
             and self.dom == other.dom
             and self.cod == other.cod
-            and self.table == other.table
         )
 
     def __hash__(self):
-        return hash((self.dom.atoms, self.cod.atoms, frozenset(self.table.items())))
+        return hash(self.values)
 
     def __repr__(self):
         return encode_map(self)
@@ -113,34 +112,16 @@ class FinSetMap:
         raise AttributeError("FinSetMap is immutable")
 
 
-_set_dom = FinSetMap.dom.__set__
-_set_cod = FinSetMap.cod.__set__
-_set_table = FinSetMap.table.__set__
-
-
-def _trusted_map(dom: FinSetObj, cod: FinSetObj, table: dict) -> FinSetMap:
-    """A FinSetMap over ``table`` itself, with no copy and no check.
-
-    Only for maps valid by construction: ``table`` is a fresh dict keyed by
-    exactly the atoms of ``dom`` with values in ``cod``.
-    """
-    m = object.__new__(FinSetMap)
-    _set_dom(m, dom)
-    _set_cod(m, cod)
-    _set_table(m, table)
-    return m
-
-
 def identity_map(x: FinSetObj) -> FinSetMap:
-    return _trusted_map(x, x, {a: a for a in x.atoms})
+    return FinSetMap(x, x, x.atoms)
 
 
 def compose_maps(g: FinSetMap, f: FinSetMap) -> FinSetMap:
     """g after f."""
     if f.cod != g.dom:
         raise ValueError("maps not composable")
-    gt, ft = g.table, f.table
-    return _trusted_map(f.dom, g.cod, {a: gt[ft[a]] for a in f.dom.atoms})
+    images, position = g.values.__getitem__, g.dom.index.__getitem__
+    return FinSetMap(f.dom, g.cod, map(images, map(position, f.values)))
 
 
 class FinSetCat:
@@ -186,16 +167,12 @@ def check_encodable(atoms: Iterable) -> None:
 def encode_map(m: FinSetMap) -> str:
     """Canonical one-line encoding "{a->x,b->y}" keyed by sorted domain.
     Only atoms that pass :func:`check_encodable` decode back."""
-    return _map_text(m.dom.atoms, map(m.table.__getitem__, m.dom.atoms))
-
-
-def _map_text(keys: Iterable, values: Iterable) -> str:
-    """The text "{a->x,b->y}" of the entries a->x, b->y in the given order."""
-    return "{" + ",".join(f"{a}->{b}" for a, b in zip(keys, values)) + "}"
+    return "{" + ",".join(f"{a}->{b}" for a, b in zip(m.dom.atoms, m.values)) + "}"
 
 
 def decode_map(text: str, dom: FinSetObj, cod: FinSetObj) -> FinSetMap:
-    """Inverse of encode_map given the intended dom and cod."""
+    """Inverse of encode_map given the intended dom and cod.  Each atom of
+    ``dom`` must be named exactly once."""
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise EncodingError(f"not a map encoding: {text!r}")
@@ -206,8 +183,14 @@ def decode_map(text: str, dom: FinSetObj, cod: FinSetObj) -> FinSetMap:
             if "->" not in entry:
                 raise EncodingError(f"bad map entry {entry!r}")
             a, b = entry.split("->", 1)
-            table[_match_atom(a.strip(), dom)] = _match_atom(b.strip(), cod)
-    return FinSetMap(dom, cod, table)
+            a, b = _match_atom(a.strip(), dom), _match_atom(b.strip(), cod)
+            if a in table:
+                raise EncodingError(f"atom {a!r} mapped twice")
+            table[a] = b
+    missing = [a for a in dom if a not in table]
+    if missing:
+        raise ValueError(f"map not total: missing {missing[0]!r}")
+    return FinSetMap(dom, cod, map(table.__getitem__, dom.atoms))
 
 
 def _match_atom(token: str, among: FinSetObj):
@@ -221,9 +204,10 @@ def _solve(variables, domains, constraints, cap):
     """Backtracking search over finite domains, the one enumeration loop.
 
     ``domains`` maps each variable to its candidate values.  A constraint
-    ``(u, table, v)`` demands ``value[v] == table[value[u]]`` and is checked
-    as soon as both ends are assigned.  Yields one tuple of values per
-    solution, in variable order and in lexicographic order of the domains.
+    ``(u, m, v)`` with a FinSetMap ``m`` demands ``value[v] == m(value[u])``
+    and is checked as soon as both ends are assigned.  Yields one tuple of
+    values per solution, in variable order and in lexicographic order of the
+    domains.
     Raises CapExceededError before searching when the candidate product
     (the product of max(|domain|, 1)) exceeds ``cap``.
     """
@@ -232,9 +216,9 @@ def _solve(variables, domains, constraints, cap):
         raise CapExceededError(f"search space of {space} candidates exceeds cap {cap}")
     position = {var: i for i, var in enumerate(variables)}
     checks = [[] for _ in variables]
-    for u, table, v in constraints:
+    for u, m, v in constraints:
         i, j = position[u], position[v]
-        checks[max(i, j)].append((i, table, j))
+        checks[max(i, j)].append((i, m.dom.index, m.values, j))
     pools = [tuple(domains[var]) for var in variables]
     values = [None] * len(pools)
     tried = [0] * len(pools)
@@ -249,8 +233,8 @@ def _solve(variables, domains, constraints, cap):
         else:
             values[depth] = pools[depth][tried[depth]]
             tried[depth] += 1
-            for i, table, j in checks[depth]:
-                if table[values[i]] != values[j]:
+            for i, index, images, j in checks[depth]:
+                if images[index[values[i]]] != values[j]:
                     break
             else:
                 depth += 1
@@ -259,7 +243,7 @@ def _solve(variables, domains, constraints, cap):
 def enumerate_maps(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All maps x -> y in lexicographic order over the sorted domain."""
     return [
-        _trusted_map(x, y, dict(zip(x.atoms, values)))
+        FinSetMap(x, y, values)
         for values in _solve(x.atoms, dict.fromkeys(x.atoms, y.atoms), (), cap)
     ]
 
@@ -276,13 +260,10 @@ def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
         raise ValueError("limit_finset needs a finite-set valued diagram")
     shape = d.source
     objs = sorted(shape.objects)
-    constraints = [
-        (j, d.morphism_map[f].table, j2) for f, (j, j2) in shape.morphisms.items()
-    ]
-    families = list(_solve(objs, d.object_map, constraints, cap))
-    carrier = FinSetObj(families)
+    constraints = [(j, d.morphism_map[f], j2) for f, (j, j2) in shape.morphisms.items()]
+    carrier = FinSetObj(_solve(objs, d.object_map, constraints, cap))
     projections = {
-        j: FinSetMap(carrier, d.object_map[j], {fam: fam[i] for fam in families})
+        j: FinSetMap(carrier, d.object_map[j], (fam[i] for fam in carrier))
         for i, j in enumerate(objs)
     }
     return carrier, projections
@@ -315,7 +296,7 @@ def colimit_finset(d):
     for f in shape.sorted_morphisms():
         j, j2 = shape.dom(f), shape.cod(f)
         for x in d.object_map[j]:
-            union((j, x), (j2, d.morphism_map[f].table[x]))
+            union((j, x), (j2, d.morphism_map[f](x)))
 
     classes = {}
     for t in tagged:
@@ -325,9 +306,8 @@ def colimit_finset(d):
     carrier = FinSetObj(rep.values())
     injections = {}
     for j in sorted(shape.objects):
-        injections[j] = FinSetMap(
-            d.object_map[j], carrier, {x: rep[(j, x)] for x in d.object_map[j]}
-        )
+        value = d.object_map[j]
+        injections[j] = FinSetMap(value, carrier, (rep[(j, x)] for x in value))
     return carrier, injections
 
 
@@ -350,7 +330,7 @@ def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
     variables = [(c, a) for c in objs for a in f.object_map[c]]
     domains = {(c, a): g.object_map[c].atoms for c, a in variables}
     constraints = [
-        ((c, a), g.morphism_map[h].table, (d, f.morphism_map[h].table[a]))
+        ((c, a), g.morphism_map[h], (d, f.morphism_map[h](a)))
         for h, (c, d) in shape.morphisms.items()
         for a in f.object_map[c]
     ]
@@ -365,26 +345,9 @@ def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
             start += len(dom)
             component = shared[c].get(key)
             if component is None:
-                component = _trusted_map(dom, g.object_map[c], dict(zip(dom.atoms, key)))
+                component = FinSetMap(dom, g.object_map[c], key)
                 shared[c][key] = component
             components[c] = component
         out.append(NatTransVal(f, g, components))
     return out
 
-
-def nattrans_key(t) -> tuple:
-    """Canonical sort/identity key for a finite-set valued transformation."""
-    return tuple(
-        (c, encode_map(t.components[c])) for c in sorted(t.components)
-    )
-
-
-def _values_key(t) -> tuple:
-    """Identity key of a finite-set valued transformation among those with
-    the same endpoints: per object in sorted order, the component's values
-    over its sorted domain.  Atoms stay values, so 1 and "1" stay apart."""
-    components = t.components
-    return tuple(
-        tuple(map(components[c].table.__getitem__, components[c].dom.atoms))
-        for c in sorted(components)
-    )

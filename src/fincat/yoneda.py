@@ -40,9 +40,7 @@ from .finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
     FinSetObj,
-    _map_text,
-    _trusted_map,
-    _values_key,
+    encode_map,
     enumerate_maps,
     enumerate_nattrans_finset,
 )
@@ -96,8 +94,8 @@ def hom_cov_functor(category: FinCat, anchor: str) -> FunctorVal:
     object_map = {d: FinSetObj(category.hom(anchor, d)) for d in category.objects}
     morphism_map = {}
     for g, (d, d2) in category.morphisms.items():
-        table = {f: category.compose[(g, f)] for f in category.hom(anchor, d)}
-        morphism_map[g] = FinSetMap(object_map[d], object_map[d2], table)
+        images = (category.compose[(g, f)] for f in object_map[d])
+        morphism_map[g] = FinSetMap(object_map[d], object_map[d2], images)
     return FunctorVal(category, FINSET, object_map, morphism_map)
 
 
@@ -111,22 +109,16 @@ def hom_maps_functor(
     applied to each entry of the tuple.
     """
     category = set_functor.source
-    maps_at = {
-        d: [_map_values(h) for h in enumerate_maps(probe, set_functor.object_map[d], cap)]
+    object_map = {
+        d: FinSetObj(h.values for h in enumerate_maps(probe, set_functor.object_map[d], cap))
         for d in category.objects
     }
-    object_map = {d: FinSetObj(maps) for d, maps in maps_at.items()}
     morphism_map = {}
     for g, (d, d2) in category.morphisms.items():
-        action = set_functor.morphism_map[g].table
-        table = {values: tuple(action[x] for x in values) for values in maps_at[d]}
-        morphism_map[g] = _trusted_map(object_map[d], object_map[d2], table)
+        action = set_functor.morphism_map[g]
+        images = (tuple(map(action, values)) for values in object_map[d])
+        morphism_map[g] = FinSetMap(object_map[d], object_map[d2], images)
     return FunctorVal(category, FINSET, object_map, morphism_map)
-
-
-def _map_values(m: FinSetMap) -> tuple:
-    """A map's atom in :func:`hom_maps_functor`: its values over its sorted domain."""
-    return tuple(m.table[a] for a in m.dom.atoms)
 
 
 def transform_from_seed(ctx: HomContext) -> NatTransVal:
@@ -135,16 +127,15 @@ def transform_from_seed(ctx: HomContext) -> NatTransVal:
         raise ValueError("context has no seed map")
     source = hom_cov_functor(ctx.category, ctx.anchor)
     target = hom_maps_functor(ctx.probe, ctx.set_functor)
-    return _pointwise_transform(source, target, ctx.anchor, _map_values(ctx.seed))
+    return _pointwise_transform(source, target, ctx.anchor, ctx.seed.values)
 
 
 def seed_from_transform(ctx: HomContext) -> FinSetMap:
     """Recover the seed map: the anchor component applied to the identity."""
     if ctx.transform is None:
         raise ValueError("context has no transformation")
-    values = ctx.transform.at(ctx.anchor).table[ctx.category.id_of(ctx.anchor)]
-    cod = ctx.set_functor.object_map[ctx.anchor]
-    return FinSetMap(ctx.probe, cod, dict(zip(ctx.probe.atoms, values)))
+    values = ctx.transform.at(ctx.anchor)(ctx.category.id_of(ctx.anchor))
+    return FinSetMap(ctx.probe, ctx.set_functor.object_map[ctx.anchor], values)
 
 
 def check_yoneda_roundtrips(
@@ -172,20 +163,19 @@ def check_yoneda_roundtrips(
 
     # A seed is its tuple of values, the atom ``target`` uses for it, so each
     # round trip compares tuples; map text is built only for a witness.
-    probe = ctx.probe.atoms
+    cod = ctx.set_functor.object_map[ctx.anchor]
     bad_seed = []
     for seed in seeds:
-        values = _map_values(seed)
-        back = _pointwise_transform(source, target, ctx.anchor, values).at(ctx.anchor).table[ident]
-        if back != values:
-            bad_seed.append((_map_text(probe, values), _map_text(probe, back)))
+        back = _pointwise_transform(source, target, ctx.anchor, seed.values).at(ctx.anchor)(ident)
+        if back != seed.values:
+            bad_seed.append((encode_map(seed), encode_map(FinSetMap(ctx.probe, cod, back))))
 
     bad_transform = []
     for transform in transforms:
-        values = transform.at(ctx.anchor).table[ident]
+        values = transform.at(ctx.anchor)(ident)
         again = _pointwise_transform(source, target, ctx.anchor, values)
         if again.components != transform.components:
-            bad_transform.append(_printed_transform(probe, transform))
+            bad_transform.append(_printed_transform(ctx, transform))
 
     obligations = (
         Obligation("seed_roundtrip", not bad_seed, tuple(bad_seed[0]) if bad_seed else ()),
@@ -203,14 +193,17 @@ def check_yoneda_roundtrips(
     return CheckReport(f"roundtrips@{ctx.anchor}", obligations)
 
 
-def _printed_transform(probe: tuple, t: NatTransVal) -> tuple:
-    """A transformation into :func:`hom_maps_functor` as ``nattrans_key``
-    prints it, each tuple of values written as the map "{a->x}" it is."""
+def _printed_transform(ctx: HomContext, t: NatTransVal) -> tuple:
+    """A transformation into :func:`hom_maps_functor` as pairs of an object
+    and its component's text, each tuple of values written as the map
+    "{a->x}" it is, objects in sorted order."""
 
-    def printed(m: FinSetMap) -> str:
-        return _map_text(m.dom, (_map_text(probe, v) for v in _map_values(m)))
+    def printed(c) -> str:
+        m, values = t.components[c], ctx.set_functor.object_map[c]
+        texts = [encode_map(FinSetMap(ctx.probe, values, v)) for v in m.values]
+        return encode_map(FinSetMap(m.dom, FinSetObj(texts), texts))
 
-    return tuple((c, printed(t.components[c])) for c in sorted(t.components))
+    return tuple((c, printed(c)) for c in sorted(t.components))
 
 
 def _pointwise_transform(
@@ -221,11 +214,9 @@ def _pointwise_transform(
     category = source.source
     components = {}
     for d in category.objects:
-        table = {
-            f: set_functor.morphism_map[f].table[element]
-            for f in category.hom(anchor, d)
-        }
-        components[d] = FinSetMap(source.object_map[d], set_functor.object_map[d], table)
+        hom = source.object_map[d]
+        images = (set_functor.morphism_map[f](element) for f in hom)
+        components[d] = FinSetMap(hom, set_functor.object_map[d], images)
     return NatTransVal(source, set_functor, components)
 
 
@@ -256,9 +247,13 @@ def yoneda_pointwise_bijection(
         for element, transform in mapping.items()
         if not validate_nattrans(transform).passed
     ]
-    keys = {element: _values_key(t) for element, t in mapping.items()}
+    # a transformation is told apart by its component maps
+    keys = {element: frozenset(t.components.items()) for element, t in mapping.items()}
     distinct = len(set(keys.values())) == len(keys)
-    enumerated = {_values_key(t) for t in enumerate_nattrans_finset(source, set_functor, cap)}
+    enumerated = {
+        frozenset(t.components.items())
+        for t in enumerate_nattrans_finset(source, set_functor, cap)
+    }
     onto = set(keys.values()) == enumerated
 
     obligations = (

@@ -37,7 +37,8 @@ force, kept to pin the exact output of the faster code that replaced them:
   ``yoneda`` and ``kan`` commands in which every check builds its own
   hom-functors and Kan extensions through the public functions;
 * ``sorted_map_key`` and ``sorted_map_eq`` are the map key (hashed, too)
-  and equality that compared tables sorted by domain atom;
+  and equality that compared tables sorted by domain atom, and
+  ``nattrans_key`` the text key that told transformations apart;
 * ``name_per_triple_preorder`` is ``preorder_from_covers`` as it named each
   composite anew, three names per composable triple.
 """
@@ -83,9 +84,9 @@ from fincat.finset import (
     FinSetObj,
     atom_key,
     compose_maps,
+    encode_map,
     enumerate_maps,
     enumerate_nattrans_finset,
-    nattrans_key,
 )
 from fincat.terms import (
     DEFAULT_NODE_CAP,
@@ -251,7 +252,7 @@ def product_filter_limit(d) -> list:
     for combo in itertools.product(*(list(d.object_map[j]) for j in objs)):
         family = dict(zip(objs, combo))
         if all(
-            d.morphism_map[m].table[family[j]] == family[j2]
+            d.morphism_map[m](family[j]) == family[j2]
             for m, (j, j2) in d.source.morphisms.items()
         ):
             families.append(family)
@@ -281,8 +282,8 @@ def product_filter_nattrans(f, g) -> list:
         components = dict(zip(objs, combo))
         natural = True
         for m, (x, y) in f.source.morphisms.items():
-            f_action = f.morphism_map[m].table
-            g_action = g.morphism_map[m].table
+            f_action = table_of(f.morphism_map[m])
+            g_action = table_of(g.morphism_map[m])
             for a in f.object_map[x]:
                 if g_action[components[x][a]] != components[y][f_action[a]]:
                     natural = False
@@ -299,7 +300,7 @@ def product_filter_nattrans(f, g) -> list:
 def nattrans_table_key(t) -> tuple:
     """The same canonical key shape for a library transformation value."""
     return tuple(
-        (x, tuple(sorted(t.components[x].table.items())))
+        (x, tuple(sorted(table_of(t.components[x]).items())))
         for x in sorted(t.components)
     )
 
@@ -318,7 +319,7 @@ def brute_universal_table(category, set_functor, probe, anchor, seed) -> list:
                 f
                 for f in hom
                 if all(
-                    set_functor.morphism_map[f].table[seed.table[p]] == x
+                    set_functor.morphism_map[f](seed(p)) == x
                     for p, x in zip(points, picks)
                 )
             )
@@ -712,9 +713,16 @@ def rebuilding_reduction_graph(t: Tm, sig=None, node_cap: int = DEFAULT_NODE_CAP
 # ---------------------------------------------------------------------------
 
 
+def nattrans_key(t) -> tuple:
+    """The text key transformations were once compared by: per object in
+    sorted order, the component's text "{a->x}".  Atoms that print alike,
+    such as 1 and "1", give equal keys."""
+    return tuple((c, encode_map(t.components[c])) for c in sorted(t.components))
+
+
 def map_text(m) -> str:
     """A map as the text "{a->x,b->y}", entries in the order of its sorted domain."""
-    return "{" + ",".join(f"{a}->{m.table[a]}" for a in m.dom) + "}"
+    return "{" + ",".join(f"{a}->{m(a)}" for a in m.dom) + "}"
 
 
 def string_encoded_hom_maps_functor(probe, set_functor, cap: int = DEFAULT_ENUM_CAP):
@@ -729,7 +737,7 @@ def string_encoded_hom_maps_functor(probe, set_functor, cap: int = DEFAULT_ENUM_
     for g, (d, d2) in category.morphisms.items():
         action = set_functor.morphism_map[g]
         table = {map_text(h): map_text(compose_maps(action, h)) for h in maps_at[d]}
-        morphism_map[g] = FinSetMap(object_map[d], object_map[d2], table)
+        morphism_map[g] = map_from_table(object_map[d], object_map[d2], table)
     return FunctorVal(category, FINSET, object_map, morphism_map)
 
 
@@ -744,20 +752,20 @@ def rebuilding_transform_from_seed(ctx):
             f: map_text(compose_maps(ctx.set_functor.morphism_map[f], ctx.seed))
             for f in ctx.category.hom(ctx.anchor, d)
         }
-        components[d] = FinSetMap(source.object_map[d], target.object_map[d], table)
+        components[d] = map_from_table(source.object_map[d], target.object_map[d], table)
     return NatTransVal(source, target, components)
 
 
 def _decoded_seed(ctx, transform):
     """The seed a transformation into the string-encoded maps functor names
     at the anchor's identity, read back from its text atom by atom."""
-    text = transform.at(ctx.anchor).table[ctx.category.id_of(ctx.anchor)]
+    text = transform.at(ctx.anchor)(ctx.category.id_of(ctx.anchor))
     cod = ctx.set_functor.object_map[ctx.anchor]
     table = {}
     for entry in filter(None, text[1:-1].split(",")):
         a, x = entry.split("->", 1)
         table[next(p for p in ctx.probe if str(p) == a)] = next(y for y in cod if str(y) == x)
-    return FinSetMap(ctx.probe, cod, table)
+    return map_from_table(ctx.probe, cod, table)
 
 
 def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
@@ -805,9 +813,9 @@ def _rebuilt_pointwise_transform(category, set_functor, anchor, element):
     components = {}
     for d in category.objects:
         table = {
-            f: set_functor.morphism_map[f].table[element] for f in category.hom(anchor, d)
+            f: set_functor.morphism_map[f](element) for f in category.hom(anchor, d)
         }
-        components[d] = FinSetMap(source.object_map[d], set_functor.object_map[d], table)
+        components[d] = map_from_table(source.object_map[d], set_functor.object_map[d], table)
     return NatTransVal(source, set_functor, components)
 
 
@@ -1095,13 +1103,27 @@ def _steps_text(steps) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Map equality by sorted tables
+# Maps as dicts, and map equality by sorted tables
 # ---------------------------------------------------------------------------
+
+
+def table_of(m) -> dict:
+    """A map's values as a dict keyed by its domain atoms, in sorted order."""
+    return dict(zip(m.dom, m.values))
+
+
+def map_from_table(dom, cod, table) -> FinSetMap:
+    """The map sending each atom of ``dom`` to its entry in ``table``, built
+    by the checked constructor; ``table`` names exactly the atoms of ``dom``."""
+    if set(table) != set(dom):
+        raise ValueError(f"table keys are not the atoms of {dom!r}")
+    return FinSetMap(dom, cod, (table[a] for a in dom))
 
 
 def sorted_map_key(m) -> tuple:
     """Both sets' atoms and the table's items sorted by domain atom."""
-    return (m.dom.atoms, m.cod.atoms, tuple(sorted(m.table.items(), key=lambda kv: atom_key(kv[0]))))
+    items = sorted(table_of(m).items(), key=lambda kv: atom_key(kv[0]))
+    return (m.dom.atoms, m.cod.atoms, tuple(items))
 
 
 def sorted_map_eq(m, other) -> bool:

@@ -424,7 +424,7 @@ def load_functor_on_wrong_base(inc):
     value = FinSetObj(("z",))
     object_map = {a: value for a in src.objects}
     morphism_map = {
-        m: FinSetMap(value, value, {"z": "z"}) for m in src.morphisms
+        m: FinSetMap(value, value, ("z",)) for m in src.morphisms
     }
     return FunctorVal(src, FINSET, object_map, morphism_map)
 

@@ -316,6 +316,68 @@ def test_functor_and_transformation_checks(fix):
     assert code == EXIT_CHECK_FAILED and "[FAIL] square_condition" in text
 
 
+def _chain2_functor(fix, path, action):
+    """A functor from the 2-chain to finite sets with value {1, a} at both
+    objects and the given map text as the action of 0->1."""
+    path.write_text(
+        f"source: {fix('chain2.fincat')}\ntarget: finset\nobjects:\n"
+        f"  0 |-> {{1, a}}\n  1 |-> {{1, a}}\nmorphisms:\n  0->1 |-> {action}\n"
+    )
+
+
+def test_check_nt_names_the_first_failing_atom_in_domain_order(fix, tmp_path):
+    """A square failing at an integer and at a token atom is reported at the
+    integer, which comes first in the domain's order."""
+    _chain2_functor(fix, tmp_path / "id.fun", "{1->1, a->a}")
+    _chain2_functor(fix, tmp_path / "swap.fun", "{1->a, a->1}")
+    nt = tmp_path / "mixed.nt"
+    nt.write_text(
+        "source: id.fun\ntarget: swap.fun\ncomponents:\n"
+        "  0 |-> {1->1, a->a}\n  1 |-> {1->1, a->a}\n"
+    )
+    assert _run("check-nt", str(nt)) == (
+        EXIT_CHECK_FAILED,
+        "subject: nattrans\n  [PASS] component_typing\n"
+        "  [FAIL] square_condition  witness=('0->1', 1, 'a', 1)\nresult: FAIL\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "name, line, old, new, atom",
+    [
+        ("f_kite.fun", 14, "1->3 |-> {24->2, 25->3}", "1->3 |-> {24->3, 24->2, 25->3}", 24),
+        ("f_kite.fun", 14, "1->3 |-> {24->2, 25->3}", "1->3 |-> {24->2, 25->3, 25->3}", 25),
+        ("id_fkite.nt", 5, "1 |-> {24->24, 25->25}", "1 |-> {24->25, 24->24, 25->25}", 24),
+        ("id_fkite.nt", 7, "3 |-> {2->2, 3->3}", "3 |-> {2->2, 3->3, 3->3}", 3),
+    ],
+    ids=["fun-differing", "fun-repeated", "nt-differing", "nt-repeated"],
+)
+def test_a_map_naming_an_atom_twice_is_a_parse_error(fix, tmp_path, name, line, old, new, atom):
+    text = open(fix(name), encoding="utf-8").read()
+    assert text.splitlines()[line - 1].strip() == old
+    for other in ("kite.fincat", "f_kite.fun"):
+        text = text.replace(f": {other}", f": {fix(other)}")
+    path = tmp_path / name
+    path.write_text(text.replace(old, new))
+    command = "check-nt" if name.endswith(".nt") else "check-fun"
+    assert _run(command, str(path)) == (
+        EXIT_USAGE,
+        f"parse error: {path}:{line}: atom {atom} mapped twice\n",
+    )
+
+
+@pytest.mark.parametrize("bind, atom", [("{0->a, 0->b, 1->b}", 0), ("{0->a, 1->b, 1->b}", 1)])
+def test_eval_rejects_a_bound_map_naming_an_atom_twice(tmp_path, bind, atom):
+    diagram = tmp_path / "parallel.diag"
+    diagram.write_text('layer S in Set\nnode X : S "X"\nnode Y : S "Y"\narrow f : X -> Y "f"\n')
+    model = tmp_path / "parallel.model"
+    model.write_text(f"layer S = finset\nbind X = {{0, 1}}\nbind Y = {{a, b}}\nbind f = {bind}\n")
+    assert _run("eval", str(diagram), "--model", str(model)) == (
+        EXIT_CHECK_FAILED,
+        f"check error: bind 'f': atom {atom} mapped twice\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Staging and evaluation
 # ---------------------------------------------------------------------------
@@ -652,18 +714,25 @@ def test_yoneda_validates_its_functor_first(fix):
 
 
 def test_cli_imports_only_public_names():
-    """The layer trace wraps public functions only; work the command does
-    through a private import would be billed to the CLI."""
-    with open(cli.__file__, encoding="utf-8") as handle:
-        tree = ast.parse(handle.read())
-    private = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.level > 0 or (node.module or "").split(".")[0] == "fincat")
-        for alias in node.names
-        if alias.name.startswith("_")
-    ]
+    """The layer trace wraps public functions only; work a module does
+    through another module's private name would be billed to the importer.
+    Checked for every module of the package, the CLI among them."""
+    package = os.path.dirname(fincat.__file__)
+    private = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read())
+        private += [
+            (name, node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").split(".")[0] == "fincat")
+            for alias in node.names
+            if alias.name.startswith("_")
+        ]
+    assert "cli.py" in os.listdir(package)
     assert private == []
 
 

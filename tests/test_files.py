@@ -86,7 +86,8 @@ def test_functor_identity_images_are_auto_filled(fix):
 def test_set_valued_functor_loads_maps(f_kite):
     assert f_kite.target is FINSET
     assert sorted(f_kite.object_map["1"]) == [24, 25]
-    assert f_kite.morphism_map["1->3"].table == {24: 2, 25: 3}
+    one_three = f_kite.morphism_map["1->3"]
+    assert (one_three.dom.atoms, one_three.values) == ((24, 25), (2, 3))
 
 
 def test_functor_with_unknown_source_object_is_rejected(tmp_path, fix):
@@ -104,7 +105,7 @@ def test_functor_with_unknown_source_object_is_rejected(tmp_path, fix):
 def test_nattrans_components_resolve_against_both_functors(fix):
     nt = load_nattrans(fix("id_fkite.nt"))
     assert set(nt.components) == set(nt.F.source.objects)
-    assert nt.at("1").table == {24: 24, 25: 25}
+    assert (nt.at("1").dom.atoms, nt.at("1").values) == ((24, 25), (24, 25))
 
 
 def test_adjunction_manifest_kinds(fix):

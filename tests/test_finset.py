@@ -33,11 +33,12 @@ from fincat.finset import (
     enumerate_nattrans_finset,
     identity_map,
     limit_finset,
-    nattrans_key,
 )
 from fincat.yoneda import hom_cov_functor
 
 from oracles import (
+    map_from_table,
+    nattrans_key,
     nattrans_table_key,
     product_filter_limit,
     product_filter_nattrans,
@@ -60,8 +61,7 @@ def test_encode_decode_roundtrip(dom_atoms, cod_atoms, rng):
     cod = FinSetObj(cod_atoms)
     if len(dom) and not len(cod):
         return
-    table = {a: rng.choice(list(cod)) for a in dom}
-    mapping = FinSetMap(dom, cod, table)
+    mapping = FinSetMap(dom, cod, [rng.choice(list(cod)) for _a in dom])
     assert decode_map(encode_map(mapping), dom, cod) == mapping
 
 
@@ -72,13 +72,18 @@ def test_reserved_atoms_are_rejected_by_check_encodable():
     assert encode_map(identity_map(s)) == "{a->b->a->b}"
 
 
-def test_map_totality_and_extensional_equality():
+def test_map_totality_range_and_extensional_equality():
     dom, cod = FinSetObj("ab"), FinSetObj("xy")
-    with pytest.raises(ValueError):
-        FinSetMap(dom, cod, {"a": "x"})
-    m1 = FinSetMap(dom, cod, {"a": "x", "b": "y"})
-    m2 = FinSetMap(dom, cod, {"b": "y", "a": "x"})
-    assert m1 == m2
+    with pytest.raises(ValueError, match="1 values for 2 domain atoms"):
+        FinSetMap(dom, cod, ("x",))
+    with pytest.raises(ValueError, match="3 values for 2 domain atoms"):
+        FinSetMap(dom, cod, "xyx")
+    with pytest.raises(ValueError, match="map value 'z' not in codomain"):
+        FinSetMap(dom, cod, "xz")
+    m1 = FinSetMap(dom, cod, ("x", "y"))
+    m2 = map_from_table(dom, cod, {"b": "y", "a": "x"})
+    assert m1 == m2 and m1("a") == "x" and m1("b") == "y"
+    assert decode_map("{b->y, a->x}", dom, cod) == m1
 
 
 def test_map_equality_and_hash_match_the_sorted_key_reference():
@@ -88,7 +93,10 @@ def test_map_equality_and_hash_match_the_sorted_key_reference():
     pool = (1, "1", "a")
     sets = [FinSetObj(c) for k in range(4) for c in itertools.combinations(pool, k)]
     enumerated = [m for x in sets for y in sets for m in enumerate_maps(x, y)]
-    rebuilt = [FinSetMap(m.dom, m.cod, dict(reversed(m.table.items()))) for m in enumerated]
+    rebuilt = [
+        map_from_table(m.dom, m.cod, dict(reversed(list(zip(m.dom, m.values)))))
+        for m in enumerated
+    ]
     assert len(enumerated) == 170
     for m in enumerated:
         assert m == m and m != encode_map(m)
@@ -114,9 +122,9 @@ def test_enumerate_maps_count_order_and_cap():
 
 def test_composition_is_associative_on_samples():
     a, b, c, d = (FinSetObj(x) for x in ("pq", "rs", "tu", "vw"))
-    f = FinSetMap(a, b, {"p": "r", "q": "s"})
-    g = FinSetMap(b, c, {"r": "u", "s": "t"})
-    h = FinSetMap(c, d, {"t": "v", "u": "w"})
+    f = FinSetMap(a, b, "rs")
+    g = FinSetMap(b, c, "ut")
+    h = FinSetMap(c, d, "vw")
     assert compose_maps(h, compose_maps(g, f)) == compose_maps(compose_maps(h, g), f)
 
 
@@ -167,9 +175,8 @@ def test_limit_matches_brute_force_families(set_diagrams):
         assert carrier.atoms == tuple(elements), label
         assert list(projections) == objs, label
         for j in objs:
-            assert list(projections[j].table.items()) == [
-                (element, fam[j]) for element, fam in zip(elements, families)
-            ], label
+            assert projections[j].dom == carrier, label
+            assert projections[j].values == tuple(fam[j] for fam in families), label
 
 
 def test_colimit_matches_union_find_quotient(h_on_a):
@@ -191,11 +198,11 @@ def test_colimit_matches_union_find_quotient(h_on_a):
 
     for m, (x, y) in cat.morphisms.items():
         for a in h_on_a.object_map[x]:
-            union((x, a), (y, h_on_a.morphism_map[m].table[a]))
+            union((x, a), (y, h_on_a.morphism_map[m](a)))
     classes = {find(t) for t in tagged}
     assert len(carrier) == len(classes)
     for x, a in tagged:
-        assert injections[x].table[a] == find((x, a))
+        assert injections[x](a) == find((x, a))
 
 
 def test_colimit_of_disjoint_values_is_a_sum():
@@ -294,6 +301,7 @@ def test_nattrans_key_orders_components_deterministically(f_kite):
     first = enumerate_nattrans_finset(f_kite, f_kite)[0]
     key = nattrans_key(first)
     assert [entry[0] for entry in key] == sorted(f_kite.source.objects)
+    assert list(first.components) == sorted(f_kite.source.objects)
 
 
 def test_finset_is_one_object_in_core_and_finset():

@@ -28,12 +28,10 @@ from fincat.finset import (
     CapExceededError,
     FinSetMap,
     FinSetObj,
-    _values_key,
     compose_maps,
     enumerate_maps,
     enumerate_nattrans_finset,
     identity_map,
-    nattrans_key,
 )
 from fincat.yoneda import (
     HomContext,
@@ -47,12 +45,15 @@ from fincat.yoneda import (
 
 from oracles import (
     brute_universal_table,
+    map_from_table,
+    nattrans_key,
     rebuilding_yoneda_command,
     rebuilding_pointwise_bijection,
     rebuilding_roundtrips,
     rebuilding_transform_from_seed,
     sorted_map_eq,
     string_encoded_hom_maps_functor,
+    table_of,
 )
 
 POINT = FinSetObj(("*",))
@@ -84,7 +85,7 @@ def test_hom_functor_on_a_monoid(fix):
     assert validate_functor(functor).passed
     assert sorted(functor.object_map["*"].atoms) == ["e", "id_*"]
     # Postcomposition with the idempotent collapses everything onto it.
-    assert functor.morphism_map["e"].table == {"e": "e", "id_*": "e"}
+    assert table_of(functor.morphism_map["e"]) == {"e": "e", "id_*": "e"}
 
 
 def test_hom_functor_rejects_unknown_anchor(kite):
@@ -109,12 +110,12 @@ def test_value_set_sizes_are_frozen(f_kite):
 
 
 def test_explicit_seed_lift(kite, f_kite):
-    seed = FinSetMap(POINT, f_kite.object_map["1"], {"*": 24})
+    seed = FinSetMap(POINT, f_kite.object_map["1"], (24,))
     ctx = HomContext(kite, f_kite, POINT, "1", seed=seed)
     transform = transform_from_seed(ctx)
     assert validate_nattrans(transform).passed
     # At object 3 the unique arrow out of the anchor sends 24 to 2.
-    assert transform.at("3").table["1->3"] == (2,)
+    assert transform.at("3")("1->3") == (2,)
     back = seed_from_transform(dataclasses.replace(ctx, seed=None, transform=transform))
     assert back == seed
 
@@ -144,7 +145,7 @@ def test_counting_corollary_explicitly(kite, f_kite):
 def test_context_validates_inputs(kite, f_kite):
     with pytest.raises(ValueError):
         HomContext(kite, f_kite, POINT, "nope")
-    bad_seed = FinSetMap(PAIR, f_kite.object_map["1"], {"p": 24, "q": 24})
+    bad_seed = FinSetMap(PAIR, f_kite.object_map["1"], (24, 24))
     with pytest.raises(ValueError):
         HomContext(kite, f_kite, POINT, "1", seed=bad_seed)  # probe mismatch
     with pytest.raises(ValueError):
@@ -169,13 +170,13 @@ def _universal_table(category, functor, probe, anchor, seed) -> dict:
     for d in sorted(category.objects):
         component = transform.at(d)
         for g in component.cod.atoms:
-            table[(d, g)] = tuple(sorted(f for f, v in component.table.items() if v == g))
+            table[(d, g)] = tuple(sorted(f for f in component.dom if component(f) == g))
     return table
 
 
 def test_identity_seed_is_universal_for_own_hom_functor(kite):
     functor = hom_cov_functor(kite, "1")
-    seed = FinSetMap(POINT, functor.object_map["1"], {"*": "id_1"})
+    seed = FinSetMap(POINT, functor.object_map["1"], ("id_1",))
     table = _universal_table(kite, functor, POINT, "1", seed)
     assert len(table) == sum(len(functor.object_map[d]) for d in kite.objects)
     assert all(len(solutions) == 1 for solutions in table.values())
@@ -183,7 +184,7 @@ def test_identity_seed_is_universal_for_own_hom_functor(kite):
 
 def test_wrong_anchor_is_not_universal(kite):
     functor = hom_cov_functor(kite, "1")
-    seed = FinSetMap(POINT, functor.object_map["2"], {"*": "1->2"})
+    seed = FinSetMap(POINT, functor.object_map["2"], ("1->2",))
     table = _universal_table(kite, functor, POINT, "2", seed)
     assert not all(len(solutions) == 1 for solutions in table.values())
     # Nothing maps the anchor back down to the bottom object, so the
@@ -192,13 +193,13 @@ def test_wrong_anchor_is_not_universal(kite):
 
 
 def test_universal_table_is_replayable(kite, f_kite):
-    seed = FinSetMap(POINT, f_kite.object_map["1"], {"*": 24})
+    seed = FinSetMap(POINT, f_kite.object_map["1"], (24,))
     table = _universal_table(kite, f_kite, POINT, "1", seed)
     assert not all(len(solutions) == 1 for solutions in table.values())
     for (d, g), solutions in table.items():
         for f in solutions:
             assert kite.morphisms[f] == ("1", d)
-            assert (f_kite.morphism_map[f].table[24],) == g
+            assert (f_kite.morphism_map[f](24),) == g
 
 
 def test_universal_table_matches_brute_force(kite, f_kite, h_on_a):
@@ -240,10 +241,10 @@ def _embedding(category, m) -> NatTransVal:
     the morphism it holds."""
     b, c = category.morphisms[m]
     target = hom_cov_functor(category, b)
-    seed = FinSetMap(POINT, target.object_map[c], {"*": m})
+    seed = FinSetMap(POINT, target.object_map[c], (m,))
     lifted = transform_from_seed(HomContext(category, target, POINT, c, seed=seed))
     components = {
-        d: FinSetMap(t.dom, target.object_map[d], {f: v for f, (v,) in t.table.items()})
+        d: FinSetMap(t.dom, target.object_map[d], (v for (v,) in t.values))
         for d, t in lifted.components.items()
     }
     return NatTransVal(lifted.F, target, components)
@@ -253,7 +254,7 @@ def test_embedding_recovers_the_morphism(kite):
     for m, (_b, c) in kite.morphisms.items():
         transform = _embedding(kite, m)
         assert validate_nattrans(transform).passed
-        assert transform.at(c).table[kite.id_of(c)] == m
+        assert transform.at(c)(kite.id_of(c)) == m
 
 
 def test_embedding_is_contravariantly_functorial(kite):
@@ -274,9 +275,9 @@ def test_embedding_rejects_unknown_morphism(kite):
         for c in kite.objects:
             for bad in ["nope", *(m for m, ends in kite.morphisms.items() if ends != (b, c))]:
                 with pytest.raises(ValueError):
-                    FinSetMap(POINT, target.object_map[c], {"*": bad})
+                    FinSetMap(POINT, target.object_map[c], (bad,))
             for m in kite.hom(b, c):
-                seed = FinSetMap(POINT, target.object_map[c], {"*": m})
+                seed = FinSetMap(POINT, target.object_map[c], (m,))
                 for other in kite.objects:
                     if other != c:
                         with pytest.raises(ValueError):
@@ -284,7 +285,7 @@ def test_embedding_rejects_unknown_morphism(kite):
 
 
 def test_embedding_is_injective_on_morphisms(kite):
-    keys = {nattrans_key(_embedding(kite, m)) for m in kite.morphisms}
+    keys = {frozenset(_embedding(kite, m).components.items()) for m in kite.morphisms}
     assert len(keys) == len(kite.morphisms)
 
 
@@ -296,7 +297,7 @@ def _representations(category, functor) -> list:
         mapping, _report = yoneda_pointwise_bijection(category, functor, anchor)
         for element, transform in mapping.items():
             if all(
-                len(set(c.table.values())) == len(c.dom) == len(c.cod)
+                len(set(c.values)) == len(c.dom) == len(c.cod)
                 for c in transform.components.values()
             ):
                 found.append((anchor, element))
@@ -349,9 +350,9 @@ def _relabel_atoms(functor):
     morphism_map = {}
     for m, (d, d2) in functor.source.morphisms.items():
         table = {
-            rename[d][a]: rename[d2][b] for a, b in functor.morphism_map[m].table.items()
+            rename[d][a]: rename[d2][b] for a, b in table_of(functor.morphism_map[m]).items()
         }
-        morphism_map[m] = FinSetMap(object_map[d], object_map[d2], table)
+        morphism_map[m] = map_from_table(object_map[d], object_map[d2], table)
     return dataclasses.replace(functor, object_map=object_map, morphism_map=morphism_map)
 
 
@@ -418,7 +419,7 @@ def _seeded_forest_functor(rng):
             for i in reversed(path[:-1]):
                 image = step[i][image]
             table[x] = image
-        morphism_map[m] = FinSetMap(
+        morphism_map[m] = map_from_table(
             values[objects.index(a)], values[objects.index(b)], table
         )
     object_map = dict(zip(objects, values))
@@ -432,7 +433,7 @@ def _broken_identity_functor(fix, name):
     category = load_category(fix("broken", name))
     v = FinSetObj((0, 1))
     actions = {"id_a": {0: 0, 1: 1}, "p": {0: 0, 1: 1}, "q": {0: 0, 1: 0}}
-    morphism_map = {m: FinSetMap(v, v, table) for m, table in actions.items()}
+    morphism_map = {m: map_from_table(v, v, table) for m, table in actions.items()}
     return FunctorVal(category, FINSET, {"a": v}, morphism_map)
 
 
@@ -445,7 +446,7 @@ def _subjects(fix):
 
 def _tables(transform):
     return [
-        (d, c.dom.atoms, c.cod.atoms, list(c.table.items()))
+        (d, c.dom.atoms, c.cod.atoms, list(zip(c.dom, c.values)))
         for d, c in transform.components.items()
     ]
 
@@ -456,7 +457,7 @@ def test_seeded_functors_are_lawful_and_cover_the_edge_cases():
     assert all(validate_functor(f).passed for f in functors)
     assert any(len(v) == 0 for f in functors for v in f.object_map.values())
     assert any(
-        len(set(m.table.values())) < len(m.dom)
+        len(set(m.values)) < len(m.dom)
         for f in functors
         for m in f.morphism_map.values()
     )
@@ -482,7 +483,7 @@ def _printed_tables(transform, probe):
             d,
             c.dom.atoms,
             _printed_set(probe, c.cod.atoms).atoms,
-            [(f, _printed(probe, values)) for f, values in c.table.items()],
+            [(f, _printed(probe, values)) for f, values in zip(c.dom, c.values)],
         )
         for d, c in transform.components.items()
     ]
@@ -491,7 +492,7 @@ def _printed_tables(transform, probe):
 def test_hom_maps_functor_matches_the_string_encoded_reference(fix):
     """Every atom and every table entry, each value tuple printed as the
     reference names its map; the atoms are the value tuples in product
-    order, and each table lists its domain in that order."""
+    order."""
     for functor in _subjects(fix):
         for probe in PROBES:
             new = hom_maps_functor(probe, functor)
@@ -506,9 +507,8 @@ def test_hom_maps_functor_matches_the_string_encoded_reference(fix):
             for g, m in new.morphism_map.items():
                 o = old.morphism_map[g]
                 assert (_printed_set(probe, m.dom), _printed_set(probe, m.cod)) == (o.dom, o.cod)
-                assert list(m.table) == list(m.dom.atoms)
-                printed = {_printed(probe, a): _printed(probe, b) for a, b in m.table.items()}
-                assert printed == o.table
+                printed = {_printed(probe, a): _printed(probe, b) for a, b in zip(m.dom, m.values)}
+                assert printed == table_of(o)
 
 
 def test_roundtrips_match_the_rebuilding_reference(fix):
@@ -558,11 +558,11 @@ def test_roundtrips_print_maps_only_for_witnesses(fix, monkeypatch):
     expected = [check_yoneda_roundtrips(ctx) for ctx in contexts]
     printed = []
 
-    def recorded(*args, _print=yoneda._map_text):
+    def recorded(*args, _print=yoneda.encode_map):
         printed.append(args)
         return _print(*args)
 
-    monkeypatch.setattr(yoneda, "_map_text", recorded)
+    monkeypatch.setattr(yoneda, "encode_map", recorded)
     for ctx, report in zip(contexts, expected):
         printed.clear()
         assert check_yoneda_roundtrips(ctx) == report
@@ -622,7 +622,7 @@ def test_reserved_atoms_are_plain_values_of_the_maps_functor(probe, values):
         category,
         FINSET,
         object_map,
-        {f"id_{d}": FinSetMap(v, v, {a: a for a in v}) for d, v in object_map.items()},
+        {f"id_{d}": identity_map(v) for d, v in object_map.items()},
     )
     built = hom_maps_functor(probe, functor)
     assert validate_functor(built).passed
@@ -633,7 +633,7 @@ def test_reserved_atoms_are_plain_values_of_the_maps_functor(probe, values):
 
 
 # ---------------------------------------------------------------------------
-# Maps built without re-checking, and transformation identity
+# Maps pass the checked constructor, and transformation identity
 # ---------------------------------------------------------------------------
 
 
@@ -656,11 +656,12 @@ def _functor_pairs(fix):
 
 
 def _assert_rechecks(m):
-    checked = FinSetMap(m.dom, m.cod, m.table)
+    checked = FinSetMap(m.dom, m.cod, m.values)
     assert checked == m and sorted_map_eq(checked, m)
+    assert checked == map_from_table(m.dom, m.cod, table_of(m))
 
 
-def test_trusted_maps_pass_the_checked_constructor(fix):
+def test_built_maps_pass_the_checked_constructor(fix):
     for functor in _subjects(fix):
         images = list(functor.morphism_map.values())
         for g in images:
@@ -686,35 +687,40 @@ def _classes(keys):
     return [first.setdefault(k, i) for i, k in enumerate(keys)]
 
 
-def test_values_key_splits_transformations_like_nattrans_key(fix):
+def _components(t) -> tuple:
+    """A transformation's component maps, objects in sorted order."""
+    return tuple(t.components[c] for c in sorted(t.components))
+
+
+def test_component_maps_split_transformations_like_nattrans_key(fix):
     sizes = []
     for f, g in _functor_pairs(fix):
         transforms = enumerate_nattrans_finset(f, g)
         sizes.append(len(transforms))
-        assert _classes(map(_values_key, transforms)) == _classes(map(nattrans_key, transforms))
+        assert _classes(map(_components, transforms)) == _classes(map(nattrans_key, transforms))
     for functor in _subjects(fix):
         category = functor.source
         for anchor in sorted(category.objects):
             mapping, _report = yoneda_pointwise_bijection(category, functor, anchor)
             source = hom_cov_functor(category, anchor)
             transforms = [*mapping.values(), *enumerate_nattrans_finset(source, functor)]
-            assert _classes(map(_values_key, transforms)) == _classes(
+            assert _classes(map(_components, transforms)) == _classes(
                 map(nattrans_key, transforms)
             )
     assert max(sizes) > 1
 
 
-def test_values_key_keeps_atoms_that_print_alike_apart():
+def test_transformations_between_atoms_that_print_alike_stay_apart():
     category = preorder_from_covers(["o"], [])
     values = FinSetObj((1, "1"))
     point = FunctorVal(category, FINSET, {"o": POINT}, {"id_o": identity_map(POINT)})
     functor = FunctorVal(category, FINSET, {"o": values}, {"id_o": identity_map(values)})
     first, second = enumerate_nattrans_finset(point, functor)
     assert nattrans_key(first) == nattrans_key(second)
-    assert _values_key(first) != _values_key(second)
+    assert first.at("o") != second.at("o") and first != second
+    assert len({_components(first), _components(second)}) == 2
     _mapping, report = yoneda_pointwise_bijection(category, functor, "o")
     assert report.passed, report.summary()
-
 
 
 def test_atoms_that_print_alike_stay_apart_in_the_round_trips():
