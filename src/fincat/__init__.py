@@ -91,11 +91,8 @@ from .adjunction import (
     assemble_adjunction,
     check_kan_adjointness,
     counit_inclusion_check,
-    flats_and_sharps,
     kan_extensions,
-    left_kan,
     precompose_functor,
-    right_kan,
     verify_adjunction,
 )
 

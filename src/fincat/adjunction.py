@@ -4,20 +4,16 @@ An adjunction is stored with *all* of its interchangeable presentations at
 once — unit, counit, and the two transposition tables — so each law check
 is a finite table comparison:
 
-* :func:`flats_and_sharps` — build the transposition tables from the unit
-  and counit components.
 * :func:`assemble_adjunction` / :func:`verify_adjunction` — package the
   raw parts and check naturality, mutual inversion of the transpositions,
   and both triangle identities.
 * :func:`adjunction_from_universal_arrows` — reconstruct the missing
   functor (and the other structure transformation) from one universal
   arrow per object, failing loudly on any non-universal input.
-* :func:`precompose_functor`, :func:`right_kan`, :func:`left_kan` —
-  restriction along a functor and its two adjoints, computed pointwise as
-  finite limits/colimits over slice categories.
-* :func:`kan_extensions` — both extensions with their limit cones and
-  colimit cocones, which the two checks below accept prebuilt so that one
-  caller builds each extension once.
+* :func:`precompose_functor`, :func:`kan_extensions` — restriction along
+  a functor and its two adjoints, computed pointwise as finite
+  limits/colimits over slice categories, with their limit cones and
+  colimit cocones, which the two checks below take as built.
 * :func:`require_functor` — the functor-law gate the ``kan`` and ``yoneda``
   commands run before any enumeration.
 * :func:`check_kan_adjointness` — full-enumeration verification that the
@@ -32,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 from .core import (
     FINSET,
@@ -62,13 +58,10 @@ from .finset import (
 __all__ = [
     "AdjunctionError",
     "AdjunctionVal",
-    "flats_and_sharps",
     "assemble_adjunction",
     "verify_adjunction",
     "adjunction_from_universal_arrows",
     "precompose_functor",
-    "right_kan",
-    "left_kan",
     "kan_extensions",
     "require_functor",
     "check_kan_adjointness",
@@ -116,36 +109,14 @@ class AdjunctionVal:
         return self.right.source
 
 
-def flats_and_sharps(
-    left: FunctorVal,
-    right: FunctorVal,
-    unit_components: Mapping[str, str],
-    counit_components: Mapping[str, str],
-) -> tuple:
-    """Transposition tables: flat(h) = counit . left(h), sharp(g) = right(g) . unit."""
-    src, oth = left.source, right.source
-    flat: dict = {}
-    sharp: dict = {}
-    for a in src.objects:
-        for b in oth.objects:
-            flat[(a, b)] = {
-                h: _compose(oth, counit_components[b], left.morphism_map[h])
-                for h in src.hom(a, right.object_map[b])
-            }
-            sharp[(a, b)] = {
-                g: _compose(src, right.morphism_map[g], unit_components[a])
-                for g in oth.hom(left.object_map[a], b)
-            }
-    return flat, sharp
-
-
 def _package(
     left: FunctorVal,
     right: FunctorVal,
     unit_components: Mapping[str, str],
     counit_components: Mapping[str, str],
 ) -> AdjunctionVal:
-    """Both structure transformations and both transposition tables, from
+    """Both structure transformations and both transposition tables,
+    flat(h) = counit . left(h) and sharp(g) = right(g) . unit, from
     components checked to be morphisms of their hom-sets."""
     src, oth = left.source, right.source
     missing = [a for a in src.objects if a not in unit_components]
@@ -166,7 +137,18 @@ def _package(
     counit = NatTransVal(
         compose_functors(left, right), identity_functor(oth), dict(counit_components)
     )
-    flat, sharp = flats_and_sharps(left, right, unit_components, counit_components)
+    flat: dict = {}
+    sharp: dict = {}
+    for a in src.objects:
+        for b in oth.objects:
+            flat[(a, b)] = {
+                h: _compose(oth, counit_components[b], left.morphism_map[h])
+                for h in src.hom(a, ro[b])
+            }
+            sharp[(a, b)] = {
+                g: _compose(src, right.morphism_map[g], unit_components[a])
+                for g in oth.hom(lo[a], b)
+            }
     return AdjunctionVal(left, right, unit, counit, flat, sharp)
 
 
@@ -452,48 +434,30 @@ def _comma_diagrams(along: FunctorVal, functor: FunctorVal, orientation: str):
     return out
 
 
-def right_kan(
-    along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
-) -> FunctorVal:
-    """Pointwise right Kan extension of a set-valued functor.
-
-    The value at b is the limit of the functor over the slice of objects
-    under b (pairs (a, phi : b -> along(a))); a morphism k : b -> b2 acts by
-    reindexing a compatible family along phi -> phi . k.
-    """
-    _require_setvalued(along, functor)
-    return _right_kan_with_cones(along, functor, cap)[0]
-
-
-def left_kan(
-    along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
-) -> FunctorVal:
-    """Pointwise left Kan extension of a set-valued functor.
-
-    The value at b is the colimit of the functor over the slice of objects
-    over b (pairs (a, phi : along(a) -> b)); a morphism k : b -> b2 acts by
-    pushing a class forward along phi -> k . phi.
-    """
-    _require_setvalued(along, functor)
-    return _left_kan_with_cocones(along, functor)[0]
-
-
 def kan_extensions(
     along: FunctorVal, functor: FunctorVal, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple:
-    """Both Kan extensions with their universal legs, after one check of
-    the inputs: ``((rkan, cones), (lkan, cocones))``.
+    """Both pointwise Kan extensions of a set-valued functor with their
+    universal legs, after one check of the inputs:
+    ``((rkan, cones), (lkan, cocones))``.
 
-    ``cones[b]`` maps each object (a, phi) of the slice under b to the limit
-    projection rkan(b) -> functor(a); ``cocones[b]`` maps each (a, phi) of
-    the slice over b to the colimit injection functor(a) -> lkan(b).
+    The right extension's value at b is the limit of the functor over the
+    slice of objects under b (pairs (a, phi : b -> along(a))); a morphism
+    k : b -> b2 acts by reindexing a compatible family along
+    phi -> phi . k.  ``cones[b]`` maps each such (a, phi) to the limit
+    projection rkan(b) -> functor(a).
+
+    The left extension's value at b is the colimit of the functor over the
+    slice of objects over b (pairs (a, phi : along(a) -> b)); k pushes a
+    class forward along phi -> k . phi.  ``cocones[b]`` maps each such
+    (a, phi) to the colimit injection functor(a) -> lkan(b).
     """
     _require_setvalued(along, functor)
     return _right_kan_with_cones(along, functor, cap), _left_kan_with_cocones(along, functor)
 
 
 def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> tuple:
-    """:func:`right_kan` and its cones, for inputs that passed
+    """The right Kan extension and its cones, for inputs that passed
     ``_require_setvalued``."""
     tgt = along.target
     object_map = {}
@@ -516,7 +480,7 @@ def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> t
 
 
 def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
-    """:func:`left_kan` and its cocones, for inputs that passed
+    """The left Kan extension and its cocones, for inputs that passed
     ``_require_setvalued``."""
     tgt = along.target
     object_map = {}
@@ -567,80 +531,55 @@ def check_kan_adjointness(
     along: FunctorVal,
     target_functor: FunctorVal,
     source_functor: FunctorVal,
-    samples: Sequence[FunctorVal] = (),
+    extensions: tuple,
     cap: int = DEFAULT_ENUM_CAP,
-    *,
-    extensions: Optional[tuple] = None,
 ) -> CheckReport:
     """Both Kan adjunctions, by full enumeration of transformation sets.
 
-    For each source-side functor S (the given one plus any samples) the
-    report checks
+    With S the source-side functor, G the target-side one and
+    ``extensions`` = :func:`kan_extensions` of ``along`` and S, the report
+    checks
 
     * |Nat(leftkan S, G)| = |Nat(S, restrict G)| with the transposition
       "evaluate at the class of (a, identity)" realising a bijection, and
     * |Nat(restrict G, S)| = |Nat(G, rightkan S)| with the transposition
-      "project at (a, identity)" realising a bijection,
+      "project at (a, identity)" realising a bijection.
 
-    where G is the target-side functor.  ``extensions``, when given, is
-    :func:`kan_extensions` of ``along`` and ``source_functor``; the report
-    is the one that building them here gives.
+    Each obligation name ends in ``[0]``, as the ``kan`` command prints it.
     """
     restricted = precompose_functor(along, target_functor)
-    obligations = []
-    for index, sample in enumerate([source_functor, *samples]):
-        prebuilt = extensions if index == 0 else None
-        if prebuilt is None:
-            _require_setvalued(along, sample)
-        tag = f"[{index}]"
-        left = prebuilt[1] if prebuilt else _left_kan_with_cocones(along, sample)
-        obligations += _kan_obligations(
-            "left", tag, along, target_functor, restricted, sample, left, cap
-        )
-        right = prebuilt[0] if prebuilt else _right_kan_with_cones(along, sample, cap)
-        obligations += _kan_obligations(
-            "right", tag, along, target_functor, restricted, sample, right, cap
-        )
-    return CheckReport("kan_adjointness", tuple(obligations))
-
-
-def _kan_obligations(side, tag, along, target_functor, restricted, sample, built, cap) -> list:
-    """The obligations of one Kan adjunction for one sample, whose Kan
-    extension on ``side`` is ``built`` = (extension, (co)cone legs)."""
-    kan, legs = built
+    (rkan, cones), (lkan, cocones) = extensions
     sources = along.source.objects
 
-    def leg(a):
+    def leg(legs, a):
         """The (co)cone leg at the comma object (a, identity)."""
         fa = along.object_map[a]
         return legs[fa][(a, along.target.id_of(fa))]
 
-    if side == "left":
-        return _adjunction_obligations(
-            "left",
-            tag,
-            enumerate_nattrans_finset(kan, target_functor, cap),
-            enumerate_nattrans_finset(sample, restricted, cap),
-            lambda t: NatTransVal(
-                sample,
-                restricted,
-                {a: compose_maps(t.at(along.object_map[a]), leg(a)) for a in sources},
-            ),
-        )
-    return _adjunction_obligations(
-        "right",
-        tag,
-        enumerate_nattrans_finset(restricted, sample, cap),
-        enumerate_nattrans_finset(target_functor, kan, cap),
+    left = _adjunction_obligations(
+        "left",
+        enumerate_nattrans_finset(lkan, target_functor, cap),
+        enumerate_nattrans_finset(source_functor, restricted, cap),
         lambda t: NatTransVal(
+            source_functor,
             restricted,
-            sample,
-            {a: compose_maps(leg(a), t.at(along.object_map[a])) for a in sources},
+            {a: compose_maps(t.at(along.object_map[a]), leg(cocones, a)) for a in sources},
         ),
     )
+    right = _adjunction_obligations(
+        "right",
+        enumerate_nattrans_finset(restricted, source_functor, cap),
+        enumerate_nattrans_finset(target_functor, rkan, cap),
+        lambda t: NatTransVal(
+            restricted,
+            source_functor,
+            {a: compose_maps(leg(cones, a), t.at(along.object_map[a])) for a in sources},
+        ),
+    )
+    return CheckReport("kan_adjointness", tuple(left + right))
 
 
-def _adjunction_obligations(side, tag, upstairs, downstairs, transpose) -> list:
+def _adjunction_obligations(side, upstairs, downstairs, transpose) -> list:
     """Count and transposition obligations of one Kan adjunction
     Nat(L x, y) ≅ Nat(x, R y), given both sides enumerated.
 
@@ -655,12 +594,12 @@ def _adjunction_obligations(side, tag, upstairs, downstairs, transpose) -> list:
     ok = len(transposed) == len(source) and transposed == wanted
     return [
         Obligation(
-            f"{side}_count{tag}",
+            f"{side}_count[0]",
             counted,
             () if counted else (len(upstairs), len(downstairs)),
         ),
         Obligation(
-            f"{side}_transpose_bijective{tag}",
+            f"{side}_transpose_bijective[0]",
             ok,
             () if ok else (len(transposed), len(source), len(wanted)),
         ),
@@ -687,23 +626,15 @@ def _fully_faithful_witness(along: FunctorVal) -> Optional[tuple]:
     return None
 
 
-def counit_inclusion_check(
-    along: FunctorVal,
-    functor: FunctorVal,
-    cap: int = DEFAULT_ENUM_CAP,
-    *,
-    cones: Optional[Mapping] = None,
-) -> CheckReport:
+def counit_inclusion_check(along: FunctorVal, functor: FunctorVal, cones: Mapping) -> CheckReport:
     """Restricting the right Kan extension along a full inclusion loses nothing.
 
     Requires the functor being extended along to be injective on objects,
     full, and faithful; when that precondition fails the report carries the
     witness and the remaining checks are skipped.  Otherwise the comparison
     map at each source object (projection at the slice object carrying the
-    identity) must be a bijection onto the original functor's value.
-    ``cones``, when given, are the right extension's cones from
-    :func:`kan_extensions`; the report is the one that building them here
-    gives.
+    identity) must be a bijection onto the original functor's value;
+    ``cones`` are the right extension's cones from :func:`kan_extensions`.
     """
     witness = _fully_faithful_witness(along)
     if witness is not None:
@@ -711,9 +642,6 @@ def counit_inclusion_check(
             "counit_inclusion",
             (Obligation("fully_faithful_inclusion", False, witness),),
         )
-    if cones is None:
-        _require_setvalued(along, functor)
-        _rkan, cones = _right_kan_with_cones(along, functor, cap)
     obligations = [Obligation("fully_faithful_inclusion", True, ())]
     for a in sorted(along.source.objects):
         fa = along.object_map[a]

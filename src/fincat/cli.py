@@ -293,22 +293,17 @@ def _cmd_yoneda(cfg: RunConfig, out) -> int:
     probe = FinSetObj(("*",))
     # The anchor's hom-functor is shared by both checks.  The maps functor
     # does not depend on the anchor: it is built once, where the first round
-    # trip needs it, so the first error raised (a cap or encoding error) is
-    # the one raised when every check builds its own.
+    # trip needs it, so a cap error in the first pointwise bijection is the
+    # one printed.
     maps_functor = None
     code = EXIT_OK
     for anchor in sorted(category.objects):
         hom = hom_cov_functor(category, anchor)
-        mapping, bij_report = yoneda_pointwise_bijection(
-            category, functor, anchor, cfg.cap, source=hom
-        )
+        mapping, bij_report = yoneda_pointwise_bijection(functor, anchor, hom, cfg.cap)
         if maps_functor is None:
             maps_functor = hom_maps_functor(probe, functor, cfg.cap)
         round_report = check_yoneda_roundtrips(
-            HomContext(category, functor, probe, anchor),
-            cfg.cap,
-            source=hom,
-            target=maps_functor,
+            HomContext(category, functor, probe, anchor), hom, maps_functor, cfg.cap
         )
         ok = bij_report.passed and round_report.passed
         _emit(
@@ -340,11 +335,11 @@ def _cmd_kan(cfg: RunConfig, out) -> int:
         )
         _emit(out, f"{tag} kan sizes: {sizes}")
     code = EXIT_OK
-    adjoint = check_kan_adjointness(along, lkan, functor, cap=cfg.cap, extensions=extensions)
+    adjoint = check_kan_adjointness(along, lkan, functor, extensions, cfg.cap)
     _emit(out, adjoint.summary())
     if not adjoint.passed:
         code = EXIT_CHECK_FAILED
-    inclusion = counit_inclusion_check(along, functor, cfg.cap, cones=cones)
+    inclusion = counit_inclusion_check(along, functor, cones)
     _emit(out, inclusion.summary())
     if not inclusion.passed:
         code = EXIT_CHECK_FAILED

@@ -8,9 +8,9 @@ Formats (all UTF-8 text, ``#`` starts a comment, blank lines ignored):
   identity composites are auto-filled and may be overridden by explicit
   ``compose:`` lines.  Alternatively a ``preorder:`` section (``a < b``
   cover lines) builds the reflexive-transitive closure category.  Object
-  tokens and ``morphisms:`` names may not contain ``(``, ``)`` or ``,``:
-  derived constructions (comma categories, limits) build identifiers from
-  them with those characters.  ``->`` stays legal, as in ``x->y``.
+  tokens and ``morphisms:`` names may not contain ``(``, ``)`` or ``,``,
+  which a ``.model`` file's ``(fwd, bwd)`` bijection binding reserves.
+  ``->`` stays legal, as in ``x->y``.
 * ``.fun`` — a functor.  ``source:`` and ``target:`` name ``.fincat``
   files (or the literal ``finset``); ``objects:``/``morphisms:`` sections
   hold ``x |-> value`` lines.  Finite-set values are ``{a,b}`` sets and

@@ -103,20 +103,19 @@ class SignatureError(TermError):
 
 
 def _node(cls):
-    """A frozen dataclass that keeps its field hash in its ``_hash`` slot; the
-    field hash reads each child's cached hash, so it costs the same at any depth."""
+    """A frozen dataclass whose field hash is taken once, when it is built,
+    into its ``_hash`` slot; it reads each child's slot, so it costs the same
+    at any depth."""
     cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            object.__setattr__(self, "_hash", field_hash(self))
-        return self._hash
-
-    cls.__hash__ = __hash__
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _slot_hash
     names = tuple(f.name for f in fields(cls))  # frozen slots: copy and pickle by constructor
     cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in names))
     return cls
+
+
+def _slot_hash(node) -> int:
+    return node._hash
 
 
 class Ty:
@@ -125,7 +124,7 @@ class Ty:
     __slots__ = ("_hash",)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_hash", self._field_hash())
 
 
 @_node
@@ -179,7 +178,7 @@ class Tm:
     __slots__ = ("_hash", "_printed")
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_hash", self._field_hash())
         object.__setattr__(self, "_printed", None)
 
 
@@ -992,11 +991,13 @@ class _Search:
         """Every inhabitant of ``goal`` of height at most ``depth``, as entries."""
         queue: list[tuple] = []
         root = self._need(True, self.root, goal, depth, queue)
-        # Slots are planned from ``depth`` down.  A slot queued for the next
-        # pass may be raised to this pass's budget by a neutral twin, and is
-        # then planned here; its stale entry below is skipped, so each slot
-        # is planned once, at its greatest height.
-        for budget in range(depth, 0, -1):
+        # Slots are planned from ``depth`` down until no slot asks for a
+        # lower budget.  A slot queued for the next pass may be raised to
+        # this pass's budget by a neutral twin, and is then planned here; its
+        # stale entry below is skipped, so each slot is planned once, at its
+        # greatest height.
+        budget = depth
+        while queue:
             below: list[tuple] = []
             for every, ctx, ty, slot in queue:  # the queue grows by neutral twins
                 if slot.budget != budget:
@@ -1006,16 +1007,22 @@ class _Search:
                 else:
                     slot.parts = self._plan_neutral(ctx, ty, budget, below)
             queue = below
-        for height in range(1, depth + 1):
+            budget -= 1
+        # Every term of height h >= 2 has a child of height exactly h - 1, so
+        # once a height adds no term to any slot, no greater height can.
+        grew = True
+        height = 0
+        while grew and height < depth:
+            height += 1
+            grew = False
             # neutral slots first: an "every" slot takes its neutral twin's level
-            for slot in self.neutral:
-                if slot.budget >= height:
-                    slot.terms += self._neutral_level(slot.parts, height)
-                    slot.ends.append(len(slot.terms))
-            for slot in self.every:
-                if slot.budget >= height:
-                    slot.terms += self._every_level(slot.parts, height)
-                    slot.ends.append(len(slot.terms))
+            for slots, level in ((self.neutral, self._neutral_level), (self.every, self._every_level)):
+                for slot in slots:
+                    if slot.budget >= height:
+                        found = level(slot.parts, height)
+                        grew = grew or bool(found)
+                        slot.terms += found
+                        slot.ends.append(len(slot.terms))
         for slot in self.slots.values():
             slot.parts = ()  # the slots refer to each other in cycles
         return root.terms
@@ -1103,7 +1110,7 @@ class _Search:
         key = (Var, name)
         entry = self.interned.get(key)
         if entry is None:
-            entry = self.interned[key] = (_hashed(Var(name)), text, 0)
+            entry = self.interned[key] = (Var(name), text, 0)
         return entry
 
     def _app(self, fn: tuple, arg: tuple) -> tuple:
@@ -1111,7 +1118,7 @@ class _Search:
         entry = self.interned.get(key)
         if entry is None:
             text = f"{fn[1]} {_argument_text(arg)}"
-            entry = self.interned[key] = (_hashed(App(fn[0], arg[0])), text, fn[2] + arg[2])
+            entry = self.interned[key] = (App(fn[0], arg[0]), text, fn[2] + arg[2])
         return entry
 
     def _proj(self, index: int, body: tuple) -> tuple:
@@ -1119,15 +1126,14 @@ class _Search:
         entry = self.interned.get(key)
         if entry is None:
             text = f"p{index} {_argument_text(body)}"
-            entry = self.interned[key] = (_hashed(Proj(index, body[0])), text, body[2])
+            entry = self.interned[key] = (Proj(index, body[0]), text, body[2])
         return entry
 
     def _lam(self, var: str, ty: Ty, prefix: str, body: tuple) -> tuple:
         key = (Lam, var, ty, id(body))
         entry = self.interned.get(key)
         if entry is None:
-            node = _hashed(Lam(var, ty, body[0]))
-            entry = self.interned[key] = (node, prefix + body[1], body[2] + 1)
+            entry = self.interned[key] = (Lam(var, ty, body[0]), prefix + body[1], body[2] + 1)
         return entry
 
     def _pair(self, left: tuple, right: tuple) -> tuple:
@@ -1135,7 +1141,7 @@ class _Search:
         entry = self.interned.get(key)
         if entry is None:
             text = f"({left[1]}, {right[1]})"
-            entry = self.interned[key] = (_hashed(Pair(left[0], right[0])), text, left[2] + right[2])
+            entry = self.interned[key] = (Pair(left[0], right[0]), text, left[2] + right[2])
         return entry
 
 
@@ -1144,12 +1150,6 @@ def _argument_text(entry: tuple) -> str:
     variable or a pair as it is, anything else in parentheses."""
     node, text, _ = entry
     return text if type(node) in (Var, Pair) else f"({text})"
-
-
-def _hashed(node: Tm) -> Tm:
-    """``node`` with its hash cached, read from its children's cached hashes."""
-    hash(node)
-    return node
 
 
 def _neutral_types(types: Iterable[Ty]) -> tuple[Ty, ...]:

@@ -17,9 +17,8 @@ enumeration:
 * :func:`yoneda_pointwise_bijection` — elements of the anchor's value set
   versus transformations out of the anchor's hom-functor.
 
-:func:`yoneda_pointwise_bijection` and :func:`check_yoneda_roundtrips`
-accept the hom-functors they would otherwise build as keyword-only
-arguments, so a caller that checks every anchor builds each one once.
+The two checks take the hom-functors they compare, so a caller that checks
+every anchor builds each one once.
 """
 
 from __future__ import annotations
@@ -139,41 +138,32 @@ def seed_from_transform(ctx: HomContext) -> FinSetMap:
 
 
 def check_yoneda_roundtrips(
-    ctx: HomContext,
-    cap: int = DEFAULT_ENUM_CAP,
-    *,
-    source: Optional[FunctorVal] = None,
-    target: Optional[FunctorVal] = None,
+    ctx: HomContext, hom: FunctorVal, maps: FunctorVal, cap: int = DEFAULT_ENUM_CAP
 ) -> CheckReport:
-    """Both round trips of the seed/transformation correspondence.
+    """Both round trips of the seed/transformation correspondence between
+    ``hom``, the anchor's :func:`hom_cov_functor`, and ``maps``, the probe's
+    :func:`hom_maps_functor`.
 
     Quantifies over every seed map and every transformation (full
     enumeration, no sampling) and also asserts the counting corollary.
-    ``source`` and ``target``, when given, are the anchor's
-    :func:`hom_cov_functor` and the probe's :func:`hom_maps_functor`; the
-    report is the one that building them here gives.
     """
-    if source is None:
-        source = hom_cov_functor(ctx.category, ctx.anchor)
-    if target is None:
-        target = hom_maps_functor(ctx.probe, ctx.set_functor, cap)
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
-    transforms = enumerate_nattrans_finset(source, target, cap)
+    transforms = enumerate_nattrans_finset(hom, maps, cap)
     ident = ctx.category.id_of(ctx.anchor)
 
-    # A seed is its tuple of values, the atom ``target`` uses for it, so each
+    # A seed is its tuple of values, the atom ``maps`` uses for it, so each
     # round trip compares tuples; map text is built only for a witness.
     cod = ctx.set_functor.object_map[ctx.anchor]
     bad_seed = []
     for seed in seeds:
-        back = _pointwise_transform(source, target, ctx.anchor, seed.values).at(ctx.anchor)(ident)
+        back = _pointwise_transform(hom, maps, ctx.anchor, seed.values).at(ctx.anchor)(ident)
         if back != seed.values:
             bad_seed.append((encode_map(seed), encode_map(FinSetMap(ctx.probe, cod, back))))
 
     bad_transform = []
     for transform in transforms:
         values = transform.at(ctx.anchor)(ident)
-        again = _pointwise_transform(source, target, ctx.anchor, values)
+        again = _pointwise_transform(hom, maps, ctx.anchor, values)
         if again.components != transform.components:
             bad_transform.append(_printed_transform(ctx, transform))
 
@@ -221,26 +211,18 @@ def _pointwise_transform(
 
 
 def yoneda_pointwise_bijection(
-    category: FinCat,
-    set_functor: FunctorVal,
-    anchor: str,
-    cap: int = DEFAULT_ENUM_CAP,
-    *,
-    source: Optional[FunctorVal] = None,
+    set_functor: FunctorVal, anchor: str, hom: FunctorVal, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple:
-    """Elements of values(anchor) versus transformations out of the hom-functor.
+    """Elements of values(anchor) versus transformations out of ``hom``, the
+    anchor's :func:`hom_cov_functor`.
 
     Returns the map element -> transformation plus a report that every image
     is natural and the assignment is injective and surjective onto the full
-    enumeration.  ``source``, when given, is the anchor's
-    :func:`hom_cov_functor`; the result is the one that building it here
-    gives.
+    enumeration.
     """
-    if source is None:
-        source = hom_cov_functor(category, anchor)
     mapping = {}
     for element in set_functor.object_map[anchor]:
-        mapping[element] = _pointwise_transform(source, set_functor, anchor, element)
+        mapping[element] = _pointwise_transform(hom, set_functor, anchor, element)
 
     unnatural = [
         element
@@ -252,7 +234,7 @@ def yoneda_pointwise_bijection(
     distinct = len(set(keys.values())) == len(keys)
     enumerated = {
         frozenset(t.components.items())
-        for t in enumerate_nattrans_finset(source, set_functor, cap)
+        for t in enumerate_nattrans_finset(hom, set_functor, cap)
     }
     onto = set(keys.values()) == enumerated
 

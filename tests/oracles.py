@@ -34,8 +34,8 @@ force, kept to pin the exact output of the faster code that replaced them:
 * ``path_by_path_commutativity`` is the diagram commutativity check that
   composed every path from its start, once for each parallel pair it is in;
 * ``rebuilding_yoneda_command`` and ``rebuilding_kan_command`` are the
-  ``yoneda`` and ``kan`` commands in which every check builds its own
-  hom-functors and Kan extensions through the public functions;
+  ``yoneda`` and ``kan`` commands in which every check is given
+  hom-functors and Kan extensions built for it alone by the public builders;
 * ``sorted_map_key`` and ``sorted_map_eq`` are the map key (hashed, too)
   and equality that compared tables sorted by domain atom, and
   ``nattrans_key`` the text key that told transformations apart;
@@ -52,9 +52,8 @@ from typing import Iterable, Sequence
 from fincat.adjunction import (
     check_kan_adjointness,
     counit_inclusion_check,
-    left_kan,
+    kan_extensions,
     require_functor,
-    right_kan,
 )
 from fincat.core import (
     FINSET,
@@ -114,6 +113,7 @@ from fincat.yoneda import (
     HomContext,
     check_yoneda_roundtrips,
     hom_cov_functor,
+    hom_maps_functor,
     yoneda_pointwise_bijection,
 )
 
@@ -850,9 +850,9 @@ def rebuilding_pointwise_bijection(category, set_functor, anchor, cap: int = DEF
 
 
 def rebuilding_yoneda_command(functor, cap: int, out) -> int:
-    """The ``yoneda`` command after loading: both checks at each anchor
-    build the anchor's hom-functor, and every round trip builds the
-    maps-out-of-probe functor.  Returns the exit code."""
+    """The ``yoneda`` command after loading: both checks at each anchor get
+    a hom-functor of the anchor built for them, and every round trip a
+    maps-out-of-probe functor built for it.  Returns the exit code."""
     if functor.target is not FINSET:
         raise FinCatError("yoneda needs a finite-set valued functor")
     require_functor(functor)
@@ -860,9 +860,14 @@ def rebuilding_yoneda_command(functor, cap: int, out) -> int:
     probe = FinSetObj(("*",))
     code = 0
     for anchor in sorted(category.objects):
-        mapping, bij_report = yoneda_pointwise_bijection(category, functor, anchor, cap=cap)
+        mapping, bij_report = yoneda_pointwise_bijection(
+            functor, anchor, hom_cov_functor(category, anchor), cap
+        )
         round_report = check_yoneda_roundtrips(
-            HomContext(category, functor, probe, anchor), cap=cap
+            HomContext(category, functor, probe, anchor),
+            hom_cov_functor(category, anchor),
+            hom_maps_functor(probe, functor, cap),
+            cap,
         )
         out.write(
             f"object {anchor}: |values| = {len(functor.object_map[anchor])}, "
@@ -879,19 +884,19 @@ def rebuilding_yoneda_command(functor, cap: int, out) -> int:
 
 def rebuilding_kan_command(along, functor, cap: int, out) -> int:
     """The ``kan`` command after loading: the sizes lines, the adjointness
-    check and the inclusion check each build their own Kan extensions, three
-    right ones and two left ones.  Returns the exit code."""
-    rkan = right_kan(along, functor, cap=cap)
-    lkan = left_kan(along, functor, cap=cap)
+    check and the inclusion check each get Kan extensions built for them.
+    Returns the exit code."""
+    (rkan, _cones), (lkan, _cocones) = kan_extensions(along, functor, cap)
     for tag, kan in (("right", rkan), ("left", lkan)):
         sizes = ", ".join(f"{b}:{len(kan.object_map[b])}" for b in sorted(kan.source.objects))
         out.write(f"{tag} kan sizes: {sizes}\n")
     code = 0
-    adjoint = check_kan_adjointness(along, lkan, functor, cap=cap)
+    adjoint = check_kan_adjointness(along, lkan, functor, kan_extensions(along, functor, cap), cap)
     out.write(adjoint.summary() + "\n")
     if not adjoint.passed:
         code = 1
-    inclusion = counit_inclusion_check(along, functor, cap=cap)
+    (_rkan, cones), _left = kan_extensions(along, functor, cap)
+    inclusion = counit_inclusion_check(along, functor, cones)
     out.write(inclusion.summary() + "\n")
     if not inclusion.passed:
         code = 1

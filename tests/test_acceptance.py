@@ -20,8 +20,7 @@ from fincat.adjunction import (
     assemble_adjunction,
     check_kan_adjointness,
     counit_inclusion_check,
-    left_kan,
-    right_kan,
+    kan_extensions,
     verify_adjunction,
 )
 from fincat.cli import run
@@ -47,7 +46,7 @@ from fincat.terms import (
     parse_type,
     reduction_graph,
 )
-from fincat.yoneda import HomContext, check_yoneda_roundtrips, hom_cov_functor
+from fincat.yoneda import HomContext, check_yoneda_roundtrips, hom_cov_functor, hom_maps_functor
 
 
 def _line(number, ok, detail):
@@ -168,7 +167,11 @@ def test_criterion_5_hom_counting_and_roundtrips(fix, kite, f_kite):
     point = FinSetObj(("*",))
     pair = FinSetObj(("p", "q"))
     trips_ok = all(
-        check_yoneda_roundtrips(HomContext(kite, f_kite, probe, anchor)).passed
+        check_yoneda_roundtrips(
+            HomContext(kite, f_kite, probe, anchor),
+            hom_cov_functor(kite, anchor),
+            hom_maps_functor(probe, f_kite),
+        ).passed
         for probe in (point, pair)
         for anchor in kite.objects
     )
@@ -178,13 +181,18 @@ def test_criterion_5_hom_counting_and_roundtrips(fix, kite, f_kite):
 
 def test_criterion_6_adjoint_triple(fix, g_on_a, h_on_a, g_on_b):
     inc = load_functor(fix("incl_a4_b6.fun"))
-    report = check_kan_adjointness(inc, g_on_b, h_on_a, [g_on_a])
-    singleton = right_kan(inc, h_on_a).object_map["6"].atoms == ((),)
-    empty = left_kan(inc, g_on_a).object_map["1"].atoms == ()
-    inclusion = counit_inclusion_check(inc, h_on_a)
+    reports = [
+        check_kan_adjointness(inc, g_on_b, source, kan_extensions(inc, source))
+        for source in (h_on_a, g_on_a)
+    ]
+    (rkan_h, cones_h), _left = kan_extensions(inc, h_on_a)
+    _right, (lkan_ga, _cocones) = kan_extensions(inc, g_on_a)
+    singleton = rkan_h.object_map["6"].atoms == ((),)
+    empty = lkan_ga.object_map["1"].atoms == ()
+    inclusion = counit_inclusion_check(inc, h_on_a, cones_h)
     isos = [o for o in inclusion.obligations if o.name.startswith("iso_at")]
     ok = (
-        report.passed
+        all(report.passed for report in reports)
         and singleton
         and empty
         and inclusion.passed

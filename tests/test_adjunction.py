@@ -22,9 +22,7 @@ from fincat.adjunction import (
     check_kan_adjointness,
     counit_inclusion_check,
     kan_extensions,
-    left_kan,
     precompose_functor,
-    right_kan,
     verify_adjunction,
 )
 from fincat.core import FINSET, FinCat, FunctorVal, identity_functor
@@ -303,9 +301,17 @@ def inc(fix):
     return load_functor(fix("incl_a4_b6.fun"))
 
 
+def _right_kan(along, functor):
+    return kan_extensions(along, functor)[0][0]
+
+
+def _left_kan(along, functor):
+    return kan_extensions(along, functor)[1][0]
+
+
 def test_right_kan_sizes_frozen(inc, g_on_a, h_on_a):
-    rk_ga = right_kan(inc, g_on_a)
-    rk_h = right_kan(inc, h_on_a)
+    rk_ga = _right_kan(inc, g_on_a)
+    rk_h = _right_kan(inc, h_on_a)
     assert {d: len(rk_ga.object_map[d]) for d in rk_ga.object_map} == RKAN_GA_SIZES
     assert {d: len(rk_h.object_map[d]) for d in rk_h.object_map} == RKAN_H_SIZES
     # Nothing sits under the top object, so the limit there is the
@@ -314,8 +320,8 @@ def test_right_kan_sizes_frozen(inc, g_on_a, h_on_a):
 
 
 def test_left_kan_sizes_frozen(inc, g_on_a, h_on_a):
-    lk_ga = left_kan(inc, g_on_a)
-    lk_h = left_kan(inc, h_on_a)
+    lk_ga = _left_kan(inc, g_on_a)
+    lk_h = _left_kan(inc, h_on_a)
     assert {d: len(lk_ga.object_map[d]) for d in lk_ga.object_map} == LKAN_GA_SIZES
     assert {d: len(lk_h.object_map[d]) for d in lk_h.object_map} == LKAN_H_SIZES
     # Nothing maps into the bottom object, so the colimit there is empty.
@@ -340,11 +346,12 @@ def _count_precondition_checks(monkeypatch):
 
 
 def test_restricting_the_right_kan_recovers_the_original(inc, h_on_a, monkeypatch):
-    restricted = precompose_functor(inc, right_kan(inc, h_on_a))
+    (rkan, cones), _left = kan_extensions(inc, h_on_a)
+    restricted = precompose_functor(inc, rkan)
     sizes = {d: len(restricted.object_map[d]) for d in restricted.object_map}
     assert sizes == {d: len(h_on_a.object_map[d]) for d in h_on_a.object_map}
     calls = _count_precondition_checks(monkeypatch)
-    report = counit_inclusion_check(inc, h_on_a)
+    report = counit_inclusion_check(inc, h_on_a, cones)
     assert calls == {"_fully_faithful_witness": 1}
     assert report.passed, report.summary()
     assert [o.name for o in report.obligations] == [
@@ -356,10 +363,11 @@ def test_restricting_the_right_kan_recovers_the_original(inc, h_on_a, monkeypatc
     ]
 
 
-def test_counit_inclusion_requires_a_full_inclusion(fix, g_on_a, monkeypatch):
-    not_full = load_functor(fix("incl_disc2_p.fun"))
+def test_counit_inclusion_requires_a_full_inclusion(fix, monkeypatch):
+    not_full, functor = load_functor(fix("incl_disc2_p.fun")), _on_disc2(fix)
+    (_rkan, cones), _left = kan_extensions(not_full, functor)
     calls = _count_precondition_checks(monkeypatch)
-    report = counit_inclusion_check(not_full, g_on_a)
+    report = counit_inclusion_check(not_full, functor, cones)
     assert calls == {"_fully_faithful_witness": 1}
     assert not report.passed
     assert [o.name for o in report.obligations] == ["fully_faithful_inclusion"]
@@ -367,32 +375,30 @@ def test_counit_inclusion_requires_a_full_inclusion(fix, g_on_a, monkeypatch):
 
 
 def test_kan_adjointness_both_sides(inc, g_on_b, h_on_a, g_on_a):
-    report = check_kan_adjointness(inc, g_on_b, h_on_a, [g_on_a])
-    assert report.passed, report.summary()
-    assert [o.name for o in report.obligations] == [
-        "left_count[0]",
-        "left_transpose_bijective[0]",
-        "right_count[0]",
-        "right_transpose_bijective[0]",
-        "left_count[1]",
-        "left_transpose_bijective[1]",
-        "right_count[1]",
-        "right_transpose_bijective[1]",
-    ]
+    for source_functor in (h_on_a, g_on_a):
+        extensions = kan_extensions(inc, source_functor)
+        report = check_kan_adjointness(inc, g_on_b, source_functor, extensions)
+        assert report.passed, report.summary()
+        assert [o.name for o in report.obligations] == [
+            "left_count[0]",
+            "left_transpose_bijective[0]",
+            "right_count[0]",
+            "right_transpose_bijective[0]",
+        ]
 
 
 def test_kan_along_identity_preserves_sizes(g_on_b):
     ident = identity_functor(g_on_b.source)
-    for extension in (right_kan(ident, g_on_b), left_kan(ident, g_on_b)):
+    for extension, _legs in kan_extensions(ident, g_on_b):
         sizes = {d: len(extension.object_map[d]) for d in extension.object_map}
         assert sizes == {d: len(g_on_b.object_map[d]) for d in g_on_b.object_map}
 
 
 def test_kan_input_guards(inc, g_on_b):
     with pytest.raises(AdjunctionError, match="finite-set valued"):
-        right_kan(inc, inc)
+        kan_extensions(inc, inc)
     with pytest.raises(AdjunctionError, match="not defined on the extension's source"):
-        left_kan(inc, g_on_b)
+        kan_extensions(inc, g_on_b)
     with pytest.raises(AdjunctionError, match="not composable"):
         precompose_functor(inc, load_functor_on_wrong_base(inc))
 
@@ -402,16 +408,16 @@ def test_kan_rejects_non_functorial_inputs(inc, h_on_a):
         return dataclasses.replace(fun, morphism_map={**fun.morphism_map, m: image})
 
     with pytest.raises(AdjunctionError, match="along is not a functor: .* unknown '2->5'"):
-        right_kan(bend(inc, "2->4", "2->5"), h_on_a)
+        kan_extensions(bend(inc, "2->4", "2->5"), h_on_a)
     mistyped = bend(inc, "2->4", "3->5")
     witness = r"along is not a functor: typing fails at \('2->4', '3->5'\)"
     with pytest.raises(AdjunctionError, match=witness):
-        check_kan_adjointness(mistyped, right_kan(inc, h_on_a), h_on_a)
+        kan_extensions(mistyped, h_on_a)
     bent_sets = bend(h_on_a, "id_2", h_on_a.morphism_map["2->4"])
     with pytest.raises(AdjunctionError, match="functor is not a functor: typing fails"):
-        left_kan(inc, bent_sets)
+        kan_extensions(inc, bent_sets)
     with pytest.raises(AdjunctionError, match="between table categories"):
-        left_kan(h_on_a, h_on_a)
+        kan_extensions(h_on_a, h_on_a)
 
 
 def load_functor_on_wrong_base(inc):
@@ -468,17 +474,6 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
     ]
     argvs = [("kan", *pair, "--cap", str(cap)) for pair in pairs for cap in CAPS]
     new = dict(zip(argvs, (_command(*argv) for argv in argvs)))
-    # The prebuilt extensions the command passes give the reports that
-    # building them inside each check gives.
-    for along, functor in (tuple(map(cli.load_functor, pair)) for pair in pairs):
-        extensions = kan_extensions(along, functor, cap=CAPS[-1])
-        (_rkan, cones), (lkan, _cocones) = extensions
-        assert check_kan_adjointness(
-            along, lkan, functor, cap=CAPS[-1], extensions=extensions
-        ) == check_kan_adjointness(along, lkan, functor, cap=CAPS[-1])
-        assert counit_inclusion_check(
-            along, functor, CAPS[-1], cones=cones
-        ) == counit_inclusion_check(along, functor, CAPS[-1])
 
     help_text, _handler, add = cli._SUBCOMMANDS["kan"]
     monkeypatch.setitem(

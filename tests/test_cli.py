@@ -561,8 +561,9 @@ def test_infer_lists_inhabitants(fix):
 
 DEEP_TYPE = "(" * 400 + "A" + ")" * 400
 DEEP_TERM = "(" * 1500 + "1" + ")" * 1500
-# Parses (one parser frame per arrow) but overflows the stack in the search.
-DEEP_ARROWS = "->".join(["A"] * 601)
+# The parser takes one frame per arrow; the search and the printers answer
+# for any chain it parses.
+DEEP_ARROWS = "->".join(["A"] * 2000)
 
 
 @pytest.mark.parametrize(
@@ -590,11 +591,21 @@ def test_deep_nesting_is_a_parse_error(argv):
 def test_a_flat_sum_too_deep_to_reduce_is_a_parse_error(fix, fmt):
     # The parser's "+" loop is iterative, but the sum it builds is an
     # application nested two levels per summand.
-    sums = {n: " + ".join(["1"] * n) for n in (150, 200)}
-    code, text = _run("reduce", sums[150], "--sig", fix("arith.sig"), "--format", fmt)
-    assert code == EXIT_OK and text.startswith("digraph" if fmt == "graph" else "nodes: 150\n")
-    code, text = _run("reduce", sums[200], "--sig", fix("arith.sig"), "--format", fmt)
+    code, text = _run("reduce", " + ".join(["1"] * 2000), "--sig", fix("arith.sig"), "--format", fmt)
     assert (code, text) == (EXIT_USAGE, "parse error: input nested too deeply\n")
+
+
+def _nested(frames, call):
+    """``call()`` run ``frames`` Python frames below this one."""
+    return call() if frames == 0 else _nested(frames - 1, call)
+
+
+def test_a_flat_sum_of_400_summands_reduces_from_a_deep_caller(fix):
+    # Each node is hashed when it is built, from its children's hashes, so no
+    # hash walks the sum's spine.
+    argv = ("reduce", " + ".join(["1"] * 400), "--sig", fix("arith.sig"))
+    code, text = _nested(100, lambda: _run(*argv))
+    assert code == EXIT_OK and text.startswith("nodes: 400\nnormal forms: 400\n")
 
 
 def test_a_search_deeper_than_the_stack_answers():

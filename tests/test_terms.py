@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fincat import terms
 from fincat.cli import render_reduction_dot, run
 from fincat.terms import (
     NAT,
@@ -353,6 +354,21 @@ def test_node_constructions_grow_linearly_with_depth(monkeypatch):
     # the two hypotheses and one application per height: no term is built
     # again for each bound above its height
     assert counts == [201, 401]
+
+
+def test_a_search_stops_at_the_first_height_that_adds_nothing(monkeypatch):
+    heights = []
+    for name in ("_neutral_level", "_every_level"):
+
+        def recorded(self, parts, height, _level=getattr(terms._Search, name)):
+            heights.append(height)
+            return _level(self, parts, height)
+
+        monkeypatch.setattr(terms._Search, name, recorded)
+    found = infer_inhabitants(parse_context("{f: A->B}"), parse_type("A->B"), 10**6)
+    assert [canonical_print(t) for t in found] == ["f", "\\x1:A. f x1"]
+    # f at height 1, f x1 at 2 and its abstraction at 3; height 4 adds nothing
+    assert max(heights) == 4
 
 
 @pytest.mark.parametrize("ctx_text, goal_text, deepest", PRINT_KEYED_GOALS)

@@ -21,7 +21,7 @@ from fincat.core import (
     validate_functor,
     validate_nattrans,
 )
-from fincat.adjunction import left_kan, precompose_functor, right_kan
+from fincat.adjunction import kan_extensions, precompose_functor
 from fincat.files import load_category, load_functor
 from fincat.finset import (
     DEFAULT_ENUM_CAP,
@@ -58,6 +58,19 @@ from oracles import (
 
 POINT = FinSetObj(("*",))
 PAIR = FinSetObj(("p", "q"))
+
+
+def _roundtrips(ctx):
+    """``check_yoneda_roundtrips`` of the context's anchor hom-functor and
+    probe maps functor."""
+    hom = hom_cov_functor(ctx.category, ctx.anchor)
+    return check_yoneda_roundtrips(ctx, hom, hom_maps_functor(ctx.probe, ctx.set_functor))
+
+
+def _pointwise(functor, anchor):
+    """``yoneda_pointwise_bijection`` of the anchor's hom-functor."""
+    return yoneda_pointwise_bijection(functor, anchor, hom_cov_functor(functor.source, anchor))
+
 
 # Value-set sizes of the kite-shaped set functor, object by object.
 F_KITE_SIZES = {"1": 2, "2": 1, "3": 2, "4": 1, "5": 2}
@@ -124,7 +137,7 @@ def test_roundtrips_all_anchors_both_probes(kite, f_kite):
     for probe in (POINT, PAIR):
         for anchor in kite.objects:
             ctx = HomContext(kite, f_kite, probe, anchor)
-            report = check_yoneda_roundtrips(ctx)
+            report = _roundtrips(ctx)
             assert report.passed, report.summary()
             assert [o.name for o in report.obligations] == [
                 "seed_roundtrip",
@@ -224,7 +237,7 @@ def test_universal_table_matches_brute_force(kite, f_kite, h_on_a):
 
 def test_pointwise_bijection_every_anchor(kite, f_kite):
     for anchor in kite.objects:
-        mapping, report = yoneda_pointwise_bijection(kite, f_kite, anchor)
+        mapping, report = _pointwise(f_kite, anchor)
         assert report.passed, report.summary()
         assert len(mapping) == F_KITE_SIZES[anchor]
         assert [o.name for o in report.obligations] == [
@@ -294,7 +307,7 @@ def _representations(category, functor) -> list:
     transformation out of Hom(anchor, -) is a bijection at every object."""
     found = []
     for anchor in sorted(category.objects):
-        mapping, _report = yoneda_pointwise_bijection(category, functor, anchor)
+        mapping, _report = _pointwise(functor, anchor)
         for element, transform in mapping.items():
             if all(
                 len(set(c.values)) == len(c.dom) == len(c.cod)
@@ -307,7 +320,7 @@ def _representations(category, functor) -> list:
 def test_hom_functor_is_its_own_representation(kite):
     functor = hom_cov_functor(kite, "1")
     assert _representations(kite, functor) == [("1", "id_1")]
-    mapping, report = yoneda_pointwise_bijection(kite, functor, "1")
+    mapping, report = _pointwise(functor, "1")
     assert report.passed, report.summary()
     transform = mapping["id_1"]
     assert validate_nattrans(transform).passed
@@ -317,7 +330,7 @@ def test_hom_functor_is_its_own_representation(kite):
 
 def test_kite_functor_is_not_representable(kite, f_kite):
     assert _representations(kite, f_kite) == []
-    mapping, report = yoneda_pointwise_bijection(kite, f_kite, "1")
+    mapping, report = _pointwise(f_kite, "1")
     assert report.passed, report.summary()  # the elements still match the transformations
     for transform in mapping.values():
         assert validate_nattrans(transform).passed
@@ -365,7 +378,7 @@ def test_roundtrips_on_random_thin_categories(data):
     assert validate_functor(functor).passed
     for anchor in category.objects:
         ctx = HomContext(category, functor, POINT, anchor)
-        report = check_yoneda_roundtrips(ctx)
+        report = _roundtrips(ctx)
         assert report.passed, report.summary()
 
 
@@ -518,10 +531,8 @@ def test_roundtrips_match_the_rebuilding_reference(fix):
             source = hom_cov_functor(category, anchor)
             for probe in PROBES:
                 ctx = HomContext(category, functor, probe, anchor)
-                expected = rebuilding_roundtrips(ctx)
-                assert check_yoneda_roundtrips(ctx) == expected
                 target = hom_maps_functor(probe, functor)
-                assert check_yoneda_roundtrips(ctx, source=source, target=target) == expected
+                assert check_yoneda_roundtrips(ctx, source, target) == rebuilding_roundtrips(ctx)
                 for seed in enumerate_maps(probe, functor.object_map[anchor]):
                     seeded = dataclasses.replace(ctx, seed=seed)
                     lifted = transform_from_seed(seeded)
@@ -537,15 +548,11 @@ def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
         category = functor.source
         for anchor in sorted(category.objects):
             old_mapping, old_report = rebuilding_pointwise_bijection(category, functor, anchor)
-            source = hom_cov_functor(category, anchor)
-            for mapping, report in (
-                yoneda_pointwise_bijection(category, functor, anchor),
-                yoneda_pointwise_bijection(category, functor, anchor, source=source),
-            ):
-                assert report == old_report
-                assert list(mapping) == list(old_mapping)
-                for element, transform in mapping.items():
-                    assert _tables(transform) == _tables(old_mapping[element])
+            mapping, report = _pointwise(functor, anchor)
+            assert report == old_report
+            assert list(mapping) == list(old_mapping)
+            for element, transform in mapping.items():
+                assert _tables(transform) == _tables(old_mapping[element])
 
 
 def test_roundtrips_print_maps_only_for_witnesses(fix, monkeypatch):
@@ -555,7 +562,7 @@ def test_roundtrips_print_maps_only_for_witnesses(fix, monkeypatch):
         for anchor in sorted(functor.source.objects)
         for probe in PROBES
     ]
-    expected = [check_yoneda_roundtrips(ctx) for ctx in contexts]
+    expected = [_roundtrips(ctx) for ctx in contexts]
     printed = []
 
     def recorded(*args, _print=yoneda.encode_map):
@@ -565,7 +572,7 @@ def test_roundtrips_print_maps_only_for_witnesses(fix, monkeypatch):
     monkeypatch.setattr(yoneda, "encode_map", recorded)
     for ctx, report in zip(contexts, expected):
         printed.clear()
-        assert check_yoneda_roundtrips(ctx) == report
+        assert _roundtrips(ctx) == report
         witnesses = [o for o in report.failures() if o.name != "count_matches"]
         assert bool(printed) == bool(witnesses), report.summary()
     assert any(not report.passed for report in expected)
@@ -582,11 +589,12 @@ def _record_map_caps(monkeypatch):
     return caps
 
 
-def test_roundtrips_enumerate_the_maps_functor_under_the_callers_cap(f_kite, monkeypatch):
-    caps = _record_map_caps(monkeypatch)
+def test_roundtrips_enumerate_seeds_under_the_callers_cap(f_kite, monkeypatch):
     ctx = HomContext(f_kite.source, f_kite, FinSetObj(("p", "q", "r", "s")), "1")
+    hom, maps = hom_cov_functor(f_kite.source, "1"), hom_maps_functor(ctx.probe, f_kite)
+    caps = _record_map_caps(monkeypatch)
     with pytest.raises(CapExceededError):
-        check_yoneda_roundtrips(ctx, cap=8)
+        check_yoneda_roundtrips(ctx, hom, maps, 8)
     assert caps and set(caps) == {8}
 
 
@@ -628,7 +636,7 @@ def test_reserved_atoms_are_plain_values_of_the_maps_functor(probe, values):
     assert validate_functor(built).passed
     for d, v in object_map.items():
         assert built.object_map[d].atoms == tuple(itertools.product(v.atoms, repeat=len(probe)))
-        report = check_yoneda_roundtrips(HomContext(category, functor, probe, d))
+        report = _roundtrips(HomContext(category, functor, probe, d))
         assert report.passed, report.summary()
 
 
@@ -645,7 +653,7 @@ def _functor_pairs(fix):
     corpus, others = subjects[: len(SET_VALUED_FUNS)], subjects[len(SET_VALUED_FUNS) :]
     pairs = [(f, g) for f in corpus for g in corpus if f.source == g.source]
     along, functor = load_functor(fix("incl_a4_b6.fun")), load_functor(fix("h_on_a.fun"))
-    lkan, rkan = left_kan(along, functor), right_kan(along, functor)
+    (rkan, _cones), (lkan, _cocones) = kan_extensions(along, functor)
     restricted = precompose_functor(along, lkan)
     pairs += [(lkan, lkan), (functor, restricted), (restricted, functor), (lkan, rkan)]
     pairs += [(f, f) for f in others]
@@ -701,7 +709,7 @@ def test_component_maps_split_transformations_like_nattrans_key(fix):
     for functor in _subjects(fix):
         category = functor.source
         for anchor in sorted(category.objects):
-            mapping, _report = yoneda_pointwise_bijection(category, functor, anchor)
+            mapping, _report = _pointwise(functor, anchor)
             source = hom_cov_functor(category, anchor)
             transforms = [*mapping.values(), *enumerate_nattrans_finset(source, functor)]
             assert _classes(map(_components, transforms)) == _classes(
@@ -719,7 +727,7 @@ def test_transformations_between_atoms_that_print_alike_stay_apart():
     assert nattrans_key(first) == nattrans_key(second)
     assert first.at("o") != second.at("o") and first != second
     assert len({_components(first), _components(second)}) == 2
-    _mapping, report = yoneda_pointwise_bijection(category, functor, "o")
+    _mapping, report = _pointwise(functor, "o")
     assert report.passed, report.summary()
 
 
@@ -729,7 +737,7 @@ def test_atoms_that_print_alike_stay_apart_in_the_round_trips():
     functor = FunctorVal(category, FINSET, {"o": values}, {"id_o": identity_map(values)})
     assert hom_maps_functor(POINT, functor).object_map["o"].atoms == ((1,), ("1",))
     for probe in PROBES:
-        report = check_yoneda_roundtrips(HomContext(category, functor, probe, "o"))
+        report = _roundtrips(HomContext(category, functor, probe, "o"))
         assert report.passed, report.summary()
 
 
