@@ -18,7 +18,8 @@ is a finite table comparison:
   commands run before any enumeration.
 * :func:`check_kan_adjointness` — full-enumeration verification that the
   Kan constructions are genuinely adjoint to restriction, including the
-  explicit transposition bijections.
+  explicit transposition bijections, on transformations as the flat value
+  tuples of :func:`fincat.finset.nattrans_values`.
 * :func:`counit_inclusion_check` — for a full and faithful functor, the
   comparison from the restricted right Kan extension back to the original
   functor is bijective at every object.
@@ -27,7 +28,7 @@ is a finite table comparison:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Mapping, Optional, Tuple
 
 from .core import (
@@ -50,9 +51,9 @@ from .finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
     colimit_finset,
-    compose_maps,
-    enumerate_nattrans_finset,
     limit_finset,
+    nattrans_slices,
+    nattrans_values,
 )
 
 __all__ = [
@@ -545,53 +546,81 @@ def check_kan_adjointness(
     * |Nat(restrict G, S)| = |Nat(G, rightkan S)| with the transposition
       "project at (a, identity)" realising a bijection.
 
+    A transformation is its flat tuple of values from :func:`nattrans_values`.
+    Each transposition is planned once per call from the (co)cone legs at
+    the comma objects (a, identity): t -> (t at along(a)) . leg_a gathers
+    fixed positions of t, and t -> leg_a . (t at along(a)) pushes the slice
+    of t at along(a) through leg_a.  A leg that does not compose with the
+    component it meets raises ValueError("maps not composable").
+
     Each obligation name ends in ``[0]``, as the ``kan`` command prints it.
     """
     restricted = precompose_functor(along, target_functor)
     (rkan, cones), (lkan, cocones) = extensions
-    sources = along.source.objects
 
-    def leg(legs, a):
-        """The (co)cone leg at the comma object (a, identity)."""
-        fa = along.object_map[a]
-        return legs[fa][(a, along.target.id_of(fa))]
+    def legs(legs_of):
+        """Each sorted source object a with along(a) and the (co)cone leg at
+        the comma object (a, identity)."""
+        for a in sorted(along.source.objects):
+            fa = along.object_map[a]
+            yield a, fa, legs_of[fa][(a, along.target.id_of(fa))]
+
+    def gather():
+        """Position in t of (t at along(a))(leg_a(x)), for every a and x."""
+        slices = nattrans_slices(lkan)
+        positions, agree = [], True
+        for a, fa, leg in legs(cocones):
+            if leg.cod != lkan.object_map[fa]:
+                raise ValueError("maps not composable")
+            agree = agree and leg.dom == source_functor.object_map[a]
+            index = lkan.object_map[fa].index
+            positions += [slices[fa].start + index[x] for x in leg.values]
+        return (lambda t: tuple(map(t.__getitem__, positions))), agree
+
+    def push():
+        """The slice of t at along(a) and leg_a as a lookup, for every a."""
+        slices = nattrans_slices(target_functor)
+        plan, agree = [], True
+        for a, fa, leg in legs(cones):
+            if rkan.object_map[fa] != leg.dom:
+                raise ValueError("maps not composable")
+            agree = agree and leg.cod == source_functor.object_map[a]
+            plan.append((dict(zip(leg.dom.atoms, leg.values)).__getitem__, slices[fa]))
+        return (lambda t: tuple(chain.from_iterable(map(f, t[part]) for f, part in plan))), agree
 
     left = _adjunction_obligations(
         "left",
-        enumerate_nattrans_finset(lkan, target_functor, cap),
-        enumerate_nattrans_finset(source_functor, restricted, cap),
-        lambda t: NatTransVal(
-            source_functor,
-            restricted,
-            {a: compose_maps(t.at(along.object_map[a]), leg(cocones, a)) for a in sources},
-        ),
+        nattrans_values(lkan, target_functor, cap),
+        nattrans_values(source_functor, restricted, cap),
+        gather,
     )
     right = _adjunction_obligations(
         "right",
-        enumerate_nattrans_finset(restricted, source_functor, cap),
-        enumerate_nattrans_finset(target_functor, rkan, cap),
-        lambda t: NatTransVal(
-            restricted,
-            source_functor,
-            {a: compose_maps(leg(cones, a), t.at(along.object_map[a])) for a in sources},
-        ),
+        nattrans_values(restricted, source_functor, cap),
+        nattrans_values(target_functor, rkan, cap),
+        push,
     )
     return CheckReport("kan_adjointness", tuple(left + right))
 
 
-def _adjunction_obligations(side, upstairs, downstairs, transpose) -> list:
+def _adjunction_obligations(side, upstairs, downstairs, transposition) -> list:
     """Count and transposition obligations of one Kan adjunction
-    Nat(L x, y) ≅ Nat(x, R y), given both sides enumerated.
+    Nat(L x, y) ≅ Nat(x, R y), given both sides as flat tuples.
 
-    ``transpose`` maps a transformation involving the Kan extension to the
-    other side: upstairs for the left extension, downstairs for the right.
+    ``transposition()`` plans the map of a tuple involving the Kan extension
+    (upstairs for the left extension, downstairs for the right) to the other
+    side, and says whether the transposed components have that side's
+    domains and codomains; it is planned only when there is a tuple to
+    transpose.
     """
     counted = len(upstairs) == len(downstairs)
     source, target = (upstairs, downstairs) if side == "left" else (downstairs, upstairs)
-    # a transformation is told apart by its component maps
-    transposed = {frozenset(transpose(t).components.items()) for t in source}
-    wanted = {frozenset(t.components.items()) for t in target}
-    ok = len(transposed) == len(source) and transposed == wanted
+    transposed, agree = set(), True
+    if source:
+        transpose, agree = transposition()
+        transposed = set(map(transpose, source))
+    wanted = set(target)
+    ok = agree and len(transposed) == len(source) and transposed == wanted
     return [
         Obligation(
             f"{side}_count[0]",

@@ -449,21 +449,44 @@ def validate_nattrans(t: NatTransVal) -> CheckReport:
     square = []
     for h in src.sorted_morphisms():
         c, d = src.dom(h), src.cod(h)
-        try:
-            lhs = tgt.comp(t.G.morphism_map[h], t.components[c])
-            rhs = tgt.comp(t.components[d], t.F.morphism_map[h])
-        except (KeyError, ValueError):
-            square.append((h, "not composable"))
-            continue
-        if lhs != rhs:
-            # a map's witness is its first differing position in domain order
-            cells = zip(lhs.dom, lhs.values, rhs.values) if finny else ()
-            differ = next((cell for cell in cells if cell[1] != cell[2]), None)
-            square.append((h, *differ) if differ else (h, lhs, rhs))
+        if finny:
+            failure = _set_square_failure(t, h, t.components[c], t.components[d])
+        else:
+            try:
+                lhs = tgt.comp(t.G.morphism_map[h], t.components[c])
+                rhs = tgt.comp(t.components[d], t.F.morphism_map[h])
+            except KeyError:
+                failure = (h, "not composable")
+            else:
+                failure = (h, lhs, rhs) if lhs != rhs else None
+        if failure:
+            square.append(failure)
     obligations.append(
         Obligation("square_condition", not square, tuple(square[0]) if square else ())
     )
     return CheckReport("nattrans", tuple(obligations))
+
+
+def _set_square_failure(t: NatTransVal, h, alpha_c: FinSetMap, alpha_d: FinSetMap):
+    """The witness against the square G(h) . alpha_c = alpha_d . F(h) of
+    set-valued functors, or None when it commutes.
+
+    Each side is its tuple of values, read through the domain indexes: a
+    failure names the first domain atom where the two differ, and only
+    sides with equal values but other ends are built as maps.
+    """
+    gh, fh = t.G.morphism_map.get(h), t.F.morphism_map.get(h)
+    if gh is None or fh is None or alpha_c.cod != gh.dom or fh.cod != alpha_d.dom:
+        return (h, "not composable")
+    lhs = tuple(map(gh.values.__getitem__, map(gh.dom.index.__getitem__, alpha_c.values)))
+    rhs = tuple(map(alpha_d.values.__getitem__, map(alpha_d.dom.index.__getitem__, fh.values)))
+    if lhs == rhs and alpha_c.dom == fh.dom and gh.cod == alpha_d.cod:
+        return None
+    cells = zip(alpha_c.dom, lhs, rhs)
+    differ = next((cell for cell in cells if cell[1] != cell[2]), None)
+    if differ:
+        return (h, *differ)
+    return (h, FinSetMap(alpha_c.dom, gh.cod, lhs), FinSetMap(fh.dom, alpha_d.cod, rhs))
 
 
 def comma_under_object(b, f: FunctorVal, orientation: str = "under"):

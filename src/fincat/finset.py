@@ -5,7 +5,11 @@ enumerates in a canonical sorted order so repeated runs produce identical
 output: integers sort before tokens and tokens before tuples, a map is its
 tuple of values over the sorted domain, a limit element is its tuple of
 values over the sorted shape objects, and a colimit class is its least
-``(j, x)`` pair.
+``(j, x)`` pair.  A natural transformation between set-valued functors is,
+as :func:`nattrans_values` yields it, the flat tuple of its components'
+values over the sorted objects (:func:`nattrans_slices` says where each
+component lies); :func:`enumerate_nattrans_finset` makes those tuples into
+maps.
 """
 
 from __future__ import annotations
@@ -311,43 +315,59 @@ def colimit_finset(d):
     return carrier, injections
 
 
-def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
-    """All natural transformations between finite-set valued functors.
+def nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """All natural transformations between finite-set valued functors, each
+    as its flat tuple of values: the components over sorted objects, each
+    component's values in its domain's order.
 
     One search variable per object c and element a of f(c), valued in g(c);
     every morphism h: c -> d adds the squares g(h)(alpha_c a) = alpha_d(f(h) a).
-    Output order is the lexicographic order of the component choices over
-    sorted objects, and equal components are one shared FinSetMap.
+    Output order is the lexicographic order of the tuples.
     """
-    from .core import NatTransVal
-
     if f.source != g.source:
         raise ValueError("functors have different sources")
     if not (f.target is FINSET and g.target is FINSET):
         raise ValueError("both functors must be finite-set valued")
     shape = f.source
-    objs = sorted(shape.objects)
-    variables = [(c, a) for c in objs for a in f.object_map[c]]
+    variables = [(c, a) for c in sorted(shape.objects) for a in f.object_map[c]]
     domains = {(c, a): g.object_map[c].atoms for c, a in variables}
     constraints = [
         ((c, a), g.morphism_map[h], (d, f.morphism_map[h](a)))
         for h, (c, d) in shape.morphisms.items()
         for a in f.object_map[c]
     ]
-    shared = {c: {} for c in objs}
+    return list(_solve(variables, domains, constraints, cap))
+
+
+def nattrans_slices(f) -> dict:
+    """Where each object's component lies in a flat tuple that
+    :func:`nattrans_values` gives for transformations out of ``f``: each
+    object, in sorted order, maps to its slice."""
+    slices, start = {}, 0
+    for c in sorted(f.source.objects):
+        stop = start + len(f.object_map[c])
+        slices[c] = slice(start, stop)
+        start = stop
+    return slices
+
+
+def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """:func:`nattrans_values` with each tuple made a NatTransVal, in the same
+    order; equal components are one shared FinSetMap."""
+    from .core import NatTransVal
+
+    solutions = nattrans_values(f, g, cap)
+    slices = nattrans_slices(f)
+    shared = {c: {} for c in slices}
     out = []
-    for values in _solve(variables, domains, constraints, cap):
+    for values in solutions:
         components = {}
-        start = 0
-        for c in objs:
-            dom = f.object_map[c]
-            key = values[start : start + len(dom)]
-            start += len(dom)
+        for c, part in slices.items():
+            key = values[part]
             component = shared[c].get(key)
             if component is None:
-                component = FinSetMap(dom, g.object_map[c], key)
+                component = FinSetMap(f.object_map[c], g.object_map[c], key)
                 shared[c][key] = component
             components[c] = component
         out.append(NatTransVal(f, g, components))
     return out
-

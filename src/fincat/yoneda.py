@@ -18,12 +18,15 @@ enumeration:
   versus transformations out of the anchor's hom-functor.
 
 The two checks take the hom-functors they compare, so a caller that checks
-every anchor builds each one once.
+every anchor builds each one once.  They enumerate transformations with
+:func:`fincat.finset.nattrans_values` and compare them as flat value
+tuples; a transformation is made into maps and text only for a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .core import (
@@ -41,7 +44,8 @@ from .finset import (
     FinSetObj,
     encode_map,
     enumerate_maps,
-    enumerate_nattrans_finset,
+    nattrans_slices,
+    nattrans_values,
 )
 
 __all__ = [
@@ -148,31 +152,34 @@ def check_yoneda_roundtrips(
     enumeration, no sampling) and also asserts the counting corollary.
     """
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
-    transforms = enumerate_nattrans_finset(hom, maps, cap)
+    transforms = nattrans_values(hom, maps, cap)
     ident = ctx.category.id_of(ctx.anchor)
 
-    # A seed is its tuple of values, the atom ``maps`` uses for it, so each
-    # round trip compares tuples; map text is built only for a witness.
-    cod = ctx.set_functor.object_map[ctx.anchor]
-    bad_seed = []
-    for seed in seeds:
-        back = _pointwise_transform(hom, maps, ctx.anchor, seed.values).at(ctx.anchor)(ident)
-        if back != seed.values:
-            bad_seed.append((encode_map(seed), encode_map(FinSetMap(ctx.probe, cod, back))))
+    # A seed is its tuple of values, the atom ``maps`` uses for it, and a
+    # transformation the flat tuple of its components' values.  The
+    # transformation lifted from a seed sends f to (image of f)(seed), so its
+    # flat tuple applies the image of every f, in slice order, to the seed,
+    # and its anchor component sends the identity to
+    # (image of the identity)(seed).  Each round trip compares tuples; map
+    # text is built only for a witness.
+    slices = nattrans_slices(hom)
+    actions = [maps.morphism_map[f] for d in slices for f in hom.object_map[d]]
+    at_identity = slices[ctx.anchor].start + hom.object_map[ctx.anchor].index[ident]
+    back = actions[at_identity]
 
-    bad_transform = []
-    for transform in transforms:
-        values = transform.at(ctx.anchor)(ident)
-        again = _pointwise_transform(hom, maps, ctx.anchor, values)
-        if again.components != transform.components:
-            bad_transform.append(_printed_transform(ctx, transform))
+    bad_seed = [seed for seed in seeds if back(seed.values) != seed.values]
+    bad_transform = [t for t in transforms if tuple(m(t[at_identity]) for m in actions) != t]
 
+    seed_witness = ()
+    if bad_seed:
+        seed, cod = bad_seed[0], ctx.set_functor.object_map[ctx.anchor]
+        seed_witness = (encode_map(seed), encode_map(FinSetMap(ctx.probe, cod, back(seed.values))))
     obligations = (
-        Obligation("seed_roundtrip", not bad_seed, tuple(bad_seed[0]) if bad_seed else ()),
+        Obligation("seed_roundtrip", not bad_seed, seed_witness),
         Obligation(
             "transform_roundtrip",
             not bad_transform,
-            tuple(bad_transform[0]) if bad_transform else (),
+            _printed_transform(ctx, hom, bad_transform[0]) if bad_transform else (),
         ),
         Obligation(
             "count_matches",
@@ -183,17 +190,17 @@ def check_yoneda_roundtrips(
     return CheckReport(f"roundtrips@{ctx.anchor}", obligations)
 
 
-def _printed_transform(ctx: HomContext, t: NatTransVal) -> tuple:
-    """A transformation into :func:`hom_maps_functor` as pairs of an object
-    and its component's text, each tuple of values written as the map
-    "{a->x}" it is, objects in sorted order."""
-
-    def printed(c) -> str:
-        m, values = t.components[c], ctx.set_functor.object_map[c]
-        texts = [encode_map(FinSetMap(ctx.probe, values, v)) for v in m.values]
-        return encode_map(FinSetMap(m.dom, FinSetObj(texts), texts))
-
-    return tuple((c, printed(c)) for c in sorted(t.components))
+def _printed_transform(ctx: HomContext, hom: FunctorVal, values: tuple) -> tuple:
+    """A transformation out of ``hom`` into :func:`hom_maps_functor`, given
+    as its flat tuple of values, as pairs of an object and its component's
+    text, each tuple of values written as the map "{a->x}" it is, objects
+    in sorted order."""
+    printed = []
+    for c, part in nattrans_slices(hom).items():
+        cod = ctx.set_functor.object_map[c]
+        texts = [encode_map(FinSetMap(ctx.probe, cod, v)) for v in values[part]]
+        printed.append((c, encode_map(FinSetMap(hom.object_map[c], FinSetObj(texts), texts))))
+    return tuple(printed)
 
 
 def _pointwise_transform(
@@ -229,13 +236,15 @@ def yoneda_pointwise_bijection(
         for element, transform in mapping.items()
         if not validate_nattrans(transform).passed
     ]
-    # a transformation is told apart by its component maps
-    keys = {element: frozenset(t.components.items()) for element, t in mapping.items()}
-    distinct = len(set(keys.values())) == len(keys)
-    enumerated = {
-        frozenset(t.components.items())
-        for t in enumerate_nattrans_finset(hom, set_functor, cap)
+    # a transformation is told apart by its flat tuple of values, as
+    # nattrans_values lists it
+    slices = nattrans_slices(hom)
+    keys = {
+        element: tuple(chain.from_iterable(t.components[d].values for d in slices))
+        for element, t in mapping.items()
     }
+    distinct = len(set(keys.values())) == len(keys)
+    enumerated = set(nattrans_values(hom, set_functor, cap))
     onto = set(keys.values()) == enumerated
 
     obligations = (

@@ -31,6 +31,13 @@ force, kept to pin the exact output of the faster code that replaced them:
 * ``elementwise_naturality_failures`` and ``elementwise_respects_composition``
   are the naturality and functor-composition checks that composed one table
   cell at a time, where the library compares one tuple per morphism;
+* ``composed_square_failures`` is the naturality-square check of
+  ``validate_nattrans`` that composed two maps per morphism, where the
+  library reads both sides of a set-valued square as value tuples;
+* ``materialised_kan_adjointness`` is ``check_kan_adjointness`` over
+  NatTransVals, transposing by composing one map per source object and
+  comparing frozensets of component maps, where the library gathers or
+  pushes flat value tuples;
 * ``path_by_path_commutativity`` is the diagram commutativity check that
   composed every path from its start, once for each parallel pair it is in;
 * ``rebuilding_yoneda_command`` and ``rebuilding_kan_command`` are the
@@ -53,6 +60,7 @@ from fincat.adjunction import (
     check_kan_adjointness,
     counit_inclusion_check,
     kan_extensions,
+    precompose_functor,
     require_functor,
 )
 from fincat.core import (
@@ -901,6 +909,97 @@ def rebuilding_kan_command(along, functor, cap: int, out) -> int:
     if not inclusion.passed:
         code = 1
     return code
+
+
+# ---------------------------------------------------------------------------
+# The Kan adjunctions over materialised transformations
+# ---------------------------------------------------------------------------
+
+
+def materialised_kan_adjointness(
+    along, target_functor, source_functor, extensions, cap: int = DEFAULT_ENUM_CAP
+) -> CheckReport:
+    """``check_kan_adjointness`` over NatTransVals: each transformation is
+    transposed by composing one map per source object, and the two sides are
+    compared as sets of frozensets of component maps.  Same report, and the
+    same errors, as the check on flat value tuples."""
+    restricted = precompose_functor(along, target_functor)
+    (rkan, cones), (lkan, cocones) = extensions
+    sources = along.source.objects
+
+    def leg(legs, a):
+        fa = along.object_map[a]
+        return legs[fa][(a, along.target.id_of(fa))]
+
+    left = _materialised_obligations(
+        "left",
+        enumerate_nattrans_finset(lkan, target_functor, cap),
+        enumerate_nattrans_finset(source_functor, restricted, cap),
+        lambda t: NatTransVal(
+            source_functor,
+            restricted,
+            {a: compose_maps(t.at(along.object_map[a]), leg(cocones, a)) for a in sources},
+        ),
+    )
+    right = _materialised_obligations(
+        "right",
+        enumerate_nattrans_finset(restricted, source_functor, cap),
+        enumerate_nattrans_finset(target_functor, rkan, cap),
+        lambda t: NatTransVal(
+            restricted,
+            source_functor,
+            {a: compose_maps(leg(cones, a), t.at(along.object_map[a])) for a in sources},
+        ),
+    )
+    return CheckReport("kan_adjointness", tuple(left + right))
+
+
+def _materialised_obligations(side, upstairs, downstairs, transpose) -> list:
+    counted = len(upstairs) == len(downstairs)
+    source, target = (upstairs, downstairs) if side == "left" else (downstairs, upstairs)
+    transposed = {frozenset(transpose(t).components.items()) for t in source}
+    wanted = {frozenset(t.components.items()) for t in target}
+    ok = len(transposed) == len(source) and transposed == wanted
+    return [
+        Obligation(
+            f"{side}_count[0]",
+            counted,
+            () if counted else (len(upstairs), len(downstairs)),
+        ),
+        Obligation(
+            f"{side}_transpose_bijective[0]",
+            ok,
+            () if ok else (len(transposed), len(source), len(wanted)),
+        ),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Naturality squares composed as maps
+# ---------------------------------------------------------------------------
+
+
+def composed_square_failures(t) -> list:
+    """Every failed naturality square of ``t``, morphisms in sorted order, as
+    ``validate_nattrans`` once found them: both sides of each square
+    composed through the target's ``comp``, and a failure of set-valued
+    functors named by the first domain atom where the composites differ."""
+    src, tgt = t.F.source, t.F.target
+    finny = tgt is FINSET
+    square = []
+    for h in src.sorted_morphisms():
+        c, d = src.dom(h), src.cod(h)
+        try:
+            lhs = tgt.comp(t.G.morphism_map[h], t.components[c])
+            rhs = tgt.comp(t.components[d], t.F.morphism_map[h])
+        except (KeyError, ValueError):
+            square.append((h, "not composable"))
+            continue
+        if lhs != rhs:
+            cells = zip(lhs.dom, lhs.values, rhs.values) if finny else ()
+            differ = next((cell for cell in cells if cell[1] != cell[2]), None)
+            square.append((h, *differ) if differ else (h, lhs, rhs))
+    return square
 
 
 # ---------------------------------------------------------------------------

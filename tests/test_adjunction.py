@@ -11,6 +11,7 @@ import pytest
 from oracles import (
     all_pairs_naturality,
     elementwise_naturality_failures,
+    materialised_kan_adjointness,
     rebuilding_kan_command,
 )
 
@@ -26,7 +27,7 @@ from fincat.adjunction import (
     verify_adjunction,
 )
 from fincat.core import FINSET, FinCat, FunctorVal, identity_functor
-from fincat.finset import FinSetObj, identity_map
+from fincat.finset import CapExceededError, FinSetMap, FinSetObj, identity_map
 from fincat.files import load_adjunction_parts, load_category, load_functor
 
 LAW_NAMES = [
@@ -433,6 +434,123 @@ def load_functor_on_wrong_base(inc):
         m: FinSetMap(value, value, ("z",)) for m in src.morphisms
     }
     return FunctorVal(src, FINSET, object_map, morphism_map)
+
+
+# ---------------------------------------------------------------------------
+# The Kan adjunctions on flat value tuples against the materialised reference
+# ---------------------------------------------------------------------------
+
+KAN_PAIRS = (
+    ("incl_a4_b6.fun", "h_on_a.fun"),
+    ("incl_a4_b6.fun", "g_on_a.fun"),
+    # objects 1 and 2 share their image, so the left transposition reads one
+    # component of a transformation out of the left extension twice
+    ("trunc_q_p.fun", "s_on_q.fun"),
+)
+
+
+def _bend_leg(extensions, along, side, a, bend):
+    """``extensions`` with the cone (right) or cocone (left) leg at the comma
+    object (a, identity) replaced by ``bend(leg)``."""
+    (rkan, cones), (lkan, cocones) = extensions
+    fa = along.object_map[a]
+    key = (a, along.target.id_of(fa))
+    legs = cones if side == "right" else cocones
+    bent = {**legs, fa: {**legs[fa], key: bend(legs[fa][key])}}
+    return ((rkan, bent), (lkan, cocones)) if side == "right" else ((rkan, cones), (lkan, bent))
+
+
+def _rotated(leg):
+    """The same ends, values rotated by one place."""
+    return FinSetMap(leg.dom, leg.cod, leg.values[1:] + leg.values[:1])
+
+
+def _collapsed(leg):
+    """The same ends, every value the first one."""
+    return FinSetMap(leg.dom, leg.cod, leg.values[:1] * len(leg.values))
+
+
+def _renamed_dom(leg):
+    return FinSetMap(FinSetObj((f"r{i}" for i in range(len(leg.dom)))), leg.cod, leg.values)
+
+
+def _grown_cod(leg):
+    return FinSetMap(leg.dom, FinSetObj((*leg.cod.atoms, "extra")), leg.values)
+
+
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except (CapExceededError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _kan_inputs(fix, g_on_b):
+    """(along, target, source, extensions): each bundled pair with its own
+    two extensions as targets (and g_on_b along the inclusion), honest and
+    with each leg at (a, identity) rotated, collapsed, given another domain
+    (cocone) or another codomain (cone)."""
+    for along_name, functor_name in KAN_PAIRS:
+        along, functor = load_functor(fix(along_name)), load_functor(fix(functor_name))
+        extensions = kan_extensions(along, functor)
+        (rkan, _cones), (lkan, _cocones) = extensions
+        targets = [lkan, rkan] + ([g_on_b] if g_on_b.source == along.target else [])
+        variants = [extensions]
+        for a in sorted(along.source.objects):
+            for side, bends in (
+                ("left", (_rotated, _collapsed, _renamed_dom)),
+                ("right", (_rotated, _collapsed, _grown_cod)),
+            ):
+                variants += [_bend_leg(extensions, along, side, a, bend) for bend in bends]
+        for target in targets:
+            for variant in variants:
+                yield along, target, functor, variant
+
+
+def test_kan_adjointness_matches_the_materialised_reference(fix, g_on_b):
+    """The same report, or the same cap error, on honest and on bent legs;
+    the bent ones make both transpositions fail, with each of the witness
+    counts below the source count somewhere."""
+    failed = collections.Counter()
+    for along, target, functor, extensions in _kan_inputs(fix, g_on_b):
+        for cap in (1, 4, 16, 64, 256, 4096, 10**6):
+            args = (along, target, functor, extensions, cap)
+            report = _outcome(check_kan_adjointness, *args)
+            assert report == _outcome(materialised_kan_adjointness, *args)
+        for o in report.failures():
+            transposed, source, wanted = o.witness
+            failed[o.name, transposed < source, wanted != source] += 1
+    names = {name for name, _fewer, _other in failed}
+    assert names == {"left_transpose_bijective[0]", "right_transpose_bijective[0]"}
+    for name in names:
+        assert failed[name, False, False] and failed[name, True, False]
+
+
+def test_a_leg_that_does_not_compose_is_an_error(fix):
+    """A cocone leg into another set than the left extension's value, or a
+    cone leg out of another set than the right extension's, raises
+    ValueError("maps not composable") in the check and the reference."""
+    along, functor = load_functor(fix("incl_a4_b6.fun")), load_functor(fix("h_on_a.fun"))
+    extensions = kan_extensions(along, functor)
+    (_rkan, _cones), (lkan, _cocones) = extensions
+    for side, bend in (("left", _grown_cod), ("right", _renamed_dom)):
+        bent = _bend_leg(extensions, along, side, "4", bend)
+        for check in (check_kan_adjointness, materialised_kan_adjointness):
+            with pytest.raises(ValueError, match="^maps not composable$"):
+                check(along, lkan, functor, bent)
+    # Into a functor with no values no transformation leaves the left
+    # extension, so the bent cocone leg is never met: both pass.
+    empty = FinSetObj()
+    nothing = FunctorVal(
+        along.target,
+        FINSET,
+        {b: empty for b in along.target.objects},
+        {m: identity_map(empty) for m in along.target.morphisms},
+    )
+    bent = _bend_leg(extensions, along, "left", "4", _grown_cod)
+    report = check_kan_adjointness(along, nothing, functor, bent)
+    assert report == materialised_kan_adjointness(along, nothing, functor, bent)
+    assert report.passed, report.summary()
 
 
 # ---------------------------------------------------------------------------

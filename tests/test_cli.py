@@ -681,6 +681,32 @@ def test_kan_prints_sizes_and_reports(fix):
     assert text.count("result: PASS") == 2
 
 
+KAN_TRUNCATION_EXPECTED = """\
+right kan sizes: 0:2, 1:2
+left kan sizes: 0:2, 1:1
+subject: kan_adjointness
+  [PASS] left_count[0]
+  [PASS] left_transpose_bijective[0]
+  [PASS] right_count[0]
+  [PASS] right_transpose_bijective[0]
+result: PASS
+subject: counit_inclusion
+  [FAIL] fully_faithful_inclusion  witness=('objects_collide', '1', '2')
+result: FAIL
+"""
+
+
+def test_kan_along_a_truncation_that_merges_objects(fix):
+    """Along trunc_q_p the objects 1 and 2 share the image 1: both Kan
+    adjunctions hold, the left transposition reading one component of a
+    transformation out of the left extension for both, and the inclusion
+    check fails its precondition."""
+    assert _run("kan", fix("trunc_q_p.fun"), fix("s_on_q.fun")) == (
+        EXIT_CHECK_FAILED,
+        KAN_TRUNCATION_EXPECTED,
+    )
+
+
 def test_kan_with_non_functorial_along_exits_one(fix, tmp_path):
     bent = tmp_path / "bent.fun"
     bent.write_text(
@@ -870,6 +896,7 @@ CORPUS_LABELS = [
     "check-fun incl_p_q.fun",
     "check-cat kite.fincat",
     "check-cat monoid_e.fincat",
+    "check-fun s_on_q.fun",
     "check-fun trunc_q_p.fun",
     "expect-fail check-cat broken/bad_assoc.fincat",
     "expect-fail check-cat broken/bad_coherence.fincat",
@@ -899,7 +926,7 @@ CORPUS_LABELS = [
 def test_examples_runs_whole_corpus():
     code, text = _run("examples")
     assert code == EXIT_OK
-    assert text == "".join(f"[ok] {label}\n" for label in CORPUS_LABELS) + "corpus: 39/39 ok\n"
+    assert text == "".join(f"[ok] {label}\n" for label in CORPUS_LABELS) + "corpus: 40/40 ok\n"
 
 
 def test_corpus_directory_override(tmp_path, monkeypatch):
@@ -923,7 +950,7 @@ def test_examples_at_a_small_cap_names_the_entries_that_exceed_it():
     ]
     assert _run("examples", "--cap", "3") == (
         EXIT_CHECK_FAILED,
-        "\n".join([*lines, "corpus: 37/39 ok"]) + "\n",
+        "\n".join([*lines, "corpus: 38/40 ok"]) + "\n",
     )
 
 
@@ -939,7 +966,7 @@ def test_examples_dispatches_every_entry_to_its_subcommand(monkeypatch):
         monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, counted, add))
     assert _run("examples", "--cap", "999999") == (
         EXIT_OK,
-        "".join(f"[ok] {label}\n" for label in CORPUS_LABELS) + "corpus: 39/39 ok\n",
+        "".join(f"[ok] {label}\n" for label in CORPUS_LABELS) + "corpus: 40/40 ok\n",
     )
     assert seen[0].subcommand == "examples" and len(seen) == 1 + len(CORPUS_LABELS)
     assert {cfg.cap for cfg in seen} == {999999}
@@ -966,7 +993,7 @@ def test_examples_names_the_unlawful_layer_of_a_model(fix, tmp_path, monkeypatch
     assert [line for line in text.splitlines() if not line.startswith("[ok] ")] == [
         "[FAIL] eval equalizer @ chain2  error: layer 'L' is not a category: "
         "left_identity fails at ('f', 'g')",
-        "corpus: 38/39 ok",
+        "corpus: 39/40 ok",
     ]
 
 

@@ -2,13 +2,14 @@
 
 import glob
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import elementwise_respects_composition
+from oracles import composed_square_failures, elementwise_respects_composition
 
 import fincat
 from fincat.core import (
@@ -17,6 +18,8 @@ from fincat.core import (
     FinCat,
     FunctorVal,
     MalformedTableError,
+    NatTransVal,
+    Obligation,
     comma_under_object,
     compose_functors,
     identity_functor,
@@ -26,8 +29,15 @@ from fincat.core import (
     validate_functor,
     validate_nattrans,
 )
-from fincat.files import load_category, load_functor, load_nattrans
-from fincat.finset import FinSetObj, identity_map
+from fincat.adjunction import assemble_adjunction
+from fincat.files import load_adjunction_parts, load_category, load_functor, load_nattrans
+from fincat.finset import (
+    FinSetMap,
+    FinSetObj,
+    compose_maps,
+    enumerate_nattrans_finset,
+    identity_map,
+)
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -324,3 +334,130 @@ def test_witness_guard_survives_optimised_mode():
         [sys.executable, "-O", "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "False\nfailing obligation 'x' needs a witness\n"
+
+
+# ---------------------------------------------------------------------------
+# Naturality squares read as value tuples, against the composed maps
+# ---------------------------------------------------------------------------
+
+SQUARE_ATOMS = (0, 1, 2, 10, "a", "b", "x1")
+
+
+def _chain_functor(rng, n):
+    """A set-valued functor on the n-chain with random, often collapsing,
+    cover maps; each composite is the composite of the covers it spans."""
+    objects = [str(i) for i in range(n)]
+    category = preorder_from_covers(objects, list(zip(objects, objects[1:])))
+    values = [FinSetObj(rng.sample(SQUARE_ATOMS, rng.randint(1, 3))) for _ in objects]
+    covers = [
+        FinSetMap(values[i], values[i + 1], (rng.choice(values[i + 1].atoms) for _ in values[i]))
+        for i in range(n - 1)
+    ]
+    morphism_map = {}
+    for m, (a, b) in category.morphisms.items():
+        image = identity_map(values[int(a)])
+        for i in range(int(a), int(b)):
+            image = compose_maps(covers[i], image)
+        morphism_map[m] = image
+    return FunctorVal(category, FINSET, dict(zip(objects, values)), morphism_map)
+
+
+def _with_component(t, c, component):
+    return NatTransVal(t.F, t.G, {**t.components, c: component})
+
+
+def _relabelled(atoms):
+    return FinSetObj(f"r{a}" for a in atoms)
+
+
+def _square_subjects(fix):
+    """Transformations whose squares pass and fail every way: the bundled
+    ``.nt`` files, the unit and counit of the bundled adjunctions with each
+    component bent to every other morphism, a square failing at an integer
+    and at a token atom, and over pairs of seeded functors on chains up to
+    three natural transformations and one random choice of components, each
+    with a one-entry mutation, a component with relabelled domain or
+    codomain, and a component into another value set."""
+    for path in sorted(glob.glob(fix("*.nt")) + glob.glob(fix("broken", "*.nt"))):
+        yield load_nattrans(path)
+    for name in ("galois.adj", "monoid_bad_counit.adj"):
+        adj = assemble_adjunction(load_adjunction_parts(fix(name)))
+        for t in (adj.unit, adj.counit):
+            yield t
+            for c, arrow in t.components.items():
+                for other in sorted(t.F.target.morphisms):
+                    if other != arrow:
+                        yield _with_component(t, c, other)
+
+    yield _mixed_atoms_transformation(fix)
+
+    rng = random.Random(20)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        f, g = _chain_functor(rng, n), _chain_functor(rng, n)
+        chosen = {
+            c: FinSetMap(v, g.object_map[c], (rng.choice(g.object_map[c].atoms) for _ in v))
+            for c, v in f.object_map.items()
+        }
+        for t in enumerate_nattrans_finset(f, g)[:3] + [NatTransVal(f, g, chosen)]:
+            yield t
+            c = rng.choice(sorted(t.components))
+            alpha = t.components[c]
+            values = list(alpha.values)
+            i = rng.randrange(len(values))
+            others = [b for b in alpha.cod if b != values[i]]
+            if others:
+                values[i] = rng.choice(others)
+                yield _with_component(t, c, FinSetMap(alpha.dom, alpha.cod, values))
+            renamed_dom = _relabelled(alpha.dom)
+            yield _with_component(t, c, FinSetMap(renamed_dom, alpha.cod, alpha.values))
+            renamed_cod = _relabelled(alpha.cod)
+            images = (f"r{b}" for b in alpha.values)
+            yield _with_component(t, c, FinSetMap(alpha.dom, renamed_cod, images))
+            wrong = g.object_map[rng.choice(sorted(g.object_map))]
+            if wrong != alpha.cod:
+                point = FinSetMap(alpha.dom, wrong, (wrong.atoms[0] for _ in alpha.dom))
+                yield _with_component(t, c, point)
+
+
+def _mixed_atoms_transformation(fix):
+    """The identity from a functor on the 2-chain acting as the identity on
+    {1, a} to one swapping 1 and a: the square fails at both atoms."""
+    chain2 = load_category(fix("chain2.fincat"))
+    mixed = FinSetObj((1, "a"))
+    ident = identity_map(mixed)
+
+    def acting(image):
+        return FunctorVal(
+            chain2, FINSET, {"0": mixed, "1": mixed}, {"id_0": ident, "id_1": ident, "0->1": image}
+        )
+
+    swap = FinSetMap(mixed, mixed, ("a", 1))
+    return NatTransVal(acting(ident), acting(swap), {"0": ident, "1": ident})
+
+
+def test_a_square_names_its_first_differing_atom_in_domain_order(fix):
+    report = validate_nattrans(_mixed_atoms_transformation(fix))
+    assert report.obligation("square_condition").witness == ("0->1", 1, "a", 1)
+
+
+def test_square_witness_is_the_composed_maps_failure(fix):
+    kinds = set()
+    for t in _square_subjects(fix):
+        failures = composed_square_failures(t)
+        expected = Obligation("square_condition", not failures, failures[0] if failures else ())
+        assert validate_nattrans(t).obligation("square_condition") == expected
+        witness = expected.witness
+        as_maps = isinstance(witness[-1], FinSetMap) if witness else None
+        kinds.add((t.F.target is FINSET, len(witness), as_maps))
+    # passing squares, a differing atom, ends that do not compose, and equal
+    # values between maps with other ends, for set-valued functors; passing
+    # and failing squares of table functors
+    assert {
+        (True, 0, None),
+        (True, 4, False),
+        (True, 2, False),
+        (True, 3, True),
+        (False, 0, None),
+        (False, 3, False),
+    } <= kinds

@@ -391,6 +391,7 @@ SET_VALUED_FUNS = (
     ("g_on_a.fun",),
     ("g_on_b.fun",),
     ("h_on_a.fun",),
+    ("s_on_q.fun",),
     ("broken", "f_kite_bad_respids.fun"),
     ("broken", "f_kite_bad_respcomp.fun"),
 )
