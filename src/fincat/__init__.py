@@ -30,7 +30,6 @@ from .finset import (
     compose_maps,
     encode_map,
     enumerate_maps,
-    enumerate_nattrans_finset,
     identity_map,
     limit_finset,
     nattrans_slices,
@@ -82,8 +81,6 @@ from .yoneda import (
     check_yoneda_roundtrips,
     hom_cov_functor,
     hom_maps_functor,
-    seed_from_transform,
-    transform_from_seed,
     yoneda_pointwise_bijection,
 )
 from .adjunction import (

@@ -11,7 +11,8 @@ functor may land either in another table category or in the ambient
 category of finite sets (``FINSET`` in `fincat.finset`).  Both answer dom,
 cod, id_of and comp, so the laws are checked by one code path; morphism
 equality is identifier equality in the first case and extensional equality
-in the second.
+in the second.  For set-valued functors the composition law and the
+naturality squares compare value tuples, and no composite map is built.
 """
 
 from __future__ import annotations
@@ -356,7 +357,9 @@ def validate_functor(f: FunctorVal) -> CheckReport:
     )
 
     respcomp = []
-    if tgt is FINSET or not _composites_preserved(src, tgt, f.morphism_map):
+    if tgt is FINSET:
+        respcomp = _set_composition_failures(src, f.morphism_map)
+    elif not _composites_preserved(src, tgt, f.morphism_map):
         for (g, h), gh in src.compose.items():
             if src.cod(h) != src.dom(g):
                 continue
@@ -367,11 +370,32 @@ def validate_functor(f: FunctorVal) -> CheckReport:
                 continue
             if lhs != f.morphism_map[gh]:
                 respcomp.append((g, h))
-        respcomp.sort()  # by the (g, h) key, which is unique
+    respcomp.sort()  # by the (g, h) key, which is unique
     obligations.append(
         Obligation("respects_composition", not respcomp, tuple(respcomp[0]) if respcomp else ())
     )
     return CheckReport("functor", tuple(obligations))
+
+
+def _set_composition_failures(src: FinCat, morphism_map: dict) -> list:
+    """Every failure of F(g) . F(h) = F(g . h) for a set-valued functor,
+    unsorted: (g, h, "image not composable") where F(h) does not end where
+    F(g) starts, and (g, h) where the values or the ends of the two sides
+    differ.  The left side is its tuple of values, read through F(g)'s
+    domain index; no composite map is built."""
+    failures = []
+    for (g, h), gh in src.compose.items():
+        if src.cod(h) != src.dom(g):
+            continue
+        fg, fh = morphism_map[g], morphism_map[h]
+        if fh.cod != fg.dom:
+            failures.append((g, h, "image not composable"))
+            continue
+        fgh = morphism_map[gh]
+        values = tuple(map(fg.values.__getitem__, map(fg.dom.index.__getitem__, fh.values)))
+        if values != fgh.values or fh.dom != fgh.dom or fg.cod != fgh.cod:
+            failures.append((g, h))
+    return failures
 
 
 def _composites_preserved(src: FinCat, tgt: FinCat, morphism_map: dict) -> bool:

@@ -8,8 +8,7 @@ values over the sorted shape objects, and a colimit class is its least
 ``(j, x)`` pair.  A natural transformation between set-valued functors is,
 as :func:`nattrans_values` yields it, the flat tuple of its components'
 values over the sorted objects (:func:`nattrans_slices` says where each
-component lies); :func:`enumerate_nattrans_finset` makes those tuples into
-maps.
+component lies).
 """
 
 from __future__ import annotations
@@ -349,25 +348,3 @@ def nattrans_slices(f) -> dict:
         slices[c] = slice(start, stop)
         start = stop
     return slices
-
-
-def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
-    """:func:`nattrans_values` with each tuple made a NatTransVal, in the same
-    order; equal components are one shared FinSetMap."""
-    from .core import NatTransVal
-
-    solutions = nattrans_values(f, g, cap)
-    slices = nattrans_slices(f)
-    shared = {c: {} for c in slices}
-    out = []
-    for values in solutions:
-        components = {}
-        for c, part in slices.items():
-            key = values[part]
-            component = shared[c].get(key)
-            if component is None:
-                component = FinSetMap(f.object_map[c], g.object_map[c], key)
-                shared[c][key] = component
-            components[c] = component
-        out.append(NatTransVal(f, g, components))
-    return out

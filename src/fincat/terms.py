@@ -61,7 +61,6 @@ __all__ = [
     "term_sort_key",
     "infer_inhabitants",
     "curry_howard_translate",
-    "one_step_reductions",
     "ReductionGraph",
     "GraphReport",
     "reduction_graph",
@@ -1288,21 +1287,14 @@ def _contractions_at(t: Tm, sig: Signature) -> list[Tm]:
     return out
 
 
-def one_step_reductions(t: Tm, sig: Optional[Signature] = None) -> list[Tm]:
-    """All terms obtained by contracting exactly one redex anywhere in ``t``.
-
-    Redexes are beta redexes, projections of pairs, and delta redexes from
-    ``sig``.  The result has no alpha-duplicates and is sorted by canonical
-    print, which each returned term keeps cached.
-    """
-    if sig is None:
-        sig = _EMPTY_SIGNATURE
-    return _distinct_reducts(t, sig, {})
-
-
 def _distinct_reducts(t: Tm, sig: Signature, memo: dict) -> list[Tm]:
-    """:func:`one_step_reductions` of ``t`` with the reducts of each distinct
-    subterm memoised in ``memo``: the first term of each canonical print."""
+    """All terms obtained by contracting exactly one redex anywhere in ``t``:
+    beta redexes, projections of pairs, and delta redexes from ``sig``.
+
+    The result has no alpha-duplicates (the first term of each canonical
+    print is kept) and is sorted by canonical print, which each returned
+    term keeps cached.  The reducts of each distinct subterm are memoised in
+    ``memo``."""
     out: dict[str, Tm] = {}
     for t2 in _reducts(t, sig, memo):
         out.setdefault(canonical_print(t2), t2)

@@ -10,23 +10,22 @@ enumeration:
 * :func:`hom_maps_functor` — maps out of a fixed probe set into a
   functor's values (action is postcomposition with the functor image); a
   map is its tuple of values over the sorted probe.
-* :func:`transform_from_seed` / :func:`seed_from_transform` — the two
-  directions of the correspondence between maps ``probe -> values(anchor)``
-  and transformations from the anchor's hom-functor, plus
-  :func:`check_yoneda_roundtrips` verifying they are mutually inverse.
+* :func:`check_yoneda_roundtrips` — the correspondence between maps
+  ``probe -> values(anchor)`` and transformations from the anchor's
+  hom-functor into the maps functor, both directions mutually inverse.
 * :func:`yoneda_pointwise_bijection` — elements of the anchor's value set
   versus transformations out of the anchor's hom-functor.
 
 The two checks take the hom-functors they compare, so a caller that checks
 every anchor builds each one once.  They enumerate transformations with
 :func:`fincat.finset.nattrans_values` and compare them as flat value
-tuples; a transformation is made into maps and text only for a witness.
+tuples: a transformation is natural exactly when the enumeration lists its
+tuple, and it is made into maps and text only for a witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 from .core import (
@@ -36,7 +35,6 @@ from .core import (
     FunctorVal,
     NatTransVal,
     Obligation,
-    validate_nattrans,
 )
 from .finset import (
     DEFAULT_ENUM_CAP,
@@ -52,8 +50,6 @@ __all__ = [
     "HomContext",
     "hom_cov_functor",
     "hom_maps_functor",
-    "transform_from_seed",
-    "seed_from_transform",
     "check_yoneda_roundtrips",
     "yoneda_pointwise_bijection",
 ]
@@ -124,23 +120,6 @@ def hom_maps_functor(
     return FunctorVal(category, FINSET, object_map, morphism_map)
 
 
-def transform_from_seed(ctx: HomContext) -> NatTransVal:
-    """The transformation whose component at D sends f to (image of f) . seed."""
-    if ctx.seed is None:
-        raise ValueError("context has no seed map")
-    source = hom_cov_functor(ctx.category, ctx.anchor)
-    target = hom_maps_functor(ctx.probe, ctx.set_functor)
-    return _pointwise_transform(source, target, ctx.anchor, ctx.seed.values)
-
-
-def seed_from_transform(ctx: HomContext) -> FinSetMap:
-    """Recover the seed map: the anchor component applied to the identity."""
-    if ctx.transform is None:
-        raise ValueError("context has no transformation")
-    values = ctx.transform.at(ctx.anchor)(ctx.category.id_of(ctx.anchor))
-    return FinSetMap(ctx.probe, ctx.set_functor.object_map[ctx.anchor], values)
-
-
 def check_yoneda_roundtrips(
     ctx: HomContext, hom: FunctorVal, maps: FunctorVal, cap: int = DEFAULT_ENUM_CAP
 ) -> CheckReport:
@@ -203,53 +182,35 @@ def _printed_transform(ctx: HomContext, hom: FunctorVal, values: tuple) -> tuple
     return tuple(printed)
 
 
-def _pointwise_transform(
-    source: FunctorVal, set_functor: FunctorVal, anchor: str, element
-) -> NatTransVal:
-    """The transformation out of ``source``, the anchor's hom-functor, sending
-    f in Hom(anchor, D) to (image of f)(element)."""
-    category = source.source
-    components = {}
-    for d in category.objects:
-        hom = source.object_map[d]
-        images = (set_functor.morphism_map[f](element) for f in hom)
-        components[d] = FinSetMap(hom, set_functor.object_map[d], images)
-    return NatTransVal(source, set_functor, components)
-
-
 def yoneda_pointwise_bijection(
     set_functor: FunctorVal, anchor: str, hom: FunctorVal, cap: int = DEFAULT_ENUM_CAP
 ) -> tuple:
     """Elements of values(anchor) versus transformations out of ``hom``, the
     anchor's :func:`hom_cov_functor`.
 
-    Returns the map element -> transformation plus a report that every image
-    is natural and the assignment is injective and surjective onto the full
-    enumeration.
+    Returns the map element -> transformation, each transformation as its
+    flat tuple of values (see :func:`fincat.finset.nattrans_values`), plus a
+    report that every image is natural and the assignment is injective and
+    surjective onto the full enumeration.  The images of ``set_functor``
+    must have the ends its objects give them, as a functor check ensures.
     """
-    mapping = {}
-    for element in set_functor.object_map[anchor]:
-        mapping[element] = _pointwise_transform(hom, set_functor, anchor, element)
-
-    unnatural = [
-        element
-        for element, transform in mapping.items()
-        if not validate_nattrans(transform).passed
-    ]
-    # a transformation is told apart by its flat tuple of values, as
-    # nattrans_values lists it
+    # The transformation of an element sends f to (image of f)(element), so
+    # its flat tuple applies the image of every f, in slice order, to the
+    # element.  It is natural exactly when the enumeration lists it.
     slices = nattrans_slices(hom)
-    keys = {
-        element: tuple(chain.from_iterable(t.components[d].values for d in slices))
-        for element, t in mapping.items()
+    actions = [set_functor.morphism_map[f] for d in slices for f in hom.object_map[d]]
+    mapping = {
+        element: tuple(m(element) for m in actions) for element in set_functor.object_map[anchor]
     }
-    distinct = len(set(keys.values())) == len(keys)
     enumerated = set(nattrans_values(hom, set_functor, cap))
-    onto = set(keys.values()) == enumerated
+    unnatural = [element for element, values in mapping.items() if values not in enumerated]
+    images = set(mapping.values())
+    distinct = len(images) == len(mapping)
+    onto = images == enumerated
 
     obligations = (
         Obligation("components_natural", not unnatural, (unnatural[0],) if unnatural else ()),
-        Obligation("injective", distinct, () if distinct else (len(keys), len(set(keys.values())))),
-        Obligation("surjective", onto, () if onto else (len(keys), len(enumerated))),
+        Obligation("injective", distinct, () if distinct else (len(mapping), len(images))),
+        Obligation("surjective", onto, () if onto else (len(mapping), len(enumerated))),
     )
     return mapping, CheckReport(f"pointwise@{anchor}", obligations)

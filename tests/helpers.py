@@ -1,0 +1,68 @@
+"""Conversions the tests use and no fincat command needs.
+
+The library tells transformations between set-valued functors apart by
+their flat tuples of values (``nattrans_values``, laid out by
+``nattrans_slices``).  The helpers here make such tuples into
+``NatTransVal``s, lift a seed map to its transformation and read it back,
+and list the one-step reducts of a term.  Unlike ``oracles``, they reuse
+the library's search: they only change how its answers are presented.
+"""
+
+from __future__ import annotations
+
+from fincat.core import NatTransVal
+from fincat.finset import DEFAULT_ENUM_CAP, FinSetMap, nattrans_slices, nattrans_values
+from fincat.terms import _EMPTY_SIGNATURE, _distinct_reducts
+from fincat.yoneda import hom_cov_functor, hom_maps_functor
+
+
+def nattrans_from_values(f, g, values, shared=None) -> NatTransVal:
+    """The transformation f => g whose flat tuple of values is ``values``.
+    ``shared`` maps (object, component values) to a component already made,
+    and an equal component is that one object."""
+    shared = {} if shared is None else shared
+    components = {}
+    for c, part in nattrans_slices(f).items():
+        key = (c, values[part])
+        if key not in shared:
+            shared[key] = FinSetMap(f.object_map[c], g.object_map[c], values[part])
+        components[c] = shared[key]
+    return NatTransVal(f, g, components)
+
+
+def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """``nattrans_values`` with each tuple made a NatTransVal, in the same
+    order; equal components are one shared FinSetMap."""
+    shared = {}
+    return [nattrans_from_values(f, g, values, shared) for values in nattrans_values(f, g, cap)]
+
+
+def transform_from_seed(ctx) -> NatTransVal:
+    """The transformation of a ``HomContext``'s seed, from the anchor's
+    hom-functor into the probe's maps functor: its component at D sends f to
+    (image of f) . seed."""
+    if ctx.seed is None:
+        raise ValueError("context has no seed map")
+    source = hom_cov_functor(ctx.category, ctx.anchor)
+    target = hom_maps_functor(ctx.probe, ctx.set_functor)
+    components = {}
+    for d in ctx.category.objects:
+        hom = source.object_map[d]
+        images = (target.morphism_map[f](ctx.seed.values) for f in hom)
+        components[d] = FinSetMap(hom, target.object_map[d], images)
+    return NatTransVal(source, target, components)
+
+
+def seed_from_transform(ctx) -> FinSetMap:
+    """Recover the seed map of a ``HomContext``'s transformation: the anchor
+    component applied to the identity."""
+    if ctx.transform is None:
+        raise ValueError("context has no transformation")
+    values = ctx.transform.at(ctx.anchor)(ctx.category.id_of(ctx.anchor))
+    return FinSetMap(ctx.probe, ctx.set_functor.object_map[ctx.anchor], values)
+
+
+def one_step_reductions(t, sig=None) -> list:
+    """All terms obtained by contracting exactly one redex anywhere in ``t``,
+    without alpha-duplicates and sorted by canonical print."""
+    return _distinct_reducts(t, _EMPTY_SIGNATURE if sig is None else sig, {})

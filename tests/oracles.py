@@ -26,11 +26,14 @@ force, kept to pin the exact output of the faster code that replaced them:
   Yoneda checks that named every map by its text "{a->x}", composed and
   printed a new map for every action entry, read seeds back from that text,
   and rebuilt both hom-functors for every seed, transformation and element;
+  the pointwise one also checks every element's naturality squares, where
+  the library looks its flat tuple up in the enumerated set;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
   naturality jointly, over every pair of morphisms (f, k) of both categories;
 * ``elementwise_naturality_failures`` and ``elementwise_respects_composition``
   are the naturality and functor-composition checks that composed one table
-  cell at a time, where the library compares one tuple per morphism;
+  cell at a time, where the library compares one tuple per morphism (and,
+  for a set-valued functor, reads each composite as a tuple of values);
 * ``composed_square_failures`` is the naturality-square check of
   ``validate_nattrans`` that composed two maps per morphism, where the
   library reads both sides of a set-valued square as value tuples;
@@ -93,7 +96,6 @@ from fincat.finset import (
     compose_maps,
     encode_map,
     enumerate_maps,
-    enumerate_nattrans_finset,
 )
 from fincat.terms import (
     DEFAULT_NODE_CAP,
@@ -124,6 +126,7 @@ from fincat.yoneda import (
     hom_maps_functor,
     yoneda_pointwise_bijection,
 )
+from helpers import enumerate_nattrans_finset
 
 # ---------------------------------------------------------------------------
 # Category laws and preorder closures without any index
@@ -829,7 +832,9 @@ def _rebuilt_pointwise_transform(category, set_functor, anchor, element):
 
 def rebuilding_pointwise_bijection(category, set_functor, anchor, cap: int = DEFAULT_ENUM_CAP):
     """``yoneda_pointwise_bijection`` building the anchor's hom-functor once
-    more for every element.  Same mapping, obligations and subject."""
+    more for every element and checking each element's transformation square
+    by square with ``validate_nattrans``.  Same obligations and subject; the
+    mapping holds the NatTransVals whose flat tuples the library's holds."""
     source = hom_cov_functor(category, anchor)
     mapping = {
         element: _rebuilt_pointwise_transform(category, set_functor, anchor, element)

@@ -9,6 +9,7 @@ under test.
 import io
 import time
 
+from helpers import enumerate_nattrans_finset
 from oracles import (
     brute_inhabitants,
     goal_types,
@@ -33,7 +34,7 @@ from fincat.files import (
     load_model_spec,
     load_nattrans,
 )
-from fincat.finset import FinSetObj, enumerate_nattrans_finset
+from fincat.finset import FinSetObj
 from fincat.terms import (
     Signature,
     TyArrow,

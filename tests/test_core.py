@@ -9,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import enumerate_nattrans_finset
 from oracles import composed_square_failures, elementwise_respects_composition
 
 import fincat
@@ -35,7 +36,6 @@ from fincat.finset import (
     FinSetMap,
     FinSetObj,
     compose_maps,
-    enumerate_nattrans_finset,
     identity_map,
 )
 
@@ -282,10 +282,33 @@ def test_uncomposable_images_fail_respects_composition(fix, valued):
     )
 
 
+def _set_bends(image):
+    """Other images for one morphism of a set-valued functor: its values
+    permuted, same ends; the same values with a relabelled copy of the
+    domain, or with the codomain atoms outside the values relabelled, so
+    that only the ends differ; and the codomain relabelled with the values,
+    so that it meets none of the domains it met."""
+    values = image.values
+    rotated = values[1:] + values[:1]
+    if rotated != values:
+        yield FinSetMap(image.dom, image.cod, rotated)
+    if image.dom:
+        yield FinSetMap(_relabelled(image.dom), image.cod, values)
+    kept = set(values)
+    if len(kept) < len(image.cod):
+        cod = FinSetObj([*kept, *_relabelled(b for b in image.cod if b not in kept)])
+        assert len(cod) == len(image.cod)
+        yield FinSetMap(image.dom, cod, values)
+    if image.cod:
+        yield FinSetMap(image.dom, _relabelled(image.cod), (f"r{b}" for b in values))
+
+
 def _functors_to_compare(fix, tmp_path):
     """Bundled and broken functors, the truncations of a ``tables`` pass
-    (mutated ones included), and every functor obtained from a table-valued
-    bundled one by sending one morphism to another of the target."""
+    (mutated ones included), every functor obtained from a table-valued
+    bundled one by sending one morphism to another of the target, and every
+    functor obtained from a set-valued bundled or broken one by bending the
+    image of one morphism (``_set_bends``)."""
     sys.path.insert(0, PERFBENCH)
     try:
         import gen
@@ -298,25 +321,35 @@ def _functors_to_compare(fix, tmp_path):
     for path in bundled + generated:
         functor = load_functor(path)
         yield functor
-        if functor.target is FINSET or path in generated:
+        if path in generated:
             continue
         for m, image in functor.morphism_map.items():
-            for other in sorted(functor.target.morphisms):
-                if other != image:
-                    bent = {**functor.morphism_map, m: other}
-                    yield FunctorVal(functor.source, functor.target, functor.object_map, bent)
+            if functor.target is FINSET:
+                others = _set_bends(image)
+            else:
+                others = (k for k in sorted(functor.target.morphisms) if k != image)
+            for other in others:
+                bent = {**functor.morphism_map, m: other}
+                yield FunctorVal(functor.source, functor.target, functor.object_map, bent)
 
 
 def test_composition_witness_is_the_elementwise_scans(fix, tmp_path):
     verdicts = set()
+    ends_only = 0
     for functor in _functors_to_compare(fix, tmp_path):
         scan = elementwise_respects_composition(functor)
         ob = validate_functor(functor).obligation("respects_composition")
         assert ob.witness == (scan[0] if scan else ())
         verdicts.add((functor.target is FINSET, ob.passed, len(ob.witness)))
+        if functor.target is FINSET and len(ob.witness) == 2:
+            g, h = ob.witness
+            image, gh = functor.morphism_map, functor.source.compose[(g, h)]
+            ends_only += tuple(map(image[g], image[h].values)) == image[gh].values
     # both kinds of target, passing and failing, and images with no composite
     assert {(True, True, 0), (True, False, 2), (False, True, 0), (False, False, 2)} <= verdicts
-    assert (False, False, 3) in verdicts
+    assert {(True, False, 3), (False, False, 3)} <= verdicts
+    # a set-valued failure where the two sides agree on every value
+    assert ends_only
 
 
 def test_witness_guard_survives_optimised_mode():
@@ -334,6 +367,26 @@ def test_witness_guard_survives_optimised_mode():
         [sys.executable, "-O", "-c", probe], capture_output=True, text=True, env=env, check=True
     )
     assert result.stdout == "False\nfailing obligation 'x' needs a witness\n"
+
+
+def test_every_exported_name_resolves():
+    """In a fresh interpreter, ``import fincat`` resolves every name of
+    ``fincat.__all__``, and each module's ``__all__`` names only what it
+    defines or imports."""
+    probe = (
+        "import importlib, fincat\n"
+        "missing = [n for n in fincat.__all__ if not hasattr(fincat, n)]\n"
+        "for m in ('adjunction', 'cli', 'core', 'diagram', 'files', 'finset', 'terms', 'yoneda'):\n"
+        "    module = importlib.import_module('fincat.' + m)\n"
+        "    missing += [m + '.' + n for n in getattr(module, '__all__', ()) if not hasattr(module, n)]\n"
+        "print(len(fincat.__all__) > 0, missing)\n"
+    )
+    src = os.path.dirname(os.path.dirname(fincat.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "True []\n"
 
 
 # ---------------------------------------------------------------------------

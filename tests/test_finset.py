@@ -30,12 +30,12 @@ from fincat.finset import (
     decode_map,
     encode_map,
     enumerate_maps,
-    enumerate_nattrans_finset,
     identity_map,
     limit_finset,
 )
 from fincat.yoneda import hom_cov_functor
 
+from helpers import enumerate_nattrans_finset
 from oracles import (
     map_from_table,
     nattrans_key,

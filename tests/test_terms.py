@@ -32,7 +32,6 @@ from fincat.terms import (
     canonical_print,
     curry_howard_translate,
     infer_inhabitants,
-    one_step_reductions,
     parse_context,
     parse_signature,
     parse_term,
@@ -44,6 +43,7 @@ from fincat.terms import (
     typecheck,
 )
 
+from helpers import one_step_reductions
 from oracles import (
     brute_inhabitants,
     goal_types,

@@ -30,7 +30,6 @@ from fincat.finset import (
     FinSetObj,
     compose_maps,
     enumerate_maps,
-    enumerate_nattrans_finset,
     identity_map,
 )
 from fincat.yoneda import (
@@ -38,11 +37,15 @@ from fincat.yoneda import (
     check_yoneda_roundtrips,
     hom_cov_functor,
     hom_maps_functor,
-    seed_from_transform,
-    transform_from_seed,
     yoneda_pointwise_bijection,
 )
 
+from helpers import (
+    enumerate_nattrans_finset,
+    nattrans_from_values,
+    seed_from_transform,
+    transform_from_seed,
+)
 from oracles import (
     brute_universal_table,
     map_from_table,
@@ -70,6 +73,15 @@ def _roundtrips(ctx):
 def _pointwise(functor, anchor):
     """``yoneda_pointwise_bijection`` of the anchor's hom-functor."""
     return yoneda_pointwise_bijection(functor, anchor, hom_cov_functor(functor.source, anchor))
+
+
+def _pointwise_transforms(functor, anchor):
+    """``_pointwise`` with each element's flat tuple made the NatTransVal it
+    stands for, out of the anchor's hom-functor."""
+    hom = hom_cov_functor(functor.source, anchor)
+    mapping, report = yoneda_pointwise_bijection(functor, anchor, hom)
+    transforms = {e: nattrans_from_values(hom, functor, v) for e, v in mapping.items()}
+    return transforms, report
 
 
 # Value-set sizes of the kite-shaped set functor, object by object.
@@ -307,7 +319,7 @@ def _representations(category, functor) -> list:
     transformation out of Hom(anchor, -) is a bijection at every object."""
     found = []
     for anchor in sorted(category.objects):
-        mapping, _report = _pointwise(functor, anchor)
+        mapping, _report = _pointwise_transforms(functor, anchor)
         for element, transform in mapping.items():
             if all(
                 len(set(c.values)) == len(c.dom) == len(c.cod)
@@ -320,7 +332,7 @@ def _representations(category, functor) -> list:
 def test_hom_functor_is_its_own_representation(kite):
     functor = hom_cov_functor(kite, "1")
     assert _representations(kite, functor) == [("1", "id_1")]
-    mapping, report = _pointwise(functor, "1")
+    mapping, report = _pointwise_transforms(functor, "1")
     assert report.passed, report.summary()
     transform = mapping["id_1"]
     assert validate_nattrans(transform).passed
@@ -330,7 +342,7 @@ def test_hom_functor_is_its_own_representation(kite):
 
 def test_kite_functor_is_not_representable(kite, f_kite):
     assert _representations(kite, f_kite) == []
-    mapping, report = _pointwise(f_kite, "1")
+    mapping, report = _pointwise_transforms(f_kite, "1")
     assert report.passed, report.summary()  # the elements still match the transformations
     for transform in mapping.values():
         assert validate_nattrans(transform).passed
@@ -544,16 +556,48 @@ def test_roundtrips_match_the_rebuilding_reference(fix):
                     )
 
 
+def _bent_forest_functor(rng):
+    """A seeded forest functor with one entry of one image, identities
+    included, changed to another atom of its codomain.  Every image keeps its
+    ends, so only the identity and composition laws can break."""
+    functor = _seeded_forest_functor(rng)
+    entries = [
+        (m, i)
+        for m, image in sorted(functor.morphism_map.items())
+        if len(image.cod) > 1
+        for i in range(len(image.values))
+    ]
+    if not entries:
+        return _bent_forest_functor(rng)
+    m, i = rng.choice(entries)
+    image = functor.morphism_map[m]
+    values = list(image.values)
+    values[i] = rng.choice([b for b in image.cod if b != values[i]])
+    bent = {**functor.morphism_map, m: FinSetMap(image.dom, image.cod, values)}
+    return dataclasses.replace(functor, morphism_map=bent)
+
+
 def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
-    for functor in _subjects(fix):
+    """Equal reports and transformations on every subject and on seeded bent
+    forests, where naturality by membership in the enumeration must agree
+    with the reference's per-element square check."""
+    rng = random.Random(11)
+    bent = [_bent_forest_functor(rng) for _ in range(40)]
+    assert not all(validate_functor(f).passed for f in bent)
+    late_failures = 0
+    for functor in [*_subjects(fix), *bent]:
         category = functor.source
         for anchor in sorted(category.objects):
             old_mapping, old_report = rebuilding_pointwise_bijection(category, functor, anchor)
-            mapping, report = _pointwise(functor, anchor)
+            mapping, report = _pointwise_transforms(functor, anchor)
             assert report == old_report
             assert list(mapping) == list(old_mapping)
             for element, transform in mapping.items():
                 assert _tables(transform) == _tables(old_mapping[element])
+            natural = report.obligation("components_natural")
+            late_failures += not natural.passed and natural.witness != (next(iter(mapping)),)
+    # the witness is the first unnatural element, not merely the first one
+    assert late_failures
 
 
 def test_roundtrips_print_maps_only_for_witnesses(fix, monkeypatch):
@@ -710,7 +754,7 @@ def test_component_maps_split_transformations_like_nattrans_key(fix):
     for functor in _subjects(fix):
         category = functor.source
         for anchor in sorted(category.objects):
-            mapping, _report = _pointwise(functor, anchor)
+            mapping, _report = _pointwise_transforms(functor, anchor)
             source = hom_cov_functor(category, anchor)
             transforms = [*mapping.values(), *enumerate_nattrans_finset(source, functor)]
             assert _classes(map(_components, transforms)) == _classes(
