@@ -27,7 +27,6 @@ is a finite table comparison:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Mapping, Optional, Tuple
 
@@ -55,6 +54,7 @@ from .finset import (
     nattrans_slices,
     nattrans_values,
 )
+from .record import Record
 
 __all__ = [
     "AdjunctionError",
@@ -82,8 +82,7 @@ def _compose(cat: FinCat, g: str, f: str) -> str:
         raise AdjunctionError(f"composition table has no entry for ({g!r}, {f!r})") from None
 
 
-@dataclass(frozen=True)
-class AdjunctionVal:
+class AdjunctionVal(Record):
     """An adjunction with the left adjoint on the left.
 
     left : source -> other, right : other -> source, the unit and counit as

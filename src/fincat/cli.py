@@ -13,7 +13,6 @@ import io
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .adjunction import (
     AdjunctionError,
@@ -52,6 +51,7 @@ from .files import (
     load_nattrans,
 )
 from .finset import FINSET, CapExceededError, DEFAULT_ENUM_CAP, FinSetObj
+from .record import Record
 from .terms import (
     DEFAULT_NODE_CAP,
     ReductionGraph,
@@ -107,17 +107,17 @@ def corpus_dir() -> str:
     return os.path.join(os.path.dirname(__file__), "fixtures")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One resolved invocation."""
 
     subcommand: str
     paths: tuple = ()
     cap: int = DEFAULT_ENUM_CAP
     fmt: str = "report"
-    options: dict = field(default_factory=dict)
+    options: dict = {}
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.cap < 1:
             raise ValueError("cap must be positive")
         if self.fmt not in ("report", "context", "graph"):

@@ -17,13 +17,13 @@ naturality squares compare value tuples, and no composite map is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import eq, itemgetter
 from typing import Any, Iterable
 
 from .finset import FINSET, FinSetCat, FinSetMap, FinSetObj  # FinSetCat: re-exported
+from .record import Record
 
 
 class FinCatError(Exception):
@@ -42,23 +42,30 @@ class BoundaryError(FinCatError):
     """Source/target of composed functors do not line up."""
 
 
-@dataclass(frozen=True)
-class Obligation:
+class Obligation(Record):
     """One checked law: a name, a verdict, and a witness when it fails."""
 
+    __slots__ = ("name", "passed", "witness")
     name: str
     passed: bool
-    witness: tuple = ()
+    witness: tuple
 
-    def __post_init__(self):
-        if not (self.passed or self.witness):
-            raise ValueError(f"failing obligation {self.name!r} needs a witness")
+    def __init__(self, name: str, passed: bool, witness: tuple = ()):
+        if not (passed or witness):
+            raise ValueError(f"failing obligation {name!r} needs a witness")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(Record):
+    __slots__ = ("subject", "obligations")
     subject: str
     obligations: tuple
+
+    def __init__(self, subject: str, obligations: tuple):
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "obligations", obligations)
 
     @property
     def passed(self) -> bool:
@@ -83,18 +90,23 @@ class CheckReport:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class _TableIndex:
+class _TableIndex(Record):
     """Lookup tables derived once from a FinCat's morphisms."""
 
+    __slots__ = ("morphisms", "hom", "out_arrows", "objects")
     morphisms: tuple  # every morphism name, sorted
     hom: dict  # (dom, cod) -> sorted names
     out_arrows: dict  # object -> sorted names with that dom
     objects: frozenset
 
+    def __init__(self, morphisms: tuple, hom: dict, out_arrows: dict, objects: frozenset):
+        object.__setattr__(self, "morphisms", morphisms)
+        object.__setattr__(self, "hom", hom)
+        object.__setattr__(self, "out_arrows", out_arrows)
+        object.__setattr__(self, "objects", objects)
 
-@dataclass(frozen=True)
-class FinCat:
+
+class FinCat(Record):
     """Finite category given by explicit tables.
 
     objects: tuple of identifier tokens.
@@ -110,6 +122,12 @@ class FinCat:
     morphisms: dict
     identity: dict
     compose: dict
+
+    def __init__(self, objects: tuple, morphisms: dict, identity: dict, compose: dict):
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "morphisms", morphisms)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "compose", compose)
 
     @cached_property
     def _index(self) -> _TableIndex:
@@ -304,14 +322,20 @@ def opposite(c: FinCat) -> FinCat:
     return FinCat(c.objects, morphisms, dict(c.identity), compose)
 
 
-@dataclass(frozen=True)
-class FunctorVal:
+class FunctorVal(Record):
     """Functor as a pair of tables.  target is a FinCat or FINSET."""
 
+    __slots__ = ("source", "target", "object_map", "morphism_map")
     source: FinCat
     target: Any
     object_map: dict
     morphism_map: dict
+
+    def __init__(self, source: FinCat, target: Any, object_map: dict, morphism_map: dict):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "object_map", object_map)
+        object.__setattr__(self, "morphism_map", morphism_map)
 
 
 def validate_functor(f: FunctorVal) -> CheckReport:
@@ -434,8 +458,7 @@ def compose_functors(g: FunctorVal, f: FunctorVal) -> FunctorVal:
     )
 
 
-@dataclass(frozen=True)
-class NatTransVal:
+class NatTransVal(Record):
     """Natural transformation: one component per source object."""
 
     F: FunctorVal

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field, replace
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -50,6 +49,7 @@ from .finset import (
     enumerate_maps,
 )
 from . import files as _files
+from .record import Record
 
 __all__ = [
     "DiagramError",
@@ -105,22 +105,19 @@ class DiagramParseError(DiagramError):
 # AST
 
 
-@dataclass(frozen=True)
-class LayerDecl:
+class LayerDecl(Record):
     id: str
     category: str
 
 
-@dataclass(frozen=True)
-class FunctorDecl:
+class FunctorDecl(Record):
     id: str
     src_layer: str
     dst_layer: str  # layer id or the builtin "Set"
     label: str
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(Record):
     id: str
     layer: str
     label: str
@@ -129,8 +126,7 @@ class Node:
     uses: tuple = ()
 
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(Record):
     id: str
     kind: str  # "hom" | "mapsto" | "bij"
     src: str
@@ -141,26 +137,22 @@ class Arrow:
     uses: tuple = ()
 
 
-@dataclass(frozen=True)
-class NonCommute:
+class NonCommute(Record):
     left: tuple
     right: tuple
 
 
-@dataclass(frozen=True)
-class DefDecl:
+class DefDecl(Record):
     id: str
     text: str
 
 
-@dataclass(frozen=True)
-class MacroDecl:
+class MacroDecl(Record):
     name: str
     body: tuple  # Node/Arrow declarations
 
 
-@dataclass(frozen=True)
-class DiagramAst:
+class DiagramAst(Record):
     """A diagram as an ordered tuple of declarations.
 
     The per-kind tables are built once, on first use, and returned as
@@ -560,8 +552,7 @@ def _endpoint_label(ast: DiagramAst, end: str) -> str:
 # Stage extraction
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     """One quantifier stage: the sub-diagram and the quantifier introducing it."""
 
     index: int
@@ -642,8 +633,7 @@ def _erase_stage(ast: DiagramAst, k: int) -> set:
 # Models and value plumbing
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(Record):
     """Resolved bindings for evaluating one diagram.
 
     layers: layer id -> FinCat or FINSET; functors: (src layer, dst layer)
@@ -654,7 +644,7 @@ class Model:
     layers: Mapping[str, object]
     functors: Mapping[tuple, FunctorVal]
     binds: Mapping[str, object]
-    carriers: Mapping[str, tuple] = field(default_factory=dict)
+    carriers: Mapping[str, tuple] = {}
 
 
 def build_model(ast: DiagramAst, spec) -> Model:
@@ -1049,16 +1039,32 @@ def _path_value(cat, assignment: Mapping, links: tuple, values: list, k: int):
 # Quantified evaluation
 
 
-@dataclass(frozen=True)
-class EvalTrace:
+class EvalTrace(Record):
     """Nested witness/counterexample trace of a staged evaluation."""
 
+    __slots__ = ("stage", "quantifier", "outcome", "note", "assignment", "child")
     stage: int
     quantifier: Optional[str]
     outcome: bool
     note: str
-    assignment: tuple = ()
-    child: Optional["EvalTrace"] = None
+    assignment: tuple
+    child: Optional[EvalTrace]
+
+    def __init__(
+        self,
+        stage: int,
+        quantifier: Optional[str],
+        outcome: bool,
+        note: str,
+        assignment: tuple = (),
+        child: Optional[EvalTrace] = None,
+    ):
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "quantifier", quantifier)
+        object.__setattr__(self, "outcome", outcome)
+        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "assignment", assignment)
+        object.__setattr__(self, "child", child)
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent
@@ -1553,11 +1559,10 @@ def expand_annotation(ast: DiagramAst, name: str) -> DiagramAst:
             if isinstance(d, Node):
                 if d.layer not in ast.layers():
                     raise DiagramError(f"macro {name!r} references undefined layer {d.layer!r}")
-                decls.append(replace(d, id=renames[d.id], stage=stage))
+                decls.append(d.replace(id=renames[d.id], stage=stage))
             else:
                 decls.append(
-                    replace(
-                        d,
+                    d.replace(
                         id=renames[d.id],
                         src=resolve(d.src),
                         dst=resolve(d.dst),
@@ -1569,7 +1574,7 @@ def expand_annotation(ast: DiagramAst, name: str) -> DiagramAst:
 
         for i, d in enumerate(decls):
             if isinstance(d, (Node, Arrow)) and d.id == user.id:
-                decls[i] = replace(d, uses=tuple(u for u in d.uses if u != name))
+                decls[i] = d.replace(uses=tuple(u for u in d.uses if u != name))
 
     expanded = DiagramAst(tuple(decls))
     validate_diagram(expanded)

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from .core import FINSET, FinCat, FunctorVal, NatTransVal, preorder_from_covers
@@ -45,6 +44,7 @@ from .finset import (
     decode_map,
     identity_map,
 )
+from .record import Record
 
 __all__ = [
     "FixtureParseError",
@@ -368,8 +368,7 @@ def load_nattrans(path: str) -> NatTransVal:
 # .adj
 
 
-@dataclass(frozen=True)
-class AdjParts:
+class AdjParts(Record):
     """Raw pieces of an adjunction manifest.
 
     ``kind`` is "full" (left/right/unit/counit given) or "build" (right
@@ -381,9 +380,9 @@ class AdjParts:
     path: str
     right: FunctorVal
     left: Optional[FunctorVal] = None
-    unit: Mapping[str, str] = field(default_factory=dict)
-    counit: Mapping[str, str] = field(default_factory=dict)
-    lobjects: Mapping[str, str] = field(default_factory=dict)
+    unit: Mapping[str, str] = {}
+    counit: Mapping[str, str] = {}
+    lobjects: Mapping[str, str] = {}
 
 
 def load_adjunction_parts(path: str) -> AdjParts:
@@ -435,8 +434,7 @@ def load_adjunction_parts(path: str) -> AdjParts:
 # .model
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class ModelSpec(Record):
     """Parsed ``.model`` file: layer/functor bindings plus raw element binds.
 
     ``binds`` values are kept as raw strings; resolving them against a

@@ -24,8 +24,9 @@ from __future__ import annotations
 import functools
 import re
 from collections import deque
-from dataclasses import dataclass, fields
 from typing import AbstractSet, Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+
+from .record import Record
 
 __all__ = [
     "Ty",
@@ -101,49 +102,72 @@ class SignatureError(TermError):
 # Types
 
 
-def _node(cls):
-    """A frozen dataclass whose field hash is taken once, when it is built,
-    into its ``_hash`` slot; it reads each child's slot, so it costs the same
-    at any depth."""
-    cls = dataclass(frozen=True)(cls)
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = _slot_hash
-    names = tuple(f.name for f in fields(cls))  # frozen slots: copy and pickle by constructor
-    cls.__reduce__ = lambda self: (cls, tuple(getattr(self, name) for name in names))
-    return cls
+class Ty(Record):
+    """Base class of simple types (atoms, arrows, binary products).
 
-
-def _slot_hash(node) -> int:
-    return node._hash
-
-
-class Ty:
-    """Base class of simple types (atoms, arrows, binary products)."""
+    A type node is built by its positional ``__init__``, which also takes
+    the hash of its fields into the ``_hash`` slot; it reads each child's
+    slot, so it costs the same at any depth.  Each node class compares its
+    own fields in ``__eq__``, and so restates ``__hash__``, which defining
+    ``__eq__`` unsets.
+    """
 
     __slots__ = ("_hash",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", self._field_hash())
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@_node
 class TyAtom(Ty):
     __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(name))
 
-@_node
+    __hash__ = Ty.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not TyAtom:
+            return NotImplemented
+        return self.name == other.name
+
+
 class TyArrow(Ty):
     __slots__ = ("src", "dst")
     src: Ty
     dst: Ty
 
+    def __init__(self, src: Ty, dst: Ty):
+        object.__setattr__(self, "src", src)
+        object.__setattr__(self, "dst", dst)
+        object.__setattr__(self, "_hash", hash((src._hash, dst._hash)))
 
-@_node
+    __hash__ = Ty.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not TyArrow:
+            return NotImplemented
+        return (self.src, self.dst) == (other.src, other.dst)
+
+
 class TyProd(Ty):
     __slots__ = ("left", "right")
     left: Ty
     right: Ty
+
+    def __init__(self, left: Ty, right: Ty):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_hash", hash((left._hash, right._hash)))
+
+    __hash__ = Ty.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not TyProd:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
 
 
 #: Builtin atom inhabited by the integer-literal constants.
@@ -171,60 +195,128 @@ def _print_ty(ty: Ty, level: int) -> str:
 # Terms
 
 
-class Tm:
-    """Base class of terms; each caches its hash and :func:`_canonical` pair."""
+class Tm(Record):
+    """Base class of terms; each caches its hash, taken when it is built as
+    a type node's is, and its :func:`_canonical` pair."""
 
     __slots__ = ("_hash", "_printed")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", self._field_hash())
-        object.__setattr__(self, "_printed", None)
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@_node
 class Var(Tm):
     __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(name))
+        object.__setattr__(self, "_printed", None)
 
-@_node
+    __hash__ = Tm.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not Var:
+            return NotImplemented
+        return self.name == other.name
+
+
 class Const(Tm):
     __slots__ = ("name",)
     name: str
 
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_hash", hash(name))
+        object.__setattr__(self, "_printed", None)
 
-@_node
+    __hash__ = Tm.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not Const:
+            return NotImplemented
+        return self.name == other.name
+
+
 class Lam(Tm):
     __slots__ = ("var", "ty", "body")
     var: str
     ty: Ty
     body: Tm
 
+    def __init__(self, var: str, ty: Ty, body: Tm):
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "ty", ty)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "_hash", hash((var, ty._hash, body._hash)))
+        object.__setattr__(self, "_printed", None)
 
-@_node
+    __hash__ = Tm.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not Lam:
+            return NotImplemented
+        return (self.var, self.ty, self.body) == (other.var, other.ty, other.body)
+
+
 class App(Tm):
     __slots__ = ("fn", "arg")
     fn: Tm
     arg: Tm
 
+    def __init__(self, fn: Tm, arg: Tm):
+        object.__setattr__(self, "fn", fn)
+        object.__setattr__(self, "arg", arg)
+        object.__setattr__(self, "_hash", hash((fn._hash, arg._hash)))
+        object.__setattr__(self, "_printed", None)
 
-@_node
+    __hash__ = Tm.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not App:
+            return NotImplemented
+        return (self.fn, self.arg) == (other.fn, other.arg)
+
+
 class Pair(Tm):
     __slots__ = ("left", "right")
     left: Tm
     right: Tm
 
+    def __init__(self, left: Tm, right: Tm):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_hash", hash((left._hash, right._hash)))
+        object.__setattr__(self, "_printed", None)
 
-@_node
+    __hash__ = Tm.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not Pair:
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)
+
+
 class Proj(Tm):
     __slots__ = ("index", "body")
     index: int
     body: Tm
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.index not in (1, 2):
-            raise ValueError(f"projection index must be 1 or 2, got {self.index}")
+    def __init__(self, index: int, body: Tm):
+        if index not in (1, 2):
+            raise ValueError(f"projection index must be 1 or 2, got {index}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "body", body)
+        object.__setattr__(self, "_hash", hash((index, body._hash)))
+        object.__setattr__(self, "_printed", None)
+
+    __hash__ = Tm.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not Proj:
+            return NotImplemented
+        return (self.index, self.body) == (other.index, other.body)
 
 
 def is_numeral(name: str) -> bool:
@@ -398,12 +490,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(Record):
+    __slots__ = ("kind", "text", "line", "col")
     kind: str  # "arrow" | "int" | "ident" | "sym" | "eof"
     text: str
     line: int
     col: int
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "col", col)
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -632,24 +730,21 @@ def parse_context(text: str) -> list[tuple[str, Ty]]:
 # Signatures and delta rules
 
 
-class Pattern:
+class Pattern(Record):
     """Base class of delta-rule argument patterns."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class PatVar(Pattern):
     name: str
 
 
-@dataclass(frozen=True)
 class PatLit(Pattern):
     const: str
 
 
-@dataclass(frozen=True)
-class DeltaRule:
+class DeltaRule(Record):
     head: str
     patterns: tuple[Pattern, ...]
     rhs: Tm
@@ -1327,8 +1422,7 @@ def _reducts(t: Tm, sig: Signature, memo: dict) -> list[Tm]:
 # Reduction graphs
 
 
-@dataclass(frozen=True)
-class ReductionGraph:
+class ReductionGraph(Record):
     """Exhaustive one-step reduction graph rooted at a single term.
 
     Node keys are canonical prints.  ``edges`` lists successors for every
@@ -1355,8 +1449,7 @@ class ReductionGraph:
         return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class GraphReport:
+class GraphReport(Record):
     """Summary flags for a reduction graph.
 
     Each flag is ``None`` when the graph was truncated at the node cap and

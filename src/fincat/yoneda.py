@@ -25,15 +25,11 @@ tuple, and it is made into maps and text only for a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .core import (
     FINSET,
     CheckReport,
     FinCat,
     FunctorVal,
-    NatTransVal,
     Obligation,
 )
 from .finset import (
@@ -45,6 +41,7 @@ from .finset import (
     nattrans_slices,
     nattrans_values,
 )
+from .record import Record
 
 __all__ = [
     "HomContext",
@@ -55,31 +52,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HomContext:
+class HomContext(Record):
     """The data the hom-comparison statements quantify over.
 
     category: a finite table category; set_functor: a finite-set valued
     functor on it; probe: the fixed test set; anchor: the object whose
-    hom-functor is compared.  Optionally a seed map
-    ``probe -> set_functor(anchor)`` and/or a transformation from the
-    anchor's hom-functor to the maps-out-of-probe functor.
+    hom-functor is compared.
     """
 
     category: FinCat
     set_functor: FunctorVal
     probe: FinSetObj
     anchor: str
-    seed: Optional[FinSetMap] = None
-    transform: Optional[NatTransVal] = None
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.anchor not in set(self.category.objects):
             raise ValueError(f"anchor {self.anchor!r} is not an object")
-        if self.seed is not None:
-            want = (self.probe, self.set_functor.object_map[self.anchor])
-            if (self.seed.dom, self.seed.cod) != want:
-                raise ValueError("seed map has wrong endpoints")
 
 
 def hom_cov_functor(category: FinCat, anchor: str) -> FunctorVal:

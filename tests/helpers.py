@@ -3,17 +3,36 @@
 The library tells transformations between set-valued functors apart by
 their flat tuples of values (``nattrans_values``, laid out by
 ``nattrans_slices``).  The helpers here make such tuples into
-``NatTransVal``s, lift a seed map to its transformation and read it back,
-and list the one-step reducts of a term.  Unlike ``oracles``, they reuse
-the library's search: they only change how its answers are presented.
+``NatTransVal``s, lift the seed map of a ``SeededContext`` to its
+transformation and read it back, and list the one-step reducts of a
+term.  Unlike ``oracles``, they reuse the library's search: they only
+change how its answers are presented.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from fincat.core import NatTransVal
 from fincat.finset import DEFAULT_ENUM_CAP, FinSetMap, nattrans_slices, nattrans_values
 from fincat.terms import _EMPTY_SIGNATURE, _distinct_reducts
-from fincat.yoneda import hom_cov_functor, hom_maps_functor
+from fincat.yoneda import HomContext, hom_cov_functor, hom_maps_functor
+
+
+class SeededContext(HomContext):
+    """A ``HomContext`` with, optionally, a seed map
+    ``probe -> set_functor(anchor)`` and/or a transformation from the
+    anchor's hom-functor to the maps-out-of-probe functor."""
+
+    seed: Optional[FinSetMap] = None
+    transform: Optional[NatTransVal] = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        if self.seed is not None:
+            want = (self.probe, self.set_functor.object_map[self.anchor])
+            if (self.seed.dom, self.seed.cod) != want:
+                raise ValueError("seed map has wrong endpoints")
 
 
 def nattrans_from_values(f, g, values, shared=None) -> NatTransVal:
@@ -38,7 +57,7 @@ def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
 
 
 def transform_from_seed(ctx) -> NatTransVal:
-    """The transformation of a ``HomContext``'s seed, from the anchor's
+    """The transformation of a ``SeededContext``'s seed, from the anchor's
     hom-functor into the probe's maps functor: its component at D sends f to
     (image of f) . seed."""
     if ctx.seed is None:
@@ -54,7 +73,7 @@ def transform_from_seed(ctx) -> NatTransVal:
 
 
 def seed_from_transform(ctx) -> FinSetMap:
-    """Recover the seed map of a ``HomContext``'s transformation: the anchor
+    """Recover the seed map of a ``SeededContext``'s transformation: the anchor
     component applied to the identity."""
     if ctx.transform is None:
         raise ValueError("context has no transformation")

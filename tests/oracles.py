@@ -56,7 +56,6 @@ force, kept to pin the exact output of the faster code that replaced them:
 from __future__ import annotations
 
 import itertools
-from dataclasses import replace
 from typing import Iterable, Sequence
 
 from fincat.adjunction import (
@@ -126,7 +125,7 @@ from fincat.yoneda import (
     hom_maps_functor,
     yoneda_pointwise_bijection,
 )
-from helpers import enumerate_nattrans_finset
+from helpers import SeededContext, enumerate_nattrans_finset
 
 # ---------------------------------------------------------------------------
 # Category laws and preorder closures without any index
@@ -786,12 +785,13 @@ def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
     witnesses and subject as ``check_yoneda_roundtrips``."""
     source = hom_cov_functor(ctx.category, ctx.anchor)
     target = string_encoded_hom_maps_functor(ctx.probe, ctx.set_functor)
+    parts = (ctx.category, ctx.set_functor, ctx.probe, ctx.anchor)
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
     transforms = enumerate_nattrans_finset(source, target, cap)
 
     bad_seed = []
     for seed in seeds:
-        lifted = rebuilding_transform_from_seed(replace(ctx, seed=seed, transform=None))
+        lifted = rebuilding_transform_from_seed(SeededContext(*parts, seed=seed))
         back = _decoded_seed(ctx, lifted)
         if back != seed:
             bad_seed.append((map_text(seed), map_text(back)))
@@ -799,7 +799,7 @@ def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
     bad_transform = []
     for transform in transforms:
         seed = _decoded_seed(ctx, transform)
-        again = rebuilding_transform_from_seed(replace(ctx, seed=seed, transform=None))
+        again = rebuilding_transform_from_seed(SeededContext(*parts, seed=seed))
         if nattrans_key(again) != nattrans_key(transform):
             bad_transform.append(nattrans_key(transform))
 

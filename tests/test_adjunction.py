@@ -1,7 +1,6 @@
 """Adjunctions from manifests and universal arrows; pointwise Kan extensions."""
 
 import collections
-import dataclasses
 import glob
 import io
 import os
@@ -93,11 +92,11 @@ def test_bad_counit_fails_exactly_the_inversion_laws(fix):
 
 def test_full_manifest_guards(fix):
     parts = load_adjunction_parts(fix("galois.adj"))
-    broken = dataclasses.replace(parts, unit={"0": "id_0"})  # missing at 1
+    broken = parts.replace(unit={"0": "id_0"})  # missing at 1
     with pytest.raises(AdjunctionError, match="unit component missing"):
         assemble_adjunction(broken)
     with pytest.raises(AdjunctionError, match="missing a functor"):
-        assemble_adjunction(dataclasses.replace(parts, left=None))
+        assemble_adjunction(parts.replace(left=None))
 
 
 # ---------------------------------------------------------------------------
@@ -147,10 +146,10 @@ def test_non_universal_arrows_are_rejected(fix):
 
 def test_build_manifest_consistency_guards(fix):
     parts = load_adjunction_parts(fix("galois_build.adj"))
-    stray = dataclasses.replace(parts, unit={**parts.unit, "9": "id_0"})
+    stray = parts.replace(unit={**parts.unit, "9": "id_0"})
     with pytest.raises(AdjunctionError, match="no matching chosen object"):
         assemble_adjunction(stray)
-    short = dataclasses.replace(parts, unit={"0": "id_0"})
+    short = parts.replace(unit={"0": "id_0"})
     with pytest.raises(AdjunctionError, match="has no unit arrow"):
         assemble_adjunction(short)
 
@@ -235,7 +234,7 @@ def _single_entry_corruptions(adj):
                 for other in hom_of(a, b):
                     if other != value:
                         bent = {**tables, (a, b): {**table, key: other}}
-                        yield dataclasses.replace(adj, **{field: bent})
+                        yield adj.replace(**{field: bent})
 
 
 def _assert_matches_all_pairs(adj):
@@ -406,7 +405,7 @@ def test_kan_input_guards(inc, g_on_b):
 
 def test_kan_rejects_non_functorial_inputs(inc, h_on_a):
     def bend(fun, m, image):
-        return dataclasses.replace(fun, morphism_map={**fun.morphism_map, m: image})
+        return fun.replace(morphism_map={**fun.morphism_map, m: image})
 
     with pytest.raises(AdjunctionError, match="along is not a functor: .* unknown '2->5'"):
         kan_extensions(bend(inc, "2->4", "2->5"), h_on_a)

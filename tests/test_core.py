@@ -389,6 +389,19 @@ def test_every_exported_name_resolves():
     assert result.stdout == "True []\n"
 
 
+def test_importing_the_cli_generates_no_code():
+    """A one-shot command imports ``fincat.cli`` and nothing that generates
+    classes at run time: neither ``dataclasses`` nor the ``inspect`` it
+    loads is imported, in a fresh interpreter without ``site``."""
+    probe = "import sys, fincat.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+    src = os.path.dirname(os.path.dirname(fincat.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout == "[]\n"
+
+
 # ---------------------------------------------------------------------------
 # Naturality squares read as value tuples, against the composed maps
 # ---------------------------------------------------------------------------

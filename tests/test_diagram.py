@@ -1,6 +1,5 @@
 """Diagram DSL: parsing, staging, model evaluation, context elaboration."""
 
-import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -333,9 +332,7 @@ def test_macro_name_capture_is_detected():
         'node y : L "y" @use(m)\n'
     )
     ast = parse_diagram(text)
-    planted = dataclasses.replace(
-        ast, decls=ast.decls + (Node(id="w$1", layer="L", label="planted"),)
-    )
+    planted = ast.replace(decls=ast.decls + (Node(id="w$1", layer="L", label="planted"),))
     with pytest.raises(DiagramError) as err:
         expand_annotation(planted, "m")
     assert "capture" in str(err.value)

@@ -2,7 +2,6 @@
 pointwise bijections, the embedding and representability."""
 
 import collections
-import dataclasses
 import glob
 import io
 import itertools
@@ -41,6 +40,7 @@ from fincat.yoneda import (
 )
 
 from helpers import (
+    SeededContext,
     enumerate_nattrans_finset,
     nattrans_from_values,
     seed_from_transform,
@@ -136,12 +136,12 @@ def test_value_set_sizes_are_frozen(f_kite):
 
 def test_explicit_seed_lift(kite, f_kite):
     seed = FinSetMap(POINT, f_kite.object_map["1"], (24,))
-    ctx = HomContext(kite, f_kite, POINT, "1", seed=seed)
+    ctx = SeededContext(kite, f_kite, POINT, "1", seed=seed)
     transform = transform_from_seed(ctx)
     assert validate_nattrans(transform).passed
     # At object 3 the unique arrow out of the anchor sends 24 to 2.
     assert transform.at("3")("1->3") == (2,)
-    back = seed_from_transform(dataclasses.replace(ctx, seed=None, transform=transform))
+    back = seed_from_transform(ctx.replace(seed=None, transform=transform))
     assert back == seed
 
 
@@ -172,11 +172,11 @@ def test_context_validates_inputs(kite, f_kite):
         HomContext(kite, f_kite, POINT, "nope")
     bad_seed = FinSetMap(PAIR, f_kite.object_map["1"], (24, 24))
     with pytest.raises(ValueError):
-        HomContext(kite, f_kite, POINT, "1", seed=bad_seed)  # probe mismatch
+        SeededContext(kite, f_kite, POINT, "1", seed=bad_seed)  # probe mismatch
     with pytest.raises(ValueError):
-        seed_from_transform(HomContext(kite, f_kite, POINT, "1"))
+        seed_from_transform(SeededContext(kite, f_kite, POINT, "1"))
     with pytest.raises(ValueError):
-        transform_from_seed(HomContext(kite, f_kite, POINT, "1"))
+        transform_from_seed(SeededContext(kite, f_kite, POINT, "1"))
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,7 @@ def _universal_table(category, functor, probe, anchor, seed) -> dict:
     probe -> values(D), as the value tuple ``hom_maps_functor`` makes it,
     the sorted morphisms anchor -> D that the component at D sends to it.
     The seed is universal when every entry has exactly one."""
-    transform = transform_from_seed(HomContext(category, functor, probe, anchor, seed=seed))
+    transform = transform_from_seed(SeededContext(category, functor, probe, anchor, seed=seed))
     table = {}
     for d in sorted(category.objects):
         component = transform.at(d)
@@ -267,7 +267,7 @@ def _embedding(category, m) -> NatTransVal:
     b, c = category.morphisms[m]
     target = hom_cov_functor(category, b)
     seed = FinSetMap(POINT, target.object_map[c], (m,))
-    lifted = transform_from_seed(HomContext(category, target, POINT, c, seed=seed))
+    lifted = transform_from_seed(SeededContext(category, target, POINT, c, seed=seed))
     components = {
         d: FinSetMap(t.dom, target.object_map[d], (v for (v,) in t.values))
         for d, t in lifted.components.items()
@@ -306,7 +306,7 @@ def test_embedding_rejects_unknown_morphism(kite):
                 for other in kite.objects:
                     if other != c:
                         with pytest.raises(ValueError):
-                            HomContext(kite, target, POINT, other, seed=seed)
+                            SeededContext(kite, target, POINT, other, seed=seed)
 
 
 def test_embedding_is_injective_on_morphisms(kite):
@@ -378,7 +378,7 @@ def _relabel_atoms(functor):
             rename[d][a]: rename[d2][b] for a, b in table_of(functor.morphism_map[m]).items()
         }
         morphism_map[m] = map_from_table(object_map[d], object_map[d2], table)
-    return dataclasses.replace(functor, object_map=object_map, morphism_map=morphism_map)
+    return functor.replace(object_map=object_map, morphism_map=morphism_map)
 
 
 @settings(max_examples=25, deadline=None)
@@ -547,7 +547,7 @@ def test_roundtrips_match_the_rebuilding_reference(fix):
                 target = hom_maps_functor(probe, functor)
                 assert check_yoneda_roundtrips(ctx, source, target) == rebuilding_roundtrips(ctx)
                 for seed in enumerate_maps(probe, functor.object_map[anchor]):
-                    seeded = dataclasses.replace(ctx, seed=seed)
+                    seeded = SeededContext(category, functor, probe, anchor, seed=seed)
                     lifted = transform_from_seed(seeded)
                     # the prebuilt functors are the ones transform_from_seed lifts between
                     assert (lifted.F, lifted.G) == (source, target)
@@ -574,7 +574,7 @@ def _bent_forest_functor(rng):
     values = list(image.values)
     values[i] = rng.choice([b for b in image.cod if b != values[i]])
     bent = {**functor.morphism_map, m: FinSetMap(image.dom, image.cod, values)}
-    return dataclasses.replace(functor, morphism_map=bent)
+    return functor.replace(morphism_map=bent)
 
 
 def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
