@@ -107,9 +107,8 @@ class Ty(Record):
 
     A type node is built by its positional ``__init__``, which also takes
     the hash of its fields into the ``_hash`` slot; it reads each child's
-    slot, so it costs the same at any depth.  Each node class compares its
-    own fields in ``__eq__``, and so restates ``__hash__``, which defining
-    ``__eq__`` unsets.
+    slot, so it costs the same at any depth.  Equality is
+    :class:`~fincat.record.Record`'s, over the fields.
     """
 
     __slots__ = ("_hash",)
@@ -126,13 +125,6 @@ class TyAtom(Ty):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(name))
 
-    __hash__ = Ty.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not TyAtom:
-            return NotImplemented
-        return self.name == other.name
-
 
 class TyArrow(Ty):
     __slots__ = ("src", "dst")
@@ -144,13 +136,6 @@ class TyArrow(Ty):
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "_hash", hash((src._hash, dst._hash)))
 
-    __hash__ = Ty.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not TyArrow:
-            return NotImplemented
-        return (self.src, self.dst) == (other.src, other.dst)
-
 
 class TyProd(Ty):
     __slots__ = ("left", "right")
@@ -161,13 +146,6 @@ class TyProd(Ty):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_hash", hash((left._hash, right._hash)))
-
-    __hash__ = Ty.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not TyProd:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
 
 
 #: Builtin atom inhabited by the integer-literal constants.
@@ -214,13 +192,6 @@ class Var(Tm):
         object.__setattr__(self, "_hash", hash(name))
         object.__setattr__(self, "_printed", None)
 
-    __hash__ = Tm.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not Var:
-            return NotImplemented
-        return self.name == other.name
-
 
 class Const(Tm):
     __slots__ = ("name",)
@@ -230,13 +201,6 @@ class Const(Tm):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(name))
         object.__setattr__(self, "_printed", None)
-
-    __hash__ = Tm.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not Const:
-            return NotImplemented
-        return self.name == other.name
 
 
 class Lam(Tm):
@@ -252,13 +216,6 @@ class Lam(Tm):
         object.__setattr__(self, "_hash", hash((var, ty._hash, body._hash)))
         object.__setattr__(self, "_printed", None)
 
-    __hash__ = Tm.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not Lam:
-            return NotImplemented
-        return (self.var, self.ty, self.body) == (other.var, other.ty, other.body)
-
 
 class App(Tm):
     __slots__ = ("fn", "arg")
@@ -271,13 +228,6 @@ class App(Tm):
         object.__setattr__(self, "_hash", hash((fn._hash, arg._hash)))
         object.__setattr__(self, "_printed", None)
 
-    __hash__ = Tm.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not App:
-            return NotImplemented
-        return (self.fn, self.arg) == (other.fn, other.arg)
-
 
 class Pair(Tm):
     __slots__ = ("left", "right")
@@ -289,13 +239,6 @@ class Pair(Tm):
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "_hash", hash((left._hash, right._hash)))
         object.__setattr__(self, "_printed", None)
-
-    __hash__ = Tm.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not Pair:
-            return NotImplemented
-        return (self.left, self.right) == (other.left, other.right)
 
 
 class Proj(Tm):
@@ -310,13 +253,6 @@ class Proj(Tm):
         object.__setattr__(self, "body", body)
         object.__setattr__(self, "_hash", hash((index, body._hash)))
         object.__setattr__(self, "_printed", None)
-
-    __hash__ = Tm.__hash__
-
-    def __eq__(self, other):
-        if other.__class__ is not Proj:
-            return NotImplemented
-        return (self.index, self.body) == (other.index, other.body)
 
 
 def is_numeral(name: str) -> bool:
