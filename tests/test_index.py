@@ -7,6 +7,9 @@ the name-per-triple construction of ``tests/oracles.py`` on the
 corpus, on generated chains and grids, on seeded one-entry mutations (among
 them the families whose columns differ where no triple fails, and typed wrong
 composites in hom-sets of two or more morphisms) and on random cover lists.
+The closures of random covers are thin, so they also check the associativity
+that ``validate_category`` decides from coherence, totality and hom-set sizes,
+against their mutants and doubles, which it scans.
 """
 
 import os
@@ -303,6 +306,38 @@ def _random_covers(rng: random.Random, acyclic: bool):
 
 def _name(a, b):
     return f"id_{a}" if a == b else f"{a}->{b}"
+
+
+def _thin(cat: FinCat) -> bool:
+    return all(len(cat.hom(*ends)) == 1 for ends in cat.morphisms.values())
+
+
+def test_reports_match_the_triple_loop_on_random_thin_closures():
+    """Associativity of a coherent, total, thin table is decided without a
+    scan.  The closures of random acyclic covers take that path; their
+    one-entry mutants (incoherent or partial) and their doubles by an
+    idempotent (not thin) take the scan, on the same orders."""
+    rng = random.Random(23)
+    seen = {"thin": 0, "scanned": 0}
+    failing = set()
+    for _ in range(80):
+        objects, covers = _random_covers(rng, acyclic=True)
+        cat = preorder_from_covers(objects, covers)
+        doubled = _times_idempotent(cat)
+        assert _thin(cat) and validate_category(cat).passed
+        assert not _thin(doubled) and validate_category(doubled).passed
+        subjects = [cat, doubled, *_typed_wrong(doubled, rng, count=2)]
+        subjects += [mutant for _kind, mutant in _mutants(cat, rng, per_kind=2)]
+        for subject in subjects:
+            report = validate_category(subject)
+            assert report == triple_loop_validate(subject)
+            decided = _thin(subject) and all(
+                report.obligation(law).passed for law in ("coherence", "totality")
+            )
+            seen["thin" if decided else "scanned"] += 1
+            failing.update(o.name for o in report.failures())
+    assert seen["thin"] >= 80 and seen["scanned"] >= 400, seen
+    assert failing == {"coherence", "totality", "associativity", "left_identity", "right_identity"}
 
 
 def test_closure_matches_the_fixpoint_on_random_dags():
