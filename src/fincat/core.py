@@ -197,6 +197,13 @@ def _wellformed(c: FinCat) -> None:
                 raise MalformedTableError(f"composition table mentions unknown morphism {m!r}")
 
 
+def is_thin(c: FinCat) -> bool:
+    """Whether every hom-set of ``c`` holds at most one morphism.  Each
+    morphism lies in exactly one hom-set, so that holds when there are as
+    many hom-sets as morphisms."""
+    return len(c._index.hom) == len(c.morphisms)
+
+
 def validate_category(c: FinCat) -> CheckReport:
     """Check the category laws by exhaustive enumeration.
 
@@ -246,13 +253,11 @@ def validate_category(c: FinCat) -> CheckReport:
     tot = missing + extra
     obligations.append(Obligation("totality", not tot, tuple(tot[0]) if tot else ()))
 
-    # A coherent, total table whose hom-sets hold one morphism each is
-    # associative: both h o (g o f) and (h o g) o f are defined, coherence
-    # puts both in hom(dom f, cod h), and that hom-set has one element.
-    # Each morphism lies in exactly one hom-set, so that holds when there
-    # are as many hom-sets as morphisms.
+    # A coherent, total, thin table is associative: both h o (g o f) and
+    # (h o g) o f are defined, coherence puts both in hom(dom f, cod h), and
+    # that hom-set has one element.
     assoc = []
-    if coh or tot or len(c._index.hom) < len(ends):
+    if coh or tot or not is_thin(c):
         # For each composable pair (f, g), the whole h-axis h in
         # out_arrows(cod g) is compared at once: h o (g o f) is the column of
         # g o f when g o f ends where g does, and (h o g) o f is read from f's

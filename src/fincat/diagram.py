@@ -35,10 +35,11 @@ from __future__ import annotations
 import functools
 import re
 from functools import cached_property
+from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import CheckReport, Obligation
+from .core import CheckReport, MalformedTableError, Obligation, is_thin, validate_category
 from .finset import (
     DEFAULT_ENUM_CAP,
     FINSET,
@@ -944,13 +945,63 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
     return CheckReport(f"diagram:{len(ast.nodes())}nodes/{len(ast.arrows())}arrows", obligations)
 
 
-def _stage_commutes(stage: Stage, model: Model, assignment: Mapping) -> bool:
+def _stage_plans(stages: Sequence[Stage], model: Model) -> list:
+    """``(implied, checks)`` for each of ``stages``, all above 0: ``checks``
+    is the ``_check_plan`` of the stage's new elements, and ``implied`` says
+    that every candidate passes it.
+
+    That holds when the plan has no bijection, no mapsto equation and no
+    cyclic layer, and every layer with pairs to compare is bound to a
+    coherent, total and thin table.  Each new arrow was enumerated from its
+    hom-set, so its typing holds; totality makes every path composite exist;
+    coherence puts every composite in hom(start, end); and that hom-set has
+    one element, so parallel paths agree.  A layer's table is validated at
+    most once per call, and only for a stage that the rest allows.
+    """
+    verdicts: dict = {}
+
+    def thin(layer_id: str) -> bool:
+        if layer_id not in verdicts:
+            verdicts[layer_id] = _thin_table(model.layers[layer_id])
+        return verdicts[layer_id]
+
+    plans = []
+    for stage in stages:
+        checks = _check_plan(stage.diagram, stage.new_elements)
+        _required, _typing, layers, bijections, mapstos = checks
+        implied = (
+            not bijections
+            and not mapstos
+            and all(cycle is None for _layer_id, cycle, _links, _pairs in layers)
+            and all(thin(layer_id) for layer_id, _cycle, _links, pairs in layers if pairs)
+        )
+        plans.append((implied, checks))
+    return plans
+
+
+def _thin_table(cat) -> bool:
+    """Whether ``cat`` is a coherent, total and thin table.  A table that
+    ``validate_category`` rejects as malformed is not one."""
+    if cat is FINSET or not is_thin(cat):
+        return False
+    try:
+        report = validate_category(cat)
+    except MalformedTableError:
+        return False
+    return all(report.obligation(law).passed for law in ("coherence", "totality"))
+
+
+def _stage_commutes(
+    stage: Stage, model: Model, assignment: Mapping, plan: Optional[tuple] = None
+) -> bool:
     """``check_commutativity(stage.diagram, model, assignment).passed`` for a
     candidate of a stage above 0, with the same errors raised: only the
-    obligations that involve the stage's new elements are checked (see
-    ``_check_plan``)."""
-    plan = _check_plan(stage.diagram, stage.new_elements)
-    return not _failures(stage.diagram, plan, model, assignment)
+    obligations that involve the stage's new elements are checked, and none
+    when the stage's plan is implied (see ``_check_plan`` and
+    ``_stage_plans``).  ``plan`` is the stage's entry of ``_stage_plans``,
+    built here when not given."""
+    implied, checks = _stage_plans([stage], model)[0] if plan is None else plan
+    return implied or not _failures(stage.diagram, checks, model, assignment)
 
 
 def _failures(ast: DiagramAst, plan: tuple, model: Model, assignment: Mapping) -> dict:
@@ -1122,14 +1173,13 @@ def evaluate_quantified(
         def shown(merged: Mapping) -> tuple:
             return _assignment_items(stage.new_elements, merged)
 
+        plan = plans[k]
         witnesses: list = []
         count = 0
         commuting = 0
-        for extension in _stage_extensions(stage, model, assignment, cap):
+        for merged in _stage_extensions(stage, model, assignment, cap):
             count += 1
-            merged = dict(assignment)
-            merged.update(extension)
-            if not _stage_commutes(stage, model, merged):
+            if not _stage_commutes(stage, model, merged, plan):
                 continue
             commuting += 1
             ok, sub = run(k + 1, merged)
@@ -1176,6 +1226,7 @@ def evaluate_quantified(
     if top == 0:
         return True, EvalTrace(0, None, True, "all bindings commute",
                                _assignment_items(stage0.new_elements, base))
+    plans = [None] + _stage_plans(stages[1:], model)
     ok, sub = run(1, base)
     note = "statement holds" if ok else "statement fails"
     return ok, EvalTrace(0, None, ok, note, _assignment_items(stage0.new_elements, base), sub)
@@ -1249,60 +1300,61 @@ def _extension_shape(ast: DiagramAst, new_elements: tuple) -> tuple:
 
 
 def _stage_extensions(stage: Stage, model: Model, assignment: Mapping, cap: int):
-    """Yield candidate extension assignments for one stage, in sorted order."""
+    """Yield each candidate extension of one stage, merged into a copy of
+    ``assignment``, in sorted order: the node values vary in one product,
+    and for each choice of them the arrow values range over the hom-sets
+    their ends give.  The cap counts whole extensions.  A node's candidates
+    and an arrow's hom-set are first asked for once every earlier node or
+    arrow has a value, so a candidate that is never reached raises no
+    error."""
     ast = stage.diagram
     nodes = ast.nodes()
     new_nodes, new_arrows, has_mapsto = _extension_shape(ast, stage.new_elements)
+    node_ids = tuple(node.id for node in new_nodes)
+    arrow_ids = tuple(arrow.id for arrow in new_arrows)
 
-    counter = [0]
+    pools = []
+    for node in new_nodes:
+        pools.append(_node_candidates(model, node))
+        if not pools[-1]:
+            return
 
-    def bump():
-        counter[0] += 1
-        if counter[0] > cap:
-            raise CapExceededError(
-                f"stage {stage.index}: more than {cap} candidate extensions"
+    count = 0
+    for node_values in product(*pools):
+        acc = dict(assignment)
+        acc.update(zip(node_ids, node_values))
+        if has_mapsto:
+            _compute_mapsto_targets(ast, model, acc, require_all=False)
+        homs = []
+        for arrow in new_arrows:
+            cat = model.layers[nodes[arrow.src].layer]
+            homs.append(_hom_values(cat, acc[arrow.src], acc[arrow.dst], cap))
+            if not homs[-1]:
+                break
+        else:
+            for arrow_values in product(*homs):
+                merged = dict(acc)
+                merged.update(zip(arrow_ids, arrow_values))
+                if has_mapsto:
+                    _compute_mapsto_targets(ast, model, merged)
+                count += 1
+                if count > cap:
+                    raise CapExceededError(
+                        f"stage {stage.index}: more than {cap} candidate extensions"
+                    )
+                yield merged
+
+
+def _node_candidates(model: Model, node: Node) -> list:
+    cat = model.layers[node.layer]
+    if cat is FINSET:
+        if node.layer not in model.carriers:
+            raise DiagramError(
+                f"layer {node.layer!r} is bound to finite sets; quantified node "
+                f"{node.id!r} needs an explicit carrier list in the model"
             )
-
-    def node_candidates(node: Node):
-        cat = model.layers[node.layer]
-        if cat is FINSET:
-            if node.layer not in model.carriers:
-                raise DiagramError(
-                    f"layer {node.layer!r} is bound to finite sets; quantified node "
-                    f"{node.id!r} needs an explicit carrier list in the model"
-                )
-            return list(model.carriers[node.layer])
-        return sorted(cat.objects)
-
-    def assign_nodes(i: int, acc: dict):
-        if i == len(new_nodes):
-            if has_mapsto:
-                acc = dict(acc)
-                _compute_mapsto_targets(ast, model, acc, require_all=False)
-            yield from assign_arrows(0, acc)
-            return
-        node = new_nodes[i]
-        for value in node_candidates(node):
-            acc[node.id] = value
-            yield from assign_nodes(i + 1, acc)
-        acc.pop(node.id, None)
-
-    def assign_arrows(i: int, acc: dict):
-        if i == len(new_arrows):
-            if has_mapsto:
-                acc = dict(acc)
-                _compute_mapsto_targets(ast, model, acc)
-            bump()
-            yield {k: v for k, v in acc.items() if k not in assignment}
-            return
-        arrow = new_arrows[i]
-        cat = model.layers[nodes[arrow.src].layer]
-        for value in _hom_values(cat, acc[arrow.src], acc[arrow.dst], cap):
-            acc[arrow.id] = value
-            yield from assign_arrows(i + 1, acc)
-        acc.pop(arrow.id, None)
-
-    yield from assign_nodes(0, dict(assignment))
+        return list(model.carriers[node.layer])
+    return sorted(cat.objects)
 
 
 # ---------------------------------------------------------------------------

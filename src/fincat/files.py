@@ -236,6 +236,14 @@ def load_category(path: str) -> FinCat:
                     )
             if name in morphisms:
                 raise FixtureParseError(path, lineno, f"duplicate morphism {name!r}")
+            if name.startswith("id_") and (dom, cod) != (name[3:], name[3:]) and name[3:] in objects:
+                owner = name[3:]
+                raise FixtureParseError(
+                    path,
+                    lineno,
+                    f"morphism {name!r} : {dom} -> {cod} clashes with the identity "
+                    f"of object {owner!r}, which runs {owner} -> {owner}",
+                )
             morphisms[name] = (dom, cod)
 
     identity = {}

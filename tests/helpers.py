@@ -4,13 +4,14 @@ The library tells transformations between set-valued functors apart by
 their flat tuples of values (``nattrans_values``, laid out by
 ``nattrans_slices``).  The helpers here make such tuples into
 ``NatTransVal``s, lift the seed map of a ``SeededContext`` to its
-transformation and read it back, and list the one-step reducts of a
-term.  Unlike ``oracles``, they reuse the library's search: they only
-change how its answers are presented.
+transformation and read it back, list the one-step reducts of a
+term, and draw random cover relations.  Unlike ``oracles``, they reuse the
+library's search: they only change how its answers are presented.
 """
 
 from __future__ import annotations
 
+import random
 from typing import Optional
 
 from fincat.core import NatTransVal
@@ -85,3 +86,22 @@ def one_step_reductions(t, sig=None) -> list:
     """All terms obtained by contracting exactly one redex anywhere in ``t``,
     without alpha-duplicates and sorted by canonical print."""
     return _distinct_reducts(t, _EMPTY_SIGNATURE if sig is None else sig, {})
+
+
+def random_covers(rng: random.Random, acyclic: bool):
+    """Objects and covers of a random relation on at most nine objects, each
+    pair ordered one way with chance 0.3; unless ``acyclic``, one random
+    cycle is added.  Covers and objects come shuffled."""
+    size = rng.randint(1, 9)
+    objects = [f"v{i}" for i in rng.sample(range(20), size)]
+    covers = []
+    for i, a in enumerate(objects):
+        for b in objects[i + 1 :]:
+            if rng.random() < 0.3:
+                covers.append((a, b))
+    if not acyclic and size > 1:
+        loop = sorted(rng.sample(range(size), rng.randint(2, size)))
+        covers += [(objects[i], objects[j]) for i, j in zip(loop, loop[1:] + loop[:1])]
+    rng.shuffle(covers)
+    rng.shuffle(objects)
+    return objects, covers

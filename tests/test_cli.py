@@ -113,6 +113,21 @@ def test_colliding_preorder_names_exit_two_at_the_header(tmp_path, text, name, f
     assert _run("check-cat", str(bad)) == (EXIT_USAGE, f"parse error: {bad}:{header}: {message}\n")
 
 
+def test_an_identity_name_with_other_ends_exits_two_at_its_line(tmp_path):
+    """A ``morphisms:`` entry named ``id_x`` for an object x is x's identity;
+    with ends other than (x, x) the loader names the clash instead of
+    loading a table that fails coherence.  With ends (x, x) it loads."""
+    text = "objects:\n  a\n  b\nmorphisms:\n  id_a : {} -> {}\n"
+    bad = tmp_path / "clash.fincat"
+    bad.write_text(text.format("a", "b"))
+    message = "morphism 'id_a' : a -> b clashes with the identity of object 'a', which runs a -> a"
+    assert _run("check-cat", str(bad)) == (EXIT_USAGE, f"parse error: {bad}:5: {message}\n")
+    good = tmp_path / "identity.fincat"
+    good.write_text(text.format("a", "a"))
+    code, out = _run("check-cat", str(good))
+    assert (code, out.splitlines()[0]) == (EXIT_OK, "subject: category:2obj/2mor")
+
+
 @pytest.mark.parametrize(
     "text, line, name, end",
     [
@@ -169,6 +184,25 @@ def test_cap_exhaustion_exits_three(fix):
     )
     assert code == EXIT_CAP
     assert text.startswith("cap exceeded:")
+
+
+def test_the_cap_counts_the_candidates_of_one_stage_call(fix, tmp_path):
+    """Over a thin 4-chain, stage 1 of equalizer.diag has C = 10 candidates
+    (one per pair x <= y) and every later stage call fewer, all passing
+    without a path composed: --cap C-1 stops at stage 1 and --cap C
+    decides."""
+    chain = "objects:\n  a\n  b\n  c\n  d\npreorder:\n  a < b\n  b < c\n  c < d\n"
+    (tmp_path / "chain4.fincat").write_text(chain)
+    model = tmp_path / "chain4.model"
+    model.write_text("layer L = chain4.fincat\n")
+    argv = ("eval", fix("equalizer.diag"), "--model", str(model), "--cap")
+    assert _run(*argv, "9") == (EXIT_CAP, "cap exceeded: stage 1: more than 9 candidate extensions\n")
+    assert _run(*argv, "10") == (
+        EXIT_OK,
+        "stage 0 [-]: statement holds\n"
+        "  stage 1 [∀]: all 10 commuting extensions satisfy the rest\n"
+        "result: true\n",
+    )
 
 
 def test_an_unexpected_exception_is_an_internal_error(fix, monkeypatch):

@@ -12,11 +12,16 @@ by ``noncommute`` or need a composite the table lacks.  On every candidate of
 a later stage, the stage check, which looks only at what the stage's new
 elements can break, must give the oracle's verdict on the whole stage
 diagram, or raise the same error.  Evaluation traces must be equal, too.
+A stage whose layers are coherent, total and thin tables passes every
+candidate without a path composed; the oracle still composes each one, over
+random thin closures and over thin layers missing a composite or holding an
+incoherent one, where the rule must not apply.
 """
 
 import random
 
 import pytest
+from helpers import random_covers
 from oracles import path_by_path_commutativity
 
 from fincat import diagram
@@ -42,9 +47,9 @@ def _load(fix, name):
         return parse_diagram(handle.read())
 
 
-def _outcome(check, ast, model, assignment):
+def _outcome(check, ast, model, assignment, *plan):
     try:
-        return check(ast, model, assignment)
+        return check(ast, model, assignment, *plan)
     except DiagramError as exc:
         return f"DiagramError: {exc}"
 
@@ -57,7 +62,7 @@ def _evaluation(ast, model):
     return value, trace
 
 
-def _oracle_stage_commutes(stage, model, assignment):
+def _oracle_stage_commutes(stage, model, assignment, plan=None):
     return path_by_path_commutativity(stage.diagram, model, assignment).passed
 
 
@@ -81,12 +86,12 @@ def _evaluate_both(monkeypatch, ast, model) -> int:
         calls.append(sub)
         return real_check(sub, model, assignment)
 
-    def both_stage(stage, model, assignment):
-        assert _outcome(real_stage_check, stage, model, assignment) == _outcome(
+    def both_stage(stage, model, assignment, plan):
+        assert _outcome(real_stage_check, stage, model, assignment, plan) == _outcome(
             _oracle_stage_commutes, stage, model, assignment
         )
         calls.append(stage.diagram)
-        return real_stage_check(stage, model, assignment)
+        return real_stage_check(stage, model, assignment, plan)
 
     with monkeypatch.context() as patched:
         patched.setattr(diagram, "check_commutativity", both)
@@ -173,6 +178,78 @@ def test_equalizer_with_a_missing_composite(fix, monkeypatch):
         if isinstance(outcome, str):
             raised.add(outcome)
     assert "DiagramError: composition table has no entry for ('e0', 'e0')" in raised
+
+
+def _retargeting(cat, key):
+    """``cat`` with the composite at ``key`` replaced by the least morphism
+    whose ends differ from it, so coherence fails and totality holds."""
+    ends = cat.morphisms[cat.compose[key]]
+    compose = dict(cat.compose)
+    compose[key] = min(m for m, other in cat.morphisms.items() if other != ends)
+    return FinCat(cat.objects, dict(cat.morphisms), dict(cat.identity), compose)
+
+
+def _rule_models(fix, cat):
+    """Both diagrams over one table layer: equalizer.diag, and
+    universal_arrow.diag with R the identity and A = B = the least object."""
+    equalizer, universal = _load(fix, "equalizer.diag"), _load(fix, "universal_arrow.diag")
+    least = min(cat.objects)
+    binds = {"A": least, "B": least, "eta": cat.id_of(least)}
+    spec = ModelSpec("rule", {"LA": cat, "LB": cat}, {("LB", "LA"): identity_functor(cat)}, binds, {})
+    return [
+        (equalizer, build_model(equalizer, ModelSpec("rule", {"L": cat}, {}, {}, {}))),
+        (universal, build_model(universal, spec)),
+    ]
+
+
+_RULE_LAYERS = {"chain4": _chain(4), "grid2x3": _grid(2, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_LAYERS))
+def test_a_thin_layer_missing_a_composite_is_checked_pair_by_pair(fix, monkeypatch, name):
+    """A stage over a thin layer passes every candidate uncomposed only if
+    the table is total: with any one composite dropped, equalizer.diag
+    raises the oracle's error for it."""
+    cat = _RULE_LAYERS[name]
+    for dropped in sorted(cat.compose):
+        outcomes = []
+        for ast, model in _rule_models(fix, _dropping(cat, dropped)):
+            assert _evaluate_both(monkeypatch, ast, model) > 1
+            assert not any(diagram._thin_table(layer) for layer in model.layers.values())
+            outcomes.append(_evaluation(ast, model))
+        assert outcomes[0] == f"DiagramError: composition table has no entry for {dropped!r}"
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_LAYERS))
+def test_a_thin_layer_with_an_incoherent_composite_is_checked_pair_by_pair(fix, monkeypatch, name):
+    """Nor if a composite lies outside hom(start, end): with any one entry
+    retargeted, both diagrams give the oracle's verdicts and errors."""
+    cat = _RULE_LAYERS[name]
+    verdicts = set()
+    for key in sorted(cat.compose):
+        broken = _retargeting(cat, key)
+        assert not validate_category(broken).obligation("coherence").passed
+        for ast, model in _rule_models(fix, broken):
+            assert _evaluate_both(monkeypatch, ast, model) > 1
+            outcome = _evaluation(ast, model)
+            verdicts.add(outcome if isinstance(outcome, str) else outcome[0])
+    assert False in verdicts and any(isinstance(v, str) for v in verdicts)
+
+
+def test_random_thin_closures_match_the_oracle_on_every_candidate(fix, monkeypatch):
+    """Closures of random acyclic covers are coherent, total and thin, so
+    every stage of equalizer.diag passes its candidates uncomposed; the
+    oracle composes each one."""
+    rng = random.Random(24)
+    calls = 0
+    for _ in range(40):
+        cat = preorder_from_covers(*random_covers(rng, acyclic=True))
+        (equalizer, model), universal = _rule_models(fix, cat)
+        plans = diagram._stage_plans(extract_stages(equalizer)[1:], model)
+        assert [implied for implied, _checks in plans] == [True] * 4
+        for ast, model in [(equalizer, model), universal]:
+            calls += _evaluate_both(monkeypatch, ast, model)
+    assert calls > 1000, calls
 
 
 def _galois(fix, binds):

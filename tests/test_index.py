@@ -16,9 +16,10 @@ import os
 import random
 
 import pytest
+from helpers import random_covers
 from oracles import fixpoint_closure, name_per_triple_preorder, triple_loop_validate
 
-from fincat.core import CycleError, FinCat, preorder_from_covers, validate_category
+from fincat.core import CycleError, FinCat, is_thin, preorder_from_covers, validate_category
 from fincat.files import load_category
 
 
@@ -288,22 +289,6 @@ def test_returned_lists_are_fresh(kite):
     assert validate_category(kite).passed
 
 
-def _random_covers(rng: random.Random, acyclic: bool):
-    size = rng.randint(1, 9)
-    objects = [f"v{i}" for i in rng.sample(range(20), size)]
-    covers = []
-    for i, a in enumerate(objects):
-        for b in objects[i + 1 :]:
-            if rng.random() < 0.3:
-                covers.append((a, b))
-    if not acyclic and size > 1:
-        loop = sorted(rng.sample(range(size), rng.randint(2, size)))
-        covers += [(objects[i], objects[j]) for i, j in zip(loop, loop[1:] + loop[:1])]
-    rng.shuffle(covers)
-    rng.shuffle(objects)
-    return objects, covers
-
-
 def _name(a, b):
     return f"id_{a}" if a == b else f"{a}->{b}"
 
@@ -321,7 +306,7 @@ def test_reports_match_the_triple_loop_on_random_thin_closures():
     seen = {"thin": 0, "scanned": 0}
     failing = set()
     for _ in range(80):
-        objects, covers = _random_covers(rng, acyclic=True)
+        objects, covers = random_covers(rng, acyclic=True)
         cat = preorder_from_covers(objects, covers)
         doubled = _times_idempotent(cat)
         assert _thin(cat) and validate_category(cat).passed
@@ -331,6 +316,7 @@ def test_reports_match_the_triple_loop_on_random_thin_closures():
         for subject in subjects:
             report = validate_category(subject)
             assert report == triple_loop_validate(subject)
+            assert is_thin(subject) == _thin(subject)
             decided = _thin(subject) and all(
                 report.obligation(law).passed for law in ("coherence", "totality")
             )
@@ -343,7 +329,7 @@ def test_reports_match_the_triple_loop_on_random_thin_closures():
 def test_closure_matches_the_fixpoint_on_random_dags():
     rng = random.Random(7)
     for _ in range(150):
-        objects, covers = _random_covers(rng, acyclic=True)
+        objects, covers = random_covers(rng, acyclic=True)
         le = fixpoint_closure(objects, covers)
         cat = preorder_from_covers(objects, covers)
         assert cat.morphisms == {_name(a, b): (a, b) for a, b in le}
@@ -358,7 +344,7 @@ def test_closure_matches_the_fixpoint_on_random_dags():
 def test_cycle_error_names_the_least_offending_pair():
     rng = random.Random(11)
     for _ in range(60):
-        objects, covers = _random_covers(rng, acyclic=False)
+        objects, covers = random_covers(rng, acyclic=False)
         if len(objects) < 2:
             continue
         le = fixpoint_closure(objects, covers)
@@ -388,7 +374,7 @@ def test_preorder_names_match_on_random_covers_and_cycles():
     rng = random.Random(31)
     cycles = 0
     for _ in range(200):
-        objects, covers = _random_covers(rng, acyclic=rng.random() < 0.5)
+        objects, covers = random_covers(rng, acyclic=rng.random() < 0.5)
         try:
             want = name_per_triple_preorder(objects, covers)
         except CycleError as exc:
