@@ -44,6 +44,7 @@ from .files import (
     load_functor,
     load_model_spec,
     load_nattrans,
+    load_once,
 )
 from .terms import (
     ReductionGraph,

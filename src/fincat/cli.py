@@ -49,6 +49,7 @@ from .files import (
     load_functor,
     load_model_spec,
     load_nattrans,
+    load_once,
 )
 from .finset import FINSET, CapExceededError, DEFAULT_ENUM_CAP, FinSetObj
 from .record import Record
@@ -162,19 +163,25 @@ def _report_exit(out, report: CheckReport) -> int:
 
 # ---------------------------------------------------------------------------
 # Subcommands
+#
+# A handler takes the config, the output stream and ``loads``, the load memo
+# of the invocation (see `fincat.files.load_once`), which every file it
+# loads goes through.
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_cat(cfg: RunConfig, out) -> int:
-    return _report_exit(out, validate_category(load_category(cfg.paths[0])))
+def _cmd_check_cat(cfg: RunConfig, out, loads: dict) -> int:
+    return _report_exit(out, validate_category(load_once(loads, load_category, cfg.paths[0])))
 
 
-def _cmd_check_fun(cfg: RunConfig, out) -> int:
-    return _report_exit(out, validate_functor(load_functor(cfg.paths[0])))
+def _cmd_check_fun(cfg: RunConfig, out, loads: dict) -> int:
+    functor = load_once(loads, load_functor, cfg.paths[0], loads)
+    return _report_exit(out, validate_functor(functor))
 
 
-def _cmd_check_nt(cfg: RunConfig, out) -> int:
-    return _report_exit(out, validate_nattrans(load_nattrans(cfg.paths[0])))
+def _cmd_check_nt(cfg: RunConfig, out, loads: dict) -> int:
+    nattrans = load_once(loads, load_nattrans, cfg.paths[0], loads)
+    return _report_exit(out, validate_nattrans(nattrans))
 
 
 def _load_diagram(path: str):
@@ -189,7 +196,7 @@ def _load_diagram(path: str):
     return ast
 
 
-def _cmd_stages(cfg: RunConfig, out) -> int:
+def _cmd_stages(cfg: RunConfig, out, _loads: dict) -> int:
     ast = _load_diagram(cfg.paths[0])
     stages = extract_stages(ast)
     _emit(out, f"stages: {len(stages) - 1}")
@@ -204,7 +211,7 @@ def _cmd_stages(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_context(cfg: RunConfig, out) -> int:
+def _cmd_context(cfg: RunConfig, out, _loads: dict) -> int:
     ast = _load_diagram(cfg.paths[0])
     if cfg.fmt == "graph":
         _emit(out, render_grid(ast))
@@ -230,9 +237,9 @@ def _require_model(spec) -> None:
         require_functor(fun, f"functor {src}->{dst}")
 
 
-def _cmd_eval(cfg: RunConfig, out) -> int:
+def _cmd_eval(cfg: RunConfig, out, loads: dict) -> int:
     ast = _load_diagram(cfg.paths[0])
-    spec = load_model_spec(cfg.options["model"])
+    spec = load_once(loads, load_model_spec, cfg.options["model"], loads)
     _require_model(spec)
     model = build_model(ast, spec)
     value, trace = evaluate_quantified(ast, model, cap=cfg.cap)
@@ -241,7 +248,7 @@ def _cmd_eval(cfg: RunConfig, out) -> int:
     return EXIT_OK if value else EXIT_CHECK_FAILED
 
 
-def _cmd_infer(cfg: RunConfig, out) -> int:
+def _cmd_infer(cfg: RunConfig, out, _loads: dict) -> int:
     ctx = parse_context(cfg.options["context"])
     goal = parse_type(cfg.options["type"])
     depth = cfg.options["depth"]
@@ -262,7 +269,7 @@ def _cmd_infer(cfg: RunConfig, out) -> int:
     return EXIT_OK
 
 
-def _cmd_reduce(cfg: RunConfig, out) -> int:
+def _cmd_reduce(cfg: RunConfig, out, _loads: dict) -> int:
     sig = Signature()
     if cfg.options.get("sig"):
         with open(cfg.options["sig"], encoding="utf-8") as handle:
@@ -284,8 +291,8 @@ def _cmd_reduce(cfg: RunConfig, out) -> int:
     return EXIT_CAP if report.truncated else EXIT_OK
 
 
-def _cmd_yoneda(cfg: RunConfig, out) -> int:
-    functor = load_functor(cfg.paths[0])
+def _cmd_yoneda(cfg: RunConfig, out, loads: dict) -> int:
+    functor = load_once(loads, load_functor, cfg.paths[0], loads)
     if functor.target is not FINSET:
         raise FinCatError("yoneda needs a finite-set valued functor")
     require_functor(functor)
@@ -322,9 +329,9 @@ def _cmd_yoneda(cfg: RunConfig, out) -> int:
     return code
 
 
-def _cmd_kan(cfg: RunConfig, out) -> int:
-    along = load_functor(cfg.paths[0])
-    functor = load_functor(cfg.paths[1])
+def _cmd_kan(cfg: RunConfig, out, loads: dict) -> int:
+    along = load_once(loads, load_functor, cfg.paths[0], loads)
+    functor = load_once(loads, load_functor, cfg.paths[1], loads)
     # Each extension is built once, after one functor check of the inputs,
     # and shared by the sizes lines and both checks.
     extensions = kan_extensions(along, functor, cfg.cap)
@@ -346,8 +353,8 @@ def _cmd_kan(cfg: RunConfig, out) -> int:
     return code
 
 
-def _cmd_adj(cfg: RunConfig, out) -> int:
-    parts = load_adjunction_parts(cfg.paths[0])
+def _cmd_adj(cfg: RunConfig, out, loads: dict) -> int:
+    parts = load_once(loads, load_adjunction_parts, cfg.paths[0], loads)
     mode = cfg.options["mode"]
     if mode == "build" and parts.kind != "build":
         raise FixtureParseError(
@@ -449,14 +456,16 @@ def _corpus_entries(base: str, cap: int):
     )
 
 
-def _cmd_examples(cfg: RunConfig, out) -> int:
+def _cmd_examples(cfg: RunConfig, out, loads: dict) -> int:
+    """Runs every entry with this invocation's ``loads``, so a fixture that
+    several entries name is loaded once."""
     failures = total = 0
     for label, entry, expect, check in _corpus_entries(corpus_dir(), cfg.cap):
         total += 1
         buffer = io.StringIO()
         error = ""
         try:
-            code = _SUBCOMMANDS[entry.subcommand][1](entry, buffer)
+            code = _SUBCOMMANDS[entry.subcommand][1](entry, buffer, loads)
             good = code == expect and (check is None or check(buffer.getvalue()))
         except Exception as exc:  # a corpus entry must never raise
             good, error = False, f"  error: {exc}"
@@ -604,7 +613,7 @@ def run(argv, out=None) -> int:
         if args.subcommand is None:
             raise _UsageError("a subcommand is required")
         cfg = _config_from_args(args)
-        return _SUBCOMMANDS[cfg.subcommand][1](cfg, out)
+        return _SUBCOMMANDS[cfg.subcommand][1](cfg, out, {})
     except _HelpRequested as exc:
         out.write(str(exc))
         return EXIT_OK

@@ -1164,15 +1164,28 @@ def evaluate_quantified(
         )
         return False, trace
 
-    def run(k: int, assignment: Mapping) -> tuple:
+    def run(k: int, assignment: Mapping, keep: tuple) -> tuple:
+        """(truth, trace) of stages k.. under ``assignment``.  The trace is
+        built only for an outcome in ``keep``, the outcomes whose trace the
+        caller keeps; for any other it is None."""
         if k > top:
             return True, None
         stage = stages[k]
         quantifier = stage.quantifier
 
-        def shown(merged: Mapping) -> tuple:
-            return _assignment_items(stage.new_elements, merged)
+        def result(ok: bool, note: str, merged: Optional[Mapping] = None, sub=None) -> tuple:
+            if ok not in keep:
+                return ok, None
+            shown = () if merged is None else _assignment_items(stage.new_elements, merged)
+            return ok, EvalTrace(k, quantifier, ok, note, shown, sub)
 
+        # the outcomes of stage k + 1 whose traces the kept traces of stage k hold
+        if quantifier == "forall":
+            below = (False,) if False in keep else ()
+        elif quantifier == "exists":
+            below = (True,) if True in keep else ()
+        else:  # both traces of an existsuniq hold a witness's trace
+            below = (True,) if keep else ()
         plan = plans[k]
         witnesses: list = []
         count = 0
@@ -1182,52 +1195,38 @@ def evaluate_quantified(
             if not _stage_commutes(stage, model, merged, plan):
                 continue
             commuting += 1
-            ok, sub = run(k + 1, merged)
+            ok, sub = run(k + 1, merged, below)
             if quantifier == "forall" and not ok:
-                return False, EvalTrace(k, quantifier, False, "counterexample", shown(merged), sub)
+                return result(False, "counterexample", merged, sub)
             if quantifier == "exists" and ok:
-                return True, EvalTrace(k, quantifier, True, "witness", shown(merged), sub)
+                return result(True, "witness", merged, sub)
             if quantifier == "existsuniq" and ok:
                 witnesses.append((merged, sub))
                 if len(witnesses) > 1:
-                    first = shown(witnesses[0][0])
-                    return False, EvalTrace(
-                        k,
-                        quantifier,
+                    first = _assignment_items(stage.new_elements, witnesses[0][0])
+                    return result(
                         False,
                         f"not unique: second extension also works (first was "
                         f"{_items_text(first)})",
-                        shown(merged),
+                        merged,
                         sub,
                     )
         if quantifier == "forall":
-            return True, EvalTrace(
-                k, quantifier, True, f"all {commuting} commuting extensions satisfy the rest"
-            )
+            return result(True, f"all {commuting} commuting extensions satisfy the rest")
         if quantifier == "exists":
-            return False, EvalTrace(
-                k,
-                quantifier,
-                False,
-                f"no commuting extension satisfies the rest ({count} candidates)",
-            )
+            return result(False, f"no commuting extension satisfies the rest ({count} candidates)")
         if quantifier == "existsuniq":
             if len(witnesses) == 1:
                 merged, sub = witnesses[0]
-                return True, EvalTrace(k, quantifier, True, "unique witness", shown(merged), sub)
-            return False, EvalTrace(
-                k,
-                quantifier,
-                False,
-                f"no commuting extension satisfies the rest ({count} candidates)",
-            )
+                return result(True, "unique witness", merged, sub)
+            return result(False, f"no commuting extension satisfies the rest ({count} candidates)")
         raise DiagramError(f"stage {k} has no quantifier")  # unreachable past stage 0
 
     if top == 0:
         return True, EvalTrace(0, None, True, "all bindings commute",
                                _assignment_items(stage0.new_elements, base))
     plans = [None] + _stage_plans(stages[1:], model)
-    ok, sub = run(1, base)
+    ok, sub = run(1, base, (True, False))
     note = "statement holds" if ok else "statement fails"
     return ok, EvalTrace(0, None, ok, note, _assignment_items(stage0.new_elements, base), sub)
 

@@ -27,6 +27,11 @@ Formats (all UTF-8 text, ``#`` starts a comment, blank lines ignored):
 
 Relative paths inside a file are resolved against that file's directory.
 Parse errors carry the file path and line number.
+
+A loader that reads other files takes a ``memo``, one per invocation (see
+`load_once`): every file it names is read and parsed once, and a file named
+twice gives one shared object.  Called with a bare path, a loader makes a
+fresh memo, so it returns fresh objects.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ __all__ = [
     "FixtureParseError",
     "AdjParts",
     "ModelSpec",
+    "load_once",
     "load_category",
     "load_functor",
     "load_nattrans",
@@ -79,7 +85,9 @@ def _read_lines(path: str) -> list[tuple[int, str]]:
         raise FixtureParseError(path, None, f"cannot read file: {exc}") from None
     lines = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
-        text = line.split("#", 1)[0].strip()
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        text = line.strip()
         if text:
             lines.append((lineno, text))
     return lines
@@ -98,9 +106,9 @@ def _split_sections(
     ``{key: (lineno, inline_text, body_lines)}``.
     """
     sections: dict[str, tuple[int, str, list[tuple[int, str]]]] = {}
-    current: Optional[str] = None
+    body: Optional[list[tuple[int, str]]] = None  # lines of the current section
     for lineno, text in _read_lines(path):
-        m = _SECTION_RE.match(text)
+        m = _SECTION_RE.match(text) if ":" in text else None
         if m:
             key = m.group(1)
             if key not in allowed:
@@ -109,13 +117,32 @@ def _split_sections(
                 )
             if key in sections:
                 raise FixtureParseError(path, lineno, f"duplicate section {key!r}")
-            sections[key] = (lineno, m.group(2).strip(), [])
-            current = key
+            body = []
+            sections[key] = (lineno, m.group(2).strip(), body)
             continue
-        if current is None:
+        if body is None:
             raise FixtureParseError(path, lineno, f"content before any section: {text!r}")
-        sections[current][2].append((lineno, text))
+        body.append((lineno, text))
     return sections
+
+
+def load_once(memo: dict, load, path: str, *args):
+    """``load(path, *args)``, loaded at most once per ``memo``.
+
+    ``memo`` maps the loader and the file's identity (its device and inode,
+    as `os.path.samefile` compares them) to what that loader returned, so a
+    file named twice, by any spelling, is read and parsed once and gives one
+    shared object.  A load that raises stores nothing.
+    """
+    try:
+        info = os.stat(path)
+    except OSError:
+        return load(path, *args)  # which reports the unreadable file
+    key = (load, info.st_dev, info.st_ino)
+    loaded = memo.get(key)
+    if loaded is None:
+        loaded = memo[key] = load(path, *args)
+    return loaded
 
 
 def _resolve(base_path: str, relative: str) -> str:
@@ -127,17 +154,24 @@ def _resolve(base_path: str, relative: str) -> str:
 def parse_atom(token: str) -> Union[int, str]:
     """An atom literal: all-digit tokens are integers, everything else tokens."""
     token = token.strip()
-    return int(token) if re.fullmatch(r"[0-9]+", token) else token
+    return int(token) if token.isdigit() and token.isascii() else token
 
 
 def parse_set_literal(text: str) -> FinSetObj:
+    """A ``{a, b}`` literal; naming one atom twice (``{a, a}``, ``{1, 01}``)
+    is an error."""
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise ValueError(f"not a set literal: {text!r}")
     body = body[1:-1].strip()
     if not body:
         return FinSetObj()
-    return FinSetObj(parse_atom(tok) for tok in body.split(","))
+    atoms = [parse_atom(tok) for tok in body.split(",")]
+    result = FinSetObj(atoms)
+    if len(result) < len(atoms):
+        twice = next(a for i, a in enumerate(atoms) if a in atoms[:i])
+        raise ValueError(f"atom {twice!r} named twice")
+    return result
 
 
 def split_top_level(text: str, sep: str = ",") -> list[str]:
@@ -259,10 +293,16 @@ def load_category(path: str) -> FinCat:
 
     if "compose" in sections:
         for lineno, text in sections["compose"][2]:
-            m = _COMPOSE_RE.match(text)
-            if not m:
-                raise FixtureParseError(path, lineno, f"expected 'g . f = h', got {text!r}")
-            g, f, h = m.groups()
+            # ``g . f = h`` splits into five tokens, and then the regular
+            # expression would match the same three names
+            tokens = text.split()
+            if len(tokens) == 5 and tokens[1] == "." and tokens[3] == "=":
+                g, _dot, f, _eq, h = tokens
+            else:
+                m = _COMPOSE_RE.match(text)
+                if not m:
+                    raise FixtureParseError(path, lineno, f"expected 'g . f = h', got {text!r}")
+                g, f, h = m.groups()
             for name in (g, f, h):
                 if name not in morphisms:
                     raise FixtureParseError(path, lineno, f"unknown morphism {name!r}")
@@ -275,16 +315,20 @@ def load_category(path: str) -> FinCat:
 # .fun
 
 
-def load_functor(path: str) -> FunctorVal:
+def load_functor(path: str, memo: Optional[dict] = None) -> FunctorVal:
     """Load a ``.fun`` file into a :class:`FunctorVal` (laws not yet checked)."""
+    memo = {} if memo is None else memo
     sections = _split_sections(path, ("source", "target", "objects", "morphisms"))
     for required in ("source", "target"):
         if required not in sections:
             raise FixtureParseError(path, None, f"missing required section {required!r}")
-    source = load_category(_resolve(path, sections["source"][1]))
+    source = load_once(memo, load_category, _resolve(path, sections["source"][1]))
     target_text = sections["target"][1]
     finset_valued = target_text == "finset"
-    target = FINSET if finset_valued else load_category(_resolve(path, target_text))
+    if finset_valued:
+        target = FINSET
+    else:
+        target = load_once(memo, load_category, _resolve(path, target_text))
 
     object_map: dict[str, object] = {}
     for lineno, key, value in _mapping_lines(path, sections.get("objects", (0, "", []))[2]):
@@ -343,14 +387,15 @@ def load_functor(path: str) -> FunctorVal:
 # .nt
 
 
-def load_nattrans(path: str) -> NatTransVal:
+def load_nattrans(path: str, memo: Optional[dict] = None) -> NatTransVal:
     """Load a ``.nt`` file into a :class:`NatTransVal` (laws not yet checked)."""
+    memo = {} if memo is None else memo
     sections = _split_sections(path, ("source", "target", "components"))
     for required in ("source", "target", "components"):
         if required not in sections:
             raise FixtureParseError(path, None, f"missing required section {required!r}")
-    f = load_functor(_resolve(path, sections["source"][1]))
-    g = load_functor(_resolve(path, sections["target"][1]))
+    f = load_once(memo, load_functor, _resolve(path, sections["source"][1]), memo)
+    g = load_once(memo, load_functor, _resolve(path, sections["target"][1]), memo)
     finset_valued = f.target is FINSET
 
     components: dict[str, object] = {}
@@ -393,12 +438,13 @@ class AdjParts(Record):
     lobjects: Mapping[str, str] = {}
 
 
-def load_adjunction_parts(path: str) -> AdjParts:
+def load_adjunction_parts(path: str, memo: Optional[dict] = None) -> AdjParts:
     """Load a ``.adj`` manifest; assembly and law checking live elsewhere."""
+    memo = {} if memo is None else memo
     sections = _split_sections(path, ("left", "right", "unit", "counit", "lobjects"))
     if "right" not in sections:
         raise FixtureParseError(path, None, "missing required section 'right:'")
-    right = load_functor(_resolve(path, sections["right"][1]))
+    right = load_once(memo, load_functor, _resolve(path, sections["right"][1]), memo)
 
     def table(section: str) -> dict[str, str]:
         out: dict[str, str] = {}
@@ -414,7 +460,7 @@ def load_adjunction_parts(path: str) -> AdjParts:
         for required in ("unit", "counit"):
             if required not in sections:
                 raise FixtureParseError(path, None, f"missing required section {required!r}")
-        left = load_functor(_resolve(path, sections["left"][1]))
+        left = load_once(memo, load_functor, _resolve(path, sections["left"][1]), memo)
         return AdjParts(
             kind="full",
             path=path,
@@ -462,8 +508,9 @@ _MODEL_FUNCTOR_RE = re.compile(r"^functor\s+(\S+)\s+(\S+)\s*=\s*(\S+)$")
 _MODEL_BIND_RE = re.compile(r"^bind\s+(\S+)\s*=\s*(.+)$")
 
 
-def load_model_spec(path: str) -> ModelSpec:
+def load_model_spec(path: str, memo: Optional[dict] = None) -> ModelSpec:
     """Load a ``.model`` file."""
+    memo = {} if memo is None else memo
     layers: dict[str, object] = {}
     functors: dict[tuple[str, str], FunctorVal] = {}
     binds: dict[str, str] = {}
@@ -474,7 +521,9 @@ def load_model_spec(path: str) -> ModelSpec:
             name, ref = m.groups()
             if name in layers:
                 raise FixtureParseError(path, lineno, f"layer {name!r} bound twice")
-            layers[name] = FINSET if ref == "finset" else load_category(_resolve(path, ref))
+            layers[name] = FINSET if ref == "finset" else load_once(
+                memo, load_category, _resolve(path, ref)
+            )
             continue
         m = _MODEL_CARRIERS_RE.match(text)
         if m:
@@ -494,7 +543,7 @@ def load_model_spec(path: str) -> ModelSpec:
             key = (src, dst)
             if key in functors:
                 raise FixtureParseError(path, lineno, f"functor for {src!r}->{dst!r} bound twice")
-            functors[key] = load_functor(_resolve(path, ref))
+            functors[key] = load_once(memo, load_functor, _resolve(path, ref), memo)
             continue
         m = _MODEL_BIND_RE.match(text)
         if m:

@@ -51,11 +51,16 @@ force, kept to pin the exact output of the faster code that replaced them:
   ``nattrans_key`` the text key that told transformations apart;
 * ``name_per_triple_preorder`` is ``preorder_from_covers`` as it named each
   composite anew, three names per composable triple.
+* ``regex_load_category`` is the ``.fincat`` reader whose line pass ran a
+  regular expression on every line: comment stripping, section headers,
+  ``g . f = h`` lines and all-digit atoms (``regex_parse_atom``), where the
+  library tests for ``#`` and ``:`` first and splits on whitespace.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from typing import Iterable, Sequence
 
 from fincat.adjunction import (
@@ -75,6 +80,7 @@ from fincat.core import (
     MalformedTableError,
     NatTransVal,
     Obligation,
+    preorder_from_covers,
     validate_nattrans,
 )
 from fincat.diagram import (
@@ -87,6 +93,7 @@ from fincat.diagram import (
     _noncommute_keys,
     _value_repr,
 )
+from fincat.files import FixtureParseError
 from fincat.finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
@@ -243,6 +250,118 @@ def name_per_triple_preorder(objects, covers) -> FinCat:
         (name(b, c), name(a, b)): name(a, c) for a in objs for b in succ[a] for c in succ[b]
     }
     return FinCat(objs, morphisms, identity, compose)
+
+
+_RX_SECTION = re.compile(r"^([A-Za-z_]+):(.*)$")
+_RX_MOR = re.compile(r"^(\S+)\s*:\s*(\S+)\s*->\s*(\S+)$")
+_RX_COMPOSE = re.compile(r"^(\S+)\s*\.\s*(\S+)\s*=\s*(\S+)$")
+_RX_COVER = re.compile(r"^(\S+)\s*<\s*(\S+)$")
+
+
+def regex_parse_atom(token: str):
+    token = token.strip()
+    return int(token) if re.fullmatch(r"[0-9]+", token) else token
+
+
+def regex_load_category(path: str) -> FinCat:
+    """``load_category`` with every line matched by a regular expression."""
+    with open(path, encoding="utf-8") as handle:
+        raw = handle.read()
+    sections: dict = {}
+    current = None
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        text = re.sub(r"#.*", "", line, flags=re.S).strip()
+        if not text:
+            continue
+        m = _RX_SECTION.match(text)
+        if m:
+            key = m.group(1)
+            allowed = ("objects", "morphisms", "compose", "preorder")
+            if key not in allowed:
+                raise FixtureParseError(
+                    path, lineno, f"unknown section {key!r} (expected one of {sorted(allowed)})"
+                )
+            if key in sections:
+                raise FixtureParseError(path, lineno, f"duplicate section {key!r}")
+            sections[key] = (lineno, [])
+            current = key
+        elif current is None:
+            raise FixtureParseError(path, lineno, f"content before any section: {text!r}")
+        else:
+            sections[current][1].append((lineno, text))
+    if "objects" not in sections:
+        raise FixtureParseError(path, None, "missing required section 'objects:'")
+    if "preorder" in sections and ("morphisms" in sections or "compose" in sections):
+        raise FixtureParseError(
+            path, None, "'preorder:' cannot be combined with 'morphisms:'/'compose:'"
+        )
+
+    def identifier(lineno, kind, name):
+        for ch in "(),":
+            if ch in name:
+                raise FixtureParseError(
+                    path, lineno, f"{kind} {name!r} contains reserved character {ch!r}"
+                )
+
+    objects: list = []
+    for lineno, text in sections["objects"][1]:
+        if not re.fullmatch(r"\S+", text):
+            raise FixtureParseError(path, lineno, f"expected one object token, got {text!r}")
+        identifier(lineno, "object", text)
+        if text in objects:
+            raise FixtureParseError(path, lineno, f"duplicate object {text!r}")
+        objects.append(text)
+    if "preorder" in sections:
+        covers = []
+        for lineno, text in sections["preorder"][1]:
+            m = _RX_COVER.match(text)
+            if not m:
+                raise FixtureParseError(path, lineno, f"expected 'a < b', got {text!r}")
+            covers.append(m.groups())
+        try:
+            return preorder_from_covers(objects, covers)
+        except Exception as exc:
+            raise FixtureParseError(path, sections["preorder"][0], str(exc)) from None
+
+    morphisms: dict = {}
+    for lineno, text in sections.get("morphisms", (0, []))[1]:
+        m = _RX_MOR.match(text)
+        if not m:
+            raise FixtureParseError(path, lineno, f"expected 'name : dom -> cod', got {text!r}")
+        name, dom, cod = m.groups()
+        identifier(lineno, "morphism", name)
+        for end in (dom, cod):
+            if end not in objects:
+                raise FixtureParseError(
+                    path, lineno, f"morphism {name!r} names unknown object {end!r}"
+                )
+        if name in morphisms:
+            raise FixtureParseError(path, lineno, f"duplicate morphism {name!r}")
+        owner = name[3:]
+        if name.startswith("id_") and owner in objects and (dom, cod) != (owner, owner):
+            raise FixtureParseError(
+                path,
+                lineno,
+                f"morphism {name!r} : {dom} -> {cod} clashes with the identity "
+                f"of object {owner!r}, which runs {owner} -> {owner}",
+            )
+        morphisms[name] = (dom, cod)
+    identity = {x: f"id_{x}" for x in objects}
+    for x in objects:
+        morphisms.setdefault(identity[x], (x, x))
+    compose = {}
+    for f, (fd, fc) in morphisms.items():
+        compose[(identity[fc], f)] = f
+        compose[(f, identity[fd])] = f
+    for lineno, text in sections.get("compose", (0, []))[1]:
+        m = _RX_COMPOSE.match(text)
+        if not m:
+            raise FixtureParseError(path, lineno, f"expected 'g . f = h', got {text!r}")
+        for name in m.groups():
+            if name not in morphisms:
+                raise FixtureParseError(path, lineno, f"unknown morphism {name!r}")
+        compose[m.group(1), m.group(2)] = m.group(3)
+    return FinCat(tuple(objects), morphisms, identity, compose)
 
 
 # ---------------------------------------------------------------------------

@@ -582,7 +582,9 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
         "disc2": _on_disc2(fix),
     }
     real_load = cli.load_functor
-    monkeypatch.setattr(cli, "load_functor", lambda p: built[p] if p in built else real_load(p))
+    monkeypatch.setattr(
+        cli, "load_functor", lambda p, memo: built[p] if p in built else real_load(p, memo)
+    )
     pairs = [
         (fix("incl_a4_b6.fun"), fix("h_on_a.fun")),
         (fix("incl_a4_b6.fun"), fix("g_on_a.fun")),
@@ -598,8 +600,10 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
         "kan",
         (
             help_text,
-            lambda cfg, out: rebuilding_kan_command(
-                cli.load_functor(cfg.paths[0]), cli.load_functor(cfg.paths[1]), cfg.cap, out
+            lambda cfg, out, loads: rebuilding_kan_command(
+                cli.load_functor(cfg.paths[0], loads), cli.load_functor(cfg.paths[1], loads),
+                cfg.cap,
+                out,
             ),
             add,
         ),

@@ -206,7 +206,7 @@ def test_the_cap_counts_the_candidates_of_one_stage_call(fix, tmp_path):
 
 
 def test_an_unexpected_exception_is_an_internal_error(fix, monkeypatch):
-    def broken(cfg, out):
+    def broken(cfg, out, loads):
         raise KeyError("lost")
 
     help_text, _handler, add_arguments = cli._SUBCOMMANDS["check-cat"]
@@ -231,7 +231,7 @@ def test_a_subject_reduction_violation_is_an_internal_error(fix, monkeypatch):
 
 
 def test_a_broken_pipe_is_not_an_internal_error(fix, monkeypatch):
-    def closed(cfg, out):
+    def closed(cfg, out, loads):
         raise BrokenPipeError()
 
     help_text, _handler, add_arguments = cli._SUBCOMMANDS["check-cat"]
@@ -437,6 +437,40 @@ def test_eval_rejects_a_bound_map_naming_an_atom_twice(tmp_path, bind, atom):
     assert _run("eval", str(diagram), "--model", str(model)) == (
         EXIT_CHECK_FAILED,
         f"check error: bind 'f': atom {atom} mapped twice\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "zero, one, line, atom",
+    [("{1, 01}", "{a}", 4, "1"), ("{1}", "{a, a}", 5, "'a'")],
+    ids=["integer-spelled-twice", "token-repeated"],
+)
+def test_a_set_naming_an_atom_twice_is_a_parse_error(fix, tmp_path, zero, one, line, atom):
+    fun = tmp_path / "doubled.fun"
+    fun.write_text(
+        f"source: {fix('chain2.fincat')}\ntarget: finset\nobjects:\n"
+        f"  0 |-> {zero}\n  1 |-> {one}\nmorphisms:\n  0->1 |-> {{1->a}}\n"
+    )
+    for command in ("check-fun", "yoneda"):
+        assert _run(command, str(fun)) == (
+            EXIT_USAGE,
+            f"parse error: {fun}:{line}: atom {atom} named twice\n",
+        )
+
+
+def test_model_sets_naming_an_atom_twice_are_rejected(tmp_path):
+    diagram = tmp_path / "point.diag"
+    diagram.write_text('layer S in Set\nnode X : S "X"\n')
+    model = tmp_path / "point.model"
+    model.write_text("layer S = finset\ncarriers S = {a} ; {b, c, b}\n")
+    assert _run("eval", str(diagram), "--model", str(model)) == (
+        EXIT_USAGE,
+        f"parse error: {model}:2: atom 'b' named twice\n",
+    )
+    model.write_text("layer S = finset\nbind X = {0, 00}\n")
+    assert _run("eval", str(diagram), "--model", str(model)) == (
+        EXIT_CHECK_FAILED,
+        "check error: bind 'X': atom 0 named twice\n",
     )
 
 
@@ -1021,9 +1055,9 @@ def test_examples_dispatches_every_entry_to_its_subcommand(monkeypatch):
     options that subcommand's parser gives."""
     seen = []
     for name, (help_text, handler, add) in list(cli._SUBCOMMANDS.items()):
-        def counted(cfg, out, _handler=handler):
+        def counted(cfg, out, loads, _handler=handler):
             seen.append(cfg)
-            return _handler(cfg, out)
+            return _handler(cfg, out, loads)
 
         monkeypatch.setitem(cli._SUBCOMMANDS, name, (help_text, counted, add))
     assert _run("examples", "--cap", "999999") == (

@@ -272,6 +272,106 @@ def test_evaluation_cap_is_an_error_not_truncation(fix):
         evaluate_quantified(ast, build_model(ast, monoid), cap=1)
 
 
+EXISTS_ONE_ARROW = """\
+layer L in C
+node X : L "X" @exists(1)
+node Y : L "Y" @exists(1)
+arrow u : X -> Y "u" @existsuniq(2)
+"""
+EXISTS_INITIAL = """\
+layer L in C
+node I : L "I" @exists(1)
+node Y : L "Y" @forall(2)
+arrow u : I -> Y "u" @existsuniq(3)
+"""
+ALL_UNIQUE_ARROWS = """\
+layer L in C
+node X : L "X" @forall(1)
+node Y : L "Y" @forall(1)
+arrow u : X -> Y "u" @existsuniq(2)
+"""
+ALL_ABOVE_INITIAL = """\
+layer L in C
+node X : L "X" @forall(1)
+node I : L "I" @exists(2)
+arrow u : I -> X "u" @existsuniq(3)
+"""
+
+
+@pytest.mark.parametrize(
+    "diagram, category, rendered",
+    [
+        (
+            EXISTS_ONE_ARROW,
+            "chain2.fincat",
+            "stage 0 [-]: statement holds\n  stage 1 [∃]: witness\n    X = 0\n    Y = 0\n"
+            "    stage 2 [∃!]: unique witness\n      u = id_0",
+        ),
+        (
+            EXISTS_ONE_ARROW,
+            "monoid_e.fincat",
+            "stage 0 [-]: statement fails\n"
+            "  stage 1 [∃]: no commuting extension satisfies the rest (1 candidates)",
+        ),
+        (
+            EXISTS_INITIAL,
+            "kite.fincat",
+            "stage 0 [-]: statement holds\n  stage 1 [∃]: witness\n    I = 1\n"
+            "    stage 2 [∀]: all 5 commuting extensions satisfy the rest",
+        ),
+        (
+            ALL_UNIQUE_ARROWS,
+            "monoid_e.fincat",
+            "stage 0 [-]: statement fails\n  stage 1 [∀]: counterexample\n    X = *\n    Y = *\n"
+            "    stage 2 [∃!]: not unique: second extension also works (first was u=e)\n"
+            "      u = id_*",
+        ),
+        (
+            ALL_ABOVE_INITIAL,
+            "monoid_e.fincat",
+            "stage 0 [-]: statement fails\n  stage 1 [∀]: counterexample\n    X = *\n"
+            "    stage 2 [∃]: no commuting extension satisfies the rest (1 candidates)",
+        ),
+        (
+            ALL_ABOVE_INITIAL,
+            "a4.fincat",
+            "stage 0 [-]: statement holds\n"
+            "  stage 1 [∀]: all 4 commuting extensions satisfy the rest",
+        ),
+    ],
+    ids=[
+        "exists-unique-witness",
+        "exists-fails",
+        "exists-forall-holds",
+        "forall-not-unique",
+        "forall-exists-fails",
+        "forall-holds",
+    ],
+)
+def test_evaluation_builds_only_the_trace_it_returns(
+    fix, tmp_path, monkeypatch, diagram, category, rendered
+):
+    """Every quantifier's outcomes render as before, and each trace node
+    built is one the returned trace holds."""
+    import fincat.diagram
+
+    built = []
+
+    class CountedTrace(fincat.diagram.EvalTrace):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(fincat.diagram, "EvalTrace", CountedTrace)
+    model = tmp_path / "layer.model"
+    model.write_text(f"layer L = {fix(category)}\n")
+    ast = parse_diagram(diagram)
+    value, trace = evaluate_quantified(ast, build_model(ast, load_model_spec(str(model))))
+    assert trace.render() == rendered
+    assert value is trace.outcome
+    assert len(built) == rendered.count("stage ")
+
+
 # ---------------------------------------------------------------------------
 # Elaboration, rendering, macros
 # ---------------------------------------------------------------------------

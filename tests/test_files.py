@@ -1,9 +1,15 @@
 """Fixture file loaders: section parsing, auto-filled tables, error reporting."""
 
+import collections
+import io
+import os
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fincat import cli, files
 from fincat.core import FINSET, validate_category
 from fincat.files import (
     FixtureParseError,
@@ -12,8 +18,11 @@ from fincat.files import (
     load_functor,
     load_model_spec,
     load_nattrans,
+    load_once,
+    parse_atom,
     parse_set_literal,
 )
+from oracles import regex_load_category, regex_parse_atom
 
 
 def test_identities_and_identity_composites_are_implicit(fix):
@@ -148,3 +157,201 @@ def test_set_literal_parsing():
     assert list(parse_set_literal("{2, 10}")) == [2, 10]  # numeric atom order
     with pytest.raises(ValueError):
         parse_set_literal("a, b")
+    with pytest.raises(ValueError, match="atom 'a' named twice"):
+        parse_set_literal("{a, b, a}")
+    with pytest.raises(ValueError, match="atom 7 named twice"):
+        parse_set_literal("{7, 007}")
+
+
+# ---------------------------------------------------------------------------
+# One load per file and invocation
+
+
+def _count_reads(monkeypatch):
+    """Count the reads of each file, by resolved path."""
+    reads = collections.Counter()
+    real_read = files._read_lines
+
+    def counted(path):
+        reads[os.path.realpath(path)] += 1
+        return real_read(path)
+
+    monkeypatch.setattr(files, "_read_lines", counted)
+    return reads
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (
+            ["kan", "incl_a4_b6.fun", "h_on_a.fun"],
+            ["incl_a4_b6.fun", "a4.fincat", "b6.fincat", "h_on_a.fun"],
+        ),
+        (["check-nt", "id_fkite.nt"], ["id_fkite.nt", "f_kite.fun", "kite.fincat"]),
+        (
+            ["adj", "verify", "galois.adj"],
+            ["galois.adj", "incl_p_q.fun", "trunc_q_p.fun", "chain2.fincat", "chain3.fincat"],
+        ),
+        (
+            ["eval", "universal_arrow.diag", "--model", "models/universal_arrow_galois.model"],
+            [
+                "models/universal_arrow_galois.model",
+                "chain2.fincat",
+                "chain3.fincat",
+                "trunc_q_p.fun",
+            ],
+        ),
+    ],
+    ids=["kan", "check-nt", "adj", "eval"],
+)
+def test_a_command_reads_each_file_once(fix, monkeypatch, argv, read):
+    reads = _count_reads(monkeypatch)
+    argv = [a if a.startswith("-") or "." not in a else fix(a) for a in argv]
+    assert cli.run(argv, out=io.StringIO()) == cli.EXIT_OK
+    assert reads == {os.path.realpath(fix(name)): 1 for name in read}
+
+
+def test_kan_reads_a_file_once_whatever_its_spelling(fix, monkeypatch):
+    reads = _count_reads(monkeypatch)
+    other_spelling = os.path.join(fix(""), "..", "fixtures", "h_on_a.fun")
+    assert cli.run(["kan", fix("incl_a4_b6.fun"), other_spelling], out=io.StringIO()) == 0
+    assert reads[os.path.realpath(fix("a4.fincat"))] == 1
+    assert set(reads.values()) == {1}
+
+
+def test_examples_reads_each_fixture_once(fix, monkeypatch):
+    reads = _count_reads(monkeypatch)
+    out = io.StringIO()
+    assert cli.run(["examples"], out=out) == cli.EXIT_OK
+    assert out.getvalue().endswith("corpus: 40/40 ok\n")
+    for name in ("a4.fincat", "kite.fincat", "f_kite.fun", "chain2.fincat", "trunc_q_p.fun"):
+        assert reads[os.path.realpath(fix(name))] == 1, name
+    assert set(reads.values()) == {1}
+
+
+def test_loads_through_one_memo_share_their_objects(fix, tmp_path, monkeypatch):
+    memo: dict = {}
+    a4 = load_once(memo, load_category, fix("a4.fincat"))
+    (tmp_path / "linked.fincat").symlink_to(fix("a4.fincat"))
+    monkeypatch.chdir(fix(""))
+    for spelling in (
+        os.path.join(fix(""), "..", "fixtures", "a4.fincat"),
+        str(tmp_path / "linked.fincat"),
+        "a4.fincat",
+    ):
+        assert load_once(memo, load_category, spelling) is a4
+    along = load_once(memo, load_functor, fix("incl_a4_b6.fun"), memo)
+    functor = load_once(memo, load_functor, fix("h_on_a.fun"), memo)
+    assert along.source is functor.source
+    assert load_once(memo, load_functor, fix("h_on_a.fun"), memo) is functor
+    nt = load_nattrans(fix("id_fkite.nt"))
+    assert nt.F is nt.G
+    # a bare path gives fresh objects
+    assert load_functor(fix("h_on_a.fun")) is not load_functor(fix("h_on_a.fun"))
+    assert load_nattrans(fix("id_fkite.nt")).F is not nt.F
+
+
+def test_a_memo_hit_does_not_load_again(fix, monkeypatch):
+    loads = collections.Counter()
+    for name in ("load_category", "load_functor"):
+        def counted(path, *args, _load=getattr(files, name), _name=name):
+            loads[_name] += 1
+            return _load(path, *args)
+
+        monkeypatch.setattr(files, name, counted)
+    memo: dict = {}
+    for _ in range(2):
+        load_once(memo, files.load_functor, fix("incl_a4_b6.fun"), memo)
+        load_once(memo, files.load_functor, fix("h_on_a.fun"), memo)
+        load_once(memo, files.load_category, fix("a4.fincat"))
+    assert loads == {"load_functor": 2, "load_category": 2}
+
+
+def test_a_load_that_raises_is_not_remembered(tmp_path):
+    bad = tmp_path / "bad.fincat"
+    bad.write_text("objects:\n  a\nmorphisms:\n  f a -> a\n")
+    memo: dict = {}
+    errors = []
+    for _ in range(2):
+        with pytest.raises(FixtureParseError) as err:
+            load_once(memo, load_category, str(bad))
+        errors.append(str(err.value))
+    assert errors == [f"{bad}:4: expected 'name : dom -> cod', got 'f a -> a'"] * 2
+    assert memo == {}
+
+
+# ---------------------------------------------------------------------------
+# The line pass against the regex-only reader
+
+NAME = st.text(alphabet="ab01.=:->_", min_size=1, max_size=4)
+GAP = st.sampled_from(["", " ", "  ", "\t"])
+# mostly the separator a line needs, sometimes another
+COLON = st.sampled_from([":"] * 9 + ["="])
+ARROW = st.sampled_from(["->"] * 9 + [":"])
+DOT = st.sampled_from(["."] * 3 + [":"])
+EQUALS = st.sampled_from(["="] * 2 + [".", "->"])
+HEADER = st.sampled_from(["{}:"] * 3 + ["{}: ", "  {}:", "{}:x", "{} :"])
+NOISE = st.sampled_from(["", "   ", "# a . b = c", "  #objects:", "\t"])
+TAIL = st.sampled_from(["", "", " ", "#", " # g . f = h", "#compose:", "# 1 : 0 -> 1"])
+
+
+@st.composite
+def fincat_texts(draw):
+    """``.fincat`` text whose names hold ``.``, ``=``, ``:``, ``->`` and
+    digits, with comments, blank lines, uneven whitespace and now and then
+    a wrong separator."""
+    objects = draw(st.lists(NAME, min_size=1, max_size=4))
+    gap = lambda: draw(GAP)
+    lines = [draw(HEADER).format("objects")] + [gap() + x + gap() for x in objects]
+    if draw(st.booleans()):
+        lines.append(draw(HEADER).format("preorder"))
+        for _ in range(draw(st.integers(0, 4))):
+            a, b = draw(st.sampled_from(objects)), draw(st.sampled_from(objects))
+            lines.append(f"{gap()}{a}{gap()}<{gap()}{b}")
+    else:
+        lines.append(draw(HEADER).format("morphisms"))
+        names = []
+        for _ in range(draw(st.integers(0, 4))):
+            name = draw(NAME)
+            dom, cod = draw(st.sampled_from(objects)), draw(st.sampled_from(objects))
+            colon, arrow = draw(COLON), draw(ARROW)
+            line = f"{name}{gap()}{colon}{gap()}{dom}{gap()}{arrow}{gap()}{cod}"
+            lines.append(gap() + line + gap())
+            names.append(name)
+        lines.append(draw(HEADER).format("compose"))
+        pool = st.sampled_from(names + [f"id_{x}" for x in objects] + [draw(NAME)])
+        for _ in range(draw(st.integers(0, 6))):
+            g, f, h = draw(pool), draw(pool), draw(pool)
+            dot, equals = draw(DOT), draw(EQUALS)
+            lines.append(f"{gap()}{g}{gap()}{dot}{gap()}{f}{gap()}{equals}{gap()}{h}{gap()}")
+    out = []
+    for line in lines:
+        out.append(draw(NOISE))
+        out.append(line + draw(TAIL))
+    return "\n".join(out) + "\n"
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # the message is what a user sees
+        return type(exc).__name__, str(exc)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("line_pass") / "generated.fincat"
+
+
+@given(fincat_texts())
+@settings(max_examples=300, deadline=None)
+def test_the_line_pass_reads_like_the_regex_reader(scratch_file, text):
+    scratch_file.write_text(text, encoding="utf-8")
+    path = str(scratch_file)
+    assert _outcome(load_category, path) == _outcome(regex_load_category, path)
+
+
+@given(st.text(alphabet="0123456789a\u0663\u00b2 \t", max_size=5))
+def test_all_digit_atoms_are_ascii_integers(token):
+    assert parse_atom(token) == regex_parse_atom(token)
+    assert type(parse_atom(token)) is type(regex_parse_atom(token))

@@ -809,7 +809,9 @@ def test_yoneda_command_matches_the_rebuilding_reference(fix, monkeypatch):
     laws and the seeded forests), which the loader is patched to return."""
     built = {f"api-{i}": f for i, f in enumerate(_subjects(fix)[len(SET_VALUED_FUNS) :])}
     real_load = cli.load_functor
-    monkeypatch.setattr(cli, "load_functor", lambda p: built[p] if p in built else real_load(p))
+    monkeypatch.setattr(
+        cli, "load_functor", lambda p, memo: built[p] if p in built else real_load(p, memo)
+    )
     names = [*_set_valued_fixtures(fix), *built]
     assert len(names) == len(SET_VALUED_FUNS) + 18
     argvs = [("yoneda", name, "--cap", str(cap)) for name in names for cap in CAPS]
@@ -821,8 +823,8 @@ def test_yoneda_command_matches_the_rebuilding_reference(fix, monkeypatch):
         "yoneda",
         (
             help_text,
-            lambda cfg, out: rebuilding_yoneda_command(
-                cli.load_functor(cfg.paths[0]), cfg.cap, out
+            lambda cfg, out, loads: rebuilding_yoneda_command(
+                cli.load_functor(cfg.paths[0], loads), cfg.cap, out
             ),
             add,
         ),
