@@ -186,7 +186,8 @@ def _cmd_check_nt(cfg: RunConfig, out, loads: dict) -> int:
 
 def _load_diagram(path: str):
     """The parsed diagram with every macro that an element uses spliced in,
-    each macro once."""
+    each macro once.  Commands load it through the invocation's memo, so a
+    diagram named twice is parsed once and shares its shape analyses."""
     with open(path, encoding="utf-8") as handle:
         ast = parse_diagram(handle.read())
     expanded: set = set()
@@ -196,8 +197,8 @@ def _load_diagram(path: str):
     return ast
 
 
-def _cmd_stages(cfg: RunConfig, out, _loads: dict) -> int:
-    ast = _load_diagram(cfg.paths[0])
+def _cmd_stages(cfg: RunConfig, out, loads: dict) -> int:
+    ast = load_once(loads, _load_diagram, cfg.paths[0])
     stages = extract_stages(ast)
     _emit(out, f"stages: {len(stages) - 1}")
     for stage in stages:
@@ -211,8 +212,8 @@ def _cmd_stages(cfg: RunConfig, out, _loads: dict) -> int:
     return EXIT_OK
 
 
-def _cmd_context(cfg: RunConfig, out, _loads: dict) -> int:
-    ast = _load_diagram(cfg.paths[0])
+def _cmd_context(cfg: RunConfig, out, loads: dict) -> int:
+    ast = load_once(loads, _load_diagram, cfg.paths[0])
     if cfg.fmt == "graph":
         _emit(out, render_grid(ast))
         return EXIT_OK
@@ -238,7 +239,7 @@ def _require_model(spec) -> None:
 
 
 def _cmd_eval(cfg: RunConfig, out, loads: dict) -> int:
-    ast = _load_diagram(cfg.paths[0])
+    ast = load_once(loads, _load_diagram, cfg.paths[0])
     spec = load_once(loads, load_model_spec, cfg.options["model"], loads)
     _require_model(spec)
     model = build_model(ast, spec)

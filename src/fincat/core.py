@@ -4,10 +4,12 @@ A category is a finite table: objects, morphisms with dom/cod, an identity
 assignment, and a composition table that must be total on composable pairs.
 Nothing is trusted: every law is an obligation verified by exhaustive
 enumeration, and a failing obligation always carries a concrete witness
-(the identifiers violating the law) so the failure can be replayed.  The one
-law not enumerated everywhere is associativity of a coherent, total, thin
-table (every hom-set of one morphism): it follows from the checked hom-set
-sizes, since both sides of each triple lie in one singleton hom-set.
+(the identifiers violating the law) so the failure can be replayed.  Two
+facts are counted rather than enumerated.  A coherent table is total when
+its entries are as many as its composable pairs, since each entry is a
+distinct composable pair.  A coherent, total, thin table (every hom-set of
+one morphism) is associative, since both sides of each triple lie in one
+singleton hom-set.
 
 Functors and natural transformations are value-level tables as well.  A
 functor may land either in another table category or in the ambient
@@ -175,6 +177,9 @@ class FinCat(Record):
 
 
 def _wellformed(c: FinCat) -> None:
+    """Raise MalformedTableError at the first object, morphism end or
+    identity that names nothing.  The composition table's names are checked
+    by `validate_category`'s pass over it."""
     objs = set(c.objects)
     if len(objs) != len(c.objects):
         raise MalformedTableError("duplicate object identifiers")
@@ -191,10 +196,6 @@ def _wellformed(c: FinCat) -> None:
     for x in c.identity:
         if x not in objs:
             raise MalformedTableError(f"identity table mentions unknown object {x!r}")
-    for (g, f), h in c.compose.items():
-        for m in (g, f, h):
-            if m not in c.morphisms:
-                raise MalformedTableError(f"composition table mentions unknown morphism {m!r}")
 
 
 def is_thin(c: FinCat) -> bool:
@@ -204,11 +205,23 @@ def is_thin(c: FinCat) -> bool:
     return len(c._index.hom) == len(c.morphisms)
 
 
+def _composable_pairs(c: FinCat) -> int:
+    """The number of composable pairs (g, f): one per morphism f and arrow g
+    out of cod f."""
+    out = c._index.out_arrows
+    return sum(map(len, map(out.get, map(itemgetter(1), c.morphisms.values()), repeat(()))))
+
+
 def validate_category(c: FinCat) -> CheckReport:
     """Check the category laws by exhaustive enumeration.
 
-    Associativity of a coherent, total table whose hom-sets each hold one
-    morphism is decided from those facts, with no triple visited.
+    The composition table is read once, for its names and ends.  Every entry
+    of a coherent table is a distinct composable pair, so the table is total
+    exactly when it has as many entries as there are composable pairs.  When
+    it is also thin (every hom-set holds one morphism), associativity follows
+    from those facts, and no composable pair is looked up again.  Otherwise
+    the composites are read in one column per morphism, which names the
+    missing pairs and drives the associativity scan.
 
     Raises MalformedTableError for dangling identifiers before any law
     is considered; law violations come back as failed obligations.
@@ -217,15 +230,22 @@ def validate_category(c: FinCat) -> CheckReport:
     obligations = []
 
     # One pass over the table in its own order; only the failures are
-    # sorted, which orders them by their (g, f) key, as the reports do.
+    # sorted, which orders them by their (g, f) key, as the reports do.  The
+    # first entry naming an unknown morphism is the one the loop stops at.
     ends = c.morphisms
     bad_entries = []
-    for (g, f), h in c.compose.items():
-        (f_dom, f_cod), (g_dom, g_cod) = ends[f], ends[g]
-        if f_cod != g_dom:
-            bad_entries.append((g, f, h, "not composable"))
-        elif ends[h] != (f_dom, g_cod):
-            bad_entries.append((g, f, h, "boundary mismatch"))
+    try:
+        for (g, f), h in c.compose.items():
+            (f_dom, f_cod), (g_dom, g_cod), (h_dom, h_cod) = ends[f], ends[g], ends[h]
+            if f_cod != g_dom:
+                bad_entries.append((g, f, h, "not composable"))
+            elif h_dom != f_dom or h_cod != g_cod:
+                bad_entries.append((g, f, h, "boundary mismatch"))
+    except KeyError:
+        unknown = next(m for m in (g, f, h) if m not in ends)
+        raise MalformedTableError(
+            f"composition table mentions unknown morphism {unknown!r}"
+        ) from None
     bad_entries.sort()
     coh = []
     for x in c.objects:
@@ -235,35 +255,36 @@ def validate_category(c: FinCat) -> CheckReport:
     coh += bad_entries
     obligations.append(Obligation("coherence", not coh, tuple(coh[:1][0]) if coh else ()))
 
-    # after[m]: the composites k o m for k in out_arrows(cod m), None where
-    # the table has no entry.  The columns cover every composable pair once.
-    safe_comp = c.compose.get  # None where totality already failed
-    ordered = c.sorted_morphisms()
-    outs = {m: c.out_arrows(c.cod(m)) for m in ordered}
-    after = {m: tuple(map(safe_comp, zip(outs[m], repeat(m)))) for m in ordered}
-
-    missing = sorted(
-        (k, m)
-        for m in ordered
-        if None in after[m]
-        for k, km in zip(outs[m], after[m])
-        if km is None
-    )
-    extra = [(g, f) for g, f, _h, why in bad_entries if why == "not composable"]
-    tot = missing + extra
-    obligations.append(Obligation("totality", not tot, tuple(tot[0]) if tot else ()))
-
+    safe_comp = c.compose.get  # None where totality fails
+    ordered = c._index.morphisms
+    tot = assoc = ()
     # A coherent, total, thin table is associative: both h o (g o f) and
     # (h o g) o f are defined, coherence puts both in hom(dom f, cod h), and
     # that hom-set has one element.
-    assoc = []
-    if coh or tot or not is_thin(c):
+    if coh or not is_thin(c) or len(c.compose) != _composable_pairs(c):
+        # after[m]: the composites k o m for k in out_arrows(cod m), None
+        # where the table has no entry.  The columns cover every composable
+        # pair once.
+        outs = {m: c.out_arrows(ends[m][1]) for m in ordered}
+        after = {m: tuple(map(safe_comp, zip(outs[m], repeat(m)))) for m in ordered}
+
+        missing = sorted(
+            (k, m)
+            for m in ordered
+            if None in after[m]
+            for k, km in zip(outs[m], after[m])
+            if km is None
+        )
+        extra = [(g, f) for g, f, _h, why in bad_entries if why == "not composable"]
+        tot = missing + extra
+
         # For each composable pair (f, g), the whole h-axis h in
         # out_arrows(cod g) is compared at once: h o (g o f) is the column of
         # g o f when g o f ends where g does, and (h o g) o f is read from f's
         # column keyed by h o g.  A pair whose tuples differ, or that has no
         # such column, is scanned one h at a time; equal tuples mean every h
         # has both sides and they agree.
+        assoc = []
         absent = object()  # (h o g) o f outside f's column: never equal, so scanned
         for f in ordered:
             after_f = dict(zip(outs[f], after[f]))
@@ -280,15 +301,18 @@ def validate_category(c: FinCat) -> CheckReport:
                     left, right = safe_comp((h, gf)), safe_comp((hg, f))
                     if left != right:
                         assoc.append((h, g, f, left, right))
+    obligations.append(Obligation("totality", not tot, tuple(tot[0]) if tot else ()))
     obligations.append(Obligation("associativity", not assoc, tuple(assoc[0]) if assoc else ()))
 
     idl = []
     idr = []
+    identity = c.identity
     for f in ordered:
-        li = safe_comp((c.identity[c.cod(f)], f))
+        d, co = ends[f]
+        li = safe_comp((identity[co], f))
         if li is not None and li != f:
             idl.append((f, li))
-        ri = safe_comp((f, c.identity[c.dom(f)]))
+        ri = safe_comp((f, identity[d]))
         if ri is not None and ri != f:
             idr.append((f, ri))
     obligations.append(Obligation("left_identity", not idl, tuple(idl[0]) if idl else ()))

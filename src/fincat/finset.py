@@ -175,18 +175,22 @@ def encode_map(m: FinSetMap) -> str:
 
 def decode_map(text: str, dom: FinSetObj, cod: FinSetObj) -> FinSetMap:
     """Inverse of encode_map given the intended dom and cod.  Each atom of
-    ``dom`` must be named exactly once."""
+    ``dom`` must be named exactly once; a token names the first atom, in
+    sorted order, that prints as it."""
     body = text.strip()
     if not (body.startswith("{") and body.endswith("}")):
         raise EncodingError(f"not a map encoding: {text!r}")
     body = body[1:-1].strip()
     table = {}
     if body:
+        # each text to its atom; on a clash, the first atom in sorted order
+        dom_text = {str(a): a for a in reversed(dom.atoms)}
+        cod_text = {str(a): a for a in reversed(cod.atoms)}
         for entry in body.split(","):
             if "->" not in entry:
                 raise EncodingError(f"bad map entry {entry!r}")
             a, b = entry.split("->", 1)
-            a, b = _match_atom(a.strip(), dom), _match_atom(b.strip(), cod)
+            a, b = _match_atom(a.strip(), dom, dom_text), _match_atom(b.strip(), cod, cod_text)
             if a in table:
                 raise EncodingError(f"atom {a!r} mapped twice")
             table[a] = b
@@ -196,11 +200,12 @@ def decode_map(text: str, dom: FinSetObj, cod: FinSetObj) -> FinSetMap:
     return FinSetMap(dom, cod, map(table.__getitem__, dom.atoms))
 
 
-def _match_atom(token: str, among: FinSetObj):
-    for a in among:
-        if str(a) == token:
-            return a
-    raise EncodingError(f"atom {token!r} not in {among!r}")
+def _match_atom(token: str, among: FinSetObj, by_text: dict):
+    """The atom of ``among`` that ``by_text`` gives for ``token``."""
+    try:
+        return by_text[token]
+    except KeyError:
+        raise EncodingError(f"atom {token!r} not in {among!r}") from None
 
 
 def _solve(variables, domains, constraints, cap):

@@ -51,6 +51,9 @@ force, kept to pin the exact output of the faster code that replaced them:
   ``nattrans_key`` the text key that told transformations apart;
 * ``name_per_triple_preorder`` is ``preorder_from_covers`` as it named each
   composite anew, three names per composable triple.
+* ``per_entry_wellformed`` is the check for dangling identifiers that
+  scanned the composition table on its own, before the law checks, where
+  the library finds them in its one pass over that table.
 * ``regex_load_category`` is the ``.fincat`` reader whose line pass ran a
   regular expression on every line: comment stripping, section headers,
   ``g . f = h`` lines and all-digit atoms (``regex_parse_atom``), where the
@@ -206,6 +209,33 @@ def triple_loop_validate(c) -> CheckReport:
         f"category:{len(c.objects)}obj/{len(c.morphisms)}mor",
         tuple(Obligation(name, not found, first(found)) for name, found in laws),
     )
+
+
+def per_entry_wellformed(c) -> None:
+    """The well-formedness check of ``validate_category`` as a separate scan
+    of every table, the composition table included: raise
+    MalformedTableError at the first dangling identifier, testing each
+    composition entry's g, f and h in that order."""
+    objs = set(c.objects)
+    if len(objs) != len(c.objects):
+        raise MalformedTableError("duplicate object identifiers")
+    for m, (d, co) in c.morphisms.items():
+        if d not in objs:
+            raise MalformedTableError(f"morphism {m!r} has unknown dom {d!r}")
+        if co not in objs:
+            raise MalformedTableError(f"morphism {m!r} has unknown cod {co!r}")
+    for x in c.objects:
+        if x not in c.identity:
+            raise MalformedTableError(f"no identity assigned to object {x!r}")
+        if c.identity[x] not in c.morphisms:
+            raise MalformedTableError(f"identity of {x!r} is unknown morphism {c.identity[x]!r}")
+    for x in c.identity:
+        if x not in objs:
+            raise MalformedTableError(f"identity table mentions unknown object {x!r}")
+    for (g, f), h in c.compose.items():
+        for m in (g, f, h):
+            if m not in c.morphisms:
+                raise MalformedTableError(f"composition table mentions unknown morphism {m!r}")
 
 
 def fixpoint_closure(objects, covers) -> set:

@@ -229,6 +229,34 @@ def test_examples_reads_each_fixture_once(fix, monkeypatch):
     assert set(reads.values()) == {1}
 
 
+def test_examples_parses_each_diagram_once(monkeypatch):
+    """The 7 diagram entries of ``examples`` name 3 files; each is parsed
+    once, and the shared diagrams answer as 7 fresh parses do."""
+    parses = collections.Counter()
+    real_parse = cli.parse_diagram
+
+    def counted(text):
+        parses[text] += 1
+        return real_parse(text)
+
+    monkeypatch.setattr(cli, "parse_diagram", counted)
+    shared = io.StringIO()
+    assert cli.run(["examples"], out=shared) == cli.EXIT_OK
+    assert sorted(parses.values()) == [1, 1, 1]
+
+    def fresh_diagrams(memo, load, path, *args):
+        if load is cli._load_diagram:
+            return load(path, *args)
+        return load_once(memo, load, path, *args)
+
+    parses.clear()
+    monkeypatch.setattr(cli, "load_once", fresh_diagrams)
+    fresh = io.StringIO()
+    assert cli.run(["examples"], out=fresh) == cli.EXIT_OK
+    assert sum(parses.values()) == 7 and len(parses) == 3
+    assert shared.getvalue() == fresh.getvalue()
+
+
 def test_loads_through_one_memo_share_their_objects(fix, tmp_path, monkeypatch):
     memo: dict = {}
     a4 = load_once(memo, load_category, fix("a4.fincat"))

@@ -3,6 +3,7 @@
 import itertools
 import math
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -84,6 +85,54 @@ def test_map_totality_range_and_extensional_equality():
     m2 = map_from_table(dom, cod, {"b": "y", "a": "x"})
     assert m1 == m2 and m1("a") == "x" and m1("b") == "y"
     assert decode_map("{b->y, a->x}", dom, cod) == m1
+
+
+def _scanned_atom(token, among):
+    """The first atom of ``among``, in sorted order, that prints as
+    ``token``: the linear scan a table lookup must agree with."""
+    return next(a for a in among if str(a) == token)
+
+
+def test_decode_map_reads_a_50_atom_domain_like_a_scan():
+    rng = random.Random(50)
+    dom = FinSetObj([*range(25), *(f"t{i}" for i in range(25))])
+    cod = FinSetObj([*range(0, 60, 3), *(f"u{i}" for i in range(30))])
+    assert (len(dom), len(cod)) == (50, 50)
+    for _ in range(20):
+        pairs = [(a, rng.choice(cod.atoms)) for a in dom]
+        rng.shuffle(pairs)
+        text = "{" + ", ".join(f"{a}->{b}" for a, b in pairs) + "}"
+        want = map_from_table(
+            dom, cod, {_scanned_atom(str(a), dom): _scanned_atom(str(b), cod) for a, b in pairs}
+        )
+        assert decode_map(text, dom, cod) == want == map_from_table(dom, cod, dict(pairs))
+
+
+def test_decode_map_names_the_first_atom_in_sorted_order_on_a_text_clash():
+    clash = FinSetObj((1, "1", "a"))
+    assert decode_map("{1->1, a->a}", FinSetObj((1, "a")), clash).values == (1, "a")
+    assert type(decode_map("{a->1}", FinSetObj("a"), clash).values[0]) is int
+    # "1" names the integer, so the token atom "1" is never named
+    with pytest.raises(ValueError, match=r"^map not total: missing '1'$"):
+        decode_map("{1->a, a->a}", clash, clash)
+
+
+def test_decode_map_errors_name_the_token_and_the_set():
+    dom, cod = FinSetObj("ab"), FinSetObj((1, "x"))
+    with pytest.raises(EncodingError, match=r"^atom 'c' not in \{a,b\}$"):
+        decode_map("{a->x, c->x}", dom, cod)
+    with pytest.raises(EncodingError, match=r"^atom 'y' not in \{1,x\}$"):
+        decode_map("{a->x, b->y}", dom, cod)
+    with pytest.raises(EncodingError, match=r"^atom 'z' not in \{a,b\}$"):
+        decode_map("{z->y}", dom, cod)  # the domain side is read first
+    with pytest.raises(EncodingError, match=r"^atom 'a' mapped twice$"):
+        decode_map("{a->x, a->1}", dom, cod)
+    with pytest.raises(EncodingError, match=r"^bad map entry ' b'$"):
+        decode_map("{a->x, b}", dom, cod)
+    with pytest.raises(ValueError, match=r"^map not total: missing 'b'$"):
+        decode_map("{a->1}", dom, cod)
+    with pytest.raises(ValueError, match=r"^map not total: missing 'a'$"):
+        decode_map("{ }", dom, cod)
 
 
 def test_map_equality_and_hash_match_the_sorted_key_reference():

@@ -9,7 +9,9 @@ them the families whose columns differ where no triple fails, and typed wrong
 composites in hom-sets of two or more morphisms) and on random cover lists.
 The closures of random covers are thin, so they also check the associativity
 that ``validate_category`` decides from coherence, totality and hom-set sizes,
-against their mutants and doubles, which it scans.
+and the totality it counts, against their mutants and doubles, which it scans.
+Unknown names in the composition table must raise what the separate
+per-entry scan of ``tests/oracles.py`` raised.
 """
 
 import os
@@ -17,9 +19,21 @@ import random
 
 import pytest
 from helpers import random_covers
-from oracles import fixpoint_closure, name_per_triple_preorder, triple_loop_validate
+from oracles import (
+    fixpoint_closure,
+    name_per_triple_preorder,
+    per_entry_wellformed,
+    triple_loop_validate,
+)
 
-from fincat.core import CycleError, FinCat, is_thin, preorder_from_covers, validate_category
+from fincat.core import (
+    CycleError,
+    FinCat,
+    MalformedTableError,
+    is_thin,
+    preorder_from_covers,
+    validate_category,
+)
 from fincat.files import load_category
 
 
@@ -250,17 +264,132 @@ class _CountingTable(dict):
         return super().__contains__(key)
 
 
-def test_associativity_looks_up_each_composable_pair_once():
+def test_a_lawful_thin_table_looks_up_only_its_identity_laws():
+    """Totality is counted and associativity follows from thinness, so no
+    composable pair is looked up; the two identity laws look up two
+    composites per morphism."""
     chain = _chain(20)
     compose = _CountingTable(chain.compose)
-    counted = _with_compose(chain, compose)
-    assert validate_category(counted).passed
-    pairs = len(chain.compose)  # a lawful table holds every composable pair
-    triples = sum(len(chain.out_arrows(chain.cod(g))) for g, _f in chain.compose)
-    assert (pairs, triples) == (1540, 8855)
-    # one lookup per composable pair for the columns, and the two identity
-    # laws look up two composites per morphism
-    assert compose.lookups == pairs + 2 * len(chain.morphisms)
+    assert validate_category(_with_compose(chain, compose)).passed
+    assert (len(chain.compose), len(chain.morphisms)) == (1540, 210)
+    assert compose.lookups == 2 * 210 == 420
+
+
+def test_associativity_looks_up_each_composable_pair_once():
+    """A lawful table that is not thin is read in its columns: one lookup per
+    composable pair, and two per morphism for the identity laws."""
+    doubled = _times_idempotent(_chain(20))
+    compose = _CountingTable(doubled.compose)
+    assert validate_category(_with_compose(doubled, compose)).passed
+    pairs = len(doubled.compose)  # a lawful table holds every composable pair
+    triples = sum(len(doubled.out_arrows(doubled.cod(g))) for g, _f in doubled.compose)
+    assert (pairs, triples, len(doubled.morphisms)) == (6160, 70840, 420)
+    assert compose.lookups == pairs + 2 * len(doubled.morphisms)
+
+
+def _dropped_and_padded(cat: FinCat, rng: random.Random, count: int):
+    """Drop one composite and add one entry for a pair that does not
+    compose, so the table keeps as many entries as there are composable
+    pairs while coherence and totality fail."""
+    ends = cat.morphisms
+    names = sorted(ends)
+    loose = [(g, f) for g in names for f in names if ends[f][1] != ends[g][0]]
+    for _ in range(count):
+        compose = dict(cat.compose)
+        del compose[rng.choice(sorted(compose))]
+        compose[rng.choice(loose)] = rng.choice(names)
+        yield _with_compose(cat, compose)
+
+
+def test_a_dropped_composite_behind_a_padded_entry_matches_the_triple_loop(fix):
+    rng = random.Random(26)
+    subjects = _thin_subjects(fix) + [_times_idempotent(_chain(4))]
+    for cat in subjects:
+        for mutant in _dropped_and_padded(cat, rng, count=6):
+            assert len(mutant.compose) == len(cat.compose)
+            report = validate_category(mutant)
+            assert report == triple_loop_validate(mutant)
+            assert not report.obligation("coherence").passed
+            assert not report.obligation("totality").passed
+
+
+def _renamed_entry(cat: FinCat, at: int, slot: int, name: str) -> FinCat:
+    """``cat`` with one name of its ``at``-th composition entry, g, f or h
+    by ``slot``, replaced by ``name``; the table keeps its order."""
+    compose = {}
+    for i, ((g, f), h) in enumerate(cat.compose.items()):
+        entry = [g, f, h]
+        if i == at:
+            entry[slot] = name
+        compose[(entry[0], entry[1])] = entry[2]
+    return _with_compose(cat, compose)
+
+
+def _malformed_message(check, cat: FinCat) -> str:
+    with pytest.raises(MalformedTableError) as raised:
+        check(cat)
+    return str(raised.value)
+
+
+def test_an_unknown_name_in_the_table_is_reported_as_by_the_per_entry_scan():
+    chain = _chain(5)
+    last = len(chain.compose) - 1
+    subjects = []
+    for at in (0, last // 2, last):
+        for slot in (0, 1, 2):
+            subjects.append(_renamed_entry(chain, at, slot, "ghost"))
+            # a later entry names another unknown morphism, which comes second
+            subjects.append(_renamed_entry(subjects[-1], last, 2, "later"))
+        # two unknown names in one entry: g is named before f, f before h
+        both = _renamed_entry(_renamed_entry(chain, at, 2, "h_ghost"), at, 1, "f_ghost")
+        subjects += [both, _renamed_entry(both, at, 0, "g_ghost")]
+    # an entry that does not compose and names an unknown composite
+    compose = dict(chain.compose)
+    compose[("c00->c01", "c03->c04")] = "ghost"
+    subjects.append(_with_compose(chain, compose))
+    for cat in subjects:
+        want = _malformed_message(per_entry_wellformed, cat)
+        assert _malformed_message(validate_category, cat) == want
+        assert "composition table mentions unknown morphism" in want
+
+
+def test_a_dangling_object_or_identity_is_reported_before_the_table():
+    chain = _chain(3)
+    broken = _renamed_entry(chain, 0, 0, "ghost")
+    identity = dict(broken.identity, c01="no_such_identity")
+    tables = (dict(broken.morphisms), dict(broken.identity), dict(broken.compose))
+    subjects = [
+        FinCat(broken.objects, dict(broken.morphisms), identity, dict(broken.compose)),
+        FinCat(broken.objects + ("c00",), *tables),
+        FinCat(broken.objects, dict(broken.morphisms, stray=("c00", "elsewhere")), *tables[1:]),
+    ]
+    for cat in subjects:
+        want = _malformed_message(per_entry_wellformed, cat)
+        assert _malformed_message(validate_category, cat) == want
+        assert "composition table" not in want
+
+
+def test_counted_totality_matches_the_triple_loop_on_random_thin_closures():
+    """A coherent table is total exactly when it has one entry per
+    composable pair.  Random thin closures, their one-entry mutants and
+    their count-keeping mutants are checked against the triple loop."""
+    rng = random.Random(2026)
+    counted = 0
+    for _ in range(60):
+        objects, covers = random_covers(rng, acyclic=True)
+        cat = preorder_from_covers(objects, covers)
+        subjects = [cat] + [mutant for _kind, mutant in _mutants(cat, rng, per_kind=2)]
+        if len(cat.objects) > 1:
+            subjects += list(_dropped_and_padded(cat, rng, count=2))
+        for subject in subjects:
+            report = validate_category(subject)
+            assert report == triple_loop_validate(subject)
+            if report.obligation("coherence").passed:
+                pairs = sum(len(subject.out_arrows(subject.cod(f))) for f in subject.morphisms)
+                total = len(subject.compose) == pairs
+                assert total == report.obligation("totality").passed
+                counted += total and is_thin(subject)
+    assert counted >= 60, counted
 
 
 def test_index_answers_like_a_scan(fix):
