@@ -74,7 +74,6 @@ from .diagram import (
     expand_annotation,
     extract_stages,
     parse_diagram,
-    print_diagram,
     render_grid,
 )
 from .yoneda import (

@@ -26,6 +26,7 @@ from .adjunction import (
 from .core import (
     CheckReport,
     FinCatError,
+    require_category,
     validate_category,
     validate_functor,
     validate_nattrans,
@@ -226,14 +227,8 @@ def _require_model(spec) -> None:
     its witness, unless every table layer is a category and every bound
     functor a functor."""
     for name, cat in spec.layers.items():
-        if cat is FINSET:
-            continue
-        failed = validate_category(cat).failures()
-        if failed:
-            raise FinCatError(
-                f"layer {name!r} is not a category: "
-                f"{failed[0].name} fails at {failed[0].witness!r}"
-            )
+        if cat is not FINSET:
+            require_category(cat, f"layer {name!r}")
     for (src, dst), fun in spec.functors.items():
         require_functor(fun, f"functor {src}->{dst}")
 
@@ -296,6 +291,7 @@ def _cmd_yoneda(cfg: RunConfig, out, loads: dict) -> int:
     functor = load_once(loads, load_functor, cfg.paths[0], loads)
     if functor.target is not FINSET:
         raise FinCatError("yoneda needs a finite-set valued functor")
+    require_category(functor.source, "functor source")
     require_functor(functor)
     category = functor.source
     probe = FinSetObj(("*",))
@@ -333,8 +329,8 @@ def _cmd_yoneda(cfg: RunConfig, out, loads: dict) -> int:
 def _cmd_kan(cfg: RunConfig, out, loads: dict) -> int:
     along = load_once(loads, load_functor, cfg.paths[0], loads)
     functor = load_once(loads, load_functor, cfg.paths[1], loads)
-    # Each extension is built once, after one functor check of the inputs,
-    # and shared by the sizes lines and both checks.
+    # Each extension is built once, after one check of each input and its
+    # tables, and shared by the sizes lines and both checks.
     extensions = kan_extensions(along, functor, cfg.cap)
     (rkan, cones), (lkan, _cocones) = extensions
     for tag, kan in (("right", rkan), ("left", lkan)):

@@ -8,8 +8,8 @@ enumeration, and a failing obligation always carries a concrete witness
 facts are counted rather than enumerated.  A coherent table is total when
 its entries are as many as its composable pairs, since each entry is a
 distinct composable pair.  A coherent, total, thin table (every hom-set of
-one morphism) is associative, since both sides of each triple lie in one
-singleton hom-set.
+one morphism) is associative and unital, since both sides of each of those
+laws lie in one singleton hom-set.
 
 Functors and natural transformations are value-level tables as well.  A
 functor may land either in another table category or in the ambient
@@ -68,10 +68,6 @@ class CheckReport(Record):
     subject: str
     obligations: tuple
 
-    def __init__(self, subject: str, obligations: tuple):
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "obligations", obligations)
-
     @property
     def passed(self) -> bool:
         return all(o.passed for o in self.obligations)
@@ -104,12 +100,6 @@ class _TableIndex(Record):
     out_arrows: dict  # object -> sorted names with that dom
     objects: frozenset
 
-    def __init__(self, morphisms: tuple, hom: dict, out_arrows: dict, objects: frozenset):
-        object.__setattr__(self, "morphisms", morphisms)
-        object.__setattr__(self, "hom", hom)
-        object.__setattr__(self, "out_arrows", out_arrows)
-        object.__setattr__(self, "objects", objects)
-
 
 class FinCat(Record):
     """Finite category given by explicit tables.
@@ -127,12 +117,6 @@ class FinCat(Record):
     morphisms: dict
     identity: dict
     compose: dict
-
-    def __init__(self, objects: tuple, morphisms: dict, identity: dict, compose: dict):
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "morphisms", morphisms)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "compose", compose)
 
     @cached_property
     def _index(self) -> _TableIndex:
@@ -218,10 +202,11 @@ def validate_category(c: FinCat) -> CheckReport:
     The composition table is read once, for its names and ends.  Every entry
     of a coherent table is a distinct composable pair, so the table is total
     exactly when it has as many entries as there are composable pairs.  When
-    it is also thin (every hom-set holds one morphism), associativity follows
-    from those facts, and no composable pair is looked up again.  Otherwise
-    the composites are read in one column per morphism, which names the
-    missing pairs and drives the associativity scan.
+    it is also thin (every hom-set holds one morphism), associativity and
+    both identity laws follow from those facts, and no composite is looked
+    up again.  Otherwise the composites are read in one column per morphism,
+    which names the missing pairs and drives the associativity scan, and the
+    identity laws look up two composites per morphism.
 
     Raises MalformedTableError for dangling identifiers before any law
     is considered; law violations come back as failed obligations.
@@ -255,13 +240,14 @@ def validate_category(c: FinCat) -> CheckReport:
     coh += bad_entries
     obligations.append(Obligation("coherence", not coh, tuple(coh[:1][0]) if coh else ()))
 
-    safe_comp = c.compose.get  # None where totality fails
-    ordered = c._index.morphisms
-    tot = assoc = ()
-    # A coherent, total, thin table is associative: both h o (g o f) and
-    # (h o g) o f are defined, coherence puts both in hom(dom f, cod h), and
-    # that hom-set has one element.
+    tot = assoc = idl = idr = ()
+    # A coherent, total, thin table is associative and unital: both
+    # h o (g o f) and (h o g) o f are defined, coherence puts both in
+    # hom(dom f, cod h), and that hom-set has one element; so do id o f and
+    # f o id, whose hom-set hom(dom f, cod f) is {f}.
     if coh or not is_thin(c) or len(c.compose) != _composable_pairs(c):
+        safe_comp = c.compose.get  # None where totality fails
+        ordered = c._index.morphisms
         # after[m]: the composites k o m for k in out_arrows(cod m), None
         # where the table has no entry.  The columns cover every composable
         # pair once.
@@ -301,24 +287,33 @@ def validate_category(c: FinCat) -> CheckReport:
                     left, right = safe_comp((h, gf)), safe_comp((hg, f))
                     if left != right:
                         assoc.append((h, g, f, left, right))
+
+        idl, idr = [], []
+        identity = c.identity
+        for f in ordered:
+            d, co = ends[f]
+            li = safe_comp((identity[co], f))
+            if li is not None and li != f:
+                idl.append((f, li))
+            ri = safe_comp((f, identity[d]))
+            if ri is not None and ri != f:
+                idr.append((f, ri))
     obligations.append(Obligation("totality", not tot, tuple(tot[0]) if tot else ()))
     obligations.append(Obligation("associativity", not assoc, tuple(assoc[0]) if assoc else ()))
-
-    idl = []
-    idr = []
-    identity = c.identity
-    for f in ordered:
-        d, co = ends[f]
-        li = safe_comp((identity[co], f))
-        if li is not None and li != f:
-            idl.append((f, li))
-        ri = safe_comp((f, identity[d]))
-        if ri is not None and ri != f:
-            idr.append((f, ri))
     obligations.append(Obligation("left_identity", not idl, tuple(idl[0]) if idl else ()))
     obligations.append(Obligation("right_identity", not idr, tuple(idr[0]) if idr else ()))
 
     return CheckReport(f"category:{len(c.objects)}obj/{len(c.morphisms)}mor", tuple(obligations))
+
+
+def require_category(c: FinCat, what: str) -> None:
+    """Raise FinCatError, naming ``what`` and the first failed law with its
+    witness, unless ``c`` passes :func:`validate_category`."""
+    failed = validate_category(c).failures()
+    if failed:
+        raise FinCatError(
+            f"{what} is not a category: {failed[0].name} fails at {failed[0].witness!r}"
+        )
 
 
 def _raise_name_collision(names: dict) -> None:
@@ -372,9 +367,7 @@ def preorder_from_covers(objects: Iterable[str], covers: Iterable[tuple]) -> Fin
 
 def opposite(c: FinCat) -> FinCat:
     """Reverse all arrows; same identifiers, transposed composition table."""
-    rep = validate_category(c)
-    if not rep.passed:
-        raise FinCatError(f"opposite of invalid category: {rep.failures()[0]}")
+    require_category(c, "the argument of opposite")
     morphisms = {m: (co, d) for m, (d, co) in c.morphisms.items()}
     compose = {(f, g): h for (g, f), h in c.compose.items()}
     return FinCat(c.objects, morphisms, dict(c.identity), compose)
@@ -388,12 +381,6 @@ class FunctorVal(Record):
     target: Any
     object_map: dict
     morphism_map: dict
-
-    def __init__(self, source: FinCat, target: Any, object_map: dict, morphism_map: dict):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "object_map", object_map)
-        object.__setattr__(self, "morphism_map", morphism_map)
 
 
 def validate_functor(f: FunctorVal) -> CheckReport:

@@ -66,10 +66,8 @@ __all__ = [
     "Stage",
     "Model",
     "EvalTrace",
-    "QUANTIFIERS",
     "quantifier_glyph",
     "parse_diagram",
-    "print_diagram",
     "render_grid",
     "validate_diagram",
     "extract_stages",
@@ -79,8 +77,6 @@ __all__ = [
     "elaborate_context",
     "expand_annotation",
 ]
-
-QUANTIFIERS = ("forall", "exists", "existsuniq")
 
 _GLYPHS = {"forall": "∀", "exists": "∃", "existsuniq": "∃!"}
 
@@ -285,7 +281,7 @@ def _parse_path(text: str, lineno: int) -> tuple:
 
 
 def parse_diagram(text: str) -> DiagramAst:
-    """Parse diagram source; the result round-trips through print_diagram."""
+    """Parse diagram source into a checked ``DiagramAst``, in declaration order."""
     decls: list = []
     macro_name: Optional[str] = None
     macro_body: list = []
@@ -445,47 +441,7 @@ def validate_diagram(ast: DiagramAst) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Printing and rendering
-
-
-def print_diagram(ast: DiagramAst) -> str:
-    """Canonical source text; parse_diagram(print_diagram(ast)) == ast."""
-    lines: list = []
-    for d in ast.decls:
-        lines.extend(_print_decl(d, indent=""))
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def _print_decl(d, indent: str) -> list:
-    if isinstance(d, LayerDecl):
-        return [f"{indent}layer {d.id} in {d.category}"]
-    if isinstance(d, FunctorDecl):
-        return [f'{indent}functor {d.id} : {d.src_layer} -> {d.dst_layer} "{d.label}"']
-    if isinstance(d, Node):
-        return [f'{indent}node {d.id} : {d.layer} "{d.label}"{_print_annots(d)}']
-    if isinstance(d, Arrow):
-        token = _KIND_TOKENS[d.kind]
-        return [f'{indent}arrow {d.id} : {d.src} {token} {d.dst} "{d.label}"{_print_annots(d)}']
-    if isinstance(d, NonCommute):
-        return [f"{indent}noncommute {'.'.join(d.left)} ; {'.'.join(d.right)}"]
-    if isinstance(d, DefDecl):
-        return [f'{indent}def {d.id} "{d.text}"']
-    if isinstance(d, MacroDecl):
-        lines = [f"{indent}macro {d.name} := {{"]
-        for inner in d.body:
-            lines.extend(_print_decl(inner, indent + "  "))
-        lines.append(f"{indent}}}")
-        return lines
-    raise TypeError(f"not a declaration: {d!r}")
-
-
-def _print_annots(e) -> str:
-    out = ""
-    if e.quantifier is not None:
-        out += f" @{e.quantifier}({e.stage})"
-    for use in e.uses:
-        out += f" @use({use})"
-    return out
+# Rendering
 
 
 def render_grid(ast: DiagramAst) -> str:
@@ -566,7 +522,11 @@ class Stage(Record):
 
 
 def extract_stages(ast: DiagramAst) -> list:
-    """Stages SQ_0 ⊆ ... ⊆ SQ_n with their quantifiers (stage 0 has none)."""
+    """Stages SQ_0 ⊆ ... ⊆ SQ_n with their quantifiers (stage 0 has none).
+
+    Only ``ast`` is validated: erasing a stage drops the arrows and
+    ``noncommute`` lines that touch it, and raises when a lower stage
+    depends on it, so every stage below is well formed too."""
     validate_diagram(ast)
     n = ast.max_stage()
     quantifier_of: dict[int, str] = {}
@@ -591,7 +551,6 @@ def extract_stages(ast: DiagramAst) -> list:
         )
         new_elems[k] = tuple(e for e in current.elements() if e in erased)
         current = DiagramAst(keep)
-        validate_diagram(current)
         subs[k - 1] = current
     new_elems[0] = tuple(subs[0].elements())
 
@@ -1093,29 +1052,12 @@ def _path_value(cat, assignment: Mapping, links: tuple, values: list, k: int):
 class EvalTrace(Record):
     """Nested witness/counterexample trace of a staged evaluation."""
 
-    __slots__ = ("stage", "quantifier", "outcome", "note", "assignment", "child")
     stage: int
     quantifier: Optional[str]
     outcome: bool
     note: str
-    assignment: tuple
-    child: Optional[EvalTrace]
-
-    def __init__(
-        self,
-        stage: int,
-        quantifier: Optional[str],
-        outcome: bool,
-        note: str,
-        assignment: tuple = (),
-        child: Optional[EvalTrace] = None,
-    ):
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "quantifier", quantifier)
-        object.__setattr__(self, "outcome", outcome)
-        object.__setattr__(self, "note", note)
-        object.__setattr__(self, "assignment", assignment)
-        object.__setattr__(self, "child", child)
+    assignment: tuple = ()
+    child: Optional[EvalTrace] = None
 
     def render(self, indent: int = 0) -> str:
         pad = "  " * indent

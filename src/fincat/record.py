@@ -15,11 +15,12 @@ for it, so importing fincat compiles nothing at run time:
 * ``replace(**changes)``, a copy with some fields changed, and copying and
   pickling through the constructor.
 
-Constructors set fields with ``object.__setattr__``.  A class the checks
-build thousands of times defines its own positional ``__init__``, and
-``__slots__`` unless it caches values in its ``__dict__``; a subclass
-that validates its fields does so after ``super().__init__`` has set
-them.
+Constructors set fields with ``object.__setattr__``.  A subclass uses
+``Record.__init__`` unless it must do more when built: one that validates
+its fields does so after ``super().__init__`` has set them, and one that
+caches a hash sets that too.  A class built thousands of times declares
+``__slots__``, unless it caches values in its ``__dict__`` or gives a
+field a default (a class attribute cannot share its name with a slot).
 """
 
 from __future__ import annotations

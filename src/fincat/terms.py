@@ -433,12 +433,6 @@ class _Token(Record):
     line: int
     col: int
 
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "line", line)
-        object.__setattr__(self, "col", col)
-
 
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []

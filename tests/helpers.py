@@ -5,7 +5,8 @@ their flat tuples of values (``nattrans_values``, laid out by
 ``nattrans_slices``).  The helpers here make such tuples into
 ``NatTransVal``s, lift the seed map of a ``SeededContext`` to its
 transformation and read it back, list the one-step reducts of a
-term, and draw random cover relations.  Unlike ``oracles``, they reuse the
+term, draw random cover relations, and print a diagram back to its source
+text.  Unlike ``oracles``, they reuse the
 library's search: they only change how its answers are presented.
 """
 
@@ -15,6 +16,17 @@ import random
 from typing import Optional
 
 from fincat.core import NatTransVal
+from fincat.diagram import (
+    _KIND_TOKENS,
+    Arrow,
+    DefDecl,
+    DiagramAst,
+    FunctorDecl,
+    LayerDecl,
+    MacroDecl,
+    Node,
+    NonCommute,
+)
 from fincat.finset import DEFAULT_ENUM_CAP, FinSetMap, nattrans_slices, nattrans_values
 from fincat.terms import _EMPTY_SIGNATURE, _distinct_reducts
 from fincat.yoneda import HomContext, hom_cov_functor, hom_maps_functor
@@ -105,3 +117,43 @@ def random_covers(rng: random.Random, acyclic: bool):
     rng.shuffle(covers)
     rng.shuffle(objects)
     return objects, covers
+
+
+def print_diagram(ast: DiagramAst) -> str:
+    """Canonical source text; parse_diagram(print_diagram(ast)) == ast."""
+    lines: list = []
+    for d in ast.decls:
+        lines.extend(_print_decl(d, indent=""))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _print_decl(d, indent: str) -> list:
+    if isinstance(d, LayerDecl):
+        return [f"{indent}layer {d.id} in {d.category}"]
+    if isinstance(d, FunctorDecl):
+        return [f'{indent}functor {d.id} : {d.src_layer} -> {d.dst_layer} "{d.label}"']
+    if isinstance(d, Node):
+        return [f'{indent}node {d.id} : {d.layer} "{d.label}"{_print_annots(d)}']
+    if isinstance(d, Arrow):
+        token = _KIND_TOKENS[d.kind]
+        return [f'{indent}arrow {d.id} : {d.src} {token} {d.dst} "{d.label}"{_print_annots(d)}']
+    if isinstance(d, NonCommute):
+        return [f"{indent}noncommute {'.'.join(d.left)} ; {'.'.join(d.right)}"]
+    if isinstance(d, DefDecl):
+        return [f'{indent}def {d.id} "{d.text}"']
+    if isinstance(d, MacroDecl):
+        lines = [f"{indent}macro {d.name} := {{"]
+        for inner in d.body:
+            lines.extend(_print_decl(inner, indent + "  "))
+        lines.append(f"{indent}}}")
+        return lines
+    raise TypeError(f"not a declaration: {d!r}")
+
+
+def _print_annots(e) -> str:
+    out = ""
+    if e.quantifier is not None:
+        out += f" @{e.quantifier}({e.stage})"
+    for use in e.uses:
+        out += f" @use({use})"
+    return out

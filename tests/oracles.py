@@ -84,6 +84,7 @@ from fincat.core import (
     NatTransVal,
     Obligation,
     preorder_from_covers,
+    require_category,
     validate_nattrans,
 )
 from fincat.diagram import (
@@ -1017,6 +1018,7 @@ def rebuilding_yoneda_command(functor, cap: int, out) -> int:
     maps-out-of-probe functor built for it.  Returns the exit code."""
     if functor.target is not FINSET:
         raise FinCatError("yoneda needs a finite-set valued functor")
+    require_category(functor.source, "functor source")
     require_functor(functor)
     category = functor.source
     probe = FinSetObj(("*",))

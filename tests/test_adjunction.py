@@ -4,6 +4,7 @@ import collections
 import glob
 import io
 import os
+import random
 import sys
 
 import pytest
@@ -13,8 +14,9 @@ from oracles import (
     materialised_kan_adjointness,
     rebuilding_kan_command,
 )
+from test_yoneda import _seeded_forest_functor
 
-from fincat import adjunction, cli
+from fincat import adjunction, cli, core
 from fincat.adjunction import (
     AdjunctionError,
     adjunction_from_universal_arrows,
@@ -25,7 +27,14 @@ from fincat.adjunction import (
     precompose_functor,
     verify_adjunction,
 )
-from fincat.core import FINSET, FinCat, FunctorVal, identity_functor
+from fincat.core import (
+    FINSET,
+    FinCat,
+    FunctorVal,
+    identity_functor,
+    preorder_from_covers,
+    validate_functor,
+)
 from fincat.finset import CapExceededError, FinSetMap, FinSetObj, identity_map
 from fincat.files import load_adjunction_parts, load_category, load_functor
 
@@ -264,13 +273,68 @@ def _assert_matches_all_pairs(adj):
     return loops
 
 
-def test_naturality_matches_all_pairs_on_manifests(fix, tmp_path):
+def _perfbench_cases(fix, tmp_path, workload):
+    """The benchmark's inputs for ``workload`` at seed 1, written under
+    ``tmp_path``, and its generator module."""
     sys.path.insert(0, PERFBENCH)
     try:
         import gen
     finally:
         sys.path.remove(PERFBENCH)
-    cases = gen.build("tables", 1, str(tmp_path), fix(""))
+    return gen, gen.build(workload, 1, str(tmp_path), fix(""))
+
+
+def test_solved_left_adjoints_are_functors(fix, tmp_path):
+    """``adjunction_from_universal_arrows`` does not check the functor it
+    solves: universality makes it one.  Every bundled build manifest and
+    every generated Galois pair bears that out."""
+    _gen, cases = _perfbench_cases(fix, tmp_path, "tables")
+    generated = [c.argv[2] for c in cases if c.argv[:2] == ["adj", "build"]]
+    bundled = [p for p in sorted(glob.glob(fix("*.adj"))) if "lobjects:" in open(p).read()]
+    assert len(bundled) == 1 and len(generated) == 7
+    for path in bundled + generated:
+        parts = load_adjunction_parts(path)
+        assert parts.kind == "build"
+        assert validate_functor(assemble_adjunction(parts).left).passed, path
+
+
+def _to_point(category):
+    """The functor from ``category`` to the one-object category."""
+    objects = dict.fromkeys(category.objects, "*")
+    morphisms = dict.fromkeys(category.morphisms, "id_*")
+    return FunctorVal(category, preorder_from_covers(["*"], []), objects, morphisms)
+
+
+def test_kan_extensions_of_lawful_inputs_are_functors(fix, tmp_path):
+    """``kan_extensions`` does not check the extensions it builds: pointwise
+    Kan extensions of a functor between categories are functors.  Both
+    extensions bear that out on every bundled pair that ``kan`` accepts, on
+    seeded set-valued functors on forest preorders along their identity and
+    to the point, and on every pair of the benchmark's ``sets`` workload
+    whose extensions fit under the default cap."""
+    paths = sorted(glob.glob(fix("*.fun")) + glob.glob(fix("broken", "*.fun")))
+    funs = [load_functor(p) for p in paths]
+    pairs = [(a, f) for a in funs if a.target is not FINSET for f in funs if f.target is FINSET]
+    rng = random.Random(7)
+    for functor in (_seeded_forest_functor(rng) for _ in range(16)):
+        pairs += [(identity_functor(functor.source), functor), (_to_point(functor.source), functor)]
+    _gen, cases = _perfbench_cases(fix, tmp_path, "sets")
+    kan_calls = [c.argv for c in cases if c.argv[0] == "kan"]
+    pairs += [(load_functor(argv[1]), load_functor(argv[2])) for argv in kan_calls]
+    built = 0
+    for along, functor in pairs:
+        try:
+            extensions = kan_extensions(along, functor)
+        except (AdjunctionError, CapExceededError):
+            continue  # not a lawful pair, or too large
+        for kan, _legs in extensions:
+            assert validate_functor(kan).passed
+        built += 1
+    assert built == 3 + 2 * 16 + 85  # bundled, seeded, the workload's kan calls
+
+
+def test_naturality_matches_all_pairs_on_manifests(fix, tmp_path):
+    gen, cases = _perfbench_cases(fix, tmp_path, "tables")
     generated = [c.argv[2] for c in cases if c.argv[0] == "adj"]
     assert len(generated) == 2 * len(gen.GALOIS)
     for path in sorted(glob.glob(fix("*.adj"))) + generated:
@@ -627,13 +691,14 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
 
 def test_kan_command_builds_each_extension_once(fix, monkeypatch):
     """One comma category per target object and orientation, one limit and
-    one colimit per target object, one functor check each of the two
-    inputs and the two extensions, and each public step called once by the
-    command itself."""
+    one colimit per target object, one category check each of the source
+    and target tables, one functor check each of the two inputs and none of
+    the extensions, and each public step called once by the command itself."""
     calls = collections.Counter()
     names = ("comma_under_object", "limit_finset", "colimit_finset", "validate_functor")
     public = ("kan_extensions", "check_kan_adjointness", "counit_inclusion_check")
-    for module, name in [(adjunction, n) for n in names] + [(cli, n) for n in public]:
+    counted_names = [(adjunction, n) for n in names] + [(cli, n) for n in public]
+    for module, name in counted_names + [(core, "validate_category")]:
         def counted(*args, _build=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
@@ -646,7 +711,8 @@ def test_kan_command_builds_each_extension_once(fix, monkeypatch):
         "comma_under_object": 2 * targets,
         "limit_finset": targets,
         "colimit_finset": targets,
-        "validate_functor": 4,
+        "validate_category": 2,
+        "validate_functor": 2,
         "kan_extensions": 1,
         "check_kan_adjointness": 1,
         "counit_inclusion_check": 1,

@@ -962,11 +962,53 @@ def _chain3_lacking(fix, tmp_path, dropped):
     [("verify", "galois.adj"), ("verify", "galois_build.adj"), ("build", "galois_build.adj")],
 )
 def test_adj_names_a_composite_the_table_lacks(fix, tmp_path, mode, name):
+    """The right functor's source lacks a composite, so it is not a
+    category, and the gate names the pair before any functor is checked."""
     right, left = _chain3_lacking(fix, tmp_path, ("1->2", "0->1"))
     manifest = _manifest(fix, tmp_path, name, right, left)
     assert _run("adj", mode, manifest) == (
         EXIT_CHECK_FAILED,
-        "check error: composition table has no entry for ('1->2', '0->1')\n",
+        "check error: right source is not a category: totality fails at ('1->2', '0->1')\n",
+    )
+
+
+_NOT_A_CATEGORY = {
+    "bad_assoc.fincat": "associativity fails at ('p', 'p', 'p', 'p', 'q')",
+    "bad_idl.fincat": "associativity fails at ('p', 'id_a', 'p', 'q', 'p')",
+}
+
+
+@pytest.mark.parametrize("table", sorted(_NOT_A_CATEGORY))
+@pytest.mark.parametrize(
+    "argv, role",
+    [
+        (("kan", "identity.fun", "points.fun"), "along source"),
+        (("yoneda", "points.fun"), "functor source"),
+        (("adj", "verify", "identity.adj"), "right source"),
+    ],
+)
+def test_commands_refuse_functors_over_a_table_that_is_not_a_category(
+    fix, tmp_path, table, argv, role
+):
+    """The identity functor and a one-point set-valued functor over a table
+    that breaks a category law are functors; each command stops at the
+    table's first failed law before it builds or checks anything else."""
+    source = fix("broken", table)
+    (tmp_path / "points.fun").write_text(
+        f"source: {source}\ntarget: finset\nobjects:\n  a |-> {{x}}\n"
+        "morphisms:\n  p |-> {x->x}\n  q |-> {x->x}\n"
+    )
+    (tmp_path / "identity.fun").write_text(
+        f"source: {source}\ntarget: {source}\nobjects:\n  a |-> a\n"
+        "morphisms:\n  p |-> p\n  q |-> q\n"
+    )
+    (tmp_path / "identity.adj").write_text(
+        "right: identity.fun\nleft: identity.fun\nunit:\n  a |-> id_a\ncounit:\n  a |-> id_a\n"
+    )
+    paths = [str(tmp_path / a) if a.endswith((".fun", ".adj")) else a for a in argv]
+    assert _run(*paths) == (
+        EXIT_CHECK_FAILED,
+        f"check error: {role} is not a category: {_NOT_A_CATEGORY[table]}\n",
     )
 
 

@@ -16,12 +16,13 @@ from fincat.diagram import (
     expand_annotation,
     extract_stages,
     parse_diagram,
-    print_diagram,
     render_grid,
     validate_diagram,
 )
+from fincat.cli import _load_diagram
 from fincat.files import load_model_spec
 from fincat.finset import CapExceededError
+from helpers import print_diagram
 
 
 def _load(fix, name):
@@ -140,6 +141,8 @@ def test_print_parse_roundtrip_on_generated_diagrams(text):
     ast = parse_diagram(text)
     validate_diagram(ast)
     assert parse_diagram(print_diagram(ast)) == ast
+    for stage in extract_stages(ast):
+        validate_diagram(stage.diagram)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +170,12 @@ def test_universal_arrow_stage_shape(fix):
 
 
 def test_each_stage_is_itself_a_valid_diagram(fix):
+    """extract_stages checks only the whole diagram: erasing a stage keeps
+    every stage below it well formed, macro-expanded or not."""
     for name in DIAGRAMS:
-        for stage in extract_stages(_load(fix, name)):
-            validate_diagram(stage.diagram)  # must not raise
+        for ast in (_load(fix, name), _load_diagram(fix(name))):
+            for stage in extract_stages(ast):
+                validate_diagram(stage.diagram)  # must not raise
 
 
 def test_erasure_cannot_orphan_an_earlier_stage_element(fix):
