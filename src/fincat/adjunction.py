@@ -14,8 +14,6 @@ is a finite table comparison:
   a functor and its two adjoints, computed pointwise as finite
   limits/colimits over slice categories, with their limit cones and
   colimit cocones, which the two checks below take as built.
-* :func:`require_functor` — the functor-law gate the ``kan``, ``yoneda``
-  and ``adj`` commands run after :func:`fincat.core.require_category`.
 * :func:`check_kan_adjointness` — full-enumeration verification that the
   Kan constructions are genuinely adjoint to restriction, including the
   explicit transposition bijections, on transformations as the flat value
@@ -40,7 +38,6 @@ from .core import (
     CheckReport,
     FinCat,
     FunctorVal,
-    MalformedTableError,
     NatTransVal,
     Obligation,
     comma_under_object,
@@ -48,7 +45,7 @@ from .core import (
     identity_functor,
     opposite,
     require_category,
-    validate_functor,
+    require_functor,
     validate_nattrans,
 )
 from .files import AdjParts
@@ -70,7 +67,6 @@ __all__ = [
     "adjunction_from_universal_arrows",
     "precompose_functor",
     "kan_extensions",
-    "require_functor",
     "check_kan_adjointness",
     "counit_inclusion_check",
 ]
@@ -512,22 +508,10 @@ def _require_setvalued(along: FunctorVal, functor: FunctorVal) -> None:
     if along.target is FINSET:
         raise AdjunctionError("Kan extensions here run along a functor between table categories")
     require_category(along.source, "along source")
-    require_category(along.target, "along target")
+    if along.target != along.source:
+        require_category(along.target, "along target")
     require_functor(along, "along")
     require_functor(functor)
-
-
-def require_functor(fun: FunctorVal, role: str = "functor") -> None:
-    """Raise AdjunctionError, naming ``role`` and the first failed obligation
-    with its witness, unless ``fun`` passes :func:`validate_functor`."""
-    try:
-        failed = validate_functor(fun).failures()
-    except MalformedTableError as exc:
-        raise AdjunctionError(f"{role} is not a functor: {exc}") from None
-    if failed:
-        raise AdjunctionError(
-            f"{role} is not a functor: {failed[0].name} fails at {failed[0].witness!r}"
-        )
 
 
 def check_kan_adjointness(

@@ -20,13 +20,13 @@ from .adjunction import (
     check_kan_adjointness,
     counit_inclusion_check,
     kan_extensions,
-    require_functor,
     verify_adjunction,
 )
 from .core import (
     CheckReport,
     FinCatError,
     require_category,
+    require_functor,
     validate_category,
     validate_functor,
     validate_nattrans,
@@ -222,21 +222,9 @@ def _cmd_context(cfg: RunConfig, out, loads: dict) -> int:
     return EXIT_OK
 
 
-def _require_model(spec) -> None:
-    """Raise FinCatError or AdjunctionError, naming the first failed law and
-    its witness, unless every table layer is a category and every bound
-    functor a functor."""
-    for name, cat in spec.layers.items():
-        if cat is not FINSET:
-            require_category(cat, f"layer {name!r}")
-    for (src, dst), fun in spec.functors.items():
-        require_functor(fun, f"functor {src}->{dst}")
-
-
 def _cmd_eval(cfg: RunConfig, out, loads: dict) -> int:
     ast = load_once(loads, _load_diagram, cfg.paths[0])
     spec = load_once(loads, load_model_spec, cfg.options["model"], loads)
-    _require_model(spec)
     model = build_model(ast, spec)
     value, trace = evaluate_quantified(ast, model, cap=cfg.cap)
     _emit(out, trace.render())

@@ -316,6 +316,19 @@ def require_category(c: FinCat, what: str) -> None:
         )
 
 
+def require_functor(fun: FunctorVal, role: str = "functor") -> None:
+    """Raise FinCatError, naming ``role`` and the first failed law with its
+    witness, unless ``fun`` passes :func:`validate_functor`."""
+    try:
+        failed = validate_functor(fun).failures()
+    except MalformedTableError as exc:
+        raise FinCatError(f"{role} is not a functor: {exc}") from None
+    if failed:
+        raise FinCatError(
+            f"{role} is not a functor: {failed[0].name} fails at {failed[0].witness!r}"
+        )
+
+
 def _raise_name_collision(names: dict) -> None:
     """Name the first morphism name, in sorted pair order, given to two pairs."""
     seen = {}

@@ -39,7 +39,7 @@ from itertools import product
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .core import CheckReport, MalformedTableError, Obligation, is_thin, validate_category
+from .core import CheckReport, Obligation, is_thin, require_category, require_functor
 from .finset import (
     DEFAULT_ENUM_CAP,
     FINSET,
@@ -599,12 +599,25 @@ class Model(Record):
     layers: layer id -> FinCat or FINSET; functors: (src layer, dst layer)
     -> FunctorVal; binds: stage-0 element id -> value; carriers: finite-set
     layer id -> candidate carriers for quantified nodes.
+
+    Every table layer is a category and every functor is a functor: a
+    model is not built otherwise, and FinCatError names the layer or
+    functor, the first failed law and its witness.  Evaluation trusts
+    this, so every typed path of a table layer has its composite.
     """
 
     layers: Mapping[str, object]
     functors: Mapping[tuple, FunctorVal]
     binds: Mapping[str, object]
     carriers: Mapping[str, tuple] = {}
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for name, cat in self.layers.items():
+            if cat is not FINSET:
+                require_category(cat, f"layer {name!r}")
+        for (src, dst), fun in self.functors.items():
+            require_functor(fun, f"functor {src}->{dst}")
 
 
 def build_model(ast: DiagramAst, spec) -> Model:
@@ -720,13 +733,6 @@ def _value_repr(v) -> str:
     if isinstance(v, tuple):
         return "(" + ", ".join(_value_repr(part) for part in v) + ")"
     return str(v)
-
-
-def _compose_values(cat, g, f):
-    try:
-        return cat.comp(g, f)
-    except KeyError:
-        raise DiagramError(f"composition table has no entry for ({g!r}, {f!r})") from None
 
 
 def _hom_values(cat, src_value, dst_value, cap: int):
@@ -910,44 +916,25 @@ def _stage_plans(stages: Sequence[Stage], model: Model) -> list:
     that every candidate passes it.
 
     That holds when the plan has no bijection, no mapsto equation and no
-    cyclic layer, and every layer with pairs to compare is bound to a
-    coherent, total and thin table.  Each new arrow was enumerated from its
-    hom-set, so its typing holds; totality makes every path composite exist;
-    coherence puts every composite in hom(start, end); and that hom-set has
-    one element, so parallel paths agree.  A layer's table is validated at
-    most once per call, and only for a stage that the rest allows.
+    cyclic layer, and every layer with pairs to compare is bound to a thin
+    table.  Each new arrow was enumerated from its hom-set, so its typing
+    holds; the table is a category (see ``Model``), so every path has a
+    composite in hom(start, end); and that hom-set has one element, so
+    parallel paths agree.
     """
-    verdicts: dict = {}
-
-    def thin(layer_id: str) -> bool:
-        if layer_id not in verdicts:
-            verdicts[layer_id] = _thin_table(model.layers[layer_id])
-        return verdicts[layer_id]
-
     plans = []
     for stage in stages:
         checks = _check_plan(stage.diagram, stage.new_elements)
         _required, _typing, layers, bijections, mapstos = checks
+        compared = (model.layers[layer_id] for layer_id, _cycle, _links, pairs in layers if pairs)
         implied = (
             not bijections
             and not mapstos
             and all(cycle is None for _layer_id, cycle, _links, _pairs in layers)
-            and all(thin(layer_id) for layer_id, _cycle, _links, pairs in layers if pairs)
+            and all(cat is not FINSET and is_thin(cat) for cat in compared)
         )
         plans.append((implied, checks))
     return plans
-
-
-def _thin_table(cat) -> bool:
-    """Whether ``cat`` is a coherent, total and thin table.  A table that
-    ``validate_category`` rejects as malformed is not one."""
-    if cat is FINSET or not is_thin(cat):
-        return False
-    try:
-        report = validate_category(cat)
-    except MalformedTableError:
-        return False
-    return all(report.obligation(law).passed for law in ("coherence", "totality"))
 
 
 def _stage_commutes(
@@ -965,8 +952,7 @@ def _stage_commutes(
 
 def _failures(ast: DiagramAst, plan: tuple, model: Model, assignment: Mapping) -> dict:
     """The first witness of each failed obligation of ``plan``, by name.  A
-    failed obligation does not end the check, so a later missing composite
-    still raises."""
+    layer's pairs are compared up to the first that disagrees."""
     required, typing, layers, bijections, mapstos = plan
     for element_id in required:
         if element_id not in assignment:
@@ -990,25 +976,24 @@ def _failures(ast: DiagramAst, plan: tuple, model: Model, assignment: Mapping) -
             raise DiagramError(f"layer {layer_id!r} has a cyclic hom graph: {cycle}")
         cat = model.layers[layer_id]
         values: list = [None] * len(links)
-        bad: tuple = ()
         for p, q, used, p_text, q_text in pairs:
             if mistyped and not mistyped.isdisjoint(used):
                 continue
             lhs = _path_value(cat, assignment, links, values, p)
             rhs = _path_value(cat, assignment, links, values, q)
-            if lhs != rhs and not bad:
+            if lhs != rhs:
                 bad = (p_text, q_text, _value_repr(lhs), _value_repr(rhs))
-        if bad:
-            failed[f"commutes[{layer_id}]"] = bad
+                failed[f"commutes[{layer_id}]"] = bad
+                break
 
     for arrow_id, layer_id, src, dst in bijections:
         if arrow_id in mistyped:
             continue
         cat = model.layers[layer_id]
         fwd, bwd = assignment[arrow_id]
-        if _compose_values(cat, bwd, fwd) != cat.id_of(assignment[src]):
+        if cat.comp(bwd, fwd) != cat.id_of(assignment[src]):
             failed.setdefault("bij_round_trips", (arrow_id, "bwd o fwd"))
-        elif _compose_values(cat, fwd, bwd) != cat.id_of(assignment[dst]):
+        elif cat.comp(fwd, bwd) != cat.id_of(assignment[dst]):
             failed.setdefault("bij_round_trips", (arrow_id, "fwd o bwd"))
 
     nodes, arrows = ast.nodes(), ast.arrows()
@@ -1025,8 +1010,8 @@ def _path_value(cat, assignment: Mapping, links: tuple, values: list, k: int):
 
     Values are kept in ``values`` (None until computed) and each is composed
     from its prefix's, so every path of a call is composed once, one step
-    after its prefix, and a missing composite raises where composing the path
-    from its start would.
+    after its prefix.  The path's arrows are typed and the layer is a
+    category (see ``Model``), so each composite is in the table.
     """
     pending = []
     while k >= 0 and values[k] is None:
@@ -1040,7 +1025,7 @@ def _path_value(cat, assignment: Mapping, links: tuple, values: list, k: int):
             step_value = bound[0] if direction == "fwd" else bound[1]
         else:
             step_value = bound
-        value = step_value if value is None else _compose_values(cat, step_value, value)
+        value = step_value if value is None else cat.comp(step_value, value)
         values[j] = value
     return value
 

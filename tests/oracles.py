@@ -71,7 +71,6 @@ from fincat.adjunction import (
     counit_inclusion_check,
     kan_extensions,
     precompose_functor,
-    require_functor,
 )
 from fincat.core import (
     FINSET,
@@ -85,12 +84,12 @@ from fincat.core import (
     Obligation,
     preorder_from_covers,
     require_category,
+    require_functor,
     validate_nattrans,
 )
 from fincat.diagram import (
     Arrow,
     DiagramError,
-    _compose_values,
     _hom_cycle,
     _layer_paths,
     _mapsto_image,
@@ -1322,9 +1321,9 @@ def path_by_path_commutativity(ast, model, assignment) -> CheckReport:
             continue
         cat = model.layers[nodes[a.src].layer]
         fwd, bwd = assignment[a.id]
-        if _compose_values(cat, bwd, fwd) != cat.id_of(assignment[a.src]):
+        if cat.comp(bwd, fwd) != cat.id_of(assignment[a.src]):
             bij_bad.append((a.id, "bwd o fwd"))
-        elif _compose_values(cat, fwd, bwd) != cat.id_of(assignment[a.dst]):
+        elif cat.comp(fwd, bwd) != cat.id_of(assignment[a.dst]):
             bij_bad.append((a.id, "fwd o bwd"))
     obligations.append(
         Obligation("bij_round_trips", not bij_bad, tuple(bij_bad[0]) if bij_bad else ())
@@ -1354,7 +1353,7 @@ def _path_value(cat, model, assignment, start, steps):
             step_value = bound[0] if direction == "fwd" else bound[1]
         else:
             step_value = bound
-        value = step_value if value is None else _compose_values(cat, step_value, value)
+        value = step_value if value is None else cat.comp(step_value, value)
     return value
 
 

@@ -30,6 +30,7 @@ from fincat.adjunction import (
 from fincat.core import (
     FINSET,
     FinCat,
+    FinCatError,
     FunctorVal,
     identity_functor,
     preorder_from_covers,
@@ -458,6 +459,18 @@ def test_kan_along_identity_preserves_sizes(g_on_b):
         assert sizes == {d: len(g_on_b.object_map[d]) for d in g_on_b.object_map}
 
 
+def test_kan_along_an_endofunctor_checks_its_table_once(g_on_b, monkeypatch):
+    calls = collections.Counter()
+
+    def counted(cat, _check=core.validate_category):
+        calls[id(cat)] += 1
+        return _check(cat)
+
+    monkeypatch.setattr(core, "validate_category", counted)
+    kan_extensions(identity_functor(g_on_b.source), g_on_b)
+    assert calls == {id(g_on_b.source): 1}
+
+
 def test_kan_input_guards(inc, g_on_b):
     with pytest.raises(AdjunctionError, match="finite-set valued"):
         kan_extensions(inc, inc)
@@ -471,14 +484,14 @@ def test_kan_rejects_non_functorial_inputs(inc, h_on_a):
     def bend(fun, m, image):
         return fun.replace(morphism_map={**fun.morphism_map, m: image})
 
-    with pytest.raises(AdjunctionError, match="along is not a functor: .* unknown '2->5'"):
+    with pytest.raises(FinCatError, match="along is not a functor: .* unknown '2->5'"):
         kan_extensions(bend(inc, "2->4", "2->5"), h_on_a)
     mistyped = bend(inc, "2->4", "3->5")
     witness = r"along is not a functor: typing fails at \('2->4', '3->5'\)"
-    with pytest.raises(AdjunctionError, match=witness):
+    with pytest.raises(FinCatError, match=witness):
         kan_extensions(mistyped, h_on_a)
     bent_sets = bend(h_on_a, "id_2", h_on_a.morphism_map["2->4"])
-    with pytest.raises(AdjunctionError, match="functor is not a functor: typing fails"):
+    with pytest.raises(FinCatError, match="functor is not a functor: typing fails"):
         kan_extensions(inc, bent_sets)
     with pytest.raises(AdjunctionError, match="between table categories"):
         kan_extensions(h_on_a, h_on_a)
@@ -695,10 +708,11 @@ def test_kan_command_builds_each_extension_once(fix, monkeypatch):
     and target tables, one functor check each of the two inputs and none of
     the extensions, and each public step called once by the command itself."""
     calls = collections.Counter()
-    names = ("comma_under_object", "limit_finset", "colimit_finset", "validate_functor")
+    names = ("comma_under_object", "limit_finset", "colimit_finset")
     public = ("kan_extensions", "check_kan_adjointness", "counit_inclusion_check")
     counted_names = [(adjunction, n) for n in names] + [(cli, n) for n in public]
-    for module, name in counted_names + [(core, "validate_category")]:
+    laws = [(core, "validate_category"), (core, "validate_functor")]
+    for module, name in counted_names + laws:
         def counted(*args, _build=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import fincat
-from fincat import cli
+from fincat import cli, core
 from fincat.cli import (
     CORPUS_ENV,
     EXIT_CAP,
@@ -581,6 +581,81 @@ def test_eval_rejects_a_model_functor_that_is_not_a_functor(fix, tmp_path):
     assert text == (
         "check error: functor LB->LA is not a functor: typing fails at ('1->2', '0->1')\n"
     )
+
+
+def test_eval_checks_each_table_layer_once(fix, monkeypatch):
+    calls = []
+    check = core.validate_category
+
+    def counted(cat):
+        calls.append(cat)
+        return check(cat)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("fincat") and getattr(module, "validate_category", None) is check:
+            monkeypatch.setattr(module, "validate_category", counted)
+    code, _text = _run(
+        "eval", fix("equalizer.diag"), "--model", fix("models", "equalizer_chain2.model")
+    )
+    assert (code, len(calls)) == (EXIT_OK, 1)
+
+
+BIJECTION_DIAG = 'node B : L "B"\nnode C : L "C"\narrow i : B <-> C "i"\n'
+
+# 0 and 1 made isomorphic by f and its inverse g
+ISO_FINCAT = (
+    "objects:\n  0\n  1\nmorphisms:\n  f : 0 -> 1\n  g : 1 -> 0\n"
+    "compose:\n  g . f = id_0\n  f . g = id_1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "bind, code, first",
+    [
+        ("(f, g)", EXIT_OK, "stage 0 [-]: all bindings commute"),
+        (
+            "(f, f)",
+            EXIT_CHECK_FAILED,
+            "stage 0 [-]: stage-0 bindings do not commute: endpoint_typing witness=('i', 'f')",
+        ),
+        ("f", EXIT_CHECK_FAILED, "check error: bind 'i': bijections need a (fwd, bwd) pair"),
+    ],
+)
+def test_eval_binds_a_bijection_of_a_table_layer(tmp_path, bind, code, first):
+    (tmp_path / "bij.diag").write_text("layer L in C\n" + BIJECTION_DIAG)
+    (tmp_path / "iso.fincat").write_text(ISO_FINCAT)
+    (tmp_path / "bij.model").write_text(
+        f"layer L = iso.fincat\nbind B = 0\nbind C = 1\nbind i = {bind}\n"
+    )
+    got = _run("eval", str(tmp_path / "bij.diag"), "--model", str(tmp_path / "bij.model"))
+    assert (got[0], got[1].splitlines()[0]) == (code, first)
+    if code == EXIT_OK:
+        assert got[1].endswith(f"  i = {bind}\nresult: true\n")
+
+
+@pytest.mark.parametrize(
+    "bind, code, first",
+    [
+        ("({0->a,1->b}, {a->0,b->1})", EXIT_OK, "stage 0 [-]: all bindings commute"),
+        (
+            "({0->a,1->a}, {a->0,b->1})",
+            EXIT_CHECK_FAILED,
+            "stage 0 [-]: stage-0 bindings do not commute: "
+            "bij_round_trips witness=('i', 'bwd o fwd')",
+        ),
+    ],
+)
+def test_eval_binds_a_bijection_of_a_finite_set_layer(tmp_path, bind, code, first):
+    """The pair's maps hold commas inside braces, which do not split it."""
+    (tmp_path / "bij.diag").write_text("layer L in Set\n" + BIJECTION_DIAG)
+    (tmp_path / "bij.model").write_text(
+        f"layer L = finset\nbind B = {{0, 1}}\nbind C = {{a, b}}\nbind i = {bind}\n"
+    )
+    code_got, text = _run(
+        "eval", str(tmp_path / "bij.diag"), "--model", str(tmp_path / "bij.model")
+    )
+    assert (code_got, text.splitlines()[0]) == (code, first)
+    assert text.endswith(f"  i = {bind}\nresult: {'true' if code == EXIT_OK else 'false'}\n")
 
 
 # ---------------------------------------------------------------------------

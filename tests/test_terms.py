@@ -428,15 +428,24 @@ def test_graph_truncation_is_flagged_not_silent(fix):
     assert report.unique_nf is None
 
 
+# contracting the redex substitutes y under a binder named y
+CAPTURE_TERM = "\\y:N. (\\x:N. \\y:N. x) y"
 BINDER_TERMS = [
     "(\\x:N. \\y:N. x + y) 1 2",
     "(\\f:N->N. \\x:N. f (f x)) (\\x:N. x * 2)",
     "p1 ((\\x:N. x) 1, 2 + 3)",
     "(\\x:N. (x, \\x1:N. x)) (1 + 2)",
+    CAPTURE_TERM,
 ]
 # the benchmark's nested g / + shapes over arith.sig
 ARITH_TERMS = ["g (g (5 + 1))", "(g 2) + (g 3)", "g (1 + (2 + 3))"]
 REDUCE_CASES = [(text, None) for text in BINDER_TERMS] + [(text, "arith.sig") for text in ARITH_TERMS]
+
+
+def test_beta_reduction_renames_the_binder_it_would_capture():
+    """Without the renaming the normal form would be \\x1:N. \\x2:N. x2."""
+    _graph, report = reduction_graph(parse_term(CAPTURE_TERM))
+    assert report.normal_forms == ("\\x1:N. \\x2:N. x1",)
 
 
 @pytest.mark.parametrize("text, sig_name", REDUCE_CASES)
