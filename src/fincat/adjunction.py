@@ -76,14 +76,6 @@ class AdjunctionError(Exception):
     """Raised when adjunction data is malformed or a universal arrow fails."""
 
 
-def _compose(cat: FinCat, g: str, f: str) -> str:
-    """``cat.comp(g, f)``, naming the entry when the table has none."""
-    try:
-        return cat.compose[(g, f)]
-    except KeyError:
-        raise AdjunctionError(f"composition table has no entry for ({g!r}, {f!r})") from None
-
-
 class AdjunctionVal(Record):
     """An adjunction with the left adjoint on the left.
 
@@ -144,11 +136,11 @@ def _package(
     for a in src.objects:
         for b in oth.objects:
             flat[(a, b)] = {
-                h: _compose(oth, counit_components[b], left.morphism_map[h])
+                h: oth.comp(counit_components[b], left.morphism_map[h])
                 for h in src.hom(a, ro[b])
             }
             sharp[(a, b)] = {
-                g: _compose(src, right.morphism_map[g], unit_components[a])
+                g: src.comp(right.morphism_map[g], unit_components[a])
                 for g in oth.hom(lo[a], b)
             }
     return AdjunctionVal(left, right, unit, counit, flat, sharp)
@@ -244,9 +236,7 @@ def verify_adjunction(adj: AdjunctionVal) -> CheckReport:
     bad_left = []
     for a in src.objects:
         la = left.object_map[a]
-        got = _compose(
-            oth, adj.counit.components[la], left.morphism_map[adj.unit.components[a]]
-        )
+        got = oth.comp(adj.counit.components[la], left.morphism_map[adj.unit.components[a]])
         if got != oth.id_of(la):
             bad_left.append((a, got))
     obligations.append(
@@ -256,9 +246,7 @@ def verify_adjunction(adj: AdjunctionVal) -> CheckReport:
     bad_right = []
     for b in oth.objects:
         rb = right.object_map[b]
-        got = _compose(
-            src, right.morphism_map[adj.counit.components[b]], adj.unit.components[rb]
-        )
+        got = src.comp(right.morphism_map[adj.counit.components[b]], adj.unit.components[rb])
         if got != src.id_of(rb):
             bad_right.append((b, got))
     obligations.append(
@@ -312,8 +300,8 @@ def _naturality_failures(adj: AdjunctionVal, table, p, q, p2, q2):
         for b in oth.objects:
             before, after = table[(a, b)], table[(a2, b)]
             for h in dom.hom(p.object_map[a], q.object_map[b]):
-                lhs = after[_compose(dom, h, pf)]
-                rhs = _compose(cod, before[h], pf2)
+                lhs = after[dom.comp(h, pf)]
+                rhs = cod.comp(before[h], pf2)
                 if lhs != rhs:
                     yield (f, oth.id_of(b), h, lhs, rhs)
     for k, (b, b2) in oth.morphisms.items():
@@ -326,8 +314,8 @@ def _naturality_failures(adj: AdjunctionVal, table, p, q, p2, q2):
         for a in src.objects:
             before, after = table[(a, b)], table[(a, b2)]
             for h in dom.hom(p.object_map[a], q.object_map[b]):
-                lhs = after[_compose(dom, qk, h)]
-                rhs = _compose(cod, qk2, before[h])
+                lhs = after[dom.comp(qk, h)]
+                rhs = cod.comp(qk2, before[h])
                 if lhs != rhs:
                     yield (src.id_of(a), k, h, lhs, rhs)
 
@@ -377,7 +365,7 @@ def adjunction_from_universal_arrows(
         return [
             u
             for u in oth.hom(chosen, b)
-            if _compose(src, right.morphism_map[u], arrow) == g
+            if src.comp(right.morphism_map[u], arrow) == g
         ]
 
     for a in sorted(anchors):
@@ -393,7 +381,7 @@ def adjunction_from_universal_arrows(
     object_map = {a: anchors[a][0] for a in src.objects}
     morphism_map = {}
     for f, (a2, a) in src.morphisms.items():
-        g = _compose(src, anchors[a][1], f)
+        g = src.comp(anchors[a][1], f)
         morphism_map[f] = solutions(a2, object_map[a], g)[0]
     left = FunctorVal(src, oth, object_map, morphism_map)
 
@@ -473,7 +461,7 @@ def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> t
     # An element at b2 is a family over the slice objects in cones[b2]'s order.
     morphism_map = {}
     for k, (b, b2) in tgt.morphisms.items():
-        legs = [cones[b][(a, _compose(tgt, phi, k))] for a, phi in cones[b2]]
+        legs = [cones[b][(a, tgt.comp(phi, k))] for a, phi in cones[b2]]
         images = (tuple(leg(element) for leg in legs) for element in object_map[b])
         morphism_map[k] = FinSetMap(object_map[b], object_map[b2], images)
 
@@ -493,7 +481,7 @@ def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
     morphism_map = {}
     for k, (b, b2) in tgt.morphisms.items():
         images = (
-            cocones[b2][(a, _compose(tgt, k, phi))](x) for (a, phi), x in object_map[b]
+            cocones[b2][(a, tgt.comp(k, phi))](x) for (a, phi), x in object_map[b]
         )
         morphism_map[k] = FinSetMap(object_map[b], object_map[b2], images)
 

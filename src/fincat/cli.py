@@ -188,7 +188,7 @@ def _cmd_check_nt(cfg: RunConfig, out, loads: dict) -> int:
 def _load_diagram(path: str):
     """The parsed diagram with every macro that an element uses spliced in,
     each macro once.  Commands load it through the invocation's memo, so a
-    diagram named twice is parsed once and shares its shape analyses."""
+    diagram named twice is parsed once."""
     with open(path, encoding="utf-8") as handle:
         ast = parse_diagram(handle.read())
     expanded: set = set()

@@ -32,7 +32,6 @@ target of any ``|->`` whose source is erased.
 
 from __future__ import annotations
 
-import functools
 import re
 from functools import cached_property
 from itertools import product
@@ -171,11 +170,6 @@ class DiagramAst(Record):
         tables["elements"] = elements
         return {key: MappingProxyType(table) for key, table in tables.items()}
 
-    @cached_property
-    def _shape_memo(self) -> dict:
-        """Results of the shape-only analyses below (see ``_per_diagram``)."""
-        return {}
-
     def layers(self) -> Mapping:
         return self._tables[LayerDecl]
 
@@ -206,21 +200,6 @@ class DiagramAst(Record):
 
     def max_stage(self) -> int:
         return max((e.stage for e in self.elements().values() if e.stage), default=0)
-
-
-def _per_diagram(fn):
-    """Memoise ``fn(ast, ...)`` on the diagram.  Only for analyses that read
-    the diagram's shape alone; the shared result must not be mutated."""
-
-    @functools.wraps(fn)
-    def cached(ast: DiagramAst, *args, **kwargs):
-        key = (fn.__name__, args, tuple(sorted(kwargs.items())))
-        memo = ast._shape_memo
-        if key not in memo:
-            memo[key] = fn(ast, *args, **kwargs)
-        return memo[key]
-
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +611,9 @@ def build_model(ast: DiagramAst, spec) -> Model:
         if pair not in functors:
             raise DiagramError(f"model binds no functor to the layer pair {pair!r}")
 
+    # an arrow that touches a quantified node is erased with it: it is new
+    # at that node's stage, not bound here
+    stage0 = extract_stages(ast)[0].new_elements
     targets = ast.mapsto_targets()
     binds: dict[str, object] = {}
     bind_items = sorted(
@@ -641,23 +623,23 @@ def build_model(ast: DiagramAst, spec) -> Model:
         element = ast.elements().get(element_id)
         if element is None:
             raise DiagramError(f"model binds unknown element {element_id!r}")
-        if element.stage is not None:
-            raise DiagramError(f"element {element_id!r} is quantified and cannot be bound")
         if element_id in targets:
             raise DiagramError(f"element {element_id!r} is definitional (mapsto target)")
         if isinstance(element, Arrow) and element.kind == "mapsto":
             raise DiagramError(f"mapsto arrow {element_id!r} cannot be bound")
+        if element_id not in stage0:
+            raise DiagramError(f"element {element_id!r} is quantified and cannot be bound")
         binds[element_id] = _resolve_bind(ast, layers, element, raw, binds)
 
-    for element in ast.elements().values():
-        if element.stage is not None or element.id in targets:
+    for element_id in stage0:
+        element = ast.elements()[element_id]
+        if element_id in binds or element_id in targets:
             continue
         if isinstance(element, Arrow) and (
             element.kind == "mapsto" or element.src in ast.functors()
         ):
             continue
-        if element.id not in binds:
-            raise DiagramError(f"stage-0 element {element.id!r} is not bound by the model")
+        raise DiagramError(f"stage-0 element {element_id!r} is not bound by the model")
 
     return Model(layers, functors, binds, dict(spec.carriers))
 
@@ -745,7 +727,6 @@ def _hom_values(cat, src_value, dst_value, cap: int):
 # Commutativity
 
 
-@_per_diagram
 def _layer_paths(ast: DiagramAst, layer_id: str, include_bij: bool) -> tuple:
     """All simple directed paths in one layer.
 
@@ -778,7 +759,6 @@ def _layer_paths(ast: DiagramAst, layer_id: str, include_bij: bool) -> tuple:
     return tuple(paths)
 
 
-@_per_diagram
 def _hom_cycle(ast: DiagramAst, layer_id: str):
     """Return a cycle witness in the layer's hom graph (bij excluded), or None."""
     nodes = [n.id for n in ast.nodes().values() if n.layer == layer_id]
@@ -809,12 +789,10 @@ def _hom_cycle(ast: DiagramAst, layer_id: str):
     return None
 
 
-@_per_diagram
 def _noncommute_keys(ast: DiagramAst) -> frozenset:
     return frozenset(frozenset((nc.left, nc.right)) for nc in ast.noncommutes())
 
 
-@_per_diagram
 def _commute_plan(ast: DiagramAst, layer_id: str) -> tuple:
     """The parallel path pairs of one layer that must commute, in report order.
 
@@ -846,7 +824,6 @@ def _commute_plan(ast: DiagramAst, layer_id: str) -> tuple:
     return links, tuple(pairs)
 
 
-@_per_diagram
 def _check_plan(ast: DiagramAst, new_elements: Optional[tuple] = None) -> tuple:
     """The obligations of the everything-commutes check, in report order,
     restricted to those that involve ``new_elements`` (every element when
@@ -937,16 +914,13 @@ def _stage_plans(stages: Sequence[Stage], model: Model) -> list:
     return plans
 
 
-def _stage_commutes(
-    stage: Stage, model: Model, assignment: Mapping, plan: Optional[tuple] = None
-) -> bool:
+def _stage_commutes(stage: Stage, model: Model, assignment: Mapping, plan: tuple) -> bool:
     """``check_commutativity(stage.diagram, model, assignment).passed`` for a
     candidate of a stage above 0, with the same errors raised: only the
     obligations that involve the stage's new elements are checked, and none
     when the stage's plan is implied (see ``_check_plan`` and
-    ``_stage_plans``).  ``plan`` is the stage's entry of ``_stage_plans``,
-    built here when not given."""
-    implied, checks = _stage_plans([stage], model)[0] if plan is None else plan
+    ``_stage_plans``).  ``plan`` is the stage's entry of ``_stage_plans``."""
+    implied, checks = plan
     return implied or not _failures(stage.diagram, checks, model, assignment)
 
 
@@ -1117,7 +1091,7 @@ def evaluate_quantified(
         witnesses: list = []
         count = 0
         commuting = 0
-        for merged in _stage_extensions(stage, model, assignment, cap):
+        for merged in _stage_extensions(stage, shapes[k], model, assignment, cap):
             count += 1
             if not _stage_commutes(stage, model, merged, plan):
                 continue
@@ -1140,19 +1114,16 @@ def evaluate_quantified(
                     )
         if quantifier == "forall":
             return result(True, f"all {commuting} commuting extensions satisfy the rest")
-        if quantifier == "exists":
-            return result(False, f"no commuting extension satisfies the rest ({count} candidates)")
-        if quantifier == "existsuniq":
-            if len(witnesses) == 1:
-                merged, sub = witnesses[0]
-                return result(True, "unique witness", merged, sub)
-            return result(False, f"no commuting extension satisfies the rest ({count} candidates)")
-        raise DiagramError(f"stage {k} has no quantifier")  # unreachable past stage 0
+        if len(witnesses) == 1:  # existsuniq
+            merged, sub = witnesses[0]
+            return result(True, "unique witness", merged, sub)
+        return result(False, f"no commuting extension satisfies the rest ({count} candidates)")
 
     if top == 0:
         return True, EvalTrace(0, None, True, "all bindings commute",
                                _assignment_items(stage0.new_elements, base))
     plans = [None] + _stage_plans(stages[1:], model)
+    shapes = [None] + [_extension_shape(s.diagram, s.new_elements) for s in stages[1:]]
     ok, sub = run(1, base, (True, False))
     note = "statement holds" if ok else "statement fails"
     return ok, EvalTrace(0, None, ok, note, _assignment_items(stage0.new_elements, base), sub)
@@ -1201,7 +1172,6 @@ def _compute_mapsto_targets(
         pending = remaining
 
 
-@_per_diagram
 def _extension_shape(ast: DiagramAst, new_elements: tuple) -> tuple:
     """(nodes, hom arrows) a stage's candidates assign, and whether the stage
     diagram has a mapsto arrow whose target must be computed."""
@@ -1218,24 +1188,22 @@ def _extension_shape(ast: DiagramAst, new_elements: tuple) -> tuple:
                 raise DiagramError(
                     f"bij arrow {a.id!r} cannot be introduced by a quantified stage"
                 )
-            if a.src in ast.functors():
-                raise DiagramError(f"arrow {a.id!r} joins functors and cannot be enumerated")
             new_arrows.append(a)
     has_mapsto = any(a.kind == "mapsto" for a in arrows.values())
     return new_nodes, tuple(new_arrows), has_mapsto
 
 
-def _stage_extensions(stage: Stage, model: Model, assignment: Mapping, cap: int):
-    """Yield each candidate extension of one stage, merged into a copy of
-    ``assignment``, in sorted order: the node values vary in one product,
-    and for each choice of them the arrow values range over the hom-sets
-    their ends give.  The cap counts whole extensions.  A node's candidates
-    and an arrow's hom-set are first asked for once every earlier node or
-    arrow has a value, so a candidate that is never reached raises no
-    error."""
+def _stage_extensions(stage: Stage, shape: tuple, model: Model, assignment: Mapping, cap: int):
+    """Yield each candidate extension of one stage, whose
+    ``_extension_shape`` is ``shape``, merged into a copy of ``assignment``,
+    in sorted order: the node values vary in one product, and for each
+    choice of them the arrow values range over the hom-sets their ends
+    give.  The cap counts whole extensions.  A node's candidates and an
+    arrow's hom-set are first asked for once every earlier node or arrow
+    has a value, so a candidate that is never reached raises no error."""
     ast = stage.diagram
     nodes = ast.nodes()
-    new_nodes, new_arrows, has_mapsto = _extension_shape(ast, stage.new_elements)
+    new_nodes, new_arrows, has_mapsto = shape
     node_ids = tuple(node.id for node in new_nodes)
     arrow_ids = tuple(arrow.id for arrow in new_arrows)
 
@@ -1394,7 +1362,8 @@ def _stage_equations(ast: DiagramAst, stages: Sequence[Stage]) -> dict:
     equations reported for stage k are a minimal set of parallel-path
     pairs of SQ_k that are not already derivable from earlier stages'
     equations under the congruence "equal paths stay equal when extended
-    by a common arrow".
+    by a common arrow".  The classes are the least such congruence, so
+    they do not depend on the order in which pairs are merged.
     """
     exempt = _noncommute_keys(ast)
     emitted: list = []
@@ -1406,7 +1375,9 @@ def _stage_equations(ast: DiagramAst, stages: Sequence[Stage]) -> dict:
             for start, end, steps in _layer_paths(sub, layer_id, include_bij=False):
                 paths.append((start, end, tuple(s[0] for s in steps)))
         path_set = {p[2] for p in paths}
+        arrow_ids = [a.id for a in sub.arrows().values() if a.kind == "hom"]
         parent = {p: p for p in path_set}
+        members = {p: [p] for p in path_set}
 
         def find(p):
             while parent[p] != p:
@@ -1414,33 +1385,26 @@ def _stage_equations(ast: DiagramAst, stages: Sequence[Stage]) -> dict:
                 p = parent[p]
             return p
 
-        def union(p, q):
-            rp, rq = find(p), find(q)
-            if rp != rq:
-                parent[max(rp, rq)] = min(rp, rq)
-                return True
-            return False
-
-        def saturate():
-            changed = True
-            while changed:
-                changed = False
-                classes: dict = {}
-                for p in path_set:
-                    classes.setdefault(find(p), []).append(p)
-                for members in classes.values():
-                    if len(members) < 2:
-                        continue
-                    rep = members[0]
-                    for other in members[1:]:
-                        for ext in _common_extensions(rep, other, path_set):
-                            if union(*ext):
-                                changed = True
+        def merge(p, q):
+            """Join the classes of p and q, and then, for each arrow and side,
+            the one-arrow extensions of every member of the joined class."""
+            pending = [(p, q)]
+            while pending:
+                rp, rq = (find(r) for r in pending.pop())
+                if rp == rq:
+                    continue
+                root, child = min(rp, rq), max(rp, rq)
+                parent[child] = root
+                members[root] += members.pop(child)
+                joined = members[root]
+                for a in arrow_ids:
+                    for exts in ([m + (a,) for m in joined], [(a,) + m for m in joined]):
+                        exts = [e for e in exts if e in path_set]
+                        pending.extend(zip(exts, exts[1:]))
 
         for p, q in emitted:
             if p in path_set and q in path_set:
-                union(p, q)
-        saturate()
+                merge(p, q)
 
         by_ends: dict = {}
         for start, end, key in paths:
@@ -1460,25 +1424,10 @@ def _stage_equations(ast: DiagramAst, stages: Sequence[Stage]) -> dict:
             if find(p) != find(q):
                 fresh.append(_equation_text(ast, p, q))
                 emitted.append((p, q))
-                union(p, q)
-                saturate()
+                merge(p, q)
         if fresh:
             out[stage.index] = fresh
     return out
-
-
-def _common_extensions(p: tuple, q: tuple, path_set: set):
-    """Pairs obtained from (p, q) by appending or prepending one arrow."""
-    for other in path_set:
-        if len(other) == len(p) + 1:
-            if other[: len(p)] == p:
-                ext = q + (other[-1],)
-                if ext in path_set:
-                    yield (other, ext)
-            if other[1:] == p:
-                ext = (other[0],) + q
-                if ext in path_set:
-                    yield (other, ext)
 
 
 def _equation_text(ast: DiagramAst, p: tuple, q: tuple) -> str:

@@ -54,6 +54,9 @@ force, kept to pin the exact output of the faster code that replaced them:
 * ``per_entry_wellformed`` is the check for dangling identifiers that
   scanned the composition table on its own, before the law checks, where
   the library finds them in its one pass over that table.
+* ``pairwise_stage_equations`` is the equation minimizer of ``context``
+  closing a relation over every pair of equivalent paths until it is
+  stable, where the library merges union-find classes from a worklist.
 * ``regex_load_category`` is the ``.fincat`` reader whose line pass ran a
   regular expression on every line: comment stripping, section headers,
   ``g . f = h`` lines and all-digit atoms (``regex_parse_atom``), where the
@@ -1359,6 +1362,86 @@ def _path_value(cat, model, assignment, start, steps):
 
 def _steps_text(steps) -> str:
     return ".".join(arrow_id for arrow_id, _ in steps)
+
+
+# ---------------------------------------------------------------------------
+# Context equations by a pairwise fixpoint
+# ---------------------------------------------------------------------------
+
+
+def pairwise_stage_equations(ast, stages) -> dict:
+    """``diagram._stage_equations`` by a fixpoint over every pair of
+    equivalent paths.  Same equations, in the same order.
+
+    Each stage's simple hom paths are grown arrow by arrow.  Their
+    equivalence starts from the equations emitted at earlier stages and is
+    closed under symmetry, transitivity and extension of both sides by one
+    common arrow until no pair is added.  The candidates are the parallel
+    pairs that no noncommute declaration exempts, shorter first; each one
+    not yet equivalent is emitted, added and closed over again.
+    """
+    exempt = {frozenset((nc.left, nc.right)) for nc in ast.noncommutes()}
+    labels = {a.id: a.label for a in ast.arrows().values()}
+    emitted: list = []
+    out: dict = {}
+    for stage in stages:
+        sub = stage.diagram
+        homs = [a for a in sub.arrows().values() if a.kind == "hom" and a.src in sub.nodes()]
+        ends: dict = {}
+        frontier = [((a.id,), a.src, a.dst, (a.src, a.dst)) for a in homs if a.src != a.dst]
+        while frontier:
+            path, start, end, visited = frontier.pop()
+            ends[path] = (start, end)
+            frontier += [
+                (path + (a.id,), start, a.dst, visited + (a.dst,))
+                for a in homs
+                if a.src == end and a.dst not in visited
+            ]
+        equal = {(p, p) for p in ends}
+        equal.update((p, q) for p, q in emitted if p in ends and q in ends)
+
+        def close():
+            while True:
+                after: dict = {}
+                for p, q in equal:
+                    after.setdefault(p, set()).add(q)
+                new = {(q, p) for p, q in equal}
+                new |= {(p, r) for p, q in equal for r in after[q]}
+                for p, q in equal:
+                    for a in homs:
+                        for ext in ((p + (a.id,), q + (a.id,)), ((a.id,) + p, (a.id,) + q)):
+                            if ext[0] in ends and ext[1] in ends:
+                                new.add(ext)
+                if new <= equal:
+                    return
+                equal.update(new)
+
+        close()
+        order = sorted(ends, key=lambda path: (len(path), path))
+        candidates = sorted(
+            (
+                (p, q)
+                for i, p in enumerate(order)
+                for q in order[i + 1 :]
+                if ends[p] == ends[q] and frozenset((p, q)) not in exempt
+            ),
+            key=lambda pq: (len(pq[0]) + len(pq[1]), pq),
+        )
+        fresh: list = []
+        for p, q in candidates:
+            if (p, q) not in equal:
+                fresh.append(_equation(labels, p, q))
+                emitted.append((p, q))
+                equal.add((p, q))
+                close()
+        if fresh:
+            out[stage.index] = fresh
+    return out
+
+
+def _equation(labels, p, q) -> str:
+    texts = sorted((len(path), " o ".join(labels[a] for a in reversed(path))) for path in (p, q))
+    return f"{texts[1][1]} = {texts[0][1]}"
 
 
 # ---------------------------------------------------------------------------

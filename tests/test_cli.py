@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import fincat
-from fincat import cli, core
+from fincat import cli, core, diagram
 from fincat.cli import (
     CORPUS_ENV,
     EXIT_CAP,
@@ -658,6 +658,94 @@ def test_eval_binds_a_bijection_of_a_finite_set_layer(tmp_path, bind, code, firs
     assert text.endswith(f"  i = {bind}\nresult: {'true' if code == EXIT_OK else 'false'}\n")
 
 
+# an arrow that touches a quantified node is new at that node's stage
+TOUCHING_DIAG = 'layer L in C\nnode B : L "B"\nnode C : L "C" @forall(1)\n'
+
+
+@pytest.mark.parametrize(
+    "arrow, bind, expected",
+    [
+        (
+            'arrow h : B -> C "h"',
+            "",
+            "stage 0 [-]: statement holds\n  B = 0\n"
+            "  stage 1 [∀]: all 2 commuting extensions satisfy the rest\nresult: true\n",
+        ),
+        (
+            'arrow h : B -> C "h"',
+            "bind h = id_0\n",
+            "check error: element 'h' is quantified and cannot be bound\n",
+        ),
+        (
+            'arrow i : B <-> C "i"',
+            "",
+            "check error: bij arrow 'i' cannot be introduced by a quantified stage\n",
+        ),
+        (
+            'arrow i : B <-> C "i"',
+            "bind i = (id_0, id_0)\n",
+            "check error: element 'i' is quantified and cannot be bound\n",
+        ),
+    ],
+    ids=["hom unbound", "hom bound", "bij unbound", "bij bound"],
+)
+def test_eval_does_not_bind_an_arrow_touching_a_quantified_node(
+    fix, tmp_path, arrow, bind, expected
+):
+    (tmp_path / "touch.diag").write_text(f"{TOUCHING_DIAG}{arrow}\n")
+    (tmp_path / "touch.model").write_text(f"layer L = {fix('chain2.fincat')}\nbind B = 0\n{bind}")
+    got = _run("eval", str(tmp_path / "touch.diag"), "--model", str(tmp_path / "touch.model"))
+    assert got == (EXIT_OK if "true" in expected else EXIT_CHECK_FAILED, expected)
+
+
+@pytest.mark.parametrize(
+    "carriers, code, expected",
+    [
+        (
+            "{a} ; {b, c} ; {}",
+            EXIT_CHECK_FAILED,
+            "stage 0 [-]: statement fails\n  stage 1 [∀]: counterexample\n"
+            "    X = {a}\n    Y = {}\n"
+            "    stage 2 [∃]: no commuting extension satisfies the rest (0 candidates)\n"
+            "result: false\n",
+        ),
+        (
+            "{a} ; {b, c}",
+            EXIT_OK,
+            "stage 0 [-]: statement holds\n"
+            "  stage 1 [∀]: all 4 commuting extensions satisfy the rest\nresult: true\n",
+        ),
+    ],
+    ids=["an empty carrier", "no empty carrier"],
+)
+def test_eval_quantifies_over_the_carriers_of_a_finite_set_layer(
+    tmp_path, carriers, code, expected
+):
+    """Nodes range over the carriers, and an arrow over the maps between them."""
+    (tmp_path / "maps.diag").write_text(
+        'layer S in Set\nnode X : S "X" @forall(1)\nnode Y : S "Y" @forall(1)\n'
+        'arrow f : X -> Y "f" @exists(2)\n'
+    )
+    (tmp_path / "maps.model").write_text(f"layer S = finset\ncarriers S = {carriers}\n")
+    got = _run("eval", str(tmp_path / "maps.diag"), "--model", str(tmp_path / "maps.model"))
+    assert got == (code, expected)
+
+
+def test_eval_builds_each_stage_shape_once(fix, monkeypatch):
+    calls = []
+    shape = diagram._extension_shape
+
+    def counted(ast, new_elements):
+        calls.append(new_elements)
+        return shape(ast, new_elements)
+
+    monkeypatch.setattr(diagram, "_extension_shape", counted)
+    code, _text = _run(
+        "eval", fix("equalizer.diag"), "--model", fix("models", "equalizer_chain2.model")
+    )
+    assert (code, calls) == (EXIT_OK, [("X", "Y", "f", "g"), ("E", "e"), ("Z", "z"), ("u",)])
+
+
 # ---------------------------------------------------------------------------
 # Context elaboration against goldens
 # ---------------------------------------------------------------------------
@@ -668,6 +756,63 @@ def test_context_matches_golden(fix, stem):
     code, text = _run("context", fix(f"{stem}.diag"))
     assert code == EXIT_OK
     assert text == _golden(fix, f"{stem}.context.txt")
+
+
+# w closes cycles through B; its extension of cd o ac = bd o ab is a path,
+# that of bd o ab is not, and the equation for ed o ae follows by congruence
+CYCLIC_DIAG = """\
+layer L in C
+node A : L "A"
+node B : L "B"
+node C : L "C"
+node D : L "D"
+node E : L "E"
+arrow ab : A -> B "ab"
+arrow bd : B -> D "bd"
+arrow ac : A -> C "ac"
+arrow cd : C -> D "cd"
+arrow ae : A -> E "ae"
+arrow ed : E -> D "ed"
+arrow w : D -> B "w" @forall(1)
+"""
+
+CYCLIC_CONTEXT = """\
+In a context where:
+  C is a category,
+  A in C,
+  B in C,
+  C in C,
+  D in C,
+  E in C,
+  ab : A -> B,
+  bd : B -> D,
+  ac : A -> C,
+  cd : C -> D,
+  ae : A -> E,
+  ed : E -> D,
+  cd o ac = bd o ab,
+  ed o ae = bd o ab,
+for all w : D -> B such that
+  w o cd o ac = ab.
+"""
+
+
+def test_context_of_a_cyclic_layer_does_not_depend_on_the_hash_seed(tmp_path):
+    cyclic = tmp_path / "cyclic.diag"
+    cyclic.write_text(CYCLIC_DIAG)
+    src = os.path.dirname(os.path.dirname(fincat.__file__))
+    outputs = set()
+    for seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        result = subprocess.run(
+            [sys.executable, "-m", "fincat", "context", str(cyclic)],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert result.returncode == EXIT_OK
+        outputs.add(result.stdout)
+    assert outputs == {CYCLIC_CONTEXT}
 
 
 def test_grid_rendering_matches_golden(fix):

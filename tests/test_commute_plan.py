@@ -429,11 +429,12 @@ def test_staged_square_checks_only_what_its_new_elements_break():
     stage0, stage1 = extract_stages(parse_diagram(STAGED_SQUARE))
     assert set(stage1.new_elements) == {"C", "h", "k", "i"}
     model = Model({"L": _DOUBLED}, {}, {})
+    plan = diagram._stage_plans([stage1], model)[0]
     verdicts = collections.Counter()
     for assignment in _square_assignments(_DOUBLED, random.Random(16), 2000):
         if not path_by_path_commutativity(stage0.diagram, model, assignment).passed:
             continue
         want = _oracle_stage_commutes(stage1, model, assignment)
-        assert real_stage_check(stage1, model, assignment) == want
+        assert real_stage_check(stage1, model, assignment, plan) == want
         verdicts[want] += 1
     assert set(verdicts) == {True, False}, verdicts

@@ -1,10 +1,13 @@
 """Diagram DSL: parsing, staging, model evaluation, context elaboration."""
 
+import collections
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fincat import diagram
 from fincat.diagram import (
     DiagramError,
     DiagramParseError,
@@ -23,6 +26,7 @@ from fincat.cli import _load_diagram
 from fincat.files import load_model_spec
 from fincat.finset import CapExceededError
 from helpers import print_diagram
+from oracles import pairwise_stage_equations
 
 
 def _load(fix, name):
@@ -391,6 +395,55 @@ def test_golden_context_universal_arrow(fix):
 
 def test_golden_context_y0(fix):
     assert elaborate_context(_load(fix, "y0.diag")) == _golden(fix, "y0.context.txt")
+
+
+def _random_staged_diagram(rng, cyclic: bool) -> str:
+    """One layer of 3 to 5 nodes and 3 to 8 hom arrows, some of each in up
+    to three stages; arrows run forwards in node order unless ``cyclic``,
+    and one parallel pair of paths may be exempted by a noncommute line."""
+    names = "ABCDE"[: rng.randint(3, 5)]
+    quantifiers = [rng.choice(("forall", "exists", "existsuniq")) for _ in range(3)]
+    stage_of = {n: rng.choice((None, None, 1, 2, 3)) for n in names}
+    arrows = []
+    for i in range(rng.randint(3, 8)):
+        src, dst = rng.sample(names, 2)
+        if not cyclic and src > dst:
+            src, dst = dst, src
+        floor = max(stage_of[src] or 1, stage_of[dst] or 1)
+        arrows.append((f"a{i}", src, dst, rng.choice((None, None, *range(floor, 4)))))
+    used = sorted({k for k in stage_of.values() if k} | {a[3] for a in arrows if a[3]})
+    renumber = {k: j for j, k in enumerate(used, start=1)}
+
+    def annotation(k):
+        return f" @{quantifiers[k - 1]}({renumber[k]})" if k else ""
+
+    lines = ["layer L in C"]
+    lines += [f'node {n} : L "{n}"{annotation(stage_of[n])}' for n in names]
+    lines += [f'arrow {a} : {src} -> {dst} "{a}"{annotation(k)}' for a, src, dst, k in arrows]
+    text = "\n".join(lines) + "\n"
+    by_ends: dict = {}
+    for start, end, steps in diagram._layer_paths(parse_diagram(text), "L", include_bij=False):
+        by_ends.setdefault((start, end), []).append(".".join(a for a, _ in steps))
+    pairs = [group for group in by_ends.values() if len(group) > 1]
+    if pairs and rng.random() < 0.3:
+        text += "noncommute {} ; {}\n".format(*rng.sample(rng.choice(pairs), 2))
+    return text
+
+
+def test_context_equations_match_the_pairwise_fixpoint(monkeypatch):
+    """Seeded diagrams, with and without hom cycles, over several stages."""
+    rng = random.Random(29)
+    kinds = collections.Counter()
+    for i in range(240):
+        ast = parse_diagram(_random_staged_diagram(rng, cyclic=i % 2 == 1))
+        got = elaborate_context(ast)
+        with monkeypatch.context() as patched:
+            patched.setattr(diagram, "_stage_equations", pairwise_stage_equations)
+            assert got == elaborate_context(ast)
+        equations = pairwise_stage_equations(ast, extract_stages(ast))
+        cycle = diagram._hom_cycle(ast, "L") is not None
+        kinds[cycle, len(equations) > 1] += 1
+    assert len(kinds) == 4 and min(kinds.values()) > 10, kinds
 
 
 def test_golden_grid_y0(fix):
