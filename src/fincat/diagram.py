@@ -24,10 +24,12 @@ bare ``@existsuniq`` stage 2, while ``@exists`` always needs an explicit
 stage.  Stage numbers must cover a contiguous range ``1..n`` and all
 elements of one stage must share one quantifier.
 
-Stage ``k`` of a diagram is the sub-diagram obtained by erasing every
-element annotated with a stage above ``k`` together with its dependents:
-arrows incident to an erased node, and — for definitional arrows — the
-target of any ``|->`` whose source is erased.
+An element's stage is its own annotation (0 when it has none), raised to
+the stage of what it depends on: an arrow's ends and, for the target of a
+``|->``, that arrow's source.  Stage ``k`` of a diagram is the sub-diagram
+of the elements of stage at most ``k``.  An annotated element raised above
+its annotation is an error, naming the highest stage it is raised to and,
+within it, the first such element in declaration order.
 """
 
 from __future__ import annotations
@@ -503,69 +505,53 @@ class Stage(Record):
 def extract_stages(ast: DiagramAst) -> list:
     """Stages SQ_0 ⊆ ... ⊆ SQ_n with their quantifiers (stage 0 has none).
 
-    Only ``ast`` is validated: erasing a stage drops the arrows and
-    ``noncommute`` lines that touch it, and raises when a lower stage
-    depends on it, so every stage below is well formed too."""
+    SQ_k keeps the elements of stage at most ``k`` (see
+    :func:`_element_stages`) and the ``noncommute`` lines whose arrows all
+    are; its new elements are those of stage ``k``, in declaration order.
+    Only ``ast`` is validated: no element outlives what it depends on, so
+    every stage below is well formed too."""
     validate_diagram(ast)
+    stage_of = _element_stages(ast)
+    quantifier_of = {e.stage: e.quantifier for e in ast.elements().values() if e.stage}
+    # a declaration's stage: the highest stage of the elements it names
+    tops = [
+        stage_of[d.id] if isinstance(d, (Node, Arrow))
+        else max(map(stage_of.get, d.left + d.right)) if isinstance(d, NonCommute)
+        else 0
+        for d in ast.decls
+    ]
     n = ast.max_stage()
-    quantifier_of: dict[int, str] = {}
-    for e in ast.elements().values():
-        if e.stage is not None:
-            quantifier_of[e.stage] = e.quantifier
-
-    subs: dict[int, DiagramAst] = {n: ast}
-    new_elems: dict[int, tuple] = {}
-    current = ast
-    for k in range(n, 0, -1):
-        erased = _erase_stage(current, k)
-        keep = tuple(
-            d
-            for d in current.decls
-            if not (isinstance(d, (Node, Arrow)) and d.id in erased)
-        )
-        keep = tuple(
-            d
-            for d in keep
-            if not (isinstance(d, NonCommute) and (set(d.left) | set(d.right)) & erased)
-        )
-        new_elems[k] = tuple(e for e in current.elements() if e in erased)
-        current = DiagramAst(keep)
-        subs[k - 1] = current
-    new_elems[0] = tuple(subs[0].elements())
-
     return [
-        Stage(k, quantifier_of.get(k), subs[k], new_elems[k]) for k in range(0, n + 1)
+        Stage(
+            k,
+            quantifier_of.get(k),
+            ast if k == n else DiagramAst(tuple(d for d, t in zip(ast.decls, tops) if t <= k)),
+            tuple(e for e, s in stage_of.items() if s == k),
+        )
+        for k in range(n + 1)
     ]
 
 
-def _erase_stage(ast: DiagramAst, k: int) -> set:
-    """Ids erased when removing stage ``k``: the annotated elements plus dependents."""
-    nodes, arrows = ast.nodes(), ast.arrows()
-    erased = {e.id for e in ast.elements().values() if e.stage == k}
-    changed = True
-    while changed:
-        changed = False
-        for a in arrows.values():
-            if a.id in erased:
-                continue
-            incident = False
-            if a.src in erased or a.dst in erased:
-                incident = True
-            if a.kind == "mapsto" and a.src in erased:
-                # a definitional arrow with erased source takes its target along
-                if a.dst not in erased:
-                    erased.add(a.dst)
-                    changed = True
-            if incident:
-                erased.add(a.id)
-                changed = True
-    for eid in erased:
-        e = ast.elements()[eid]
-        if e.stage is not None and e.stage < k:
-            raise DiagramError(
-                f"element {eid!r} at stage {e.stage} depends on a stage-{k} element"
-            )
-    return erased
+def _element_stages(ast: DiagramAst) -> dict:
+    """Each element's stage, in declaration order, by the least fixpoint of
+    the rule in the module docstring; raises the staging error named there."""
+    elements = ast.elements()
+    stage = {e.id: e.stage or 0 for e in elements.values()}
+    before = None
+    while stage != before:
+        before = dict(stage)
+        for a in ast.arrows().values():
+            # hom arrows may join functor declarations, which are stage 0
+            stage[a.id] = max(stage[a.id], stage.get(a.src, 0), stage.get(a.dst, 0))
+            if a.kind == "mapsto":
+                stage[a.dst] = max(stage[a.dst], stage[a.src])
+    raised = [e for e in elements.values() if e.stage is not None and stage[e.id] > e.stage]
+    if raised:
+        e = max(raised, key=lambda e: stage[e.id])
+        raise DiagramError(
+            f"element {e.id!r} at stage {e.stage} depends on a stage-{stage[e.id]} element"
+        )
+    return stage
 
 
 # ---------------------------------------------------------------------------
@@ -611,9 +597,9 @@ def build_model(ast: DiagramAst, spec) -> Model:
         if pair not in functors:
             raise DiagramError(f"model binds no functor to the layer pair {pair!r}")
 
-    # an arrow that touches a quantified node is erased with it: it is new
-    # at that node's stage, not bound here
-    stage0 = extract_stages(ast)[0].new_elements
+    # an arrow that touches a quantified node is new at that node's stage,
+    # not bound here
+    stage0 = [e for e, s in _element_stages(ast).items() if s == 0]
     targets = ast.mapsto_targets()
     binds: dict[str, object] = {}
     bind_items = sorted(
@@ -1459,7 +1445,6 @@ def expand_annotation(ast: DiagramAst, name: str) -> DiagramAst:
     if not users:
         return ast
     body = macros[name].body
-    local_ids = {d.id for d in body}
 
     decls = list(ast.decls)
     known_ids = set(ast.elements()) | set(ast.layers()) | set(ast.functors()) | set(ast.defs())
@@ -1468,11 +1453,11 @@ def expand_annotation(ast: DiagramAst, name: str) -> DiagramAst:
 
     for occurrence, user in enumerate(users, start=1):
         renames = {}
-        for local in local_ids:
-            fresh = f"{local}${occurrence}"
+        for d in body:  # in declaration order, so a capture error names the first
+            fresh = f"{d.id}${occurrence}"
             if fresh in known_ids:
                 raise DiagramError(f"macro expansion captures existing name {fresh!r}")
-            renames[local] = fresh
+            renames[d.id] = fresh
 
         def resolve(ref: str) -> str:
             if ref in renames:

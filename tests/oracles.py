@@ -57,6 +57,9 @@ force, kept to pin the exact output of the faster code that replaced them:
 * ``pairwise_stage_equations`` is the equation minimizer of ``context``
   closing a relation over every pair of equivalent paths until it is
   stable, where the library merges union-find classes from a worklist.
+* ``erasing_stages`` is ``extract_stages`` as it erased the top stage and
+  its dependents, rebuilt the diagram and repeated, one fixpoint per stage,
+  where the library computes every element's stage in one fixpoint.
 * ``regex_load_category`` is the ``.fincat`` reader whose line pass ran a
   regular expression on every line: comment stripping, section headers,
   ``g . f = h`` lines and all-digit atoms (``regex_parse_atom``), where the
@@ -92,12 +95,17 @@ from fincat.core import (
 )
 from fincat.diagram import (
     Arrow,
+    DiagramAst,
     DiagramError,
+    Node,
+    NonCommute,
+    Stage,
     _hom_cycle,
     _layer_paths,
     _mapsto_image,
     _noncommute_keys,
     _value_repr,
+    validate_diagram,
 )
 from fincat.files import FixtureParseError
 from fincat.finset import (
@@ -1442,6 +1450,58 @@ def pairwise_stage_equations(ast, stages) -> dict:
 def _equation(labels, p, q) -> str:
     texts = sorted((len(path), " o ".join(labels[a] for a in reversed(path))) for path in (p, q))
     return f"{texts[1][1]} = {texts[0][1]}"
+
+
+# ---------------------------------------------------------------------------
+# Diagram stages by erasing the top stage, one stage at a time
+# ---------------------------------------------------------------------------
+
+
+def erasing_stages(ast) -> list:
+    """``diagram.extract_stages`` by erasure: stage ``k - 1`` is stage ``k``
+    without the elements annotated ``k`` and everything that depends on
+    them (arrows incident to an erased element, the target of a ``|->``
+    whose source is erased), found by a fixpoint per stage.  An erased
+    element annotated below ``k`` is an error, the first in declaration
+    order; stages are erased from the top, so the highest ``k`` is named.
+    """
+    validate_diagram(ast)
+    n = ast.max_stage()
+    quantifier_of = {e.stage: e.quantifier for e in ast.elements().values() if e.stage}
+    subs = {n: ast}
+    new_elements = {}
+    current = ast
+    for k in range(n, 0, -1):
+        erased = {e.id for e in current.elements().values() if e.stage == k}
+        changed = True
+        while changed:
+            changed = False
+            for a in current.arrows().values():
+                if a.id in erased:
+                    continue
+                if a.kind == "mapsto" and a.src in erased and a.dst not in erased:
+                    erased.add(a.dst)
+                    changed = True
+                if a.src in erased or a.dst in erased:
+                    erased.add(a.id)
+                    changed = True
+        for e in current.elements().values():
+            if e.id in erased and e.stage is not None and e.stage < k:
+                raise DiagramError(
+                    f"element {e.id!r} at stage {e.stage} depends on a stage-{k} element"
+                )
+        new_elements[k] = tuple(e for e in current.elements() if e in erased)
+        current = DiagramAst(
+            tuple(
+                d
+                for d in current.decls
+                if not (isinstance(d, (Node, Arrow)) and d.id in erased)
+                and not (isinstance(d, NonCommute) and erased & {*d.left, *d.right})
+            )
+        )
+        subs[k - 1] = current
+    new_elements[0] = tuple(subs[0].elements())
+    return [Stage(k, quantifier_of.get(k), subs[k], new_elements[k]) for k in range(n + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,20 @@ def _golden(fix, name):
         return handle.read()
 
 
+def _under_hash_seeds(*argv, seeds=("0", "12345")) -> set:
+    """The (exit code, stdout) pairs of ``fincat argv`` run in a fresh
+    interpreter under each hash seed."""
+    src = os.path.dirname(os.path.dirname(fincat.__file__))
+    outputs = set()
+    for seed in seeds:
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        result = subprocess.run(
+            [sys.executable, "-m", "fincat", *argv], capture_output=True, text=True, env=env
+        )
+        outputs.add((result.returncode, result.stdout))
+    return outputs
+
+
 # ---------------------------------------------------------------------------
 # Exit codes
 # ---------------------------------------------------------------------------
@@ -150,19 +164,9 @@ def test_cyclic_cover_message_does_not_depend_on_the_hash_seed(tmp_path):
     cyclic.write_text(
         "objects:\n  a\n  b\n  c\n  d\npreorder:\n  a < b\n  b < c\n  c < d\n  d < a\n"
     )
-    src = os.path.dirname(os.path.dirname(fincat.__file__))
-    outputs = set()
-    for seed in ("0", "12345"):
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
-        result = subprocess.run(
-            [sys.executable, "-m", "fincat", "check-cat", str(cyclic)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert result.returncode == EXIT_USAGE
-        outputs.add(result.stdout)
-    assert outputs == {f"parse error: {cyclic}:6: not antisymmetric: 'a' <= 'b' <= 'a'\n"}
+    assert _under_hash_seeds("check-cat", str(cyclic)) == {
+        (EXIT_USAGE, f"parse error: {cyclic}:6: not antisymmetric: 'a' <= 'b' <= 'a'\n")
+    }
 
 
 def test_usage_errors_exit_two(fix):
@@ -731,6 +735,45 @@ def test_eval_quantifies_over_the_carriers_of_a_finite_set_layer(
     assert got == (code, expected)
 
 
+def test_eval_stages_its_diagram_once(fix, monkeypatch):
+    calls = []
+    extract = diagram.extract_stages
+
+    def counted(ast):
+        calls.append(ast)
+        return extract(ast)
+
+    monkeypatch.setattr(diagram, "extract_stages", counted)
+    code, _text = _run(
+        "eval", fix("equalizer.diag"), "--model", fix("models", "equalizer_chain2.model")
+    )
+    assert (code, len(calls)) == (EXIT_OK, 1)
+
+
+# f and g both end at A: each is raised from its stage 1 to A's stage 2
+DEPENDENT_DIAG = """\
+layer L in C
+node A : L "A" @forall(2)
+node B : L "B"
+node D : L "D"
+arrow f : B -> A "f" @forall(1)
+arrow g : D -> A "g" @forall(1)
+"""
+
+
+def test_a_staging_error_names_the_first_element_whatever_the_hash_seed(fix, tmp_path):
+    (tmp_path / "dep.diag").write_text(DEPENDENT_DIAG)
+    (tmp_path / "dep.model").write_text(
+        f"layer L = {fix('chain2.fincat')}\nbind B = 0\nbind D = 1\n"
+    )
+    message = "check error: element 'f' at stage 1 depends on a stage-2 element\n"
+    expected = {(EXIT_CHECK_FAILED, message)}
+    seeds = ("0", "1")
+    assert _under_hash_seeds("stages", str(tmp_path / "dep.diag"), seeds=seeds) == expected
+    model = ("--model", str(tmp_path / "dep.model"))
+    assert _under_hash_seeds("eval", str(tmp_path / "dep.diag"), *model, seeds=seeds) == expected
+
+
 def test_eval_builds_each_stage_shape_once(fix, monkeypatch):
     calls = []
     shape = diagram._extension_shape
@@ -800,19 +843,7 @@ for all w : D -> B such that
 def test_context_of_a_cyclic_layer_does_not_depend_on_the_hash_seed(tmp_path):
     cyclic = tmp_path / "cyclic.diag"
     cyclic.write_text(CYCLIC_DIAG)
-    src = os.path.dirname(os.path.dirname(fincat.__file__))
-    outputs = set()
-    for seed in ("0", "12345"):
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
-        result = subprocess.run(
-            [sys.executable, "-m", "fincat", "context", str(cyclic)],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert result.returncode == EXIT_OK
-        outputs.add(result.stdout)
-    assert outputs == {CYCLIC_CONTEXT}
+    assert _under_hash_seeds("context", str(cyclic)) == {(EXIT_OK, CYCLIC_CONTEXT)}
 
 
 def test_grid_rendering_matches_golden(fix):
@@ -859,6 +890,29 @@ def test_an_undefined_macro_is_a_check_error(fix, tmp_path):
             EXIT_CHECK_FAILED,
             "check error: undefined macro 'nope'\n",
         )
+
+
+# both macros declare p and q, so splicing the second into A captures the
+# names the first one freshened
+TWO_MACRO_DIAG = """\
+layer L in C
+macro m1 := {
+  node p : L "p"
+  node q : L "q"
+}
+macro m2 := {
+  node p : L "p2"
+  node q : L "q2"
+}
+node A : L "A" @use(m1) @use(m2)
+"""
+
+
+def test_a_macro_capture_names_the_first_local_whatever_the_hash_seed(tmp_path):
+    (tmp_path / "two.diag").write_text(TWO_MACRO_DIAG)
+    assert _under_hash_seeds("context", str(tmp_path / "two.diag"), seeds=("0", "1")) == {
+        (EXIT_CHECK_FAILED, "check error: macro expansion captures existing name 'p$1'\n")
+    }
 
 
 # ---------------------------------------------------------------------------

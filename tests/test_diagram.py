@@ -9,9 +9,14 @@ from hypothesis import strategies as st
 
 from fincat import diagram
 from fincat.diagram import (
+    Arrow,
+    DiagramAst,
     DiagramError,
     DiagramParseError,
+    FunctorDecl,
+    LayerDecl,
     Node,
+    NonCommute,
     build_model,
     check_commutativity,
     elaborate_context,
@@ -26,7 +31,7 @@ from fincat.cli import _load_diagram
 from fincat.files import load_model_spec
 from fincat.finset import CapExceededError
 from helpers import print_diagram
-from oracles import pairwise_stage_equations
+from oracles import erasing_stages, pairwise_stage_equations
 
 
 def _load(fix, name):
@@ -174,8 +179,8 @@ def test_universal_arrow_stage_shape(fix):
 
 
 def test_each_stage_is_itself_a_valid_diagram(fix):
-    """extract_stages checks only the whole diagram: erasing a stage keeps
-    every stage below it well formed, macro-expanded or not."""
+    """extract_stages checks only the whole diagram: no element outlives
+    what it depends on, so every stage is well formed, macro-expanded or not."""
     for name in DIAGRAMS:
         for ast in (_load(fix, name), _load_diagram(fix(name))):
             for stage in extract_stages(ast):
@@ -189,12 +194,85 @@ def test_erasure_cannot_orphan_an_earlier_stage_element(fix):
         'node y : L "y" @exists(2)\n'
         'arrow f : x -> y "f" @forall(1)\n'
     )
-    with pytest.raises(DiagramError):
+    with pytest.raises(DiagramError) as err:
         extract_stages(parse_diagram(text))
+    assert str(err.value) == "element 'f' at stage 1 depends on a stage-2 element"
+
+
+def _random_stageable_diagram(rng) -> DiagramAst:
+    """Two to four nodes over two layers, joined by hom arrows (now and then
+    one between functor declarations) and by |-> arrows between nodes and
+    between hom arrows, in a shuffled declaration order.  Nodes and hom
+    arrows that are not |-> targets are annotated in up to three stages, at
+    random, so some depend on a later stage than their own; a noncommute
+    line exempts a parallel pair of paths now and then."""
+    names = [f"n{i}" for i in range(rng.randint(2, 4))]
+    layer = {n: rng.choice("LM") for n in names}
+    homs = []
+    for i in range(rng.randint(1, 5)):
+        src = rng.choice(names)
+        dst = rng.choice([n for n in names if layer[n] == layer[src]])
+        homs.append((f"h{i}", "hom", src, dst))
+    if rng.random() < 0.2:
+        homs.append(("t", "hom", "F", "G"))
+    maps = []
+    for i in range(rng.randint(0, 3)):
+        pool = names if rng.random() < 0.5 else [h[0] for h in homs]
+        maps.append((f"m{i}", "mapsto", rng.choice(pool), rng.choice(pool)))
+    targets = {m[3] for m in maps}
+    drawn = {e: rng.choice((None, None, 1, 2, 3)) for e in names + [h[0] for h in homs]}
+    used = sorted({k for e, k in drawn.items() if k and e not in targets})
+    renumber = {k: j for j, k in enumerate(used, start=1)}
+    quantifiers = {j: rng.choice(("forall", "exists", "existsuniq")) for j in renumber.values()}
+
+    def annotation(e):
+        k = None if e in targets else renumber.get(drawn.get(e))
+        return (quantifiers[k], k) if k else (None, None)
+
+    elements = [Node(n, layer[n], n, *annotation(n)) for n in names]
+    elements += [Arrow(a, kind, src, dst, a, *annotation(a)) for a, kind, src, dst in homs + maps]
+    rng.shuffle(elements)
+    ends = {h[0]: (h[2], h[3]) for h in homs if h[2] in layer}
+    paths = [(h,) for h in ends] + [(g, h) for g in ends for h in ends if ends[g][1] == ends[h][0]]
+    parallel: dict = {}
+    for path in paths:
+        parallel.setdefault((ends[path[0]][0], ends[path[-1]][1]), []).append(path)
+    groups = [group for group in parallel.values() if len(group) > 1]
+    if groups and rng.random() < 0.5:
+        elements.append(NonCommute(*rng.sample(rng.choice(groups), 2)))
+    header = [LayerDecl("L", "C"), LayerDecl("M", "D")]
+    header += [FunctorDecl(f, "L", "M", f) for f in "FG"]
+    return DiagramAst(tuple(header + elements))
+
+
+def test_extract_stages_matches_stage_by_stage_erasure():
+    """Seeded diagrams: every stage equal field by field, or one error."""
+    rng = random.Random(30)
+    outcomes = collections.Counter()
+    for _ in range(1500):
+        ast = _random_stageable_diagram(rng)
+        try:
+            want = erasing_stages(ast)
+        except DiagramError as exc:
+            with pytest.raises(DiagramError) as err:
+                extract_stages(ast)
+            assert str(err.value) == str(exc)
+            outcomes["error"] += 1
+            continue
+        got = extract_stages(ast)
+        fields = [(s.index, s.quantifier, s.diagram, s.new_elements) for s in got]
+        assert fields == [(s.index, s.quantifier, s.diagram, s.new_elements) for s in want]
+        outcomes[len(got) - 1] += 1
+        for d in ast.decls:
+            if isinstance(d, NonCommute) and len(got) > 1:
+                outcomes["noncommute"] += 1
+            elif isinstance(d, Arrow) and len(got) > 1:
+                outcomes[d.kind, d.src in ast.nodes(), d.src in ast.functors()] += 1
+    assert len(outcomes) == 10 and min(outcomes.values()) > 30, outcomes
 
 
 def test_dropped_noncommute_references(fix):
-    # erasing stage-1 arrows drops the noncommute declaration with them
+    # stage 0 has no stage-1 arrow, so it drops the noncommute line naming them
     ast = _load(fix, "equalizer.diag")
     stages = extract_stages(ast)
     assert not stages[0].diagram.noncommutes()
@@ -480,7 +558,8 @@ def test_macro_expansion_rejects_unknown_macro(fix):
 
 
 def test_macro_name_capture_is_detected():
-    # The surface grammar cannot spell "$" inside an identifier, so the
+    # A freshened name can collide with a host name: two macros used by one
+    # element that declare the same local (see test_cli).  Here the
     # colliding name is planted directly on the syntax tree.
     text = (
         "layer L in P\n"
