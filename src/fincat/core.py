@@ -159,6 +159,41 @@ class FinCat(Record):
     def sorted_morphisms(self) -> list:
         return list(self._index.morphisms)
 
+    @cached_property
+    def generators(self) -> tuple:
+        """Sorted non-identity morphisms of which every other non-identity
+        morphism is a composite, for a table that is a category.
+
+        They are the morphisms that are no composite of two non-identity
+        ones; while their composites miss a morphism, as in a cyclic group,
+        the least one missed joins them.  A law that holds along identities
+        and along g . f when it holds along f and g, as a naturality square
+        of functors does, holds everywhere when it holds along them."""
+        ids, ends, compose = set(self.identity.values()), self.morphisms, self.compose
+        composites = {h for (g, f), h in compose.items() if g not in ids and f not in ids}
+        gens, leaving, reached = [], {}, set(ids)  # leaving: dom -> generators out of it
+
+        def join(m):
+            gens.append(m)
+            leaving.setdefault(ends[m][0], []).append(m)
+
+        def close(todo):  # reach each r, and g . r for every generator g out of cod r
+            while todo:
+                r = todo.pop()
+                if r not in reached:
+                    reached.add(r)
+                    todo += [compose[(g, r)] for g in leaving.get(ends[r][1], ())]
+
+        for m in ends:
+            if m not in ids and m not in composites:
+                join(m)
+        close(list(gens))
+        for m in sorted(ends.keys() - reached):
+            if m not in reached:
+                join(m)
+                close([compose[(m, r)] for r in reached if ends[r][1] == ends[m][0]])
+        return tuple(sorted(gens))
+
 
 def _wellformed(c: FinCat) -> None:
     """Raise MalformedTableError at the first object, morphism end or
@@ -551,25 +586,26 @@ def validate_nattrans(t: NatTransVal) -> CheckReport:
             typing.append((x, comp))
     obligations = [Obligation("component_typing", not typing, tuple(typing[0]) if typing else ())]
 
-    square = []
-    for h in src.sorted_morphisms():
-        c, d = src.dom(h), src.cod(h)
-        if finny:
-            failure = _set_square_failure(t, h, t.components[c], t.components[d])
-        else:
-            try:
-                lhs = tgt.comp(t.G.morphism_map[h], t.components[c])
-                rhs = tgt.comp(t.components[d], t.F.morphism_map[h])
-            except KeyError:
-                failure = (h, "not composable")
-            else:
-                failure = (h, lhs, rhs) if lhs != rhs else None
-        if failure:
-            square.append(failure)
+    square = [w for w in map(square_failure, repeat(t), src.sorted_morphisms()) if w]
     obligations.append(
         Obligation("square_condition", not square, tuple(square[0]) if square else ())
     )
     return CheckReport("nattrans", tuple(obligations))
+
+
+def square_failure(t: NatTransVal, h):
+    """The witness against the naturality square G(h) . t_c = t_d . F(h) at
+    the morphism h : c -> d of the source, or None when it commutes."""
+    c, d = t.F.source.morphisms[h]
+    tgt = t.F.target
+    if tgt is FINSET:
+        return _set_square_failure(t, h, t.components[c], t.components[d])
+    try:
+        lhs = tgt.comp(t.G.morphism_map[h], t.components[c])
+        rhs = tgt.comp(t.components[d], t.F.morphism_map[h])
+    except KeyError:
+        return (h, "not composable")
+    return (h, lhs, rhs) if lhs != rhs else None
 
 
 def _set_square_failure(t: NatTransVal, h, alpha_c: FinSetMap, alpha_d: FinSetMap):

@@ -9,6 +9,12 @@ values over the sorted shape objects, and a colimit class is its least
 as :func:`nattrans_values` yields it, the flat tuple of its components'
 values over the sorted objects (:func:`nattrans_slices` says where each
 component lies).
+
+The limit, colimit and transformation kernels take the law of each of
+their shape's ``generators`` only, which decides every morphism for
+functors (a square that commutes along f and g commutes along g . f).  So
+their diagrams must be functors, as the commands' ``require_functor`` gates
+ensure.
 """
 
 from __future__ import annotations
@@ -262,13 +268,14 @@ def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
     Returns (carrier, projections).  An element of the carrier is a family's
     tuple of values over the sorted shape objects, and projections maps each
     shape object, in that order, to its projection.  The empty diagram has
-    the one-point carrier {()}.
+    the one-point carrier {()}.  ``d`` must be a functor: families are
+    compatible along the generators.
     """
     if d.target is not FINSET:
         raise ValueError("limit_finset needs a finite-set valued diagram")
     shape = d.source
     objs = sorted(shape.objects)
-    constraints = [(j, d.morphism_map[f], j2) for f, (j, j2) in shape.morphisms.items()]
+    constraints = [(shape.dom(f), d.morphism_map[f], shape.cod(f)) for f in shape.generators]
     carrier = FinSetObj(_solve(objs, d.object_map, constraints, cap))
     projections = {
         j: FinSetMap(carrier, d.object_map[j], (fam[i] for fam in carrier))
@@ -282,7 +289,8 @@ def colimit_finset(d):
     relation generated by the diagram's maps.
 
     Returns (carrier, injections); a class is its least tagged atom, the
-    pair ``(j, x)`` of a shape object and an element of its value.
+    pair ``(j, x)`` of a shape object and an element of its value.  ``d``
+    must be a functor: only the generators' maps are related.
     """
     if d.target is not FINSET:
         raise ValueError("colimit_finset needs a finite-set valued diagram")
@@ -301,7 +309,7 @@ def colimit_finset(d):
         if ra != rb:
             parent[rb] = ra
 
-    for f in shape.sorted_morphisms():
+    for f in shape.generators:
         j, j2 = shape.dom(f), shape.cod(f)
         for x in d.object_map[j]:
             union((j, x), (j2, d.morphism_map[f](x)))
@@ -325,8 +333,9 @@ def nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
     component's values in its domain's order.
 
     One search variable per object c and element a of f(c), valued in g(c);
-    every morphism h: c -> d adds the squares g(h)(alpha_c a) = alpha_d(f(h) a).
-    Output order is the lexicographic order of the tuples.
+    every generator h: c -> d adds the squares g(h)(alpha_c a) = alpha_d(f(h) a),
+    so f and g must be functors.  Output order is the lexicographic order of
+    the tuples.
     """
     if f.source != g.source:
         raise ValueError("functors have different sources")
@@ -336,9 +345,9 @@ def nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
     variables = [(c, a) for c in sorted(shape.objects) for a in f.object_map[c]]
     domains = {(c, a): g.object_map[c].atoms for c, a in variables}
     constraints = [
-        ((c, a), g.morphism_map[h], (d, f.morphism_map[h](a)))
-        for h, (c, d) in shape.morphisms.items()
-        for a in f.object_map[c]
+        ((shape.dom(h), a), g.morphism_map[h], (shape.cod(h), f.morphism_map[h](a)))
+        for h in shape.generators
+        for a in f.object_map[shape.dom(h)]
     ]
     return list(_solve(variables, domains, constraints, cap))
 

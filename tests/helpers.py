@@ -8,6 +8,8 @@ transformation and read it back, list the one-step reducts of a
 term, draw random cover relations, and print a diagram back to its source
 text.  Unlike ``oracles``, they reuse the
 library's search: they only change how its answers are presented.
+``lawful`` sorts test subjects into the functors that the kernels take and
+the tables that the commands' gates refuse.
 """
 
 from __future__ import annotations
@@ -15,7 +17,15 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from fincat.core import NatTransVal
+import pytest
+
+from fincat.core import (
+    FinCatError,
+    NatTransVal,
+    require_category,
+    require_functor,
+    validate_functor,
+)
 from fincat.diagram import (
     _KIND_TOKENS,
     Arrow,
@@ -46,6 +56,17 @@ class SeededContext(HomContext):
             want = (self.probe, self.set_functor.object_map[self.anchor])
             if (self.seed.dom, self.seed.cod) != want:
                 raise ValueError("seed map has wrong endpoints")
+
+
+def lawful(functor) -> bool:
+    """Whether ``functor`` is a functor, which the kernels require; when it
+    is not, the gates that every command runs first refuse it."""
+    if validate_functor(functor).passed:
+        return True
+    with pytest.raises(FinCatError, match="is not a (functor|category)"):
+        require_category(functor.source, "functor source")
+        require_functor(functor)
+    return False
 
 
 def nattrans_from_values(f, g, values, shared=None) -> NatTransVal:

@@ -28,6 +28,14 @@ force, kept to pin the exact output of the faster code that replaced them:
   and rebuilt both hom-functors for every seed, transformation and element;
   the pointwise one also checks every element's naturality squares, where
   the library looks its flat tuple up in the enumerated set;
+* ``all_morphism_nattrans_values``, ``all_morphism_limit`` and
+  ``all_morphism_colimit`` are ``nattrans_values``, ``limit_finset`` and
+  ``colimit_finset`` as they took the law of every morphism (the first two
+  share ``_solve`` with the library), where the library takes a generating
+  set of morphisms, ``FinCat.generators``, whose reference is the naive
+  closure ``brute_generators``; the rebuilding Yoneda checks and
+  ``materialised_kan_adjointness`` enumerate with
+  ``all_morphism_nattrans``, so they do not check the kernel with itself;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
   naturality jointly, over every pair of morphisms (f, k) of both categories;
 * ``elementwise_naturality_failures`` and ``elementwise_respects_composition``
@@ -114,6 +122,7 @@ from fincat.finset import (
     FinSetObj,
     atom_key,
     compose_maps,
+    _solve,
     encode_map,
     enumerate_maps,
 )
@@ -146,7 +155,7 @@ from fincat.yoneda import (
     hom_maps_functor,
     yoneda_pointwise_bijection,
 )
-from helpers import SeededContext, enumerate_nattrans_finset
+from helpers import SeededContext, nattrans_from_values
 
 # ---------------------------------------------------------------------------
 # Category laws and preorder closures without any index
@@ -495,6 +504,112 @@ def brute_universal_table(category, set_functor, probe, anchor, seed) -> list:
             )
             entries.append(((d, picks), solutions))
     return entries
+
+
+# ---------------------------------------------------------------------------
+# Generators and the kernels over every morphism
+# ---------------------------------------------------------------------------
+
+
+def brute_generators(c) -> tuple:
+    """``FinCat.generators`` by fixpoints over the raw tables: the
+    non-identity morphisms that no composable pair of non-identity morphisms
+    composes to, then, while some non-identity morphism is not a composite
+    of them, the least such one added and every composite recomputed anew
+    by composing every generator after every composite until nothing new
+    appears."""
+    ids = set(c.identity.values())
+    plain = sorted(m for m in c.morphisms if m not in ids)
+    gens = [
+        m
+        for m in plain
+        if not any(
+            c.compose[(g, f)] == m
+            for g in plain
+            for f in plain
+            if c.morphisms[f][1] == c.morphisms[g][0]
+        )
+    ]
+    while True:
+        reached = set(gens)
+        grown = True
+        while grown:
+            new = {
+                c.compose[(g, r)]
+                for g in gens
+                for r in reached
+                if c.morphisms[r][1] == c.morphisms[g][0]
+            }
+            grown = not new <= reached
+            reached |= new
+        missing = [m for m in plain if m not in reached]
+        if not missing:
+            return tuple(sorted(gens))
+        gens.append(missing[0])
+
+
+def all_morphism_nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """``nattrans_values`` with the squares of every morphism as
+    constraints, where the library takes the generators only."""
+    shape = f.source
+    variables = [(c, a) for c in sorted(shape.objects) for a in f.object_map[c]]
+    domains = {(c, a): g.object_map[c].atoms for c, a in variables}
+    constraints = [
+        ((c, a), g.morphism_map[h], (d, f.morphism_map[h](a)))
+        for h, (c, d) in shape.morphisms.items()
+        for a in f.object_map[c]
+    ]
+    return list(_solve(variables, domains, constraints, cap))
+
+
+def all_morphism_nattrans(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """``all_morphism_nattrans_values`` with each tuple made a NatTransVal."""
+    shared = {}
+    return [nattrans_from_values(f, g, v, shared) for v in all_morphism_nattrans_values(f, g, cap)]
+
+
+def all_morphism_limit(d, cap: int = DEFAULT_ENUM_CAP):
+    """``limit_finset`` with one constraint per morphism, where the library
+    takes the generators only."""
+    shape = d.source
+    objs = sorted(shape.objects)
+    constraints = [(j, d.morphism_map[f], j2) for f, (j, j2) in shape.morphisms.items()]
+    carrier = FinSetObj(_solve(objs, d.object_map, constraints, cap))
+    projections = {
+        j: FinSetMap(carrier, d.object_map[j], (fam[i] for fam in carrier))
+        for i, j in enumerate(objs)
+    }
+    return carrier, projections
+
+
+def all_morphism_colimit(d):
+    """``colimit_finset`` relating (j, x) to (j2, F(f)(x)) for every morphism
+    f : j -> j2, where the library takes the generators only."""
+    shape = d.source
+    tagged = [(j, x) for j in sorted(shape.objects) for x in d.object_map[j]]
+    parent = {t: t for t in tagged}
+
+    def find(t):
+        while parent[t] != t:
+            t = parent[t]
+        return t
+
+    for f in shape.sorted_morphisms():
+        j, j2 = shape.morphisms[f]
+        for x in d.object_map[j]:
+            ra, rb = find((j, x)), find((j2, d.morphism_map[f](x)))
+            if ra != rb:
+                parent[rb] = ra
+    classes = {}
+    for t in tagged:
+        classes.setdefault(find(t), []).append(t)
+    rep = {m: members[0] for members in classes.values() for m in members}
+    carrier = FinSetObj(rep.values())
+    injections = {
+        j: FinSetMap(d.object_map[j], carrier, (rep[(j, x)] for x in d.object_map[j]))
+        for j in sorted(shape.objects)
+    }
+    return carrier, injections
 
 
 # ---------------------------------------------------------------------------
@@ -947,7 +1062,7 @@ def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
     target = string_encoded_hom_maps_functor(ctx.probe, ctx.set_functor)
     parts = (ctx.category, ctx.set_functor, ctx.probe, ctx.anchor)
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
-    transforms = enumerate_nattrans_finset(source, target, cap)
+    transforms = all_morphism_nattrans(source, target, cap)
 
     bad_seed = []
     for seed in seeds:
@@ -1007,7 +1122,7 @@ def rebuilding_pointwise_bijection(category, set_functor, anchor, cap: int = DEF
     ]
     keys = {element: nattrans_key(t) for element, t in mapping.items()}
     distinct = len(set(keys.values())) == len(keys)
-    enumerated = {nattrans_key(t) for t in enumerate_nattrans_finset(source, set_functor, cap)}
+    enumerated = {nattrans_key(t) for t in all_morphism_nattrans(source, set_functor, cap)}
     onto = set(keys.values()) == enumerated
     obligations = (
         Obligation("components_natural", not unnatural, (unnatural[0],) if unnatural else ()),
@@ -1099,8 +1214,8 @@ def materialised_kan_adjointness(
 
     left = _materialised_obligations(
         "left",
-        enumerate_nattrans_finset(lkan, target_functor, cap),
-        enumerate_nattrans_finset(source_functor, restricted, cap),
+        all_morphism_nattrans(lkan, target_functor, cap),
+        all_morphism_nattrans(source_functor, restricted, cap),
         lambda t: NatTransVal(
             source_functor,
             restricted,
@@ -1109,8 +1224,8 @@ def materialised_kan_adjointness(
     )
     right = _materialised_obligations(
         "right",
-        enumerate_nattrans_finset(restricted, source_functor, cap),
-        enumerate_nattrans_finset(target_functor, rkan, cap),
+        all_morphism_nattrans(restricted, source_functor, cap),
+        all_morphism_nattrans(target_functor, rkan, cap),
         lambda t: NatTransVal(
             restricted,
             source_functor,

@@ -36,8 +36,10 @@ from fincat.finset import (
 )
 from fincat.yoneda import hom_cov_functor
 
-from helpers import enumerate_nattrans_finset
+from helpers import enumerate_nattrans_finset, lawful
 from oracles import (
+    all_morphism_limit,
+    all_morphism_nattrans,
     map_from_table,
     nattrans_key,
     nattrans_table_key,
@@ -216,16 +218,25 @@ def set_diagrams(fix, incl_a4_b6, h_on_a):
 
 
 def test_limit_matches_brute_force_families(set_diagrams):
+    """The kernel, whose precondition is a functor, on the lawful diagrams,
+    and the reference over every morphism on all of them."""
+    broken = 0
     for label, d in set_diagrams:
         families = product_filter_limit(d)
-        carrier, projections = limit_finset(d)
         objs = sorted(d.source.objects)
         elements = [tuple(fam[j] for j in objs) for fam in families]
-        assert carrier.atoms == tuple(elements), label
-        assert list(projections) == objs, label
-        for j in objs:
-            assert projections[j].dom == carrier, label
-            assert projections[j].values == tuple(fam[j] for fam in families), label
+        limits = [all_morphism_limit(d)]
+        if lawful(d):
+            limits.append(limit_finset(d))
+        else:
+            broken += 1
+        for carrier, projections in limits:
+            assert carrier.atoms == tuple(elements), label
+            assert list(projections) == objs, label
+            for j in objs:
+                assert projections[j].dom == carrier, label
+                assert projections[j].values == tuple(fam[j] for fam in families), label
+    assert broken == 2
 
 
 def test_colimit_matches_union_find_quotient(h_on_a):
@@ -298,14 +309,21 @@ def test_enumeration_matches_oracle_on_endotransformations(f_kite):
 
 
 def test_enumeration_matches_oracle_in_order(set_diagrams):
+    """The kernel between lawful functors, and the reference over every
+    morphism between all of them."""
+    functors = {label: lawful(d) for label, d in set_diagrams}
     pairs = 0
     for label, f in set_diagrams:
         for label2, g in set_diagrams:
             if f.source != g.source:
                 continue
-            lib = [nattrans_table_key(t) for t in enumerate_nattrans_finset(f, g)]
-            assert lib == product_filter_nattrans(f, g), (label, label2)
-            pairs += 1
+            oracle = product_filter_nattrans(f, g)
+            reference = [nattrans_table_key(t) for t in all_morphism_nattrans(f, g)]
+            assert reference == oracle, (label, label2)
+            if functors[label] and functors[label2]:
+                lib = [nattrans_table_key(t) for t in enumerate_nattrans_finset(f, g)]
+                assert lib == oracle, (label, label2)
+                pairs += 1
     assert pairs > len(set_diagrams)
 
 

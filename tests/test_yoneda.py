@@ -42,6 +42,7 @@ from fincat.yoneda import (
 from helpers import (
     SeededContext,
     enumerate_nattrans_finset,
+    lawful,
     nattrans_from_values,
     seed_from_transform,
     transform_from_seed,
@@ -538,14 +539,19 @@ def test_hom_maps_functor_matches_the_string_encoded_reference(fix):
 
 
 def test_roundtrips_match_the_rebuilding_reference(fix):
+    """Equal reports on the functors among the subjects, which the kernels
+    require; the gate refuses the others."""
     for functor in _subjects(fix):
         category = functor.source
+        is_functor = lawful(functor)
         for anchor in sorted(category.objects):
             source = hom_cov_functor(category, anchor)
             for probe in PROBES:
                 ctx = HomContext(category, functor, probe, anchor)
                 target = hom_maps_functor(probe, functor)
-                assert check_yoneda_roundtrips(ctx, source, target) == rebuilding_roundtrips(ctx)
+                if is_functor:
+                    report = check_yoneda_roundtrips(ctx, source, target)
+                    assert report == rebuilding_roundtrips(ctx)
                 for seed in enumerate_maps(probe, functor.object_map[anchor]):
                     seeded = SeededContext(category, functor, probe, anchor, seed=seed)
                     lifted = transform_from_seed(seeded)
@@ -578,26 +584,32 @@ def _bent_forest_functor(rng):
 
 
 def test_pointwise_bijection_matches_the_rebuilding_reference(fix):
-    """Equal reports and transformations on every subject and on seeded bent
-    forests, where naturality by membership in the enumeration must agree
-    with the reference's per-element square check."""
+    """Equal reports and transformations on the functors among the subjects
+    and the seeded bent forests, which the gate passes: naturality by
+    membership in the enumeration must agree with the reference's
+    per-element square check.  On the others, which the gate refuses, the
+    reference names the first unnatural element."""
     rng = random.Random(11)
     bent = [_bent_forest_functor(rng) for _ in range(40)]
     assert not all(validate_functor(f).passed for f in bent)
-    late_failures = 0
+    late_failures = compared = 0
     for functor in [*_subjects(fix), *bent]:
         category = functor.source
+        is_functor = lawful(functor)
         for anchor in sorted(category.objects):
             old_mapping, old_report = rebuilding_pointwise_bijection(category, functor, anchor)
+            natural = old_report.obligation("components_natural")
+            late_failures += not natural.passed and natural.witness != (next(iter(old_mapping)),)
+            if not is_functor:
+                continue
             mapping, report = _pointwise_transforms(functor, anchor)
             assert report == old_report
             assert list(mapping) == list(old_mapping)
             for element, transform in mapping.items():
                 assert _tables(transform) == _tables(old_mapping[element])
-            natural = report.obligation("components_natural")
-            late_failures += not natural.passed and natural.witness != (next(iter(mapping)),)
+            compared += 1
     # the witness is the first unnatural element, not merely the first one
-    assert late_failures
+    assert late_failures and compared
 
 
 def test_roundtrips_print_maps_only_for_witnesses(fix, monkeypatch):
