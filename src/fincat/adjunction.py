@@ -12,8 +12,10 @@ is a finite table comparison:
   arrow per object, failing loudly on any non-universal input.
 * :func:`precompose_functor`, :func:`kan_extensions` — restriction along
   a functor and its two adjoints, computed pointwise as finite
-  limits/colimits over slice categories, with their limit cones and
-  colimit cocones, which the two checks below take as built.
+  limits/colimits over comma categories, with their limit cones and
+  colimit cocones, which the two checks below take as built.  No comma
+  category is built: the kernels get its objects and the lifts of the
+  source's generators, which generate it.
 * :func:`check_kan_adjointness` — full-enumeration verification that the
   Kan constructions are genuinely adjoint to restriction, including the
   explicit transposition bijections, on transformations as the flat value
@@ -45,7 +47,6 @@ from .core import (
     FunctorVal,
     NatTransVal,
     Obligation,
-    comma_under_object,
     compose_functors,
     identity_functor,
     opposite,
@@ -58,10 +59,10 @@ from .files import AdjParts
 from .finset import (
     DEFAULT_ENUM_CAP,
     FinSetMap,
-    colimit_finset,
-    limit_finset,
     nattrans_slices,
     nattrans_values,
+    presented_colimit,
+    presented_limit,
 )
 from .record import Record
 
@@ -408,14 +409,29 @@ def precompose_functor(along: FunctorVal, functor: FunctorVal) -> FunctorVal:
     return compose_functors(functor, along)
 
 
-def _comma_diagrams(along: FunctorVal, functor: FunctorVal, orientation: str):
-    """Per target object, the functor's diagram over the slice category,
-    whose objects are the pairs (source object, structure morphism)."""
-    out = {}
-    for b in along.target.objects:
-        _slice, forget = comma_under_object(b, along, orientation=orientation)
-        out[b] = compose_functors(functor, forget)
-    return out
+def _comma_presentation(along: FunctorVal, functor: FunctorVal, b, under: bool) -> tuple:
+    """The functor's diagram over the comma category of ``along`` under b
+    (objects (a, phi : b -> along(a))) or over b (phi : along(a) -> b),
+    presented without building it: the objects in sorted order, each valued
+    functor(a), and the lifts (a1, phi) -> (a2, along(u) . phi) under b, or
+    (a1, phi . along(u)) -> (a2, phi) over b, of each generator u : a1 -> a2
+    of the source.  The lifts generate the comma category, since a comma
+    morphism over u = g_k . ... . g_1 factors through the objects
+    (a_i, along(g_i . ... . g_1) . phi) (Mac Lane, §II.7)."""
+    src, tgt = along.source, along.target
+    image = along.object_map
+    homs = {a: tgt.hom(b, image[a]) if under else tgt.hom(image[a], b) for a in src.objects}
+    objects = [(a, phi) for a in sorted(src.objects) for phi in homs[a]]
+    values = {o: functor.object_map[o[0]] for o in objects}
+    edges = []
+    for u in src.generators:
+        a1, a2 = src.morphisms[u]
+        ku, su = along.morphism_map[u], functor.morphism_map[u]
+        if under:
+            edges += [((a1, phi), su, (a2, tgt.comp(ku, phi))) for phi in homs[a1]]
+        else:
+            edges += [((a1, tgt.comp(phi, ku)), su, (a2, phi)) for phi in homs[a2]]
+    return objects, values, edges
 
 
 def kan_extensions(
@@ -434,7 +450,8 @@ def kan_extensions(
     The left extension's value at b is the colimit of the functor over the
     slice of objects over b (pairs (a, phi : along(a) -> b)); k pushes a
     class forward along phi -> k . phi.  ``cocones[b]`` maps each such
-    (a, phi) to the colimit injection functor(a) -> lkan(b).
+    (a, phi) to the colimit injection functor(a) -> lkan(b).  Each slice is
+    presented, not built (``_comma_presentation``).
     """
     _require_setvalued(along, functor)
     return _right_kan_with_cones(along, functor, cap), _left_kan_with_cocones(along, functor)
@@ -446,8 +463,10 @@ def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> t
     tgt = along.target
     object_map = {}
     cones = {}
-    for b, diagram in _comma_diagrams(along, functor, "under").items():
-        object_map[b], cones[b] = limit_finset(diagram, cap)
+    for b in tgt.objects:
+        object_map[b], cones[b] = presented_limit(
+            *_comma_presentation(along, functor, b, under=True), cap
+        )
 
     # An element at b2 is a family over the slice objects in cones[b2]'s order.
     morphism_map = {}
@@ -465,8 +484,10 @@ def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
     tgt = along.target
     object_map = {}
     cocones = {}
-    for b, diagram in _comma_diagrams(along, functor, "over").items():
-        object_map[b], cocones[b] = colimit_finset(diagram)
+    for b in tgt.objects:
+        object_map[b], cocones[b] = presented_colimit(
+            *_comma_presentation(along, functor, b, under=False)
+        )
 
     # A class at b is its least pair ((a, phi), x); k pushes it along phi -> k . phi.
     morphism_map = {}

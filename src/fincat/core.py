@@ -149,8 +149,9 @@ class FinCat(Record):
     def has_object(self, x) -> bool:
         return x in self._index.objects
 
-    def hom(self, x: str, y: str) -> list:
-        return list(self._index.hom.get((x, y), ()))
+    def hom(self, x: str, y: str) -> tuple:
+        """Morphisms x -> y, sorted: the index's own tuple."""
+        return self._index.hom.get((x, y), ())
 
     def out_arrows(self, x: str) -> tuple:
         """Morphisms with dom x, sorted."""

@@ -10,11 +10,15 @@ as :func:`nattrans_values` yields it, the flat tuple of its components'
 values over the sorted objects (:func:`nattrans_slices` says where each
 component lies).
 
-The limit, colimit and transformation kernels take the law of each of
-their shape's ``generators`` only, which decides every morphism for
-functors (a square that commutes along f and g commutes along g . f).  So
-their diagrams must be functors, as the commands' ``require_functor`` gates
-ensure.
+The limit and colimit kernels, :func:`presented_limit` and
+:func:`presented_colimit`, take a diagram as a presentation: its sorted
+objects, the value set of each, and edges ``(j, map, j2)`` whose maps
+generate the diagram's.  :func:`limit_finset` and :func:`colimit_finset`
+present a functor by its shape's ``generators``, and the transformation
+kernel takes the squares of the generators only.  Generators decide every
+morphism for functors (a square that commutes along f and g commutes along
+g . f), so these diagrams must be functors, as the commands'
+``require_functor`` gates ensure.
 """
 
 from __future__ import annotations
@@ -53,7 +57,17 @@ class FinSetObj:
     __slots__ = ("atoms", "index")
 
     def __init__(self, atoms: Iterable = ()):
-        ordered = tuple(sorted(set(atoms), key=atom_key))
+        self._fill(sorted(set(atoms), key=atom_key))
+
+    @classmethod
+    def _of_sorted(cls, atoms: Iterable) -> "FinSetObj":
+        """The set of ``atoms``, already distinct and in ``atom_key`` order."""
+        new = cls.__new__(cls)
+        new._fill(atoms)
+        return new
+
+    def _fill(self, atoms):
+        ordered = tuple(atoms)
         object.__setattr__(self, "atoms", ordered)
         object.__setattr__(self, "index", {a: i for i, a in enumerate(ordered)})
 
@@ -262,40 +276,36 @@ def enumerate_maps(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> l
     ]
 
 
-def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
-    """Limit of a finite-set valued diagram: compatible families.
+def presented_limit(objects, values, edges, cap: int = DEFAULT_ENUM_CAP):
+    """Limit of a presented finite-set valued diagram: compatible families.
 
-    Returns (carrier, projections).  An element of the carrier is a family's
-    tuple of values over the sorted shape objects, and projections maps each
-    shape object, in that order, to its projection.  The empty diagram has
-    the one-point carrier {()}.  ``d`` must be a functor: families are
-    compatible along the generators.
+    The presentation is the shape's ``objects`` in sorted order, the value
+    set ``values[j]`` of each, and ``edges`` ``(j, m, j2)`` whose maps
+    ``m : values[j] -> values[j2]`` generate the diagram's maps.  Returns
+    (carrier, projections).  An element of the carrier is a family's tuple
+    of values over ``objects``, and projections maps each object, in that
+    order, to its projection.  No objects give the one-point carrier {()}.
     """
-    if d.target is not FINSET:
-        raise ValueError("limit_finset needs a finite-set valued diagram")
-    shape = d.source
-    objs = sorted(shape.objects)
-    constraints = [(shape.dom(f), d.morphism_map[f], shape.cod(f)) for f in shape.generators]
-    carrier = FinSetObj(_solve(objs, d.object_map, constraints, cap))
+    families = _solve(objects, values, edges, cap)  # lexicographic, so sorted
+    carrier = FinSetObj._of_sorted(families)
     projections = {
-        j: FinSetMap(carrier, d.object_map[j], (fam[i] for fam in carrier))
-        for i, j in enumerate(objs)
+        j: FinSetMap(carrier, values[j], (fam[i] for fam in carrier))
+        for i, j in enumerate(objects)
     }
     return carrier, projections
 
 
-def colimit_finset(d):
-    """Colimit of a finite-set valued diagram: tagged union modulo the
-    relation generated by the diagram's maps.
+def presented_colimit(objects, values, edges):
+    """Colimit of a presented finite-set valued diagram (see
+    :func:`presented_limit`): tagged union modulo the relation that the
+    edges' maps generate.
 
     Returns (carrier, injections); a class is its least tagged atom, the
-    pair ``(j, x)`` of a shape object and an element of its value.  ``d``
-    must be a functor: only the generators' maps are related.
+    pair ``(j, x)`` of an object and an element of its value, and
+    injections maps each object, in the order of ``objects``, to its
+    injection.
     """
-    if d.target is not FINSET:
-        raise ValueError("colimit_finset needs a finite-set valued diagram")
-    shape = d.source
-    tagged = [(j, x) for j in sorted(shape.objects) for x in d.object_map[j]]
+    tagged = [(j, x) for j in objects for x in values[j]]
     parent = {t: t for t in tagged}
 
     def find(t):
@@ -304,27 +314,43 @@ def colimit_finset(d):
             t = parent[t]
         return t
 
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
+    for j, m, j2 in edges:
+        for x, y in zip(m.dom.atoms, m.values):
+            ra, rb = find((j, x)), find((j2, y))
+            if ra != rb:
+                parent[rb] = ra
 
-    for f in shape.generators:
-        j, j2 = shape.dom(f), shape.cod(f)
-        for x in d.object_map[j]:
-            union((j, x), (j2, d.morphism_map[f](x)))
-
-    classes = {}
+    # tagged runs in sorted order, so the first member met is its class's least
+    least, rep = {}, {}
     for t in tagged:
-        classes.setdefault(find(t), []).append(t)
-    # tagged runs in sorted order, so each class lists its least member first
-    rep = {m: members[0] for members in classes.values() for m in members}
-    carrier = FinSetObj(rep.values())
-    injections = {}
-    for j in sorted(shape.objects):
-        value = d.object_map[j]
-        injections[j] = FinSetMap(value, carrier, (rep[(j, x)] for x in value))
+        rep[t] = least.setdefault(find(t), t)
+    carrier = FinSetObj._of_sorted(least.values())
+    injections = {
+        j: FinSetMap(values[j], carrier, (rep[(j, x)] for x in values[j])) for j in objects
+    }
     return carrier, injections
+
+
+def _generator_edges(d) -> list:
+    """The edges of a functor ``d`` along its source's generators."""
+    shape = d.source
+    return [(shape.dom(f), d.morphism_map[f], shape.cod(f)) for f in shape.generators]
+
+
+def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
+    """:func:`presented_limit` of a functor ``d`` presented along its
+    source's generators, which decide compatibility for a functor."""
+    if d.target is not FINSET:
+        raise ValueError("limit_finset needs a finite-set valued diagram")
+    return presented_limit(sorted(d.source.objects), d.object_map, _generator_edges(d), cap)
+
+
+def colimit_finset(d):
+    """:func:`presented_colimit` of a functor ``d`` presented along its
+    source's generators, whose maps generate the relation for a functor."""
+    if d.target is not FINSET:
+        raise ValueError("colimit_finset needs a finite-set valued diagram")
+    return presented_colimit(sorted(d.source.objects), d.object_map, _generator_edges(d))
 
 
 def nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:

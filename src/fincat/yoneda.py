@@ -97,8 +97,11 @@ def hom_maps_functor(
     applied to each entry of the tuple.
     """
     category = set_functor.source
+    # the maps come in lexicographic order of their values, so sorted
     object_map = {
-        d: FinSetObj(h.values for h in enumerate_maps(probe, set_functor.object_map[d], cap))
+        d: FinSetObj._of_sorted(
+            h.values for h in enumerate_maps(probe, set_functor.object_map[d], cap)
+        )
         for d in category.objects
     }
     morphism_map = {}

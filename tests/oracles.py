@@ -53,7 +53,13 @@ force, kept to pin the exact output of the faster code that replaced them:
   composed every path from its start, once for each parallel pair it is in;
 * ``rebuilding_yoneda_command`` and ``rebuilding_kan_command`` are the
   ``yoneda`` and ``kan`` commands in which every check is given
-  hom-functors and Kan extensions built for it alone by the public builders;
+  hom-functors and Kan extensions built for it alone, by the public
+  hom-functor builders and by ``comma_kan_extensions``;
+* ``comma_kan_extensions`` is ``kan_extensions`` as it built both comma
+  categories at every target object as tables and took the limit or
+  colimit of the functor over each along every comma morphism, where the
+  library presents each comma diagram along the lifts of the source's
+  generators and builds no comma category;
 * ``sorted_map_key`` and ``sorted_map_eq`` are the map key (hashed, too)
   and equality that compared tables sorted by domain atom, and
   ``nattrans_key`` the text key that told transformations apart;
@@ -83,7 +89,6 @@ from typing import Iterable, Sequence
 from fincat.adjunction import (
     check_kan_adjointness,
     counit_inclusion_check,
-    kan_extensions,
     precompose_functor,
 )
 from fincat.core import (
@@ -96,6 +101,8 @@ from fincat.core import (
     MalformedTableError,
     NatTransVal,
     Obligation,
+    comma_under_object,
+    compose_functors,
     preorder_from_covers,
     require_category,
     require_functor,
@@ -1173,23 +1180,75 @@ def rebuilding_yoneda_command(functor, cap: int, out) -> int:
 
 def rebuilding_kan_command(along, functor, cap: int, out) -> int:
     """The ``kan`` command after loading: the sizes lines, the adjointness
-    check and the inclusion check each get Kan extensions built for them.
-    Returns the exit code."""
-    (rkan, _cones), (lkan, _cocones) = kan_extensions(along, functor, cap)
+    check and the inclusion check each get Kan extensions built for them by
+    ``comma_kan_extensions``, after the command's gates.  Returns the exit
+    code."""
+    require_category(along.source, "along source")
+    if along.target != along.source:
+        require_category(along.target, "along target")
+    require_functor(along, "along")
+    require_functor(functor)
+    (rkan, _cones), (lkan, _cocones) = comma_kan_extensions(along, functor, cap)
     for tag, kan in (("right", rkan), ("left", lkan)):
         sizes = ", ".join(f"{b}:{len(kan.object_map[b])}" for b in sorted(kan.source.objects))
         out.write(f"{tag} kan sizes: {sizes}\n")
     code = 0
-    adjoint = check_kan_adjointness(along, lkan, functor, kan_extensions(along, functor, cap), cap)
+    adjoint = check_kan_adjointness(
+        along, lkan, functor, comma_kan_extensions(along, functor, cap), cap
+    )
     out.write(adjoint.summary() + "\n")
     if not adjoint.passed:
         code = 1
-    (_rkan, cones), _left = kan_extensions(along, functor, cap)
+    (_rkan, cones), _left = comma_kan_extensions(along, functor, cap)
     inclusion = counit_inclusion_check(along, functor, cones)
     out.write(inclusion.summary() + "\n")
     if not inclusion.passed:
         code = 1
     return code
+
+
+# ---------------------------------------------------------------------------
+# Kan extensions over comma categories built as tables
+# ---------------------------------------------------------------------------
+
+
+def comma_kan_extensions(along, functor, cap: int = DEFAULT_ENUM_CAP) -> tuple:
+    """``kan_extensions`` as it built, at each target object b, the comma
+    categories of ``along`` under and over b (``comma_under_object``),
+    composed the functor with their forgetful functors and took the limit
+    (``all_morphism_limit``) or colimit (``all_morphism_colimit``) of that
+    diagram, where the library presents each comma diagram along the lifts
+    of the source's generators.  Same ``((rkan, cones), (lkan, cocones))``
+    and the same cap errors, for a functor along a functor between
+    categories; the inputs are not checked."""
+    tgt = along.target
+    rkan_values, cones, lkan_values, cocones = {}, {}, {}, {}
+    for b in tgt.objects:
+        _under, forget = comma_under_object(b, along, orientation="under")
+        rkan_values[b], cones[b] = all_morphism_limit(compose_functors(functor, forget), cap)
+    for b in tgt.objects:
+        _over, forget = comma_under_object(b, along, orientation="over")
+        lkan_values[b], cocones[b] = all_morphism_colimit(compose_functors(functor, forget))
+    rkan_maps, lkan_maps = {}, {}
+    for k, (b, b2) in tgt.morphisms.items():
+        # a family at b, read at (a, phi . k) for each (a, phi) under b2
+        rkan_maps[k] = FinSetMap(
+            rkan_values[b],
+            rkan_values[b2],
+            (
+                tuple(cones[b][(a, tgt.comp(phi, k))](family) for a, phi in cones[b2])
+                for family in rkan_values[b]
+            ),
+        )
+        # the class of ((a, phi), x) over b goes to that of ((a, k . phi), x)
+        lkan_maps[k] = FinSetMap(
+            lkan_values[b],
+            lkan_values[b2],
+            (cocones[b2][(a, tgt.comp(k, phi))](x) for (a, phi), x in lkan_values[b]),
+        )
+    rkan = FunctorVal(tgt, FINSET, rkan_values, rkan_maps)
+    lkan = FunctorVal(tgt, FINSET, lkan_values, lkan_maps)
+    return (rkan, cones), (lkan, cocones)
 
 
 # ---------------------------------------------------------------------------

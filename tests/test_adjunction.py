@@ -10,6 +10,7 @@ import sys
 import pytest
 from oracles import (
     all_pairs_naturality,
+    comma_kan_extensions,
     elementwise_naturality_failures,
     materialised_kan_adjointness,
     rebuilding_kan_command,
@@ -561,14 +562,14 @@ def _outcome(check, *args):
         return type(exc), str(exc)
 
 
-def _kan_inputs(fix, g_on_b):
+def _kan_inputs(fix, g_on_b, build):
     """(along, target, source, extensions): each bundled pair with its own
-    two extensions as targets (and g_on_b along the inclusion), honest and
-    with each leg at (a, identity) rotated, collapsed, given another domain
-    (cocone) or another codomain (cone)."""
+    two extensions, made by ``build``, as targets (and g_on_b along the
+    inclusion), honest and with each leg at (a, identity) rotated,
+    collapsed, given another domain (cocone) or another codomain (cone)."""
     for along_name, functor_name in KAN_PAIRS:
         along, functor = load_functor(fix(along_name)), load_functor(fix(functor_name))
-        extensions = kan_extensions(along, functor)
+        extensions = build(along, functor)
         (rkan, _cones), (lkan, _cocones) = extensions
         targets = [lkan, rkan] + ([g_on_b] if g_on_b.source == along.target else [])
         variants = [extensions]
@@ -586,13 +587,20 @@ def _kan_inputs(fix, g_on_b):
 def test_kan_adjointness_matches_the_materialised_reference(fix, g_on_b):
     """The same report, or the same cap error, on honest and on bent legs;
     the bent ones make both transpositions fail, with each of the witness
-    counts below the source count somewhere."""
+    counts below the source count somewhere.  The reference gets its
+    extensions from ``comma_kan_extensions``."""
     failed = collections.Counter()
-    for along, target, functor, extensions in _kan_inputs(fix, g_on_b):
+    inputs = zip(
+        _kan_inputs(fix, g_on_b, kan_extensions),
+        _kan_inputs(fix, g_on_b, comma_kan_extensions),
+        strict=True,
+    )
+    for (along, target, functor, extensions), (_along, ref_target, _functor, reference) in inputs:
         for cap in (1, 4, 16, 64, 256, 4096, 10**6):
-            args = (along, target, functor, extensions, cap)
-            report = _outcome(check_kan_adjointness, *args)
-            assert report == _outcome(materialised_kan_adjointness, *args)
+            report = _outcome(check_kan_adjointness, along, target, functor, extensions, cap)
+            assert report == _outcome(
+                materialised_kan_adjointness, along, ref_target, functor, reference, cap
+            )
         for o in report.failures():
             transposed, source, wanted = o.witness
             failed[o.name, transposed < source, wanted != source] += 1
@@ -608,10 +616,14 @@ def test_a_leg_that_does_not_compose_is_an_error(fix):
     ValueError("maps not composable") in the check and the reference."""
     along, functor = load_functor(fix("incl_a4_b6.fun")), load_functor(fix("h_on_a.fun"))
     extensions = kan_extensions(along, functor)
-    (_rkan, _cones), (lkan, _cocones) = extensions
+    reference = comma_kan_extensions(along, functor)
     for side, bend in (("left", _grown_cod), ("right", _renamed_dom)):
-        bent = _bend_leg(extensions, along, side, "4", bend)
-        for check in (check_kan_adjointness, materialised_kan_adjointness):
+        for check, built in (
+            (check_kan_adjointness, extensions),
+            (materialised_kan_adjointness, reference),
+        ):
+            (_rkan, _cones), (lkan, _cocones) = built
+            bent = _bend_leg(built, along, side, "4", bend)
             with pytest.raises(ValueError, match="^maps not composable$"):
                 check(along, lkan, functor, bent)
     # Into a functor with no values no transformation leaves the left
@@ -625,7 +637,8 @@ def test_a_leg_that_does_not_compose_is_an_error(fix):
     )
     bent = _bend_leg(extensions, along, "left", "4", _grown_cod)
     report = check_kan_adjointness(along, nothing, functor, bent)
-    assert report == materialised_kan_adjointness(along, nothing, functor, bent)
+    bent_reference = _bend_leg(reference, along, "left", "4", _grown_cod)
+    assert report == materialised_kan_adjointness(along, nothing, functor, bent_reference)
     assert report.passed, report.summary()
 
 
@@ -703,16 +716,16 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
 
 
 def test_kan_command_builds_each_extension_once(fix, monkeypatch):
-    """One comma category per target object and orientation, one limit and
-    one colimit per target object, one category check each of the source
-    and target tables, one functor check each of the two inputs and none of
-    the extensions, and each public step called once by the command itself."""
+    """No comma category, one limit and one colimit per target object over
+    its comma presentation, one category check each of the source and
+    target tables, one functor check each of the two inputs and none of the
+    extensions, and each public step called once by the command itself."""
     calls = collections.Counter()
-    names = ("comma_under_object", "limit_finset", "colimit_finset")
+    kernels = ("presented_limit", "presented_colimit")
     public = ("kan_extensions", "check_kan_adjointness", "counit_inclusion_check")
-    counted_names = [(adjunction, n) for n in names] + [(cli, n) for n in public]
+    counted_names = [(adjunction, n) for n in kernels] + [(cli, n) for n in public]
     laws = [(core, "validate_category"), (core, "validate_functor")]
-    for module, name in counted_names + laws:
+    for module, name in counted_names + laws + [(core, "comma_under_object")]:
         def counted(*args, _build=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
@@ -721,10 +734,10 @@ def test_kan_command_builds_each_extension_once(fix, monkeypatch):
     code, _text = _command("kan", fix("incl_a4_b6.fun"), fix("h_on_a.fun"))
     assert code == cli.EXIT_OK
     targets = len(load_functor(fix("incl_a4_b6.fun")).target.objects)
+    assert calls["comma_under_object"] == 0
     assert calls == {
-        "comma_under_object": 2 * targets,
-        "limit_finset": targets,
-        "colimit_finset": targets,
+        "presented_limit": targets,
+        "presented_colimit": targets,
         "validate_category": 2,
         "validate_functor": 2,
         "kan_extensions": 1,
