@@ -37,7 +37,7 @@ from .diagram import (
     build_model,
     elaborate_context,
     evaluate_quantified,
-    expand_annotation,
+    expand_macros,
     extract_stages,
     parse_diagram,
     quantifier_glyph,
@@ -186,16 +186,11 @@ def _cmd_check_nt(cfg: RunConfig, out, loads: dict) -> int:
 
 
 def _load_diagram(path: str):
-    """The parsed diagram with every macro that an element uses spliced in,
-    each macro once.  Commands load it through the invocation's memo, so a
-    diagram named twice is parsed once."""
+    """The parsed diagram with its macros spliced in by ``expand_macros``.
+    Commands load it through the invocation's memo, so a diagram named
+    twice is parsed once."""
     with open(path, encoding="utf-8") as handle:
-        ast = parse_diagram(handle.read())
-    expanded: set = set()
-    while uses := [u for e in ast.elements().values() for u in e.uses if u not in expanded]:
-        ast = expand_annotation(ast, uses[0])
-        expanded.add(uses[0])
-    return ast
+        return expand_macros(parse_diagram(handle.read()))
 
 
 def _cmd_stages(cfg: RunConfig, out, loads: dict) -> int:

@@ -17,6 +17,9 @@ A diagram is a list of declarations:
   listings.
 * ``macro <name> := { ... }`` — a reusable sub-diagram spliced in by
   :func:`expand_annotation` wherever an element carries ``@use(<name>)``.
+  :func:`expand_macros` splices every macro a diagram uses, each once and
+  after every macro whose body uses it; macros that use each other are an
+  error naming a cycle.
 
 Nodes and hom arrows may carry one stage annotation ``@forall(k)``,
 ``@exists(k)`` or ``@existsuniq(k)``; bare ``@forall`` means stage 1 and
@@ -30,6 +33,10 @@ the stage of what it depends on: an arrow's ends and, for the target of a
 of the elements of stage at most ``k``.  An annotated element raised above
 its annotation is an error, naming the highest stage it is raised to and,
 within it, the first such element in declaration order.
+
+:func:`elaborate_context` prints a diagram as a prose context in one pass,
+each line with its ending; functor and arrow typings are shared with
+:func:`render_grid`.
 """
 
 from __future__ import annotations
@@ -77,6 +84,7 @@ __all__ = [
     "evaluate_quantified",
     "elaborate_context",
     "expand_annotation",
+    "expand_macros",
 ]
 
 _GLYPHS = {"forall": "∀", "exists": "∃", "existsuniq": "∃!"}
@@ -153,8 +161,8 @@ class MacroDecl(Record):
 class DiagramAst(Record):
     """A diagram as an ordered tuple of declarations.
 
-    The per-kind tables are built once, on first use, and returned as
-    read-only views shared by every caller.
+    The per-kind tables and the set of ``|->`` targets are built once, on
+    first use, and returned as read-only views shared by every caller.
     """
 
     decls: tuple = ()
@@ -170,7 +178,9 @@ class DiagramAst(Record):
             if isinstance(d, (Node, Arrow)):
                 elements[d.id] = d
         tables["elements"] = elements
-        return {key: MappingProxyType(table) for key, table in tables.items()}
+        views = {key: MappingProxyType(table) for key, table in tables.items()}
+        targets = (a.dst for a in tables[Arrow].values() if a.kind == "mapsto")
+        return {**views, "mapsto_targets": frozenset(targets)}
 
     def layers(self) -> Mapping:
         return self._tables[LayerDecl]
@@ -198,7 +208,7 @@ class DiagramAst(Record):
         return self._tables["elements"]
 
     def mapsto_targets(self) -> frozenset:
-        return frozenset(a.dst for a in self.arrows().values() if a.kind == "mapsto")
+        return self._tables["mapsto_targets"]
 
     def max_stage(self) -> int:
         return max((e.stage for e in self.elements().values() if e.stage), default=0)
@@ -450,18 +460,10 @@ def render_grid(ast: DiagramAst) -> str:
         if not items:
             continue
         lines.append(title)
-        for a in items:
-            token = _KIND_TOKENS[a.kind]
-            src = _endpoint_label(ast, a.src)
-            dst = _endpoint_label(ast, a.dst)
-            lines.append(f"  {a.label} : {src} {token} {dst}{_annot_suffix(a)}")
-    functors = list(ast.functors().values())
-    if functors:
+        lines += [f"  {_arrow_typing(ast, a)}{_annot_suffix(a)}" for a in items]
+    if ast.functors():
         lines.append("functors:")
-        for f in functors:
-            src = ast.layers()[f.src_layer].category
-            dst = "Set" if f.dst_layer == "Set" else ast.layers()[f.dst_layer].category
-            lines.append(f"  {f.label} : {src} -> {dst}")
+        lines += [f"  {_functor_typing(ast, f)}" for f in ast.functors().values()]
     defs = list(ast.defs().values())
     if defs:
         lines.append("where:")
@@ -476,13 +478,22 @@ def _annot_suffix(e) -> str:
     return f"  [{quantifier_glyph(e.quantifier)}{e.stage}]" if e.quantifier else ""
 
 
+def _functor_typing(ast: DiagramAst, f: FunctorDecl) -> str:
+    src = ast.layers()[f.src_layer].category
+    dst = "Set" if f.dst_layer == "Set" else ast.layers()[f.dst_layer].category
+    return f"{f.label} : {src} -> {dst}"
+
+
+def _arrow_typing(ast: DiagramAst, a: Arrow) -> str:
+    src = _endpoint_label(ast, a.src)
+    dst = _endpoint_label(ast, a.dst)
+    return f"{a.label} : {src} {_KIND_TOKENS[a.kind]} {dst}"
+
+
 def _endpoint_label(ast: DiagramAst, end: str) -> str:
-    elements = ast.elements()
-    if end in elements:
-        return elements[end].label
-    functors = ast.functors()
-    if end in functors:
-        return functors[end].label
+    for table in (ast.elements(), ast.functors()):
+        if end in table:
+            return table[end].label
     raise DiagramError(f"unknown endpoint {end!r}")
 
 
@@ -1241,104 +1252,59 @@ def _node_candidates(model: Model, node: Node) -> list:
 # Context elaboration
 
 
-def elaborate_context(ast: DiagramAst) -> str:
-    """Render the diagram as an ordered listing of typings and clauses.
+_PHRASES = {"forall": "for all", "exists": "there exists", "existsuniq": "there exists a unique"}
 
-    Layers come out as "<name> is a category", functor declarations as
-    "<label> : <src> -> <dst>", nodes as "<label> in <layer name>", hom
-    arrows as "<label> : <src label> -> <dst label>" and def lines
-    verbatim, all in file order.  Definitional (mapsto) arrows and their
-    targets are omitted: they are notation, not context entries.
-    Quantified stages become "for all ..."/"there exists (a unique) ..."
-    clauses whose equations are the stage's new commutation conditions,
-    minimized against everything already known.
-    """
+
+def elaborate_context(ast: DiagramAst) -> str:
+    """The diagram as a prose context: the typings (:func:`_decl_typing`) of
+    stage 0 in file order, then its equations; then each later stage's typed
+    elements, the first opened by its quantifier's phrase, each but the last
+    followed by " and" and the last by " such that" when the stage has
+    equations (its new commutation conditions, minimized against everything
+    already known).  Every other line ends in "," and the last in "."."""
     stages = extract_stages(ast)
     equations = _stage_equations(ast, stages)
-
-    blocks: list = []  # list of (intro or None, [line texts])
-    stage0_lines = [
-        text for text in _typing_lines(ast, stages[0]) if text is not None
+    stage0 = set(stages[0].new_elements)
+    lines = [  # (prefix, text, ending)
+        ("  ", text, ",")
+        for d in ast.decls
+        if not isinstance(d, (Node, Arrow)) or d.id in stage0
+        if (text := _decl_typing(ast, d)) is not None
     ]
-    for eq in equations.get(0, []):
-        stage0_lines.append(eq)
-    blocks.append((None, stage0_lines))
-
-    phrases = {
-        "forall": "for all",
-        "exists": "there exists",
-        "existsuniq": "there exists a unique",
-    }
+    lines += [("  ", eq, ",") for eq in equations.get(0, ())]
     for stage in stages[1:]:
-        element_texts = [
-            text
-            for text in (
-                _element_typing(ast, element_id) for element_id in stage.new_elements
-            )
-            if text is not None
-        ]
-        blocks.append((phrases[stage.quantifier], element_texts, equations.get(stage.index, [])))
-
-    lines = ["In a context where:"]
-    rendered: list = []
-    for block in blocks:
-        if block[0] is None:
-            for text in block[1]:
-                rendered.append(("  ", text))
-            continue
-        phrase, element_texts, eqs = block
-        for i, text in enumerate(element_texts):
-            prefix = f"{phrase} " if i == 0 else "  "
-            is_last_element = i == len(element_texts) - 1
-            if not is_last_element:
-                rendered.append((prefix, text, " and"))
-            elif eqs:
-                rendered.append((prefix, text, " such that"))
-            else:
-                rendered.append((prefix, text))
-        for eq in eqs:
-            rendered.append(("  ", eq))
-
-    # terminators: " and"/" such that" stay; otherwise "," except final "."
-    for i, item in enumerate(rendered):
-        prefix, text = item[0], item[1]
-        suffix = item[2] if len(item) > 2 else None
-        if suffix is None:
-            suffix = "." if i == len(rendered) - 1 else ","
-        lines.append(f"{prefix}{text}{suffix}")
-    if len(lines) == 1:
+        eqs = equations.get(stage.index, ())
+        typed = [ast.elements()[e] for e in stage.new_elements]
+        texts = [text for e in typed if (text := _decl_typing(ast, e)) is not None]
+        for i, text in enumerate(texts):
+            prefix = f"{_PHRASES[stage.quantifier]} " if i == 0 else "  "
+            ending = " and" if i < len(texts) - 1 else " such that" if eqs else ","
+            lines.append((prefix, text, ending))
+        lines += [("  ", eq, ",") for eq in eqs]
+    if not lines:
         return "In a context where: (empty)\n"
-    return "\n".join(lines) + "\n"
+    lines[-1] = lines[-1][:2] + (".",)
+    return "In a context where:\n" + "".join(f"{p}{t}{e}\n" for p, t, e in lines)
 
 
-def _typing_lines(ast: DiagramAst, stage0: Stage):
-    in_stage0 = set(stage0.new_elements)
-    for d in ast.decls:
-        if isinstance(d, LayerDecl):
-            yield f"{d.category} is a category"
-        elif isinstance(d, FunctorDecl):
-            src = ast.layers()[d.src_layer].category
-            dst = "Set" if d.dst_layer == "Set" else ast.layers()[d.dst_layer].category
-            yield f"{d.label} : {src} -> {dst}"
-        elif isinstance(d, DefDecl):
-            yield d.text
-        elif isinstance(d, (Node, Arrow)) and d.id in in_stage0:
-            yield _element_typing(ast, d.id)
-
-
-def _element_typing(ast: DiagramAst, element_id: str) -> Optional[str]:
-    """The typing text of one element, or None when it is definitional."""
-    element = ast.elements()[element_id]
-    if element_id in ast.mapsto_targets():
+def _decl_typing(ast: DiagramAst, d) -> Optional[str]:
+    """The context line of one declaration: "<name> is a category" for a
+    layer, "<label> : <src> -> <dst>" for a functor, a def's text, "<label>
+    in <layer name>" for a node and "<label> : <src> -> <dst>" (``<->`` for
+    a bijection) for an arrow.  None for what the context omits: mapsto
+    arrows and their targets, which are notation, noncommute lines and
+    macros."""
+    if isinstance(d, LayerDecl):
+        return f"{d.category} is a category"
+    if isinstance(d, FunctorDecl):
+        return _functor_typing(ast, d)
+    if isinstance(d, DefDecl):
+        return d.text
+    if not isinstance(d, (Node, Arrow)) or d.id in ast.mapsto_targets():
         return None
-    if isinstance(element, Node):
-        return f"{element.label} in {ast.layers()[element.layer].category}"
-    if element.kind == "mapsto":
-        return None
-    token = "<->" if element.kind == "bij" else "->"
-    src = _endpoint_label(ast, element.src)
-    dst = _endpoint_label(ast, element.dst)
-    return f"{element.label} : {src} {token} {dst}"
+    if isinstance(d, Node):
+        return f"{d.label} in {ast.layers()[d.layer].category}"
+    return None if d.kind == "mapsto" else _arrow_typing(ast, d)
 
 
 def _stage_equations(ast: DiagramAst, stages: Sequence[Stage]) -> dict:
@@ -1491,3 +1457,31 @@ def expand_annotation(ast: DiagramAst, name: str) -> DiagramAst:
     expanded = DiagramAst(tuple(decls))
     validate_diagram(expanded)
     return expanded
+
+
+def expand_macros(ast: DiagramAst) -> DiagramAst:
+    """Splice in every macro an element uses, each by one :func:`expand_annotation`
+    call, after every macro whose body uses it; among the macros free to go,
+    the one whose ``@use`` mark comes first in declaration order.  Macros that
+    use each other are an error naming the first cycle that a depth-first walk
+    from the marks, in declaration order, meets."""
+    macros = ast.macros()
+    below: dict = {}  # per macro, the macros that its splices bring in
+
+    def walk(name: str, trail: tuple) -> set:
+        if name in trail:
+            cycle = trail[trail.index(name) :] + (name,)
+            raise DiagramError(f"cyclic macro use: {' -> '.join(cycle)}")
+        if name not in below:
+            uses = [u for d in macros[name].body for u in d.uses] if name in macros else []
+            below[name] = set(uses).union(*(walk(u, trail + (name,)) for u in uses))
+        return below[name]
+
+    marks = [u for e in ast.elements().values() for u in e.uses]
+    for name in marks:
+        walk(name, ())
+    while marks:
+        later = set().union(*(below[name] for name in marks))
+        ast = expand_annotation(ast, next(name for name in marks if name not in later))
+        marks = [u for e in ast.elements().values() for u in e.uses]
+    return ast

@@ -268,12 +268,14 @@ def _solve(variables, domains, constraints, cap):
                 depth += 1
 
 
+def map_values(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> list:
+    """All maps x -> y as value tuples over the sorted domain, lexicographic."""
+    return list(_solve(x.atoms, dict.fromkeys(x.atoms, y.atoms), (), cap))
+
+
 def enumerate_maps(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All maps x -> y in lexicographic order over the sorted domain."""
-    return [
-        FinSetMap(x, y, values)
-        for values in _solve(x.atoms, dict.fromkeys(x.atoms, y.atoms), (), cap)
-    ]
+    return [FinSetMap(x, y, values) for values in map_values(x, y, cap)]
 
 
 def presented_limit(objects, values, edges, cap: int = DEFAULT_ENUM_CAP):

@@ -1413,7 +1413,6 @@ def reduction_graph(
     t: Tm,
     sig: Optional[Signature] = None,
     node_cap: int = DEFAULT_NODE_CAP,
-    ctx: Union[Mapping[str, Ty], Sequence[tuple[str, Ty]], None] = None,
 ) -> tuple[ReductionGraph, GraphReport]:
     """Exhaustively close ``t`` under one-step reduction, up to ``node_cap`` nodes.
 
@@ -1427,8 +1426,7 @@ def reduction_graph(
         raise ValueError(f"node_cap must be >= 1, got {node_cap}")
     if sig is None:
         sig = _EMPTY_SIGNATURE
-    env = dict(ctx or {})
-    root_ty = typecheck(t, env, sig)
+    root_ty = typecheck(t, sig=sig)
 
     root_key = canonical_print(t)
     nodes: dict[str, Tm] = {root_key: t}
@@ -1446,7 +1444,7 @@ def reduction_graph(
             skey = canonical_print(succ)
             succ_ty = types.get(skey)
             if succ_ty is None:
-                succ_ty = types[skey] = typecheck(succ, env, sig)
+                succ_ty = types[skey] = typecheck(succ, sig=sig)
             if succ_ty != root_ty:
                 raise RuntimeError(
                     f"subject reduction violated: {key} -> {skey} "

@@ -37,7 +37,7 @@ from .finset import (
     FinSetMap,
     FinSetObj,
     encode_map,
-    enumerate_maps,
+    map_values,
     nattrans_slices,
     nattrans_values,
 )
@@ -99,9 +99,7 @@ def hom_maps_functor(
     category = set_functor.source
     # the maps come in lexicographic order of their values, so sorted
     object_map = {
-        d: FinSetObj._of_sorted(
-            h.values for h in enumerate_maps(probe, set_functor.object_map[d], cap)
-        )
+        d: FinSetObj._of_sorted(map_values(probe, set_functor.object_map[d], cap))
         for d in category.objects
     }
     morphism_map = {}
@@ -122,7 +120,8 @@ def check_yoneda_roundtrips(
     Quantifies over every seed map and every transformation (full
     enumeration, no sampling) and also asserts the counting corollary.
     """
-    seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
+    cod = ctx.set_functor.object_map[ctx.anchor]
+    seeds = map_values(ctx.probe, cod, cap)
     transforms = nattrans_values(hom, maps, cap)
     ident = ctx.category.id_of(ctx.anchor)
 
@@ -138,13 +137,13 @@ def check_yoneda_roundtrips(
     at_identity = slices[ctx.anchor].start + hom.object_map[ctx.anchor].index[ident]
     back = actions[at_identity]
 
-    bad_seed = [seed for seed in seeds if back(seed.values) != seed.values]
+    bad_seed = [seed for seed in seeds if back(seed) != seed]
     bad_transform = [t for t in transforms if tuple(m(t[at_identity]) for m in actions) != t]
 
     seed_witness = ()
     if bad_seed:
-        seed, cod = bad_seed[0], ctx.set_functor.object_map[ctx.anchor]
-        seed_witness = (encode_map(seed), encode_map(FinSetMap(ctx.probe, cod, back(seed.values))))
+        pair = (bad_seed[0], back(bad_seed[0]))
+        seed_witness = tuple(encode_map(FinSetMap(ctx.probe, cod, v)) for v in pair)
     obligations = (
         Obligation("seed_roundtrip", not bad_seed, seed_witness),
         Obligation(

@@ -74,6 +74,11 @@ force, kept to pin the exact output of the faster code that replaced them:
 * ``erasing_stages`` is ``extract_stages`` as it erased the top stage and
   its dependents, rebuilt the diagram and repeated, one fixpoint per stage,
   where the library computes every element's stage in one fixpoint.
+* ``three_pass_context`` is ``elaborate_context`` as it gathered typings,
+  then blocks of lines per stage, then set each line's ending in a last
+  pass, fed by ``erasing_stages`` and ``pairwise_stage_equations``, where
+  the library emits each line with its ending in one pass; ``inline_grid``
+  is ``render_grid`` as it spelled out each arrow and functor typing.
 * ``regex_load_category`` is the ``.fincat`` reader whose line pass ran a
   regular expression on every line: comment stripping, section headers,
   ``g . f = h`` lines and all-digit atoms (``regex_parse_atom``), where the
@@ -110,8 +115,11 @@ from fincat.core import (
 )
 from fincat.diagram import (
     Arrow,
+    DefDecl,
     DiagramAst,
     DiagramError,
+    FunctorDecl,
+    LayerDecl,
     Node,
     NonCommute,
     Stage,
@@ -951,14 +959,13 @@ def keyed_reductions(t: Tm, sig=None) -> list:
     return sorted(out.items())
 
 
-def rebuilding_reduction_graph(t: Tm, sig=None, node_cap: int = DEFAULT_NODE_CAP, ctx=None):
+def rebuilding_reduction_graph(t: Tm, sig=None, node_cap: int = DEFAULT_NODE_CAP):
     """``reduction_graph`` on :func:`keyed_reductions`: breadth-first, every
     successor typechecked, truncated when a node's fresh successors would
     pass ``node_cap``."""
     if sig is None:
         sig = Signature()
-    env = dict(ctx or {})
-    root_ty = typecheck(t, env, sig)
+    root_ty = typecheck(t, sig=sig)
     root_key = rebuilding_canonical_print(t)
     nodes = {root_key: t}
     edges: dict = {}
@@ -969,7 +976,7 @@ def rebuilding_reduction_graph(t: Tm, sig=None, node_cap: int = DEFAULT_NODE_CAP
         succ_keys = []
         fresh: dict = {}
         for skey, succ in keyed_reductions(nodes[key], sig):
-            succ_ty = typecheck(succ, env, sig)
+            succ_ty = typecheck(succ, sig=sig)
             if succ_ty != root_ty:
                 raise RuntimeError(
                     f"subject reduction violated: {key} -> {skey} "
@@ -1676,6 +1683,134 @@ def erasing_stages(ast) -> list:
         subs[k - 1] = current
     new_elements[0] = tuple(subs[0].elements())
     return [Stage(k, quantifier_of.get(k), subs[k], new_elements[k]) for k in range(n + 1)]
+
+
+# ---------------------------------------------------------------------------
+# Context listings in three passes, and grids with inline typings
+# ---------------------------------------------------------------------------
+
+
+def three_pass_context(ast) -> str:
+    """``diagram.elaborate_context`` in three passes: the typing lines of
+    stage 0 and each later stage's element lines gathered into blocks, the
+    blocks rendered into (prefix, text, ending) items, and then every
+    missing ending set to "," or, on the last item, "."."""
+    stages = erasing_stages(ast)
+    equations = pairwise_stage_equations(ast, stages)
+
+    blocks: list = []  # (intro or None, line texts[, equations])
+    stage0 = set(stages[0].new_elements)
+    stage0_lines = []
+    for d in ast.decls:
+        if isinstance(d, (Node, Arrow)) and d.id not in stage0:
+            continue
+        text = _context_typing(ast, d)
+        if text is not None:
+            stage0_lines.append(text)
+    stage0_lines += equations.get(0, [])
+    blocks.append((None, stage0_lines))
+
+    phrases = {
+        "forall": "for all",
+        "exists": "there exists",
+        "existsuniq": "there exists a unique",
+    }
+    for stage in stages[1:]:
+        element_texts = [
+            text
+            for text in (_context_typing(ast, ast.elements()[e]) for e in stage.new_elements)
+            if text is not None
+        ]
+        blocks.append((phrases[stage.quantifier], element_texts, equations.get(stage.index, [])))
+
+    rendered: list = []
+    for block in blocks:
+        if block[0] is None:
+            rendered += [("  ", text) for text in block[1]]
+            continue
+        phrase, element_texts, eqs = block
+        for i, text in enumerate(element_texts):
+            prefix = f"{phrase} " if i == 0 else "  "
+            if i < len(element_texts) - 1:
+                rendered.append((prefix, text, " and"))
+            elif eqs:
+                rendered.append((prefix, text, " such that"))
+            else:
+                rendered.append((prefix, text))
+        rendered += [("  ", eq) for eq in eqs]
+
+    lines = ["In a context where:"]
+    for i, item in enumerate(rendered):
+        suffix = item[2] if len(item) > 2 else "." if i == len(rendered) - 1 else ","
+        lines.append(f"{item[0]}{item[1]}{suffix}")
+    if len(lines) == 1:
+        return "In a context where: (empty)\n"
+    return "\n".join(lines) + "\n"
+
+
+def _context_typing(ast, d):
+    """A declaration's context line, or None: mapsto arrows and their
+    targets, noncommute lines and macros have none."""
+    targets = {a.dst for a in ast.arrows().values() if a.kind == "mapsto"}
+    if isinstance(d, LayerDecl):
+        return f"{d.category} is a category"
+    if isinstance(d, FunctorDecl):
+        return f"{d.label} : {_layer_name(ast, d.src_layer)} -> {_layer_name(ast, d.dst_layer)}"
+    if isinstance(d, DefDecl):
+        return d.text
+    if isinstance(d, Node) and d.id not in targets:
+        return f"{d.label} in {ast.layers()[d.layer].category}"
+    if isinstance(d, Arrow) and d.id not in targets and d.kind != "mapsto":
+        token = "<->" if d.kind == "bij" else "->"
+        return f"{d.label} : {_label(ast, d.src)} {token} {_label(ast, d.dst)}"
+    return None
+
+
+def _layer_name(ast, layer_id) -> str:
+    return "Set" if layer_id == "Set" else ast.layers()[layer_id].category
+
+
+def _label(ast, end) -> str:
+    return ast.elements()[end].label if end in ast.elements() else ast.functors()[end].label
+
+
+def inline_grid(ast) -> str:
+    """``diagram.render_grid`` with every arrow and functor typing spelled
+    out where it is printed."""
+    glyphs = {"forall": "∀", "exists": "∃", "existsuniq": "∃!"}
+
+    def suffix(e) -> str:
+        return f"  [{glyphs[e.quantifier]}{e.stage}]" if e.quantifier else ""
+
+    columns = []
+    for layer in ast.layers().values():
+        rows = [f"[{layer.id}] {layer.category}"]
+        rows += [f"{n.label}{suffix(n)}" for n in ast.nodes().values() if n.layer == layer.id]
+        columns.append(rows)
+    widths = [max(len(r) for r in rows) for rows in columns]
+    lines = []
+    for i in range(max((len(c) for c in columns), default=0)):
+        cells = [(c[i] if i < len(c) else "").ljust(w) for c, w in zip(columns, widths)]
+        lines.append("   | ".join(cells).rstrip())
+    tokens = {"hom": "->", "bij": "<->", "mapsto": "|->"}
+    for title, kind in (("arrows:", "hom"), ("bijections:", "bij"), ("mapsto:", "mapsto")):
+        items = [a for a in ast.arrows().values() if a.kind == kind]
+        if items:
+            lines.append(title)
+        for a in items:
+            src, dst = _label(ast, a.src), _label(ast, a.dst)
+            lines.append(f"  {a.label} : {src} {tokens[kind]} {dst}{suffix(a)}")
+    if ast.functors():
+        lines.append("functors:")
+    for f in ast.functors().values():
+        src, dst = _layer_name(ast, f.src_layer), _layer_name(ast, f.dst_layer)
+        lines.append(f"  {f.label} : {src} -> {dst}")
+    if ast.defs():
+        lines.append("where:")
+    lines += [f"  {d.text}" for d in ast.defs().values()]
+    for nc in ast.noncommutes():
+        lines.append(f"noncommute: {'.'.join(nc.left)} ; {'.'.join(nc.right)}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 # ---------------------------------------------------------------------------

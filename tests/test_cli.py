@@ -915,6 +915,45 @@ def test_a_macro_capture_names_the_first_local_whatever_the_hash_seed(tmp_path):
     }
 
 
+# m1's body uses m2, so m1 is spliced first and m2 then splices into A and
+# into m1's copy of p, in either declaration order
+NESTED_MACROS = '''layer L in C
+macro m1 := {
+  node p : L "p" @use(m2)
+}
+macro m2 := {
+  node r : L "r"
+}
+'''
+NESTED_ORDERS = {
+    "A first": ('node A : L "A" @use(m2)\nnode B : L "B" @use(m1)\n', "A in C,\n  B in C"),
+    "B first": ('node B : L "B" @use(m1)\nnode A : L "A" @use(m2)\n', "B in C,\n  A in C"),
+}
+
+
+@pytest.mark.parametrize("order", sorted(NESTED_ORDERS))
+def test_a_nested_macro_is_spliced_whatever_the_declaration_order(tmp_path, order):
+    hosts, listed = NESTED_ORDERS[order]
+    (tmp_path / "nested.diag").write_text(NESTED_MACROS + hosts)
+    assert _run("context", str(tmp_path / "nested.diag")) == (
+        EXIT_OK,
+        f"In a context where:\n  C is a category,\n  {listed},\n"
+        "  p in C,\n  r in C,\n  r in C.\n",
+    )
+    code, text = _run("stages", str(tmp_path / "nested.diag"))
+    assert code == EXIT_OK and text.endswith(", p$1, r$1, r$2)\n")
+
+
+def test_macros_that_use_each_other_are_a_check_error_whatever_the_hash_seed(tmp_path):
+    cyclic = tmp_path / "cyclic.diag"
+    cyclic.write_text(
+        NESTED_MACROS.replace('"r"', '"r" @use(m1)') + 'node A : L "A" @use(m1)\n'
+    )
+    failure = (EXIT_CHECK_FAILED, "check error: cyclic macro use: m1 -> m2 -> m1\n")
+    assert _run("stages", str(cyclic)) == failure
+    assert _under_hash_seeds("context", str(cyclic), seeds=("0", "1")) == {failure}
+
+
 # ---------------------------------------------------------------------------
 # Term subcommands
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import collections
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from fincat import diagram
@@ -22,6 +22,7 @@ from fincat.diagram import (
     elaborate_context,
     evaluate_quantified,
     expand_annotation,
+    expand_macros,
     extract_stages,
     parse_diagram,
     render_grid,
@@ -31,7 +32,7 @@ from fincat.cli import _load_diagram
 from fincat.files import load_model_spec
 from fincat.finset import CapExceededError
 from helpers import print_diagram
-from oracles import erasing_stages, pairwise_stage_equations
+from oracles import erasing_stages, inline_grid, pairwise_stage_equations, three_pass_context
 
 
 def _load(fix, name):
@@ -524,6 +525,76 @@ def test_context_equations_match_the_pairwise_fixpoint(monkeypatch):
     assert len(kinds) == 4 and min(kinds.values()) > 10, kinds
 
 
+# m1's body uses m2: m1 is spliced first, whichever of A and B comes first,
+# so both m2 marks are spliced and r is listed twice
+NESTED_HEAD = 'layer L in C\nmacro m1 := {\n  node p : L "p" @use(m2)\n}\n'
+NESTED_HEAD += 'macro m2 := {\n  node r : L "r"\n}\n'
+NESTED = {
+    "A first": NESTED_HEAD + 'node A : L "A" @use(m2)\nnode B : L "B" @use(m1)\n',
+    "B first": NESTED_HEAD + 'node B : L "B" @use(m1)\nnode A : L "A" @use(m2)\n',
+}
+
+
+def _with_bijections(rng, ast) -> DiagramAst:
+    """``ast`` with about half of its unannotated hom arrows between nodes
+    made bijections, those that no |-> arrow ends at."""
+    maps = [a for a in ast.arrows().values() if a.kind == "mapsto"]
+    mapsto_ends = {a.src for a in maps} | {a.dst for a in maps}
+
+    def flip(d) -> bool:
+        return (
+            isinstance(d, Arrow)
+            and d.kind == "hom"
+            and d.stage is None
+            and d.src in ast.nodes()
+            and d.id not in mapsto_ends
+            and rng.random() < 0.5
+        )
+
+    return ast.replace(decls=tuple(d.replace(kind="bij") if flip(d) else d for d in ast.decls))
+
+
+def _assert_context_and_grid_match_the_reference(ast) -> str:
+    got = elaborate_context(ast)
+    assert got == three_pass_context(ast), print_diagram(ast)
+    assert render_grid(ast) == inline_grid(ast), print_diagram(ast)
+    return got
+
+
+def test_context_and_grid_match_the_three_pass_reference(fix):
+    """Seeded diagrams of every generator here and the bundled ones, with
+    macros spliced, and the empty diagram."""
+    rng = random.Random(33)
+    subjects = [_load_diagram(fix(name)) for name in DIAGRAMS]
+    subjects += [expand_macros(parse_diagram(text)) for text in NESTED.values()]
+    subjects.append(DiagramAst())
+    for i in range(120):
+        ast = parse_diagram(_random_staged_diagram(rng, cyclic=i % 2 == 1))
+        subjects += [ast, _with_bijections(rng, ast)]
+    for _ in range(300):
+        ast = _random_stageable_diagram(rng)
+        try:
+            extract_stages(ast)
+        except DiagramError:
+            continue
+        subjects += [ast, _with_bijections(rng, ast)]
+    seen = collections.Counter()
+    for ast in subjects:
+        text = _assert_context_and_grid_match_the_reference(ast)
+        for feature in (" such that", " and\n", "<->", "for all", "there exists a unique"):
+            seen[feature] += feature in text
+        seen["def"] += bool(ast.defs())
+        seen["empty"] += text.endswith("(empty)\n")
+    assert min(seen.values()) >= 1 and seen[" such that"] > 50 and seen["<->"] > 50, seen
+
+
+@given(small_diagrams())
+@seed(33)
+@settings(max_examples=60, deadline=None)
+def test_generated_context_and_grid_match_the_reference(text):
+    _assert_context_and_grid_match_the_reference(parse_diagram(text))
+
+
 def test_golden_grid_y0(fix):
     assert render_grid(_load(fix, "y0.diag")) == _golden(fix, "y0.grid.txt")
 
@@ -574,3 +645,60 @@ def test_macro_name_capture_is_detected():
     with pytest.raises(DiagramError) as err:
         expand_annotation(planted, "m")
     assert "capture" in str(err.value)
+
+
+def _spliced_names(monkeypatch, text) -> list:
+    """The macros ``expand_macros`` splices, in order, one call each."""
+    calls = []
+
+    def recorded(ast, name, _splice=diagram.expand_annotation):
+        calls.append(name)
+        return _splice(ast, name)
+
+    monkeypatch.setattr(diagram, "expand_annotation", recorded)
+    expand_macros(parse_diagram(text))
+    return calls
+
+
+def test_a_nested_macro_is_spliced_whatever_the_declaration_order(monkeypatch):
+    listings = []
+    for text in NESTED.values():
+        assert _spliced_names(monkeypatch, text) == ["m1", "m2"]
+        ast = expand_macros(parse_diagram(text))
+        assert [e for e in ast.elements() if "$" in e] == ["p$1", "r$1", "r$2"]
+        assert not any(e.uses for e in ast.elements().values())
+        listings.append(sorted(elaborate_context(ast).splitlines()))
+    assert listings[0] == listings[1]
+
+
+def test_macros_free_to_go_splice_in_the_order_of_their_marks(monkeypatch):
+    head = 'layer L in C\nmacro m1 := {\n  node p : L "p"\n}\nmacro m2 := {\n  node r : L "r"\n}\n'
+    two_hosts = head + 'node A : L "A" @use(m2)\nnode B : L "B" @use(m1)\n'
+    assert _spliced_names(monkeypatch, two_hosts) == ["m2", "m1"]
+    one_host = head + 'node A : L "A" @use(m1) @use(m2)\n'
+    assert _spliced_names(monkeypatch, one_host) == ["m1", "m2"]
+
+
+@pytest.mark.parametrize(
+    "macros, marks, cycle",
+    [
+        ({"m1": "m2", "m2": "m1"}, ("m1",), "m1 -> m2 -> m1"),
+        ({"m1": "m2", "m2": "m1"}, ("m2",), "m2 -> m1 -> m2"),
+        ({"m": "m"}, ("m",), "m -> m"),
+        # the walk enters the cycle from m0, and m3's body is walked first
+        (
+            {"m0": "m1", "m1": "m2", "m2": "m1", "m3": "m4", "m4": None},
+            ("m3", "m0"),
+            "m1 -> m2 -> m1",
+        ),
+    ],
+)
+def test_macros_that_use_each_other_are_an_error_naming_a_cycle(macros, marks, cycle):
+    lines = ["layer L in C"]
+    for name, used in macros.items():
+        mark = f" @use({used})" if used else ""
+        lines += [f"macro {name} := {{", f'  node {name}_p : L "p"{mark}', "}"]
+    lines += [f'node A{i} : L "A" @use({name})' for i, name in enumerate(marks)]
+    with pytest.raises(DiagramError) as err:
+        expand_macros(parse_diagram("\n".join(lines) + "\n"))
+    assert str(err.value) == f"cyclic macro use: {cycle}"
