@@ -15,7 +15,9 @@ is a finite table comparison:
   limits/colimits over comma categories, with their limit cones and
   colimit cocones, which the two checks below take as built.  No comma
   category is built: the kernels get its objects and the lifts of the
-  source's generators, which generate it.
+  source's generators, which generate it.  An extension's morphism maps
+  are built on their first lookup (:class:`fincat.core.MapsOnDemand`), so
+  the checks build only those they read.
 * :func:`check_kan_adjointness` — full-enumeration verification that the
   Kan constructions are genuinely adjoint to restriction, including the
   explicit transposition bijections, on transformations as the flat value
@@ -45,6 +47,7 @@ from .core import (
     CheckReport,
     FinCat,
     FunctorVal,
+    MapsOnDemand,
     NatTransVal,
     Obligation,
     compose_functors,
@@ -451,7 +454,8 @@ def kan_extensions(
     slice of objects over b (pairs (a, phi : along(a) -> b)); k pushes a
     class forward along phi -> k . phi.  ``cocones[b]`` maps each such
     (a, phi) to the colimit injection functor(a) -> lkan(b).  Each slice is
-    presented, not built (``_comma_presentation``).
+    presented, not built (``_comma_presentation``), and each morphism map
+    of an extension is built on its first lookup.
     """
     _require_setvalued(along, functor)
     return _right_kan_with_cones(along, functor, cap), _left_kan_with_cocones(along, functor)
@@ -469,13 +473,13 @@ def _right_kan_with_cones(along: FunctorVal, functor: FunctorVal, cap: int) -> t
         )
 
     # An element at b2 is a family over the slice objects in cones[b2]'s order.
-    morphism_map = {}
-    for k, (b, b2) in tgt.morphisms.items():
+    def reindex(k):
+        b, b2 = tgt.morphisms[k]
         legs = [cones[b][(a, tgt.comp(phi, k))] for a, phi in cones[b2]]
         images = (tuple(leg(element) for leg in legs) for element in object_map[b])
-        morphism_map[k] = FinSetMap(object_map[b], object_map[b2], images)
+        return FinSetMap(object_map[b], object_map[b2], images)
 
-    return FunctorVal(tgt, FINSET, object_map, morphism_map), cones
+    return FunctorVal(tgt, FINSET, object_map, MapsOnDemand(tgt.morphisms, reindex)), cones
 
 
 def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
@@ -490,14 +494,12 @@ def _left_kan_with_cocones(along: FunctorVal, functor: FunctorVal) -> tuple:
         )
 
     # A class at b is its least pair ((a, phi), x); k pushes it along phi -> k . phi.
-    morphism_map = {}
-    for k, (b, b2) in tgt.morphisms.items():
-        images = (
-            cocones[b2][(a, tgt.comp(k, phi))](x) for (a, phi), x in object_map[b]
-        )
-        morphism_map[k] = FinSetMap(object_map[b], object_map[b2], images)
+    def push(k):
+        b, b2 = tgt.morphisms[k]
+        images = (cocones[b2][(a, tgt.comp(k, phi))](x) for (a, phi), x in object_map[b])
+        return FinSetMap(object_map[b], object_map[b2], images)
 
-    return FunctorVal(tgt, FINSET, object_map, morphism_map), cocones
+    return FunctorVal(tgt, FINSET, object_map, MapsOnDemand(tgt.morphisms, push)), cocones
 
 
 def _require_setvalued(along: FunctorVal, functor: FunctorVal) -> None:

@@ -22,6 +22,7 @@ naturality squares compare value tuples, and no composite map is built.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Mapping
 from functools import cached_property
 from itertools import repeat
 from operator import eq, itemgetter
@@ -423,13 +424,64 @@ def opposite(c: FinCat) -> FinCat:
 
 
 class FunctorVal(Record):
-    """Functor as a pair of tables.  target is a FinCat or FINSET."""
+    """Functor as a pair of tables.  target is a FinCat or FINSET.
+
+    ``object_map`` is a dict; ``morphism_map`` is any read-only mapping from
+    every morphism name, a dict or a :class:`MapsOnDemand` that builds each
+    image on its first lookup."""
 
     __slots__ = ("source", "target", "object_map", "morphism_map")
     source: FinCat
     target: Any
     object_map: dict
-    morphism_map: dict
+    morphism_map: Mapping
+
+
+class MapsOnDemand(Mapping):
+    """A morphism map whose images are built on first use.
+
+    It lists the names of ``ends`` (a category's ``morphisms``, name ->
+    (dom, cod)), so iteration, ``len`` and ``in`` cover every morphism and
+    build nothing.  Looking a name up calls ``build(name)`` the first time
+    and keeps its image; a name not in ``ends`` raises ``KeyError``.
+    Equality, ``repr``, copying and pickling are those of the equal dict,
+    and the last three build every missing image first."""
+
+    __slots__ = ("_ends", "_build", "_built")
+
+    def __init__(self, ends: Mapping, build: Callable):
+        self._ends = ends
+        self._build = build
+        self._built = {}
+
+    def __getitem__(self, name):
+        try:
+            return self._built[name]
+        except KeyError:
+            if name not in self._ends:
+                raise
+        image = self._built[name] = self._build(name)
+        return image
+
+    def __iter__(self):
+        return iter(self._ends)
+
+    def __len__(self):
+        return len(self._ends)
+
+    def __contains__(self, name):
+        return name in self._ends
+
+    def get(self, name, default=None):
+        """The image of ``name``, or ``default`` for a name not listed; an
+        image that cannot be built raises, as a lookup does."""
+        return self[name] if name in self._ends else default
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return dict, (dict(self.items()),)
 
 
 def validate_functor(f: FunctorVal) -> CheckReport:
@@ -495,7 +547,7 @@ def validate_functor(f: FunctorVal) -> CheckReport:
     return CheckReport("functor", tuple(obligations))
 
 
-def _set_composition_failures(src: FinCat, morphism_map: dict) -> list:
+def _set_composition_failures(src: FinCat, morphism_map: Mapping) -> list:
     """Every failure of F(g) . F(h) = F(g . h) for a set-valued functor,
     unsorted: (g, h, "image not composable") where F(h) does not end where
     F(g) starts, and (g, h) where the values or the ends of the two sides
@@ -516,7 +568,7 @@ def _set_composition_failures(src: FinCat, morphism_map: dict) -> list:
     return failures
 
 
-def _composites_preserved(src: FinCat, tgt: FinCat, morphism_map: dict) -> bool:
+def _composites_preserved(src: FinCat, tgt: FinCat, morphism_map: Mapping) -> bool:
     """Whether F(g) . F(h) = F(g . h) for every entry of the source table,
     decided by comparing the two sides as tuples, one column each.  False
     when the tuples differ, an entry is not composable or cannot be read, so

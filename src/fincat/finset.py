@@ -89,6 +89,9 @@ class FinSetObj:
     def __repr__(self):
         return "{" + ",".join(str(a) for a in self.atoms) + "}"
 
+    def __reduce__(self):
+        return FinSetObj, (self.atoms,)
+
     def __setattr__(self, *_):
         raise AttributeError("FinSetObj is immutable")
 
@@ -130,6 +133,9 @@ class FinSetMap:
 
     def __repr__(self):
         return encode_map(self)
+
+    def __reduce__(self):
+        return FinSetMap, (self.dom, self.cod, self.values)
 
     def __setattr__(self, *_):
         raise AttributeError("FinSetMap is immutable")

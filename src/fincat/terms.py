@@ -869,7 +869,10 @@ def typecheck(
     return _typecheck(t, env, sig)
 
 
-def _typecheck(t: Tm, env: dict[str, Ty], sig: Signature) -> Ty:
+def _typecheck(t: Tm, env: dict[str, Ty], sig: Signature, memo: Optional[dict] = None) -> Ty:
+    """The type of ``t`` under ``env``.  ``memo``, when given, holds the
+    types of the compound terms typed in the empty context, keyed by the
+    term: each such subterm is looked up there and typed once."""
     if isinstance(t, Var):
         try:
             return env[t.name]
@@ -877,34 +880,45 @@ def _typecheck(t: Tm, env: dict[str, Ty], sig: Signature) -> Ty:
             raise TermTypeError(f"unbound variable {t.name!r}") from None
     if isinstance(t, Const):
         return sig.constant_type(t.name)
+    if memo is not None:
+        if env:
+            memo = None
+        else:
+            ty = memo.get(t)
+            if ty is not None:
+                return ty
     if isinstance(t, Lam):
         inner = dict(env)
         inner[t.var] = t.ty
-        return TyArrow(t.ty, _typecheck(t.body, inner, sig))
-    if isinstance(t, App):
-        fn_ty = _typecheck(t.fn, env, sig)
+        ty = TyArrow(t.ty, _typecheck(t.body, inner, sig))
+    elif isinstance(t, App):
+        fn_ty = _typecheck(t.fn, env, sig, memo)
         if not isinstance(fn_ty, TyArrow):
             raise TermTypeError(
                 f"cannot apply {print_term(t.fn)} of non-arrow type {print_type(fn_ty)}"
             )
-        arg_ty = _typecheck(t.arg, env, sig)
+        arg_ty = _typecheck(t.arg, env, sig, memo)
         if arg_ty != fn_ty.src:
             raise TermTypeError(
                 f"argument {print_term(t.arg)} has type {print_type(arg_ty)}, "
                 f"expected {print_type(fn_ty.src)}"
             )
-        return fn_ty.dst
-    if isinstance(t, Pair):
-        return TyProd(_typecheck(t.left, env, sig), _typecheck(t.right, env, sig))
-    if isinstance(t, Proj):
-        body_ty = _typecheck(t.body, env, sig)
+        ty = fn_ty.dst
+    elif isinstance(t, Pair):
+        ty = TyProd(_typecheck(t.left, env, sig, memo), _typecheck(t.right, env, sig, memo))
+    elif isinstance(t, Proj):
+        body_ty = _typecheck(t.body, env, sig, memo)
         if not isinstance(body_ty, TyProd):
             raise TermTypeError(
                 f"cannot project from {print_term(t.body)} of non-product type "
                 f"{print_type(body_ty)}"
             )
-        return body_ty.left if t.index == 1 else body_ty.right
-    raise TypeError(f"not a term: {t!r}")
+        ty = body_ty.left if t.index == 1 else body_ty.right
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    if memo is not None:
+        memo[t] = ty
+    return ty
 
 
 _EMPTY_SIGNATURE = Signature()
@@ -1416,17 +1430,18 @@ def reduction_graph(
 ) -> tuple[ReductionGraph, GraphReport]:
     """Exhaustively close ``t`` under one-step reduction, up to ``node_cap`` nodes.
 
-    Every edge is checked for type preservation; each successor's type is
-    computed once per canonical print, and each distinct subterm's reducts
-    once per call.  The report flags are computed from the finished graph;
-    if the cap is hit the graph is truncated and all three flags are
-    indeterminate (``None``).
+    Every edge is checked for type preservation; each distinct compound
+    subterm outside every binder is typed once per call, and each distinct
+    subterm's reducts are computed once.  The report flags are computed
+    from the finished graph; if the cap is hit the graph is truncated and
+    all three flags are indeterminate (``None``).
     """
     if node_cap < 1:
         raise ValueError(f"node_cap must be >= 1, got {node_cap}")
     if sig is None:
         sig = _EMPTY_SIGNATURE
-    root_ty = typecheck(t, sig=sig)
+    types: dict[Tm, Ty] = {}  # per compound subterm outside every binder, of any node
+    root_ty = _typecheck(t, {}, sig, types)
 
     root_key = canonical_print(t)
     nodes: dict[str, Tm] = {root_key: t}
@@ -1434,7 +1449,6 @@ def reduction_graph(
     queue: deque[str] = deque([root_key])
     truncated = False
     reducts: dict[Tm, list[Tm]] = {}  # per distinct subterm, for every node
-    types: dict[str, Ty] = {}  # per canonical print
     while queue:
         key = queue.popleft()
         term = nodes[key]
@@ -1442,9 +1456,7 @@ def reduction_graph(
         fresh: dict[str, Tm] = {}
         for succ in _distinct_reducts(term, sig, reducts):
             skey = canonical_print(succ)
-            succ_ty = types.get(skey)
-            if succ_ty is None:
-                succ_ty = types[skey] = typecheck(succ, sig=sig)
+            succ_ty = _typecheck(succ, {}, sig, types)
             if succ_ty != root_ty:
                 raise RuntimeError(
                     f"subject reduction violated: {key} -> {skey} "

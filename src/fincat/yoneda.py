@@ -6,7 +6,9 @@ functors land in finite sets, so every statement is checked by full
 enumeration:
 
 * :func:`hom_cov_functor` — the covariant hom-functor of an object
-  (values are the hom-sets, action is postcomposition).
+  (values are the hom-sets, action is postcomposition), each morphism's
+  map built on its first lookup: the checks read only the maps of the
+  generators.
 * :func:`hom_maps_functor` — maps out of a fixed probe set into a
   functor's values (action is postcomposition with the functor image); a
   map is its tuple of values over the sorted probe.
@@ -30,6 +32,7 @@ from .core import (
     CheckReport,
     FinCat,
     FunctorVal,
+    MapsOnDemand,
     Obligation,
 )
 from .finset import (
@@ -67,7 +70,7 @@ class HomContext(Record):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        if self.anchor not in set(self.category.objects):
+        if not self.category.has_object(self.anchor):
             raise ValueError(f"anchor {self.anchor!r} is not an object")
 
 
@@ -75,16 +78,21 @@ def hom_cov_functor(category: FinCat, anchor: str) -> FunctorVal:
     """The covariant hom-functor of ``anchor``: D maps to Hom(anchor, D).
 
     Morphism identifiers double as set atoms; a morphism g acts by
-    postcomposition f -> g . f.
+    postcomposition f -> g . f.  Each morphism's map is built on its first
+    lookup (:class:`fincat.core.MapsOnDemand`), so a map that cannot be
+    built, over a table that is not a category, raises there.
     """
-    if anchor not in set(category.objects):
+    if not category.has_object(anchor):
         raise ValueError(f"{anchor!r} is not an object")
-    object_map = {d: FinSetObj(category.hom(anchor, d)) for d in category.objects}
-    morphism_map = {}
-    for g, (d, d2) in category.morphisms.items():
-        images = (category.compose[(g, f)] for f in object_map[d])
-        morphism_map[g] = FinSetMap(object_map[d], object_map[d2], images)
-    return FunctorVal(category, FINSET, object_map, morphism_map)
+    # a hom-set is the index's sorted tuple of names, so in atom_key order
+    object_map = {d: FinSetObj._of_sorted(category.hom(anchor, d)) for d in category.objects}
+    ends, compose = category.morphisms, category.compose
+
+    def postcompose(g):
+        d, d2 = ends[g]
+        return FinSetMap(object_map[d], object_map[d2], (compose[(g, f)] for f in object_map[d]))
+
+    return FunctorVal(category, FINSET, object_map, MapsOnDemand(ends, postcompose))
 
 
 def hom_maps_functor(

@@ -60,6 +60,11 @@ force, kept to pin the exact output of the faster code that replaced them:
   colimit of the functor over each along every comma morphism, where the
   library presents each comma diagram along the lifts of the source's
   generators and builds no comma category;
+* ``eager_hom_cov_functor`` and ``eager_kan_morphism_maps`` are
+  ``hom_cov_functor`` and the Kan extensions' morphism maps as they built
+  the map of every morphism up front, where the library builds each on its
+  first lookup (``MapsOnDemand``); the rebuilding Yoneda references take
+  their hom-functors from the first;
 * ``sorted_map_key`` and ``sorted_map_eq`` are the map key (hashed, too)
   and equality that compared tables sorted by domain atom, and
   ``nattrans_key`` the text key that told transformations apart;
@@ -166,7 +171,6 @@ from fincat.terms import (
 from fincat.yoneda import (
     HomContext,
     check_yoneda_roundtrips,
-    hom_cov_functor,
     hom_maps_functor,
     yoneda_pointwise_bijection,
 )
@@ -1043,7 +1047,7 @@ def string_encoded_hom_maps_functor(probe, set_functor, cap: int = DEFAULT_ENUM_
 def rebuilding_transform_from_seed(ctx):
     """The seed's transformation, building both hom-functors afresh and
     printing (image of f) . seed for every f."""
-    source = hom_cov_functor(ctx.category, ctx.anchor)
+    source = eager_hom_cov_functor(ctx.category, ctx.anchor)
     target = string_encoded_hom_maps_functor(ctx.probe, ctx.set_functor)
     components = {}
     for d in ctx.category.objects:
@@ -1072,7 +1076,7 @@ def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
     ``rebuilding_transform_from_seed``, reading seeds back from their text
     and comparing transformations by ``nattrans_key``.  Same obligations,
     witnesses and subject as ``check_yoneda_roundtrips``."""
-    source = hom_cov_functor(ctx.category, ctx.anchor)
+    source = eager_hom_cov_functor(ctx.category, ctx.anchor)
     target = string_encoded_hom_maps_functor(ctx.probe, ctx.set_functor)
     parts = (ctx.category, ctx.set_functor, ctx.probe, ctx.anchor)
     seeds = enumerate_maps(ctx.probe, ctx.set_functor.object_map[ctx.anchor], cap)
@@ -1109,7 +1113,7 @@ def rebuilding_roundtrips(ctx, cap: int = DEFAULT_ENUM_CAP) -> CheckReport:
 
 
 def _rebuilt_pointwise_transform(category, set_functor, anchor, element):
-    source = hom_cov_functor(category, anchor)
+    source = eager_hom_cov_functor(category, anchor)
     components = {}
     for d in category.objects:
         table = {
@@ -1124,7 +1128,7 @@ def rebuilding_pointwise_bijection(category, set_functor, anchor, cap: int = DEF
     more for every element and checking each element's transformation square
     by square with ``validate_nattrans``.  Same obligations and subject; the
     mapping holds the NatTransVals whose flat tuples the library's holds."""
-    source = hom_cov_functor(category, anchor)
+    source = eager_hom_cov_functor(category, anchor)
     mapping = {
         element: _rebuilt_pointwise_transform(category, set_functor, anchor, element)
         for element in set_functor.object_map[anchor]
@@ -1164,11 +1168,11 @@ def rebuilding_yoneda_command(functor, cap: int, out) -> int:
     code = 0
     for anchor in sorted(category.objects):
         mapping, bij_report = yoneda_pointwise_bijection(
-            functor, anchor, hom_cov_functor(category, anchor), cap
+            functor, anchor, eager_hom_cov_functor(category, anchor), cap
         )
         round_report = check_yoneda_roundtrips(
             HomContext(category, functor, probe, anchor),
-            hom_cov_functor(category, anchor),
+            eager_hom_cov_functor(category, anchor),
             hom_maps_functor(probe, functor, cap),
             cap,
         )
@@ -1256,6 +1260,43 @@ def comma_kan_extensions(along, functor, cap: int = DEFAULT_ENUM_CAP) -> tuple:
     rkan = FunctorVal(tgt, FINSET, rkan_values, rkan_maps)
     lkan = FunctorVal(tgt, FINSET, lkan_values, lkan_maps)
     return (rkan, cones), (lkan, cocones)
+
+
+# ---------------------------------------------------------------------------
+# Derived set-valued functors with every morphism map built up front
+# ---------------------------------------------------------------------------
+
+
+def eager_hom_cov_functor(category, anchor) -> FunctorVal:
+    """``hom_cov_functor`` as it built the map of every morphism when called,
+    each carrier sorted by ``FinSetObj``."""
+    if anchor not in set(category.objects):
+        raise ValueError(f"{anchor!r} is not an object")
+    object_map = {d: FinSetObj(category.hom(anchor, d)) for d in category.objects}
+    morphism_map = {}
+    for g, (d, d2) in category.morphisms.items():
+        images = (category.compose[(g, f)] for f in object_map[d])
+        morphism_map[g] = FinSetMap(object_map[d], object_map[d2], images)
+    return FunctorVal(category, FINSET, object_map, morphism_map)
+
+
+def eager_kan_morphism_maps(along, extensions) -> tuple:
+    """The morphism maps of both extensions of ``kan_extensions``' result
+    ``((rkan, cones), (lkan, cocones))``, as its loops built every one from
+    the object maps and legs: ``(right, left)``, two dicts in the order of
+    ``along.target.morphisms``."""
+    tgt = along.target
+    (rkan, cones), (lkan, cocones) = extensions
+    right, left = {}, {}
+    for k, (b, b2) in tgt.morphisms.items():
+        legs = [cones[b][(a, tgt.comp(phi, k))] for a, phi in cones[b2]]
+        images = (tuple(leg(element) for leg in legs) for element in rkan.object_map[b])
+        right[k] = FinSetMap(rkan.object_map[b], rkan.object_map[b2], images)
+        images = (
+            cocones[b2][(a, tgt.comp(k, phi))](x) for (a, phi), x in lkan.object_map[b]
+        )
+        left[k] = FinSetMap(lkan.object_map[b], lkan.object_map[b2], images)
+    return right, left
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Finite sets and maps: encodings, enumeration, limits, colimits."""
 
+import copy
 import itertools
 import math
 import os
+import pickle
 import random
 
 import pytest
@@ -87,6 +89,16 @@ def test_map_totality_range_and_extensional_equality():
     m2 = map_from_table(dom, cod, {"b": "y", "a": "x"})
     assert m1 == m2 and m1("a") == "x" and m1("b") == "y"
     assert decode_map("{b->y, a->x}", dom, cod) == m1
+
+
+def test_sets_and_maps_survive_copy_and_pickle():
+    dom, cod = FinSetObj((2, "a", (1, "b"))), FinSetObj(("x", 0))
+    m = FinSetMap(dom, cod, (0, "x", 0))
+    for value in (dom, m):
+        for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+            assert type(twin) is type(value) and twin == value and hash(twin) == hash(value)
+    twin = copy.deepcopy(m)
+    assert twin.dom.index == dom.index and twin((1, "b")) == 0
 
 
 def _scanned_atom(token, among):

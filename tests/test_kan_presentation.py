@@ -125,13 +125,14 @@ def test_kan_matches_golden(fix, stem):
         assert out.getvalue() + f"exit {code}\n" == handle.read()
 
 
-SORTED_SITES = ("presented_limit", "presented_colimit", "hom_maps_functor")
+SORTED_SITES = ("presented_limit", "presented_colimit", "hom_maps_functor", "hom_cov_functor")
 
 
 def test_carriers_built_without_a_sort_are_sorted(fix, monkeypatch):
-    """Each carrier that a limit, a colimit or ``hom_maps_functor`` builds
-    from atoms already in order equals the one ``FinSetObj`` sorts, over
-    the cross-check inputs."""
+    """Each carrier that a limit, a colimit, ``hom_maps_functor`` or
+    ``hom_cov_functor`` builds from atoms already in order equals the one
+    ``FinSetObj`` sorts, over the cross-check inputs and the hom-functors
+    of their categories at every anchor."""
     sites = dict.fromkeys(SORTED_SITES, 0)
     unsorted = FinSetObj._of_sorted
 
@@ -150,4 +151,7 @@ def test_carriers_built_without_a_sort_are_sorted(fix, monkeypatch):
     for along, functor in _kan_cases(fix, random.Random(0)):
         kan_extensions(along, functor)
         hom_maps_functor(probe, functor)
+        for category in (along.source, along.target):
+            for anchor in category.objects:
+                hom_cov_functor(category, anchor)
     assert all(sites.values()), sites

@@ -506,6 +506,31 @@ def test_contractions_run_once_per_distinct_subterm_of_a_graph(text, sig_name, f
     assert set(seen) == subterms
 
 
+@pytest.mark.parametrize("text, sig_name", REDUCE_CASES)
+def test_each_subterm_outside_binders_is_typed_once_per_graph(text, sig_name, fix, monkeypatch):
+    """A graph types each distinct compound subterm outside every binder
+    once, the root and every node among them, and no term under a binder
+    is looked up in its memo."""
+    import fincat.terms
+
+    sig = parse_signature(_read(fix, sig_name)) if sig_name else None
+    typed = []
+    check = fincat.terms._typecheck
+
+    def counted(t, env, s, memo=None):
+        if memo is not None:
+            assert not env
+            if t not in memo and not isinstance(t, (Var, Const)):
+                typed.append(t)
+        return check(t, env, s, memo)
+
+    monkeypatch.setattr(fincat.terms, "_typecheck", counted)
+    graph, report = reduction_graph(parse_term(text, sig), sig)
+    assert not report.truncated
+    assert len(typed) == len(set(typed))
+    assert {t for t in graph.nodes.values() if not isinstance(t, Const)} <= set(typed)
+
+
 def test_subject_reduction_violation_raises(fix, monkeypatch):
     import fincat.terms
 

@@ -882,3 +882,24 @@ def test_yoneda_command_builds_each_hom_functor_once(fix, kite, monkeypatch):
         "yoneda_pointwise_bijection": anchors,
         "check_yoneda_roundtrips": anchors,
     }
+
+
+YONEDA_GOLDEN = (
+    "f_kite",
+    "g_on_a",
+    "g_on_b",
+    "h_on_a",
+    "s_on_q",
+    "broken/f_kite_bad_respcomp",
+    "broken/f_kite_bad_respids",
+)
+
+
+@pytest.mark.parametrize("name", YONEDA_GOLDEN)
+def test_yoneda_matches_golden(fix, name):
+    """Standard output and exit code of ``yoneda`` on each bundled
+    set-valued functor, as the command printed them when every hom-functor
+    map was built up front."""
+    code, text = _command("yoneda", fix(f"{name}.fun"))
+    with open(fix("golden", f"yoneda_{name.rpartition('/')[2]}.txt"), encoding="utf-8") as handle:
+        assert text + f"exit {code}\n" == handle.read()
