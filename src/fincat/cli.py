@@ -60,9 +60,8 @@ from .terms import (
     Signature,
     TermError,
     TermParseError,
-    canonical_print,
     curry_howard_translate,
-    infer_inhabitants,
+    inhabitant_texts,
     parse_context,
     parse_signature,
     parse_term,
@@ -236,15 +235,14 @@ def _cmd_infer(cfg: RunConfig, out, _loads: dict) -> int:
     # parse and still overflow the stack in the search or the printers.
     # Neither recurses once per level of --depth.
     try:
-        terms = infer_inhabitants(ctx, goal, depth)
+        texts = inhabitant_texts(ctx, goal, depth)
         elapsed = time.monotonic() - started
         header = f"goal: {print_type(goal)}   [{curry_howard_translate(goal, ctx)}]"
     except RecursionError:
         raise TermParseError("input nested too deeply") from None
     _emit(out, header)
-    _emit(out, f"inhabitants (depth <= {depth}): {len(terms)}  [{elapsed:.3f}s]")
-    for term in terms:
-        _emit(out, canonical_print(term))
+    _emit(out, f"inhabitants (depth <= {depth}): {len(texts)}  [{elapsed:.3f}s]")
+    out.write("".join(f"{text}\n" for text in texts))
     return EXIT_OK
 
 

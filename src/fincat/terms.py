@@ -61,6 +61,7 @@ __all__ = [
     "typecheck",
     "term_sort_key",
     "infer_inhabitants",
+    "inhabitant_texts",
     "curry_howard_translate",
     "ReductionGraph",
     "GraphReport",
@@ -938,11 +939,36 @@ def infer_inhabitants(
     context hypotheses via application and projection.
 
     Every binder is named by ``_fresh_binder`` from the length of the
-    context it extends, so alpha-equivalent results are equal terms, and
-    the search builds no term twice (see :class:`_Search`).  Each result is
-    printed from its children's text for the :func:`term_sort_key` order;
-    that text stays cached for :func:`canonical_print`.
+    context it extends, so alpha-equivalent results are equal terms.  The
+    search (see :class:`_Search`) finds each term once, as an entry; each
+    entry's node is then built once, from its children's, and each result
+    keeps its text cached for :func:`canonical_print`.
     """
+    found, created = _inhabitants(ctx, goal, depth)
+    nodes: dict[int, Tm] = {}
+    for shape, _, _ in created:  # after its children, which are the tuple fields
+        kind, *fields = shape
+        nodes[id(shape)] = kind(*(nodes[id(f[0])] if type(f) is tuple else f for f in fields))
+    terms = []
+    for shape, text, lams in found:
+        term = nodes[id(shape)]
+        object.__setattr__(term, "_printed", (text, lams))
+        terms.append(term)
+    return terms
+
+
+def inhabitant_texts(ctx: Sequence[tuple[str, Ty]], goal: Ty, depth: int) -> list[str]:
+    """The canonical prints of :func:`infer_inhabitants`, in its order,
+    found with no term built."""
+    return [text for _, text, _ in _inhabitants(ctx, goal, depth)[0]]
+
+
+def _inhabitants(
+    ctx: Sequence[tuple[str, Ty]], goal: Ty, depth: int
+) -> tuple[list[tuple], Iterable[tuple]]:
+    """The search's result entries with their canonical texts, in
+    :func:`term_sort_key` order, and every entry it created, in creation
+    order."""
     if depth < 1:
         raise ValueError(f"depth must be >= 1, got {depth}")
     ctx_t = tuple(ctx)
@@ -953,10 +979,12 @@ def infer_inhabitants(
     # binders (see _canonical), so then the search marks every name in its
     # text and _unmark names them once the whole result is known.
     primed = any(_POSITIONAL_RE.match(name) for name in names)
-    found = _Search(ctx_t, primed).run(goal, depth)
-    for term, text, lams in found:
-        object.__setattr__(term, "_printed", (_unmark(text, names) if primed else text, lams))
-    return sorted((entry[0] for entry in found), key=term_sort_key)
+    search = _Search(ctx_t, primed)
+    found = search.run(goal, depth)
+    if primed:
+        found = [(shape, _unmark(text, names), lams) for shape, text, lams in found]
+    found.sort(key=lambda entry: (entry[2], len(entry[1]), entry[1]))
+    return found, search.interned.values()
 
 
 _BINDER_MARK_RE = re.compile("\x00([0-9]+)\x00")
@@ -978,8 +1006,9 @@ def _unmark(text: str, names: Iterable[str]) -> str:
 class _Slot:
     """The terms found for one (context, goal) pair, all inhabitants or only
     the neutral ones, in height order: ``terms[ends[h - 1]:ends[h]]`` have
-    height exactly ``h``.  Each term is kept as the entry ``(node, text,
-    λ count)``."""
+    height exactly ``h``.  Each term is kept as the entry ``(shape, text,
+    λ count)``, its shape being its constructor and fields with child
+    entries in place of child terms, such as ``(App, fn, arg)``."""
 
     __slots__ = ("budget", "terms", "ends", "parts")
 
@@ -1003,9 +1032,9 @@ class _Search:
     (context, goal) slot and the greatest height asked of it.  It then
     fills: for ``h = 1, 2, …``, every slot gets its terms of exact height
     ``h``, each combined from a child of height ``h - 1`` and children of
-    height at most ``h - 1``.  So no term is built at two heights.  Nodes
+    height at most ``h - 1``.  So no term is found at two heights.  Entries
     are interned for the call, so a subterm met in several contexts is one
-    object, hashed once when it is built.
+    entry, and no term node is built.
 
     The binder that extends the context to length ``n`` prints as
     ``x<n - len(ctx)>``, its canonical name in any result unless a free
@@ -1148,7 +1177,7 @@ class _Search:
         key = (Var, name)
         entry = self.interned.get(key)
         if entry is None:
-            entry = self.interned[key] = (Var(name), text, 0)
+            entry = self.interned[key] = ((Var, name), text, 0)
         return entry
 
     def _app(self, fn: tuple, arg: tuple) -> tuple:
@@ -1156,7 +1185,7 @@ class _Search:
         entry = self.interned.get(key)
         if entry is None:
             text = f"{fn[1]} {_argument_text(arg)}"
-            entry = self.interned[key] = (App(fn[0], arg[0]), text, fn[2] + arg[2])
+            entry = self.interned[key] = ((App, fn, arg), text, fn[2] + arg[2])
         return entry
 
     def _proj(self, index: int, body: tuple) -> tuple:
@@ -1164,14 +1193,14 @@ class _Search:
         entry = self.interned.get(key)
         if entry is None:
             text = f"p{index} {_argument_text(body)}"
-            entry = self.interned[key] = (Proj(index, body[0]), text, body[2])
+            entry = self.interned[key] = ((Proj, index, body), text, body[2])
         return entry
 
     def _lam(self, var: str, ty: Ty, prefix: str, body: tuple) -> tuple:
         key = (Lam, var, ty, id(body))
         entry = self.interned.get(key)
         if entry is None:
-            entry = self.interned[key] = (Lam(var, ty, body[0]), prefix + body[1], body[2] + 1)
+            entry = self.interned[key] = ((Lam, var, ty, body), prefix + body[1], body[2] + 1)
         return entry
 
     def _pair(self, left: tuple, right: tuple) -> tuple:
@@ -1179,15 +1208,15 @@ class _Search:
         entry = self.interned.get(key)
         if entry is None:
             text = f"({left[1]}, {right[1]})"
-            entry = self.interned[key] = (Pair(left[0], right[0]), text, left[2] + right[2])
+            entry = self.interned[key] = ((Pair, left, right), text, left[2] + right[2])
         return entry
 
 
 def _argument_text(entry: tuple) -> str:
     """An entry's text as an application or projection argument: a
     variable or a pair as it is, anything else in parentheses."""
-    node, text, _ = entry
-    return text if type(node) in (Var, Pair) else f"({text})"
+    shape, text, _ = entry
+    return text if shape[0] in (Var, Pair) else f"({text})"
 
 
 def _neutral_types(types: Iterable[Ty]) -> tuple[Ty, ...]:
@@ -1483,16 +1512,20 @@ def reduction_graph(
         term_type=root_ty,
     )
     if truncated:
-        report = GraphReport(None, None, None, True, len(nodes), normal_forms)
-    else:
-        report = GraphReport(
-            terminating=_is_acyclic(edges),
-            unique_nf=len(normal_forms) == 1,
-            locally_confluent_on_graph=_locally_confluent(graph),
-            truncated=False,
-            node_count=len(nodes),
-            normal_forms=normal_forms,
-        )
+        return graph, GraphReport(None, None, None, True, len(nodes), normal_forms)
+    terminating = _is_acyclic(edges)
+    unique_nf = len(normal_forms) == 1
+    # Newman's lemma: a terminating graph is confluent iff it is locally
+    # confluent, and every node here is reached from the root, so it is
+    # locally confluent iff the root has one normal form.
+    report = GraphReport(
+        terminating=terminating,
+        unique_nf=unique_nf,
+        locally_confluent_on_graph=unique_nf if terminating else _locally_confluent(graph),
+        truncated=False,
+        node_count=len(nodes),
+        normal_forms=normal_forms,
+    )
     return graph, report
 
 
@@ -1522,7 +1555,8 @@ def _is_acyclic(edges: Mapping[str, tuple[str, ...]]) -> bool:
 
 
 def _locally_confluent(graph: ReductionGraph) -> bool:
-    """Every branching pair of one-step reducts rejoins somewhere in the graph."""
+    """Every branching pair of one-step reducts rejoins somewhere in the
+    graph.  :func:`reduction_graph` asks this only of a graph with a cycle."""
     desc_cache: dict[str, frozenset[str]] = {}
 
     def desc(key: str) -> frozenset[str]:

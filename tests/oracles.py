@@ -7,7 +7,7 @@ enumerated by a raw cartesian product filtered by the diagram's maps or the
 naturality squares, and term inhabitants by a bottom-up enumeration of all well-typed
 terms followed by a normality filter.  Only the report and AST constructors
 and ``free_vars`` are reused (and, by the reduction-graph reference, the
-contraction, typing and graph-flag helpers), so the comparisons exercise
+contraction and typing helpers), so the comparisons exercise
 the library's *search*, *index* and *printing* code paths.
 
 Some references are the library's own earlier algorithms rather than brute
@@ -20,7 +20,11 @@ force, kept to pin the exact output of the faster code that replaced them:
 * ``print_keyed_inhabitants`` is the goal-directed inhabitant search that
   deduplicated every memo entry by canonical print;
 * ``keyed_reductions`` and ``rebuilding_reduction_graph`` are the one-step
-  reductions and the reduction graph keyed by those prints;
+  reductions and the reduction graph keyed by those prints; the graph's
+  flags come from its own cycle check (``has_cycle``, peeling nodes with no
+  successor left) and local-confluence check (``joins_every_fork``, the
+  descendants of every pair of successors intersected), where the library
+  reads local confluence of a terminating graph off its normal forms;
 * ``string_encoded_hom_maps_functor``, ``rebuilding_transform_from_seed``,
   ``rebuilding_roundtrips`` and ``rebuilding_pointwise_bijection`` are the
   Yoneda checks that named every map by its text "{a->x}", composed and
@@ -162,8 +166,6 @@ from fincat.terms import (
     TyProd,
     Var,
     _contractions_at,
-    _is_acyclic,
-    _locally_confluent,
     free_vars,
     print_type,
     typecheck,
@@ -1001,14 +1003,52 @@ def rebuilding_reduction_graph(t: Tm, sig=None, node_cap: int = DEFAULT_NODE_CAP
     if truncated:
         return graph, GraphReport(None, None, None, True, len(nodes), normal_forms)
     report = GraphReport(
-        _is_acyclic(edges),
+        not has_cycle(edges),
         len(normal_forms) == 1,
-        _locally_confluent(graph),
+        joins_every_fork(edges),
         False,
         len(nodes),
         normal_forms,
     )
     return graph, report
+
+
+def has_cycle(edges: dict) -> bool:
+    """Whether a graph whose every successor is a key of ``edges`` has a
+    cycle: nodes with no successor left are peeled off until none is, and
+    a cycle is what remains."""
+    left = {key: len(succs) for key, succs in edges.items()}
+    preds: dict = {key: [] for key in edges}
+    for key, succs in edges.items():
+        for succ in succs:
+            preds[succ].append(key)
+    peel = [key for key, count in left.items() if count == 0]
+    peeled = 0
+    while peel:
+        peeled += 1
+        for pred in preds[peel.pop()]:
+            left[pred] -= 1
+            if left[pred] == 0:
+                peel.append(pred)
+    return peeled < len(edges)
+
+
+def joins_every_fork(edges: dict) -> bool:
+    """Local confluence: the descendants of any two successors of a node,
+    each node its own descendant, meet."""
+    reach = {}
+    for key in edges:
+        seen = {key}
+        frontier = [key]
+        while frontier:
+            frontier = [s for k in frontier for s in edges[k] if s not in seen]
+            seen.update(frontier)
+        reach[key] = seen
+    return all(
+        reach[a] & reach[b]
+        for succs in edges.values()
+        for a, b in itertools.combinations(succs, 2)
+    )
 
 
 # ---------------------------------------------------------------------------

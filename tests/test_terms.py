@@ -1,7 +1,9 @@
 """Typed term language: parsing, inference, delta rules, reduction graphs."""
 
+import collections
 import copy
 import io
+import itertools
 import pickle
 import random
 import re
@@ -31,6 +33,7 @@ from fincat.terms import (
     canonical_print,
     curry_howard_translate,
     infer_inhabitants,
+    inhabitant_texts,
     parse_context,
     parse_signature,
     parse_term,
@@ -298,6 +301,7 @@ def test_inference_matches_print_keyed_search_in_order(ctx_text, goal_text, deep
         want = [rebuilding_canonical_print(t) for t in print_keyed_inhabitants(ctx, goal, depth)]
         assert got == want, (ctx_text, goal_text, depth)
         assert len(set(got)) == len(got), (ctx_text, goal_text, depth)
+        assert inhabitant_texts(ctx, goal, depth) == got, (ctx_text, goal_text, depth)
 
 
 def test_terms_copy_and_pickle_with_their_caches_refilled():
@@ -378,6 +382,64 @@ def test_the_search_builds_no_node_twice(ctx_text, goal_text, deepest, monkeypat
     built = _record_constructions(monkeypatch)
     infer_inhabitants(parse_context(ctx_text), parse_type(goal_text), deepest)
     assert len(set(built)) == len(built)
+
+
+@pytest.mark.parametrize("ctx_text, goal_text, deepest", PRINT_KEYED_GOALS)
+def test_the_infer_command_builds_no_term(ctx_text, goal_text, deepest, monkeypatch):
+    built = _record_constructions(monkeypatch)
+    out = io.StringIO()
+    assert run(["infer", ctx_text, goal_text, "--depth", str(deepest)], out=out) == 0
+    assert built == []
+    texts = inhabitant_texts(parse_context(ctx_text), parse_type(goal_text), deepest)
+    assert out.getvalue().splitlines()[2:] == texts
+
+
+# (golden name, argv): the goals and terms of the CI hash-seed step
+INFER_GOLDEN = [
+    ("peirce", "{}", "((A->B)->A)->A"),
+    ("curry", "{}", "(A*B->C)->A->B->C"),
+    ("endo_fg", "{f: A->A, g: A->A}", "A->A"),
+    ("pair", "{a: A, f: A->A}", "A*A"),
+    ("round_trip", "{f: A->B, g: B->A}", "A->A"),
+    ("x1_x2", "{x1: A, x2: A->A}", "A->A"),
+    ("x2_f", "{x2: A, f: A->A}", "(A->A)->A"),
+    ("x2", "{x2: A}", "A->A->A"),
+]
+REDUCE_GOLDEN = [
+    ("g_sum", "g (2 + 3)", "arith.sig"),
+    ("g_plus_g", "(g 1) + (g 2)", "arith.sig"),
+    ("g_g_sum", "g (g (1 + 2))", "arith.sig"),
+    ("beta_sum", "(\\x:N. \\y:N. x + y) 1 2", None),
+    ("twice", "(\\f:N->N. \\x:N. f (f x)) (\\x:N. x * 2)", None),
+    ("proj", "p1 ((\\x:N. x) 1, 2 + 3)", None),
+    ("pair_binder", "(\\x:N. (x, \\x1:N. x)) (1 + 2)", None),
+    ("capture", "\\y:N. (\\x:N. \\y:N. x) y", None),
+]
+
+
+def _golden(fix, name, argv):
+    out = io.StringIO()
+    code = run(argv, out=out)
+    text = re.sub(r"\[[0-9]+\.[0-9]+s\]", "[time]", out.getvalue())
+    with open(fix("golden", f"{name}.txt"), encoding="utf-8") as handle:
+        assert text + f"exit {code}\n" == handle.read()
+
+
+@pytest.mark.parametrize("name, ctx_text, goal_text", INFER_GOLDEN)
+def test_infer_matches_golden(fix, name, ctx_text, goal_text):
+    """Standard output, timer masked, and exit code of ``infer`` at depth 7,
+    as the command printed them when it built and printed every term."""
+    _golden(fix, f"infer_{name}", ["infer", ctx_text, goal_text, "--depth", "7"])
+
+
+@pytest.mark.parametrize("name, text, sig_name", REDUCE_GOLDEN)
+def test_reduce_matches_golden(fix, name, text, sig_name):
+    """Standard output and exit code of ``reduce``, as a report and as a
+    graph, as the command printed them when it scanned every graph for
+    local confluence."""
+    argv = ["reduce", text] + (["--sig", fix(sig_name)] if sig_name else [])
+    _golden(fix, f"reduce_{name}", argv)
+    _golden(fix, f"reduce_{name}.graph", argv + ["--format", "graph"])
 
 
 # ---------------------------------------------------------------------------
@@ -529,6 +591,60 @@ def test_each_subterm_outside_binders_is_typed_once_per_graph(text, sig_name, fi
     assert not report.truncated
     assert len(typed) == len(set(typed))
     assert {t for t in graph.nodes.values() if not isinstance(t, Const)} <= set(typed)
+
+
+# h has two rules that disagree, and loop steps to itself
+FORKING_SIG = "h : N -> N\nrule h(a) = a + 1\nrule h(a) = a * 2\n"
+LOOPING_SIG = "loop : N -> N\nrule loop(a) = loop(a)\n"
+
+
+# (signature, term, (normal forms, terminating, unique, locally confluent))
+FORKS_AND_LOOPS = [
+    (FORKING_SIG, "h 0", (("0", "1"), True, False, False)),
+    (FORKING_SIG, "h 1", (("2",), True, True, True)),
+    (LOOPING_SIG, "loop 1", ((), False, False, True)),
+    (FORKING_SIG + LOOPING_SIG, "h (loop 0)", ((), False, False, False)),
+]
+
+
+@pytest.mark.parametrize("sig_text, text, flags", FORKS_AND_LOOPS)
+def test_reduce_reports_forks_and_loops_like_the_oracle(sig_text, text, flags, tmp_path):
+    path = tmp_path / "rules.sig"
+    path.write_text(sig_text, encoding="utf-8")
+    sig = parse_signature(sig_text)
+    _, want = rebuilding_reduction_graph(parse_term(text, sig), sig)
+    assert (want.normal_forms, want.terminating, want.unique_nf, want.locally_confluent_on_graph) == flags
+    out = io.StringIO()
+    assert run(["reduce", text, "--sig", str(path)], out=out) == 0
+    assert out.getvalue() == want.summary() + "\n"
+
+
+def _random_rule_term(rng, depth):
+    """A term over numerals, ``+``, the forking ``h``, the looping ``loop``
+    and a redex that copies its argument."""
+    pick = rng.randrange(6 if depth else 1)
+    if pick == 0:
+        return str(rng.randrange(2))
+    a, b = (_random_rule_term(rng, depth - 1) for _ in range(2))
+    return (f"h ({a})", f"h ({a})", f"({a}) + ({b})", f"(\\x:N. x + x) ({a})", f"loop ({a})")[pick - 1]
+
+
+def test_reduction_flags_match_the_oracle_on_seeded_terms():
+    """On terminating graphs local confluence is read off the normal forms
+    (Newman's lemma); the oracle checks every fork and finds cycles its own
+    way."""
+    # loop 0 may also stop at 0: a cycle beside one normal form
+    sig = parse_signature(FORKING_SIG + LOOPING_SIG + "rule loop(0) = 0\n")
+    rng = random.Random(35)
+    kinds = collections.Counter()
+    for _ in range(240):
+        term = parse_term(_random_rule_term(rng, 2), sig)
+        _, report = reduction_graph(term, sig)
+        _, want = rebuilding_reduction_graph(term, sig)
+        assert report == want, canonical_print(term)
+        kinds[(report.terminating, report.unique_nf)] += 1
+    # terminating or cyclic, with one normal form or not
+    assert min(kinds[flags] for flags in itertools.product((True, False), repeat=2)) >= 10, kinds
 
 
 def test_subject_reduction_violation_raises(fix, monkeypatch):
