@@ -682,49 +682,3 @@ def _set_square_failure(t: NatTransVal, h, alpha_c: FinSetMap, alpha_d: FinSetMa
         return (h, *differ)
     return (h, FinSetMap(alpha_c.dom, gh.cod, lhs), FinSetMap(fh.dom, alpha_d.cod, rhs))
 
-
-def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
-    """Comma category of a table functor against an object of its target.
-
-    orientation "under": objects (A, phi: b -> f A); "over": (A, phi: f A -> b).
-    Each object is the pair ``(A, phi)`` itself and each morphism the triple
-    ``(u, source, target)`` of a morphism u of f's source and the two
-    objects.  Returns ``(cat, forget)``: the category and the forgetful
-    functor to f's source.
-    """
-    if f.target is FINSET:
-        raise BoundaryError("comma against an object needs a table-valued functor")
-    if orientation not in ("under", "over"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    src, tgt = f.source, f.target
-    if not tgt.has_object(b):
-        raise MalformedTableError(f"unknown object {b!r} in target category")
-    objects = []
-    for a in src.objects:
-        homs = tgt.hom(b, f.object_map[a]) if orientation == "under" else tgt.hom(f.object_map[a], b)
-        objects += [(a, phi) for phi in homs]
-    morphisms = {}
-    identity = {}
-    for o1 in objects:
-        a1, phi1 = o1
-        for o2 in objects:
-            a2, phi2 = o2
-            for u in src.hom(a1, a2):
-                fu = f.morphism_map[u]
-                if orientation == "under":
-                    ok = tgt.compose[(fu, phi1)] == phi2
-                else:
-                    ok = tgt.compose[(phi2, fu)] == phi1
-                if ok:
-                    morphisms[(u, o1, o2)] = (o1, o2)
-                    if u == src.id_of(a1):
-                        identity[o1] = (u, o1, o1)
-    compose = {
-        (m2, m1): (src.compose[(m2[0], m1[0])], m1[1], m2[2])
-        for m2 in morphisms
-        for m1 in morphisms
-        if m1[2] == m2[1]
-    }
-    cat = FinCat(tuple(sorted(objects)), morphisms, identity, compose)
-    forget = FunctorVal(cat, src, {o: o[0] for o in objects}, {m: m[0] for m in morphisms})
-    return cat, forget

@@ -13,12 +13,12 @@ component lies).
 The limit and colimit kernels, :func:`presented_limit` and
 :func:`presented_colimit`, take a diagram as a presentation: its sorted
 objects, the value set of each, and edges ``(j, map, j2)`` whose maps
-generate the diagram's.  :func:`limit_finset` and :func:`colimit_finset`
-present a functor by its shape's ``generators``, and the transformation
-kernel takes the squares of the generators only.  Generators decide every
-morphism for functors (a square that commutes along f and g commutes along
-g . f), so these diagrams must be functors, as the commands'
-``require_functor`` gates ensure.
+generate the diagram's (``kan`` presents each comma diagram along the lifts
+of its source's generators).  The transformation kernel takes the squares
+of the shape's ``generators`` only.  Generators decide every morphism for
+functors (a square that commutes along f and g commutes along g . f), so
+these diagrams must be functors, as the commands' ``require_functor`` gates
+ensure.
 """
 
 from __future__ import annotations
@@ -337,28 +337,6 @@ def presented_colimit(objects, values, edges):
         j: FinSetMap(values[j], carrier, (rep[(j, x)] for x in values[j])) for j in objects
     }
     return carrier, injections
-
-
-def _generator_edges(d) -> list:
-    """The edges of a functor ``d`` along its source's generators."""
-    shape = d.source
-    return [(shape.dom(f), d.morphism_map[f], shape.cod(f)) for f in shape.generators]
-
-
-def limit_finset(d, cap: int = DEFAULT_ENUM_CAP):
-    """:func:`presented_limit` of a functor ``d`` presented along its
-    source's generators, which decide compatibility for a functor."""
-    if d.target is not FINSET:
-        raise ValueError("limit_finset needs a finite-set valued diagram")
-    return presented_limit(sorted(d.source.objects), d.object_map, _generator_edges(d), cap)
-
-
-def colimit_finset(d):
-    """:func:`presented_colimit` of a functor ``d`` presented along its
-    source's generators, whose maps generate the relation for a functor."""
-    if d.target is not FINSET:
-        raise ValueError("colimit_finset needs a finite-set valued diagram")
-    return presented_colimit(sorted(d.source.objects), d.object_map, _generator_edges(d))
 
 
 def nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:

@@ -1256,10 +1256,10 @@ def curry_howard_translate(
     hypotheses, if any, are appended after ``from``.
     """
     letters = _assign_letters([ty for _, ty in ctx] + [goal])
-    goal_text = _prop_text(goal, letters, top=True)
+    goal_text = _prop(goal, letters, 0, True)
     if not ctx:
         return goal_text
-    hyps = ", ".join(_prop_text(ty, letters, top=False) for _, ty in ctx)
+    hyps = ", ".join(_prop(ty, letters, 0, False) for _, ty in ctx)
     return f"{goal_text} from {hyps}"
 
 
@@ -1290,10 +1290,6 @@ def _assign_letters(types: Sequence[Ty]) -> dict[str, str]:
     for ty in types:
         scan(ty)
     return letters
-
-
-def _prop_text(ty: Ty, letters: Mapping[str, str], top: bool) -> str:
-    return _prop(ty, letters, 0, top)
 
 
 def _prop(ty: Ty, letters: Mapping[str, str], level: int, spaced: bool) -> str:

@@ -5,8 +5,9 @@ their flat tuples of values (``nattrans_values``, laid out by
 ``nattrans_slices``).  The helpers here make such tuples into
 ``NatTransVal``s, lift the seed map of a ``SeededContext`` to its
 transformation and read it back, list the one-step reducts of a
-term, draw random cover relations, and print a diagram back to its source
-text.  Unlike ``oracles``, they reuse the
+term, draw random cover relations, present a set-valued functor along its
+generators to the limit and colimit kernels, and print a diagram back to
+its source text.  Unlike ``oracles``, they reuse the
 library's search: they only change how its answers are presented.
 ``lawful`` sorts test subjects into the functors that the kernels take and
 the tables that the commands' gates refuse.
@@ -88,6 +89,15 @@ def enumerate_nattrans_finset(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
     order; equal components are one shared FinSetMap."""
     shared = {}
     return [nattrans_from_values(f, g, values, shared) for values in nattrans_values(f, g, cap)]
+
+
+def presentation(functor) -> tuple:
+    """``functor`` presented to ``presented_limit`` and ``presented_colimit``:
+    its sorted objects, its object map and one edge ``(j, map, j2)`` per
+    generator of its source, which decide the (co)limit of a functor."""
+    shape = functor.source
+    edges = [(shape.dom(f), functor.morphism_map[f], shape.cod(f)) for f in shape.generators]
+    return sorted(shape.objects), functor.object_map, edges
 
 
 def transform_from_seed(ctx) -> NatTransVal:

@@ -33,11 +33,12 @@ force, kept to pin the exact output of the faster code that replaced them:
   the pointwise one also checks every element's naturality squares, where
   the library looks its flat tuple up in the enumerated set;
 * ``all_morphism_nattrans_values``, ``all_morphism_limit`` and
-  ``all_morphism_colimit`` are ``nattrans_values``, ``limit_finset`` and
-  ``colimit_finset`` as they took the law of every morphism (the first two
-  share ``_solve`` with the library), where the library takes a generating
-  set of morphisms, ``FinCat.generators``, whose reference is the naive
-  closure ``brute_generators``; the rebuilding Yoneda checks and
+  ``all_morphism_colimit`` are ``nattrans_values`` and the limit and
+  colimit of a functor as they took the law of every morphism (the first
+  two share ``_solve`` with the library), where the library takes a
+  generating set of morphisms, ``FinCat.generators`` (the tests present a
+  functor along them with ``helpers.presentation``), whose reference is
+  the naive closure ``brute_generators``; the rebuilding Yoneda checks and
   ``materialised_kan_adjointness`` enumerate with
   ``all_morphism_nattrans``, so they do not check the kernel with itself;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
@@ -60,7 +61,8 @@ force, kept to pin the exact output of the faster code that replaced them:
   hom-functors and Kan extensions built for it alone, by the public
   hom-functor builders and by ``comma_kan_extensions``;
 * ``comma_kan_extensions`` is ``kan_extensions`` as it built both comma
-  categories at every target object as tables and took the limit or
+  categories at every target object as tables (``comma_under_object``)
+  and took the limit or
   colimit of the functor over each along every comma morphism, where the
   library presents each comma diagram along the lifts of the source's
   generators and builds no comma category;
@@ -107,6 +109,7 @@ from fincat.adjunction import (
 )
 from fincat.core import (
     FINSET,
+    BoundaryError,
     CheckReport,
     CycleError,
     FinCat,
@@ -115,7 +118,6 @@ from fincat.core import (
     MalformedTableError,
     NatTransVal,
     Obligation,
-    comma_under_object,
     compose_functors,
     preorder_from_covers,
     require_category,
@@ -590,8 +592,8 @@ def all_morphism_nattrans(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
 
 
 def all_morphism_limit(d, cap: int = DEFAULT_ENUM_CAP):
-    """``limit_finset`` with one constraint per morphism, where the library
-    takes the generators only."""
+    """The limit of a functor with one constraint per morphism, where the
+    library takes the generators only."""
     shape = d.source
     objs = sorted(shape.objects)
     constraints = [(j, d.morphism_map[f], j2) for f, (j, j2) in shape.morphisms.items()]
@@ -604,8 +606,8 @@ def all_morphism_limit(d, cap: int = DEFAULT_ENUM_CAP):
 
 
 def all_morphism_colimit(d):
-    """``colimit_finset`` relating (j, x) to (j2, F(f)(x)) for every morphism
-    f : j -> j2, where the library takes the generators only."""
+    """The colimit of a functor, relating (j, x) to (j2, F(f)(x)) for every
+    morphism f : j -> j2, where the library takes the generators only."""
     shape = d.source
     tagged = [(j, x) for j in sorted(shape.objects) for x in d.object_map[j]]
     parent = {t: t for t in tagged}
@@ -1261,6 +1263,53 @@ def rebuilding_kan_command(along, functor, cap: int, out) -> int:
 # ---------------------------------------------------------------------------
 # Kan extensions over comma categories built as tables
 # ---------------------------------------------------------------------------
+
+
+def comma_under_object(b, f: FunctorVal, orientation: str = "under"):
+    """Comma category of a table functor against an object of its target.
+
+    orientation "under": objects (A, phi: b -> f A); "over": (A, phi: f A -> b).
+    Each object is the pair ``(A, phi)`` itself and each morphism the triple
+    ``(u, source, target)`` of a morphism u of f's source and the two
+    objects.  Returns ``(cat, forget)``: the category and the forgetful
+    functor to f's source.
+    """
+    if f.target is FINSET:
+        raise BoundaryError("comma against an object needs a table-valued functor")
+    if orientation not in ("under", "over"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    src, tgt = f.source, f.target
+    if not tgt.has_object(b):
+        raise MalformedTableError(f"unknown object {b!r} in target category")
+    objects = []
+    for a in src.objects:
+        homs = tgt.hom(b, f.object_map[a]) if orientation == "under" else tgt.hom(f.object_map[a], b)
+        objects += [(a, phi) for phi in homs]
+    morphisms = {}
+    identity = {}
+    for o1 in objects:
+        a1, phi1 = o1
+        for o2 in objects:
+            a2, phi2 = o2
+            for u in src.hom(a1, a2):
+                fu = f.morphism_map[u]
+                if orientation == "under":
+                    ok = tgt.compose[(fu, phi1)] == phi2
+                else:
+                    ok = tgt.compose[(phi2, fu)] == phi1
+                if ok:
+                    morphisms[(u, o1, o2)] = (o1, o2)
+                    if u == src.id_of(a1):
+                        identity[o1] = (u, o1, o1)
+    compose = {
+        (m2, m1): (src.compose[(m2[0], m1[0])], m1[1], m2[2])
+        for m2 in morphisms
+        for m1 in morphisms
+        if m1[2] == m2[1]
+    }
+    cat = FinCat(tuple(sorted(objects)), morphisms, identity, compose)
+    forget = FunctorVal(cat, src, {o: o[0] for o in objects}, {m: m[0] for m in morphisms})
+    return cat, forget
 
 
 def comma_kan_extensions(along, functor, cap: int = DEFAULT_ENUM_CAP) -> tuple:

@@ -716,16 +716,16 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
 
 
 def test_kan_command_builds_each_extension_once(fix, monkeypatch):
-    """No comma category, one limit and one colimit per target object over
-    its comma presentation, one category check each of the source and
-    target tables, one functor check each of the two inputs and none of the
-    extensions, and each public step called once by the command itself."""
+    """One limit and one colimit per target object over its comma
+    presentation, one category check each of the source and target tables,
+    one functor check each of the two inputs and none of the extensions,
+    and each public step called once by the command itself."""
     calls = collections.Counter()
     kernels = ("presented_limit", "presented_colimit")
     public = ("kan_extensions", "check_kan_adjointness", "counit_inclusion_check")
     counted_names = [(adjunction, n) for n in kernels] + [(cli, n) for n in public]
     laws = [(core, "validate_category"), (core, "validate_functor")]
-    for module, name in counted_names + laws + [(core, "comma_under_object")]:
+    for module, name in counted_names + laws:
         def counted(*args, _build=getattr(module, name), _name=name, **kwargs):
             calls[_name] += 1
             return _build(*args, **kwargs)
@@ -734,7 +734,6 @@ def test_kan_command_builds_each_extension_once(fix, monkeypatch):
     code, _text = _command("kan", fix("incl_a4_b6.fun"), fix("h_on_a.fun"))
     assert code == cli.EXIT_OK
     targets = len(load_functor(fix("incl_a4_b6.fun")).target.objects)
-    assert calls["comma_under_object"] == 0
     assert calls == {
         "presented_limit": targets,
         "presented_colimit": targets,

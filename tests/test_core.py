@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import enumerate_nattrans_finset
-from oracles import composed_square_failures, elementwise_respects_composition
+from oracles import comma_under_object, composed_square_failures, elementwise_respects_composition
 
 import fincat
 from fincat.core import (
@@ -21,7 +21,6 @@ from fincat.core import (
     MalformedTableError,
     NatTransVal,
     Obligation,
-    comma_under_object,
     compose_functors,
     identity_functor,
     opposite,

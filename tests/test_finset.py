@@ -17,7 +17,6 @@ from fincat.core import (
     FINSET,
     FinSetCat,
     FunctorVal,
-    comma_under_object,
     compose_functors,
     validate_functor,
 )
@@ -28,20 +27,21 @@ from fincat.finset import (
     FinSetMap,
     FinSetObj,
     check_encodable,
-    colimit_finset,
     compose_maps,
     decode_map,
     encode_map,
     enumerate_maps,
     identity_map,
-    limit_finset,
+    presented_colimit,
+    presented_limit,
 )
 from fincat.yoneda import hom_cov_functor
 
-from helpers import enumerate_nattrans_finset, lawful
+from helpers import enumerate_nattrans_finset, lawful, presentation
 from oracles import (
     all_morphism_limit,
     all_morphism_nattrans,
+    comma_under_object,
     map_from_table,
     nattrans_key,
     nattrans_table_key,
@@ -204,7 +204,7 @@ def _empty_category():
 
 def test_limit_of_empty_diagram_is_a_point():
     empty = FunctorVal(_empty_category(), FINSET, {}, {})
-    carrier, projections = limit_finset(empty)
+    carrier, projections = presented_limit(*presentation(empty))
     assert list(carrier) == [()]
     assert projections == {}
 
@@ -239,7 +239,7 @@ def test_limit_matches_brute_force_families(set_diagrams):
         elements = [tuple(fam[j] for j in objs) for fam in families]
         limits = [all_morphism_limit(d)]
         if lawful(d):
-            limits.append(limit_finset(d))
+            limits.append(presented_limit(*presentation(d)))
         else:
             broken += 1
         for carrier, projections in limits:
@@ -252,7 +252,7 @@ def test_limit_matches_brute_force_families(set_diagrams):
 
 
 def test_colimit_matches_union_find_quotient(h_on_a):
-    carrier, injections = colimit_finset(h_on_a)
+    carrier, injections = presented_colimit(*presentation(h_on_a))
     cat = h_on_a.source
     tagged = [(x, a) for x in sorted(cat.objects) for a in h_on_a.object_map[x]]
     parent = {t: t for t in tagged}
@@ -292,9 +292,9 @@ def test_colimit_of_disjoint_values_is_a_sum():
         {"l": FinSetObj("ab"), "r": FinSetObj("cd")},
         {"id_l": identity_map(FinSetObj("ab")), "id_r": identity_map(FinSetObj("cd"))},
     )
-    carrier, _ = colimit_finset(d)
+    carrier, _ = presented_colimit(*presentation(d))
     assert len(carrier) == 4
-    product, _ = limit_finset(d)
+    product, _ = presented_limit(*presentation(d))
     assert len(product) == 4  # binary product of two 2-element sets
 
 
@@ -348,7 +348,10 @@ def test_enumerators_cap_boundary(f_kite):
     objs = sorted(f_kite.source.objects)
     cases = [
         (lambda cap: enumerate_maps(dom, cod, cap), _space([len(cod)] * len(dom))),
-        (lambda cap: limit_finset(f_kite, cap), _space(len(f_kite.object_map[c]) for c in objs)),
+        (
+            lambda cap: presented_limit(*presentation(f_kite), cap),
+            _space(len(f_kite.object_map[c]) for c in objs),
+        ),
         (
             lambda cap: enumerate_nattrans_finset(f_kite, f_kite, cap),
             _space(len(f_kite.object_map[c]) for c in objs for _a in f_kite.object_map[c]),

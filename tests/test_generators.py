@@ -17,7 +17,6 @@ from fincat.core import (
     FinCat,
     FunctorVal,
     Obligation,
-    comma_under_object,
     compose_functors,
     identity_functor,
     preorder_from_covers,
@@ -25,15 +24,22 @@ from fincat.core import (
     require_functor,
 )
 from fincat.files import AdjParts, load_adjunction_parts, load_category
-from fincat.finset import FinSetMap, FinSetObj, colimit_finset, limit_finset, nattrans_values
+from fincat.finset import (
+    FinSetMap,
+    FinSetObj,
+    nattrans_values,
+    presented_colimit,
+    presented_limit,
+)
 from fincat.yoneda import hom_cov_functor
 
-from helpers import random_covers
+from helpers import presentation, random_covers
 from oracles import (
     all_morphism_colimit,
     all_morphism_limit,
     all_morphism_nattrans_values,
     brute_generators,
+    comma_under_object,
     composed_square_failures,
     fixpoint_closure,
 )
@@ -222,8 +228,8 @@ def test_kernels_match_the_references_over_every_morphism(fix, incl_a4_b6):
         for family in _functor_families(rng, fix, incl_a4_b6):
             for f in family:
                 require_functor(f)
-                assert limit_finset(f) == all_morphism_limit(f)
-                assert colimit_finset(f) == all_morphism_colimit(f)
+                assert presented_limit(*presentation(f)) == all_morphism_limit(f)
+                assert presented_colimit(*presentation(f)) == all_morphism_colimit(f)
                 for g in family:
                     found = nattrans_values(f, g)
                     assert found == all_morphism_nattrans_values(f, g)
