@@ -355,36 +355,34 @@ def adjunction_from_universal_arrows(
                 f"arrow {arrow!r} for {a!r} is not a morphism {want[0]} -> {want[1]}"
             )
 
-    def solutions(a: str, b: str, g: str) -> list:
-        chosen, arrow = anchors[a]
-        return [
-            u
-            for u in oth.hom(chosen, b)
-            if src.comp(right.morphism_map[u], arrow) == g
-        ]
-
+    # solved[(a, b)][g]: each u : chosen(a) -> b with R(u) . arrow(a) = g
+    solved = {}
     for a in sorted(anchors):
+        chosen, arrow = anchors[a]
         for b in sorted(oth.objects):
-            for g in src.hom(a, right.object_map[b]):
-                sols = solutions(a, b, g)
+            found = {g: [] for g in src.hom(a, right.object_map[b])}
+            for u in oth.hom(chosen, b):
+                found[src.comp(right.morphism_map[u], arrow)].append(u)
+            for g, sols in found.items():
                 if len(sols) != 1:
                     raise AdjunctionError(
                         f"arrow for {a!r} is not universal: "
                         f"{len(sols)} solutions for target {b!r} and morphism {g!r}"
                     )
+            solved[(a, b)] = found
 
     object_map = {a: anchors[a][0] for a in src.objects}
-    morphism_map = {}
-    for f, (a2, a) in src.morphisms.items():
-        g = src.comp(anchors[a][1], f)
-        morphism_map[f] = solutions(a2, object_map[a], g)[0]
+    morphism_map = {
+        f: solved[(a2, object_map[a])][src.comp(anchors[a][1], f)][0]
+        for f, (a2, a) in src.morphisms.items()
+    }
     left = FunctorVal(src, oth, object_map, morphism_map)
 
     unit_components = {a: anchors[a][1] for a in src.objects}
     counit_components = {}
     for b in oth.objects:
         rb = right.object_map[b]
-        counit_components[b] = solutions(rb, b, src.id_of(rb))[0]
+        counit_components[b] = solved[(rb, b)][src.id_of(rb)][0]
 
     return _package(left, right, unit_components, counit_components)
 

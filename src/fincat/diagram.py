@@ -52,6 +52,7 @@ from .finset import (
     DEFAULT_ENUM_CAP,
     FINSET,
     CapExceededError,
+    EncodingError,
     FinSetMap,
     decode_map,
     encode_map,
@@ -699,7 +700,7 @@ def _resolve_morphism(cat, element, raw: str, binds: Mapping, flip: bool):
             )
         try:
             return decode_map(raw, binds[ends[0]], binds[ends[1]])
-        except Exception as exc:
+        except (ValueError, EncodingError) as exc:
             raise DiagramError(f"bind {element.id!r}: {exc}") from None
     if raw not in cat.morphisms:
         raise DiagramError(f"bind {element.id!r}: unknown morphism {raw!r}")
@@ -793,22 +794,14 @@ def _noncommute_keys(ast: DiagramAst) -> frozenset:
 def _commute_plan(ast: DiagramAst, layer_id: str) -> tuple:
     """The parallel path pairs of one layer that must commute, in report order.
 
-    Returns ``(links, pairs)`` over the paths of ``_layer_paths`` (bij arrows
-    walked both ways).  ``links[k]`` is ``(prefix, arrow id, direction)``:
-    path k is its prefix path, -1 for none, followed by one step; the walk
-    lists every prefix before its extensions.  ``pairs`` holds ``(p, q, arrow
-    ids used by p or q, text of p, text of q)`` for every pair of parallel
-    paths p before q that no noncommute declaration exempts, grouped by
-    sorted (start, end).
+    Returns ``(steps of p, steps of q, arrow ids used by p or q, text of p,
+    text of q)`` for every pair of parallel paths p before q of
+    ``_layer_paths`` (bij arrows walked both ways) that no noncommute
+    declaration exempts, grouped by sorted (start, end).
     """
-    paths = _layer_paths(ast, layer_id, include_bij=True)
-    index = {(start, steps): k for k, (start, _end, steps) in enumerate(paths)}
-    links = tuple(
-        (index.get((start, steps[:-1]), -1),) + steps[-1] for start, _end, steps in paths
-    )
     by_ends: dict[tuple, list] = {}
-    for k, (start, end, steps) in enumerate(paths):
-        by_ends.setdefault((start, end), []).append((k, tuple(a for a, _ in steps)))
+    for start, end, steps in _layer_paths(ast, layer_id, include_bij=True):
+        by_ends.setdefault((start, end), []).append((steps, tuple(a for a, _ in steps)))
     exempt = _noncommute_keys(ast)
     pairs = []
     for _ends, group in sorted(by_ends.items()):
@@ -816,53 +809,37 @@ def _commute_plan(ast: DiagramAst, layer_id: str) -> tuple:
             for q, q_ids in group[i + 1 :]:
                 if frozenset((p_ids, q_ids)) in exempt:
                     continue
-                used = frozenset(p_ids + q_ids)
-                pairs.append((p, q, used, ".".join(p_ids), ".".join(q_ids)))
-    return links, tuple(pairs)
+                pairs.append((p, q, frozenset(p_ids + q_ids), ".".join(p_ids), ".".join(q_ids)))
+    return tuple(pairs)
 
 
-def _check_plan(ast: DiagramAst, new_elements: Optional[tuple] = None) -> tuple:
-    """The obligations of the everything-commutes check, in report order,
-    restricted to those that involve ``new_elements`` (every element when
-    None).  Returns ``(required, typing, layers, bijections, mapstos)``: the
-    elements that must be assigned; ``(arrow id, layer, src, dst, is bij)``
-    per arrow to type; ``(layer id, cycle, links, pairs)`` per layer, with
-    the ``_commute_plan`` links and the pairs whose arrows meet the new
-    elements (no plan for a layer with a cycle); ``(arrow id, layer, src,
-    dst)`` per bijection; and the mapsto arrows.
-
-    A candidate of stage k extends an assignment under which stage k-1
-    passed.  Stage k-1's diagram is stage k's minus the new elements, and a
-    pair of paths that avoids them is a pair there, exempted by the same
-    ``noncommute`` declarations.  So every obligation on older elements
-    holds already, with the same values, and cannot fail or raise.
+def _check_plan(ast: DiagramAst) -> tuple:
+    """The obligations of the everything-commutes check, in report order.
+    Returns ``(required, typing, layers, bijections, mapstos)``: the elements
+    that must be assigned; ``(arrow id, layer, src, dst, is bij)`` per arrow
+    to type; ``(layer id, cycle, pairs)`` per layer, with the pairs of
+    ``_commute_plan`` (none for a layer with a cycle); ``(arrow id, layer,
+    src, dst)`` per bijection; and the mapsto arrows.
     """
     nodes, arrows, functors = ast.nodes(), ast.arrows(), ast.functors()
-    new = frozenset(ast.elements() if new_elements is None else new_elements)
     required = tuple(
         e.id
         for e in ast.elements().values()
-        if e.id in new and not (isinstance(e, Arrow) and (e.kind == "mapsto" or e.src in functors))
+        if not (isinstance(e, Arrow) and (e.kind == "mapsto" or e.src in functors))
     )
     typing = tuple(
         (a.id, nodes[a.src].layer, a.src, a.dst, a.kind == "bij")
         for a in arrows.values()
-        if a.id in new and a.kind != "mapsto" and a.src not in functors
+        if a.kind != "mapsto" and a.src not in functors
     )
     layers = []
     for layer_id in ast.layers():
         cycle = _hom_cycle(ast, layer_id)
-        if cycle:
-            layers.append((layer_id, cycle, (), ()))
-            continue
-        links, pairs = _commute_plan(ast, layer_id)
-        layers.append((layer_id, None, links, tuple(p for p in pairs if not new.isdisjoint(p[2]))))
+        layers.append((layer_id, cycle, () if cycle else _commute_plan(ast, layer_id)))
     bijections = tuple(
-        (a.id, nodes[a.src].layer, a.src, a.dst)
-        for a in arrows.values()
-        if a.kind == "bij" and a.id in new
+        (a.id, nodes[a.src].layer, a.src, a.dst) for a in arrows.values() if a.kind == "bij"
     )
-    mapstos = tuple(a for a in arrows.values() if a.kind == "mapsto" and a.id in new)
+    mapstos = tuple(a for a in arrows.values() if a.kind == "mapsto")
     return required, typing, tuple(layers), bijections, mapstos
 
 
@@ -886,25 +863,26 @@ def check_commutativity(ast: DiagramAst, model: Model, assignment: Mapping) -> C
 
 def _stage_plans(stages: Sequence[Stage], model: Model) -> list:
     """``(implied, checks)`` for each of ``stages``, all above 0: ``checks``
-    is the ``_check_plan`` of the stage's new elements, and ``implied`` says
-    that every candidate passes it.
+    is the ``_check_plan`` of the stage diagram, and ``implied`` says that
+    every candidate passes it.
 
     That holds when the plan has no bijection, no mapsto equation and no
     cyclic layer, and every layer with pairs to compare is bound to a thin
-    table.  Each new arrow was enumerated from its hom-set, so its typing
-    holds; the table is a category (see ``Model``), so every path has a
-    composite in hom(start, end); and that hom-set has one element, so
+    table.  A candidate extends an assignment under which the stage before
+    passed, and each new arrow was enumerated from its hom-set, so every
+    typing holds; the table is a category (see ``Model``), so every path has
+    a composite in hom(start, end); and that hom-set has one element, so
     parallel paths agree.
     """
     plans = []
     for stage in stages:
-        checks = _check_plan(stage.diagram, stage.new_elements)
+        checks = _check_plan(stage.diagram)
         _required, _typing, layers, bijections, mapstos = checks
-        compared = (model.layers[layer_id] for layer_id, _cycle, _links, pairs in layers if pairs)
+        compared = (model.layers[layer_id] for layer_id, _cycle, pairs in layers if pairs)
         implied = (
             not bijections
             and not mapstos
-            and all(cycle is None for _layer_id, cycle, _links, _pairs in layers)
+            and all(cycle is None for _layer_id, cycle, _pairs in layers)
             and all(cat is not FINSET and is_thin(cat) for cat in compared)
         )
         plans.append((implied, checks))
@@ -913,10 +891,9 @@ def _stage_plans(stages: Sequence[Stage], model: Model) -> list:
 
 def _stage_commutes(stage: Stage, model: Model, assignment: Mapping, plan: tuple) -> bool:
     """``check_commutativity(stage.diagram, model, assignment).passed`` for a
-    candidate of a stage above 0, with the same errors raised: only the
-    obligations that involve the stage's new elements are checked, and none
-    when the stage's plan is implied (see ``_check_plan`` and
-    ``_stage_plans``).  ``plan`` is the stage's entry of ``_stage_plans``."""
+    candidate of a stage above 0, with the same errors raised, from the
+    stage's plan; nothing is checked when the plan is implied.  ``plan`` is
+    the stage's entry of ``_stage_plans``."""
     implied, checks = plan
     return implied or not _failures(stage.diagram, checks, model, assignment)
 
@@ -942,16 +919,14 @@ def _failures(ast: DiagramAst, plan: tuple, model: Model, assignment: Mapping) -
                 failed.setdefault("endpoint_typing", (arrow_id, _value_repr(value)))
                 mistyped.add(arrow_id)
 
-    for layer_id, cycle, links, pairs in layers:
+    for layer_id, cycle, pairs in layers:
         if cycle:
             raise DiagramError(f"layer {layer_id!r} has a cyclic hom graph: {cycle}")
         cat = model.layers[layer_id]
-        values: list = [None] * len(links)
         for p, q, used, p_text, q_text in pairs:
             if mistyped and not mistyped.isdisjoint(used):
                 continue
-            lhs = _path_value(cat, assignment, links, values, p)
-            rhs = _path_value(cat, assignment, links, values, q)
+            lhs, rhs = _path_value(cat, assignment, p), _path_value(cat, assignment, q)
             if lhs != rhs:
                 bad = (p_text, q_text, _value_repr(lhs), _value_repr(rhs))
                 failed[f"commutes[{layer_id}]"] = bad
@@ -976,28 +951,16 @@ def _failures(ast: DiagramAst, plan: tuple, model: Model, assignment: Mapping) -
     return failed
 
 
-def _path_value(cat, assignment: Mapping, links: tuple, values: list, k: int):
-    """Value of path k of a commutation plan (see ``_commute_plan``).
-
-    Values are kept in ``values`` (None until computed) and each is composed
-    from its prefix's, so every path of a call is composed once, one step
-    after its prefix.  The path's arrows are typed and the layer is a
-    category (see ``Model``), so each composite is in the table.
-    """
-    pending = []
-    while k >= 0 and values[k] is None:
-        pending.append(k)
-        k = links[k][0]
-    value = values[k] if k >= 0 else None
-    for j in reversed(pending):
-        _prefix, arrow_id, direction = links[j]
+def _path_value(cat, assignment: Mapping, steps: tuple):
+    """The composite of a path's steps (see ``_layer_paths``), first step
+    first.  The path's arrows are typed and the layer is a category (see
+    ``Model``), so each composite is in the table."""
+    value = None
+    for arrow_id, direction in steps:
         bound = assignment[arrow_id]
-        if isinstance(bound, tuple):
-            step_value = bound[0] if direction == "fwd" else bound[1]
-        else:
-            step_value = bound
-        value = step_value if value is None else cat.comp(step_value, value)
-        values[j] = value
+        if isinstance(bound, tuple):  # a bijection's (fwd, bwd)
+            bound = bound[0] if direction == "fwd" else bound[1]
+        value = bound if value is None else cat.comp(bound, value)
     return value
 
 

@@ -40,7 +40,7 @@ import os
 import re
 from typing import Mapping, Optional, Sequence, Union
 
-from .core import FINSET, FinCat, FunctorVal, NatTransVal, preorder_from_covers
+from .core import FINSET, FinCat, FinCatError, FunctorVal, NatTransVal, preorder_from_covers
 from .finset import (
     EncodingError,
     FinSetMap,
@@ -252,7 +252,7 @@ def load_category(path: str) -> FinCat:
             covers.append((m.group(1), m.group(2)))
         try:
             return preorder_from_covers(objects, covers)
-        except Exception as exc:
+        except FinCatError as exc:
             raise FixtureParseError(path, sections["preorder"][0], str(exc)) from None
 
     morphisms: dict[str, tuple[str, str]] = {}
@@ -359,7 +359,7 @@ def load_functor(path: str, memo: Optional[dict] = None) -> FunctorVal:
             cod = object_map[source.cod(key)]
             try:
                 morphism_map[key] = decode_map(value, dom, cod)
-            except Exception as exc:
+            except (ValueError, EncodingError) as exc:
                 raise FixtureParseError(path, lineno, str(exc)) from None
         else:
             morphism_map[key] = value
@@ -407,7 +407,7 @@ def load_nattrans(path: str, memo: Optional[dict] = None) -> NatTransVal:
         if finset_valued:
             try:
                 components[key] = decode_map(value, f.object_map[key], g.object_map[key])
-            except Exception as exc:
+            except (ValueError, EncodingError) as exc:
                 raise FixtureParseError(path, lineno, str(exc)) from None
         else:
             components[key] = value

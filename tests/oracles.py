@@ -43,6 +43,9 @@ force, kept to pin the exact output of the faster code that replaced them:
   ``all_morphism_nattrans``, so they do not check the kernel with itself;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
   naturality jointly, over every pair of morphisms (f, k) of both categories;
+* ``scanning_universal_arrows`` solves an adjunction from universal arrows
+  by scanning hom(chosen(a), b) anew for each g it needs solutions of,
+  where the library sorts that hom-set by g in one pass per (a, b);
 * ``elementwise_naturality_failures`` and ``elementwise_respects_composition``
   are the naturality and functor-composition checks that composed one table
   cell at a time, where the library compares one tuple per morphism (and,
@@ -103,6 +106,7 @@ import re
 from typing import Iterable, Sequence
 
 from fincat.adjunction import (
+    AdjunctionError,
     check_kan_adjointness,
     counit_inclusion_check,
     precompose_functor,
@@ -1480,7 +1484,8 @@ def composed_square_failures(t) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Adjunction naturality over every pair of morphisms
+# Adjunctions: naturality over every pair of morphisms, and universal arrows
+# solved by scanning
 # ---------------------------------------------------------------------------
 
 
@@ -1530,6 +1535,39 @@ def elementwise_naturality_failures(adj, table, p, q, p2, q2):
                 rhs = cod.comp(qk2, before[h])
                 if lhs != rhs:
                     yield (src.id_of(a), k, h, lhs, rhs)
+
+
+def scanning_universal_arrows(right, anchors) -> tuple:
+    """``adjunction_from_universal_arrows`` on the unit side, on well-typed
+    anchors, as it scanned hom(chosen(a), b) for the solutions of each g:
+    once per g to test universality, again per morphism for the left
+    adjoint and again per object for the counit.  Returns ``(left, counit
+    components)``, or raises the same ``AdjunctionError``."""
+    src, oth = right.target, right.source
+
+    def solutions(a, b, g):
+        chosen, arrow = anchors[a]
+        return [u for u in oth.hom(chosen, b) if src.comp(right.morphism_map[u], arrow) == g]
+
+    for a in sorted(anchors):
+        for b in sorted(oth.objects):
+            for g in src.hom(a, right.object_map[b]):
+                sols = solutions(a, b, g)
+                if len(sols) != 1:
+                    raise AdjunctionError(
+                        f"arrow for {a!r} is not universal: "
+                        f"{len(sols)} solutions for target {b!r} and morphism {g!r}"
+                    )
+    object_map = {a: anchors[a][0] for a in src.objects}
+    morphism_map = {
+        f: solutions(a2, object_map[a], src.comp(anchors[a][1], f))[0]
+        for f, (a2, a) in src.morphisms.items()
+    }
+    counit = {}
+    for b in oth.objects:
+        rb = right.object_map[b]
+        counit[b] = solutions(rb, b, src.id_of(rb))[0]
+    return FunctorVal(src, oth, object_map, morphism_map), counit
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from oracles import (
     elementwise_naturality_failures,
     materialised_kan_adjointness,
     rebuilding_kan_command,
+    scanning_universal_arrows,
 )
 from test_yoneda import _seeded_forest_functor
 
@@ -229,6 +230,86 @@ def _non_preorder_adjunctions(fix, galois):
         assemble_adjunction(load_adjunction_parts(fix("monoid_bad_counit.adj"))),
         adjunction_from_universal_arrows(right, anchors),
     ]
+
+
+def _chain(n, prefix):
+    objects = [f"{prefix}{i}" for i in range(n)]
+    return preorder_from_covers(objects, list(zip(objects, objects[1:])))
+
+
+def _monotone_right(rng, big, small):
+    """A seeded monotone map from chain ``big`` to chain ``small`` that
+    sends the top to the top, as a functor."""
+    ranks = sorted(rng.randrange(len(small.objects)) for _ in big.objects[:-1])
+    object_map = dict(zip(big.objects, [small.objects[r] for r in ranks] + [small.objects[-1]]))
+    morphism_map = {
+        f: small.hom(object_map[x], object_map[y])[0] for f, (x, y) in big.morphisms.items()
+    }
+    return FunctorVal(big, small, object_map, morphism_map)
+
+
+def _seeded_anchors(rng, right):
+    """One arrow a -> R(chosen) per object a, with chosen drawn among the
+    objects that have one; half the time the least of them, whose arrow is
+    universal on a chain."""
+    anchors = {}
+    for a in right.target.objects:
+        reach = [b for b in right.source.objects if right.target.hom(a, right.object_map[b])]
+        chosen = reach[0] if rng.random() < 0.5 else rng.choice(reach)
+        anchors[a] = (chosen, right.target.hom(a, right.object_map[chosen])[0])
+    return anchors
+
+
+def _solved_or_error(solve, right, anchors):
+    try:
+        return solve(right, anchors)
+    except AdjunctionError as exc:
+        return str(exc)
+
+
+def test_universal_arrows_solve_as_the_scan_does(fix):
+    """On seeded monotone maps between chains, Galois pairs when each arrow
+    is the least, the solved left adjoint and counit, or the error, are the
+    scan's.  So they are on the product with the idempotent monoid: with the
+    identity on the monoid, hom-sets have two elements and solutions stay
+    unique; with the projection, which is not faithful, every solution is
+    found twice."""
+    monoid = load_category(fix("monoid_e.fincat"))
+    ident = identity_functor(monoid)
+    rng = random.Random(37)
+    outcomes = collections.Counter()
+    for _ in range(60):
+        n = rng.randrange(1, 6)
+        big = _chain(n, "g")
+        small = _chain(rng.randrange(1, n + 1), "s")
+        right = _monotone_right(rng, big, small)
+        anchors = _seeded_anchors(rng, right)
+        big_m, small_m = _product(big, monoid), _product(small, monoid)
+        timesm = _product_functor(right, ident, big_m, small_m)
+        projected = FunctorVal(
+            big_m,
+            small,
+            {_pair(x, "*"): right.object_map[x] for x in big.objects},
+            {_pair(f, m): right.morphism_map[f] for f in big.morphisms for m in monoid.morphisms},
+        )
+        cases = [
+            (right, anchors),
+            (timesm, {
+                _pair(a, "*"): (_pair(chosen, "*"), _pair(arrow, "id_*"))
+                for a, (chosen, arrow) in anchors.items()
+            }),
+            (projected, {a: (_pair(chosen, "*"), arrow) for a, (chosen, arrow) in anchors.items()}),
+        ]
+        for functor, arrows in cases:
+            want = _solved_or_error(scanning_universal_arrows, functor, arrows)
+            got = _solved_or_error(adjunction_from_universal_arrows, functor, arrows)
+            if isinstance(got, str):
+                assert got == want
+                outcomes[got.split(": ")[1].split(" solutions")[0]] += 1
+            else:
+                assert (got.left, dict(got.counit.components)) == want
+                outcomes["solved"] += 1
+    assert set(outcomes) == {"0", "2", "solved"}, outcomes
 
 
 def _single_entry_corruptions(adj):

@@ -234,6 +234,56 @@ def test_a_subject_reduction_violation_is_an_internal_error(fix, monkeypatch):
     assert text.count("\n") == 1
 
 
+def _fault_argv(fix, tmp_path, command):
+    """Arguments for ``command`` whose run passes, and reaches the wrapped
+    call once its inputs parse."""
+    if command == "check-nt":
+        # a functor on a discrete category maps no morphism, so only the
+        # components decode maps
+        fun = tmp_path / "points.fun"
+        fun.write_text(
+            f"source: {fix('disc2.fincat')}\ntarget: finset\nobjects:\n  0 |-> {{a}}\n  1 |-> {{b}}\n"
+        )
+        nt = tmp_path / "points.nt"
+        nt.write_text(
+            f"source: {fun}\ntarget: {fun}\ncomponents:\n  0 |-> {{a->a}}\n  1 |-> {{b->b}}\n"
+        )
+        return [command, str(nt)]
+    if command == "eval":
+        diagram = tmp_path / "parallel.diag"
+        diagram.write_text('layer S in Set\nnode X : S "X"\nnode Y : S "Y"\narrow f : X -> Y "f"\n')
+        model = tmp_path / "parallel.model"
+        model.write_text(
+            "layer S = finset\nbind X = {0, 1}\nbind Y = {a, b}\nbind f = {0->a, 1->b}\n"
+        )
+        return [command, str(diagram), "--model", str(model)]
+    return [command, fix("chain2.fincat" if command == "check-cat" else "f_kite.fun")]
+
+
+@pytest.mark.parametrize(
+    "module, name, command",
+    [
+        ("files", "preorder_from_covers", "check-cat"),
+        ("files", "decode_map", "check-fun"),
+        ("files", "decode_map", "check-nt"),
+        ("diagram", "decode_map", "eval"),
+    ],
+)
+def test_a_fault_inside_a_parse_is_an_internal_error(
+    fix, tmp_path, monkeypatch, module, name, command
+):
+    """The readers turn only the errors the wrapped call raises for bad input
+    into parse or check errors; any other exception is a fault."""
+    argv = _fault_argv(fix, tmp_path, command)
+    assert _run(*argv)[0] == EXIT_OK
+
+    def fault(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(getattr(fincat, module), name, fault)
+    assert _run(*argv) == (EXIT_INTERNAL, "internal error: RuntimeError: boom\n")
+
+
 def test_a_broken_pipe_is_not_an_internal_error(fix, monkeypatch):
     def closed(cfg, out, loads):
         raise BrokenPipeError()
@@ -849,6 +899,23 @@ def test_context_of_a_cyclic_layer_does_not_depend_on_the_hash_seed(tmp_path):
     cyclic = tmp_path / "cyclic.diag"
     cyclic.write_text(CYCLIC_DIAG)
     assert _under_hash_seeds("context", str(cyclic)) == {(EXIT_OK, CYCLIC_CONTEXT)}
+
+
+def test_a_stage_arrow_closing_a_cycle_is_the_same_error_whatever_the_hash_seed(fix, tmp_path):
+    """w is quantified at stage 1 and closes the cycle B -> D -> B; every
+    other node is bound to 0 of chain2 and every other arrow to id_0."""
+    cyclic = tmp_path / "cyclic.diag"
+    cyclic.write_text(CYCLIC_DIAG)
+    model = tmp_path / "cyclic.model"
+    binds = [f"bind {n} = 0\n" for n in "ABCDE"]
+    binds += [f"bind {a} = id_0\n" for a in ("ab", "bd", "ac", "cd", "ae", "ed")]
+    model.write_text(f"layer L = {fix('chain2.fincat')}\n" + "".join(binds))
+    failure = (
+        EXIT_CHECK_FAILED,
+        "check error: layer 'L' has a cyclic hom graph: ('A', 'B', 'D', 'B')\n",
+    )
+    argv = ("eval", str(cyclic), "--model", str(model))
+    assert _under_hash_seeds(*argv, seeds=("0", "1", "12345")) == {failure}
 
 
 def test_grid_rendering_matches_golden(fix):

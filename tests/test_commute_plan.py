@@ -1,28 +1,32 @@
 """``check_commutativity`` and the stage check against composing every path
 from its start.
 
-The check walks a per-diagram plan and composes each path once, from its
-prefix; ``path_by_path_commutativity`` in ``tests/oracles.py`` composes every
-path of every parallel pair from its start.  Both must give equal reports, or
-raise the same ``DiagramError``, on every stage-0 call that
-``evaluate_quantified`` makes for the bundled diagrams over the bundled and
-generated models, and on seeded assignments of a square with a bijection
-whose binds are mistyped, do not commute, fail the round trip or are
-exempted by ``noncommute``.  On every candidate of a later stage, the stage
-check, which looks only at what the stage's new elements can break, must
-give the oracle's verdict on the whole stage diagram, or raise the same
-error.  Evaluation traces must be equal, too.  A stage whose layers are thin
-tables passes every candidate without a path composed; the oracle still
-composes each one, over random thin closures.  A table missing a composite
-or holding an incoherent one is not a category, so no model is built over it.
+The check walks a per-diagram plan of parallel pairs and composes each path
+by folding its steps; ``path_by_path_commutativity`` in ``tests/oracles.py``
+walks the diagram itself and composes every path of every parallel pair
+from its start.  Both must give equal reports, or raise the same
+``DiagramError``, on every stage-0 call that ``evaluate_quantified`` makes
+for the bundled diagrams over the bundled and generated models, and on
+seeded assignments of a square with a bijection whose binds are mistyped,
+do not commute, fail the round trip or are exempted by ``noncommute``.  On
+every candidate of a later stage, the stage check, which reads the plan of
+the whole stage diagram built once per ``eval`` call, must give the
+oracle's verdict, or raise the same error, as when a stage's arrow closes a
+hom cycle.  Evaluation traces must be equal, too.  A stage whose compared
+layers are thin tables passes every candidate without a path composed; the
+oracle still composes each one, over random thin closures.  A table missing
+a composite or holding an incoherent one is not a category, so no model is
+built over it.
 """
 
 import collections
+import itertools
 import random
 
 import pytest
 from helpers import random_covers
 from oracles import path_by_path_commutativity
+from test_cli import CYCLIC_DIAG
 
 from fincat import diagram
 from fincat.core import (
@@ -364,6 +368,17 @@ def _square_assignments(cat, rng, count):
         yield {**nodes, **arrows}
 
 
+def _typed_square_assignments(cat):
+    """Every typed assignment of A, B, C, D and the arrows between them."""
+    for a, b, c, d in itertools.product(cat.objects, repeat=4):
+        nodes = {"A": a, "B": b, "C": c, "D": d}
+        square = [(a, src, dst) for a, src, dst in _SQUARE_HOMS if src in nodes]
+        homs = [cat.hom(nodes[src], nodes[dst]) for _, src, dst in square]
+        bij = itertools.product(cat.hom(b, c), cat.hom(c, b))
+        for arrows, i in itertools.product(itertools.product(*homs), bij):
+            yield {**nodes, **{a: m for (a, _, _), m in zip(square, arrows)}, "i": i}
+
+
 def test_square_over_seeded_assignments():
     ast = parse_diagram(SQUARE)
     model = Model({"L": _DOUBLED}, {}, {})
@@ -423,7 +438,7 @@ def test_a_model_with_a_functor_that_is_not_a_functor_is_not_built(fix):
 STAGED_SQUARE = SQUARE.replace('node C : L "C"', 'node C : L "C" @forall(1)')
 
 
-def test_staged_square_checks_only_what_its_new_elements_break():
+def test_staged_square_checks_its_whole_stage_diagram():
     """The stage-1 check on every seeded assignment that passes stage 0,
     over the doubled chain."""
     stage0, stage1 = extract_stages(parse_diagram(STAGED_SQUARE))
@@ -438,3 +453,42 @@ def test_staged_square_checks_only_what_its_new_elements_break():
         assert real_stage_check(stage1, model, assignment, plan) == want
         verdicts[want] += 1
     assert set(verdicts) == {True, False}, verdicts
+
+
+def test_a_stage_that_only_adds_an_exempt_pair_is_checked_against_older_pairs():
+    """Stage 1 brings in Q, p and q, whose one pair is exempt, so its plan
+    compares only pairs of stage 0.  Over the doubled chain, which is not
+    thin, the plan is not implied, and on every typed assignment that passes
+    stage 0, with p and q typed as enumeration types them, the stage check is
+    the oracle's: every such candidate passes."""
+    staged = SQUARE.replace('node Q : L "Q"', 'node Q : L "Q" @forall(1)')
+    stage0, stage1 = extract_stages(parse_diagram(staged))
+    assert set(stage1.new_elements) == {"Q", "p", "q"}
+    model = Model({"L": _DOUBLED}, {}, {})
+    plan = diagram._stage_plans([stage1], model)[0]
+    assert plan[0] is False
+    verdicts = collections.Counter()
+    for older, P in itertools.product(_typed_square_assignments(_DOUBLED), _DOUBLED.objects):
+        if not path_by_path_commutativity(stage0.diagram, model, {**older, "P": P}).passed:
+            continue
+        for Q in _DOUBLED.objects:
+            for p, q in itertools.product(_DOUBLED.hom(P, Q), repeat=2):
+                assignment = {**older, "P": P, "Q": Q, "p": p, "q": q}
+                want = _oracle_stage_commutes(stage1, model, assignment)
+                assert real_stage_check(stage1, model, assignment, plan) == want
+                verdicts[want] += 1
+    assert set(verdicts) == {True} and verdicts[True] > 100, verdicts
+
+
+def test_a_stage_arrow_that_closes_a_hom_cycle_is_the_oracles_error(fix, monkeypatch):
+    """w : D -> B closes the cycle B -> D -> B at stage 1, over chain2 with
+    every node bound to 0 and every other arrow to id_0."""
+    ast = parse_diagram(CYCLIC_DIAG)
+    binds = {n: "0" for n in "ABCDE"}
+    binds.update({a: "id_0" for a in ("ab", "bd", "ac", "cd", "ae", "ed")})
+    spec = ModelSpec("cyclic", {"L": load_category(fix("chain2.fincat"))}, {}, binds, {})
+    model = build_model(ast, spec)
+    assert _evaluate_both(monkeypatch, ast, model) == 2  # stage 0, and w = id_0
+    assert _evaluation(ast, model) == (
+        "DiagramError: layer 'L' has a cyclic hom graph: ('A', 'B', 'D', 'B')"
+    )
