@@ -2,7 +2,7 @@
 
 A category is a finite table: objects, morphisms with dom/cod, an identity
 assignment, and a composition table that must be total on composable pairs.
-Nothing is trusted: every law is an obligation verified by exhaustive
+`validate_category` verifies every law as an obligation by exhaustive
 enumeration, and a failing obligation always carries a concrete witness
 (the identifiers violating the law) so the failure can be replayed.  Two
 facts are counted rather than enumerated.  A coherent table is total when
@@ -10,6 +10,12 @@ its entries are as many as its composable pairs, since each entry is a
 distinct composable pair.  A coherent, total, thin table (every hom-set of
 one morphism) is associative and unital, since both sides of each of those
 laws lie in one singleton hom-set.
+
+A preorder's table is read off its order (`_PreorderCompose`), and it is a
+thin category by construction (see `preorder_from_covers`): the commands'
+gate `require_category` accepts it unchecked, `check-cat` still enumerates
+its laws, and `validate_functor` scans composites between two such tables
+only when typing fails.
 
 Functors and natural transformations are value-level tables as well.  A
 functor may land either in another table category or in the ambient
@@ -108,7 +114,9 @@ class FinCat(Record):
     objects: tuple of identifier tokens.
     morphisms: name -> (dom, cod).
     identity: object -> morphism name.
-    compose: (g, f) -> name of g after f.
+    compose: (g, f) -> name of g after f: a dict, or a read-only mapping
+    such as the one `preorder_from_covers` derives from its order, which
+    ``dict(c.compose)`` makes into a dict.
 
     The tables are treated as immutable once constructed: hom-sets,
     out-arrows and the object set are indexed on first use.
@@ -170,7 +178,12 @@ class FinCat(Record):
         ones; while their composites miss a morphism, as in a cyclic group,
         the least one missed joins them.  A law that holds along identities
         and along g . f when it holds along f and g, as a naturality square
-        of functors does, holds everywhere when it holds along them."""
+        of functors does, holds everywhere when it holds along them.  A
+        table that `preorder_from_covers` built reads them off its order:
+        they are the pairs a < b with nothing strictly between."""
+        order = _order_of(self)
+        if order is not None:
+            return order.generators()
         ids, ends, compose = set(self.identity.values()), self.morphisms, self.compose
         composites = {h for (g, f), h in compose.items() if g not in ids and f not in ids}
         gens, leaving, reached = [], {}, set(ids)  # leaving: dom -> generators out of it
@@ -345,7 +358,11 @@ def validate_category(c: FinCat) -> CheckReport:
 
 def require_category(c: FinCat, what: str) -> None:
     """Raise FinCatError, naming ``what`` and the first failed law with its
-    witness, unless ``c`` passes :func:`validate_category`."""
+    witness, unless ``c`` passes :func:`validate_category`.  A table that
+    `preorder_from_covers` built is a category by construction and passes
+    without a law enumerated."""
+    if _order_of(c) is not None:
+        return
     failed = validate_category(c).failures()
     if failed:
         raise FinCatError(
@@ -378,6 +395,114 @@ def _raise_name_collision(names: dict) -> None:
             seen[ab] = (a, b)
 
 
+# passed only by preorder_from_covers, whose closure makes its table lawful
+_CLOSED = object()
+
+
+class _PreorderCompose(Mapping):
+    """The composition table of a preorder, read off its order.
+
+    ``rows[a]`` maps each b >= a, in sorted order, to the name of a -> b.
+    g . f is the name of (dom f, cod g) when cod f = dom g, so a lookup
+    builds nothing, and a key that is no composable pair of names raises
+    ``KeyError`` as the dict does.  The first iteration builds that dict, in
+    the order of the triples a <= b <= c, and keeps it; ``len``, equality,
+    ``repr``, copying and pickling are those of the dict, and
+    ``dict(c.compose)`` is the dict.
+
+    The mapping keeps the objects, morphisms and identities of the
+    `FinCat` it was built with, and whether `preorder_from_covers` built
+    it, so that `_order_of` knows the table is still that category's own
+    lawful one."""
+
+    __slots__ = ("_rows", "_objects", "_ends", "_identity", "_closed", "_built")
+
+    def __init__(self, rows: dict, objects: tuple, ends: dict, identity: dict, proof=None):
+        self._rows = rows
+        self._objects = objects
+        self._ends = ends
+        self._identity = identity
+        self._closed = proof is _CLOSED
+        self._built = None
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple) and len(key) == 2:
+            ends = self._ends
+            try:
+                (a, b), (b2, c) = ends[key[1]], ends[key[0]]
+            except KeyError:
+                pass
+            else:
+                if b == b2:
+                    return self._rows[a][c]
+        hash(key)  # an unhashable key raises TypeError, as a dict's lookup does
+        raise KeyError(key)
+
+    def _table(self) -> dict:
+        if self._built is None:
+            rows = self._rows
+            self._built = {
+                (bc, ab): rows[a][c]
+                for a, row in rows.items()
+                for b, ab in row.items()
+                for c, bc in rows[b].items()
+            }
+        return self._built
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def items(self):
+        return self._table().items()
+
+    def values(self):
+        return self._table().values()
+
+    def __len__(self):
+        return len(self._table())
+
+    def __eq__(self, other):
+        if isinstance(other, _PreorderCompose):
+            if self._rows == other._rows:  # one name per pair: the same composites
+                return True
+            other = other._table()
+        return self._table() == other
+
+    def __repr__(self):
+        return repr(self._table())
+
+    def __reduce__(self):
+        return dict, (self._table(),)
+
+    def generators(self) -> tuple:
+        """The sorted names of the pairs a < b that no c lies strictly
+        between: the transitive reduction of the order."""
+        rows = self._rows
+        return tuple(
+            sorted(
+                ab
+                for a, row in rows.items()
+                for b, ab in row.items()
+                if a != b and not any(b in rows[c] for c in row if c != a and c != b)
+            )
+        )
+
+
+def _order_of(c: FinCat):
+    """``c.compose`` when `preorder_from_covers` built it for ``c``'s own
+    objects, morphisms and identities, else None."""
+    order = c.compose
+    if (
+        type(order) is _PreorderCompose
+        and order._closed
+        and order._ends is c.morphisms
+        and order._identity is c.identity
+        and order._objects is c.objects
+    ):
+        return order
+    return None
+
+
 def preorder_from_covers(objects: Iterable[str], covers: Iterable[tuple]) -> FinCat:
     """Category of the reflexive-transitive closure of a cover relation.
 
@@ -385,7 +510,15 @@ def preorder_from_covers(objects: Iterable[str], covers: Iterable[tuple]) -> Fin
     CycleError when the closure is not antisymmetric, naming the least
     offending pair, and MalformedTableError when two pairs of the closure get
     one name (object names containing "->" or starting with "id_" can make
-    them collide).  Morphisms and composites are inserted in sorted order.
+    them collide).  Morphisms are inserted in sorted order, and the
+    composition table is a read-only mapping read off the order.
+
+    Such a table is a category, which `require_category` accepts unchecked:
+    Warshall's closure makes the relation reflexive and transitive, so every
+    composable pair has its composite and every identity is there; every
+    pair of the order has one name and no name two pairs, so each hom-set
+    is a singleton and associativity and the identity laws hold, both sides
+    of each lying in one hom-set.
     """
     objs = tuple(sorted(str(o) for o in objects))
     above = {x: {x} for x in objs}
@@ -403,15 +536,13 @@ def preorder_from_covers(objects: Iterable[str], covers: Iterable[tuple]) -> Fin
             if a != b and a in above[b]:
                 raise CycleError(f"not antisymmetric: {a!r} <= {b!r} <= {a!r}")
 
-    # each morphism is named once: names[a][b] is the one a -> b
-    names = {a: {b: f"id_{a}" if a == b else f"{a}->{b}" for b in succ[a]} for a in objs}
-    morphisms = {ab: (a, b) for a in objs for b, ab in names[a].items()}
+    # each morphism is named once: rows[a][b] is the one a -> b
+    rows = {a: {b: f"id_{a}" if a == b else f"{a}->{b}" for b in succ[a]} for a in objs}
+    morphisms = {ab: (a, b) for a in objs for b, ab in rows[a].items()}
     if len(morphisms) != sum(map(len, succ.values())):
-        _raise_name_collision(names)
+        _raise_name_collision(rows)
     identity = {x: f"id_{x}" for x in objs}
-    compose = {
-        (bc, ab): names[a][c] for a in objs for b, ab in names[a].items() for c, bc in names[b].items()
-    }
+    compose = _PreorderCompose(rows, objs, morphisms, identity, _CLOSED)
     return FinCat(objs, morphisms, identity, compose)
 
 
@@ -526,20 +657,26 @@ def validate_functor(f: FunctorVal) -> CheckReport:
         Obligation("respects_identities", not respids, tuple(respids[0]) if respids else ())
     )
 
+    # Between two tables that preorder_from_covers built, a typed map
+    # preserves composites: F(g) . F(h) and F(g . h) both run F(dom h) ->
+    # F(cod g), and that hom-set of the target has one morphism.
     respcomp = []
     if tgt is FINSET:
         respcomp = _set_composition_failures(src, f.morphism_map)
-    elif not _composites_preserved(src, tgt, f.morphism_map):
-        for (g, h), gh in src.compose.items():
-            if src.cod(h) != src.dom(g):
-                continue
-            try:
-                lhs = tgt.comp(f.morphism_map[g], f.morphism_map[h])
-            except (KeyError, ValueError):
-                respcomp.append((g, h, "image not composable"))
-                continue
-            if lhs != f.morphism_map[gh]:
-                respcomp.append((g, h))
+    elif typing or _order_of(src) is None or _order_of(tgt) is None:
+        order = _order_of(tgt)  # its dict, built once, serves every lookup below
+        table = tgt.compose if order is None else order._table()
+        if not _composites_preserved(src, table, f.morphism_map):
+            for (g, h), gh in src.compose.items():
+                if src.cod(h) != src.dom(g):
+                    continue
+                try:
+                    lhs = table[(f.morphism_map[g], f.morphism_map[h])]
+                except KeyError:
+                    respcomp.append((g, h, "image not composable"))
+                    continue
+                if lhs != f.morphism_map[gh]:
+                    respcomp.append((g, h))
     respcomp.sort()  # by the (g, h) key, which is unique
     obligations.append(
         Obligation("respects_composition", not respcomp, tuple(respcomp[0]) if respcomp else ())
@@ -568,19 +705,19 @@ def _set_composition_failures(src: FinCat, morphism_map: Mapping) -> list:
     return failures
 
 
-def _composites_preserved(src: FinCat, tgt: FinCat, morphism_map: Mapping) -> bool:
+def _composites_preserved(src: FinCat, table: Mapping, morphism_map: Mapping) -> bool:
     """Whether F(g) . F(h) = F(g . h) for every entry of the source table,
-    decided by comparing the two sides as tuples, one column each.  False
-    when the tuples differ, an entry is not composable or cannot be read, so
-    that the entry-by-entry scan finds the failures or raises as it would
-    alone."""
+    with the target's composition ``table``, decided by comparing the two
+    sides as tuples, one column each.  False when the tuples differ, an
+    entry is not composable or cannot be read, so that the entry-by-entry
+    scan finds the failures or raises as it would alone."""
     ends, image = src.morphisms, morphism_map.__getitem__
     try:
         gs, hs = zip(*src.compose) if src.compose else ((), ())
         h_cods = map(itemgetter(1), map(ends.__getitem__, hs))
         if not all(map(eq, h_cods, map(itemgetter(0), map(ends.__getitem__, gs)))):
             return False
-        images = tuple(map(tgt.compose.get, zip(map(image, gs), map(image, hs))))
+        images = tuple(map(table.get, zip(map(image, gs), map(image, hs))))
         return images == tuple(map(image, src.compose.values()))
     except KeyError:
         return False

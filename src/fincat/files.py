@@ -244,12 +244,16 @@ def load_category(path: str) -> FinCat:
         objects.append(text)
 
     if "preorder" in sections:
-        covers = []
+        known, covers = set(objects), []
         for lineno, text in sections["preorder"][2]:
             m = _COVER_RE.match(text)
             if not m:
                 raise FixtureParseError(path, lineno, f"expected 'a < b', got {text!r}")
-            covers.append((m.group(1), m.group(2)))
+            if not known.issuperset(m.groups()):
+                raise FixtureParseError(
+                    path, lineno, f"cover {m.groups()!r} mentions unknown object"
+                )
+            covers.append(m.groups())
         try:
             return preorder_from_covers(objects, covers)
         except FinCatError as exc:

@@ -5,7 +5,8 @@ their flat tuples of values (``nattrans_values``, laid out by
 ``nattrans_slices``).  The helpers here make such tuples into
 ``NatTransVal``s, lift the seed map of a ``SeededContext`` to its
 transformation and read it back, list the one-step reducts of a
-term, draw random cover relations, present a set-valued functor along its
+term, draw random cover relations, copy fixtures with their preorders'
+tables spelled out in ``compose:`` sections, present a set-valued functor along its
 generators to the limit and colimit kernels, and print a diagram back to
 its source text.  Unlike ``oracles``, they reuse the
 library's search: they only change how its answers are presented.
@@ -38,6 +39,7 @@ from fincat.diagram import (
     Node,
     NonCommute,
 )
+from fincat.files import load_category
 from fincat.finset import DEFAULT_ENUM_CAP, FinSetMap, nattrans_slices, nattrans_values
 from fincat.terms import _EMPTY_SIGNATURE, _distinct_reducts
 from fincat.yoneda import HomContext, hom_cov_functor, hom_maps_functor
@@ -148,6 +150,31 @@ def random_covers(rng: random.Random, acyclic: bool):
     rng.shuffle(covers)
     rng.shuffle(objects)
     return objects, covers
+
+
+def explicit_copies(fix, tmp_path, stems, *names) -> list:
+    """Copies in ``tmp_path`` of the fixture files ``names`` in which every
+    table ``<stem>.fincat`` of ``stems`` they name is replaced by a copy
+    that spells out its morphisms and its whole composition table; their
+    paths."""
+    paths = []
+    for name in names:
+        with open(fix(name), encoding="utf-8") as handle:
+            text = handle.read()
+        for stem in stems:
+            copy = tmp_path / f"{stem}_tables.fincat"
+            if not copy.exists():
+                c = load_category(fix(f"{stem}.fincat"))
+                ids = set(c.identity.values())
+                lines = ["objects:"] + [f"  {x}" for x in c.objects] + ["morphisms:"]
+                ends = c.morphisms.items()
+                lines += [f"  {m} : {d} -> {e}" for m, (d, e) in ends if m not in ids]
+                lines += ["compose:"] + [f"  {g} . {f} = {h}" for (g, f), h in c.compose.items()]
+                copy.write_text("\n".join(lines) + "\n")
+            text = text.replace(f" {stem}.fincat\n", f" {copy}\n")
+        (tmp_path / name).write_text(text)
+        paths.append(str(tmp_path / name))
+    return paths
 
 
 def print_diagram(ast: DiagramAst) -> str:

@@ -78,7 +78,9 @@ force, kept to pin the exact output of the faster code that replaced them:
   and equality that compared tables sorted by domain atom, and
   ``nattrans_key`` the text key that told transformations apart;
 * ``name_per_triple_preorder`` is ``preorder_from_covers`` as it named each
-  composite anew, three names per composable triple.
+  composite anew, three names per composable triple, into a dict, where
+  the library derives each composite from the order on lookup and builds
+  that dict only when the table is iterated.
 * ``per_entry_wellformed`` is the check for dangling identifiers that
   scanned the composition table on its own, before the law checks, where
   the library finds them in its one pass over that table.

@@ -16,6 +16,7 @@ from oracles import (
     rebuilding_kan_command,
     scanning_universal_arrows,
 )
+from helpers import explicit_copies
 from test_yoneda import _seeded_forest_functor
 
 from fincat import adjunction, cli, core
@@ -550,7 +551,11 @@ def test_kan_along_an_endofunctor_checks_its_table_once(g_on_b, monkeypatch):
 
     monkeypatch.setattr(core, "validate_category", counted)
     kan_extensions(identity_functor(g_on_b.source), g_on_b)
-    assert calls == {id(g_on_b.source): 1}
+    assert calls == {}  # an order-derived table is a category by construction
+    b6 = g_on_b.source
+    explicit = FinCat(b6.objects, b6.morphisms, b6.identity, dict(b6.compose))
+    kan_extensions(identity_functor(explicit), g_on_b.replace(source=explicit))
+    assert calls == {id(explicit): 1}
 
 
 def test_kan_input_guards(inc, g_on_b):
@@ -796,9 +801,10 @@ def test_kan_command_matches_the_rebuilding_reference(fix, g_on_b, monkeypatch):
     assert "witness=('not_full', '0', '1')" in disc2[1]
 
 
-def test_kan_command_builds_each_extension_once(fix, monkeypatch):
+def test_kan_command_builds_each_extension_once(fix, monkeypatch, tmp_path):
     """One limit and one colimit per target object over its comma
-    presentation, one category check each of the source and target tables,
+    presentation, one category check each of the source and target tables
+    when they are spelled out and none when they are the fixtures' preorders,
     one functor check each of the two inputs and none of the extensions,
     and each public step called once by the command itself."""
     calls = collections.Counter()
@@ -812,15 +818,20 @@ def test_kan_command_builds_each_extension_once(fix, monkeypatch):
             return _build(*args, **kwargs)
 
         monkeypatch.setattr(module, name, counted)
-    code, _text = _command("kan", fix("incl_a4_b6.fun"), fix("h_on_a.fun"))
-    assert code == cli.EXIT_OK
     targets = len(load_functor(fix("incl_a4_b6.fun")).target.objects)
-    assert calls == {
-        "presented_limit": targets,
-        "presented_colimit": targets,
-        "validate_category": 2,
-        "validate_functor": 2,
-        "kan_extensions": 1,
-        "check_kan_adjointness": 1,
-        "counit_inclusion_check": 1,
-    }
+    spelled_out = explicit_copies(fix, tmp_path, ("a4", "b6"), "incl_a4_b6.fun", "h_on_a.fun")
+    for paths, checks in (([fix("incl_a4_b6.fun"), fix("h_on_a.fun")], 0), (spelled_out, 2)):
+        calls.clear()
+        code, _text = _command("kan", *paths)
+        assert code == cli.EXIT_OK
+        assert calls == collections.Counter(
+            {
+                "presented_limit": targets,
+                "presented_colimit": targets,
+                "validate_category": checks,
+                "validate_functor": 2,
+                "kan_extensions": 1,
+                "check_kan_adjointness": 1,
+                "counit_inclusion_check": 1,
+            }
+        )

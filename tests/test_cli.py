@@ -643,6 +643,8 @@ def test_eval_rejects_a_model_functor_that_is_not_a_functor(fix, tmp_path):
 
 
 def test_eval_checks_each_table_layer_once(fix, monkeypatch):
+    """A layer whose table is spelled out (monoid_e.fincat) is checked once,
+    and a preorder (chain2.fincat), a category by construction, not at all."""
     calls = []
     check = core.validate_category
 
@@ -653,10 +655,13 @@ def test_eval_checks_each_table_layer_once(fix, monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.startswith("fincat") and getattr(module, "validate_category", None) is check:
             monkeypatch.setattr(module, "validate_category", counted)
-    code, _text = _run(
-        "eval", fix("equalizer.diag"), "--model", fix("models", "equalizer_chain2.model")
-    )
-    assert (code, len(calls)) == (EXIT_OK, 1)
+    for model, code, checks in (
+        ("equalizer_chain2.model", EXIT_OK, 0),
+        ("equalizer_monoid.model", EXIT_CHECK_FAILED, 1),
+    ):
+        calls.clear()
+        got, _text = _run("eval", fix("equalizer.diag"), "--model", fix("models", model))
+        assert (got, len(calls)) == (code, checks), model
 
 
 BIJECTION_DIAG = 'node B : L "B"\nnode C : L "C"\narrow i : B <-> C "i"\n'
