@@ -14,16 +14,17 @@ laws lie in one singleton hom-set.
 A preorder's table is read off its order (`_PreorderCompose`), and it is a
 thin category by construction (see `preorder_from_covers`): the commands'
 gate `require_category` accepts it unchecked, `check-cat` still enumerates
-its laws, and `validate_functor` scans composites between two such tables
-only when typing fails.
+its laws, and `validate_functor` checks composites between two such tables
+only when typing fails.  No functor check iterates such a table.
 
 Functors and natural transformations are value-level tables as well.  A
 functor may land either in another table category or in the ambient
 category of finite sets (``FINSET`` in `fincat.finset`).  Both answer dom,
 cod, id_of and comp, so the laws are checked by one code path; morphism
 equality is identifier equality in the first case and extensional equality
-in the second.  For set-valued functors the composition law and the
-naturality squares compare value tuples, and no composite map is built.
+in the second.  The composition law is one loop over the source's composable
+pairs, whichever the target; set-valued composites and naturality squares
+compare value tuples, and no composite map is built.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ from __future__ import annotations
 from collections.abc import Callable, Mapping
 from functools import cached_property
 from itertools import repeat
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Any, Iterable
 
-from .finset import FINSET, FinSetCat, FinSetMap, FinSetObj  # FinSetCat: re-exported
+# FinSetCat is imported to be re-exported
+from .finset import FINSET, FinSetCat, FinSetMap, FinSetObj, composite_values
 from .record import Record
 
 
@@ -661,66 +663,42 @@ def validate_functor(f: FunctorVal) -> CheckReport:
     # preserves composites: F(g) . F(h) and F(g . h) both run F(dom h) ->
     # F(cod g), and that hom-set of the target has one morphism.
     respcomp = []
-    if tgt is FINSET:
-        respcomp = _set_composition_failures(src, f.morphism_map)
-    elif typing or _order_of(src) is None or _order_of(tgt) is None:
-        order = _order_of(tgt)  # its dict, built once, serves every lookup below
-        table = tgt.compose if order is None else order._table()
-        if not _composites_preserved(src, table, f.morphism_map):
-            for (g, h), gh in src.compose.items():
-                if src.cod(h) != src.dom(g):
-                    continue
-                try:
-                    lhs = table[(f.morphism_map[g], f.morphism_map[h])]
-                except KeyError:
-                    respcomp.append((g, h, "image not composable"))
-                    continue
-                if lhs != f.morphism_map[gh]:
-                    respcomp.append((g, h))
-    respcomp.sort()  # by the (g, h) key, which is unique
+    if tgt is FINSET or typing or _order_of(src) is None or _order_of(tgt) is None:
+        respcomp = sorted(_composition_failures(src, tgt, f.morphism_map))  # by (g, h), unique
     obligations.append(
         Obligation("respects_composition", not respcomp, tuple(respcomp[0]) if respcomp else ())
     )
     return CheckReport("functor", tuple(obligations))
 
 
-def _set_composition_failures(src: FinCat, morphism_map: Mapping) -> list:
-    """Every failure of F(g) . F(h) = F(g . h) for a set-valued functor,
-    unsorted: (g, h, "image not composable") where F(h) does not end where
-    F(g) starts, and (g, h) where the values or the ends of the two sides
-    differ.  The left side is its tuple of values, read through F(g)'s
-    domain index; no composite map is built."""
+def _composition_failures(src: FinCat, tgt, morphism_map: Mapping) -> list:
+    """Every failure of F(g) . F(h) = F(g . h), unsorted, over the composable
+    pairs (g, h) of the source's index that its table has an entry for:
+    (g, h, "image not composable") where F(g) . F(h) is undefined, and
+    (g, h) where it differs from F(g . h).  A composite in the target table
+    is that table's entry; one of finite sets is its tuple of values and its
+    ends, and no map is built."""
+    compose, image = src.compose, morphism_map.__getitem__
     failures = []
-    for (g, h), gh in src.compose.items():
-        if src.cod(h) != src.dom(g):
-            continue
-        fg, fh = morphism_map[g], morphism_map[h]
-        if fh.cod != fg.dom:
-            failures.append((g, h, "image not composable"))
-            continue
-        fgh = morphism_map[gh]
-        values = tuple(map(fg.values.__getitem__, map(fg.dom.index.__getitem__, fh.values)))
-        if values != fgh.values or fh.dom != fgh.dom or fg.cod != fgh.cod:
-            failures.append((g, h))
+    for h, (_dom, cod) in src.morphisms.items():
+        fh = image(h)
+        for g in src.out_arrows(cod):
+            gh = compose.get((g, h))
+            if gh is None:
+                continue  # no entry: a totality failure of the source
+            fg, fgh = image(g), image(gh)
+            if tgt is FINSET:  # a map as its ends and values
+                composite = None
+                if fh.cod == fg.dom:
+                    composite = fh.dom, fg.cod, composite_values(fg, fh)
+                fgh = fgh.dom, fgh.cod, fgh.values
+            else:
+                composite = tgt.compose.get((fg, fh))
+            if composite is None:
+                failures.append((g, h, "image not composable"))
+            elif composite != fgh:
+                failures.append((g, h))
     return failures
-
-
-def _composites_preserved(src: FinCat, table: Mapping, morphism_map: Mapping) -> bool:
-    """Whether F(g) . F(h) = F(g . h) for every entry of the source table,
-    with the target's composition ``table``, decided by comparing the two
-    sides as tuples, one column each.  False when the tuples differ, an
-    entry is not composable or cannot be read, so that the entry-by-entry
-    scan finds the failures or raises as it would alone."""
-    ends, image = src.morphisms, morphism_map.__getitem__
-    try:
-        gs, hs = zip(*src.compose) if src.compose else ((), ())
-        h_cods = map(itemgetter(1), map(ends.__getitem__, hs))
-        if not all(map(eq, h_cods, map(itemgetter(0), map(ends.__getitem__, gs)))):
-            return False
-        images = tuple(map(table.get, zip(map(image, gs), map(image, hs))))
-        return images == tuple(map(image, src.compose.values()))
-    except KeyError:
-        return False
 
 
 def identity_functor(c: FinCat) -> FunctorVal:
@@ -809,8 +787,7 @@ def _set_square_failure(t: NatTransVal, h, alpha_c: FinSetMap, alpha_d: FinSetMa
     gh, fh = t.G.morphism_map.get(h), t.F.morphism_map.get(h)
     if gh is None or fh is None or alpha_c.cod != gh.dom or fh.cod != alpha_d.dom:
         return (h, "not composable")
-    lhs = tuple(map(gh.values.__getitem__, map(gh.dom.index.__getitem__, alpha_c.values)))
-    rhs = tuple(map(alpha_d.values.__getitem__, map(alpha_d.dom.index.__getitem__, fh.values)))
+    lhs, rhs = composite_values(gh, alpha_c), composite_values(alpha_d, fh)
     if lhs == rhs and alpha_c.dom == fh.dom and gh.cod == alpha_d.cod:
         return None
     cells = zip(alpha_c.dom, lhs, rhs)

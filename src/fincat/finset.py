@@ -145,12 +145,17 @@ def identity_map(x: FinSetObj) -> FinSetMap:
     return FinSetMap(x, x, x.atoms)
 
 
+def composite_values(g: FinSetMap, f: FinSetMap) -> tuple:
+    """The values of g after f over ``f.dom``, read through ``g``'s domain
+    index, with no map built; each value of ``f`` must lie in ``g.dom``."""
+    return tuple(map(g.values.__getitem__, map(g.dom.index.__getitem__, f.values)))
+
+
 def compose_maps(g: FinSetMap, f: FinSetMap) -> FinSetMap:
     """g after f."""
     if f.cod != g.dom:
         raise ValueError("maps not composable")
-    images, position = g.values.__getitem__, g.dom.index.__getitem__
-    return FinSetMap(f.dom, g.cod, map(images, map(position, f.values)))
+    return FinSetMap(f.dom, g.cod, composite_values(g, f))
 
 
 class FinSetCat:

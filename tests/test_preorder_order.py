@@ -196,9 +196,9 @@ def test_a_hand_built_order_table_is_still_checked(monkeypatch):
     identities, is enumerated by the gate, whether its rows are an order or
     not, and a functor into or out of it is scanned."""
     calls, scans = [], []
-    check, scan = core.validate_category, core._composites_preserved
+    check, scan = core.validate_category, core._composition_failures
     monkeypatch.setattr(core, "validate_category", lambda c: calls.append(c) or check(c))
-    monkeypatch.setattr(core, "_composites_preserved", lambda *a: scans.append(a) or scan(*a))
+    monkeypatch.setattr(core, "_composition_failures", lambda *a: scans.append(a) or scan(*a))
     objects = ("a", "b", "c")
     morphisms = {"id_a": ("a", "a"), "a->b": ("a", "b"), "b->c": ("b", "c")}
     morphisms.update({"id_b": ("b", "b"), "id_c": ("c", "c")})
@@ -272,8 +272,8 @@ def test_functor_rule_matches_the_scan_over_explicit_tables(monkeypatch):
     monotone maps, maps that need not be monotone and monotone maps with
     one image retargeted.  Only a map that fails typing is scanned."""
     scans = []
-    scan = core._composites_preserved
-    monkeypatch.setattr(core, "_composites_preserved", lambda *a: scans.append(a) or scan(*a))
+    scan = core._composition_failures
+    monkeypatch.setattr(core, "_composition_failures", lambda *a: scans.append(a) or scan(*a))
     rng = random.Random(3838)
     shapes = [shape[1:] for shape in seeded_covers() if shape[1]]
     seen = {"passed": 0, "typing": 0, "respects_composition": 0, "image not composable": 0}
@@ -300,12 +300,41 @@ def test_functor_rule_matches_the_scan_over_explicit_tables(monkeypatch):
     assert min(seen.values()) >= 10, seen  # respects_identities fails too
 
 
-# (golden name, argv) on the bundled preorder fixtures and models
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["yoneda", "f_kite.fun"], 0),
+        (["kan", "incl_a4_b6.fun", "h_on_a.fun"], 0),
+        (["check-fun", "f_kite.fun"], 0),
+        (["check-cat", "kite.fincat"], 1),
+    ],
+)
+def test_only_check_cat_builds_a_preorder_dict(fix, monkeypatch, argv, built):
+    """A functor's composition law reads a preorder's composites off its
+    order, so no check of a set-valued functor builds the table's dict;
+    ``check-cat`` enumerates every law and builds it once."""
+    builds = []
+    table = core._PreorderCompose._table
+
+    def counted(self):
+        if self._built is None:
+            builds.append(self)
+        return table(self)
+
+    monkeypatch.setattr(core._PreorderCompose, "_table", counted)
+    out = io.StringIO()
+    assert cli.run([fix(a) if "." in a else a for a in argv], out=out) == 0, out.getvalue()
+    assert len(builds) == built
+
+
+# (golden name, argv) on the bundled preorder fixtures and models, and on
+# id_monoid.fun, whose explicit tables take the scan of the composition law
 GOLDEN = [(f"check_cat_{c}", ["check-cat", f"{c}.fincat"]) for c in PREORDER_FIXTURES]
 GOLDEN += [
     (f"check_fun_{os.path.basename(f)}", ["check-fun", f"{f}.fun"])
     for f in (
         "f_kite",
+        "id_monoid",
         "g_on_a",
         "g_on_b",
         "h_on_a",
