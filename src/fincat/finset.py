@@ -6,9 +6,15 @@ output: integers sort before tokens and tokens before tuples, a map is its
 tuple of values over the sorted domain, a limit element is its tuple of
 values over the sorted shape objects, and a colimit class is its least
 ``(j, x)`` pair.  A natural transformation between set-valued functors is,
-as :func:`nattrans_values` yields it, the flat tuple of its components'
+as :func:`nattrans_values` lists it, the flat tuple of its components'
 values over the sorted objects (:func:`nattrans_slices` says where each
 component lies).
+
+Maps, limit families and transformations all come from one search kernel,
+``_solve``, which returns a list of value tuples in lexicographic order.
+It filters candidates through constraints into one-candidate variables
+before it branches, and multiplies the solutions of independent
+consecutive blocks of variables.
 
 The limit and colimit kernels, :func:`presented_limit` and
 :func:`presented_colimit`, take a diagram as a presentation: its sorted
@@ -24,6 +30,7 @@ ensure.
 from __future__ import annotations
 
 import math
+from itertools import product
 from typing import Iterable
 
 DEFAULT_ENUM_CAP = 10**6
@@ -240,33 +247,89 @@ def _match_atom(token: str, among: FinSetObj, by_text: dict):
 
 
 def _solve(variables, domains, constraints, cap):
-    """Backtracking search over finite domains, the one enumeration loop.
+    """Search over finite domains, the one enumeration kernel.
 
     ``domains`` maps each variable to its candidate values.  A constraint
-    ``(u, m, v)`` with a FinSetMap ``m`` demands ``value[v] == m(value[u])``
-    and is checked as soon as both ends are assigned.  Yields one tuple of
-    values per solution, in variable order and in lexicographic order of the
-    domains.
-    Raises CapExceededError before searching when the candidate product
-    (the product of max(|domain|, 1)) exceeds ``cap``.
+    ``(u, m, v)`` with a FinSetMap ``m`` demands ``value[v] == m(value[u])``.
+    Returns a list with one tuple of values per solution, in variable order
+    and in lexicographic order of the domains.
+    Raises CapExceededError before any work when the candidate product (the
+    product of max(|domain|, 1)) exceeds ``cap``.
+
+    A constraint from a variable to itself, or into a variable with one
+    candidate, filters its source's candidates once, up front.  The other
+    constraints cut the variables into consecutive blocks that none of them
+    crosses; a block with constraints is searched by :func:`_backtrack`, a
+    run of free variables is the product of its candidates, and the result
+    is the product of the blocks' solutions, which keeps the lexicographic
+    order.
     """
-    space = math.prod(max(len(domains[var]), 1) for var in variables)
+    pools = [tuple(domains[var]) for var in variables]
+    space = math.prod(max(len(pool), 1) for pool in pools)
     if space > cap:
         raise CapExceededError(f"search space of {space} candidates exceeds cap {cap}")
+    if not constraints:
+        return list(product(*pools))
     position = {var: i for i, var in enumerate(variables)}
-    checks = [[] for _ in variables]
+    # checks[k]: the constraints (i, index, images, j) with max(i, j) == k;
+    # reach[k]: the furthest variable that one of them starting at k ties to
+    checks = [[] for _ in pools]
+    reach = list(range(len(pools)))
     for u, m, v in constraints:
         i, j = position[u], position[v]
-        checks[max(i, j)].append((i, m.dom.index, m.values, j))
-    pools = [tuple(domains[var]) for var in variables]
-    values = [None] * len(pools)
-    tried = [0] * len(pools)
+        index, images = m.dom.index, m.values
+        if i == j:
+            pools[i] = tuple(x for x in pools[i] if images[index[x]] == x)
+        elif len(pools[j]) == 1:
+            value = pools[j][0]
+            pools[i] = tuple(x for x in pools[i] if images[index[x]] == value)
+        else:
+            low, high = (i, j) if i < j else (j, i)
+            checks[high].append((i, index, images, j))
+            reach[low] = max(reach[low], high)
+    parts, free, start, end = [], [], 0, 0
+    for k, pool in enumerate(pools):
+        end = max(end, reach[k])
+        if k < end:
+            continue
+        if k == start:
+            # one variable: the constraints within it were filtered away
+            free.append(pool)
+        else:
+            if free:
+                parts.append(list(product(*free)))
+                free = []
+            block = checks[start : k + 1]
+            if start:
+                block = [
+                    [(i - start, index, images, j - start) for i, index, images, j in row]
+                    for row in block
+                ]
+            parts.append(_backtrack(pools[start : k + 1], block))
+        start = k + 1
+    if free:
+        parts.append(list(product(*free)))
+    solutions = parts[0]
+    for part in parts[1:]:
+        solutions = [head + tail for head in solutions for tail in part]
+    return solutions
+
+
+def _backtrack(pools, checks):
+    """The solutions of one block, as a list in lexicographic order:
+    ``checks[k]`` lists the constraints ``(i, index, images, j)`` with
+    ``max(i, j) == k``, checked as soon as variable k is assigned."""
+    solutions = []
+    sizes = [len(pool) for pool in pools]
+    last = len(pools)
+    values = [None] * last
+    tried = [0] * last
     depth = 0
     while depth >= 0:
-        if depth == len(pools):
-            yield tuple(values)
+        if depth == last:
+            solutions.append(tuple(values))
             depth -= 1
-        elif tried[depth] == len(pools[depth]):
+        elif tried[depth] == sizes[depth]:
             tried[depth] = 0
             depth -= 1
         else:
@@ -277,11 +340,12 @@ def _solve(variables, domains, constraints, cap):
                     break
             else:
                 depth += 1
+    return solutions
 
 
 def map_values(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> list:
     """All maps x -> y as value tuples over the sorted domain, lexicographic."""
-    return list(_solve(x.atoms, dict.fromkeys(x.atoms, y.atoms), (), cap))
+    return _solve(x.atoms, dict.fromkeys(x.atoms, y.atoms), (), cap)
 
 
 def enumerate_maps(x: FinSetObj, y: FinSetObj, cap: int = DEFAULT_ENUM_CAP) -> list:
@@ -366,7 +430,7 @@ def nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
         for h in shape.generators
         for a in f.object_map[shape.dom(h)]
     ]
-    return list(_solve(variables, domains, constraints, cap))
+    return _solve(variables, domains, constraints, cap)
 
 
 def nattrans_slices(f) -> dict:

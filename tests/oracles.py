@@ -35,12 +35,16 @@ force, kept to pin the exact output of the faster code that replaced them:
 * ``all_morphism_nattrans_values``, ``all_morphism_limit`` and
   ``all_morphism_colimit`` are ``nattrans_values`` and the limit and
   colimit of a functor as they took the law of every morphism (the first
-  two share ``_solve`` with the library), where the library takes a
+  two search with ``backtracking_solve``), where the library takes a
   generating set of morphisms, ``FinCat.generators`` (the tests present a
   functor along them with ``helpers.presentation``), whose reference is
   the naive closure ``brute_generators``; the rebuilding Yoneda checks and
   ``materialised_kan_adjointness`` enumerate with
   ``all_morphism_nattrans``, so they do not check the kernel with itself;
+* ``backtracking_solve`` is ``finset._solve`` as it tried every candidate
+  of every variable in one backtracking loop, where the library filters
+  the candidates of a variable tied to a one-candidate variable up front
+  and multiplies the solutions of independent consecutive blocks;
 * ``all_pairs_naturality`` is the adjunction check that tested flat/sharp
   naturality jointly, over every pair of morphisms (f, k) of both categories;
 * ``scanning_universal_arrows`` solves an adjunction from universal arrows
@@ -104,6 +108,7 @@ force, kept to pin the exact output of the faster code that replaced them:
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Iterable, Sequence
 
@@ -150,11 +155,11 @@ from fincat.diagram import (
 from fincat.files import FixtureParseError
 from fincat.finset import (
     DEFAULT_ENUM_CAP,
+    CapExceededError,
     FinSetMap,
     FinSetObj,
     atom_key,
     compose_maps,
-    _solve,
     encode_map,
     enumerate_maps,
 )
@@ -577,6 +582,46 @@ def brute_generators(c) -> tuple:
         gens.append(missing[0])
 
 
+def backtracking_solve(variables, domains, constraints, cap):
+    """Backtracking search over finite domains, the one enumeration loop.
+
+    ``domains`` maps each variable to its candidate values.  A constraint
+    ``(u, m, v)`` with a FinSetMap ``m`` demands ``value[v] == m(value[u])``
+    and is checked as soon as both ends are assigned.  Yields one tuple of
+    values per solution, in variable order and in lexicographic order of the
+    domains.
+    Raises CapExceededError before searching when the candidate product
+    (the product of max(|domain|, 1)) exceeds ``cap``.
+    """
+    space = math.prod(max(len(domains[var]), 1) for var in variables)
+    if space > cap:
+        raise CapExceededError(f"search space of {space} candidates exceeds cap {cap}")
+    position = {var: i for i, var in enumerate(variables)}
+    checks = [[] for _ in variables]
+    for u, m, v in constraints:
+        i, j = position[u], position[v]
+        checks[max(i, j)].append((i, m.dom.index, m.values, j))
+    pools = [tuple(domains[var]) for var in variables]
+    values = [None] * len(pools)
+    tried = [0] * len(pools)
+    depth = 0
+    while depth >= 0:
+        if depth == len(pools):
+            yield tuple(values)
+            depth -= 1
+        elif tried[depth] == len(pools[depth]):
+            tried[depth] = 0
+            depth -= 1
+        else:
+            values[depth] = pools[depth][tried[depth]]
+            tried[depth] += 1
+            for i, index, images, j in checks[depth]:
+                if images[index[values[i]]] != values[j]:
+                    break
+            else:
+                depth += 1
+
+
 def all_morphism_nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
     """``nattrans_values`` with the squares of every morphism as
     constraints, where the library takes the generators only."""
@@ -588,7 +633,7 @@ def all_morphism_nattrans_values(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
         for h, (c, d) in shape.morphisms.items()
         for a in f.object_map[c]
     ]
-    return list(_solve(variables, domains, constraints, cap))
+    return list(backtracking_solve(variables, domains, constraints, cap))
 
 
 def all_morphism_nattrans(f, g, cap: int = DEFAULT_ENUM_CAP) -> list:
@@ -603,7 +648,7 @@ def all_morphism_limit(d, cap: int = DEFAULT_ENUM_CAP):
     shape = d.source
     objs = sorted(shape.objects)
     constraints = [(j, d.morphism_map[f], j2) for f, (j, j2) in shape.morphisms.items()]
-    carrier = FinSetObj(_solve(objs, d.object_map, constraints, cap))
+    carrier = FinSetObj(backtracking_solve(objs, d.object_map, constraints, cap))
     projections = {
         j: FinSetMap(carrier, d.object_map[j], (fam[i] for fam in carrier))
         for i, j in enumerate(objs)

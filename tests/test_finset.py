@@ -41,6 +41,7 @@ from helpers import enumerate_nattrans_finset, lawful, presentation
 from oracles import (
     all_morphism_limit,
     all_morphism_nattrans,
+    backtracking_solve,
     comma_under_object,
     map_from_table,
     nattrans_key,
@@ -362,6 +363,88 @@ def test_enumerators_cap_boundary(f_kite):
         with pytest.raises(CapExceededError, match=f"search space of {space} candidates"):
             enumerate_with(space - 1)
         assert enumerate_with(space) == enumerate_with(space * 2)
+
+
+def _random_search(rng, kind):
+    """A random instance of the search kernel: 0-7 variables with pools of
+    0-4 values out of five atoms, and constraints whose maps mostly land in
+    their target's pool.  ``kind`` "blocks" ties only variables of the same
+    consecutive group, "interleaved" any two; "emptying" adds a constraint
+    into a one-value pool that no value of its source maps to."""
+    universe = FinSetObj(range(5))
+    n = rng.randint(2, 7) if kind == "emptying" else rng.randint(0, 7)
+    variables = [f"v{k}" for k in range(n)]
+    sizes = rng.choices(range(5), weights=(1, 6, 6, 6, 6), k=n)
+    pools = [tuple(sorted(rng.sample(range(5), size))) for size in sizes]
+    if kind == "emptying":
+        source, target = rng.sample(range(n), 2)
+        pools[target] = (rng.randrange(5),)
+    # every map sends this choice to this choice, so solutions are common
+    planted = [rng.choice(pool) if pool else None for pool in pools]
+    if kind == "blocks":
+        cuts = sorted(rng.sample(range(1, n), rng.randint(0, n - 1))) if n > 1 else []
+        groups = [range(a, b) for a, b in zip([0, *cuts], [*cuts, n])]
+    else:
+        groups = [range(n)]
+    constraints = []
+
+    def constraint(i, j, images):
+        m = FinSetMap(FinSetObj(pools[i]), universe, images)
+        constraints.append((variables[i], m, variables[j]))
+
+    for group in groups:
+        for _ in range(rng.randint(0, 2 * len(group))):
+            i, j = rng.choice(group), rng.choice(group)
+            if rng.random() < 0.15:
+                j = i
+            landing = pools[j] if pools[j] and rng.random() < 0.8 else range(5)
+            images = [rng.choice(landing) for _ in pools[i]]
+            if pools[i] and pools[j] and rng.random() < 0.7:
+                images[pools[i].index(planted[i])] = planted[j]
+            constraint(i, j, images)
+    if kind == "emptying":
+        others = [a for a in range(5) if a not in pools[target]]
+        constraint(source, target, [rng.choice(others) for _ in pools[source]])
+        rng.shuffle(constraints)
+    domains = {
+        var: FinSetObj(pool) if rng.random() < 0.2 else pool
+        for var, pool in zip(variables, pools)
+    }
+    return variables, domains, constraints
+
+
+def test_solve_matches_the_backtracking_reference():
+    rng = random.Random(40)
+    kinds = ("self-loop", "emptied", "split", "interleaved", "no solution", "several solutions")
+    seen = dict.fromkeys(kinds, 0)
+    for round_ in range(1200):
+        kind = ("blocks", "interleaved", "emptying")[round_ % 3]
+        variables, domains, constraints = _random_search(rng, kind)
+        space = _space(len(domains[var]) for var in variables)
+        want = list(backtracking_solve(variables, domains, constraints, space))
+        got = fincat.finset._solve(variables, domains, constraints, space)
+        assert type(got) is list and got == want, (variables, domains, constraints)
+        messages = []
+        for solve in (backtracking_solve, fincat.finset._solve):
+            with pytest.raises(CapExceededError) as error:
+                list(solve(variables, domains, constraints, space - 1))
+            messages.append(str(error.value))
+        assert messages[0] == messages[1] == f"search space of {space} candidates exceeds cap {space - 1}"
+        spans = sorted(
+            tuple(sorted((variables.index(u), variables.index(v)))) for u, _m, v in constraints
+        )
+        seen["self-loop"] += any(low == high for low, high in spans)
+        seen["emptied"] += any(
+            u != v and len(domains[v]) == 1 and len(domains[u]) > 0
+            and all(m(x) not in domains[v] for x in domains[u])
+            for u, m, v in constraints
+        )
+        ties = [(low, high) for low, high in spans if low < high]
+        seen["split"] += any(b < c for (_, b), (c, _) in itertools.combinations(ties, 2))
+        seen["interleaved"] += any(a < c < b < d for (a, b), (c, d) in itertools.combinations(ties, 2))
+        seen["no solution"] += not want
+        seen["several solutions"] += len(want) > 1
+    assert min(seen.values()) >= 100, seen
 
 
 def test_equal_components_are_one_object(f_kite, h_on_a):

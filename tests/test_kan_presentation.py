@@ -9,6 +9,7 @@ sort are the sorted ones.
 """
 
 import io
+import os
 import random
 import sys
 
@@ -17,6 +18,7 @@ from oracles import comma_kan_extensions
 from test_adjunction import _to_point
 from test_generators import MONOIDS, _monoid_action, _random_monoid_functor, cyclic_monoid, product
 
+import fincat.finset
 from fincat import cli
 from fincat.adjunction import kan_extensions
 from fincat.core import (
@@ -123,6 +125,45 @@ def test_kan_matches_golden(fix, stem):
     code = cli.run(argv, out=out)
     with open(fix("golden", f"kan_{stem}.txt"), encoding="utf-8") as handle:
         assert out.getvalue() + f"exit {code}\n" == handle.read()
+
+
+KAN_BLOCKS = os.path.join(os.path.dirname(__file__), "data", "kan_blocks")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("kan_f4_1", ["kan", "incl_2_3.fun", "f4_1.fun"]),
+        ("yoneda_f4_1", ["yoneda", "f4_1.fun"]),
+    ],
+)
+def test_single_valued_targets_leave_free_variables(monkeypatch, name, argv):
+    """F on a 2-chain sends four elements onto one, and is extended along
+    the inclusion into a 3-chain.  Every square of each Nat set points into
+    a one-element set, so no block search branches over two variables with
+    more than one candidate; output and exit code are as the backtracking
+    search printed them."""
+    pools_seen, sizes = [], []
+    backtrack, solve = fincat.finset._backtrack, fincat.finset._solve
+
+    def watched_backtrack(pools, checks):
+        pools_seen.append([len(pool) for pool in pools])
+        return backtrack(pools, checks)
+
+    def counted_solve(*args):
+        solutions = solve(*args)
+        sizes.append(len(solutions))
+        return solutions
+
+    monkeypatch.setattr(fincat.finset, "_backtrack", watched_backtrack)
+    monkeypatch.setattr(fincat.finset, "_solve", counted_solve)
+    out = io.StringIO()
+    code = cli.run([argv[0]] + [os.path.join(KAN_BLOCKS, path) for path in argv[1:]], out=out)
+    with open(os.path.join(KAN_BLOCKS, f"{name}.txt"), encoding="utf-8") as handle:
+        assert out.getvalue() + f"exit {code}\n" == handle.read()
+    assert all(sum(size > 1 for size in pools) < 2 for pools in pools_seen), pools_seen
+    if argv[0] == "kan":
+        assert sizes.count(256) == 4, sizes
 
 
 SORTED_SITES = ("presented_limit", "presented_colimit", "hom_maps_functor", "hom_cov_functor")
